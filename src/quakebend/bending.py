@@ -17,7 +17,7 @@ geodesic copy of H2 is the slice x3 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from quakebend import isometry as iso
 from quakebend import teich
 from quakebend import lamination as lm
 from quakebend import earthquake as eq
-from quakebend.errors import DomainError, StructureError
+from quakebend.errors import DomainError
 
 HYPERBOLIC = "hyperbolic"
 ADS = "ads"
@@ -95,16 +95,7 @@ class BendContext:
 def make_context(point, lam, depth=8, base_point=complex(0.137, 1.03),
                  target=HYPERBOLIC, pd=None):
     """Realize `lam` on the holonomy of `point` and fix a base point."""
-    if isinstance(point, teich.FNPoint):
-        if pd is None:
-            raise StructureError("FN bending needs the pant decomposition")
-        h = teich.holonomy_from_fn(pd, point)
-    elif isinstance(point, teich.ShearPoint):
-        h = teich.holonomy_from_shear(point)
-    elif isinstance(point, teich.Holonomy):
-        h = point
-    else:
-        raise StructureError(f"unsupported point {type(point)!r}")
+    h = teich.holonomy_of(point, pd)
     fam = lm.LiftFamily(lam, h, depth=depth)
     return BendContext(base_point, fam, target), h
 
@@ -205,18 +196,19 @@ def ads_holonomy(point, lam, depth=8, base_point=complex(0.137, 1.03), pd=None):
     if ctx.family.empty:
         h.meta["converged"] = True
         return h, h
-    flags = {"ok": True}
+    converged = True
 
-    def deform(side):
-        def fn(name, m):
-            y = iso.apply_h2(m, ctx.base_point)
-            leaves, ok = ctx.leaves(ctx.base_point, y)
-            flags["ok"] = flags["ok"] and ok
-            return iso.normalize(
-                eq.quake_cocycle(leaves, side, x=ctx.base_point, y=y) @ m)
-        return fn
+    def deform(m):
+        nonlocal converged
+        y = iso.apply_h2(m, ctx.base_point)
+        leaves, ok = ctx.leaves(ctx.base_point, y)
+        converged = converged and ok
+        bl, br = bend_cocycle_ads_from_lifts(leaves, ctx.base_point, y)
+        return iso.normalize(bl @ m), iso.normalize(br @ m)
 
-    out_l = h.map(deform(eq.LEFT))
-    out_r = h.map(deform(eq.RIGHT))
-    out_l.meta["converged"] = out_r.meta["converged"] = flags["ok"]
+    # one crossings query per letter serves both components
+    pairs = {name: deform(m) for name, m in {**h.gens, **h.alphabet}.items()}
+    out_l = h.map(lambda name, _: pairs[name][0])
+    out_r = h.map(lambda name, _: pairs[name][1])
+    out_l.meta["converged"] = out_r.meta["converged"] = converged
     return out_l, out_r

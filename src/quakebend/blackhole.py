@@ -47,10 +47,14 @@ class CircleArc:
     end: float
 
     def contains(self, x, tol=0.0):
+        """Whether the boundary value x (or each entry of an array of
+        them) lies in the arc, at least tol radians inside it."""
         a, b = circle_angle(self.start), circle_angle(self.end)
-        t = (circle_angle(x) - a) % (2.0 * math.pi)
+        x = np.asarray(x, dtype=float)
+        theta = np.where(np.isinf(x), math.pi, 2.0 * np.arctan(x))
+        t = (theta - a) % (2.0 * math.pi)
         w = (b - a) % (2.0 * math.pi)
-        return tol < t < w - tol
+        return (tol < t) & (t < w - tol)
 
 
 @dataclass(frozen=True)
@@ -130,32 +134,31 @@ def t_symmetry(data: HorizonData):
 # rectangles
 # ---------------------------------------------------------------------------
 
-def _orbit_boundary_samples(h: teich.Holonomy, depth):
-    """Fixed points of the generators pushed around by reduced words."""
-    base = []
-    for m in h.gens.values():
-        k = iso.classify(m)
-        base.extend(k.fixed_points)
-    mats = [np.eye(2)]
-    frontier = [(np.eye(2), None)]
-    names = list(h.gens)
-    for _ in range(depth):
-        nxt = []
-        for mat, last in frontier:
-            for n in names:
-                for e in (1, -1):
-                    if last == (n, -e):
-                        continue
-                    m2 = iso.normalize(
-                        mat @ (h.gens[n] if e > 0 else iso.inv(h.gens[n])))
-                    nxt.append((m2, (n, e)))
-                    mats.append(m2)
-        frontier = nxt
-    out = []
-    for m in mats:
-        for p in base:
-            out.append(iso.apply_boundary(m, p))
-    return out
+def _limit_set_samples(h: teich.Holonomy, depth):
+    """Limit-set points at the reduced words up to `depth`: the
+    attracting fixed point of each hyperbolic word and the fixed point
+    of each parabolic one.  The inverse of every word is enumerated as
+    well, so both fixed points of a hyperbolic word are sampled."""
+    words = np.concatenate([m for m, _ in h.word_levels(depth)])
+    (a, b), (c, d) = words[:, 0].T, words[:, 1].T
+    tr, p = a + d, a - d
+    det = a * d - b * c
+    # fixed points solve c x^2 - p x - b = 0; the attracting one has the
+    # larger |c x + d| = |tr +- disc| / 2, so x = (p + s disc) / 2c with s
+    # the sign of the trace.  Of that and the equal -2b / (p - s disc),
+    # take the one free of cancellation (the second when the first is
+    # 0/0, a parabolic fixing infinity).
+    s = np.where(tr < 0, -1.0, 1.0)
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    plus, minus = p + s * disc, p - s * disc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first, second = plus / (2.0 * c), -2.0 * b / minus
+    att = np.where(np.abs(plus) >= np.abs(minus), first, second)
+    att = np.where(np.isnan(att), second, att)
+    # as in `isometry.classify`, elliptic words have no boundary fixed
+    # point; the empty word gives 0/0 in both forms
+    return att[(np.abs(tr) >= (2.0 - iso.TAU_CLASS) * np.sqrt(det))
+               & ~np.isnan(att)]
 
 
 def _select_side(g, samples, tol=1e-7):
@@ -166,8 +169,8 @@ def _select_side(g, samples, tol=1e-7):
         raise DomainError("peripheral holonomy must be hyperbolic or parabolic")
     att, rep = k.fixed_points
     arc1, arc2 = CircleArc(att, rep), CircleArc(rep, att)
-    inhabited1 = any(arc1.contains(x, tol=tol) for x in samples)
-    inhabited2 = any(arc2.contains(x, tol=tol) for x in samples)
+    inhabited1 = bool(arc1.contains(samples, tol=tol).any())
+    inhabited2 = bool(arc2.contains(samples, tol=tol).any())
     if inhabited1 and inhabited2:
         raise IncreaseDepthError(
             "both candidate arcs meet the sampled limit set; increase depth")
@@ -180,13 +183,14 @@ def _select_side(g, samples, tol=1e-7):
 def peripheral_rectangle(g_left, g_right, h_left: teich.Holonomy,
                          h_right: teich.Holonomy, depth=10):
     """R(gamma): per side, the fixed point (parabolic) or the arc between
-    the fixed points missing the sampled limit set.
+    the fixed points missing the limit set, sampled at the fixed points
+    of the reduced words up to `depth`.
 
     The two vertices spanning the horizon geodesic pair the attracting
     point of one side with the repelling point of the other.
     """
-    side_l = _select_side(g_left, _orbit_boundary_samples(h_left, depth))
-    side_r = _select_side(g_right, _orbit_boundary_samples(h_right, depth))
+    side_l = _select_side(g_left, _limit_set_samples(h_left, depth))
+    side_r = _select_side(g_right, _limit_set_samples(h_right, depth))
     vertices = ()
     if isinstance(side_l, CircleArc) and isinstance(side_r, CircleArc):
         att_l, rep_l = iso.fixed_points(g_left)
@@ -199,20 +203,11 @@ def peripheral_rectangle(g_left, g_right, h_left: teich.Holonomy,
 # Omega(h) membership
 # ---------------------------------------------------------------------------
 
-def _reduced_words(names, depth):
-    out = []
-    frontier = [((), None)]
-    for _ in range(depth):
-        nxt = []
-        for word, last in frontier:
-            for n in names:
-                for e in (1, -1):
-                    if last == (n, -e):
-                        continue
-                    w2 = word + ((n, e),)
-                    nxt.append((w2, (n, e)))
-                    out.append(w2)
-        frontier = nxt
+def _adj(m):
+    """Adjugates of a stack of 2x2 matrices (inverses at unit determinant)."""
+    out = np.empty_like(m)
+    out[:, 0, 0], out[:, 1, 1] = m[:, 1, 1], m[:, 0, 0]
+    out[:, 0, 1], out[:, 1, 0] = -m[:, 0, 1], -m[:, 1, 0]
     return out
 
 
@@ -220,22 +215,26 @@ def omega_contains(x, h_left: teich.Holonomy, h_right: teich.Holonomy,
                    depth=8):
     """Whether no translate of x by a reduced word of length <= depth is
     causally related to x.  Conservative: deeper tests only shrink the
-    domain."""
+    domain.
+
+    The words come from `teich.Holonomy.word_levels`, the same word in
+    both components; each length is tested in one batch with the trace
+    test of `isometry.causal_type`: y = W_L x W_R^{-1} fails when
+    |tr(x y^{-1})| <= 2 + TAU_CLASS and y is not projectively equal to x.
+    """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    names = list(h_left.gens)
-    cache_l, cache_r = {(): np.eye(2)}, {(): np.eye(2)}
-    for w in _reduced_words(names, depth):
-        head, tail = w[:-1], w[-1]
-        n, e = tail
-        gl = h_left.gens[n] if e > 0 else iso.inv(h_left.gens[n])
-        gr = h_right.gens[n] if e > 0 else iso.inv(h_right.gens[n])
-        cache_l[w] = iso.normalize(cache_l[head] @ gl)
-        cache_r[w] = iso.normalize(cache_r[head] @ gr)
-        y = cache_l[w] @ x @ iso.inv(cache_r[w])
+    levels = zip(h_left.word_levels(depth), h_right.word_levels(depth))
+    next(levels)  # the empty word fixes x
+    for (wl, _), (wr, _) in levels:
+        y = wl @ x @ _adj(wr)
+        t = np.abs(np.einsum("ij,nji->n", x, _adj(y)))
         # fixed points of the action (e.g. the dual point of an invariant
-        # plane) are fine; chronology fails on timelike/lightlike pairs
-        if iso.causal_type(x, y) in ("timelike", "lightlike"):
+        # plane) are fine, as in `isometry.proj_equal` (np.allclose)
+        slack = 1e-9 + 1e-5 * np.abs(y)
+        coincident = (np.all(np.abs(x - y) <= slack, axis=(1, 2))
+                      | np.all(np.abs(x + y) <= slack, axis=(1, 2)))
+        if np.any((t <= 2.0 + iso.TAU_CLASS) & ~coincident):
             return False
     return True
 

@@ -46,12 +46,6 @@ def emit(record):
     sys.stdout.write(json.dumps(record, sort_keys=True, default=_jsonable) + "\n")
 
 
-def _holonomy_of(point, pd):
-    if isinstance(point, teich.FNPoint):
-        return teich.holonomy_from_fn(pd, point)
-    return teich.holonomy_from_shear(point)
-
-
 def _load_surface(args):
     data = scenario.load(args.scenario)
     point, pd = scenario.surface_point(data)
@@ -119,7 +113,7 @@ def _num(x):
 
 def cmd_holonomy(args):
     _, point, pd = _load_surface(args)
-    h = _holonomy_of(point, pd)
+    h = teich.holonomy_of(point, pd)
     for name in h.curve_names():
         m = h.curve(name)
         k = iso.classify(m)
@@ -160,12 +154,12 @@ def cmd_quake(args):
     side = args.side
     if isinstance(point, teich.FNPoint):
         moved = eq.quake_coordinates(point, lam, side, pd=pd)
-        h2 = teich.holonomy_from_fn(pd, moved)
-        emit({"command": "quake", "side": side, "twists": list(moved.twists)})
+        coords = {"twists": list(moved.twists)}
     else:
         moved = eq.quake_shear(point, lam, side)
-        h2 = teich.holonomy_from_shear(moved)
-        emit({"command": "quake", "side": side, "shears": list(moved.shears)})
+        coords = {"shears": list(moved.shears)}
+    h2 = teich.holonomy_of(moved, pd)
+    emit({"command": "quake", "side": side, **coords})
     hq = eq.quake_holonomy(point, lam, side, depth=args.depth, pd=pd)
     for name in h2.curve_names():
         tc = abs(float(iso.tr(h2.curve(name))))

@@ -116,15 +116,7 @@ def quake_holonomy(point, lam, side, depth=8, pd=None, base=None):
     `point` is an FNPoint (with its decomposition) or a ShearPoint; the
     result carries meta['converged'] reporting lift-depth convergence.
     """
-    if isinstance(point, teich.FNPoint):
-        if pd is None:
-            raise StructureError("FN quake holonomy needs the decomposition")
-        h = teich.holonomy_from_fn(pd, point)
-    elif isinstance(point, teich.ShearPoint):
-        h = teich.holonomy_from_shear(point)
-    else:
-        raise StructureError(f"unsupported point {type(point)!r}")
-
+    h = teich.holonomy_of(point, pd)
     empty = (isinstance(lam, lm.MultiCurveLam) and lam.is_empty)
     if empty:
         h.meta["converged"] = True

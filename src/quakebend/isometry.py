@@ -305,12 +305,6 @@ def ads_embed(z):
     return np.array([[x / y, -(x * x + y * y) / y], [1.0 / y, -x / y]])
 
 
-def ads_embed_hyperboloid(y):
-    """P(Id) point from hyperboloid coordinates (y0, y1, y2)."""
-    y0, y1, y2 = y
-    return np.array([[y1, -(y0 + y2)], [y0 - y2, -y1]])
-
-
 def h2_to_hyperboloid(z):
     """Upper half-plane to the hyperboloid {-y0^2 + y1^2 + y2^2 = -1}."""
     x, y = z.real, z.imag
@@ -396,22 +390,10 @@ def positive_rotation(geo, t):
     return expm2(-t * x), expm2(t * x)
 
 
-def dual_geodesic(geo):
-    """Dual geodesic l* of a geodesic l in the plane P(Id).
-
-    l* is the set of points whose dual plane contains l; it is the orbit
-    of Id under the hyperbolic one-parameter group of l, parametrized by
-    arc length through `dual_point`.  The returned Geodesic records the
-    same ideal endpoint data as l (the two share their endpoint pair on
-    the boundary of X_{-1}); rotations around l act on l* by
-    translations.
-    """
-    # a degenerate input is rejected by the Geodesic constructor
-    return Geodesic(geo.p_minus, geo.p_plus)
-
-
 def dual_point(geo, s):
-    """Point of l* at signed arc length s from Id.
+    """Point at signed arc length s from Id on the dual geodesic l* of l
+    (the points whose dual plane contains l, the orbit of Id under the
+    hyperbolic one-parameter group of l).
 
     The parametrization is chosen so the positive rotation by t > 0
     moves dual points by +2t.

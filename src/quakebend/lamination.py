@@ -227,13 +227,6 @@ def segment_frame(x, y):
                                        [0.0, 1.0 / math.sqrt(h1)]]))
 
 
-def _dist_to_vertical_segment(z, h2):
-    """Distance from z to the segment [i, i h2] of the imaginary axis."""
-    r = abs(z)
-    foot = min(max(r, 1.0), h2)
-    return iso.dist_h2(z, complex(0.0, foot))
-
-
 def _base_leaves(lam, h: teich.Holonomy):
     if isinstance(lam, MultiCurveLam):
         out = []
@@ -263,22 +256,16 @@ def _stabilizer_letters(lam, h):
     return [None] * len(lam.weights)
 
 
-def _angles(vecs):
-    """RP^1 coordinate in [0, pi) of an (n, 2) array of direction vectors."""
-    th = np.arctan2(vecs[:, 1], vecs[:, 0])
-    return np.mod(th, math.pi)
-
-
 class LiftFamily:
     """All translates of a finite lamination's leaves up to a word depth.
 
-    Enumerates the reduced words of the free generating set once (the
-    expensive part) and answers segment-crossing queries cheaply, so
-    cocycles along many segments share one realization.  Leaves are
-    indexed by canonical coset representatives of their stabilizers
-    (words not ending in the stabilizing letter), so distinct entries
-    are distinct geodesics and every leaf is produced by its shortest
-    word.
+    Enumerates the reduced words of the free generating set once with
+    `teich.Holonomy.word_levels` (the expensive part) and answers
+    segment-crossing queries cheaply, so cocycles along many segments
+    share one realization.  Leaves are indexed by canonical coset
+    representatives of their stabilizers (words not ending in the
+    stabilizing letter), so distinct entries are distinct geodesics and
+    every leaf is produced by its shortest word.
     """
 
     MAX_WORDS = 6_000_000
@@ -298,23 +285,7 @@ class LiftFamily:
                 f"depth {depth} enumerates ~{est} words on a rank-{k} group; "
                 "reduce the depth")
         names = list(h.gens)
-        gen_list = []
-        for n in names:
-            gen_list.append(h.gens[n])
-            gen_list.append(iso.inv(h.gens[n]))
-        words = [np.eye(2)[None, :, :]]
-        lasts = [np.array([-1])]
-        for _ in range(depth):
-            prev, pl = words[-1], lasts[-1]
-            blocks, bl = [], []
-            for gi, g in enumerate(gen_list):
-                mask = pl != (gi ^ 1)  # no immediate backtracking
-                if not mask.any():
-                    continue
-                blocks.append(np.einsum("nij,jk->nik", prev[mask], g))
-                bl.append(np.full(int(mask.sum()), gi))
-            words.append(np.concatenate(blocks))
-            lasts.append(np.concatenate(bl))
+        words = list(h.word_levels(depth))
 
         stab = _stabilizer_letters(lam, h)
         ends_m, ends_p, ws, lv = [], [], [], []
@@ -325,7 +296,7 @@ class LiftFamily:
                 forbidden = (gi, gi + 1)
             else:
                 forbidden = ()
-            for level, (block, bl) in enumerate(zip(words, lasts)):
+            for level, (block, bl) in enumerate(words):
                 if forbidden:
                     keep = (bl != forbidden[0]) & (bl != forbidden[1])
                     block = block[keep]

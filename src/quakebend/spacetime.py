@@ -395,14 +395,7 @@ def flat_holonomy(point, lam, depth=8, base_point=complex(0.137, 1.03), pd=None)
     the underlying holonomy to an AffineIsom3; words compose through
     AffineIsom3.compose.
     """
-    if isinstance(point, teich.FNPoint):
-        if pd is None:
-            raise StructureError("FN flat holonomy needs the decomposition")
-        h = teich.holonomy_from_fn(pd, point)
-    elif isinstance(point, teich.ShearPoint):
-        h = teich.holonomy_from_shear(point)
-    else:
-        h = point
+    h = teich.holonomy_of(point, pd)
     fam = lm.LiftFamily(lam, h, depth=depth)
     letters = {}
     flags = []
@@ -431,26 +424,16 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     """Sampled membership test of the regular domain of (F, lambda).
 
     True iff q lies strictly in the future of s(x) + x-perp for every
-    sampled stratum point x (orbit points of the base point to the
-    given word depth plus midpoints between consecutive leaf
-    crossings); conservative and monotone in depth.
+    sampled stratum point x (orbit points of the base point under the
+    reduced words of `teich.Holonomy.word_levels` to the given depth,
+    plus midpoints between consecutive leaf crossings on the segments
+    to the first 15 of them); conservative and monotone in depth.
     """
     q = np.asarray(q, dtype=float)
-    samples = [base_point]
-    names = list(h.gens)
-    frontier = [(np.eye(2), None)]
-    for _ in range(depth):
-        nxt = []
-        for mat, last in frontier:
-            for n in names:
-                for e in (1, -1):
-                    if last == (n, -e):
-                        continue
-                    m2 = iso.normalize(
-                        mat @ (h.gens[n] if e > 0 else iso.inv(h.gens[n])))
-                    nxt.append((m2, (n, e)))
-                    samples.append(iso.apply_h2(m2, base_point))
-        frontier = nxt
+    # orbit points in word order, the base point (empty word) first
+    words = np.concatenate([m for m, _ in h.word_levels(depth)])
+    (a, b), (c, d) = words[:, 0].T, words[:, 1].T
+    samples = ((a * base_point + b) / (c * base_point + d)).tolist()
     # midpoints between consecutive crossings along segments to orbit points
     mids = []
     for y in samples[1:16]:

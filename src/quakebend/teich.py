@@ -32,7 +32,7 @@ triangle (0, oo, -1)) and edge matrix F(s) = [[0, -e^{s/2}], [e^{-s/2}, 0]].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -385,9 +385,33 @@ class Holonomy:
         self.peripheral = tuple(peripheral)  # curve names of C_0..C_{r-1}
         self.meta = dict(meta or {})
 
-    @property
-    def generator_names(self):
-        return tuple(self.gens)
+    def word_levels(self, depth):
+        """Reduced words of the free generators, one length at a time.
+
+        Letters are ordered g0, g0^-1, g1, g1^-1, ... (the inverse of
+        letter i is letter i ^ 1), so level 1 lists them in that order.
+        Yields, for each length 0..depth, the (n, 2, 2) stack of word
+        matrices (unnormalized) and the index of each word's last letter
+        (-1 for the empty word).  Each level lists the words of the
+        previous one in turn, each extended by every letter but the
+        inverse of its last one (prefix-major order).  This is the one
+        reduced-word enumeration of the package.
+        """
+        gens = np.array([m for g in self.gens.values()
+                         for m in (g, iso.inv(g))]).reshape(-1, 2, 2)
+        idx = np.arange(len(gens))
+        mats, last = np.eye(2, dtype=gens.dtype)[None], np.array([-1])
+        yield mats, last
+        for _ in range(depth):
+            # every (letter, prefix) product, one einsum per letter (a
+            # fixed right factor is the fast kernel), then the pairs that
+            # do not backtrack, gathered in prefix-major order
+            prod = np.empty((len(gens),) + mats.shape, dtype=gens.dtype)
+            for g in idx:
+                np.einsum("nij,jk->nik", mats, gens[g], out=prod[g])
+            prefix, last = np.nonzero(idx != (last[:, None] ^ 1))
+            mats = prod.reshape(-1, 2, 2)[last * len(mats) + prefix]
+            yield mats, last
 
     def word(self, letters):
         """Evaluate a word: iterable of (letter, exponent)."""
@@ -416,6 +440,20 @@ class Holonomy:
         return Holonomy({k: fn(k, m) for k, m in self.gens.items()},
                         {k: fn(k, m) for k, m in self.alphabet.items()},
                         self.curve_words, self.peripheral, self.meta)
+
+
+def holonomy_of(point, pd=None):
+    """Holonomy of an FNPoint (over its decomposition `pd`) or a
+    ShearPoint; a Holonomy is returned as it is."""
+    if isinstance(point, FNPoint):
+        if pd is None:
+            raise StructureError("FN holonomy needs the pant decomposition")
+        return holonomy_from_fn(pd, point)
+    if isinstance(point, ShearPoint):
+        return holonomy_from_shear(point)
+    if isinstance(point, Holonomy):
+        return point
+    raise StructureError(f"unsupported point {type(point)!r}")
 
 
 def boundary_length(h: Holonomy, i):
@@ -681,8 +719,3 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
                     meta={"genus": genus, "coords": "shear",
                           "placements": placement,
                           "edge_geodesics": tuple(edge_geodesics)})
-
-
-def shear_edge_geodesics(sp: ShearPoint):
-    """Placed geodesics of the triangulation edges (one lift per edge)."""
-    return list(holonomy_from_shear(sp).meta["edge_geodesics"])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from quakebend import lamination as lm
 from quakebend import bending as bd
 from quakebend import blackhole as bh
 from quakebend import curvature as cv
+from quakebend import scenario
 from quakebend.errors import DomainError
 
 PD = teich.PantDecomposition.once_punctured_torus()
 FN = teich.FNPoint((1.5,), (2.0,), (0.3,))
+SPHERE_SHEAR = str(Path(__file__).resolve().parent.parent / "scripts"
+                   / "scenarios" / "sphere_shear.json")
 
 
 def hyperbolic_of_length(l, conj=None):
@@ -154,6 +158,21 @@ class TestRectangles:
             assert arc.contains(x)
             assert arc.contains(iso.apply_boundary(gl, x))
 
+    def test_deeper_sampling_keeps_the_arcs(self):
+        # the limit set misses the free arcs at every depth; samples must
+        # not drift into them as the words grow long
+        data = scenario.load(SPHERE_SHEAR)
+        point, _ = scenario.surface_point(data)
+        lam = scenario.lamination(data, point)
+        rects = {}
+        for depth in (6, 8):
+            hl, hr = bd.ads_holonomy(point, lam, depth=depth)
+            rects[depth] = [bh.peripheral_rectangle(
+                hl.peripheral_matrix(i), hr.peripheral_matrix(i), hl, hr,
+                depth=depth) for i in range(3)]
+        assert rects[8] == rects[6]
+        assert not any(r.degenerate for r in rects[6])
+
     def test_ambiguous_sampling_raises(self):
         g = hyperbolic_of_length(2.0)  # fixed points 0, oo
         with pytest.raises(bh.IncreaseDepthError):
@@ -162,7 +181,61 @@ class TestRectangles:
             bh._select_side(g, [])  # nothing to decide with
 
 
+def first_failing_length(x, h_left, h_right, depth):
+    """Word-by-word reference for omega_contains: the loop it replaced,
+    one isometry.causal_type per reduced word, breadth first.  Returns
+    the first word length whose translate of x is causally related to
+    x, or depth + 1 when none is."""
+    names = list(h_left.gens)
+    frontier = [(None, np.eye(2), np.eye(2))]
+    for length in range(1, depth + 1):
+        nxt = []
+        for last, ml, mr in frontier:
+            for n in names:
+                for e in (1, -1):
+                    if last == (n, -e):
+                        continue
+                    gl = h_left.gens[n] if e > 0 else iso.inv(h_left.gens[n])
+                    gr = h_right.gens[n] if e > 0 else iso.inv(h_right.gens[n])
+                    ml2, mr2 = iso.normalize(ml @ gl), iso.normalize(mr @ gr)
+                    y = ml2 @ x @ iso.inv(mr2)
+                    if iso.causal_type(x, y) in ("timelike", "lightlike"):
+                        return length
+                    nxt.append(((n, e), ml2, mr2))
+        frontier = nxt
+    return depth + 1
+
+
 class TestOmega:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batched_levels_match_word_loop(self, seed):
+        # two points of the Fuchsian plane and two random points of
+        # X_{-1}, on a seeded bent torus
+        rng = np.random.default_rng(seed)
+        fn = teich.FNPoint((rng.uniform(0.5, 2.0),), (rng.uniform(1.0, 3.0),),
+                           (rng.uniform(-1.0, 1.0),))
+        lam = lm.MultiCurveLam((rng.uniform(0.1, 0.6),))
+        hl, hr = bd.ads_holonomy(fn, lam, depth=4, pd=PD)
+        points = [iso.ads_embed(complex(rng.uniform(-1, 1), rng.uniform(0.5, 2)))
+                  for _ in range(2)]
+        while len(points) < 4:
+            m = rng.normal(size=(2, 2))
+            d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            if d > 1e-3:
+                points.append(m / math.sqrt(d))
+        for x in points:
+            first = first_failing_length(x, hl, hr, 6)
+            for depth in (1, 3, 6):
+                assert bh.omega_contains(x, hl, hr, depth=depth) == (first > depth)
+
+    def test_element_fixed_by_its_powers(self):
+        # b0^k x b0^-k = x for x = b0: with |b0^6| large the translate
+        # matches x only to the relative tolerance of proj_equal
+        h = teich.holonomy_from_fn(PD, teich.FNPoint((4.0,), (2.0,), (0.3,)))
+        x = h.gens["b0"]
+        assert first_failing_length(x, h, h, 6) == 7
+        assert bh.omega_contains(x, h, h, depth=6)
+
     def test_fuchsian_identity_inside(self):
         h = teich.holonomy_from_fn(PD, FN)
         assert bh.omega_contains(np.eye(2), h, h, depth=5)

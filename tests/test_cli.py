@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +179,15 @@ class TestBlackholeCommand:
         assert p0["M"] - p0["J"] == pytest.approx(p0["momentum"] ** 2, abs=1e-9)
         count = next(r["meridians"] for r in recs if "meridians" in r)
         assert count == 2  # one non-degenerate rectangle
+
+    def test_deep_sampling_on_shear_sphere(self, capsys):
+        # deeper limit-set sampling selects the same rectangles
+        path = str(Path(__file__).resolve().parent.parent / "scripts"
+                   / "scenarios" / "sphere_shear.json")
+        arcs = {}
+        for depth in ("6", "8"):
+            code, recs = run(capsys, ["blackhole", path, "--depth", depth])
+            assert code == 0
+            arcs[depth] = [r for r in recs if "meridian" in r]
+        assert len(arcs["6"]) == 8  # three non-degenerate rectangles
+        assert arcs["8"] == arcs["6"]

@@ -1,0 +1,83 @@
+"""Byte-for-byte regression oracle for the command-line front end.
+
+The README promises byte-identical record streams for identical
+scenarios.  Each case below runs one command in-process and compares its
+stdout with ``golden/<case>.jsonl`` and its exit code with
+``golden/exit_codes.json``.  A refactor must leave every stream
+unchanged.  Regenerate the files only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py --regen
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from quakebend import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENARIOS = ("torus_multicurve", "torus_flow", "sphere_shear")
+BEND_GRID = "x=-1:1:3,y=0.5:1.5:3"
+
+
+def _cases():
+    cases = {}
+    for scen in SCENARIOS:
+        path = str(ROOT / "scripts" / "scenarios" / f"{scen}.json")
+        cases[f"{scen}-holonomy"] = ["holonomy", path]
+        cases[f"{scen}-spectrum"] = ["spectrum", path]
+        cases[f"{scen}-quake-left-d8"] = ["quake", path, "--side", "left",
+                                          "--depth", "8"]
+        cases[f"{scen}-blackhole-d6"] = ["blackhole", path, "--depth", "6"]
+        for target in ("ads", "hyperbolic"):
+            cases[f"{scen}-bend-{target}"] = ["bend", path, "--target", target,
+                                              "--grid", BEND_GRID]
+    cases["verify-all"] = ["verify", "--suite", "all"]
+    # T, zeta chosen so the grid visits zeta < 0, the band 0 <= zeta <=
+    # a0/T and the rotated wing zeta > a0/T
+    cases["wick-3x3x3"] = ["wick", "--grid",
+                           "T=1.2:2.8:3,u=-0.8:0.8:3,zeta=-0.9:1.3:3",
+                           "--alpha0", "1"]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return out.getvalue(), code
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stream_matches_golden(name):
+    stdout, code = run_case(CASES[name])
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == codes[name]
+    assert stdout == (GOLDEN / f"{name}.jsonl").read_text()
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        stdout, codes[name] = run_case(argv)
+        (GOLDEN / f"{name}.jsonl").write_text(stdout)
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit(__doc__)
+    regenerate()

@@ -276,10 +276,6 @@ class TestDuality:
                 z = iso.apply_h2(m, complex(0, math.exp(u)))
                 assert abs(iso.ads_inner(x, iso.ads_embed(z))) < 1e-9
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(DomainError):
-            iso.dual_geodesic(iso.Geodesic(1.0, iso.INF) and iso.Geodesic(1.0, 1.0))
-
 
 class TestProjectiveEquality:
     @given(st.integers(0, 10 ** 6))

@@ -238,3 +238,79 @@ class TestEnhanced:
         h2 = h.map(lambda _, m: iso.normalize(g @ m @ iso.inv(g)))
         assert teich.boundary_length(h2, 0) == pytest.approx(
             teich.boundary_length(h, 0), abs=1e-10)
+
+
+def _word_holonomies():
+    pd1 = teich.PantDecomposition.once_punctured_torus()
+    pd4 = teich.PantDecomposition.four_punctured_sphere()
+    tri = teich.IdealTriangulation.three_punctured_sphere()
+    return {
+        "fn-torus": teich.holonomy_from_fn(
+            pd1, teich.FNPoint((1.0,), (2.0,), (0.3,))),
+        "fn-four-holed-sphere": teich.holonomy_from_fn(
+            pd4, teich.FNPoint((1.0, 0.0, 1.5, 0.5), (2.0,), (0.4,))),
+        "shear-sphere": teich.holonomy_from_shear(
+            teich.ShearPoint(tri, (1.5, 0.8, 1.2))),
+    }
+
+
+WORD_HOLONOMIES = _word_holonomies()
+
+
+class TestWordLevels:
+    DEPTH = 5
+
+    def levels_and_words(self, h):
+        """Levels of the engine plus each row's letter sequence, read off
+        the prefix-major order: row r of level d extends row r // 2k of
+        level 0 (d = 1) or row r // (2k - 1) of level d - 1 (d >= 2)."""
+        levels = list(h.word_levels(self.DEPTH))
+        two_k = 2 * len(h.gens)
+        words = [[()]]
+        for d, (_, last) in enumerate(levels[1:], start=1):
+            branch = two_k if d == 1 else two_k - 1
+            words.append([words[-1][r // branch] + (int(i),)
+                          for r, i in enumerate(last)])
+        return levels, words
+
+    @pytest.mark.parametrize("name", sorted(WORD_HOLONOMIES))
+    def test_level_sizes(self, name):
+        h = WORD_HOLONOMIES[name]
+        k = len(h.gens)
+        levels, _ = self.levels_and_words(h)
+        assert len(levels) == self.DEPTH + 1
+        assert levels[0][0].shape == (1, 2, 2)
+        for d, (mats, last) in enumerate(levels[1:], start=1):
+            n = 2 * k * (2 * k - 1) ** (d - 1)
+            assert mats.shape == (n, 2, 2) and last.shape == (n,)
+
+    @pytest.mark.parametrize("name", sorted(WORD_HOLONOMIES))
+    def test_words_are_reduced_and_distinct(self, name):
+        _, words = self.levels_and_words(WORD_HOLONOMIES[name])
+        for level in words:
+            assert len(set(level)) == len(level)
+            for w in level:
+                assert all(b != a ^ 1 for a, b in zip(w, w[1:]))
+
+    @pytest.mark.parametrize("name", sorted(WORD_HOLONOMIES))
+    def test_rows_evaluate_their_words(self, name):
+        h = WORD_HOLONOMIES[name]
+        names = list(h.gens)
+        levels, words = self.levels_and_words(h)
+        for (mats, last), level in zip(levels, words):
+            for r in range(0, len(level), 7):
+                w = level[r]
+                letters = [(names[i // 2], -1 if i % 2 else 1) for i in w]
+                expected = h.word(letters)
+                assert np.allclose(mats[r], expected,
+                                   atol=1e-12 * np.abs(expected).max())
+                if w:
+                    assert last[r] == w[-1]
+
+    def test_letter_order(self):
+        h = WORD_HOLONOMIES["fn-torus"]
+        (_, root), (letters, last) = list(h.word_levels(1))
+        assert list(root) == [-1] and list(last) == [0, 1, 2, 3]
+        for i, name in enumerate(h.gens):
+            assert np.array_equal(letters[2 * i], h.gens[name])
+            assert np.array_equal(letters[2 * i + 1], iso.inv(h.gens[name]))
