@@ -12,10 +12,8 @@ from quakebend import spacetime as sp
 from quakebend import curvature as cv
 
 
-def fitted(metric_of, T, z=0.35, u=0.2, a0=4.0):
-    fn = lambda x: metric_of(sp.LocalPoint(x[0], x[2], x[1], a0)).components
-    kappa, resid = cv.constant_curvature_fit(fn, (T, z, u))
-    return kappa, resid
+def fitted(kind, T, z=0.35, u=0.2, a0=4.0):
+    return cv.constant_curvature_fit(sp.chart_metric(kind, a0), (T, z, u))
 
 
 def main():
@@ -23,16 +21,16 @@ def main():
     for T in np.linspace(0.15, 2.85, 10):
         cells = [f"{T:6.2f}"]
         if T > 1.05:
-            k, _ = fitted(sp.wick_metric, T)
+            k, _ = fitted("wick", T)
             cells.append(f"{k:10.6f}")
         else:
             cells.append(" " * 10)
         if T < 0.95:
-            k, _ = fitted(sp.rescale_ds, T)
+            k, _ = fitted("ds", T)
             cells.append(f"{k:10.6f}")
         else:
             cells.append(" " * 10)
-        k, _ = fitted(sp.ads_metric, T)
+        k, _ = fitted("ads", T)
         cells.append(f"{k:10.6f}")
         print(" ".join(cells))
 

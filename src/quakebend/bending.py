@@ -207,7 +207,7 @@ def ads_holonomy(point, lam, depth=8, base_point=complex(0.137, 1.03), pd=None):
         return iso.normalize(bl @ m), iso.normalize(br @ m)
 
     # one crossings query per letter serves both components
-    pairs = {name: deform(m) for name, m in {**h.gens, **h.alphabet}.items()}
+    pairs = {name: deform(m) for name, m in h.alphabet.items()}
     out_l = h.map(lambda name, _: pairs[name][0])
     out_r = h.map(lambda name, _: pairs[name][1])
     out_l.meta["converged"] = out_r.meta["converged"] = converged

@@ -15,6 +15,7 @@ import numpy as np
 
 from quakebend import isometry as iso
 from quakebend import teich
+from quakebend.spacetime import MetricSample
 from quakebend.errors import DomainError, QuakebendError, WrongClassError
 
 
@@ -300,17 +301,27 @@ def btz_f(r, params: BTZParams):
     return -m + r * r + j * j / (4.0 * r * r)
 
 
-def btz_metric(v, r, phi, params: BTZParams):
-    """Kerr-like components in (v, r, phi); fails on the horizons."""
-    if r <= 0:
-        raise DomainError("the BTZ chart needs r > 0")
-    f = btz_f(r, params)
-    if abs(f) < 1e-12:
-        name = "r+" if abs(r - params.r_plus) < abs(r - params.r_minus) else "r-"
-        raise CoordinateSingularityError(name)
+def btz_chart_metric(params: BTZParams):
+    """The BTZ metric as a raw function x = (v, r, phi) -> (3, 3) ndarray
+    of Kerr-like components, the form the curvature oracle evaluates;
+    fails on the horizons."""
     m, j = params.mass, params.angular_momentum
-    g = np.array([[m - r * r, 0.0, -j / 2.0],
-                  [0.0, 1.0 / f, 0.0],
-                  [-j / 2.0, 0.0, r * r]])
-    from quakebend.spacetime import MetricSample
-    return MetricSample(g, "lorentzian")
+
+    def metric(x):
+        r = x[1]
+        if r <= 0:
+            raise DomainError("the BTZ chart needs r > 0")
+        f = btz_f(r, params)
+        if abs(f) < 1e-12:
+            name = "r+" if abs(r - params.r_plus) < abs(r - params.r_minus) else "r-"
+            raise CoordinateSingularityError(name)
+        return np.array([[m - r * r, 0.0, -j / 2.0],
+                         [0.0, 1.0 / f, 0.0],
+                         [-j / 2.0, 0.0, r * r]])
+
+    return metric
+
+
+def btz_metric(v, r, phi, params: BTZParams):
+    """The BTZ metric at (v, r, phi), checked once; fails on the horizons."""
+    return MetricSample(btz_chart_metric(params)((v, r, phi)), "lorentzian")

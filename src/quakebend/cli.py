@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +52,15 @@ def _load_surface(args):
     return data, point, pd
 
 
+def _load_laminated(args):
+    """_load_surface plus the lamination section the command needs."""
+    data, point, pd = _load_surface(args)
+    lam = scenario.lamination(data, point)
+    if lam is None:
+        raise ParseError(f"{args.command} needs a lamination section")
+    return data, point, pd, lam
+
+
 def parse_grid(spec):
     """'T=1.1:3:10,u=-1:1:5,zeta=-1:1.5:8' -> dict of 1d arrays."""
     out = {}
@@ -66,9 +75,10 @@ def parse_grid(spec):
 
 
 def write_mesh(path, vertices, faces):
-    """Plain OFF vertex/face text format."""
+    """Geomview nOFF vertex/face text format with 4-coordinate vertices
+    (Minkowski-4 points or flattened 2x2 matrices)."""
     with open(path, "w") as fh:
-        fh.write("OFF\n")
+        fh.write("nOFF\n4\n")
         fh.write(f"{len(vertices)} {len(faces)} 0\n")
         for v in vertices:
             fh.write(" ".join(f"{c:.12g}" for c in v) + "\n")
@@ -125,10 +135,7 @@ def cmd_holonomy(args):
 
 
 def cmd_spectrum(args):
-    data, point, pd = _load_surface(args)
-    lam = scenario.lamination(data, point)
-    if lam is None:
-        raise ParseError("spectrum needs a lamination section")
+    data, point, pd, lam = _load_laminated(args)
     kinds = teich.puncture_kinds(point)
     elam = scenario.eta(data, lam, point)
     spec = lm.peripheral_spectrum(lam, len(kinds))
@@ -147,10 +154,7 @@ def cmd_spectrum(args):
 
 
 def cmd_quake(args):
-    data, point, pd = _load_surface(args)
-    lam = scenario.lamination(data, point)
-    if lam is None:
-        raise ParseError("quake needs a lamination section")
+    data, point, pd, lam = _load_laminated(args)
     side = args.side
     if isinstance(point, teich.FNPoint):
         moved = eq.quake_coordinates(point, lam, side, pd=pd)
@@ -173,10 +177,7 @@ def cmd_quake(args):
 
 
 def cmd_flow(args):
-    data, point, pd = _load_surface(args)
-    lam = scenario.lamination(data, point)
-    if lam is None:
-        raise ParseError("flow needs a lamination section")
+    data, point, pd, lam = _load_laminated(args)
     elam = scenario.eta(data, lam, point)
     kinds = teich.puncture_kinds(point)
     eps = tuple(int(v) for v in data.get("eps", [1] * len(kinds)))
@@ -195,10 +196,7 @@ def cmd_flow(args):
 
 
 def cmd_bend(args):
-    data, point, pd = _load_surface(args)
-    lam = scenario.lamination(data, point)
-    if lam is None:
-        raise ParseError("bend needs a lamination section")
+    data, point, pd, lam = _load_laminated(args)
     target = bd.ADS if args.target == "ads" else bd.HYPERBOLIC
     ctx, h = bd.make_context(point, lam, depth=args.depth, target=target, pd=pd)
     grid = parse_grid(args.grid) if args.grid else {
@@ -228,6 +226,7 @@ def cmd_wick(args):
         "T": np.linspace(1.2, 2.8, 5), "u": np.linspace(-0.8, 0.8, 5),
         "zeta": np.linspace(-0.8, 1.2, 5)}
     a0 = args.alpha0
+    chart = sp.chart_metric("wick", a0)
     worst = 0.0
     for T in grid["T"]:
         for u in grid["u"]:
@@ -240,12 +239,9 @@ def cmd_wick(args):
                        "metric": [[float(c) for c in row] for row in g]}
                 # the chart is only C^{1,1} on the seams: curvature is
                 # reported away from them
-                seam_dist = min(abs(z), abs(z - a0 / T)) if a0 != math.inf \
-                    else abs(z)
+                seam_dist = min(abs(z), abs(z - a0 / T))
                 if seam_dist > 0.05:
-                    fn = lambda x: sp.wick_metric(
-                        sp.LocalPoint(x[0], x[2], x[1], a0)).components
-                    kappa, _ = cv.constant_curvature_fit(fn, (T, z, u))
+                    kappa, _ = cv.constant_curvature_fit(chart, (T, z, u))
                     worst = max(worst, abs(kappa + 1.0))
                     rec["curvature"] = float(kappa)
                     rec["curvature_residual"] = float(abs(kappa + 1.0))
@@ -271,10 +267,7 @@ def cmd_btz(args):
 
 
 def cmd_blackhole(args):
-    data, point, pd = _load_surface(args)
-    lam = scenario.lamination(data, point)
-    if lam is None:
-        raise ParseError("blackhole needs a lamination section")
+    data, point, pd, lam = _load_laminated(args)
     hl, hr = bd.ads_holonomy(point, lam, depth=args.depth, pd=pd)
     kinds = teich.puncture_kinds(point)
     rects = []
@@ -312,62 +305,45 @@ def cmd_blackhole(args):
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _verify_quake(tol):
+def _verify_fn_torus(tol, ads):
+    """Worst |trace| gap on the FN torus, over three multicurve weights,
+    of the quake (or both AdS) holonomies to their FN coordinate rebuilds."""
     pd = teich.PantDecomposition.once_punctured_torus()
     fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
     worst = 0.0
     for a in (0.1, 0.5, 1.0):
         lam = lm.MultiCurveLam((a,))
-        hq = eq.quake_holonomy(fn, lam, eq.LEFT, depth=8, pd=pd)
-        hf = teich.holonomy_from_fn(pd, eq.quake_coordinates(fn, lam, eq.LEFT))
-        for name in hf.curve_names():
-            worst = max(worst, abs(abs(iso.tr(hq.curve(name)))
-                                   - abs(iso.tr(hf.curve(name)))))
-    return worst, tol if tol is not None else 1e-8
-
-
-def _verify_ads(tol):
-    pd = teich.PantDecomposition.once_punctured_torus()
-    fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
-    worst = 0.0
-    for a in (0.1, 0.5, 1.0):
-        lam = lm.MultiCurveLam((a,))
-        hl, hr = bd.ads_holonomy(fn, lam, depth=8, pd=pd)
-        for side, ha in ((eq.LEFT, hl), (eq.RIGHT, hr)):
+        if ads:
+            sides = zip((eq.LEFT, eq.RIGHT),
+                        bd.ads_holonomy(fn, lam, depth=8, pd=pd))
+        else:
+            sides = [(eq.LEFT,
+                      eq.quake_holonomy(fn, lam, eq.LEFT, depth=8, pd=pd))]
+        for side, h in sides:
             hf = teich.holonomy_from_fn(pd, eq.quake_coordinates(fn, lam, side))
             for name in hf.curve_names():
-                worst = max(worst, abs(abs(iso.tr(ha.curve(name)))
+                worst = max(worst, abs(abs(iso.tr(h.curve(name)))
                                        - abs(iso.tr(hf.curve(name)))))
     return worst, tol if tol is not None else 1e-8
 
 
-def _verify_wick(tol):
+# chart-metric suites: kind, target curvature, sample points (T, zeta, u)
+# in the wing, the band and the rotated wing of the a0 = 1 model
+CHART_SUITES = {
+    "wick": ("wick", -1.0, [(1.5, -0.5, 0.2), (2.0, 0.2, 0.3), (2.5, 0.9, -0.4)]),
+    "ds": ("ds", 1.0, [(0.3, -0.5, 0.2), (0.6, 0.2, 0.3), (0.85, 0.9, -0.4)]),
+    "ads-model": ("ads", -1.0,
+                  [(0.4, -0.5, 0.2), (1.5, 0.1, 0.3), (2.0, 0.9, -0.4)]),
+}
+
+
+def _verify_chart(suite, tol):
+    kind, kappa_want, points = CHART_SUITES[suite]
+    metric = sp.chart_metric(kind)
     worst = 0.0
-    for (T, z, u) in [(1.5, -0.5, 0.2), (2.0, 0.2, 0.3), (2.5, 0.9, -0.4)]:
-        fn = lambda x: sp.wick_metric(
-            sp.LocalPoint(x[0], x[2], x[1], 1.0)).components
-        kappa, resid = cv.constant_curvature_fit(fn, (T, z, u))
-        worst = max(worst, abs(kappa + 1.0), resid)
-    return worst, tol if tol is not None else 1e-4
-
-
-def _verify_ds(tol):
-    worst = 0.0
-    for (T, z, u) in [(0.3, -0.5, 0.2), (0.6, 0.2, 0.3), (0.85, 0.9, -0.4)]:
-        fn = lambda x: sp.rescale_ds(
-            sp.LocalPoint(x[0], x[2], x[1], 1.0)).components
-        kappa, resid = cv.constant_curvature_fit(fn, (T, z, u))
-        worst = max(worst, abs(kappa - 1.0), resid)
-    return worst, tol if tol is not None else 1e-4
-
-
-def _verify_ads_model(tol):
-    worst = 0.0
-    for (T, z, u) in [(0.4, -0.5, 0.2), (1.5, 0.1, 0.3), (2.0, 0.9, -0.4)]:
-        fn = lambda x: sp.ads_metric(
-            sp.LocalPoint(x[0], x[2], x[1], 1.0)).components
-        kappa, resid = cv.constant_curvature_fit(fn, (T, z, u))
-        worst = max(worst, abs(kappa + 1.0), resid)
+    for x in points:
+        kappa, resid = cv.constant_curvature_fit(metric, x)
+        worst = max(worst, abs(kappa - kappa_want), resid)
     return worst, tol if tol is not None else 1e-4
 
 
@@ -375,19 +351,17 @@ def _verify_btz(tol):
     worst = 0.0
     for (rp, rm) in [(1.0, 0.0), (1.2, 0.4)]:
         params = bh.BTZParams(rp, rm)
-        fn = lambda x: bh.btz_metric(x[0], x[1], x[2], params).components
-        kappa, resid = cv.constant_curvature_fit(fn, (0.0, 2.0 * rp, 0.3))
+        kappa, resid = cv.constant_curvature_fit(bh.btz_chart_metric(params),
+                                                 (0.0, 2.0 * rp, 0.3))
         worst = max(worst, abs(kappa + 1.0), resid)
         worst = max(worst, abs(bh.btz_f(params.r_plus, params)))
     return worst, tol if tol is not None else 1e-4
 
 
 VERIFY_SUITES = {
-    "quake": _verify_quake,
-    "ads": _verify_ads,
-    "wick": _verify_wick,
-    "ds": _verify_ds,
-    "ads-model": _verify_ads_model,
+    "quake": partial(_verify_fn_torus, ads=False),
+    "ads": partial(_verify_fn_torus, ads=True),
+    **{name: partial(_verify_chart, name) for name in CHART_SUITES},
     "btz": _verify_btz,
 }
 

@@ -5,6 +5,11 @@ which balances truncation against cancellation at double precision for
 curvature tolerances around 1e-4.  The oracle is validated on the round
 sphere and the hyperbolic plane before being trusted on any pulled-back
 or rescaled metric.
+
+Every `metric` argument is a callable from the coordinate point x (a
+float ndarray of length n) to the raw (n, n) ndarray of components, as
+`spacetime.chart_metric` gives; a 3-D fit calls it 171 times, so it
+should check only its domain.  A DomainError it raises propagates.
 """
 
 from __future__ import annotations
@@ -57,15 +62,11 @@ def riemann(metric, x, h=1e-3):
                      for k in range(n)])
     # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
     #             + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
-    r_up = np.zeros((n, n, n, n))
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    val = dgam[i, l, j, k] - dgam[j, l, i, k]
-                    val += np.dot(gam[l, i, :], gam[:, j, k])
-                    val -= np.dot(gam[l, j, :], gam[:, i, k])
-                    r_up[l, k, i, j] = val
+    # as r_up[l, k, i, j]; the Gamma Gamma terms are one matrix product,
+    # whose sums over m are bitwise those of per-entry np.dot (einsum's are not)
+    prod = (gam.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)
+    r_up = (dgam.transpose(1, 3, 0, 2) - dgam.transpose(1, 3, 2, 0)
+            + prod.transpose(0, 3, 1, 2) - prod.transpose(0, 3, 2, 1))
     # lower: R_{ijkl} = g_{lm} R^m_{kij}
     r = np.einsum("lm,mkij->ijkl", g, r_up)
     return r

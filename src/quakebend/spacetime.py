@@ -21,6 +21,10 @@ any chart where |dT|_h = -1; the universal function pairs are
 (1/(T^2-1), 1/(T^2-1)^2) for the Wick rotation to H3 (T > 1),
 (1/(1-T^2), 1/(1-T^2)^2) to de Sitter (T < 1) and
 (1/(1+T^2), 1/(1+T^2)^2) to anti-de Sitter (any T > 0).
+
+`chart_metric` gives these metrics as raw functions (T, zeta, u) ->
+ndarray for the curvature oracle; the public metric functions return
+the same components checked once as a `MetricSample`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,16 @@ from quakebend import lamination as lm
 from quakebend.errors import DomainError, StructureError
 
 INF = math.inf
+
+
+def regime(T, zeta, alpha0):
+    """Chart regime of (T, zeta) in the model of weight alpha0:
+    1 hyperboloid wing, 2 band, 3 rotated wing."""
+    if zeta < 0:
+        return 1
+    if alpha0 == INF or zeta <= alpha0 / T:
+        return 2
+    return 3
 
 
 @dataclass(frozen=True)
@@ -55,16 +69,12 @@ class LocalPoint:
 
     @property
     def regime(self):
-        if self.zeta < 0:
-            return 1
-        if self.alpha0 == INF or self.zeta <= self.alpha0 / self.T:
-            return 2
-        return 3
+        return regime(self.T, self.zeta, self.alpha0)
 
 
 @dataclass(frozen=True)
 class MetricSample:
-    """Symmetric 3x3 metric components in the (T-or-tau, zeta, u) frame."""
+    """Checked symmetric 3x3 metric in the (T-or-tau, zeta, u) frame."""
 
     components: np.ndarray
     signature: str  # 'lorentzian' | 'riemannian'
@@ -82,96 +92,8 @@ class MetricSample:
 
 
 # ---------------------------------------------------------------------------
-# flat local model
+# chart metrics: raw components, one flat chart and one rescaling step
 # ---------------------------------------------------------------------------
-
-def flat_embedding(p: LocalPoint):
-    """Minkowski 3-space point of the chart (T, u, zeta)."""
-    T, u, z, a0 = p.T, p.u, p.zeta, p.alpha0
-    if p.regime == 1:
-        return T * np.array([math.cosh(u) * math.cosh(z),
-                             math.sinh(u) * math.cosh(z),
-                             math.sinh(z)])
-    if p.regime == 2:
-        return T * np.array([math.cosh(u), math.sinh(u), z])
-    zp = z - a0 / T
-    return T * np.array([math.cosh(u) * math.cosh(zp),
-                         math.sinh(u) * math.cosh(zp),
-                         math.sinh(zp)]) + np.array([0.0, 0.0, a0])
-
-
-def flat_metric(p: LocalPoint):
-    """Flat spacetime metric in the chart, continuous across the seams.
-
-    On the hyperboloid wing the classical warped form
-    diag(-1, T^2, T^2 ch^2 zeta).  Inside the band the zeta = arc/T chart
-    adds the cross terms (zeta^2) dT^2 + 2 T zeta dT dzeta; they vanish on
-    the seam zeta = 0 only, and on the seam zeta = a0/T they give
-    g_{T,zeta} = a0 and g_TT = -1 + (a0/T)^2.  The rotated wing keeps
-    these constant values; it is diag(-1, T^2, T^2 ch^2 zeta') only in
-    the adapted chart (T, zeta', u), zeta' = zeta - a0/T.
-    """
-    T, z = p.T, p.zeta
-    if p.regime == 1:
-        g = np.diag([-1.0, T * T, T * T * math.cosh(z) ** 2])
-    elif p.regime == 2:
-        g = np.array([[-1.0 + z * z, T * z, 0.0],
-                      [T * z, T * T, 0.0],
-                      [0.0, 0.0, T * T]])
-    else:
-        a0 = p.alpha0
-        zp = z - a0 / T
-        g = np.array([[-1.0 + (a0 / T) ** 2, a0, 0.0],
-                      [a0, T * T, 0.0],
-                      [0.0, 0.0, T * T * math.cosh(zp) ** 2]])
-    return MetricSample(g, "lorentzian")
-
-
-def flat_gauss_map(p: LocalPoint):
-    """Unit normal direction N(T, u, zeta): depends only on (u, zeta)."""
-    T, u, z, a0 = p.T, p.u, p.zeta, p.alpha0
-    if p.regime == 1:
-        return np.array([math.cosh(u) * math.cosh(z),
-                         math.sinh(u) * math.cosh(z), math.sinh(z)])
-    if p.regime == 2:
-        return np.array([math.cosh(u), math.sinh(u), 0.0])
-    zp = z - a0 / T
-    return np.array([math.cosh(u) * math.cosh(zp),
-                     math.sinh(u) * math.cosh(zp), math.sinh(zp)])
-
-
-def local_model_ct(q, alpha0=1.0):
-    """Cosmological time of a Minkowski point over the segment
-    [0, alpha0 v0], v0 = (0, 0, 1)."""
-    q = np.asarray(q, dtype=float)
-    s = min(max(q[2], 0.0), alpha0) if alpha0 != INF else max(q[2], 0.0)
-    d = q - np.array([0.0, 0.0, s])
-    val = -(-d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    if val <= 0 or d[0] <= 0:
-        raise DomainError("point is not in the open future of the segment")
-    return math.sqrt(val)
-
-
-# ---------------------------------------------------------------------------
-# rescaling machinery
-# ---------------------------------------------------------------------------
-
-def wick_rescale(sample: MetricSample, alpha, beta):
-    """Riemannian Wick rotation directed by grad T: the vertical norm
-    flips sign and scales by beta, the horizontal part by alpha."""
-    h = np.asarray(sample.components, dtype=float)
-    g = alpha * h.copy()
-    g[0, 0] += alpha + beta
-    return MetricSample(g, "riemannian")
-
-
-def lorentz_rescale(sample: MetricSample, alpha, beta):
-    """Lorentzian rescaling directed by grad T."""
-    h = np.asarray(sample.components, dtype=float)
-    g = alpha * h.copy()
-    g[0, 0] += alpha - beta
-    return MetricSample(g, "lorentzian")
-
 
 def wick_functions(T):
     if T <= 1.0:
@@ -191,6 +113,99 @@ def ads_functions(T):
     return 1.0 / (1.0 + T * T), 1.0 / (1.0 + T * T) ** 2
 
 
+# kind -> (universal functions, signature); the flat metric is the
+# Lorentzian rescaling alpha = beta = 1
+_RESCALINGS = {"flat": (lambda T: (1.0, 1.0), "lorentzian"),
+               "wick": (wick_functions, "riemannian"),
+               "ds": (ds_functions, "lorentzian"),
+               "ads": (ads_functions, "lorentzian")}
+
+
+def chart_metric(kind, alpha0=1.0):
+    """The `kind` metric ('flat', 'wick', 'ds' or 'ads') of the model of
+    weight alpha0 as a raw function x = (T, zeta, u) -> (3, 3) ndarray,
+    the form the curvature oracle evaluates: only the domain checks of T
+    run per call (that of alpha0 runs once, here)."""
+    if not (alpha0 > 0):
+        raise DomainError("the model weight must be positive (inf allowed)")
+    functions, signature = _RESCALINGS[kind]
+
+    def metric(x):
+        T, z = x[0], x[1]
+        if T <= 0:
+            raise DomainError("cosmological time must be positive")
+        reg = regime(T, z, alpha0)
+        if reg == 1:
+            g = np.diag([-1.0, T * T, T * T * math.cosh(z) ** 2])
+        elif reg == 2:
+            g = np.array([[-1.0 + z * z, T * z, 0.0],
+                          [T * z, T * T, 0.0],
+                          [0.0, 0.0, T * T]])
+        else:
+            zp = z - alpha0 / T
+            g = np.array([[-1.0 + (alpha0 / T) ** 2, alpha0, 0.0],
+                          [alpha0, T * T, 0.0],
+                          [0.0, 0.0, T * T * math.cosh(zp) ** 2]])
+        alpha, beta = functions(T)
+        g = alpha * g
+        g[0, 0] += alpha + beta if signature == "riemannian" else alpha - beta
+        return g
+
+    return metric
+
+
+def _sample(kind, p: LocalPoint):
+    """The `kind` metric at p, checked once."""
+    return MetricSample(chart_metric(kind, p.alpha0)((p.T, p.zeta, p.u)),
+                        _RESCALINGS[kind][1])
+
+
+def flat_metric(p: LocalPoint):
+    """Flat spacetime metric in the chart, continuous across the seams.
+
+    On the hyperboloid wing the classical warped form
+    diag(-1, T^2, T^2 ch^2 zeta).  Inside the band the zeta = arc/T chart
+    adds the cross terms (zeta^2) dT^2 + 2 T zeta dT dzeta; they vanish on
+    the seam zeta = 0 only, and on the seam zeta = a0/T they give
+    g_{T,zeta} = a0 and g_TT = -1 + (a0/T)^2.  The rotated wing keeps
+    these constant values; it is diag(-1, T^2, T^2 ch^2 zeta') only in
+    the adapted chart (T, zeta', u), zeta' = zeta - a0/T.
+    """
+    return _sample("flat", p)
+
+
+# ---------------------------------------------------------------------------
+# flat local model
+# ---------------------------------------------------------------------------
+
+def flat_embedding(p: LocalPoint):
+    """Minkowski 3-space point of the chart (T, u, zeta): the nearest
+    point s v0 of the segment plus T times the unit normal there."""
+    s = {1: 0.0, 2: p.T * p.zeta, 3: p.alpha0}[p.regime]
+    return p.T * flat_gauss_map(p) + np.array([0.0, 0.0, s])
+
+
+def flat_gauss_map(p: LocalPoint):
+    """Unit normal direction N(T, u, zeta): depends only on (u, zeta)."""
+    if p.regime == 2:
+        return np.array([math.cosh(p.u), math.sinh(p.u), 0.0])
+    w = p.zeta if p.regime == 1 else p.zeta - p.alpha0 / p.T  # wing coordinate
+    return np.array([math.cosh(p.u) * math.cosh(w),
+                     math.sinh(p.u) * math.cosh(w), math.sinh(w)])
+
+
+def local_model_ct(q, alpha0=1.0):
+    """Cosmological time of a Minkowski point over the segment
+    [0, alpha0 v0], v0 = (0, 0, 1)."""
+    q = np.asarray(q, dtype=float)
+    s = min(max(q[2], 0.0), alpha0)
+    d = q - np.array([0.0, 0.0, s])
+    val = -(-d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+    if val <= 0 or d[0] <= 0:
+        raise DomainError("point is not in the open future of the segment")
+    return math.sqrt(val)
+
+
 # ---------------------------------------------------------------------------
 # Wick rotation into H3
 # ---------------------------------------------------------------------------
@@ -199,38 +214,33 @@ def wick_rotate(p: LocalPoint):
     """The C^1 developing map into H3 (unit timelike Minkowski-4
     vectors); T > 1 required."""
     T, u, z, a0 = p.T, p.u, p.zeta, p.alpha0
-    if T <= 1.0:
-        raise DomainError("the Wick rotation needs T > 1")
-    d = math.atanh(1.0 / T)
+    d = hyperbolic_boundary_distance(T)
     chd, shd = math.cosh(d), math.sinh(d)
-    if p.regime == 1:
-        base = np.array([math.cosh(z) * math.cosh(u),
-                         math.cosh(z) * math.sinh(u), math.sinh(z), 0.0])
-        normal = np.array([0.0, 0.0, 0.0, 1.0])
-    elif p.regime == 2:
+    if p.regime == 2:
         ang = z * T  # z / tanh(d)
         base = np.array([math.cosh(u), math.sinh(u), 0.0, 0.0])
         normal = np.array([0.0, 0.0, math.sin(ang), math.cos(ang)])
     else:
-        zp = z - a0 / T
-        base = np.array([math.cosh(zp) * math.cosh(u),
-                         math.cosh(zp) * math.sinh(u),
-                         math.sinh(zp) * math.cos(a0),
-                         -math.sinh(zp) * math.sin(a0)])
-        normal = np.array([0.0, 0.0, math.sin(a0), math.cos(a0)])
+        # a wing, the rotated one turned by the band's full angle a0
+        w, ang = (z, 0.0) if p.regime == 1 else (z - a0 / T, a0)
+        base = np.array([math.cosh(w) * math.cosh(u),
+                         math.cosh(w) * math.sinh(u),
+                         math.sinh(w) * math.cos(ang),
+                         -math.sinh(w) * math.sin(ang)])
+        normal = np.array([0.0, 0.0, math.sin(ang), math.cos(ang)])
     return chd * base + shd * normal
 
 
 def wick_metric(p: LocalPoint):
-    """Expected pulled-back metric of the Wick map: the flat sample
+    """Expected pulled-back metric of the Wick map: the flat metric
     rescaled by the universal functions."""
-    return wick_rescale(flat_metric(p), *wick_functions(p.T))
+    return _sample("wick", p)
 
 
 def hyperbolic_boundary_distance(T):
     """Distance from the bent boundary of the H3 image at level T."""
     if T <= 1.0:
-        raise DomainError("needs T > 1")
+        raise DomainError("the Wick rotation needs T > 1")
     return math.atanh(1.0 / T)
 
 
@@ -240,7 +250,7 @@ def hyperbolic_boundary_distance(T):
 
 def rescale_ds(p: LocalPoint):
     """De Sitter metric sample at p (0 < T < 1): constant curvature +1."""
-    return lorentz_rescale(flat_metric(p), *ds_functions(p.T))
+    return _sample("ds", p)
 
 
 def ds_cosmological_time(T):
@@ -297,7 +307,7 @@ def ads_map(p: LocalPoint):
 
 def ads_metric(p: LocalPoint):
     """Expected pulled-back metric of the AdS map: constant curvature -1."""
-    return lorentz_rescale(flat_metric(p), *ads_functions(p.T))
+    return _sample("ads", p)
 
 
 def ads_cosmological_time(T):

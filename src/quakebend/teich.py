@@ -384,6 +384,8 @@ class Holonomy:
         self.curve_words = dict(curve_words)
         self.peripheral = tuple(peripheral)  # curve names of C_0..C_{r-1}
         self.meta = dict(meta or {})
+        if not set(self.gens) <= set(self.alphabet):
+            raise StructureError("every generator must be an alphabet letter")
 
     def word_levels(self, depth):
         """Reduced words of the free generators, one length at a time.
@@ -436,9 +438,10 @@ class Holonomy:
 
     def map(self, fn):
         """New holonomy with every letter transformed by fn (e.g. a
-        conjugation or a deformation); words are preserved."""
-        return Holonomy({k: fn(k, m) for k, m in self.gens.items()},
-                        {k: fn(k, m) for k, m in self.alphabet.items()},
+        conjugation or a deformation), once per alphabet letter; words
+        are preserved and each generator is its transformed letter."""
+        alphabet = {k: fn(k, m) for k, m in self.alphabet.items()}
+        return Holonomy({k: alphabet[k] for k in self.gens}, alphabet,
                         self.curve_words, self.peripheral, self.meta)
 
 

@@ -155,80 +155,91 @@ class TestCriterion2EarthquakeAdsOracle:
 class TestCriterion3WickRotation:
     def test_grid(self):
         t0 = time.monotonic()
-        a0 = 8.0
         Ts = np.linspace(1.15, 2.95, 10)
         us = np.linspace(-0.9, 0.9, 10)
         zs = np.linspace(-1.3, 1.7, 10)
         eta4 = np.diag([-1.0, 1.0, 1.0, 1.0])
-        worst_pull = worst_curv = 0.0
-        for T in Ts:
-            for u in us:
-                for z in zs:
-                    p = sp.LocalPoint(float(T), float(u), float(z), a0)
-                    x = np.array([T, z, u])
-                    cols = []
-                    for k in range(3):
-                        xp, xm = x.copy(), x.copy()
-                        xp[k] += 1e-6
-                        xm[k] -= 1e-6
-                        cols.append((sp.wick_rotate(
-                            sp.LocalPoint(xp[0], xp[2], xp[1], a0))
-                            - sp.wick_rotate(
-                                sp.LocalPoint(xm[0], xm[2], xm[1], a0))) / 2e-6)
-                    J = np.stack(cols, axis=1)
-                    g_num = J.T @ eta4 @ J
-                    g_exp = sp.wick_metric(p).components
-                    rel = np.max(np.abs(g_num - g_exp)) / np.max(np.abs(g_exp))
-                    worst_pull = max(worst_pull, float(rel))
-        # curvature on a seam-safe subsample (chart is C^{1,1} on seams)
-        fn = lambda y: sp.wick_metric(
-            sp.LocalPoint(y[0], y[2], y[1], a0)).components
-        for T in Ts[::3]:
-            for u in us[::4]:
-                for z in zs[::3]:
-                    if abs(z) < 0.05 or abs(z - a0 / T) < 0.05:
-                        continue
-                    kappa, _ = cv.constant_curvature_fit(fn, (T, z, u))
-                    worst_curv = max(worst_curv, abs(kappa + 1.0))
-        # seam C^1 residuals (second-order one-sided differences)
-        def one_sided(xx, side, h=1e-5):
-            def f(y):
-                return sp.wick_rotate(sp.LocalPoint(y[0], y[2], y[1], a0))
-            cols = []
-            for k in range(3):
-                x1, x2 = xx.copy(), xx.copy()
-                x1[k] += side * h
-                x2[k] += side * 2 * h
-                cols.append((-3.0 * f(xx) + 4.0 * f(x1) - f(x2))
-                            / (side * 2 * h))
-            return np.stack(cols, axis=1)
+        worst_pull = worst_curv = worst_seam = 0.0
+        pull_regimes, curv_regimes = set(), set()
+        # a0 = 8 keeps the grid in the wing and the band; a0 = 1 puts
+        # zeta > a0/T samples in the rotated wing
+        for a0 in (8.0, 1.0):
+            for T in Ts:
+                for u in us:
+                    for z in zs:
+                        p = sp.LocalPoint(float(T), float(u), float(z), a0)
+                        pull_regimes.add(p.regime)
+                        x = np.array([T, z, u])
+                        cols = []
+                        for k in range(3):
+                            xp, xm = x.copy(), x.copy()
+                            xp[k] += 1e-6
+                            xm[k] -= 1e-6
+                            cols.append((sp.wick_rotate(
+                                sp.LocalPoint(xp[0], xp[2], xp[1], a0))
+                                - sp.wick_rotate(
+                                    sp.LocalPoint(xm[0], xm[2], xm[1], a0)))
+                                / 2e-6)
+                        J = np.stack(cols, axis=1)
+                        g_num = J.T @ eta4 @ J
+                        g_exp = sp.wick_metric(p).components
+                        rel = np.max(np.abs(g_num - g_exp)) / np.max(np.abs(g_exp))
+                        worst_pull = max(worst_pull, float(rel))
+            # curvature on a seam-safe subsample (chart is C^{1,1} on seams)
+            fn = sp.chart_metric("wick", a0)
+            for T in Ts[::3]:
+                for u in us[::4]:
+                    for z in zs[::3]:
+                        if abs(z) < 0.05 or abs(z - a0 / T) < 0.05:
+                            continue
+                        curv_regimes.add(sp.LocalPoint(T, u, z, a0).regime)
+                        kappa, _ = cv.constant_curvature_fit(fn, (T, z, u))
+                        worst_curv = max(worst_curv, abs(kappa + 1.0))
 
-        worst_seam = 0.0
-        for T in (1.3, 2.0, 2.8):
-            for zseam in (0.0, a0 / T):
-                x = np.array([T, zseam, 0.3])
-                worst_seam = max(worst_seam, float(np.max(np.abs(
-                    one_sided(x, -1) - one_sided(x, +1)))))
+            # seam C^1 residuals (second-order one-sided differences)
+            def one_sided(xx, side, h=1e-5):
+                def f(y):
+                    return sp.wick_rotate(sp.LocalPoint(y[0], y[2], y[1], a0))
+                cols = []
+                for k in range(3):
+                    x1, x2 = xx.copy(), xx.copy()
+                    x1[k] += side * h
+                    x2[k] += side * 2 * h
+                    cols.append((-3.0 * f(xx) + 4.0 * f(x1) - f(x2))
+                                / (side * 2 * h))
+                return np.stack(cols, axis=1)
+
+            for T in (1.3, 2.0, 2.8):
+                for zseam in (0.0, a0 / T):
+                    x = np.array([T, zseam, 0.3])
+                    worst_seam = max(worst_seam, float(np.max(np.abs(
+                        one_sided(x, -1) - one_sided(x, +1)))))
         dt = time.monotonic() - t0
         ok = worst_pull < 1e-6 and worst_curv < 1e-4 and worst_seam < 1e-6 \
-            and dt < 60.0
+            and pull_regimes == curv_regimes == {1, 2, 3} and dt < 60.0
         report(3, "Wick rotation", ok,
                f"pullback={worst_pull:.2e}, curvature={worst_curv:.2e}, "
-               f"seam={worst_seam:.2e}, {dt:.1f}s")
+               f"seam={worst_seam:.2e}, regimes={sorted(curv_regimes)}, "
+               f"{dt:.1f}s")
 
 
 class TestCriterion4Rescalings:
     def test_ds_and_ads(self):
         t0 = time.monotonic()
         worst_ds = 0.0
-        fn_ds = lambda y: sp.rescale_ds(
-            sp.LocalPoint(y[0], y[2], y[1], 1.0)).components
+        regimes = set()
+        fn_ds = sp.chart_metric("ds", 1.0)
         for T in np.linspace(0.12, 0.88, 6):
             for z in (-0.8, -0.3, 0.4):
                 if abs(z) < 0.05 or abs(z - 1.0 / T) < 0.05:
                     continue
                 kappa, _ = cv.constant_curvature_fit(fn_ds, (T, z, 0.25))
                 worst_ds = max(worst_ds, abs(kappa - 1.0))
+        # the rotated wing, zeta > a0/T
+        T, z, u = 0.5, 2.945, -0.5
+        regimes.add(sp.LocalPoint(T, u, z, 1.0).regime)
+        kappa, _ = cv.constant_curvature_fit(fn_ds, (T, z, u))
+        worst_ds = max(worst_ds, abs(kappa - 1.0))
 
         # AdS: band-regime pullback display and curvature
         worst_band = worst_ads = 0.0
@@ -261,17 +272,19 @@ class TestCriterion4Rescalings:
             display = np.diag([-1.0, math.cos(tau) ** 2, math.sin(tau) ** 2])
             worst_band = max(worst_band,
                              float(np.max(np.abs(A.T @ G @ A - display))))
-        fn_ads = lambda y: sp.ads_metric(
-            sp.LocalPoint(y[0], y[2], y[1], 1.0)).components
-        for (T, z, u) in [(0.5, -0.6, 0.2), (1.4, 0.3, 0.1), (2.0, -0.9, -0.5)]:
+        fn_ads = sp.chart_metric("ads", 1.0)
+        for (T, z, u) in [(0.5, -0.6, 0.2), (1.4, 0.3, 0.1), (2.0, -0.9, -0.5),
+                          (2.2, 1.4, -0.5)]:
+            regimes.add(sp.LocalPoint(T, u, z, 1.0).regime)
             kappa, _ = cv.constant_curvature_fit(fn_ads, (T, z, u))
             worst_ads = max(worst_ads, abs(kappa + 1.0))
         dt = time.monotonic() - t0
         ok = worst_ds < 1e-4 and worst_band < 1e-6 and worst_ads < 1e-4 \
-            and dt < 60.0
+            and 3 in regimes and dt < 60.0
         report(4, "dS/AdS rescalings", ok,
                f"dS curvature={worst_ds:.2e}, band display={worst_band:.2e}, "
-               f"AdS curvature={worst_ads:.2e}, {dt:.1f}s")
+               f"AdS curvature={worst_ads:.2e}, regimes={sorted(regimes)}, "
+               f"{dt:.1f}s")
 
 
 class TestCriterion5QuakeFlow:

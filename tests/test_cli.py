@@ -37,6 +37,27 @@ def run(capsys, argv):
     return code, [json.loads(line) for line in out.splitlines() if line]
 
 
+def read_noff(path):
+    """Strict reader of the Geomview nOFF text format: header, vertex
+    dimension, counts, one line of finite coordinates per vertex, one
+    line per face with in-range indices, nothing after the faces."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == "nOFF"
+    dim = int(lines[1])
+    nv, nf, ne = map(int, lines[2].split())
+    assert ne == 0 and len(lines) == 3 + nv + nf
+    vertices = [[float(c) for c in line.split()] for line in lines[3:3 + nv]]
+    assert all(len(v) == dim and all(map(math.isfinite, v))
+               for v in vertices)
+    faces = []
+    for line in lines[3 + nv:]:
+        k, *idx = map(int, line.split())
+        assert k >= 3 and len(idx) == k
+        assert all(0 <= i < nv for i in idx)
+        faces.append(idx)
+    return dim, vertices, faces
+
+
 def write_scenario(tmp_path, data, name="sc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -151,10 +172,8 @@ class TestWickCommand:
                                   "T=1.5:1.5:1,u=0:1:3,zeta=-0.5:0.5:3",
                                   "--mesh-out", str(mesh)])
         assert code == 0
-        lines = mesh.read_text().splitlines()
-        assert lines[0] == "OFF"
-        nv, nf, _ = map(int, lines[1].split())
-        assert nv == 9 and nf == 4
+        dim, vertices, faces = read_noff(mesh)
+        assert dim == 4 and len(vertices) == 9 and len(faces) == 4
 
 
 class TestBendCommand:
@@ -165,7 +184,8 @@ class TestBendCommand:
                                   "--grid", "x=-0.5:0.5:3,y=0.7:1.5:3",
                                   "--mesh-out", str(mesh)])
         assert code == 0
-        assert mesh.read_text().startswith("OFF")
+        dim, vertices, faces = read_noff(mesh)
+        assert dim == 4 and len(vertices) == 9 and len(faces) == 4
 
 
 class TestBlackholeCommand:

@@ -42,9 +42,12 @@ def _cases():
     cases["verify-all"] = ["verify", "--suite", "all"]
     # T, zeta chosen so the grid visits zeta < 0, the band 0 <= zeta <=
     # a0/T and the rotated wing zeta > a0/T
-    cases["wick-3x3x3"] = ["wick", "--grid",
-                           "T=1.2:2.8:3,u=-0.8:0.8:3,zeta=-0.9:1.3:3",
-                           "--alpha0", "1"]
+    wick_grid = "T=1.2:2.8:3,u=-0.8:0.8:3,zeta=-0.9:1.3:3"
+    cases["wick-3x3x3"] = ["wick", "--grid", wick_grid, "--alpha0", "1"]
+    # the a0 = inf chart (no rotated wing) and a wide band (a0 = 8)
+    cases["wick-3x3x3-a0inf"] = ["wick", "--grid", wick_grid,
+                                 "--alpha0", "inf"]
+    cases["wick-3x3x3-a08"] = ["wick", "--grid", wick_grid, "--alpha0", "8"]
     return cases
 
 

@@ -9,6 +9,7 @@ from quakebend import lamination as lm
 from quakebend import bending as bd
 from quakebend import spacetime as sp
 from quakebend import curvature as cv
+from quakebend import blackhole as bh
 from quakebend.errors import DomainError
 
 ETA3 = np.diag([-1.0, 1.0, 1.0])
@@ -54,6 +55,117 @@ class TestCurvatureOracle:
         k, resid = cv.constant_curvature_fit(metric, x)
         assert abs(k - expect) < 1e-5 and resid < 1e-5
         assert abs(cv.sectional_curvature(metric, x) - expect) < 1e-5
+
+
+def riemann_loop(metric, x, h=1e-3):
+    """Loop transcription of the lowered Riemann tensor, the reference
+    that the array form of `cv.riemann` must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    g = np.asarray(metric(x), dtype=float)
+    gam = cv.christoffel(metric, x, h)
+    dgam = np.array([cv._richardson_diff(
+        lambda y: cv.christoffel(metric, y, h), x, k, h) for k in range(n)])
+    r_up = np.zeros((n, n, n, n))
+    for l in range(n):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    val = dgam[i, l, j, k] - dgam[j, l, i, k]
+                    val += np.dot(gam[l, i, :], gam[:, j, k])
+                    val -= np.dot(gam[l, j, :], gam[:, i, k])
+                    r_up[l, k, i, j] = val
+    return np.einsum("lm,mkij->ijkl", g, r_up)
+
+
+# chart kind -> (public checked function, an open T-range inside its domain)
+CHARTS = {"flat": (sp.flat_metric, (0.3, 3.0)),
+          "wick": (sp.wick_metric, (1.1, 3.0)),
+          "ds": (sp.rescale_ds, (0.1, 0.9)),
+          "ads": (sp.ads_metric, (0.2, 3.0))}
+
+
+class TestRiemannArrayForm:
+    def test_bitwise_equal_to_loop(self):
+        rng = np.random.default_rng(11)
+        cases = []
+        for kind, (_, (lo, hi)) in CHARTS.items():
+            for a0 in (1.0, sp.INF):
+                metric = sp.chart_metric(kind, a0)
+                cases += [(metric, (rng.uniform(lo, hi), rng.uniform(-1.0, 2.0),
+                                    rng.uniform(-1.0, 1.0))) for _ in range(4)]
+        for _ in range(4):
+            rp = rng.uniform(0.8, 2.0)
+            params = bh.BTZParams(rp, rp * rng.uniform(0.0, 0.6))
+            cases.append((bh.btz_chart_metric(params),
+                          (rng.uniform(-1, 1), rp * rng.uniform(1.5, 3.0),
+                           rng.uniform(0, 6))))
+        cases += [(cv.sphere_metric, (1.0, 0.5)),
+                  (cv.hyperbolic_metric, (0.3, 1.0))]
+        for metric, x in cases:
+            assert np.array_equal(cv.riemann(metric, x), riemann_loop(metric, x))
+
+
+class TestChartMetric:
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    def test_equals_public_components(self, kind, a0):
+        public, (lo, hi) = CHARTS[kind]
+        T = 0.5 * (lo + hi)
+        zetas = [-0.5, 0.5 * a0 / T if a0 != sp.INF else 3.0]
+        if a0 != sp.INF:
+            zetas.append(a0 / T + 0.5)
+        regimes = []
+        for z in zetas:
+            p = pt(T, z, 0.3, a0)
+            regimes.append(p.regime)
+            raw = sp.chart_metric(kind, a0)((T, z, 0.3))
+            assert np.array_equal(raw, public(p).components)
+        assert regimes == [1, 2, 3][:len(zetas)]
+
+    @pytest.mark.parametrize("kind,T", [
+        ("flat", 0.0), ("flat", -0.5), ("wick", 1.0), ("wick", 0.5),
+        ("ds", 0.0), ("ds", 1.0), ("ads", 0.0), ("ads", -0.5)])
+    def test_domain(self, kind, T):
+        with pytest.raises(DomainError):
+            sp.chart_metric(kind)((T, 0.2, 0.3))
+
+    @pytest.mark.parametrize("kind,a0", [("wick", 0.0), ("ds", -1.0),
+                                         ("ads", math.nan)])
+    def test_weight_checked_at_construction(self, kind, a0):
+        with pytest.raises(DomainError):
+            sp.chart_metric(kind, a0)
+
+
+class TestSampleChecks:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        count = [0]
+        check = sp.MetricSample.__post_init__
+
+        def counted(self):
+            count[0] += 1
+            check(self)
+        monkeypatch.setattr(sp.MetricSample, "__post_init__", counted)
+        return count
+
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    def test_one_check_per_public_call(self, checks, kind):
+        public, (lo, hi) = CHARTS[kind]
+        for z in (-0.5, 0.1, 3.0):
+            before = checks[0]
+            public(pt(0.5 * (lo + hi), z, 0.3))
+            assert checks[0] - before == 1
+
+    def test_no_check_inside_fits(self, checks):
+        for kind, (_, (lo, hi)) in CHARTS.items():
+            cv.constant_curvature_fit(sp.chart_metric(kind),
+                                      (0.5 * (lo + hi), 0.2, 0.3))
+        cv.constant_curvature_fit(bh.btz_chart_metric(bh.BTZParams(1.2, 0.4)),
+                                  (0.0, 2.4, 0.3))
+        assert checks[0] == 0
+        bh.btz_metric(0.0, 2.4, 0.3, bh.BTZParams(1.2, 0.4))
+        assert checks[0] == 1
 
 
 class TestFlatMetric:

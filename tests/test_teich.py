@@ -314,3 +314,44 @@ class TestWordLevels:
         for i, name in enumerate(h.gens):
             assert np.array_equal(letters[2 * i], h.gens[name])
             assert np.array_equal(letters[2 * i + 1], iso.inv(h.gens[name]))
+
+
+class TestHolonomyMap:
+    def test_generators_must_be_letters(self):
+        h = WORD_HOLONOMIES["fn-torus"]
+        with pytest.raises(StructureError):
+            teich.Holonomy({**h.gens, "x": np.eye(2)}, h.alphabet,
+                           h.curve_words, h.peripheral)
+
+    def test_generators_are_mapped_letters(self):
+        h = WORD_HOLONOMIES["fn-torus"]
+        seen = []
+        out = h.map(lambda name, m: seen.append(name) or 2.0 * m)
+        assert seen == list(h.alphabet)
+        for name in h.gens:
+            assert out.gens[name] is out.alphabet[name]
+
+    def test_one_crossings_query_per_letter(self, monkeypatch):
+        # FN once-punctured torus: letters z0, C0, b0; generators z0, b0
+        from quakebend import bending as bd
+        from quakebend import earthquake as eq
+        from quakebend import lamination as lm
+        pd = teich.PantDecomposition.once_punctured_torus()
+        fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
+        lam = lm.MultiCurveLam((0.5,))
+        count = [0]
+        crossings = lm.LiftFamily.crossings
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            return crossings(self, *args, **kwargs)
+        monkeypatch.setattr(lm.LiftFamily, "crossings", counted)
+        eq.quake_holonomy(fn, lam, eq.LEFT, depth=6, pd=pd)
+        assert count[0] == 3
+        count[0] = 0
+        # one more query: the bending context checks its base point
+        bd.hyp_holonomy(fn, lam, depth=6, pd=pd)
+        assert count[0] == 4
+        count[0] = 0
+        bd.ads_holonomy(fn, lam, depth=6, pd=pd)
+        assert count[0] == 4
