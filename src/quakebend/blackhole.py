@@ -76,10 +76,18 @@ class Rectangle:
 class HorizonData:
     size: float
     momentum: float
+    # peripheral lengths come from traces of depth-d cocycle products:
+    # equal ones land ~1e-12 apart, so |momentum| <= 1e-9 size is zero
+    EXTREMAL_RTOL = 1e-9
 
     def __post_init__(self):
         if not self.size > abs(self.momentum):
             raise DomainError("horizon data requires size > |momentum|")
+
+    @property
+    def extremal(self):
+        """r+ = r-: zero momentum up to EXTREMAL_RTOL relative to size."""
+        return abs(self.momentum) <= self.EXTREMAL_RTOL * self.size
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,10 @@ def _limit_set_samples(h: teich.Holonomy, depth):
     att = np.where(np.abs(plus) >= np.abs(minus), first, second)
     att = np.where(np.isnan(att), second, att)
     # as in `isometry.classify`, elliptic words have no boundary fixed
-    # point; the empty word gives 0/0 in both forms
-    return att[(np.abs(tr) >= (2.0 - iso.TAU_CLASS) * np.sqrt(det))
-               & ~np.isnan(att)]
+    # point (words are products of unimodular generators, so det = 1:
+    # the computed a d - b c cancels, even below 0); the empty word gives
+    # 0/0 in both forms
+    return att[(np.abs(tr) >= 2.0 - iso.TAU_CLASS) & ~np.isnan(att)]
 
 
 def _select_side(g, samples, tol=1e-7):

@@ -285,7 +285,7 @@ def cmd_blackhole(args):
             rec.update({"size": d.size, "momentum": d.momentum,
                         "r_plus": rp, "r_minus": rm,
                         "M": rp * rp + rm * rm, "J": 2.0 * rp * rm,
-                        "extremal": d.momentum == 0.0})
+                        "extremal": d.extremal})
         emit(rec)
     meridians = bh.extremal_meridians(rects)
     emit({"command": "blackhole", "meridians": len(meridians)})

@@ -8,7 +8,7 @@ or rescaled metric.
 
 Every `metric` argument is a callable from the coordinate point x (a
 float ndarray of length n) to the raw (n, n) ndarray of components, as
-`spacetime.chart_metric` gives; a 3-D fit calls it 171 times, so it
+`spacetime.chart_metric` gives; a 3-D fit calls it 169 times, so it
 should check only its domain.  A DomainError it raises propagates.
 """
 
@@ -37,9 +37,14 @@ def metric_derivatives(metric, x, h=1e-3):
     return np.array([_richardson_diff(metric, x, k, h) for k in range(n)])
 
 
-def christoffel(metric, x, h=1e-3):
-    """Gamma^k_{ij} of the metric at x."""
-    g = np.asarray(metric(np.asarray(x, dtype=float)), dtype=float)
+def _centre(metric, x):
+    """g = metric(x), evaluated once per fit and passed down."""
+    return np.asarray(metric(np.asarray(x, dtype=float)), dtype=float)
+
+
+def christoffel(metric, x, h=1e-3, _g=None):
+    """Gamma^k_{ij} of the metric at x; _g is metric(x), if already known."""
+    g = _centre(metric, x) if _g is None else _g
     ginv = np.linalg.inv(g)
     dg = metric_derivatives(metric, x, h)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
@@ -47,17 +52,18 @@ def christoffel(metric, x, h=1e-3):
     return 0.5 * np.einsum("kl,lij->kij", ginv, term)
 
 
-def riemann(metric, x, h=1e-3):
+def riemann(metric, x, h=1e-3, _g=None):
     """Lowered tensor R[i, j, k, l] = <R(e_i, e_j) e_k, e_l>.
 
     Convention: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
     nabla_[X, Y]; constant curvature kappa means
-    R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).
+    R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).  _g is metric(x),
+    if already known.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    g = np.asarray(metric(x), dtype=float)
-    gam = christoffel(metric, x, h)
+    g = _centre(metric, x) if _g is None else _g
+    gam = christoffel(metric, x, h, _g=g)
     dgam = np.array([_richardson_diff(lambda y: christoffel(metric, y, h), x, k, h)
                      for k in range(n)])
     # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
@@ -75,8 +81,8 @@ def riemann(metric, x, h=1e-3):
 def sectional_curvature(metric, x, plane=(0, 1), h=1e-3):
     """Sectional curvature of the coordinate plane (i, j) at x."""
     i, j = plane
-    g = np.asarray(metric(np.asarray(x, dtype=float)), dtype=float)
-    r = riemann(metric, x, h)
+    g = _centre(metric, x)
+    r = riemann(metric, x, h, _g=g)
     denom = g[i, i] * g[j, j] - g[i, j] ** 2
     return r[i, j, j, i] / denom
 
@@ -84,9 +90,8 @@ def sectional_curvature(metric, x, plane=(0, 1), h=1e-3):
 def constant_curvature_fit(metric, x, h=1e-3):
     """(kappa, residual): least-squares constant-curvature coefficient
     and the relative misfit of the full Riemann tensor."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(metric(x), dtype=float)
-    r = riemann(metric, x, h)
+    g = _centre(metric, x)
+    r = riemann(metric, x, h, _g=g)
     pattern = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
     num = float(np.sum(r * pattern))
     den = float(np.sum(pattern * pattern))

@@ -228,32 +228,36 @@ def segment_frame(x, y):
 
 
 def _base_leaves(lam, h: teich.Holonomy):
+    """(geodesic, weight, letter) per weighted leaf, the letter generating
+    its setwise stabilizer (None when that is trivial, as for the
+    cusp-to-cusp / spiraling leaves of the triangulation family)."""
     if isinstance(lam, MultiCurveLam):
-        out = []
-        for j, w in enumerate(lam.weights):
-            if w > 0:
-                out.append((iso.axis(h.curve(f"z{j}")), float(w)))
-        return out
+        return [(iso.axis(h.curve(f"z{j}")), float(w), f"z{j}")
+                for j, w in enumerate(lam.weights) if w > 0]
     if isinstance(lam, TriangulationLam):
         geos = h.meta.get("edge_geodesics")
         if geos is None:
             raise StructureError("holonomy lacks the placed edge geodesics; "
                                  "build it with holonomy_from_shear")
-        return [(g, float(w)) for g, w in zip(geos, lam.weights)]
+        return [(g, float(w), None) for g, w in zip(geos, lam.weights)]
     raise StructureError(f"unsupported lamination {type(lam)!r}")
 
 
 def _proj_vec(p):
-    return np.array([1.0, 0.0]) if p == iso.INF else np.array([float(p), 1.0])
+    return (1.0, 0.0) if p == iso.INF else (float(p), 1.0)
 
 
-def _stabilizer_letters(lam, h):
-    """Per base leaf, the alphabet letter generating its setwise
-    stabilizer (None when the stabilizer is trivial, as for the
-    cusp-to-cusp / spiraling leaves of the triangulation family)."""
-    if isinstance(lam, MultiCurveLam):
-        return [f"z{j}" for j, w in enumerate(lam.weights) if w > 0]
-    return [None] * len(lam.weights)
+def _det(a, b):
+    """det[a | b] of endpoint vectors: pairs, or (2, n) arrays of them."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _sinh_dist_from_i(a, b):
+    """sinh d(i, leaf) = |a1 b1 + a2 b2| / |a1 b2 - a2 b1| for rows of
+    endpoint vectors a, b; +inf where not finite (a degenerate leaf)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        key = np.abs(np.sum(a * b, axis=1) / _det(a.T, b.T))
+    return np.where(np.isfinite(key), key, np.inf)
 
 
 class LiftFamily:
@@ -265,7 +269,8 @@ class LiftFamily:
     share one realization.  Leaves are indexed by canonical coset
     representatives of their stabilizers (words not ending in the
     stabilizing letter), so distinct entries are distinct geodesics and
-    every leaf is produced by its shortest word.
+    every leaf is produced by its shortest word.  `sinh_dist` holds
+    sinh d(i, leaf), so a query tests only the leaves near its segment.
     """
 
     MAX_WORDS = 6_000_000
@@ -286,10 +291,8 @@ class LiftFamily:
                 "reduce the depth")
         names = list(h.gens)
         words = list(h.word_levels(depth))
-
-        stab = _stabilizer_letters(lam, h)
-        ends_m, ends_p, ws, lv = [], [], [], []
-        for (geo, w), stab_name in zip(base, stab):
+        ends_m, ends_p, ws, lv, keys = [], [], [], [], []
+        for geo, w, stab_name in base:
             vm, vp = _proj_vec(geo.p_minus), _proj_vec(geo.p_plus)
             if stab_name in names:
                 gi = 2 * names.index(stab_name)
@@ -302,12 +305,15 @@ class LiftFamily:
                     block = block[keep]
                 ends_m.append(block @ vm)
                 ends_p.append(block @ vp)
+                keys.append(_sinh_dist_from_i(ends_m[-1], ends_p[-1]))
                 ws.append(np.full(len(block), w))
                 lv.append(np.full(len(block), level))
+        del words, block, bl  # free the word stack before concatenating
         self.ends_minus = np.concatenate(ends_m)
         self.ends_plus = np.concatenate(ends_p)
         self.weights = np.concatenate(ws)
         self.levels = np.concatenate(lv)
+        self.sinh_dist = np.concatenate(keys)
 
     def crossings(self, x, y, tol=1e-9, on_leaf="raise"):
         """Leaves crossing [x, y], ordered along it, oriented with x on
@@ -319,12 +325,19 @@ class LiftFamily:
         """
         if self.empty or abs(x - y) < 1e-14:
             return [], True
+        # distance to i is convex along [x, y], so leaves crossing it lie
+        # within R = max(d(i, x), d(i, y)) of i; sinh(d/2) = |z - i| /
+        # (2 sqrt(Im z)).  R is padded by one tol for the near-end window
+        # and one for rounding
+        reach = 2.0 * math.asinh(max(abs(z - 1j) / (2.0 * math.sqrt(z.imag))
+                                     for z in (x, y)))
+        rows = np.flatnonzero(self.sinh_dist <= math.sinh(reach + 2.0 * tol))
         frame = segment_frame(x, y)
         fi = iso.inv(frame)
         seg_len = math.log(iso.apply_h2(fi, y).imag)
 
-        um = self.ends_minus @ fi.T
-        up = self.ends_plus @ fi.T
+        um = self.ends_minus[rows] @ fi.T
+        up = self.ends_plus[rows] @ fi.T
         with np.errstate(divide="ignore", invalid="ignore"):
             vm = um[:, 0] / um[:, 1]
             vp = up[:, 0] / up[:, 1]
@@ -339,7 +352,7 @@ class LiftFamily:
             raise BasePointOnLeafError(
                 "a segment endpoint lies on a weighted leaf")
         inside = ((t > 0) & (t < seg_len)) | near_end
-        idx = np.flatnonzero(cross)[inside]
+        idx = rows[np.flatnonzero(cross)[inside]]
         t = t[inside]
 
         order = np.argsort(t, kind="stable")
@@ -371,34 +384,19 @@ def realize_lifts(lam, h: teich.Holonomy, x, y, depth=12, tol=1e-9):
 
 
 def leaves_pairwise_disjoint(leaves, tol=1e-8):
-    """Endpoint-separation test for a realized leaf family.
+    """Whether leaves ordered along a segment are pairwise disjoint.
 
-    Works in the uniform angle chart of the circle (tol is angular).
-    Leaves sharing an ideal endpoint within tol (asymptotic leaves,
-    e.g. two lifts spiraling into the same boundary point) count as
-    disjoint.
+    Consecutive leaves suffice: each bounds a half-plane holding all the
+    leaves before it.  Leaves (a, b), (c, d) cross iff the cross-ratio
+    det[a|c] det[b|d] / (det[a|d] det[b|c]) of their endpoint vectors is
+    negative; a |cross-ratio| (or its inverse) below tol counts as a
+    shared endpoint, as of two lifts spiraling into one point.
     """
-    two_pi = 2.0 * math.pi
-
-    def angle(p):
-        return math.pi if p == iso.INF else 2.0 * math.atan(p)
-
-    pairs = [(angle(l.geodesic.p_minus), angle(l.geodesic.p_plus))
-             for l in leaves]
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            a1, a2 = pairs[i]
-            span = (a2 - a1) % two_pi
-            inside = []
-            shared = False
-            for th in pairs[j]:
-                u = (th - a1) % two_pi
-                if min(u, two_pi - u, abs(u - span)) < tol:
-                    shared = True
-                    break
-                inside.append(u < span)
-            if shared:
-                continue
-            if inside[0] != inside[1]:
-                return False
+    ends = [(_proj_vec(l.geodesic.p_minus), _proj_vec(l.geodesic.p_plus))
+            for l in leaves]
+    for (a, b), (c, d) in zip(ends, ends[1:]):
+        num, den = _det(a, c) * _det(b, d), _det(a, d) * _det(b, c)
+        if num * den < 0 and \
+                min(abs(num), abs(den)) > tol * max(abs(num), abs(den)):
+            return False
     return True

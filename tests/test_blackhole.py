@@ -37,6 +37,13 @@ class TestHorizonInvariants:
         d = bh.horizon_invariants(hyperbolic_of_length(1.3),
                                   hyperbolic_of_length(1.3))
         assert d.momentum == pytest.approx(0.0, abs=1e-12)
+        assert d.extremal
+
+    def test_extremal_tolerance_is_relative(self):
+        assert bh.HorizonData(1.2, 7.6e-13).extremal
+        assert bh.HorizonData(1.2e6, -7.6e-7).extremal
+        assert not bh.HorizonData(1.2, 1e-6).extremal
+        assert not bh.HorizonData(1.5, 0.5).extremal
 
     def test_swap_negates_momentum(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,29 @@ FLOW_SCENARIO = {
     "lamination": {"family": "triangulation",
                    "weights": [1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0]},
     "times": [0.0, 1.0, 2.0, 3.0],
+}
+
+# shear three-punctured sphere whose depth-8 lifts spiral into shared
+# ideal points, realized up to 5.7e-8 rad apart
+SPIRAL_SPHERE = {
+    "version": 1,
+    "surface": {"g": 0, "r": 3},
+    "shear": {"tri": {"num_triangles": 2,
+                      "gluing": [[[0, 0], [1, 2]], [[0, 1], [1, 1]],
+                                 [[0, 2], [1, 0]]]},
+              "s": [1.0505768, 1.5813722, 0.6571415]},
+    "lamination": {"family": "triangulation",
+                   "weights": [0.5934013, 0.1410365, 0.3577207]},
+}
+
+# genus 1 with two geodesic boundaries of equal length 1.2 at puncture 1
+TWO_BOUNDARY_TORUS = {
+    "version": 1,
+    "surface": {"g": 1, "r": 2},
+    "pants": {"num_pants": 2, "interior": [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
+              "boundary": [[0, 2], [1, 2]]},
+    "fn": {"l": [1.0, 1.2, 1.0, 1.0], "t": [0.0, 0.0]},
+    "lamination": {"family": "multicurve", "weights": [0.5, 0.3]},
 }
 
 
@@ -187,6 +211,31 @@ class TestBendCommand:
         dim, vertices, faces = read_noff(mesh)
         assert dim == 4 and len(vertices) == 9 and len(faces) == 4
 
+    def test_spiraling_lifts_on_shear_sphere(self, tmp_path, capsys):
+        # asymptotic lifts are not crossing leaves: the bend succeeds, and
+        # its image is a 1-Lipschitz map into the hyperboloid H3
+        path = write_scenario(tmp_path, SPIRAL_SPHERE)
+        code, recs = run(capsys, ["bend", path, "--target", "hyperbolic",
+                                  "--depth", "8",
+                                  "--grid", "x=-1.5988:1.5:12,y=0.3844:2.4:13"])
+        assert code == 0
+        v = np.array([r["vertex"] for r in recs if "vertex" in r])
+        assert v.shape == (156, 4)
+        assert np.allclose(np.sum(v[:, 1:] ** 2, axis=1) - v[:, 0] ** 2, -1.0,
+                           atol=1e-9)
+        assert np.all(v[:, 0] > 0)
+        v = v.reshape(13, 12, 4)  # rows of constant y
+        z = np.linspace(-1.5988, 1.5, 12)[None, :] \
+            + 1j * np.linspace(0.3844, 2.4, 13)[:, None]
+        for a, b, za, zb in ((v[:, :-1], v[:, 1:], z[:, :-1], z[:, 1:]),
+                             (v[:-1], v[1:], z[:-1], z[1:])):
+            d3 = np.arccosh(np.maximum(
+                a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1),
+                1.0))
+            d2 = np.arccosh(1.0 + np.abs(za - zb) ** 2
+                            / (2.0 * za.imag * zb.imag))
+            assert np.all(d3 <= d2 + 1e-9)
+
 
 class TestBlackholeCommand:
     def test_records(self, tmp_path, capsys):
@@ -211,3 +260,21 @@ class TestBlackholeCommand:
             arcs[depth] = [r for r in recs if "meridian" in r]
         assert len(arcs["6"]) == 8  # three non-degenerate rectangles
         assert arcs["8"] == arcs["6"]
+
+    def test_equal_lengths_are_extremal(self, tmp_path, capsys):
+        # puncture 1 has momentum ~1e-12, not 0.0: zero up to the
+        # stated relative tolerance
+        path = write_scenario(tmp_path, TWO_BOUNDARY_TORUS)
+        code, recs = run(capsys, ["blackhole", path, "--depth", "6"])
+        assert code == 0
+        punct = [r for r in recs if "puncture" in r]
+        assert len(punct) == 2
+        assert punct[1]["momentum"] != 0.0
+        assert all(r["extremal"] for r in punct)
+
+    def test_no_floating_point_warnings(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, TWO_BOUNDARY_TORUS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(capsys, ["blackhole", path, "--depth", "6"])
+        assert code == 0

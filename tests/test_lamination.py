@@ -240,3 +240,183 @@ class TestWeights:
             lm.MultiCurveLam((-1.0,))
         with pytest.raises(DomainError):
             lm.TriangulationLam(TRI_1PT, (1.0, -1.0, 1.0), (1,))
+
+
+# ---------------------------------------------------------------------------
+# distance index of the lift family
+# ---------------------------------------------------------------------------
+
+def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
+    """Reference: `LiftFamily.crossings` as a test of every leaf of the
+    family, without the distance index."""
+    if fam.empty or abs(x - y) < 1e-14:
+        return [], True
+    fi = iso.inv(lm.segment_frame(x, y))
+    seg_len = math.log(iso.apply_h2(fi, y).imag)
+    um = fam.ends_minus @ fi.T
+    up = fam.ends_plus @ fi.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vm = um[:, 0] / um[:, 1]
+        vp = up[:, 0] / up[:, 1]
+    finite = np.isfinite(vm) & np.isfinite(vp) & (um[:, 1] != 0) & (up[:, 1] != 0)
+    prod = np.where(finite, vm * vp, 1.0)
+    cross = finite & (prod < 0)
+    if not cross.any():
+        return [], True
+    t = 0.5 * np.log(-prod[cross])
+    near_end = (np.abs(t) <= tol) | (np.abs(t - seg_len) <= tol)
+    if near_end.any() and on_leaf == "raise":
+        raise lm.BasePointOnLeafError("a segment endpoint lies on a weighted leaf")
+    inside = ((t > 0) & (t < seg_len)) | near_end
+    idx = np.flatnonzero(cross)[inside]
+    t = t[inside]
+    leaves = []
+    for i in idx[np.argsort(t, kind="stable")]:
+        geo = iso.Geodesic(fam._endpoint(fam.ends_minus[i]),
+                           fam._endpoint(fam.ends_plus[i]))
+        if geo.side(x) < 0:
+            geo = geo.reversed()
+        leaves.append(lm.WeightedGeodesic(geo, float(fam.weights[i])))
+    return leaves, bool(np.all(fam.levels[idx] < fam.depth))
+
+
+def seeded_family(kind, depth, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "fn":
+        pd = teich.PantDecomposition.once_punctured_torus()
+        fn = teich.FNPoint((rng.uniform(0.6, 2.0),), (rng.uniform(0.8, 2.4),),
+                           (rng.uniform(-0.5, 0.5),))
+        h = teich.holonomy_from_fn(pd, fn)
+        lam = lm.MultiCurveLam((rng.uniform(0.1, 0.9),))
+    else:
+        sp = teich.ShearPoint(TRI_1PT, tuple(rng.uniform(-0.6, -0.1, 3)))
+        h = teich.holonomy_from_shear(sp)
+        lam = lm.TriangulationLam.from_shear(sp, tuple(rng.uniform(0.05, 0.6, 3)))
+    return lm.LiftFamily(lam, h, depth=depth), rng
+
+
+def point_at(dist, th):
+    """The point at hyperbolic distance `dist` from i in direction th."""
+    rot = np.array([[math.cos(th / 2), math.sin(th / 2)],
+                    [-math.sin(th / 2), math.cos(th / 2)]])
+    return iso.apply_h2(rot, 1j * math.exp(dist))
+
+
+def point_on_leaf(leaf, s):
+    """The point of the leaf at signed arc length s from its foot."""
+    return iso.apply_h2(leaf.geodesic.map_from_standard(), 1j * math.exp(s))
+
+
+FAMILIES = [(kind, depth) for kind in ("fn", "shear") for depth in (6, 8, 10)]
+
+
+class TestDistanceIndex:
+    @pytest.mark.parametrize("kind,depth", FAMILIES)
+    def test_random_segments_match_full_scan(self, kind, depth):
+        fam, rng = seeded_family(kind, depth, seed=depth)
+        crossed = 0
+        for _ in range(40):
+            x = complex(rng.uniform(-3, 3), rng.uniform(0.1, 4.0))
+            y = complex(rng.uniform(-3, 3), rng.uniform(0.1, 4.0))
+            got = fam.crossings(x, y, on_leaf="include")
+            assert got == crossings_scan(fam, x, y, on_leaf="include")
+            crossed += bool(got[0])
+        assert crossed >= 4
+
+    @pytest.mark.parametrize("kind,depth", FAMILIES)
+    def test_far_segments_match_full_scan(self, kind, depth):
+        fam, rng = seeded_family(kind, depth, seed=100 + depth)
+        crossed = 0
+        for _ in range(30):
+            # a segment of length 2-5 at distance 3-6 from i
+            r, th = rng.uniform(3.0, 6.0), rng.uniform(0.0, 2.0 * math.pi)
+            x = point_at(r, th)
+            y = point_at(r, th + rng.uniform(2.0, 5.0) / math.sinh(r))
+            got = fam.crossings(x, y, on_leaf="include")
+            assert got == crossings_scan(fam, x, y, on_leaf="include")
+            crossed += bool(got[0])
+        assert crossed >= 4
+
+    @pytest.mark.parametrize("kind,depth", FAMILIES)
+    def test_endpoint_on_leaf(self, kind, depth):
+        fam, rng = seeded_family(kind, depth, seed=200 + depth)
+        tried = 0
+        while tried < 8:
+            x = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 2.5))
+            y = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 2.5))
+            leaves, _ = crossings_scan(fam, x, y, on_leaf="include")
+            if not leaves:
+                continue
+            tried += 1
+            on = point_on_leaf(leaves[rng.integers(len(leaves))],
+                               rng.uniform(-1.0, 1.0))
+            for seg in ((on, y), (x, on)):
+                got = fam.crossings(*seg, on_leaf="include")
+                assert got == crossings_scan(fam, *seg, on_leaf="include")
+                assert got[0]
+                with pytest.raises(lm.BasePointOnLeafError):
+                    fam.crossings(*seg)
+                with pytest.raises(lm.BasePointOnLeafError):
+                    crossings_scan(fam, *seg)
+
+    def test_index_prunes(self):
+        fam, _ = seeded_family("fn", 8, seed=8)
+        reach = max(iso.dist_h2(1j, z) for z in (-1.5 + 0.3j, 1.5 + 2.5j))
+        assert np.count_nonzero(fam.sinh_dist <= math.sinh(reach)) \
+            < 0.01 * len(fam.sinh_dist)
+
+    @pytest.mark.parametrize("kind", ["fn", "shear"])
+    def test_key_matches_sampled_distance(self, kind):
+        fam, rng = seeded_family(kind, 6, seed=3)
+        at_inf = np.flatnonzero((fam.ends_minus[:, 1] == 0)
+                                | (fam.ends_plus[:, 1] == 0))
+        rows = np.concatenate([at_inf[:5], rng.choice(len(fam.sinh_dist), 40)])
+        if kind == "shear":
+            assert len(at_inf) > 0
+        s = np.linspace(-14.0, 14.0, 280_001)
+        for k in rows:
+            geo = iso.Geodesic(fam._endpoint(fam.ends_minus[k]),
+                               fam._endpoint(fam.ends_plus[k]))
+            z = iso.apply_h2(geo.map_from_standard(), 1j * np.exp(s))
+            d = np.arccosh(1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)).min()
+            assert math.asinh(fam.sinh_dist[k]) == pytest.approx(d, abs=1e-6)
+
+    def test_key_of_degenerate_leaf_is_infinite(self):
+        a = np.array([[1.0, 0.0], [np.nan, 1.0]])
+        b = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert np.all(np.isposinf(lm._sinh_dist_from_i(a, b)))
+
+
+class TestDisjointness:
+    def test_nested_leaves(self):
+        leaves = [lm.WeightedGeodesic(iso.Geodesic(p, q), 1.0)
+                  for p, q in ((iso.INF, -3.0), (5.0, -2.0), (4.0, -1.0))]
+        assert lm.leaves_pairwise_disjoint(leaves)
+        assert lm.leaves_pairwise_disjoint(leaves[:1])
+        assert lm.leaves_pairwise_disjoint([])
+
+    def test_crossing_leaves(self):
+        leaves = [lm.WeightedGeodesic(iso.Geodesic(p, q), 1.0)
+                  for p, q in ((iso.INF, -3.0), (5.0, -2.0), (0.0, 6.0))]
+        assert not lm.leaves_pairwise_disjoint(leaves)
+
+    def test_asymptotic_lifts_landing_apart(self):
+        # the leaves `crossings` realizes at depth 8 on the segment from the
+        # base point to -1.5988+0.3844i of the recorded shear sphere:
+        # lifts spiraling into infinity land anywhere from 5e7 to 2e12
+        ends = [(iso.INF, 0.0), (iso.INF, -1.0), (iso.INF, -1.205692653005097),
+                (iso.INF, -1.2776307711307242), (iso.INF, -1.2924279135001784),
+                (iso.INF, -1.2976030063396349), (iso.INF, -1.2986674849153308),
+                (iso.INF, -1.2990397713553266),
+                (1849161912104.6746, -1.2991163479408474),
+                (1849161912104.6746, -1.2991431295267444),
+                (133021921720.89972, -1.2991486383021993),
+                (133021921720.89972, -1.299150564919089),
+                (9569329606.667505, -1.2991509612100285),
+                (9569329606.667505, -1.299151099807222),
+                (49522161.005323954, -1.2991511403369098),
+                (49522161.005323954, -1.2991511410541632),
+                (688399473.875199, -1.2991511283156463),
+                (688399473.875199, -1.2991511382860677)]
+        leaves = [lm.WeightedGeodesic(iso.Geodesic(p, q), 0.5) for p, q in ends]
+        assert lm.leaves_pairwise_disjoint(leaves)

@@ -168,6 +168,49 @@ class TestSampleChecks:
         assert checks[0] == 1
 
 
+def fit_reference(metric, x, h=1e-3):
+    """`constant_curvature_fit` with the centre metric evaluated apart
+    from the public `riemann` (three evaluations at the centre)."""
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(metric(x), dtype=float)
+    r = cv.riemann(metric, x, h)
+    pattern = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+    kappa = float(np.sum(r * pattern)) / float(np.sum(pattern * pattern))
+    resid = float(np.max(np.abs(r - kappa * pattern)) /
+                  max(np.max(np.abs(pattern)), 1e-30))
+    return kappa, resid
+
+
+class TestFitCentre:
+    def test_evaluations_per_fit(self):
+        calls = [0]
+        chart = sp.chart_metric("ads")
+
+        def counted(x):
+            calls[0] += 1
+            return chart(x)
+        cv.constant_curvature_fit(counted, (1.3, 0.2, 0.3))
+        # 1 centre + 12 stencil points for Gamma there + 12 x 13 for dGamma
+        assert calls[0] == 169
+
+    def test_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(5)
+        cases = []
+        for kind, (_, (lo, hi)) in CHARTS.items():
+            for a0 in (1.0, 8.0, sp.INF):
+                cases += [(sp.chart_metric(kind, a0),
+                           (rng.uniform(lo, hi), rng.uniform(-1.0, 2.0),
+                            rng.uniform(-1.0, 1.0))) for _ in range(2)]
+        for _ in range(3):
+            rp = rng.uniform(0.8, 2.0)
+            params = bh.BTZParams(rp, rp * rng.uniform(0.0, 0.6))
+            cases.append((bh.btz_chart_metric(params),
+                          (rng.uniform(-1, 1), rp * rng.uniform(1.5, 3.0),
+                           rng.uniform(0, 6))))
+        for metric, x in cases:
+            assert cv.constant_curvature_fit(metric, x) == fit_reference(metric, x)
+
+
 class TestFlatMetric:
     def test_band_components(self):
         g = sp.flat_metric(pt(2.0, 0.2, 0.3)).components
