@@ -74,9 +74,9 @@ def apply_psl2c(a, v):
 
 @dataclass
 class BendContext:
-    """Base point, realized lift family and target geometry."""
+    """Realized lift family and target geometry of the bent maps, which
+    start at the base point `earthquake.BASE_POINT`."""
 
-    base_point: complex
     family: lm.LiftFamily
     target: str = HYPERBOLIC
 
@@ -84,20 +84,17 @@ class BendContext:
         if self.target not in (HYPERBOLIC, ADS):
             raise DomainError(f"unknown bending target {self.target!r}")
         # the base point itself must be off the weighted leaves
-        if not self.family.empty:
-            self.family.crossings(self.base_point,
-                                  self.base_point + 1e-3j, tol=1e-9)
+        self.family.crossings(eq.BASE_POINT, eq.BASE_POINT + 1e-3j, tol=1e-9)
 
     def leaves(self, x, y):
         return self.family.crossings(x, y, on_leaf="include")
 
 
-def make_context(point, lam, depth=8, base_point=complex(0.137, 1.03),
-                 target=HYPERBOLIC, pd=None):
-    """Realize `lam` on the holonomy of `point` and fix a base point."""
+def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None):
+    """Realize `lam` on the holonomy of `point` for the bent maps."""
     h = teich.holonomy_of(point, pd)
     fam = lm.LiftFamily(lam, h, depth=depth)
-    return BendContext(base_point, fam, target), h
+    return BendContext(fam, target), h
 
 
 # ---------------------------------------------------------------------------
@@ -124,35 +121,26 @@ def bend_map_hyp(ctx: BendContext, x):
     Pinned normalization: the base point maps to its isometric
     inclusion, eliminating the global post-composition freedom.
     """
-    if abs(x - ctx.base_point) < 1e-14:
+    if abs(x - eq.BASE_POINT) < 1e-14:
         return mink4_from_h2(x)
-    b = bend_cocycle_hyp(ctx, ctx.base_point, x)
+    b = bend_cocycle_hyp(ctx, eq.BASE_POINT, x)
     return apply_psl2c(b, mink4_from_h2(x))
 
 
-def hyp_holonomy(point, lam, depth=8, base_point=complex(0.137, 1.03), pd=None):
+def hyp_holonomy(point, lam, depth=8, pd=None):
     """h_H(gamma) = B(x0, gamma x0) gamma in PSL(2, C).
 
     Returns the deformed holonomy with meta['converged'] flagging lift
     convergence; the empty lamination reproduces the Fuchsian inclusion.
     """
-    ctx, h = make_context(point, lam, depth=depth, base_point=base_point,
-                          target=HYPERBOLIC, pd=pd)
-    if ctx.family.empty:
-        out = h.map(lambda _, m: m.astype(complex))
-        out.meta["converged"] = True
-        return out
-    converged = True
-
-    def deform(name, m):
-        nonlocal converged
-        y = iso.apply_h2(m, ctx.base_point)
-        leaves, ok = ctx.leaves(ctx.base_point, y)
-        converged = converged and ok
-        b = bend_cocycle_hyp_from_lifts(leaves, ctx.base_point, y)
+    def deform(m, leaves, y):
+        b = bend_cocycle_hyp_from_lifts(leaves, eq.BASE_POINT, y)
         return iso.normalize(b @ m.astype(complex))
 
-    out = h.map(deform)
+    h, letters, converged = eq.deform_letters(
+        point, lam, deform, include=lambda m: m.astype(complex),
+        depth=depth, pd=pd)
+    out = h.map(lambda name, _: letters[name])
     out.meta["converged"] = converged
     return out
 
@@ -179,35 +167,24 @@ def bend_cocycle_ads_from_lifts(lifts, x=None, y=None, tol=1e-9):
 def bend_map_ads(ctx: BendContext, x):
     """phi_lambda(x) = B(x0, x) . x on the embedded copy of H2 in X_{-1}."""
     p = iso.ads_embed(x)
-    if abs(x - ctx.base_point) < 1e-14:
+    if abs(x - eq.BASE_POINT) < 1e-14:
         return p
-    pair = bend_cocycle_ads(ctx, ctx.base_point, x)
+    pair = bend_cocycle_ads(ctx, eq.BASE_POINT, x)
     return iso.ads_act(pair, p)
 
 
-def ads_holonomy(point, lam, depth=8, base_point=complex(0.137, 1.03), pd=None):
+def ads_holonomy(point, lam, depth=8, pd=None):
     """(h_L, h_R): the PSL(2,R) x PSL(2,R) holonomy of the AdS spacetime.
 
     h_L is conjugate to the left-earthquake holonomy of (F, lam) and
     h_R to the right one; both carry meta['converged'].
     """
-    ctx, h = make_context(point, lam, depth=depth, base_point=base_point,
-                          target=ADS, pd=pd)
-    if ctx.family.empty:
-        h.meta["converged"] = True
-        return h, h
-    converged = True
+    def deform(m, leaves, y):
+        return tuple(iso.normalize(b @ m) for b in
+                     bend_cocycle_ads_from_lifts(leaves, eq.BASE_POINT, y))
 
-    def deform(m):
-        nonlocal converged
-        y = iso.apply_h2(m, ctx.base_point)
-        leaves, ok = ctx.leaves(ctx.base_point, y)
-        converged = converged and ok
-        bl, br = bend_cocycle_ads_from_lifts(leaves, ctx.base_point, y)
-        return iso.normalize(bl @ m), iso.normalize(br @ m)
-
-    # one crossings query per letter serves both components
-    pairs = {name: deform(m) for name, m in h.alphabet.items()}
+    h, pairs, converged = eq.deform_letters(
+        point, lam, deform, include=lambda m: (m, m), depth=depth, pd=pd)
     out_l = h.map(lambda name, _: pairs[name][0])
     out_r = h.map(lambda name, _: pairs[name][1])
     out_l.meta["converged"] = out_r.meta["converged"] = converged

@@ -96,8 +96,9 @@ class BTZParams:
     r_minus: float
 
     def __post_init__(self):
-        if not (self.r_plus > self.r_minus >= 0.0) or self.r_plus <= 0:
-            raise DomainError("BTZ radii must satisfy r+ > r- >= 0, r+ > 0")
+        # r+ = r- is the extremal hole, M = |J|
+        if not (self.r_plus >= self.r_minus >= 0.0) or self.r_plus <= 0:
+            raise DomainError("BTZ radii must satisfy r+ >= r- >= 0, r+ > 0")
 
     @property
     def mass(self):
@@ -240,7 +241,7 @@ def omega_contains(x, h_left: teich.Holonomy, h_right: teich.Holonomy,
         y = wl @ x @ _adj(wr)
         t = np.abs(np.einsum("ij,nji->n", x, _adj(y)))
         # fixed points of the action (e.g. the dual point of an invariant
-        # plane) are fine, as in `isometry.proj_equal` (np.allclose)
+        # plane) are fine, by the np.allclose rule of `isometry.proj_equal`
         slack = 1e-9 + 1e-5 * np.abs(y)
         coincident = (np.all(np.abs(x - y) <= slack, axis=(1, 2))
                       | np.all(np.abs(x + y) <= slack, axis=(1, 2)))
@@ -322,7 +323,8 @@ def btz_chart_metric(params: BTZParams):
             raise DomainError("the BTZ chart needs r > 0")
         f = btz_f(r, params)
         if abs(f) < 1e-12:
-            name = "r+" if abs(r - params.r_plus) < abs(r - params.r_minus) else "r-"
+            # at the extremal double root the one horizon is r+
+            name = "r+" if abs(r - params.r_plus) <= abs(r - params.r_minus) else "r-"
             raise CoordinateSingularityError(name)
         return np.array([[m - r * r, 0.0, -j / 2.0],
                          [0.0, 1.0 / f, 0.0],

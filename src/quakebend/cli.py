@@ -23,9 +23,7 @@ from quakebend import spacetime as sp
 from quakebend import blackhole as bh
 from quakebend import curvature as cv
 from quakebend import scenario
-from quakebend.errors import (QuakebendError, ParseError, DomainError,
-                              WrongClassError, StructureError,
-                              MalformedMatrixError, VerificationError)
+from quakebend.errors import QuakebendError, ParseError, VerificationError
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -280,11 +278,10 @@ def cmd_blackhole(args):
                "converged": hl.meta.get("converged")}
         if not rect.degenerate:
             d = bh.horizon_invariants(gl, gr)
-            rp = (d.size + abs(d.momentum)) / 2.0
-            rm = (d.size - abs(d.momentum)) / 2.0
+            params = bh.BTZParams.from_horizon(d)
             rec.update({"size": d.size, "momentum": d.momentum,
-                        "r_plus": rp, "r_minus": rm,
-                        "M": rp * rp + rm * rm, "J": 2.0 * rp * rm,
+                        "r_plus": params.r_plus, "r_minus": params.r_minus,
+                        "M": params.mass, "J": params.angular_momentum,
                         "extremal": d.extremal})
         emit(rec)
     meridians = bh.extremal_meridians(rects)
@@ -446,8 +443,7 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (DomainError, WrongClassError, StructureError,
-            MalformedMatrixError, QuakebendError) as exc:
+    except QuakebendError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return 0

@@ -1,16 +1,19 @@
 """Left/right earthquakes: coordinate form, quake cocycle, flow.
 
 Sign conventions (calibrated against the twist rule of the holonomy
-builder and asserted by the cross-oracle tests): leaves realized by
-``realize_lifts`` are oriented with the initial base point on their
-left, and the *left* quake cocycle composes ``exp(+a X^)`` over the
-crossed leaves, ``X^`` the unit-displacement generator of the oriented
-leaf.  The right cocycle is its inverse on matching data.
+builder and asserted by the cross-oracle tests): leaves returned by
+``LiftFamily.crossings`` are oriented with the initial base point on
+their left, and the *left* quake cocycle composes ``exp(+a X^)`` over
+the crossed leaves, ``X^`` the unit-displacement generator of the
+oriented leaf.  The right cocycle is its inverse on matching data.
+
+Every deformed holonomy of the package (quake, H3 and AdS bending, the
+flat translation part) is gamma -> B(x0, gamma x0) gamma at the one base
+point ``BASE_POINT``, built by ``deform_letters``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,10 @@ from quakebend.errors import DomainError, StructureError, QuakebendError
 
 LEFT = "left"
 RIGHT = "right"
+
+#: x0 of every deformed holonomy; a generic point, off the weighted leaves
+#: of the scenarios in scope (one on a leaf is a BasePointOnLeafError)
+BASE_POINT = complex(0.137, 1.03)
 
 
 class InvalidLaminationError(QuakebendError):
@@ -99,8 +106,8 @@ def quake_cocycle(lifts, side, x=None, y=None, tol=1e-9):
     """B(x, y): ordered product of exp(+-a X^) over the crossed leaves.
 
     `lifts` must come ordered along the segment and oriented with x on
-    the left (the `realize_lifts` convention).  When x or y is supplied
-    and lies on the first/last leaf, that weight is halved.
+    the left (the `LiftFamily.crossings` convention).  When x or y is
+    supplied and lies on the first/last leaf, that weight is halved.
     """
     s = _side_sign(side)
 
@@ -110,29 +117,45 @@ def quake_cocycle(lifts, side, x=None, y=None, tol=1e-9):
     return cocycle_product(lifts, factor, x=x, y=y, tol=tol)
 
 
-def quake_holonomy(point, lam, side, depth=8, pd=None, base=None):
+def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
+                   pd=None):
+    """The per-letter pass of every deformed holonomy,
+    gamma -> B(x0, gamma x0) gamma.
+
+    Realizes `lam` on the holonomy h of `point` (an FNPoint with its
+    decomposition `pd`, or a ShearPoint) to the given lift depth.  For
+    each alphabet letter m, with y = m x0 and x0 = BASE_POINT, the
+    letter becomes `deform(m, leaves, y)`, `leaves` the lifts crossing
+    [x0, y] as `LiftFamily.crossings` returns them; a base point on a
+    weighted leaf raises BasePointOnLeafError.  An empty lamination
+    leaves every letter undeformed: `include(m)` puts it in the target
+    group.  Returns (h, {letter: deformed letter}, converged), the flag
+    the AND of the per-letter depth-convergence flags.
+    """
+    h = teich.holonomy_of(point, pd)
+    fam = lm.LiftFamily(lam, h, depth=depth)
+    if fam.empty:
+        return h, {name: include(m) for name, m in h.alphabet.items()}, True
+    letters, converged = {}, True
+    for name, m in h.alphabet.items():
+        y = iso.apply_h2(m, BASE_POINT)
+        leaves, ok = fam.crossings(BASE_POINT, y)
+        converged = converged and ok
+        letters[name] = deform(m, leaves, y)
+    return h, letters, converged
+
+
+def quake_holonomy(point, lam, side, depth=8, pd=None):
     """Deformed holonomy gamma -> B(x0, gamma x0) gamma.
 
     `point` is an FNPoint (with its decomposition) or a ShearPoint; the
     result carries meta['converged'] reporting lift-depth convergence.
     """
-    h = teich.holonomy_of(point, pd)
-    empty = (isinstance(lam, lm.MultiCurveLam) and lam.is_empty)
-    if empty:
-        h.meta["converged"] = True
-        return h
-    fam = lm.LiftFamily(lam, h, depth=depth)
-    x0 = base if base is not None else complex(0.137, 1.03)
-    converged = True
+    def deform(m, leaves, y):
+        return iso.normalize(quake_cocycle(leaves, side, x=BASE_POINT, y=y) @ m)
 
-    def deform(name, m):
-        nonlocal converged
-        y = iso.apply_h2(m, x0)
-        leaves, ok = fam.crossings(x0, y)
-        converged = converged and ok
-        return iso.normalize(quake_cocycle(leaves, side, x=x0, y=y) @ m)
-
-    out = h.map(deform)
+    h, letters, converged = deform_letters(point, lam, deform, depth=depth, pd=pd)
+    out = h.map(lambda name, _: letters[name])
     out.meta["converged"] = converged
     return out
 
@@ -239,9 +262,9 @@ def quake_compatible(f0, sigma0, f1, sigma1):
     n = len(sigma0)
     if len(sigma1) != n:
         raise StructureError("signatures must have equal length")
+    lengths0, lengths1 = teich.boundary_lengths(f0), teich.boundary_lengths(f1)
     for i in range(n):
-        l0 = teich._plain_boundary_length(f0, i)
-        l1 = teich._plain_boundary_length(f1, i)
+        l0, l1 = lengths0[i], lengths1[i]
         if l1 < l0 and sigma0[i] != 1:
             return False
         if l1 > l0 and sigma1[i] != 1:

@@ -74,8 +74,17 @@ def inv(m):
 
 
 def proj_equal(m, n, tol=1e-9):
-    """Projective equality: m == n or m == -n entrywise within tol."""
-    return bool(np.allclose(m, n, atol=tol) or np.allclose(m, -n, atol=tol))
+    """Projective equality: m == n or m == -n entrywise within
+    tol + 1e-5 |n|, the rule of np.allclose(m, +-n, atol=tol): NaN is
+    never close, equal infinities are."""
+    slack = tol + 1e-5 * np.abs(n)
+    # an infinite entry of n has infinite slack, which only == may use
+    finite = np.isfinite(n)
+    with np.errstate(invalid="ignore"):
+        for s in (n, -n):
+            if (((np.abs(m - s) <= slack) & finite) | (m == s)).all():
+                return True
+    return False
 
 
 def is_identity(m, tol=TAU_CLASS):

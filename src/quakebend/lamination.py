@@ -3,9 +3,8 @@
 A ``MultiCurveLam`` weights the pant curves of a decomposition; a
 ``TriangulationLam`` weights the edges of an ideal triangulation and
 records the per-puncture spiraling signature.  Arbitrary finite
-laminations occur only as realized lift families (output of
-``realize_lifts``), never as user input, which keeps disjointness
-decidable.
+laminations occur only as realized lift families (``LiftFamily``),
+never as user input, which keeps disjointness decidable.
 
 Peripheral spectra use the same star convention as the shear length
 formula: every corner incidence of an edge at the puncture counts.
@@ -24,7 +23,8 @@ from quakebend.errors import DomainError, StructureError, QuakebendError
 
 
 class BasePointOnLeafError(QuakebendError):
-    """A base point lies on a weighted leaf; the caller must perturb."""
+    """A segment endpoint, such as the base point of the deformed
+    holonomies, lies on a weighted leaf (a domain error, exit 3)."""
 
 
 class UnsupportedCurveError(QuakebendError):
@@ -190,11 +190,7 @@ def reflect(elam: EnhancedLam, i):
 
 def in_V_c(point, lam):
     """Whether I_{C_i} < l_{C_i} strictly at every geodesic boundary."""
-    if isinstance(point, teich.FNPoint):
-        lengths = point.boundary_lengths
-    else:
-        lengths = tuple(abs(point.puncture_sum(i))
-                        for i in range(point.triangulation.num_punctures))
+    lengths = teich.boundary_lengths(point)
     spec = peripheral_spectrum(lam, len(lengths))
     for I, l in zip(spec, lengths):
         if l > 0.0 and I >= l:
@@ -372,15 +368,6 @@ class LiftFamily:
         if abs(vec[1]) < 1e-13 * abs(vec[0]):
             return iso.INF
         return float(vec[0] / vec[1])
-
-
-def realize_lifts(lam, h: teich.Holonomy, x, y, depth=12, tol=1e-9):
-    """All lifts of the weighted leaves crossing the segment [x, y].
-
-    Convenience wrapper over `LiftFamily`; callers realizing many
-    segments against one lamination should hold a LiftFamily instead.
-    """
-    return LiftFamily(lam, h, depth).crossings(x, y, tol=tol)
 
 
 def leaves_pairwise_disjoint(leaves, tol=1e-8):

@@ -113,8 +113,7 @@ def surface_point(data):
             raise ParseError(f"malformed shear section: {exc}") from exc
         if len(s) != tri.num_edges:
             raise ParseError(f"shear.s must list {tri.num_edges} values")
-        genus = (2 - tri.num_punctures + tri.num_edges - tri.num_triangles) // 2
-        _check_surface_section(data, genus, tri.num_punctures)
+        _check_surface_section(data, tri.genus, tri.num_punctures)
         return teich.ShearPoint(tri, s), None
     raise ParseError("scenario has neither an 'fn' nor a 'shear' section")
 

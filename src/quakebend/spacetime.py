@@ -37,6 +37,7 @@ import numpy as np
 from quakebend import isometry as iso
 from quakebend import teich
 from quakebend import lamination as lm
+from quakebend import earthquake as eq
 from quakebend.errors import DomainError, StructureError
 
 INF = math.inf
@@ -388,33 +389,33 @@ def _leaf_normal_toward(geo: iso.Geodesic, target):
     return w if side > 0 else -w
 
 
+def _normal_sum(leaves, y):
+    """Sum of the weighted unit normals of `leaves`, each toward y."""
+    return sum((leaf.weight * _leaf_normal_toward(leaf.geodesic, y)
+                for leaf in leaves), np.zeros(3))
+
+
 def translation_part(fam: lm.LiftFamily, x0, y):
     """s(y) relative to s(x0) = 0: sum of weighted unit normals of the
     crossed leaves, each pointing toward y."""
     leaves, converged = fam.crossings(x0, y)
-    out = np.zeros(3)
-    for leaf in leaves:
-        out += leaf.weight * _leaf_normal_toward(leaf.geodesic, y)
-    return out, converged
+    return _normal_sum(leaves, y), converged
 
 
-def flat_holonomy(point, lam, depth=8, base_point=complex(0.137, 1.03), pd=None):
+def flat_holonomy(point, lam, depth=8, pd=None):
     """Affine holonomy letter map of the flat spacetime of (F, lambda).
 
     Returns (letters, converged): letters maps each alphabet letter of
     the underlying holonomy to an AffineIsom3; words compose through
     AffineIsom3.compose.
     """
-    h = teich.holonomy_of(point, pd)
-    fam = lm.LiftFamily(lam, h, depth=depth)
-    letters = {}
-    flags = []
-    for name, m in h.alphabet.items():
-        y = iso.apply_h2(m, base_point)
-        s, ok = translation_part(fam, base_point, y)
-        flags.append(ok)
-        letters[name] = AffineIsom3(iso.psl2r_to_so21(m), s)
-    return letters, all(flags)
+    def deform(m, leaves, y):
+        return AffineIsom3(iso.psl2r_to_so21(m), _normal_sum(leaves, y))
+
+    _, letters, converged = eq.deform_letters(
+        point, lam, deform, include=lambda m: deform(m, [], None),
+        depth=depth, pd=pd)
+    return letters, converged
 
 
 def affine_word(letters, word):
@@ -430,7 +431,7 @@ def affine_word(letters, word):
 
 
 def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
-                            base_point=complex(0.137, 1.03), depth=4):
+                            depth=4):
     """Sampled membership test of the regular domain of (F, lambda).
 
     True iff q lies strictly in the future of s(x) + x-perp for every
@@ -440,16 +441,17 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     to the first 15 of them); conservative and monotone in depth.
     """
     q = np.asarray(q, dtype=float)
+    x0 = eq.BASE_POINT
     # orbit points in word order, the base point (empty word) first
     words = np.concatenate([m for m, _ in h.word_levels(depth)])
     (a, b), (c, d) = words[:, 0].T, words[:, 1].T
-    samples = ((a * base_point + b) / (c * base_point + d)).tolist()
+    samples = ((a * x0 + b) / (c * x0 + d)).tolist()
     # midpoints between consecutive crossings along segments to orbit points
     mids = []
     for y in samples[1:16]:
-        leaves, _ = fam.crossings(base_point, y)
+        leaves, _ = fam.crossings(x0, y)
         if leaves:
-            frame = lm.segment_frame(base_point, y)
+            frame = lm.segment_frame(x0, y)
             heights = []
             for leaf in leaves:
                 u = iso.apply_boundary(iso.inv(frame), leaf.geodesic.p_minus)
@@ -459,7 +461,7 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
             for h1, h2 in zip(heights, heights[1:]):
                 mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
     for x in samples + mids:
-        s, _ = translation_part(fam, base_point, x)
+        s, _ = translation_part(fam, x0, x)
         xv = iso.h2_to_hyperboloid(x)
         gap = float((q - s) @ np.diag([-1.0, 1.0, 1.0]) @ xv)
         if gap >= 0:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quakebend import isometry as iso
-from quakebend.errors import DomainError, StructureError, WrongClassError
+from quakebend.errors import DomainError, StructureError
 
 J_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -192,6 +192,11 @@ class IdealTriangulation:
     def num_punctures(self):
         return len(set(self._corner_orbits.values()))
 
+    @property
+    def genus(self):
+        """From the Euler characteristic V - E + F = 2 - 2g."""
+        return (2 - self.num_punctures + self.num_edges - self.num_triangles) // 2
+
     def _compute_corners(self):
         corners = [(t, c) for t in range(self.num_triangles) for c in range(3)]
         parent = {c: c for c in corners}
@@ -271,24 +276,28 @@ class EnhancedPoint:
     eps: tuple
 
     def __post_init__(self):
+        lengths = boundary_lengths(self.point)
         for i, e in enumerate(self.eps):
             if e not in (-1, 1):
                 raise DomainError("signs must be +-1")
-            if _plain_boundary_length(self.point, i) == 0.0 and e != 1:
+            if lengths[i] == 0.0 and e != 1:
                 raise StructureError(f"eps must be +1 at the cusp {i}")
 
 
-def _plain_boundary_length(point, i):
+def boundary_lengths(point):
+    """Per-puncture boundary lengths l_i of a coordinate point (0 at
+    cusps): the FN boundary lengths, or |s(p_i)| of a shear point."""
     if isinstance(point, FNPoint):
-        return float(point.boundary_lengths[i])
+        return tuple(float(l) for l in point.boundary_lengths)
     if isinstance(point, ShearPoint):
-        return abs(point.puncture_sum(i))
+        return tuple(abs(point.puncture_sum(i))
+                     for i in range(point.triangulation.num_punctures))
     raise StructureError(f"unsupported coordinate point {type(point)!r}")
 
 
 def enhanced_length(fp: EnhancedPoint, i):
     """Signed boundary length l#_i = eps_i * l_i (0 at cusps)."""
-    return fp.eps[i] * _plain_boundary_length(fp.point, i)
+    return fp.eps[i] * boundary_lengths(fp.point)[i]
 
 
 def sign_of_enhanced(value):
@@ -473,13 +482,7 @@ def boundary_length(h: Holonomy, i):
 
 def puncture_kinds(point):
     """Per-puncture cusp/boundary kinds of a coordinate point."""
-    if isinstance(point, FNPoint):
-        return tuple(CUSP if l == 0.0 else BOUNDARY
-                     for l in point.boundary_lengths)
-    if isinstance(point, ShearPoint):
-        return tuple(CUSP if point.puncture_sum(i) == 0.0 else BOUNDARY
-                     for i in range(point.triangulation.num_punctures))
-    raise StructureError(f"unsupported coordinate point {type(point)!r}")
+    return tuple(CUSP if l == 0.0 else BOUNDARY for l in boundary_lengths(point))
 
 
 def surface_type(obj, pd=None):
@@ -489,15 +492,10 @@ def surface_type(obj, pd=None):
                       for i in range(len(obj.peripheral)))
         return SurfaceType(obj.meta.get("genus", 0), kinds)
     if isinstance(obj, FNPoint):
-        kinds = tuple(CUSP if l == 0.0 else BOUNDARY for l in obj.boundary_lengths)
-        genus = pd.genus if pd is not None else 0
-        return SurfaceType(genus, kinds)
+        return SurfaceType(pd.genus if pd is not None else 0,
+                           puncture_kinds(obj))
     if isinstance(obj, ShearPoint):
-        tri = obj.triangulation
-        kinds = tuple(CUSP if obj.puncture_sum(i) == 0.0 else BOUNDARY
-                      for i in range(tri.num_punctures))
-        genus = (2 - tri.num_punctures + tri.num_edges - tri.num_triangles) // 2
-        return SurfaceType(genus, kinds)
+        return SurfaceType(obj.triangulation.genus, puncture_kinds(obj))
     raise StructureError(f"cannot type {type(obj)!r}")
 
 
@@ -717,8 +715,7 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
         chart = iso.normalize(placement[t] @ np.linalg.matrix_power(_L_TURN, k % 3))
         edge_geodesics.append(iso.transform_geodesic(chart, iso.Geodesic(0.0, iso.INF)))
 
-    genus = (2 - tri.num_punctures + tri.num_edges - tri.num_triangles) // 2
     return Holonomy(gens, alphabet, curve_words, peripheral,
-                    meta={"genus": genus, "coords": "shear",
+                    meta={"genus": tri.genus, "coords": "shear",
                           "placements": placement,
                           "edge_geodesics": tuple(edge_geodesics)})

@@ -73,7 +73,7 @@ class TestHypCocycle:
 
     def test_stratum_constancy(self, ctx_hyp):
         ctx, _ = ctx_hyp
-        x = ctx.base_point
+        x = eq.BASE_POINT
         # nearby points in the same stratum (no leaf between them)
         y1, y2 = x + 0.001, x + 0.001j
         if not ctx.family.crossings(y1, y2)[0]:
@@ -101,7 +101,7 @@ class TestHypBendMap:
 
     def test_one_stratum_isometric(self, ctx_hyp):
         ctx, _ = ctx_hyp
-        x = ctx.base_point
+        x = eq.BASE_POINT
         y = x + 0.002 + 0.001j
         if not ctx.family.crossings(x, y)[0]:
             d3 = bd.dist_h3(bd.bend_map_hyp(ctx, x), bd.bend_map_hyp(ctx, y))
@@ -232,7 +232,7 @@ class TestAdsBendMap:
         pd3 = teich.PantDecomposition.once_punctured_torus()
         ctx, h = bd.make_context(FN, lm.MultiCurveLam((0.8,)), depth=8,
                                  target=bd.ADS, pd=pd3)
-        base = ctx.base_point
+        base = eq.BASE_POINT
         img_near = bd.bend_map_ads(ctx, base + 0.001)
         assert abs(iso.tr(img_near)) < 1e-9  # still in P(Id)
 

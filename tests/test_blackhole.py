@@ -103,10 +103,11 @@ class TestBTZ:
         assert bh.btz_f(p.r_minus, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_singularity_error_names_radius(self):
-        p = bh.BTZParams(1.2, 0.4)
-        with pytest.raises(bh.CoordinateSingularityError) as ei:
-            bh.btz_metric(0.0, p.r_plus, 0.0, p)
-        assert ei.value.radius_name == "r+"
+        # at the extremal double root r+ = r- the one horizon is r+
+        for p in (bh.BTZParams(1.2, 0.4), bh.BTZParams(1.0, 1.0)):
+            with pytest.raises(bh.CoordinateSingularityError) as ei:
+                bh.btz_metric(0.0, p.r_plus, 0.0, p)
+            assert ei.value.radius_name == "r+"
 
     def test_static_components(self):
         p = bh.BTZParams(1.0, 0.0)
@@ -114,11 +115,15 @@ class TestBTZ:
         assert np.allclose(g, np.diag([1.0 - 9.0, 1.0 / (9.0 - 1.0), 9.0]))
 
     def test_curvature_minus_one(self):
-        for (rp, rm) in [(1.0, 0.0), (1.2, 0.4), (2.0, 1.1)]:
+        # the extremal hole (1, 1) is sampled at three radii r > r+
+        for (rp, rm), radii in [((1.0, 0.0), (2.0,)), ((1.2, 0.4), (2.4,)),
+                                ((2.0, 1.1), (4.0,)),
+                                ((1.0, 1.0), (1.5, 2.0, 3.0))]:
             p = bh.BTZParams(rp, rm)
             fn = lambda x: bh.btz_metric(x[0], x[1], x[2], p).components
-            k, resid = cv.constant_curvature_fit(fn, (0.0, 2.0 * rp, 0.3))
-            assert abs(k + 1.0) < 1e-4 and resid < 1e-4
+            for r in radii:
+                k, resid = cv.constant_curvature_fit(fn, (0.0, r, 0.3))
+                assert abs(k + 1.0) < 1e-4 and resid < 1e-4
 
 
 @pytest.fixture(scope="module")

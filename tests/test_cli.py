@@ -158,6 +158,13 @@ class TestBtz:
         assert code == 0
         assert recs[0]["M"] == 1.0 and recs[0]["J"] == 0.0
 
+    def test_extremal(self, capsys):
+        # r+ = r-: the extremal hole, M = |J|
+        code, recs = run(capsys, ["btz", "--rp", "1", "--rm", "1"])
+        assert code == 0
+        assert recs[0]["M"] == recs[0]["J"] == 2.0
+        assert recs[0]["f_at_r_plus"] == recs[0]["f_at_r_minus"] == 0.0
+
     def test_bad_ordering(self, capsys):
         code, _ = run(capsys, ["btz", "--rp", "0.5", "--rm", "0.7"])
         assert code == cli.EXIT_DOMAIN

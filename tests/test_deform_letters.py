@@ -1,0 +1,189 @@
+"""The one per-letter pass of the deformed holonomies.
+
+`earthquake.deform_letters` builds the quake, H3-bending, AdS-pair and
+flat holonomies.  The reference below keeps the four per-letter loops
+those functions ran before they shared the pass; the pass must
+reproduce them bit for bit.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from quakebend import isometry as iso
+from quakebend import teich
+from quakebend import lamination as lm
+from quakebend import earthquake as eq
+from quakebend import bending as bd
+from quakebend import spacetime as sp
+from quakebend import cli
+
+X0 = complex(0.137, 1.03)
+PD = teich.PantDecomposition.once_punctured_torus()
+TRI = teich.IdealTriangulation.once_punctured_torus()
+
+
+# ---------------------------------------------------------------------------
+# reference: one loop per deformed holonomy, base point X0
+# ---------------------------------------------------------------------------
+
+def ref_quake(point, lam, side, depth, pd):
+    h = teich.holonomy_of(point, pd)
+    if isinstance(lam, lm.MultiCurveLam) and lam.is_empty:
+        h.meta["converged"] = True
+        return h
+    fam = lm.LiftFamily(lam, h, depth=depth)
+    converged = True
+
+    def deform(name, m):
+        nonlocal converged
+        y = iso.apply_h2(m, X0)
+        leaves, ok = fam.crossings(X0, y)
+        converged = converged and ok
+        return iso.normalize(eq.quake_cocycle(leaves, side, x=X0, y=y) @ m)
+
+    out = h.map(deform)
+    out.meta["converged"] = converged
+    return out
+
+
+def ref_hyp(point, lam, depth, pd):
+    h = teich.holonomy_of(point, pd)
+    fam = lm.LiftFamily(lam, h, depth=depth)
+    if fam.empty:
+        out = h.map(lambda _, m: m.astype(complex))
+        out.meta["converged"] = True
+        return out
+    converged = True
+
+    def deform(name, m):
+        nonlocal converged
+        y = iso.apply_h2(m, X0)
+        leaves, ok = fam.crossings(X0, y, on_leaf="include")
+        converged = converged and ok
+        b = bd.bend_cocycle_hyp_from_lifts(leaves, X0, y)
+        return iso.normalize(b @ m.astype(complex))
+
+    out = h.map(deform)
+    out.meta["converged"] = converged
+    return out
+
+
+def ref_ads(point, lam, depth, pd):
+    h = teich.holonomy_of(point, pd)
+    fam = lm.LiftFamily(lam, h, depth=depth)
+    if fam.empty:
+        h.meta["converged"] = True
+        return h, h
+    converged = True
+
+    def deform(m):
+        nonlocal converged
+        y = iso.apply_h2(m, X0)
+        leaves, ok = fam.crossings(X0, y, on_leaf="include")
+        converged = converged and ok
+        bl, br = bd.bend_cocycle_ads_from_lifts(leaves, X0, y)
+        return iso.normalize(bl @ m), iso.normalize(br @ m)
+
+    pairs = {name: deform(m) for name, m in h.alphabet.items()}
+    out_l = h.map(lambda name, _: pairs[name][0])
+    out_r = h.map(lambda name, _: pairs[name][1])
+    out_l.meta["converged"] = out_r.meta["converged"] = converged
+    return out_l, out_r
+
+
+def ref_flat(point, lam, depth, pd):
+    h = teich.holonomy_of(point, pd)
+    fam = lm.LiftFamily(lam, h, depth=depth)
+    letters = {}
+    flags = []
+    for name, m in h.alphabet.items():
+        y = iso.apply_h2(m, X0)
+        s, ok = sp.translation_part(fam, X0, y)
+        flags.append(ok)
+        letters[name] = sp.AffineIsom3(iso.psl2r_to_so21(m), s)
+    return letters, all(flags)
+
+
+# ---------------------------------------------------------------------------
+# seeded surfaces
+# ---------------------------------------------------------------------------
+
+def fn_torus(rng):
+    fn = teich.FNPoint((rng.uniform(0.6, 2.0),), (rng.uniform(0.8, 2.4),),
+                       (rng.uniform(-0.5, 0.5),))
+    return fn, lm.MultiCurveLam((rng.uniform(0.1, 0.9),)), PD
+
+
+def shear_torus(rng):
+    point = teich.ShearPoint(TRI, tuple(rng.uniform(-0.6, -0.1, size=3)))
+    lam = lm.TriangulationLam.from_shear(point,
+                                         tuple(rng.uniform(0.05, 0.6, size=3)))
+    return point, lam, None
+
+
+def empty_torus(rng):
+    fn, _, pd = fn_torus(rng)
+    return fn, lm.MultiCurveLam((0.0,)), pd
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def assert_same_holonomy(got, want):
+    assert list(got.alphabet) == list(want.alphabet)
+    for name in want.alphabet:
+        assert same_bits(got.alphabet[name], want.alphabet[name]), name
+    for name in want.gens:
+        assert same_bits(got.gens[name], want.gens[name]), name
+    assert got.meta["converged"] == want.meta["converged"]
+
+
+@pytest.mark.parametrize("depth", [6, 7, 8])
+@pytest.mark.parametrize("surface", [fn_torus, shear_torus, empty_torus])
+def test_pass_matches_reference_loops(surface, depth):
+    rng = np.random.default_rng(depth)
+    for _ in range(3):
+        point, lam, pd = surface(rng)
+        for side in (eq.LEFT, eq.RIGHT):
+            assert_same_holonomy(
+                eq.quake_holonomy(point, lam, side, depth=depth, pd=pd),
+                ref_quake(point, lam, side, depth, pd))
+        assert_same_holonomy(bd.hyp_holonomy(point, lam, depth=depth, pd=pd),
+                             ref_hyp(point, lam, depth, pd))
+        for got, want in zip(bd.ads_holonomy(point, lam, depth=depth, pd=pd),
+                             ref_ads(point, lam, depth, pd)):
+            assert_same_holonomy(got, want)
+        letters, ok = sp.flat_holonomy(point, lam, depth=depth, pd=pd)
+        want, want_ok = ref_flat(point, lam, depth, pd)
+        assert ok == want_ok
+        assert list(letters) == list(want)
+        for name, g in want.items():
+            assert same_bits(letters[name].linear, g.linear), name
+            assert same_bits(letters[name].translation, g.translation), name
+
+
+def test_base_point_on_leaf_raises(monkeypatch, tmp_path):
+    fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
+    lam = lm.MultiCurveLam((0.5,))
+    h = teich.holonomy_from_fn(PD, fn)
+    on_leaf = iso.apply_h2(iso.axis(h.curve("z0")).map_from_standard(), 1j)
+    monkeypatch.setattr(eq, "BASE_POINT", on_leaf)
+    for build in (lambda: eq.quake_holonomy(fn, lam, eq.LEFT, depth=6, pd=PD),
+                  lambda: bd.hyp_holonomy(fn, lam, depth=6, pd=PD),
+                  lambda: bd.ads_holonomy(fn, lam, depth=6, pd=PD),
+                  lambda: sp.flat_holonomy(fn, lam, depth=6, pd=PD)):
+        with pytest.raises(lm.BasePointOnLeafError):
+            build()
+    # a domain error at the command line
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({
+        "version": 1, "surface": {"g": 1, "r": 1},
+        "pants": {"num_pants": 1, "interior": [[[0, 0], [0, 1]]],
+                  "boundary": [[0, 2]]},
+        "fn": {"l": [1.0, 2.0], "t": [0.3]},
+        "lamination": {"family": "multicurve", "weights": [0.5]}}))
+    assert cli.main(["quake", str(path), "--depth", "6"]) == cli.EXIT_DOMAIN

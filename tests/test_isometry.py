@@ -284,6 +284,53 @@ class TestProjectiveEquality:
         g = random_psl2r(np.random.default_rng(seed))
         assert iso.proj_equal(g, -g)
 
+    @staticmethod
+    def allclose_form(m, n, tol):
+        """The reference rule: two np.allclose calls."""
+        return bool(np.allclose(m, n, atol=tol) or np.allclose(m, -n, atol=tol))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_allclose_form(self, dtype):
+        rng = np.random.default_rng(11)
+        specials = [np.nan, np.inf, -np.inf]
+        cases = 0
+        for _ in range(60):
+            n = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-3, 4)
+            if dtype is complex:
+                n = n + 1j * rng.normal(size=(2, 2))
+            tol = float(rng.choice([0.0, 1e-12, 1e-9, 1e-6]))
+            slack = tol + 1e-5 * np.abs(n)
+            # m at, just inside and just outside the tolerance boundary,
+            # of either sign, or far off
+            near = [n + slack, n - slack, -n + slack,
+                    n + np.nextafter(slack, np.inf),
+                    n + np.nextafter(slack, 0.0),
+                    n + 2.0 * slack * rng.uniform(size=(2, 2)),
+                    n + 1e-3 * rng.normal(size=(2, 2))]
+            if dtype is float:
+                near += [np.nextafter(n + slack, np.inf),
+                         np.nextafter(n + slack, -np.inf)]
+            for m in near:
+                variants = [(m, n)]
+                # NaN and +-inf in one entry of m, of n, or of both
+                i, j = rng.integers(0, 2, size=2)
+                for v in specials:
+                    for who in ("m", "n", "both"):
+                        mm, nn = m.copy(), n.copy()
+                        if who in ("m", "both"):
+                            mm[i, j] = v
+                        if who in ("n", "both"):
+                            nn[i, j] = v
+                        variants.append((mm, nn))
+                    mm, nn = m.copy(), n.copy()
+                    mm[i, j], nn[i, j] = v, -v   # opposite infinities
+                    variants.append((mm, nn))
+                for mm, nn in variants:
+                    assert iso.proj_equal(mm, nn, tol=tol) == \
+                        self.allclose_form(mm, nn, tol), (mm, nn, tol)
+                    cases += 1
+        assert cases > 1000
+
 
 class TestSO21:
     def test_preserves_minkowski_form(self):

@@ -153,8 +153,8 @@ class TestRealizeLifts:
         self.h = teich.holonomy_from_fn(self.PD, self.FN)
 
     def test_empty_lamination(self):
-        leaves, conv = lm.realize_lifts(lm.MultiCurveLam((0.0,)), self.h,
-                                        0.2 + 1.0j, 0.5 + 2.0j, depth=4)
+        fam = lm.LiftFamily(lm.MultiCurveLam((0.0,)), self.h, depth=4)
+        leaves, conv = fam.crossings(0.2 + 1.0j, 0.5 + 2.0j)
         assert leaves == [] and conv
 
     @pytest.mark.parametrize("curve,expected", [
@@ -180,7 +180,7 @@ class TestRealizeLifts:
         g = self.h.curve("zp0")
         x0 = iso.apply_h2(iso.axis(g).map_from_standard(), 1j)
         y = iso.apply_h2(g, x0)
-        leaves, _ = lm.realize_lifts(lam, self.h, x0, y, depth=8)
+        leaves, _ = lm.LiftFamily(lam, self.h, depth=8).crossings(x0, y)
         for leaf in leaves:
             assert leaf.geodesic.side(x0) > 0  # x on the left
 
@@ -205,7 +205,7 @@ class TestRealizeLifts:
         x_on = iso.apply_h2(ax.map_from_standard(), 1j)
         far = iso.apply_h2(self.h.curve("zp0"), 0.9 + 1.3j)
         with pytest.raises(lm.BasePointOnLeafError):
-            lm.realize_lifts(lam, self.h, x_on, far, depth=6)
+            lm.LiftFamily(lam, self.h, depth=6).crossings(x_on, far)
 
     def test_triangulation_family_peripheral_mass(self):
         # a peripheral loop pushed into the collar on the interior side

@@ -349,9 +349,8 @@ class TestHolonomyMap:
         eq.quake_holonomy(fn, lam, eq.LEFT, depth=6, pd=pd)
         assert count[0] == 3
         count[0] = 0
-        # one more query: the bending context checks its base point
         bd.hyp_holonomy(fn, lam, depth=6, pd=pd)
-        assert count[0] == 4
+        assert count[0] == 3
         count[0] = 0
         bd.ads_holonomy(fn, lam, depth=6, pd=pd)
-        assert count[0] == 4
+        assert count[0] == 3
