@@ -161,8 +161,8 @@ def cmd_quake(args):
         moved = eq.quake_shear(point, lam, side)
         coords = {"shears": list(moved.shears)}
     h2 = teich.holonomy_of(moved, pd)
-    emit({"command": "quake", "side": side, **coords})
     hq = eq.quake_holonomy(point, lam, side, depth=args.depth, pd=pd)
+    emit({"command": "quake", "side": side, **coords})
     for name in h2.curve_names():
         tc = abs(float(iso.tr(h2.curve(name))))
         tq = abs(float(iso.tr(hq.curve(name)))) if name in hq.curve_words else None

@@ -8,8 +8,9 @@ or rescaled metric.
 
 Every `metric` argument is a callable from the coordinate point x (a
 float ndarray of length n) to the raw (n, n) ndarray of components, as
-`spacetime.chart_metric` gives; a 3-D fit calls it 169 times, so it
-should check only its domain.  A DomainError it raises propagates.
+`spacetime.chart_metric` gives; a 3-D fit calls it once per distinct
+stencil point (at most 169), so it should check only its domain.  A
+DomainError it raises propagates.
 """
 
 from __future__ import annotations
@@ -17,55 +18,47 @@ from __future__ import annotations
 import numpy as np
 
 
-def _richardson_diff(f, x, k, h):
-    """d f / d x_k by central differences, Richardson-extrapolated once."""
-    def central(step):
-        xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
-        xp[k] += step
-        xm[k] -= step
-        return (f(xp) - f(xm)) / (2.0 * step)
+def _neighbours(pts, h):
+    """p + s e_k for s in (h, -h, h/2, -h/2), as out[p, k, s]."""
+    m, n = pts.shape
+    out = np.broadcast_to(pts[:, None, None, :], (m, n, 4, n)).copy()
+    # step coordinate k alone: adding 0.0 elsewhere would turn -0.0 into +0.0
+    k = np.arange(n)
+    out[:, k, :, k] += np.array([h, -h, h / 2.0, -h / 2.0])
+    return out
 
-    d1 = central(h)
-    d2 = central(h / 2.0)
+
+def _diff(f, h):
+    """d f / d x_k from f[:, k, s] at _neighbours: central differences at
+    h and h/2, Richardson-extrapolated once."""
+    d1 = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h)
+    d2 = (f[:, :, 2] - f[:, :, 3]) / (2.0 * (h / 2.0))
     return (4.0 * d2 - d1) / 3.0
 
 
-def metric_derivatives(metric, x, h=1e-3):
-    """dg[k, i, j] = d g_ij / d x_k."""
+def _stencil(metric, x, h):
+    """(g, R) at x.  The stencil is x, its 4n neighbours, where Gamma is
+    differenced, and theirs, where g is; points with equal bytes (-0.0
+    and +0.0 differ) are evaluated once, in order of first use."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    return np.array([_richardson_diff(metric, x, k, h) for k in range(n)])
-
-
-def _centre(metric, x):
-    """g = metric(x), evaluated once per fit and passed down."""
-    return np.asarray(metric(np.asarray(x, dtype=float)), dtype=float)
-
-
-def christoffel(metric, x, h=1e-3, _g=None):
-    """Gamma^k_{ij} of the metric at x; _g is metric(x), if already known."""
-    g = _centre(metric, x) if _g is None else _g
-    ginv = np.linalg.inv(g)
-    dg = metric_derivatives(metric, x, h)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    term = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, term)
-
-
-def riemann(metric, x, h=1e-3, _g=None):
-    """Lowered tensor R[i, j, k, l] = <R(e_i, e_j) e_k, e_l>.
-
-    Convention: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
-    nabla_[X, Y]; constant curvature kappa means
-    R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).  _g is metric(x),
-    if already known.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    g = _centre(metric, x) if _g is None else _g
-    gam = christoffel(metric, x, h, _g=g)
-    dgam = np.array([_richardson_diff(lambda y: christoffel(metric, y, h), x, k, h)
-                     for k in range(n)])
+    near = _neighbours(x[None], h).reshape(4 * n, n)
+    pts = np.concatenate([x[None], near, _neighbours(near, h).reshape(-1, n)])
+    slot, vals, idx = {}, [], []
+    for p in pts:
+        key = p.tobytes()
+        if key not in slot:
+            slot[key] = len(vals)
+            vals.append(metric(p))
+        idx.append(slot[key])
+    gs = np.asarray(vals, dtype=float)[idx]
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) at x and the
+    # near points, from dg[., k, i, j] = d g_ij / d x_k over their neighbours
+    dg = _diff(gs[1:].reshape(1 + 4 * n, n, 4, n, n), h)
+    term = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+    gam = 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(gs[:1 + 4 * n]),
+                          term)
+    dgam, gam = _diff(gam[1:].reshape(1, n, 4, n, n, n), h)[0], gam[0]
     # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
     #             + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
     # as r_up[l, k, i, j]; the Gamma Gamma terms are one matrix product,
@@ -74,15 +67,23 @@ def riemann(metric, x, h=1e-3, _g=None):
     r_up = (dgam.transpose(1, 3, 0, 2) - dgam.transpose(1, 3, 2, 0)
             + prod.transpose(0, 3, 1, 2) - prod.transpose(0, 3, 2, 1))
     # lower: R_{ijkl} = g_{lm} R^m_{kij}
-    r = np.einsum("lm,mkij->ijkl", g, r_up)
-    return r
+    return gs[0], np.einsum("lm,mkij->ijkl", gs[0], r_up)
+
+
+def riemann(metric, x, h=1e-3):
+    """Lowered tensor R[i, j, k, l] = <R(e_i, e_j) e_k, e_l>.
+
+    Convention: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
+    nabla_[X, Y]; constant curvature kappa means
+    R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).
+    """
+    return _stencil(metric, x, h)[1]
 
 
 def sectional_curvature(metric, x, plane=(0, 1), h=1e-3):
     """Sectional curvature of the coordinate plane (i, j) at x."""
     i, j = plane
-    g = _centre(metric, x)
-    r = riemann(metric, x, h, _g=g)
+    g, r = _stencil(metric, x, h)
     denom = g[i, i] * g[j, j] - g[i, j] ** 2
     return r[i, j, j, i] / denom
 
@@ -90,8 +91,7 @@ def sectional_curvature(metric, x, plane=(0, 1), h=1e-3):
 def constant_curvature_fit(metric, x, h=1e-3):
     """(kappa, residual): least-squares constant-curvature coefficient
     and the relative misfit of the full Riemann tensor."""
-    g = _centre(metric, x)
-    r = riemann(metric, x, h, _g=g)
+    g, r = _stencil(metric, x, h)
     pattern = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
     num = float(np.sum(r * pattern))
     den = float(np.sum(pattern * pattern))

@@ -73,18 +73,19 @@ def inv(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
 
 
-def proj_equal(m, n, tol=1e-9):
-    """Projective equality: m == n or m == -n entrywise within
-    tol + 1e-5 |n|, the rule of np.allclose(m, +-n, atol=tol): NaN is
-    never close, equal infinities are."""
-    slack = tol + 1e-5 * np.abs(n)
+def allclose(m, n, tol):
+    """np.allclose(m, n, atol=tol) evaluated directly: every entry of m
+    within tol + 1e-5 |n| of n; NaN is never close, equal infinities are."""
     # an infinite entry of n has infinite slack, which only == may use
-    finite = np.isfinite(n)
     with np.errstate(invalid="ignore"):
-        for s in (n, -n):
-            if (((np.abs(m - s) <= slack) & finite) | (m == s)).all():
-                return True
-    return False
+        return bool((((np.abs(m - n) <= tol + 1e-5 * np.abs(n)) & np.isfinite(n))
+                     | (m == n)).all())
+
+
+def proj_equal(m, n, tol=1e-9):
+    """Projective equality: m == n or m == -n entrywise, by the rule of
+    allclose."""
+    return allclose(m, n, tol) or allclose(m, -n, tol)
 
 
 def is_identity(m, tol=TAU_CLASS):

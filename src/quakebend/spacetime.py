@@ -82,7 +82,7 @@ class MetricSample:
 
     def __post_init__(self):
         g = np.asarray(self.components, dtype=float)
-        if g.shape != (3, 3) or not np.allclose(g, g.T, atol=1e-12):
+        if g.shape != (3, 3) or not iso.allclose(g, g.T, 1e-12):
             raise StructureError("metric sample must be symmetric 3x3")
         eig = np.linalg.eigvalsh(g)
         negs = int(np.sum(eig < 0))

@@ -511,8 +511,13 @@ def _curve_length(pd, fn, pant, slot):
 
 def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
     """Holonomy of F(l, t): normalized pants glued along the interior
-    curves with the stated twist convention."""
+    curves with the stated twist convention.  A closed surface (no
+    boundary curve) is rejected: its generators satisfy a relation, and
+    the word engine needs a free group."""
     fn.check(pd)
+    if pd.num_boundary == 0:
+        raise DomainError("closed surfaces (r = 0) are not supported: "
+                          "their holonomy group is not free")
 
     local_cuffs = []
     frames = []

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from quakebend import cli
+from quakebend import earthquake as eq
+from quakebend import isometry as iso
+from quakebend import teich
 
 
 TORUS_SCENARIO = {
@@ -52,6 +55,17 @@ TWO_BOUNDARY_TORUS = {
               "boundary": [[0, 2], [1, 2]]},
     "fn": {"l": [1.0, 1.2, 1.0, 1.0], "t": [0.0, 0.0]},
     "lamination": {"family": "multicurve", "weights": [0.5, 0.3]},
+}
+
+# closed genus 2: two pants glued along three curves, weight on z0
+GENUS_TWO = {
+    "version": 1,
+    "surface": {"g": 2, "r": 0},
+    "pants": {"num_pants": 2,
+              "interior": [[[0, 0], [1, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]],
+              "boundary": []},
+    "fn": {"l": [1.0, 1.2, 1.4], "t": [0.1, 0.2, 0.3]},
+    "lamination": {"family": "multicurve", "weights": [0.5, 0.0, 0.0]},
 }
 
 
@@ -137,6 +151,30 @@ class TestScenarios:
         assert code == 0
         p0 = next(r for r in recs if r.get("puncture") == 0)
         assert p0["I"] == pytest.approx(1.0)
+
+
+class TestDomainErrors:
+    """A domain error exits 3 and leaves stdout empty."""
+
+    @pytest.mark.parametrize("argv", [
+        ["holonomy"], ["quake", "--depth", "8"],
+        ["bend", "--target", "hyperbolic", "--depth", "6"]])
+    def test_closed_surface_rejected(self, tmp_path, capsys, argv):
+        # the word engine needs a free group; the closed surface's is not
+        path = write_scenario(tmp_path, GENUS_TWO)
+        code = cli.main([argv[0], path] + argv[1:])
+        assert code == cli.EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
+
+    def test_quake_base_point_on_leaf(self, tmp_path, capsys, monkeypatch):
+        # the scenario's point: boundary length 1, l_z0 = 2, t = 0.3
+        h = teich.holonomy_of(teich.FNPoint((1.0,), (2.0,), (0.3,)),
+                              teich.PantDecomposition.once_punctured_torus())
+        monkeypatch.setattr(eq, "BASE_POINT", iso.apply_h2(
+            iso.axis(h.curve("z0")).map_from_standard(), 1j))
+        path = write_scenario(tmp_path, TORUS_SCENARIO)
+        assert cli.main(["quake", path, "--depth", "6"]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
 
 
 class TestFlow:

@@ -10,7 +10,7 @@ from quakebend import bending as bd
 from quakebend import spacetime as sp
 from quakebend import curvature as cv
 from quakebend import blackhole as bh
-from quakebend.errors import DomainError
+from quakebend.errors import DomainError, StructureError
 
 ETA3 = np.diag([-1.0, 1.0, 1.0])
 ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -57,15 +57,43 @@ class TestCurvatureOracle:
         assert abs(cv.sectional_curvature(metric, x) - expect) < 1e-5
 
 
-def riemann_loop(metric, x, h=1e-3):
+# -- the scalar curvature oracle: one metric call per use of a point (169
+# in a 3-D fit), the reference that the stencil form of `cv` must match
+# bit for bit
+
+def scalar_diff(f, x, k, h):
+    """d f / d x_k by central differences, Richardson-extrapolated once."""
+    def central(step):
+        xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
+        xp[k] += step
+        xm[k] -= step
+        return (f(xp) - f(xm)) / (2.0 * step)
+
+    d1 = central(h)
+    d2 = central(h / 2.0)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def scalar_christoffel(metric, x, h=1e-3, g=None):
+    """Gamma^k_{ij} at x; g is metric(x), if already known."""
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(metric(x), dtype=float) if g is None else g
+    ginv = np.linalg.inv(g)
+    dg = np.array([scalar_diff(metric, x, k, h) for k in range(len(x))])
+    term = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
+    return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+
+
+def riemann_loop(metric, x, h=1e-3, g=None):
     """Loop transcription of the lowered Riemann tensor, the reference
-    that the array form of `cv.riemann` must match bit for bit."""
+    that the array form of `cv.riemann` must match bit for bit; g is
+    metric(x), if already known."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    g = np.asarray(metric(x), dtype=float)
-    gam = cv.christoffel(metric, x, h)
-    dgam = np.array([cv._richardson_diff(
-        lambda y: cv.christoffel(metric, y, h), x, k, h) for k in range(n)])
+    g = np.asarray(metric(x), dtype=float) if g is None else g
+    gam = scalar_christoffel(metric, x, h, g)
+    dgam = np.array([scalar_diff(
+        lambda y: scalar_christoffel(metric, y, h), x, k, h) for k in range(n)])
     r_up = np.zeros((n, n, n, n))
     for l in range(n):
         for k in range(n):
@@ -76,6 +104,13 @@ def riemann_loop(metric, x, h=1e-3):
                     val -= np.dot(gam[l, j, :], gam[:, i, k])
                     r_up[l, k, i, j] = val
     return np.einsum("lm,mkij->ijkl", g, r_up)
+
+
+def sectional_reference(metric, x, plane=(0, 1), h=1e-3):
+    i, j = plane
+    g = np.asarray(metric(np.asarray(x, dtype=float)), dtype=float)
+    r = riemann_loop(metric, x, h, g)
+    return r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
 
 
 # chart kind -> (public checked function, an open T-range inside its domain)
@@ -169,11 +204,11 @@ class TestSampleChecks:
 
 
 def fit_reference(metric, x, h=1e-3):
-    """`constant_curvature_fit` with the centre metric evaluated apart
-    from the public `riemann` (three evaluations at the centre)."""
+    """`constant_curvature_fit` on the scalar oracle, with its calls of
+    metric in their order: x, then 12 + 12 x 13 in a 3-D fit."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(metric(x), dtype=float)
-    r = cv.riemann(metric, x, h)
+    r = riemann_loop(metric, x, h, g)
     pattern = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
     kappa = float(np.sum(r * pattern)) / float(np.sum(pattern * pattern))
     resid = float(np.max(np.abs(r - kappa * pattern)) /
@@ -181,17 +216,52 @@ def fit_reference(metric, x, h=1e-3):
     return kappa, resid
 
 
+def evaluated(fit, metric, x):
+    """The points at which fit(metric, x) calls metric, as bytes, in
+    call order."""
+    points = []
+
+    def recorded(p):
+        points.append(np.array(p, dtype=float).tobytes())
+        return metric(p)
+    fit(recorded, x)
+    return points
+
+
+def oracle_cases(rng, per_chart):
+    """Seeded (metric, point) pairs: the four charts at a0 = 1, 8 and inf,
+    BTZ (extremal included), the sphere and H^2."""
+    cases = []
+    for kind, (_, (lo, hi)) in CHARTS.items():
+        for a0 in (1.0, 8.0, sp.INF):
+            cases += [(sp.chart_metric(kind, a0),
+                       (rng.uniform(lo, hi), rng.uniform(-1.0, 2.0),
+                        rng.uniform(-1.0, 1.0))) for _ in range(per_chart)]
+    for ratio in (0.0, 0.3, 0.6, 1.0):
+        rp = rng.uniform(0.8, 2.0)
+        cases.append((bh.btz_chart_metric(bh.BTZParams(rp, rp * ratio)),
+                      (rng.uniform(-1, 1), rp * rng.uniform(1.5, 3.0),
+                       rng.uniform(0, 6))))
+    for _ in range(per_chart):
+        cases += [(cv.sphere_metric, (rng.uniform(0.3, 2.8), rng.uniform(-3, 3))),
+                  (cv.hyperbolic_metric, (rng.uniform(-3, 3), rng.uniform(0.2, 3)))]
+    return cases
+
+
 class TestFitCentre:
     def test_evaluations_per_fit(self):
-        calls = [0]
-        chart = sp.chart_metric("ads")
-
-        def counted(x):
-            calls[0] += 1
-            return chart(x)
-        cv.constant_curvature_fit(counted, (1.3, 0.2, 0.3))
-        # 1 centre + 12 stencil points for Gamma there + 12 x 13 for dGamma
-        assert calls[0] == 169
+        for kind, x in (("ads", (1.3, 0.2, 0.3)), ("flat", (0.5, 0.0, -0.0)),
+                        ("wick", (1.5, -0.0, 0.0))):
+            chart = sp.chart_metric(kind)
+            new = evaluated(cv.constant_curvature_fit, chart, x)
+            ref = evaluated(fit_reference, chart, x)
+            # 1 centre + 12 stencil points for Gamma there + 12 x 13 for dGamma
+            assert len(ref) == 169
+            # no point twice, and the points of the reference in its order
+            # of first use; -0.0 and +0.0 are different points
+            assert len(set(new)) == len(new) < 169
+            assert set(new) == set(ref)
+            assert new == list(dict.fromkeys(ref))
 
     def test_bitwise_equal_to_reference(self):
         rng = np.random.default_rng(5)
@@ -209,6 +279,46 @@ class TestFitCentre:
                            rng.uniform(0, 6))))
         for metric, x in cases:
             assert cv.constant_curvature_fit(metric, x) == fit_reference(metric, x)
+
+
+class TestStencil:
+    def test_bitwise_equal_to_scalar_oracle(self):
+        for metric, x in oracle_cases(np.random.default_rng(23), 3):
+            assert cv.constant_curvature_fit(metric, x) == fit_reference(metric, x)
+            assert np.array_equal(cv.riemann(metric, x), riemann_loop(metric, x))
+            planes = [(0, 1)] if len(x) == 2 else [(0, 1), (0, 2), (1, 2)]
+            for plane in planes:
+                assert cv.sectional_curvature(metric, x, plane) == \
+                    sectional_reference(metric, x, plane)
+
+    def test_domain_edge_raises_at_reference_point(self):
+        # the stencil of a point 4e-4 above T = 1 leaves the Wick domain
+        chart = sp.chart_metric("wick")
+        x = (1.0 + 4e-4, 0.2, 0.3)
+        seen = []
+        for fit in (cv.constant_curvature_fit, fit_reference):
+            points = []
+
+            def recorded(p):
+                points.append(np.array(p, dtype=float).tobytes())
+                return chart(p)
+            with pytest.raises(DomainError) as err:
+                fit(recorded, x)
+            seen.append((str(err.value), points[-1]))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    def test_public_wrapper_equals_raw_chart(self, a0):
+        # the checked form the benchmark fits: LocalPoint(T, u, zeta, a0)
+        def public(x):
+            return sp.rescale_ds(sp.LocalPoint(x[0], x[2], x[1], a0)).components
+        rng = np.random.default_rng(3)
+        raw = sp.chart_metric("ds", a0)
+        for _ in range(3):
+            x = (rng.uniform(0.25, 0.85), rng.uniform(-0.9, 2.0),
+                 rng.uniform(-0.8, 0.8))
+            assert cv.constant_curvature_fit(public, x) == \
+                cv.constant_curvature_fit(raw, x)
 
 
 class TestFlatMetric:
@@ -564,3 +674,42 @@ class TestMetricSampleType:
             sp.MetricSample(np.diag([1.0, 1.0, 1.0]), "lorentzian")
         sp.MetricSample(np.diag([-1.0, 1.0, 1.0]), "lorentzian")
         sp.MetricSample(np.diag([2.0, 1.0, 1.0]), "riemannian")
+
+    def test_symmetry_rule_matches_allclose_form(self):
+        rng = np.random.default_rng(17)
+        cases = 0
+        for _ in range(40):
+            a = rng.normal(size=(3, 3))
+            g = (a @ a.T + np.eye(3)) * 10.0 ** rng.integers(-3, 4)
+            i, j = rng.choice(3, size=2, replace=False)
+            slack = 1e-12 + 1e-5 * abs(g[j, i])
+            # g[i, j] at, just inside and just outside the tolerance
+            # boundary around g[j, i], of either sign, or well off
+            variants = []
+            for off in (slack, -slack, np.nextafter(slack, np.inf),
+                        np.nextafter(slack, 0.0), 2.0 * slack * rng.uniform(),
+                        10.0 * slack):
+                m = g.copy()
+                m[i, j] = g[j, i] + off
+                variants.append(m)
+            # NaN and +-inf off the diagonal, on both sides, opposite, or
+            # on the diagonal
+            for v in (np.nan, np.inf, -np.inf):
+                for cells in ([(i, j)], [(i, j), (j, i)], [(i, i)]):
+                    m = g.copy()
+                    for c in cells:
+                        m[c] = v
+                    variants.append(m)
+                m = g.copy()
+                m[i, j], m[j, i] = v, -v
+                variants.append(m)
+            for m in variants:
+                symmetric = bool(np.allclose(m, m.T, atol=1e-12))
+                assert iso.allclose(m, m.T, 1e-12) == symmetric, m
+                if not symmetric:
+                    with pytest.raises(StructureError, match="symmetric"):
+                        sp.MetricSample(m, "riemannian")
+                elif np.isfinite(m).all():
+                    sp.MetricSample(m, "riemannian")
+                cases += 1
+        assert cases > 600
