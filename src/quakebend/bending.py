@@ -1,7 +1,9 @@
 """Bending cocycles: PSL(2, C)-valued for H3, PSL(2, R)^2-valued for AdS.
 
-Both reuse the quake module's lift ordering, orientation, and endpoint
-half-weight handling; only the per-leaf exponent map differs:
+Both take the leaves ``LiftFamily.crossings`` returns -- ordered,
+oriented, and at half weight through a segment endpoint -- through the
+quake module's ``cocycle_product``; only the per-leaf exponent map
+differs:
 
 * hyperbolic: exp(a X_l), X_l the rotation generator of the oriented
   leaf with exp(2 pi X_l) projectively trivial;
@@ -84,7 +86,7 @@ class BendContext:
         if self.target not in (HYPERBOLIC, ADS):
             raise DomainError(f"unknown bending target {self.target!r}")
         # the base point itself must be off the weighted leaves
-        self.family.crossings(eq.BASE_POINT, eq.BASE_POINT + 1e-3j, tol=1e-9)
+        self.family.crossings(eq.BASE_POINT, eq.BASE_POINT + 1e-3j)
 
     def leaves(self, x, y):
         return self.family.crossings(x, y, on_leaf="include")
@@ -104,15 +106,14 @@ def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None):
 def bend_cocycle_hyp(ctx: BendContext, x, y):
     """B_lambda(x, y) in PSL(2, C): product of exp(a_i X_{l_i})."""
     leaves, _ = ctx.leaves(x, y)
-    return bend_cocycle_hyp_from_lifts(leaves, x, y)
+    return bend_cocycle_hyp_from_lifts(leaves)
 
 
-def bend_cocycle_hyp_from_lifts(lifts, x=None, y=None, tol=1e-9):
+def bend_cocycle_hyp_from_lifts(lifts):
     def factor(geo, a):
         return iso.expm2(a * geo.rotation_generator())
 
-    out = eq.cocycle_product(lifts, factor, x=x, y=y, tol=tol)
-    return out.astype(complex)
+    return eq.cocycle_product(lifts, factor).astype(complex)
 
 
 def bend_map_hyp(ctx: BendContext, x):
@@ -134,7 +135,7 @@ def hyp_holonomy(point, lam, depth=8, pd=None):
     convergence; the empty lamination reproduces the Fuchsian inclusion.
     """
     def deform(m, leaves, y):
-        b = bend_cocycle_hyp_from_lifts(leaves, eq.BASE_POINT, y)
+        b = bend_cocycle_hyp_from_lifts(leaves)
         return iso.normalize(b @ m.astype(complex))
 
     h, letters, converged = eq.deform_letters(
@@ -156,12 +157,12 @@ def bend_cocycle_ads(ctx: BendContext, x, y):
     holonomy h_L, the second the right one.
     """
     leaves, _ = ctx.leaves(x, y)
-    return bend_cocycle_ads_from_lifts(leaves, x, y)
+    return bend_cocycle_ads_from_lifts(leaves)
 
 
-def bend_cocycle_ads_from_lifts(lifts, x=None, y=None, tol=1e-9):
-    return (eq.quake_cocycle(lifts, eq.LEFT, x=x, y=y, tol=tol),
-            eq.quake_cocycle(lifts, eq.RIGHT, x=x, y=y, tol=tol))
+def bend_cocycle_ads_from_lifts(lifts):
+    return (eq.quake_cocycle(lifts, eq.LEFT),
+            eq.quake_cocycle(lifts, eq.RIGHT))
 
 
 def bend_map_ads(ctx: BendContext, x):
@@ -181,7 +182,7 @@ def ads_holonomy(point, lam, depth=8, pd=None):
     """
     def deform(m, leaves, y):
         return tuple(iso.normalize(b @ m) for b in
-                     bend_cocycle_ads_from_lifts(leaves, eq.BASE_POINT, y))
+                     bend_cocycle_ads_from_lifts(leaves))
 
     h, pairs, converged = eq.deform_letters(
         point, lam, deform, include=lambda m: (m, m), depth=depth, pd=pd)

@@ -387,37 +387,36 @@ def build_parser():
                     "black-hole invariants")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_file=True):
-        if scenario_file:
-            p.add_argument("scenario", help="scenario JSON file")
-        p.add_argument("--depth", type=int, default=8)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--mesh-out", default=None)
-        p.add_argument("--grid", default=None,
-                       help="grid spec key=lo:hi:n[,key=...]")
-
     p = sub.add_parser("classify", help="classify a PSL(2,R) matrix")
     p.add_argument("--matrix", required=True, help="a,b,c,d entries")
     p.add_argument("--tol", type=float, default=iso.TAU_CLASS)
     p.set_defaults(func=cmd_classify)
 
-    for name, fn in [("holonomy", cmd_holonomy), ("spectrum", cmd_spectrum),
-                     ("quake", cmd_quake), ("flow", cmd_flow),
-                     ("bend", cmd_bend), ("blackhole", cmd_blackhole)]:
-        p = sub.add_parser(name)
-        common(p)
-        if name == "quake":
-            p.add_argument("--side", choices=[eq.LEFT, eq.RIGHT],
-                           default=eq.LEFT)
-        if name == "bend":
-            p.add_argument("--target", choices=["hyperbolic", "ads"],
-                           default="hyperbolic")
+    # the flags each command reads, and nothing else
+    flags = {
+        "--side": dict(choices=[eq.LEFT, eq.RIGHT], default=eq.LEFT),
+        "--target": dict(choices=["hyperbolic", "ads"], default="hyperbolic"),
+        "--depth": dict(type=int, default=8),
+        "--grid": dict(default=None, help="grid spec key=lo:hi:n[,key=...]"),
+        "--alpha0": dict(type=float, default=1.0),
+        "--mesh-out": dict(default=None),
+    }
+    for name, fn, names in [
+            ("holonomy", cmd_holonomy, ()),
+            ("spectrum", cmd_spectrum, ()),
+            ("quake", cmd_quake, ("--side", "--depth")),
+            ("flow", cmd_flow, ("--grid",)),
+            ("bend", cmd_bend, ("--target", "--depth", "--grid", "--mesh-out")),
+            ("blackhole", cmd_blackhole, ("--depth",)),
+            ("wick", cmd_wick, ("--grid", "--alpha0", "--mesh-out"))]:
+        if name == "wick":
+            p = sub.add_parser(name, help="Wick-rotation grid records")
+        else:
+            p = sub.add_parser(name)
+            p.add_argument("scenario", help="scenario JSON file")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("wick", help="Wick-rotation grid records")
-    common(p, scenario_file=False)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.set_defaults(func=cmd_wick)
 
     p = sub.add_parser("btz")
     p.add_argument("--rp", type=float, required=True)

@@ -6,6 +6,8 @@ builder and asserted by the cross-oracle tests): leaves returned by
 their left, and the *left* quake cocycle composes ``exp(+a X^)`` over
 the crossed leaves, ``X^`` the unit-displacement generator of the
 oriented leaf.  The right cocycle is its inverse on matching data.
+The cocycles take leaves only: ``crossings`` orients each leaf and
+halves the weight of one through a segment endpoint.
 
 Every deformed holonomy of the package (quake, H3 and AdS bending, the
 flat translation part) is gamma -> B(x0, gamma x0) gamma at the one base
@@ -77,10 +79,9 @@ def quake_shear(sp: teich.ShearPoint, lam: lm.TriangulationLam, side):
 # quake cocycle
 # ---------------------------------------------------------------------------
 
-def cocycle_product(lifts, factor, x=None, y=None, tol=1e-9):
-    """Ordered product of per-leaf factors with the endpoint half-weight
-    rule: the weight of the first (last) leaf is halved when x (y) lies
-    on it.
+def cocycle_product(lifts, factor):
+    """Ordered product of the per-leaf factors of oriented, weighted
+    leaves as `LiftFamily.crossings` returns them.
 
     One routine serves the quake cocycle and both bending cocycles:
     only the `factor(geodesic, weight) -> matrix` map differs.
@@ -88,33 +89,27 @@ def cocycle_product(lifts, factor, x=None, y=None, tol=1e-9):
     if not lm.leaves_pairwise_disjoint(lifts):
         raise InvalidLaminationError("crossing leaves in the lift family")
     out = None
-    for idx, leaf in enumerate(lifts):
-        a = leaf.weight
-        if idx == 0 and x is not None and leaf.geodesic.contains(x, tol=tol):
-            a = a / 2.0
-        if idx == len(lifts) - 1 and y is not None \
-                and leaf.geodesic.contains(y, tol=tol):
-            a = a / 2.0
-        m = factor(leaf.geodesic, a)
+    for leaf in lifts:
+        m = factor(leaf.geodesic, leaf.weight)
         out = m if out is None else out @ m
     if out is None:
         return np.eye(2)
     return iso.normalize(out)
 
 
-def quake_cocycle(lifts, side, x=None, y=None, tol=1e-9):
+def quake_cocycle(lifts, side):
     """B(x, y): ordered product of exp(+-a X^) over the crossed leaves.
 
     `lifts` must come ordered along the segment and oriented with x on
-    the left (the `LiftFamily.crossings` convention).  When x or y is
-    supplied and lies on the first/last leaf, that weight is halved.
+    the left, a leaf through x or y at half its weight (the
+    `LiftFamily.crossings` convention).
     """
     s = _side_sign(side)
 
     def factor(geo, a):
         return iso.expm2(s * a * geo.displacement_generator())
 
-    return cocycle_product(lifts, factor, x=x, y=y, tol=tol)
+    return cocycle_product(lifts, factor)
 
 
 def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
@@ -152,7 +147,7 @@ def quake_holonomy(point, lam, side, depth=8, pd=None):
     result carries meta['converged'] reporting lift-depth convergence.
     """
     def deform(m, leaves, y):
-        return iso.normalize(quake_cocycle(leaves, side, x=BASE_POINT, y=y) @ m)
+        return iso.normalize(quake_cocycle(leaves, side) @ m)
 
     h, letters, converged = deform_letters(point, lam, deform, depth=depth, pd=pd)
     out = h.map(lambda name, _: letters[name])

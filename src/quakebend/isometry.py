@@ -157,10 +157,6 @@ class Geodesic:
     def reversed(self):
         return Geodesic(self.p_plus, self.p_minus)
 
-    def contains(self, z, tol=1e-12):
-        """Whether the H2 point z lies on the geodesic."""
-        return abs(self.side(z)) <= tol
-
     def side(self, z):
         """Signed side of z: positive on the left of the orientation.
 

@@ -312,12 +312,16 @@ class LiftFamily:
         self.sinh_dist = np.concatenate(keys)
 
     def crossings(self, x, y, tol=1e-9, on_leaf="raise"):
-        """Leaves crossing [x, y], ordered along it, oriented with x on
-        the left; also returns the depth-convergence flag.
+        """Leaves crossing [x, y], ordered along it, and the
+        depth-convergence flag: the one place that decides how a leaf
+        meets a segment.
 
-        A segment endpoint sitting on a leaf raises by default; the
-        cocycle layers pass on_leaf='include' and apply the half-weight
-        rule themselves.
+        In the segment frame (x = i, y = i e^L) a crossed leaf runs from
+        its positive frame endpoint to its negative one, which puts x on
+        its left.  A leaf within tol of x or y (in the crossing
+        parameter t) raises BasePointOnLeafError, or with
+        on_leaf='include' comes back at half its weight, so that
+        B(x, y) B(y, z) = B(x, z) holds for every y.
         """
         if self.empty or abs(x - y) < 1e-14:
             return [], True
@@ -328,8 +332,7 @@ class LiftFamily:
         reach = 2.0 * math.asinh(max(abs(z - 1j) / (2.0 * math.sqrt(z.imag))
                                      for z in (x, y)))
         rows = np.flatnonzero(self.sinh_dist <= math.sinh(reach + 2.0 * tol))
-        frame = segment_frame(x, y)
-        fi = iso.inv(frame)
+        fi = iso.inv(segment_frame(x, y))
         seg_len = math.log(iso.apply_h2(fi, y).imag)
 
         um = self.ends_minus[rows] @ fi.T
@@ -349,19 +352,15 @@ class LiftFamily:
                 "a segment endpoint lies on a weighted leaf")
         inside = ((t > 0) & (t < seg_len)) | near_end
         idx = rows[np.flatnonzero(cross)[inside]]
-        t = t[inside]
-
-        order = np.argsort(t, kind="stable")
+        reverse = vm[cross][inside] < 0
+        weight = np.where(near_end[inside], 0.5, 1.0) * self.weights[idx]
         leaves = []
-        for i in idx[order]:
-            pm = self._endpoint(self.ends_minus[i])
-            pp = self._endpoint(self.ends_plus[i])
-            geo = iso.Geodesic(pm, pp)
-            if geo.side(x) < 0:
-                geo = geo.reversed()
-            leaves.append(WeightedGeodesic(geo, float(self.weights[i])))
-        converged = bool(np.all(self.levels[idx] < self.depth))
-        return leaves, converged
+        for k in np.argsort(t[inside], kind="stable"):
+            geo = iso.Geodesic(self._endpoint(self.ends_minus[idx[k]]),
+                               self._endpoint(self.ends_plus[idx[k]]))
+            leaves.append(WeightedGeodesic(
+                geo.reversed() if reverse[k] else geo, float(weight[k])))
+        return leaves, bool(np.all(self.levels[idx] < self.depth))
 
     @staticmethod
     def _endpoint(vec):

@@ -46,6 +46,45 @@ def _a_mat(s):
     return np.array([[math.exp(s / 2.0), 0.0], [0.0, math.exp(-s / 2.0)]])
 
 
+def _union_roots(items, pairs):
+    """Root of every item once the pairs (a, b) are joined in order, the
+    root of a hooked under the root of b (union-find, path halving)."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {x: find(x) for x in items}
+
+
+def _spanning_tree(gluing, transition):
+    """Placements of the nodes of a gluing graph, by breadth-first search
+    from node 0, and the set of tree edges.
+
+    `gluing` lists ((node, slot), (node, slot)) per edge; a node first
+    reached across edge j from src to dst is placed at
+    placement[src node] @ transition(j, src, dst).
+    """
+    placement = {0: np.eye(2)}
+    tree_edges = set()
+    queue = [0]
+    while queue:
+        p = queue.pop(0)
+        for j, (a, b) in enumerate(gluing):
+            for src, dst in ((a, b), (b, a)):
+                if src[0] == p and dst[0] not in placement:
+                    placement[dst[0]] = iso.normalize(
+                        placement[p] @ transition(j, src, dst))
+                    tree_edges.add(j)
+                    queue.append(dst[0])
+    return placement, tree_edges
+
+
 # ---------------------------------------------------------------------------
 # surface data
 # ---------------------------------------------------------------------------
@@ -89,21 +128,10 @@ class PantDecomposition:
         n_p, r = self.num_pants, len(self.boundary)
         if (n_p - r + 2) % 2 != 0 or n_p - r + 2 < 0:
             raise StructureError("pant count incompatible with a closed-up surface")
-        if len(self._components()) != 1:
+        roots = _union_roots(range(n_p), [(p, q) for (p, _), (q, _)
+                                          in self.interior])
+        if len(set(roots.values())) != 1:
             raise StructureError("gluing graph is not connected")
-
-    def _components(self):
-        parent = list(range(self.num_pants))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (p, _), (q, _) in self.interior:
-            parent[find(p)] = find(q)
-        return {find(p) for p in range(self.num_pants)}
 
     @property
     def genus(self):
@@ -199,20 +227,12 @@ class IdealTriangulation:
 
     def _compute_corners(self):
         corners = [(t, c) for t in range(self.num_triangles) for c in range(3)]
-        parent = {c: c for c in corners}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        pairs = []
         for (t, k), (u, m) in self.gluing:
-            parent[find((t, k))] = find((u, (m + 1) % 3))
-            parent[find((t, (k + 1) % 3))] = find((u, m))
-        reps = sorted({find(c) for c in corners})
-        index = {r: i for i, r in enumerate(reps)}
-        return {c: index[find(c)] for c in corners}
+            pairs += [((t, k), (u, (m + 1) % 3)), ((t, (k + 1) % 3), (u, m))]
+        roots = _union_roots(corners, pairs)
+        index = {r: i for i, r in enumerate(sorted(set(roots.values())))}
+        return {c: index[r] for c, r in roots.items()}
 
     def puncture_of_corner(self, tri, corner):
         return self._corner_orbits[(tri, corner)]
@@ -454,13 +474,17 @@ class Holonomy:
                         self.curve_words, self.peripheral, self.meta)
 
 
+def _decomposition(pd):
+    if pd is None:
+        raise StructureError("FN holonomy needs the pant decomposition")
+    return pd
+
+
 def holonomy_of(point, pd=None):
     """Holonomy of an FNPoint (over its decomposition `pd`) or a
     ShearPoint; a Holonomy is returned as it is."""
     if isinstance(point, FNPoint):
-        if pd is None:
-            raise StructureError("FN holonomy needs the pant decomposition")
-        return holonomy_from_fn(pd, point)
+        return holonomy_from_fn(_decomposition(pd), point)
     if isinstance(point, ShearPoint):
         return holonomy_from_shear(point)
     if isinstance(point, Holonomy):
@@ -492,8 +516,7 @@ def surface_type(obj, pd=None):
                       for i in range(len(obj.peripheral)))
         return SurfaceType(obj.meta.get("genus", 0), kinds)
     if isinstance(obj, FNPoint):
-        return SurfaceType(pd.genus if pd is not None else 0,
-                           puncture_kinds(obj))
+        return SurfaceType(_decomposition(pd).genus, puncture_kinds(obj))
     if isinstance(obj, ShearPoint):
         return SurfaceType(obj.triangulation.genus, puncture_kinds(obj))
     raise StructureError(f"cannot type {type(obj)!r}")
@@ -535,19 +558,7 @@ def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
         (q, m) = dst
         return iso.normalize(frames[p][k] @ _a_mat(-t) @ J_FLIP @ iso.inv(frames[q][m]))
 
-    # BFS placements over a spanning tree of the gluing graph
-    placement = {0: np.eye(2)}
-    tree_edges = set()
-    queue = [0]
-    while queue:
-        p = queue.pop(0)
-        for j, (a, b) in enumerate(pd.interior):
-            for src, dst in ((a, b), (b, a)):
-                if src[0] == p and dst[0] not in placement:
-                    placement[dst[0]] = iso.normalize(
-                        placement[p] @ edge_transition(j, src, dst))
-                    tree_edges.add(j)
-                    queue.append(dst[0])
+    placement, tree_edges = _spanning_tree(pd.interior, edge_transition)
 
     def placed(p, mat):
         g = placement[p]
@@ -612,7 +623,8 @@ def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
         curve_words[f"z{j}"] = ((f"z{j}", +1),)
     # z'_j crosses z_j exactly twice (two seam arcs glued across the
     # curve); z''_j is its image under a Dehn twist along z_j, i.e. a
-    # z_j letter inserted at each crossing
+    # z_j letter inserted at each crossing, on the a side of the
+    # connector b_j of a non-tree edge (z_j is placed in a's pant)
     for j, (a, b) in enumerate(edge_sides):
         zj, bj = (f"z{j}", +1), (f"b{j}", +1)
         if a[0] == b[0]:
@@ -625,12 +637,12 @@ def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
             cross = (bj,) if j not in tree_edges else ()
             back = inverse_word(cross)
             curve_words[f"zp{j}"] = u + cross + v + back
-            curve_words[f"zpp{j}"] = (u + cross + (zj,) + v + back
+            curve_words[f"zpp{j}"] = (u + (zj,) + cross + v + back
                                       + ((f"z{j}", -1),))
 
     peripheral = tuple(f"C{i}" for i in range(pd.num_boundary))
     return Holonomy(gens, alphabet, curve_words, peripheral,
-                    meta={"genus": pd.genus, "coords": "fn"})
+                    meta={"genus": pd.genus})
 
 
 # ---------------------------------------------------------------------------
@@ -654,24 +666,14 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
     tri = sp.triangulation
     shears = sp.shears
 
-    def transition(t, k, u, m, j):
+    def transition(j, src, dst):
         # chart change crossing edge j from (t, side k) into (u, side m)
+        (_, k), (_, m) = src, dst
         turn_out = np.linalg.matrix_power(_L_TURN, k % 3)
         turn_in = np.linalg.matrix_power(_L_TURN, (-m) % 3)
         return iso.normalize(turn_out @ _f_edge(shears[j]) @ turn_in)
 
-    placement = {0: np.eye(2)}
-    tree_edges = set()
-    queue = [0]
-    while queue:
-        t = queue.pop(0)
-        for j, ((a, k), (b, m)) in enumerate(tri.gluing):
-            for (t1, k1), (t2, k2) in (((a, k), (b, m)), ((b, m), (a, k))):
-                if t1 == t and t2 not in placement:
-                    placement[t2] = iso.normalize(
-                        placement[t] @ transition(t1, k1, t2, k2, j))
-                    tree_edges.add(j)
-                    queue.append(t2)
+    placement, tree_edges = _spanning_tree(tri.gluing, transition)
 
     alphabet = {}
     gens = {}
@@ -679,7 +681,7 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
         if j in tree_edges:
             continue
         name = f"g{j}"
-        mat = iso.normalize(placement[a] @ transition(a, k, b, m, j)
+        mat = iso.normalize(placement[a] @ transition(j, (a, k), (b, m))
                             @ iso.inv(placement[b]))
         alphabet[name] = mat
         gens[name] = mat
@@ -700,7 +702,7 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
             j = tri.side_edge(t, c)
             (a, k), (b, m) = tri.gluing[j]
             (u, mm) = (b, m) if (a, k) == (t, c) else (a, k)
-            mat = mat @ transition(t, c, u, mm, j)
+            mat = mat @ transition(j, (t, c), (u, mm))
             t, c = u, (mm + 1) % 3
             if (t, c) == start:
                 break
@@ -721,6 +723,5 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
         edge_geodesics.append(iso.transform_geodesic(chart, iso.Geodesic(0.0, iso.INF)))
 
     return Holonomy(gens, alphabet, curve_words, peripheral,
-                    meta={"genus": tri.genus, "coords": "shear",
-                          "placements": placement,
+                    meta={"genus": tri.genus,
                           "edge_geodesics": tuple(edge_geodesics)})

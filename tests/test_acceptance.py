@@ -74,11 +74,10 @@ class TestCriterion1CocycleAlgebra:
                                 return False
                 return True
 
-            def cocycles(leaves, x, y):
-                return (eq.quake_cocycle(leaves, eq.LEFT, x=x, y=y),
-                        bd.bend_cocycle_hyp_from_lifts(leaves, x, y),
-                        bd.bend_cocycle_ads_from_lifts(leaves, x, y)[0],
-                        bd.bend_cocycle_ads_from_lifts(leaves, x, y)[1])
+            def cocycles(leaves):
+                return (eq.quake_cocycle(leaves, eq.LEFT),
+                        bd.bend_cocycle_hyp_from_lifts(leaves),
+                        *bd.bend_cocycle_ads_from_lifts(leaves))
 
             n_done = 0
             while n_done < 150:
@@ -87,25 +86,22 @@ class TestCriterion1CocycleAlgebra:
                 if not representable(lxy, lyz, lxz):
                     continue
                 n_done += 1
-                bxy = cocycles(lxy, x, y)
-                byz = cocycles(lyz, y, z)
-                bxz = cocycles(lxz, x, z)
+                bxy, byz, bxz = cocycles(lxy), cocycles(lyz), cocycles(lxz)
                 for k in range(4):
                     # composition
                     worst = max(worst, proj_residual(bxy[k] @ byz[k], bxz[k]))
                     # identity
                     worst = max(worst, proj_residual(
-                        cocycles(leaves_of(x, x), x, x)[k], np.eye(2)))
+                        cocycles(leaves_of(x, x))[k], np.eye(2)))
                 # equivariance over the translated leaf family (the
                 # realized family is equivariant only up to the word
                 # depth, which the lamination suite tests separately)
-                gx, gy = iso.apply_h2(g_eq, x), iso.apply_h2(g_eq, y)
                 lg = [lm.WeightedGeodesic(
                     iso.transform_geodesic(g_eq, l.geodesic), l.weight)
                     for l in lxy]
                 if representable(lg):
                     n_equiv += 1
-                    bg = cocycles(lg, gx, gy)
+                    bg = cocycles(lg)
                     for k in (0, 2, 3):
                         worst = max(worst, proj_residual(
                             bg[k], g_eq @ bxy[k] @ iso.inv(g_eq)))
@@ -116,7 +112,7 @@ class TestCriterion1CocycleAlgebra:
                 y2 = y + 0.002 + 0.001j
                 between, _ = fam.crossings(y, y2)
                 if not between:
-                    b2 = cocycles(leaves_of(x, y2), x, y2)
+                    b2 = cocycles(leaves_of(x, y2))
                     for k in range(4):
                         worst = max(worst, proj_residual(bxy[k], b2[k]))
         assert n_equiv >= 200, n_equiv

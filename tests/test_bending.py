@@ -55,11 +55,19 @@ class TestHypCocycle:
         assert iso.proj_equal(b, np.eye(2, dtype=complex), tol=1e-12)
 
     def test_single_leaf_half_weight_on_leaf(self):
-        geo = iso.Geodesic(0.0, iso.INF)
-        leaf = lm.WeightedGeodesic(geo, 0.8)
-        b = bd.bend_cocycle_hyp_from_lifts([leaf], x=1j)
-        expected = iso.expm2(0.4 * geo.rotation_generator())
-        assert iso.proj_equal(b, expected, tol=1e-12)
+        # a leaf through the start or the end of the segment comes back
+        # from crossings at half its weight
+        h = teich.holonomy_from_fn(PD, FN)
+        fam = lm.LiftFamily(lm.MultiCurveLam((0.8,)), h, depth=6)
+        frame = iso.axis(h.curve("z0")).map_from_standard()
+        on = iso.apply_h2(frame, 1j)
+        off = iso.apply_h2(frame, complex(math.cos(1.1), math.sin(1.1)))
+        for seg in ((on, off), (off, on)):
+            leaves, _ = fam.crossings(*seg, on_leaf="include")
+            assert [l.weight for l in leaves] == [0.4]
+            b = bd.bend_cocycle_hyp_from_lifts(leaves)
+            expected = iso.expm2(0.4 * leaves[0].geodesic.rotation_generator())
+            assert iso.proj_equal(b, expected, tol=1e-12)
 
     def test_composition(self, ctx_hyp):
         ctx, h = ctx_hyp
@@ -163,7 +171,7 @@ class TestAdsCocycle:
         # rotation by parameter a/2, i.e. by angle a
         geo = iso.Geodesic(0.0, iso.INF)
         leaf = lm.WeightedGeodesic(geo, 0.9)
-        pair = bd.bend_cocycle_ads_from_lifts([leaf], x=-1 + 1j)
+        pair = bd.bend_cocycle_ads_from_lifts([leaf])
         rot = iso.positive_rotation(geo.reversed(), 0.45)
         assert iso.proj_equal(pair[0], rot[0], tol=1e-12)
         assert iso.proj_equal(pair[1], rot[1], tol=1e-12)
@@ -285,3 +293,57 @@ class TestAdsHolonomy:
                       + teich.boundary_length(hr, 0)) == pytest.approx(l0, abs=1e-6)
         assert 0.5 * abs(teich.boundary_length(hl, 0)
                          - teich.boundary_length(hr, 0)) == pytest.approx(I, abs=1e-6)
+
+
+def on_lift_family(name):
+    """The FN torus (l_C = 1, l_z = 2, t = 0.3, weight 0.5) or the shear
+    torus s = (-0.4, -0.3, -0.2), weights (0.3, 0.2, 0.25), at depth 8."""
+    if name == "fn":
+        return lm.LiftFamily(lm.MultiCurveLam((0.5,)),
+                             teich.holonomy_from_fn(PD, FN), depth=8)
+    sp = teich.ShearPoint(teich.IdealTriangulation.once_punctured_torus(),
+                          (-0.4, -0.3, -0.2))
+    return lm.LiftFamily(lm.TriangulationLam.from_shear(sp, (0.3, 0.2, 0.25)),
+                         teich.holonomy_from_shear(sp), depth=8)
+
+
+class TestCocycleLawOnLift:
+    """B(x, y) B(y, z) = B(x, z) with the middle point y on a lift."""
+
+    @staticmethod
+    def cocycles(leaves):
+        return (eq.quake_cocycle(leaves, eq.LEFT),
+                bd.bend_cocycle_hyp_from_lifts(leaves),
+                *bd.bend_cocycle_ads_from_lifts(leaves))
+
+    @staticmethod
+    def residual(a, b):
+        a, b = iso.normalize(a), iso.normalize(b)
+        gap = min(np.max(np.abs(a - b)), np.max(np.abs(a + b)))
+        return gap / max(1.0, np.max(np.abs(a)), np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("name", ["fn", "shear"])
+    def test_middle_point_on_a_lift(self, name):
+        fam = on_lift_family(name)
+        x = eq.BASE_POINT
+        probes, worst = 0, 0.0
+        for i in range(len(fam.weights)):
+            geo = iso.Geodesic(fam._endpoint(fam.ends_minus[i]),
+                               fam._endpoint(fam.ends_plus[i]))
+            if iso.INF not in (geo.p_minus, geo.p_plus) and \
+                    abs(geo.p_plus - geo.p_minus) <= 0.4:
+                continue  # the whole leaf lies below Im z = 0.2
+            frame = geo.map_from_standard()
+            for height in (0.3, 0.5, 1.0, 2.0, 3.0):
+                y = iso.apply_h2(frame, 1j * height)
+                if not (0.2 < y.imag < 5.0 and abs(y.real) < 5.0):
+                    continue
+                z = complex(y.real + 0.37, 1.3 * y.imag)
+                bxy, byz, bxz = (
+                    self.cocycles(fam.crossings(a, b, on_leaf="include")[0])
+                    for a, b in ((x, y), (y, z), (x, z)))
+                probes += 1
+                worst = max(worst, max(self.residual(bxy[k] @ byz[k], bxz[k])
+                                       for k in range(4)))
+        assert probes >= (20 if name == "fn" else 150)
+        assert worst < 1e-9

@@ -47,15 +47,11 @@ SPIRAL_SPHERE = {
                    "weights": [0.5934013, 0.1410365, 0.3577207]},
 }
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
 # genus 1 with two geodesic boundaries of equal length 1.2 at puncture 1
-TWO_BOUNDARY_TORUS = {
-    "version": 1,
-    "surface": {"g": 1, "r": 2},
-    "pants": {"num_pants": 2, "interior": [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
-              "boundary": [[0, 2], [1, 2]]},
-    "fn": {"l": [1.0, 1.2, 1.0, 1.0], "t": [0.0, 0.0]},
-    "lamination": {"family": "multicurve", "weights": [0.5, 0.3]},
-}
+TWO_BOUNDARY_TORUS = json.loads(
+    (SCENARIOS / "torus_two_boundary.json").read_text())
 
 # closed genus 2: two pants glued along three curves, weight on z0
 GENUS_TWO = {
@@ -151,6 +147,44 @@ class TestScenarios:
         assert code == 0
         p0 = next(r for r in recs if r.get("puncture") == 0)
         assert p0["I"] == pytest.approx(1.0)
+
+
+# flags these commands do not read
+IGNORED_FLAGS = [(cmd, flag) for cmd, flags in [
+    ("holonomy", ("--depth", "--tol", "--mesh-out", "--grid")),
+    ("spectrum", ("--depth", "--tol", "--mesh-out", "--grid")),
+    ("quake", ("--tol", "--mesh-out", "--grid")),
+    ("flow", ("--depth", "--tol", "--mesh-out")),
+    ("bend", ("--tol",)),
+    ("blackhole", ("--tol", "--mesh-out", "--grid")),
+    ("wick", ("--depth", "--tol"))] for flag in flags]
+FLAG_VALUES = {"--depth": "6", "--tol": "1e-6", "--mesh-out": "m.off",
+               "--grid": "x=0:1:2"}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("cmd,flag", IGNORED_FLAGS)
+    def test_unread_flag_is_a_parse_error(self, tmp_path, capsys, cmd, flag):
+        argv = [cmd] if cmd == "wick" else \
+            [cmd, write_scenario(tmp_path, TORUS_SCENARIO)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [flag, FLAG_VALUES[flag]])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+
+class TestTwoBoundaryTorus:
+    """z1 of this surface is a non-tree edge joining its two pants."""
+
+    def test_quake_matches_coordinates(self, capsys):
+        path = str(SCENARIOS / "torus_two_boundary.json")
+        code, recs = run(capsys, ["quake", path, "--depth", "8"])
+        assert code == 0
+        curves = [r for r in recs if "curve" in r]
+        assert len(curves) == 8
+        for r in curves:
+            assert r["converged"] is True
+            assert r["residual"] <= 1e-8 * r["trace_coordinates"], r
 
 
 class TestDomainErrors:

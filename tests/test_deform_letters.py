@@ -41,7 +41,7 @@ def ref_quake(point, lam, side, depth, pd):
         y = iso.apply_h2(m, X0)
         leaves, ok = fam.crossings(X0, y)
         converged = converged and ok
-        return iso.normalize(eq.quake_cocycle(leaves, side, x=X0, y=y) @ m)
+        return iso.normalize(eq.quake_cocycle(leaves, side) @ m)
 
     out = h.map(deform)
     out.meta["converged"] = converged
@@ -62,7 +62,7 @@ def ref_hyp(point, lam, depth, pd):
         y = iso.apply_h2(m, X0)
         leaves, ok = fam.crossings(X0, y, on_leaf="include")
         converged = converged and ok
-        b = bd.bend_cocycle_hyp_from_lifts(leaves, X0, y)
+        b = bd.bend_cocycle_hyp_from_lifts(leaves)
         return iso.normalize(b @ m.astype(complex))
 
     out = h.map(deform)
@@ -83,7 +83,7 @@ def ref_ads(point, lam, depth, pd):
         y = iso.apply_h2(m, X0)
         leaves, ok = fam.crossings(X0, y, on_leaf="include")
         converged = converged and ok
-        bl, br = bd.bend_cocycle_ads_from_lifts(leaves, X0, y)
+        bl, br = bd.bend_cocycle_ads_from_lifts(leaves)
         return iso.normalize(bl @ m), iso.normalize(br @ m)
 
     pairs = {name: deform(m) for name, m in h.alphabet.items()}

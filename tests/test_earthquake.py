@@ -69,15 +69,28 @@ class TestQuakeCocycle:
     def test_single_leaf_left(self):
         # axis (0, oo), x on the left: exp(a X^), translation length a
         leaf = lm.WeightedGeodesic(iso.Geodesic(0.0, iso.INF), 0.7)
-        b = eq.quake_cocycle([leaf], eq.LEFT, x=-1.0 + 1.0j)
+        b = eq.quake_cocycle([leaf], eq.LEFT)
         assert iso.translation_length(b) == pytest.approx(0.7, abs=1e-12)
         expected = iso.expm2(0.7 * iso.Geodesic(0.0, iso.INF).displacement_generator())
         assert iso.proj_equal(b, expected, tol=1e-12)
 
     def test_half_weight_on_leaf(self):
-        leaf = lm.WeightedGeodesic(iso.Geodesic(0.0, iso.INF), 0.8)
-        b = eq.quake_cocycle([leaf], eq.LEFT, x=1j)
-        assert iso.translation_length(b) == pytest.approx(0.4, abs=1e-12)
+        # crossings returns a leaf through the start or the end of the
+        # segment at half its weight, oriented as across the whole leaf
+        h = teich.holonomy_from_fn(PD, FN)
+        fam = lm.LiftFamily(lm.MultiCurveLam((0.8,)), h, depth=6)
+        frame = iso.axis(h.curve("z0")).map_from_standard()
+        on = iso.apply_h2(frame, 1j)
+        left, right = (iso.apply_h2(frame, complex(math.cos(a), math.sin(a)))
+                       for a in (2.0, 1.1))
+        across, _ = fam.crossings(left, right)
+        for seg, a in (((on, right), 0.4), ((left, on), 0.4),
+                       ((left, right), 0.8)):
+            leaves, _ = fam.crossings(*seg, on_leaf="include")
+            assert [l.weight for l in leaves] == [a]
+            assert leaves[0].geodesic == across[0].geodesic
+            b = eq.quake_cocycle(leaves, eq.LEFT)
+            assert iso.translation_length(b) == pytest.approx(a, abs=1e-12)
 
     def test_cocycle_inversion_per_side(self):
         # B(x, y) B(y, x) = Id: the return data is the same leaves in

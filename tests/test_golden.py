@@ -23,7 +23,8 @@ from quakebend import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENARIOS = ("torus_multicurve", "torus_flow", "sphere_shear")
+SCENARIOS = ("torus_multicurve", "torus_flow", "sphere_shear",
+             "torus_two_boundary")
 BEND_GRID = "x=-1:1:3,y=0.5:1.5:3"
 
 

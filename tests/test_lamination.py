@@ -248,7 +248,9 @@ class TestWeights:
 
 def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
     """Reference: `LiftFamily.crossings` as a test of every leaf of the
-    family, without the distance index."""
+    family, without the distance index.  A leaf runs from its positive
+    frame endpoint to its negative one; one through x or y comes back
+    at half its weight."""
     if fam.empty or abs(x - y) < 1e-14:
         return [], True
     fi = iso.inv(lm.segment_frame(x, y))
@@ -269,14 +271,17 @@ def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
         raise lm.BasePointOnLeafError("a segment endpoint lies on a weighted leaf")
     inside = ((t > 0) & (t < seg_len)) | near_end
     idx = np.flatnonzero(cross)[inside]
-    t = t[inside]
     leaves = []
-    for i in idx[np.argsort(t, kind="stable")]:
+    for k in np.argsort(t[inside], kind="stable"):
+        i = idx[k]
         geo = iso.Geodesic(fam._endpoint(fam.ends_minus[i]),
                            fam._endpoint(fam.ends_plus[i]))
-        if geo.side(x) < 0:
+        if vm[i] < 0:
             geo = geo.reversed()
-        leaves.append(lm.WeightedGeodesic(geo, float(fam.weights[i])))
+        w = float(fam.weights[i])
+        if near_end[inside][k]:
+            w = w / 2.0
+        leaves.append(lm.WeightedGeodesic(geo, w))
     return leaves, bool(np.all(fam.levels[idx] < fam.depth))
 
 

@@ -66,6 +66,12 @@ class TestPantDecomposition:
                 ((0, 2), (1, 2)))
 
 
+# genus 1 with two boundaries: two pants glued along z0 (a tree edge)
+# and z1 (a non-tree edge joining the two pants)
+TWO_BOUNDARY = teich.PantDecomposition(
+    2, (((0, 0), (1, 0)), ((0, 1), (1, 1))), ((0, 2), (1, 2)))
+
+
 class TestFNHolonomy:
     def test_punctured_torus_cusp_commutator(self):
         pd = teich.PantDecomposition.once_punctured_torus()
@@ -122,6 +128,27 @@ class TestFNHolonomy:
     def test_nonpositive_interior_rejected(self):
         with pytest.raises(DomainError):
             teich.FNPoint((1.0,), (0.0,), (0.0,))
+
+    # a Dehn twist along z_j shifts t_j by l_{z_j} and maps z'_j to
+    # z''_j, so tr zpp_j(t) = tr zp_j(t - l_{z_j}); coordinates only
+    @pytest.mark.parametrize("pd,fn", [
+        (TWO_BOUNDARY, teich.FNPoint(ls, lz, t))
+        for ls, lz in (((1.0, 1.2), (1.0, 1.0)), ((0.7, 0.0), (1.3, 0.8)))
+        for t in ((0.0, 0.0), (0.3, -0.2), (-0.5, 0.7))] + [
+        (teich.PantDecomposition.once_punctured_torus(),
+         teich.FNPoint((1.0,), (2.0,), (0.3,))),
+        (teich.PantDecomposition.four_punctured_sphere(),
+         teich.FNPoint((0.0, 1.0, 0.5, 0.0), (1.5,), (-0.8,))),
+    ])
+    def test_dehn_twist_maps_zp_to_zpp(self, pd, fn):
+        h = teich.holonomy_from_fn(pd, fn)
+        for j, l in enumerate(fn.interior_lengths):
+            t = list(fn.twists)
+            t[j] -= l
+            shifted = teich.holonomy_from_fn(pd, fn.with_twists(t))
+            want = abs(iso.tr(shifted.curve(f"zp{j}")))
+            assert abs(iso.tr(h.curve(f"zpp{j}"))) == pytest.approx(
+                want, rel=1e-8)
 
     def test_free_generators_free(self):
         # no nontrivial short word evaluates to the identity
@@ -201,6 +228,15 @@ class TestSurfaceType:
         fn = teich.FNPoint((1.0, 0.0, 2.0, 0.0), (1.0,), (0.0,))
         assert teich.surface_type(fn, pd).kinds == (
             teich.BOUNDARY, teich.CUSP, teich.BOUNDARY, teich.CUSP)
+
+    def test_fn_needs_decomposition(self):
+        # the genus comes from the decomposition; without it the point
+        # is rejected as holonomy_of rejects it
+        fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
+        for call in (teich.surface_type, teich.holonomy_of):
+            with pytest.raises(StructureError,
+                               match="needs the pant decomposition"):
+                call(fn)
 
     def test_from_holonomy(self):
         pd = teich.PantDecomposition.once_punctured_torus()
