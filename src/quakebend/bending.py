@@ -99,6 +99,30 @@ def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None):
     return BendContext(fam, target), h
 
 
+def bend_points(ctx: BendContext, zs, target):
+    """The bent images B(x0, z) . z of the points zs in `target`: unit
+    timelike Minkowski-4 vectors in H3, 2x2 matrices in AdS.
+
+    One `crossings_from` query at the base point x0 serves all of zs.
+    Pinned normalization: the base point maps to its isometric
+    inclusion, eliminating the global post-composition freedom.
+    """
+    crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
+    out = []
+    for z, (leaves, _) in zip(zs, crossed):
+        moved = abs(z - eq.BASE_POINT) >= 1e-14
+        if target == HYPERBOLIC:
+            p = mink4_from_h2(z)
+            if moved:
+                p = apply_psl2c(bend_cocycle_hyp_from_lifts(leaves), p)
+        else:
+            p = iso.ads_embed(z)
+            if moved:
+                p = iso.ads_act(bend_cocycle_ads_from_lifts(leaves), p)
+        out.append(p)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # hyperbolic bending
 # ---------------------------------------------------------------------------
@@ -117,15 +141,8 @@ def bend_cocycle_hyp_from_lifts(lifts):
 
 
 def bend_map_hyp(ctx: BendContext, x):
-    """F(x) = B(x0, x) . x, a point of H3.
-
-    Pinned normalization: the base point maps to its isometric
-    inclusion, eliminating the global post-composition freedom.
-    """
-    if abs(x - eq.BASE_POINT) < 1e-14:
-        return mink4_from_h2(x)
-    b = bend_cocycle_hyp(ctx, eq.BASE_POINT, x)
-    return apply_psl2c(b, mink4_from_h2(x))
+    """F(x) = B(x0, x) . x, a point of H3: `bend_points` at one point."""
+    return bend_points(ctx, [x], HYPERBOLIC)[0]
 
 
 def hyp_holonomy(point, lam, depth=8, pd=None):
@@ -166,12 +183,9 @@ def bend_cocycle_ads_from_lifts(lifts):
 
 
 def bend_map_ads(ctx: BendContext, x):
-    """phi_lambda(x) = B(x0, x) . x on the embedded copy of H2 in X_{-1}."""
-    p = iso.ads_embed(x)
-    if abs(x - eq.BASE_POINT) < 1e-14:
-        return p
-    pair = bend_cocycle_ads(ctx, eq.BASE_POINT, x)
-    return iso.ads_act(pair, p)
+    """phi_lambda(x) = B(x0, x) . x on the embedded copy of H2 in X_{-1}:
+    `bend_points` at one point."""
+    return bend_points(ctx, [x], ADS)[0]
 
 
 def ads_holonomy(point, lam, depth=8, pd=None):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 
@@ -23,7 +24,8 @@ from quakebend import spacetime as sp
 from quakebend import blackhole as bh
 from quakebend import curvature as cv
 from quakebend import scenario
-from quakebend.errors import QuakebendError, ParseError, VerificationError
+from quakebend.errors import (DomainError, ParseError, QuakebendError,
+                              VerificationError)
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -59,16 +61,29 @@ def _load_laminated(args):
     return data, point, pd, lam
 
 
-def parse_grid(spec):
-    """'T=1.1:3:10,u=-1:1:5,zeta=-1:1.5:8' -> dict of 1d arrays."""
+def parse_grid(spec, axes):
+    """'T=1.1:3:10,u=-1:1:5,zeta=-1:1.5:8' -> dict of 1d arrays, one per
+    name of `axes`: each axis exactly once, finite bounds, n >= 1."""
     out = {}
     for part in spec.split(","):
         try:
             key, rng = part.split("=")
             lo, hi, n = rng.split(":")
-            out[key.strip()] = np.linspace(float(lo), float(hi), int(n))
+            key, lo, hi, n = key.strip(), float(lo), float(hi), int(n)
         except ValueError as exc:
             raise ParseError(f"bad grid component {part!r}") from exc
+        if key not in axes:
+            raise ParseError(f"unknown grid axis {key!r}; expected "
+                             f"{', '.join(axes)}")
+        if key in out:
+            raise ParseError(f"grid axis {key!r} given twice")
+        if not (math.isfinite(lo) and math.isfinite(hi)) or n < 1:
+            raise ParseError(f"grid axis {key!r} needs finite bounds and "
+                             "n >= 1")
+        out[key] = np.linspace(lo, hi, n)
+    missing = [a for a in axes if a not in out]
+    if missing:
+        raise ParseError(f"grid lacks the axis {', '.join(missing)}")
     return out
 
 
@@ -182,7 +197,7 @@ def cmd_flow(args):
     state = eq.FlowState(teich.EnhancedPoint(point, eps), elam)
     times = data.get("times")
     if args.grid:
-        times = list(parse_grid(args.grid).get("t", []))
+        times = list(parse_grid(args.grid, ("t",))["t"])
     if not times:
         raise ParseError("flow needs 'times' in the scenario or --grid t=...")
     for t in times:
@@ -194,21 +209,21 @@ def cmd_flow(args):
 
 
 def cmd_bend(args):
+    grid = parse_grid(args.grid, ("x", "y")) if args.grid else {
+        "x": np.linspace(-1.5, 1.5, 12), "y": np.linspace(0.3, 2.5, 12)}
+    xs, ys = grid["x"], grid["y"]
+    if not np.all(ys > 0):
+        raise DomainError("bend grid points must lie in the upper "
+                          "half-plane (y > 0)")
     data, point, pd, lam = _load_laminated(args)
     target = bd.ADS if args.target == "ads" else bd.HYPERBOLIC
     ctx, h = bd.make_context(point, lam, depth=args.depth, target=target, pd=pd)
-    grid = parse_grid(args.grid) if args.grid else {
-        "x": np.linspace(-1.5, 1.5, 12), "y": np.linspace(0.3, 2.5, 12)}
-    xs, ys = grid.get("x"), grid.get("y")
-    vertices = []
-    for yv in ys:
-        for xv in xs:
-            z = complex(xv, yv)
-            if target == bd.HYPERBOLIC:
-                vertices.append(list(bd.bend_map_hyp(ctx, z)))
-            else:
-                vertices.append([float(v) for v in
-                                 bd.bend_map_ads(ctx, z).flatten()])
+    points = bd.bend_points(ctx, [complex(xv, yv) for yv in ys for xv in xs],
+                            target)
+    if target == bd.HYPERBOLIC:
+        vertices = [list(v) for v in points]
+    else:
+        vertices = [[float(v) for v in m.flatten()] for m in points]
     emit({"command": "bend", "target": args.target,
           "points": len(vertices), "depth": args.depth})
     if args.mesh_out:
@@ -220,7 +235,7 @@ def cmd_bend(args):
 
 
 def cmd_wick(args):
-    grid = parse_grid(args.grid) if args.grid else {
+    grid = parse_grid(args.grid, ("T", "u", "zeta")) if args.grid else {
         "T": np.linspace(1.2, 2.8, 5), "u": np.linspace(-0.8, 0.8, 5),
         "zeta": np.linspace(-0.8, 1.2, 5)}
     a0 = args.alpha0

@@ -121,8 +121,9 @@ def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
     decomposition `pd`, or a ShearPoint) to the given lift depth.  For
     each alphabet letter m, with y = m x0 and x0 = BASE_POINT, the
     letter becomes `deform(m, leaves, y)`, `leaves` the lifts crossing
-    [x0, y] as `LiftFamily.crossings` returns them; a base point on a
-    weighted leaf raises BasePointOnLeafError.  An empty lamination
+    [x0, y] as one `LiftFamily.crossings_from` query at x0 returns them
+    for all letters; a base point on a weighted leaf raises
+    BasePointOnLeafError.  An empty lamination
     leaves every letter undeformed: `include(m)` puts it in the target
     group.  Returns (h, {letter: deformed letter}, converged), the flag
     the AND of the per-letter depth-convergence flags.
@@ -131,13 +132,11 @@ def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
     fam = lm.LiftFamily(lam, h, depth=depth)
     if fam.empty:
         return h, {name: include(m) for name, m in h.alphabet.items()}, True
-    letters, converged = {}, True
-    for name, m in h.alphabet.items():
-        y = iso.apply_h2(m, BASE_POINT)
-        leaves, ok = fam.crossings(BASE_POINT, y)
-        converged = converged and ok
-        letters[name] = deform(m, leaves, y)
-    return h, letters, converged
+    ys = [iso.apply_h2(m, BASE_POINT) for m in h.alphabet.values()]
+    crossed = fam.crossings_from(BASE_POINT, ys)
+    letters = {name: deform(m, leaves, y) for (name, m), y, (leaves, _)
+               in zip(h.alphabet.items(), ys, crossed)}
+    return h, letters, all(ok for _, ok in crossed)
 
 
 def quake_holonomy(point, lam, side, depth=8, pd=None):

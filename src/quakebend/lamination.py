@@ -202,25 +202,38 @@ def in_V_c(point, lam):
 # geometric realization
 # ---------------------------------------------------------------------------
 
+def segment_frames(x, ys):
+    """(S, 2, 2) array of the matrices F with F^{-1} x = i and
+    F^{-1} y = i e^{d(x, y)}, one per y of `ys`.
+
+    F = A K: A = [[sqrt(b), a / sqrt(b)], [0, 1 / sqrt(b)]] takes i to
+    x = a + ib, and the rotation K = [[c, -s], [s, c]] about i turns the
+    upward ray from i toward w = A^{-1} y.  In the disk model at i, w is
+    zeta = (y - x) / (y - conj(x)) and K multiplies by e^{-2i alpha}
+    with e^{i alpha} = c + is, so e^{2i alpha} = conj(zeta) / |zeta|.
+    The half angle is taken from whichever of |zeta| + conj(zeta) and
+    i (|zeta| - conj(zeta)) is the longer, so no step cancels, on
+    vertical segments (zeta real) or anywhere else.
+    """
+    y = np.asarray(ys, dtype=complex).reshape(-1)
+    if np.any(np.abs(x - y) < 1e-14):
+        raise DomainError("segment endpoints coincide")
+    if not (x.imag > 0 and np.all(y.imag > 0)):
+        raise DomainError("segment endpoints must lie in the upper half-plane")
+    v = np.conj((y - x) / (y - np.conj(x)))
+    rho = np.abs(v)
+    half = np.where(v.real >= 0, rho + v, 1j * (rho - v))
+    half = half / np.abs(half)
+    c, s = half.real, half.imag
+    root = math.sqrt(x.imag)
+    f = np.array([root * c + x.real * s / root, x.real * c / root - root * s,
+                  s / root, c / root])
+    return f.T.reshape(-1, 2, 2)
+
+
 def segment_frame(x, y):
     """Matrix F with F^{-1} x = i and F^{-1} y = i e^{d(x,y)}."""
-    if abs(x - y) < 1e-14:
-        raise DomainError("segment endpoints coincide")
-    if abs(x.real - y.real) < 1e-13:
-        geo = iso.Geodesic(x.real, iso.INF)
-        if y.imag < x.imag:
-            geo = iso.Geodesic(iso.INF, x.real)
-    else:
-        c = (abs(y) ** 2 - abs(x) ** 2) / (2.0 * (y.real - x.real))
-        r = abs(x - c)
-        geo = iso.Geodesic(c - r, c + r)
-        m = iso.inv(geo.map_from_standard())
-        if iso.apply_h2(m, y).imag < iso.apply_h2(m, x).imag:
-            geo = geo.reversed()
-    m = geo.map_from_standard()
-    h1 = iso.apply_h2(iso.inv(m), x).imag
-    return iso.normalize(m @ np.array([[math.sqrt(h1), 0.0],
-                                       [0.0, 1.0 / math.sqrt(h1)]]))
+    return segment_frames(x, [y])[0]
 
 
 def _base_leaves(lam, h: teich.Holonomy):
@@ -270,6 +283,8 @@ class LiftFamily:
     """
 
     MAX_WORDS = 6_000_000
+    #: (segment, leaf) pairs tested at once by `crossings_from` (bounds memory)
+    PAIRS_PER_BLOCK = 1 << 15
 
     def __init__(self, lam, h: teich.Holonomy, depth=12):
         if depth < 1:
@@ -313,60 +328,93 @@ class LiftFamily:
 
     def crossings(self, x, y, tol=1e-9, on_leaf="raise"):
         """Leaves crossing [x, y], ordered along it, and the
-        depth-convergence flag: the one place that decides how a leaf
-        meets a segment.
+        depth-convergence flag: `crossings_from` for one segment."""
+        return self.crossings_from(x, [y], tol, on_leaf)[0]
+
+    def crossings_from(self, x, ys, tol=1e-9, on_leaf="raise"):
+        """(leaves, converged) for each segment [x, y], y in `ys`: the
+        leaves crossing it, ordered along it, and whether none of them
+        comes from the deepest word level.  The one place that decides
+        how a leaf meets a segment.
 
         In the segment frame (x = i, y = i e^L) a crossed leaf runs from
         its positive frame endpoint to its negative one, which puts x on
         its left.  A leaf within tol of x or y (in the crossing
         parameter t) raises BasePointOnLeafError, or with
         on_leaf='include' comes back at half its weight, so that
-        B(x, y) B(y, z) = B(x, z) holds for every y.
+        B(x, y) B(y, z) = B(x, z) holds for every y.  A y equal to x
+        gives no leaves.
         """
-        if self.empty or abs(x - y) < 1e-14:
-            return [], True
+        ys = np.asarray(ys, dtype=complex).reshape(-1)
+        out = [([], True) for _ in ys]
+        seg = np.flatnonzero(np.abs(x - ys) >= 1e-14)
+        if self.empty or not len(seg):
+            return out
         # distance to i is convex along [x, y], so leaves crossing it lie
         # within R = max(d(i, x), d(i, y)) of i; sinh(d/2) = |z - i| /
         # (2 sqrt(Im z)).  R is padded by one tol for the near-end window
-        # and one for rounding
-        reach = 2.0 * math.asinh(max(abs(z - 1j) / (2.0 * math.sqrt(z.imag))
-                                     for z in (x, y)))
-        rows = np.flatnonzero(self.sinh_dist <= math.sinh(reach + 2.0 * tol))
-        fi = iso.inv(segment_frame(x, y))
-        seg_len = math.log(iso.apply_h2(fi, y).imag)
-
-        um = self.ends_minus[rows] @ fi.T
-        up = self.ends_plus[rows] @ fi.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vm = um[:, 0] / um[:, 1]
-            vp = up[:, 0] / up[:, 1]
-        finite = np.isfinite(vm) & np.isfinite(vp) & (um[:, 1] != 0) & (up[:, 1] != 0)
-        prod = np.where(finite, vm * vp, 1.0)
-        cross = finite & (prod < 0)
-        if not cross.any():
-            return [], True
-        t = 0.5 * np.log(-prod[cross])
-        near_end = (np.abs(t) <= tol) | (np.abs(t - seg_len) <= tol)
-        if near_end.any() and on_leaf == "raise":
-            raise BasePointOnLeafError(
-                "a segment endpoint lies on a weighted leaf")
-        inside = ((t > 0) & (t < seg_len)) | near_end
-        idx = rows[np.flatnonzero(cross)[inside]]
-        reverse = vm[cross][inside] < 0
-        weight = np.where(near_end[inside], 0.5, 1.0) * self.weights[idx]
-        leaves = []
-        for k in np.argsort(t[inside], kind="stable"):
-            geo = iso.Geodesic(self._endpoint(self.ends_minus[idx[k]]),
-                               self._endpoint(self.ends_plus[idx[k]]))
-            leaves.append(WeightedGeodesic(
-                geo.reversed() if reverse[k] else geo, float(weight[k])))
-        return leaves, bool(np.all(self.levels[idx] < self.depth))
+        # and one for rounding.  The index is cut once at the largest R;
+        # each segment then keeps the leaves within its own R.
+        y = ys[seg]
+        frames = segment_frames(x, y)
+        half = np.maximum(abs(x - 1j) / (2.0 * math.sqrt(x.imag)),
+                          np.abs(y - 1j) / (2.0 * np.sqrt(y.imag)))
+        cut = np.sinh(2.0 * np.arcsinh(half) + 2.0 * tol)
+        rows = np.flatnonzero(self.sinh_dist <= cut.max())
+        if not len(rows):
+            return out
+        seg_len = 2.0 * np.arcsinh(np.abs(y - x)
+                                   / (2.0 * np.sqrt(x.imag * y.imag)))
+        dist = self.sinh_dist[rows]
+        em, ep = self.ends_minus[rows].T, self.ends_plus[rows].T
+        step = max(1, self.PAIRS_PER_BLOCK // len(rows))
+        for lo in range(0, len(y), step):
+            # frame coordinates F^{-1} e of the endpoints of every
+            # (segment, leaf) pair of the block, F^{-1} = [[d, -b], [-c, a]]
+            a, b, c, d = (frames[lo:lo + step, i, j, None]
+                          for i in (0, 1) for j in (0, 1))
+            dm, dp = a * em[1] - c * em[0], a * ep[1] - c * ep[0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vm = (d * em[0] - b * em[1]) / dm
+                vp = (d * ep[0] - b * ep[1]) / dp
+            finite = ((dist <= cut[lo:lo + step, None]) & np.isfinite(vm)
+                      & np.isfinite(vp) & (dm != 0) & (dp != 0))
+            prod = np.where(finite, vm * vp, 1.0)
+            si, ci = np.nonzero(finite & (prod < 0))
+            if not len(si):
+                continue
+            t = 0.5 * np.log(-prod[si, ci])
+            length = seg_len[lo + si]
+            near_end = (np.abs(t) <= tol) | (np.abs(t - length) <= tol)
+            if near_end.any() and on_leaf == "raise":
+                raise BasePointOnLeafError(
+                    "a segment endpoint lies on a weighted leaf")
+            inside = ((t > 0) & (t < length)) | near_end
+            # along each segment in t order; np.lexsort is stable
+            order = np.flatnonzero(inside)[np.lexsort((t[inside], si[inside]))]
+            si, ci, near_end = si[order], ci[order], near_end[order]
+            idx = rows[ci]
+            reverse = (vm[si, ci] < 0).tolist()
+            weight = (np.where(near_end, 0.5, 1.0) * self.weights[idx]).tolist()
+            p_minus = self._endpoints(self.ends_minus[idx])
+            p_plus = self._endpoints(self.ends_plus[idx])
+            deep = self.levels[idx] >= self.depth
+            for k, s in enumerate(seg[lo + si].tolist()):
+                leaves = out[s][0]
+                geo = (iso.Geodesic(p_plus[k], p_minus[k]) if reverse[k]
+                       else iso.Geodesic(p_minus[k], p_plus[k]))
+                leaves.append(WeightedGeodesic(geo, weight[k]))
+                if deep[k]:
+                    out[s] = (leaves, False)
+        return out
 
     @staticmethod
-    def _endpoint(vec):
-        if abs(vec[1]) < 1e-13 * abs(vec[0]):
-            return iso.INF
-        return float(vec[0] / vec[1])
+    def _endpoints(vecs):
+        """Ideal endpoints of rows of endpoint vectors, as floats."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = vecs[:, 0] / vecs[:, 1]
+        return np.where(np.abs(vecs[:, 1]) < 1e-13 * np.abs(vecs[:, 0]),
+                        iso.INF, p).tolist()
 
 
 def leaves_pairwise_disjoint(leaves, tol=1e-8):

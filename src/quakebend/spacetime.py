@@ -447,23 +447,22 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     (a, b), (c, d) = words[:, 0].T, words[:, 1].T
     samples = ((a * x0 + b) / (c * x0 + d)).tolist()
     # midpoints between consecutive crossings along segments to orbit points
+    ys = samples[1:16]
     mids = []
-    for y in samples[1:16]:
-        leaves, _ = fam.crossings(x0, y)
-        if leaves:
-            frame = lm.segment_frame(x0, y)
-            heights = []
-            for leaf in leaves:
-                u = iso.apply_boundary(iso.inv(frame), leaf.geodesic.p_minus)
-                v = iso.apply_boundary(iso.inv(frame), leaf.geodesic.p_plus)
-                heights.append(math.sqrt(abs(u * v)))
-            heights = sorted(heights)
-            for h1, h2 in zip(heights, heights[1:]):
-                mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
-    for x in samples + mids:
-        s, _ = translation_part(fam, x0, x)
-        xv = iso.h2_to_hyperboloid(x)
-        gap = float((q - s) @ np.diag([-1.0, 1.0, 1.0]) @ xv)
+    for frame, (leaves, _) in zip(lm.segment_frames(x0, ys),
+                                  fam.crossings_from(x0, ys)):
+        fi = iso.inv(frame)
+        heights = sorted(
+            math.sqrt(abs(iso.apply_boundary(fi, leaf.geodesic.p_minus)
+                          * iso.apply_boundary(fi, leaf.geodesic.p_plus)))
+            for leaf in leaves)
+        for h1, h2 in zip(heights, heights[1:]):
+            mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
+    # s(x) of every sampled point from one query at the base point
+    points = samples + mids
+    for x, (leaves, _) in zip(points, fam.crossings_from(x0, points)):
+        gap = float((q - _normal_sum(leaves, x)) @ np.diag([-1.0, 1.0, 1.0])
+                    @ iso.h2_to_hyperboloid(x))
         if gap >= 0:
             return False
     return True

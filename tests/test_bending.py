@@ -327,9 +327,9 @@ class TestCocycleLawOnLift:
         fam = on_lift_family(name)
         x = eq.BASE_POINT
         probes, worst = 0, 0.0
-        for i in range(len(fam.weights)):
-            geo = iso.Geodesic(fam._endpoint(fam.ends_minus[i]),
-                               fam._endpoint(fam.ends_plus[i]))
+        ends = zip(fam._endpoints(fam.ends_minus), fam._endpoints(fam.ends_plus))
+        for p_minus, p_plus in ends:
+            geo = iso.Geodesic(p_minus, p_plus)
             if iso.INF not in (geo.p_minus, geo.p_plus) and \
                     abs(geo.p_plus - geo.p_minus) <= 0.4:
                 continue  # the whole leaf lies below Im z = 0.2

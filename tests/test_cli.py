@@ -211,6 +211,39 @@ class TestDomainErrors:
         assert capsys.readouterr().out == ""
 
 
+class TestGridInput:
+    """A grid is checked before any record is written: a malformed one is
+    a parse error (exit 2), a bend grid off the upper half-plane a domain
+    error (exit 3)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bend", "--grid", "y=0.3:2:3"],                     # no x axis
+        ["wick", "--grid", "T=1.2:2:2,u=-0.5:0.5:2"],        # no zeta axis
+        ["bend", "--grid", "x=-1:1:3,y=0.5:1:2,z=1:2:2"],    # unknown axis
+        ["bend", "--grid", "x=-1:1:0,y=0.5:1:2"],            # no points
+        ["bend", "--grid", "x=-1:1:2,y=0.5:1:2,x=0:1:2"],    # axis twice
+        ["bend", "--grid", "x=-1:nan:2,y=0.5:1:2"],          # bound not finite
+        ["flow", "--grid", "s=0:1:2"]])                     # no t axis
+    def test_parse_error(self, tmp_path, capsys, argv):
+        if argv[0] != "wick":
+            scen = FLOW_SCENARIO if argv[0] == "flow" else TORUS_SCENARIO
+            argv = argv[:1] + [write_scenario(tmp_path, scen)] + argv[1:]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("grid", ["x=-1:1:3,y=-1:1:3", "x=-1:1:3,y=0:1:3"])
+    def test_bend_below_the_upper_half_plane(self, tmp_path, capsys, grid):
+        path = write_scenario(tmp_path, TORUS_SCENARIO)
+        assert cli.main(["bend", path, "--grid", grid]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
+
+    def test_one_point_axes(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, TORUS_SCENARIO)
+        code, recs = run(capsys, ["bend", path, "--grid", "x=0.2:0.2:1,y=1:1:1"])
+        assert code == 0
+        assert recs[0]["points"] == 1 and len(recs) == 2
+
+
 class TestFlow:
     def test_ray_quake_bounce(self, tmp_path, capsys):
         # l(0)=2... here l(0)=2? shears sum to l=2: s=1/3 each -> l=2, I=1

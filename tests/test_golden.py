@@ -20,12 +20,17 @@ from pathlib import Path
 import pytest
 
 from quakebend import cli
+from quakebend import earthquake as eq
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = ("torus_multicurve", "torus_flow", "sphere_shear",
              "torus_two_boundary")
 BEND_GRID = "x=-1:1:3,y=0.5:1.5:3"
+# a grid whose last column is Re x0 = 0.137 (segments [x0, z] there are
+# vertical in the upper half-plane) and whose last point is the base
+# point x0 = 0.137 + 1.03i itself
+BASE_POINT_GRID = "x=-1.5:0.137:5,y=0.3:1.03:5"
 
 
 def _cases():
@@ -40,6 +45,10 @@ def _cases():
         for target in ("ads", "hyperbolic"):
             cases[f"{scen}-bend-{target}"] = ["bend", path, "--target", target,
                                               "--grid", BEND_GRID]
+    path = str(ROOT / "scripts" / "scenarios" / "torus_multicurve.json")
+    for target in ("ads", "hyperbolic"):
+        cases[f"torus_multicurve-bend-{target}-base-point-grid"] = [
+            "bend", path, "--target", target, "--grid", BASE_POINT_GRID]
     cases["verify-all"] = ["verify", "--suite", "all"]
     # T, zeta chosen so the grid visits zeta < 0, the band 0 <= zeta <=
     # a0/T and the rotated wing zeta > a0/T
@@ -69,6 +78,13 @@ def test_stream_matches_golden(name):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == codes[name]
     assert stdout == (GOLDEN / f"{name}.jsonl").read_text()
+
+
+def test_base_point_grid_hits_the_base_point_column():
+    grid = cli.parse_grid(BASE_POINT_GRID, ("x", "y"))
+    assert eq.BASE_POINT.real in grid["x"].tolist()
+    assert eq.BASE_POINT in [complex(x, y) for y in grid["y"]
+                             for x in grid["x"]]
 
 
 def regenerate():

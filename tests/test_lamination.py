@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quakebend import earthquake as eq
 from quakebend import isometry as iso
 from quakebend import teich
 from quakebend import lamination as lm
@@ -246,6 +247,13 @@ class TestWeights:
 # distance index of the lift family
 # ---------------------------------------------------------------------------
 
+def endpoint(vec):
+    """Ideal point of an endpoint vector (a, b): a / b, or oo."""
+    if abs(vec[1]) < 1e-13 * abs(vec[0]):
+        return iso.INF
+    return float(vec[0] / vec[1])
+
+
 def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
     """Reference: `LiftFamily.crossings` as a test of every leaf of the
     family, without the distance index.  A leaf runs from its positive
@@ -274,8 +282,8 @@ def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
     leaves = []
     for k in np.argsort(t[inside], kind="stable"):
         i = idx[k]
-        geo = iso.Geodesic(fam._endpoint(fam.ends_minus[i]),
-                           fam._endpoint(fam.ends_plus[i]))
+        geo = iso.Geodesic(endpoint(fam.ends_minus[i]),
+                           endpoint(fam.ends_plus[i]))
         if vm[i] < 0:
             geo = geo.reversed()
         w = float(fam.weights[i])
@@ -380,8 +388,8 @@ class TestDistanceIndex:
             assert len(at_inf) > 0
         s = np.linspace(-14.0, 14.0, 280_001)
         for k in rows:
-            geo = iso.Geodesic(fam._endpoint(fam.ends_minus[k]),
-                               fam._endpoint(fam.ends_plus[k]))
+            geo = iso.Geodesic(endpoint(fam.ends_minus[k]),
+                               endpoint(fam.ends_plus[k]))
             z = iso.apply_h2(geo.map_from_standard(), 1j * np.exp(s))
             d = np.arccosh(1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)).min()
             assert math.asinh(fam.sinh_dist[k]) == pytest.approx(d, abs=1e-6)
@@ -425,3 +433,130 @@ class TestDisjointness:
                 (688399473.875199, -1.2991511382860677)]
         leaves = [lm.WeightedGeodesic(iso.Geodesic(p, q), 0.5) for p, q in ends]
         assert lm.leaves_pairwise_disjoint(leaves)
+
+
+# ---------------------------------------------------------------------------
+# the batched query from one start point
+# ---------------------------------------------------------------------------
+
+X0 = eq.BASE_POINT
+GRID = [complex(a, b) for b in np.linspace(0.3, 2.5, 13)
+        for a in np.linspace(-1.5, 1.5, 13)]
+BATCHED = [(kind, depth) for kind in ("fn", "shear") for depth in (8, 10)]
+
+
+def scan_all(fam, x, ys, on_leaf="raise"):
+    return [crossings_scan(fam, x, y, on_leaf=on_leaf) for y in ys]
+
+
+def first_crossed_arc(results):
+    """A crossed leaf with both ideal endpoints finite (not vertical)."""
+    return next(leaf for leaves, _ in results for leaf in leaves
+                if iso.INF not in (leaf.geodesic.p_minus, leaf.geodesic.p_plus))
+
+
+class TestBatchedQuery:
+    @pytest.mark.parametrize("kind,depth,n", [
+        ("fn", 8, 13), ("fn", 10, 5), ("shear", 8, 13), ("shear", 10, 5)])
+    def test_grid_matches_per_segment_scan(self, kind, depth, n):
+        fam, _ = seeded_family(kind, depth, seed=300 + depth)
+        xs = np.linspace(-1.5, 1.5, n)
+        grid = [complex(a, b) for b in np.linspace(0.3, 2.5, n) for a in xs]
+        # the grid, then y == x, then the vertical column Re y = Re x
+        ys = grid + [X0] + [complex(X0.real, v) for v in np.linspace(0.2, 3, 8)]
+        want, on = [], []
+        for y in ys:
+            try:
+                want.append(crossings_scan(fam, X0, y))
+            except lm.BasePointOnLeafError:
+                want.append(crossings_scan(fam, X0, y, on_leaf="include"))
+                on.append(y)
+        assert fam.crossings_from(X0, ys, on_leaf="include") == want
+        assert want[len(grid)] == ([], True)
+        assert sum(bool(leaves) for leaves, _ in want) >= 5
+        # the shear tori have lifts on the grid columns Re y = 0 and -1:
+        # the query raises exactly when one of its segments does
+        assert len(on) == (0 if kind == "fn" else
+                           n * np.isin(xs, (0.0, -1.0)).sum())
+        off = [(y, w) for y, w in zip(ys, want) if y not in on]
+        assert fam.crossings_from(X0, [y for y, _ in off]) == [w for _, w in off]
+        for y in on:
+            with pytest.raises(lm.BasePointOnLeafError):
+                fam.crossings_from(X0, [X0 + 0.1, y])
+
+    @pytest.mark.parametrize("kind,depth", BATCHED)
+    def test_vertical_column_through_a_leaf(self, kind, depth):
+        fam, _ = seeded_family(kind, depth, seed=300 + depth)
+        p = point_on_leaf(first_crossed_arc(
+            fam.crossings_from(X0, GRID, on_leaf="include")), 0.0)
+        # straight down from above the leaf, across it and short of it
+        x = complex(p.real, 1.7 * p.imag)
+        col = [complex(p.real, f * p.imag) for f in (0.2, 0.5, 0.9, 1.3, 4.0)]
+        got = fam.crossings_from(x, col, on_leaf="include")
+        assert got == scan_all(fam, x, col, "include")
+        assert all(got[k][0] for k in range(3))
+
+    @pytest.mark.parametrize("kind,depth", BATCHED)
+    def test_grid_point_on_a_lift(self, kind, depth):
+        fam, rng = seeded_family(kind, depth, seed=300 + depth)
+        leaf = first_crossed_arc(
+            fam.crossings_from(X0, GRID, on_leaf="include"))
+        on = point_on_leaf(leaf, rng.uniform(-0.5, 0.5))
+        ys = [X0 + 0.1, on, X0 + 0.2j]
+        got = fam.crossings_from(X0, ys, on_leaf="include")
+        assert got == scan_all(fam, X0, ys, "include")
+        assert leaf.weight / 2 in [l.weight for l in got[1][0]]
+        crossings_scan(fam, X0, ys[0]), crossings_scan(fam, X0, ys[2])
+        with pytest.raises(lm.BasePointOnLeafError):
+            crossings_scan(fam, X0, on)
+        with pytest.raises(lm.BasePointOnLeafError):
+            fam.crossings_from(X0, ys)
+
+    def test_blocks_of_pairs(self, monkeypatch):
+        # a block holding fewer (segment, leaf) pairs than one segment has
+        # candidates tests one segment at a time, with the same result
+        fam, _ = seeded_family("shear", 8, seed=308)
+        want = fam.crossings_from(X0, GRID, on_leaf="include")
+        monkeypatch.setattr(lm.LiftFamily, "PAIRS_PER_BLOCK", 1)
+        assert fam.crossings_from(X0, GRID, on_leaf="include") == want
+
+
+#: Re y - Re x of near-vertical segments, across the old 1e-13 cut-off
+NEAR_VERTICAL = (0.0, 1e-15, 9e-14, 1.1e-13, -2e-13, 1e-12, -1e-9, 1e-6)
+
+
+class TestSegmentFrames:
+    # largest residuals measured over 200k segments (half near-vertical,
+    # |Re| <= 5, e^-3 <= Im <= e^2): 2.4e-14, 7.6e-14 and 7.1e-15
+    TOL = 1e-12
+
+    @given(st.floats(-5.0, 5.0), st.floats(-3.0, 2.0),
+           st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 2.0),
+                              st.sampled_from((None,) + NEAR_VERTICAL)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_frame_maps_x_to_i_and_y_up_the_axis(self, a, lb, rows):
+        x = complex(a, math.exp(lb))
+        ys = np.array([complex(re if off is None else x.real + off,
+                               math.exp(l)) for re, l, off in rows])
+        ys = ys[np.abs(ys - x) >= 1e-14]
+        f = lm.segment_frames(x, ys)
+        assert f.shape == (len(ys), 2, 2)
+        for frame, y in zip(f, ys):
+            fi = iso.inv(frame)
+            length = 2.0 * math.asinh(abs(y - x)
+                                      / (2.0 * math.sqrt(x.imag * y.imag)))
+            assert abs(iso.apply_h2(fi, x) - 1j) <= self.TOL
+            assert abs(iso.apply_h2(fi, y) / math.exp(length) - 1j) <= self.TOL
+            assert abs(iso.det(frame) - 1.0) <= self.TOL
+
+    def test_one_row_is_the_scalar_frame(self):
+        ys = [0.5 + 2.0j, 0.137 + 0.2j, -1.0 + 0.7j]
+        f = lm.segment_frames(X0, ys)
+        for frame, y in zip(f, ys):
+            assert np.array_equal(lm.segment_frame(X0, y), frame)
+
+    @pytest.mark.parametrize("y", [X0, 0.3 - 0.1j, 0.3 + 0.0j])
+    def test_rejected_endpoints(self, y):
+        with pytest.raises(DomainError):
+            lm.segment_frames(X0, [1.0 + 1.0j, y])

@@ -375,18 +375,18 @@ class TestHolonomyMap:
         pd = teich.PantDecomposition.once_punctured_torus()
         fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
         lam = lm.MultiCurveLam((0.5,))
-        count = [0]
-        crossings = lm.LiftFamily.crossings
+        # one crossings_from query at the base point, one segment per letter
+        calls = []
+        crossings_from = lm.LiftFamily.crossings_from
 
-        def counted(self, *args, **kwargs):
-            count[0] += 1
-            return crossings(self, *args, **kwargs)
-        monkeypatch.setattr(lm.LiftFamily, "crossings", counted)
-        eq.quake_holonomy(fn, lam, eq.LEFT, depth=6, pd=pd)
-        assert count[0] == 3
-        count[0] = 0
-        bd.hyp_holonomy(fn, lam, depth=6, pd=pd)
-        assert count[0] == 3
-        count[0] = 0
-        bd.ads_holonomy(fn, lam, depth=6, pd=pd)
-        assert count[0] == 3
+        def counted(self, x, ys, *args, **kwargs):
+            calls.append(len(ys))
+            return crossings_from(self, x, ys, *args, **kwargs)
+        monkeypatch.setattr(lm.LiftFamily, "crossings_from", counted)
+        for deformed in (lambda: eq.quake_holonomy(fn, lam, eq.LEFT, depth=6,
+                                                   pd=pd),
+                         lambda: bd.hyp_holonomy(fn, lam, depth=6, pd=pd),
+                         lambda: bd.ads_holonomy(fn, lam, depth=6, pd=pd)):
+            calls.clear()
+            deformed()
+            assert calls == [3]
