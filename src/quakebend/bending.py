@@ -18,7 +18,6 @@ geodesic copy of H2 is the slice x3 = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +54,6 @@ def mink4_from_hermitian(p):
                      p[0, 1].imag])
 
 
-def mink4_inner(v, w):
-    return -v[0] * w[0] + v[1] * w[1] + v[2] * w[2] + v[3] * w[3]
-
-
-def dist_h3(v, w):
-    ip = -mink4_inner(v, w)
-    return math.acosh(max(ip, 1.0))
-
-
 def apply_psl2c(a, v):
     """Isometry action of PSL(2, C) on Minkowski-4 points, P -> A P A*."""
     p = hermitian_from_mink4(v)
@@ -87,9 +77,6 @@ class BendContext:
             raise DomainError(f"unknown bending target {self.target!r}")
         # the base point itself must be off the weighted leaves
         self.family.crossings(eq.BASE_POINT, eq.BASE_POINT + 1e-3j)
-
-    def leaves(self, x, y):
-        return self.family.crossings(x, y, on_leaf="include")
 
 
 def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None):
@@ -127,13 +114,9 @@ def bend_points(ctx: BendContext, zs, target):
 # hyperbolic bending
 # ---------------------------------------------------------------------------
 
-def bend_cocycle_hyp(ctx: BendContext, x, y):
-    """B_lambda(x, y) in PSL(2, C): product of exp(a_i X_{l_i})."""
-    leaves, _ = ctx.leaves(x, y)
-    return bend_cocycle_hyp_from_lifts(leaves)
-
-
 def bend_cocycle_hyp_from_lifts(lifts):
+    """B_lambda(x, y) in PSL(2, C) from the leaves crossing [x, y]:
+    product of exp(a_i X_{l_i})."""
     def factor(geo, a):
         return iso.expm2(a * geo.rotation_generator())
 
@@ -167,17 +150,13 @@ def hyp_holonomy(point, lam, depth=8, pd=None):
 # AdS bending
 # ---------------------------------------------------------------------------
 
-def bend_cocycle_ads(ctx: BendContext, x, y):
-    """The pair (B^-, B^+) of half-angle translation products.
+def bend_cocycle_ads_from_lifts(lifts):
+    """The pair (B^-, B^+) of half-angle translation products over the
+    leaves crossing [x, y].
 
     The first component composed with gamma gives the left-earthquake
     holonomy h_L, the second the right one.
     """
-    leaves, _ = ctx.leaves(x, y)
-    return bend_cocycle_ads_from_lifts(leaves)
-
-
-def bend_cocycle_ads_from_lifts(lifts):
     return (eq.quake_cocycle(lifts, eq.LEFT),
             eq.quake_cocycle(lifts, eq.RIGHT))
 

@@ -172,7 +172,11 @@ def _limit_set_samples(h: teich.Holonomy, depth):
     return att[(np.abs(tr) >= 2.0 - iso.TAU_CLASS) & ~np.isnan(att)]
 
 
-def _select_side(g, samples, tol=1e-7):
+#: a limit-set sample inhabits an arc ARC_MARGIN radians inside it
+ARC_MARGIN = 1e-7
+
+
+def _select_side(g, samples):
     k = iso.classify(g)
     if k.kind == "parabolic":
         return k.fixed_points[0]
@@ -180,8 +184,8 @@ def _select_side(g, samples, tol=1e-7):
         raise DomainError("peripheral holonomy must be hyperbolic or parabolic")
     att, rep = k.fixed_points
     arc1, arc2 = CircleArc(att, rep), CircleArc(rep, att)
-    inhabited1 = bool(arc1.contains(samples, tol=tol).any())
-    inhabited2 = bool(arc2.contains(samples, tol=tol).any())
+    inhabited1 = bool(arc1.contains(samples, tol=ARC_MARGIN).any())
+    inhabited2 = bool(arc2.contains(samples, tol=ARC_MARGIN).any())
     if inhabited1 and inhabited2:
         raise IncreaseDepthError(
             "both candidate arcs meet the sampled limit set; increase depth")

@@ -191,13 +191,10 @@ def cmd_quake(args):
 
 def cmd_flow(args):
     data, point, pd, lam = _load_laminated(args)
-    elam = scenario.eta(data, lam, point)
-    kinds = teich.puncture_kinds(point)
-    eps = tuple(int(v) for v in data.get("eps", [1] * len(kinds)))
-    state = eq.FlowState(teich.EnhancedPoint(point, eps), elam)
-    times = data.get("times")
-    if args.grid:
-        times = list(parse_grid(args.grid, ("t",))["t"])
+    state = eq.FlowState(scenario.enhanced_point(data, point),
+                         scenario.eta(data, lam, point))
+    times = (list(parse_grid(args.grid, ("t",))["t"]) if args.grid
+             else scenario.times(data))
     if not times:
         raise ParseError("flow needs 'times' in the scenario or --grid t=...")
     for t in times:
@@ -216,11 +213,11 @@ def cmd_bend(args):
         raise DomainError("bend grid points must lie in the upper "
                           "half-plane (y > 0)")
     data, point, pd, lam = _load_laminated(args)
-    target = bd.ADS if args.target == "ads" else bd.HYPERBOLIC
-    ctx, h = bd.make_context(point, lam, depth=args.depth, target=target, pd=pd)
+    ctx, _ = bd.make_context(point, lam, depth=args.depth, target=args.target,
+                             pd=pd)
     points = bd.bend_points(ctx, [complex(xv, yv) for yv in ys for xv in xs],
-                            target)
-    if target == bd.HYPERBOLIC:
+                            args.target)
+    if args.target == bd.HYPERBOLIC:
         vertices = [list(v) for v in points]
     else:
         vertices = [[float(v) for v in m.flatten()] for m in points]
@@ -410,7 +407,7 @@ def build_parser():
     # the flags each command reads, and nothing else
     flags = {
         "--side": dict(choices=[eq.LEFT, eq.RIGHT], default=eq.LEFT),
-        "--target": dict(choices=["hyperbolic", "ads"], default="hyperbolic"),
+        "--target": dict(choices=[bd.HYPERBOLIC, bd.ADS], default=bd.HYPERBOLIC),
         "--depth": dict(type=int, default=8),
         "--grid": dict(default=None, help="grid spec key=lo:hi:n[,key=...]"),
         "--alpha0": dict(type=float, default=1.0),

@@ -1,10 +1,10 @@
 """Finite-difference Riemann curvature of a metric given pointwise.
 
-Central differences with one Richardson extrapolation at step 1e-3,
+Central differences with one Richardson extrapolation at step STEP,
 which balances truncation against cancellation at double precision for
-curvature tolerances around 1e-4.  The oracle is validated on the round
-sphere and the hyperbolic plane before being trusted on any pulled-back
-or rescaled metric.
+curvature tolerances around 1e-4.  The tests validate the oracle on the
+round sphere and the hyperbolic plane (tests/oracles.py) before trusting
+it on any pulled-back or rescaled metric.
 
 Every `metric` argument is a callable from the coordinate point x (a
 float ndarray of length n) to the raw (n, n) ndarray of components, as
@@ -16,6 +16,8 @@ DomainError it raises propagates.
 from __future__ import annotations
 
 import numpy as np
+
+STEP = 1e-3
 
 
 def _neighbours(pts, h):
@@ -36,14 +38,14 @@ def _diff(f, h):
     return (4.0 * d2 - d1) / 3.0
 
 
-def _stencil(metric, x, h):
+def _stencil(metric, x):
     """(g, R) at x.  The stencil is x, its 4n neighbours, where Gamma is
     differenced, and theirs, where g is; points with equal bytes (-0.0
     and +0.0 differ) are evaluated once, in order of first use."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    near = _neighbours(x[None], h).reshape(4 * n, n)
-    pts = np.concatenate([x[None], near, _neighbours(near, h).reshape(-1, n)])
+    near = _neighbours(x[None], STEP).reshape(4 * n, n)
+    pts = np.concatenate([x[None], near, _neighbours(near, STEP).reshape(-1, n)])
     slot, vals, idx = {}, [], []
     for p in pts:
         key = p.tobytes()
@@ -54,11 +56,11 @@ def _stencil(metric, x, h):
     gs = np.asarray(vals, dtype=float)[idx]
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) at x and the
     # near points, from dg[., k, i, j] = d g_ij / d x_k over their neighbours
-    dg = _diff(gs[1:].reshape(1 + 4 * n, n, 4, n, n), h)
+    dg = _diff(gs[1:].reshape(1 + 4 * n, n, 4, n, n), STEP)
     term = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
     gam = 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(gs[:1 + 4 * n]),
                           term)
-    dgam, gam = _diff(gam[1:].reshape(1, n, 4, n, n, n), h)[0], gam[0]
+    dgam, gam = _diff(gam[1:].reshape(1, n, 4, n, n, n), STEP)[0], gam[0]
     # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
     #             + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
     # as r_up[l, k, i, j]; the Gamma Gamma terms are one matrix product,
@@ -70,28 +72,28 @@ def _stencil(metric, x, h):
     return gs[0], np.einsum("lm,mkij->ijkl", gs[0], r_up)
 
 
-def riemann(metric, x, h=1e-3):
+def riemann(metric, x):
     """Lowered tensor R[i, j, k, l] = <R(e_i, e_j) e_k, e_l>.
 
     Convention: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
     nabla_[X, Y]; constant curvature kappa means
     R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).
     """
-    return _stencil(metric, x, h)[1]
+    return _stencil(metric, x)[1]
 
 
-def sectional_curvature(metric, x, plane=(0, 1), h=1e-3):
+def sectional_curvature(metric, x, plane=(0, 1)):
     """Sectional curvature of the coordinate plane (i, j) at x."""
     i, j = plane
-    g, r = _stencil(metric, x, h)
+    g, r = _stencil(metric, x)
     denom = g[i, i] * g[j, j] - g[i, j] ** 2
     return r[i, j, j, i] / denom
 
 
-def constant_curvature_fit(metric, x, h=1e-3):
+def constant_curvature_fit(metric, x):
     """(kappa, residual): least-squares constant-curvature coefficient
     and the relative misfit of the full Riemann tensor."""
-    g, r = _stencil(metric, x, h)
+    g, r = _stencil(metric, x)
     pattern = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
     num = float(np.sum(r * pattern))
     den = float(np.sum(pattern * pattern))
@@ -99,15 +101,3 @@ def constant_curvature_fit(metric, x, h=1e-3):
     resid = float(np.max(np.abs(r - kappa * pattern)) /
                   max(np.max(np.abs(pattern)), 1e-30))
     return kappa, resid
-
-
-def sphere_metric(x):
-    """Round unit sphere, coordinates (theta, phi)."""
-    th = x[0]
-    return np.diag([1.0, np.sin(th) ** 2])
-
-
-def hyperbolic_metric(x):
-    """Upper half-plane, coordinates (x, y)."""
-    y = x[1]
-    return np.diag([1.0 / y ** 2, 1.0 / y ** 2])

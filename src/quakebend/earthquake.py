@@ -180,17 +180,14 @@ class FlowState:
     def punctures(self):
         return len(self.surface.eps)
 
-    def initial_spectrum(self, i):
-        return lm.enhanced_spectrum(self.lam, i)
-
     def enhanced_spectrum(self, i):
         """I#_{C_i}: constant along the flow."""
-        return self.initial_spectrum(i)
+        return lm.enhanced_spectrum(self.lam, i)
 
     def enhanced_length(self, i):
         """l#_{C_i}(t) = l#_{C_i}(0) - t I#_{C_i}(0)."""
         return teich.enhanced_length(self.surface, i) - \
-            self.time * self.initial_spectrum(i)
+            self.time * self.enhanced_spectrum(i)
 
     def plain_length(self, i):
         return abs(self.enhanced_length(i))
@@ -220,13 +217,13 @@ class FlowState:
             return 1
         return self.surface.eps[i] * self.eta(i)
 
-    def at_cusp(self, i, tol=0.0):
-        return abs(self.enhanced_length(i)) <= tol
+    def at_cusp(self, i):
+        return self.enhanced_length(i) == 0.0
 
     def critical_time(self, i):
         """Time at which C_i degenerates to a cusp, if ever."""
         l0 = teich.enhanced_length(self.surface, i)
-        I0 = self.initial_spectrum(i)
+        I0 = self.enhanced_spectrum(i)
         if I0 == 0 or (l0 / I0) < 0:
             return None
         return l0 / I0

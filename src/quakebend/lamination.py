@@ -21,6 +21,11 @@ from quakebend import isometry as iso
 from quakebend import teich
 from quakebend.errors import DomainError, StructureError, QuakebendError
 
+#: a leaf within END_TOL of a segment end (in the crossing parameter) meets it
+END_TOL = 1e-9
+#: two leaves with a |cross-ratio| below SHARED_END_TOL share an endpoint
+SHARED_END_TOL = 1e-8
+
 
 class BasePointOnLeafError(QuakebendError):
     """A segment endpoint, such as the base point of the deformed
@@ -40,10 +45,6 @@ class MultiCurveLam:
     def __post_init__(self):
         if any(w < 0 for w in self.weights):
             raise DomainError("multicurve weights must be >= 0")
-
-    @property
-    def is_empty(self):
-        return all(w == 0 for w in self.weights)
 
     def scaled(self, t):
         return MultiCurveLam(tuple(t * w for w in self.weights))
@@ -105,6 +106,8 @@ class EnhancedLam:
     kinds: tuple
 
     def __post_init__(self):
+        if len(self.eta) != len(self.kinds):
+            raise StructureError("one eta sign per puncture")
         spec = peripheral_spectrum(self.lam, len(self.kinds))
         sig = signature(self.lam, len(self.kinds))
         for i, (e, s, k, I) in enumerate(zip(self.eta, sig, self.kinds, spec)):
@@ -231,11 +234,6 @@ def segment_frames(x, ys):
     return f.T.reshape(-1, 2, 2)
 
 
-def segment_frame(x, y):
-    """Matrix F with F^{-1} x = i and F^{-1} y = i e^{d(x,y)}."""
-    return segment_frames(x, [y])[0]
-
-
 def _base_leaves(lam, h: teich.Holonomy):
     """(geodesic, weight, letter) per weighted leaf, the letter generating
     its setwise stabilizer (None when that is trivial, as for the
@@ -326,12 +324,12 @@ class LiftFamily:
         self.levels = np.concatenate(lv)
         self.sinh_dist = np.concatenate(keys)
 
-    def crossings(self, x, y, tol=1e-9, on_leaf="raise"):
+    def crossings(self, x, y, on_leaf="raise"):
         """Leaves crossing [x, y], ordered along it, and the
         depth-convergence flag: `crossings_from` for one segment."""
-        return self.crossings_from(x, [y], tol, on_leaf)[0]
+        return self.crossings_from(x, [y], on_leaf)[0]
 
-    def crossings_from(self, x, ys, tol=1e-9, on_leaf="raise"):
+    def crossings_from(self, x, ys, on_leaf="raise"):
         """(leaves, converged) for each segment [x, y], y in `ys`: the
         leaves crossing it, ordered along it, and whether none of them
         comes from the deepest word level.  The one place that decides
@@ -339,7 +337,7 @@ class LiftFamily:
 
         In the segment frame (x = i, y = i e^L) a crossed leaf runs from
         its positive frame endpoint to its negative one, which puts x on
-        its left.  A leaf within tol of x or y (in the crossing
+        its left.  A leaf within END_TOL of x or y (in the crossing
         parameter t) raises BasePointOnLeafError, or with
         on_leaf='include' comes back at half its weight, so that
         B(x, y) B(y, z) = B(x, z) holds for every y.  A y equal to x
@@ -352,14 +350,14 @@ class LiftFamily:
             return out
         # distance to i is convex along [x, y], so leaves crossing it lie
         # within R = max(d(i, x), d(i, y)) of i; sinh(d/2) = |z - i| /
-        # (2 sqrt(Im z)).  R is padded by one tol for the near-end window
-        # and one for rounding.  The index is cut once at the largest R;
-        # each segment then keeps the leaves within its own R.
+        # (2 sqrt(Im z)).  R is padded by one END_TOL for the near-end
+        # window and one for rounding.  The index is cut once at the
+        # largest R; each segment then keeps the leaves within its own R.
         y = ys[seg]
         frames = segment_frames(x, y)
         half = np.maximum(abs(x - 1j) / (2.0 * math.sqrt(x.imag)),
                           np.abs(y - 1j) / (2.0 * np.sqrt(y.imag)))
-        cut = np.sinh(2.0 * np.arcsinh(half) + 2.0 * tol)
+        cut = np.sinh(2.0 * np.arcsinh(half) + 2.0 * END_TOL)
         rows = np.flatnonzero(self.sinh_dist <= cut.max())
         if not len(rows):
             return out
@@ -385,7 +383,7 @@ class LiftFamily:
                 continue
             t = 0.5 * np.log(-prod[si, ci])
             length = seg_len[lo + si]
-            near_end = (np.abs(t) <= tol) | (np.abs(t - length) <= tol)
+            near_end = (np.abs(t) <= END_TOL) | (np.abs(t - length) <= END_TOL)
             if near_end.any() and on_leaf == "raise":
                 raise BasePointOnLeafError(
                     "a segment endpoint lies on a weighted leaf")
@@ -417,20 +415,21 @@ class LiftFamily:
                         iso.INF, p).tolist()
 
 
-def leaves_pairwise_disjoint(leaves, tol=1e-8):
+def leaves_pairwise_disjoint(leaves):
     """Whether leaves ordered along a segment are pairwise disjoint.
 
     Consecutive leaves suffice: each bounds a half-plane holding all the
     leaves before it.  Leaves (a, b), (c, d) cross iff the cross-ratio
     det[a|c] det[b|d] / (det[a|d] det[b|c]) of their endpoint vectors is
-    negative; a |cross-ratio| (or its inverse) below tol counts as a
-    shared endpoint, as of two lifts spiraling into one point.
+    negative; a |cross-ratio| (or its inverse) below SHARED_END_TOL
+    counts as a shared endpoint, as of two lifts spiraling into one
+    point.
     """
     ends = [(_proj_vec(l.geodesic.p_minus), _proj_vec(l.geodesic.p_plus))
             for l in leaves]
     for (a, b), (c, d) in zip(ends, ends[1:]):
         num, den = _det(a, c) * _det(b, d), _det(a, d) * _det(b, c)
-        if num * den < 0 and \
-                min(abs(num), abs(den)) > tol * max(abs(num), abs(den)):
+        if num * den < 0 and min(abs(num), abs(den)) > \
+                SHARED_END_TOL * max(abs(num), abs(den)):
             return False
     return True

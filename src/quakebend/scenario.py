@@ -13,7 +13,7 @@ Layout::
                          "gluing": [[[0,0],[1,0]], ...]}, "s": [1,1,1]},
       "lamination": {"family": "multicurve", "weights": [0.7],
                      "signature": [1], "eta": [1]},
-      ...per-command parameters...
+      "eps": [1], "times": [0.0, 1.0]                  # flow only
     }
 
 Exactly one of "fn" (with "pants") or "shear" describes the structure.
@@ -43,6 +43,15 @@ def load(path):
     if data.get("version") != VERSION:
         raise ParseError(f"unsupported scenario version {data.get('version')!r}")
     return data
+
+
+def _values(kind, sec, key, default=None):
+    """The entries of the list sec[key] (`default` when absent) as a
+    tuple of `kind`; anything else is a ParseError."""
+    try:
+        return tuple(kind(v) for v in sec.get(key, default))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {key!r} entries: {exc}") from exc
 
 
 def _require(data, key):
@@ -76,14 +85,15 @@ def triangulation(data):
 
 
 def _check_surface_section(data, genus, punctures):
-    sec = data.get("surface")
-    if sec is None:
-        return
-    if "g" in sec and int(sec["g"]) != genus:
-        raise ParseError(f"surface.g = {sec['g']} but the structure has "
-                         f"genus {genus}")
-    if "r" in sec and int(sec["r"]) != punctures:
-        raise ParseError(f"surface.r = {sec['r']} but the structure has "
+    sec = data.get("surface", {})
+    try:
+        g, r = int(sec.get("g", genus)), int(sec.get("r", punctures))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed surface section: {exc}") from exc
+    if g != genus:
+        raise ParseError(f"surface.g = {g} but the structure has genus {genus}")
+    if r != punctures:
+        raise ParseError(f"surface.r = {r} but the structure has "
                          f"{punctures} punctures")
 
 
@@ -91,26 +101,18 @@ def surface_point(data):
     """(point, pd-or-None): the FN or shear structure of the scenario."""
     if "fn" in data:
         pd = pant_decomposition(data)
-        sec = data["fn"]
-        try:
-            l = [float(v) for v in sec["l"]]
-            t = tuple(float(v) for v in sec["t"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed fn section: {exc}") from exc
+        l, t = _values(float, data["fn"], "l"), _values(float, data["fn"], "t")
         nb = pd.num_boundary
         if len(l) != nb + pd.num_interior:
             raise ParseError(
                 f"fn.l must list {nb} boundary then {pd.num_interior} "
                 "interior lengths")
-        fn = teich.FNPoint(tuple(l[:nb]), tuple(l[nb:]), t)
+        fn = teich.FNPoint(l[:nb], l[nb:], t)
         _check_surface_section(data, pd.genus, pd.num_boundary)
         return fn, pd
     if "shear" in data:
         tri = triangulation(data)
-        try:
-            s = tuple(float(v) for v in data["shear"]["s"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed shear section: {exc}") from exc
+        s = _values(float, data["shear"], "s")
         if len(s) != tri.num_edges:
             raise ParseError(f"shear.s must list {tri.num_edges} values")
         _check_surface_section(data, tri.genus, tri.num_punctures)
@@ -122,29 +124,45 @@ def lamination(data, point):
     sec = data.get("lamination")
     if sec is None:
         return None
+    weights = _values(float, sec, "weights")
     family = sec.get("family")
-    try:
-        weights = tuple(float(v) for v in sec["weights"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed lamination section: {exc}") from exc
     if family == "multicurve":
+        if not isinstance(point, teich.FNPoint):
+            raise ParseError("multicurve laminations need an fn surface")
+        if len(weights) != len(point.interior_lengths):
+            raise ParseError("multicurve weights must list one value per "
+                             "interior curve")
         return lm.MultiCurveLam(weights)
     if family == "triangulation":
         if not isinstance(point, teich.ShearPoint):
             raise ParseError("triangulation laminations need a shear surface")
         if "signature" in sec:
             return lm.TriangulationLam(point.triangulation, weights,
-                                       tuple(int(v) for v in sec["signature"]))
+                                       _values(int, sec, "signature"))
         return lm.TriangulationLam.from_shear(point, weights)
     raise ParseError(f"unknown lamination family {family!r}")
 
 
 def eta(data, lam, point):
     """Enhancement signs for the lamination, defaulting to its signature."""
-    if lam is None:
-        return None
     kinds = teich.puncture_kinds(point)
-    sig = lm.signature(lam, len(kinds))
-    sec = data.get("lamination", {})
-    values = tuple(int(v) for v in sec.get("eta", sig))
-    return lm.EnhancedLam(lam, values, kinds)
+    values = _values(int, data["lamination"], "eta",
+                     lm.signature(lam, len(kinds)))
+    try:
+        return lm.EnhancedLam(lam, values, kinds)
+    except StructureError as exc:
+        raise ParseError(f"inconsistent lamination.eta: {exc}") from exc
+
+
+def enhanced_point(data, point):
+    """The point with the boundary-orientation signs `eps`, +1 by default."""
+    eps = _values(int, data, "eps", (1,) * len(teich.puncture_kinds(point)))
+    try:
+        return teich.EnhancedPoint(point, eps)
+    except StructureError as exc:
+        raise ParseError(f"inconsistent eps: {exc}") from exc
+
+
+def times(data):
+    """The flow times, none by default."""
+    return _values(float, data, "times", ())

@@ -368,9 +368,6 @@ class AffineIsom3:
         return AffineIsom3(self.linear @ other.linear,
                            self.translation + self.linear @ other.translation)
 
-    def apply(self, v):
-        return self.linear @ v + self.translation
-
 
 def _leaf_normal_toward(geo: iso.Geodesic, target):
     """Unit spacelike Minkowski normal of the leaf's plane pointing to

@@ -297,6 +297,8 @@ class EnhancedPoint:
 
     def __post_init__(self):
         lengths = boundary_lengths(self.point)
+        if len(self.eps) != len(lengths):
+            raise StructureError("one eps sign per puncture")
         for i, e in enumerate(self.eps):
             if e not in (-1, 1):
                 raise DomainError("signs must be +-1")

@@ -1,0 +1,114 @@
+"""Reference code that only the tests read.
+
+Closed forms and brute-force checks that the package itself never
+calls, kept next to the tests that compare the package against them:
+
+* `causal_type_grid`, the brute-force form of `isometry.causal_type`;
+* `mink4_inner` and `dist_h3` on H3 as unit timelike Minkowski-4
+  vectors;
+* `ads_inner`, `ads_spacelike_distance`, `positive_rotation` and
+  `dual_point`, the duality of X_{-1} in the conventions of
+  `quakebend.isometry`;
+* `translation` along an oriented geodesic of H2;
+* `sphere_metric` and `hyperbolic_metric`, the reference metrics of the
+  curvature fit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from quakebend import isometry as iso
+from quakebend.errors import DomainError
+
+
+def causal_type_grid(p, q, tol=iso.TAU_CLASS, samples=720):
+    """`isometry.causal_type` from the sign structure of det(s P + t Q)
+    on unit directions (s, t)."""
+    if iso.proj_equal(p, q):
+        return "coincident"
+    has_pos = has_neg = has_zero = False
+    for k in range(samples):
+        ang = math.pi * k / samples
+        s, t = math.cos(ang), math.sin(ang)
+        v = iso.det(s * p + t * q)
+        if v > tol:
+            has_pos = True
+        elif v < -tol:
+            has_neg = True
+        else:
+            has_zero = True
+    if has_pos and has_neg:
+        return "spacelike"
+    if has_zero:
+        return "lightlike"
+    return "timelike"
+
+
+# -- H3 -----------------------------------------------------------------------
+
+def mink4_inner(v, w):
+    return -v[0] * w[0] + v[1] * w[1] + v[2] * w[2] + v[3] * w[3]
+
+
+def dist_h3(v, w):
+    return math.acosh(max(-mink4_inner(v, w), 1.0))
+
+
+# -- X_{-1} duality -----------------------------------------------------------
+
+def ads_inner(p, q):
+    """<P, Q> = -tr(P Q^{-1}) / 2 for unit-determinant representatives."""
+    return -iso.tr(p @ iso.inv(q)) / 2.0
+
+
+def ads_spacelike_distance(p, q):
+    """Distance along the spacelike geodesic joining p and q."""
+    ip = ads_inner(p, q)
+    if abs(ip) < 1.0:
+        raise DomainError("points are not spacelike separated")
+    return math.acosh(abs(ip))
+
+
+def positive_rotation(geo, t):
+    """Positive rotation by parameter t around the oriented geodesic of
+    P(Id) over `geo`: the pair (exp(-tX), exp(tX))."""
+    x = geo.unit_generator()
+    return iso.expm2(-t * x), iso.expm2(t * x)
+
+
+def dual_point(geo, s):
+    """Point at signed arc length s from Id on the dual geodesic l* of l
+    (the points whose dual plane contains l, the orbit of Id under the
+    hyperbolic one-parameter group of l).
+
+    The parametrization is chosen so the positive rotation by t > 0
+    moves dual points by +2t.
+    """
+    return iso.expm2(-s * geo.unit_generator())
+
+
+# -- H2 -----------------------------------------------------------------------
+
+def translation(geo, length):
+    """Hyperbolic translating by `length` along the oriented geodesic."""
+    m = geo.map_from_standard()
+    a = np.array([[math.exp(length / 2.0), 0.0],
+                  [0.0, math.exp(-length / 2.0)]])
+    return m @ a @ iso.inv(m)
+
+
+# -- reference metrics of the curvature fit -----------------------------------
+
+def sphere_metric(x):
+    """Round unit sphere, coordinates (theta, phi)."""
+    th = x[0]
+    return np.diag([1.0, np.sin(th) ** 2])
+
+
+def hyperbolic_metric(x):
+    """Upper half-plane, coordinates (x, y)."""
+    y = x[1]
+    return np.diag([1.0 / y ** 2, 1.0 / y ** 2])

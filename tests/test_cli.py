@@ -211,6 +211,48 @@ class TestDomainErrors:
         assert capsys.readouterr().out == ""
 
 
+def scenario_with(name, **sections):
+    """scripts/scenarios/<name>.json with the given sections replaced."""
+    return {**json.loads((SCENARIOS / f"{name}.json").read_text()),
+            **sections}
+
+
+FLOW_LAM = scenario_with("torus_flow")["lamination"]
+
+# (id, scenario, replaced sections, command): scenario sections that the
+# parser rejects (exit 2) before any record is written
+BAD_SECTIONS = [
+    ("surface-g", "torus_multicurve", {"surface": {"g": "x"}}, "holonomy"),
+    ("surface-number", "torus_multicurve", {"surface": 5}, "holonomy"),
+    ("lamination-list", "torus_multicurve", {"lamination": [1, 2]},
+     "spectrum"),
+    *[(f"eta-{label}-{cmd}", "torus_flow",
+       {"lamination": {**FLOW_LAM, "eta": eta}}, cmd)
+      for label, eta in (("text", ["x"]), ("empty", []), ("extra", [1, 1]))
+      for cmd in ("spectrum", "flow")],
+    ("eps-text", "torus_flow", {"eps": ["x"]}, "flow"),
+    ("eps-empty", "torus_flow", {"eps": []}, "flow"),
+    ("times-text", "torus_flow", {"times": ["x"]}, "flow"),
+    ("times-number", "torus_flow", {"times": 3}, "flow"),
+    *[(f"multicurve-on-shear-{cmd}", "sphere_shear",
+       {"lamination": {"family": "multicurve", "weights": [0.5]}}, cmd)
+      for cmd in ("spectrum", "quake", "flow", "bend", "blackhole")],
+    *[(f"multicurve-extra-weight-{cmd}", "torus_multicurve",
+       {"lamination": {"family": "multicurve", "weights": [0.5, 0.2]}}, cmd)
+      for cmd in ("spectrum", "quake")],
+]
+
+
+class TestScenarioSections:
+    @pytest.mark.parametrize("name,sections,cmd",
+                             [case[1:] for case in BAD_SECTIONS],
+                             ids=[case[0] for case in BAD_SECTIONS])
+    def test_parse_error(self, tmp_path, capsys, name, sections, cmd):
+        path = write_scenario(tmp_path, scenario_with(name, **sections))
+        assert cli.main([cmd, path]) == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+
 class TestGridInput:
     """A grid is checked before any record is written: a malformed one is
     a parse error (exit 2), a bend grid off the upper half-plane a domain

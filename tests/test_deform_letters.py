@@ -30,7 +30,7 @@ TRI = teich.IdealTriangulation.once_punctured_torus()
 
 def ref_quake(point, lam, side, depth, pd):
     h = teich.holonomy_of(point, pd)
-    if isinstance(lam, lm.MultiCurveLam) and lam.is_empty:
+    if isinstance(lam, lm.MultiCurveLam) and not any(lam.weights):
         h.meta["converged"] = True
         return h
     fam = lm.LiftFamily(lam, h, depth=depth)

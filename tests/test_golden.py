@@ -58,6 +58,16 @@ def _cases():
     cases["wick-3x3x3-a0inf"] = ["wick", "--grid", wick_grid,
                                  "--alpha0", "inf"]
     cases["wick-3x3x3-a08"] = ["wick", "--grid", wick_grid, "--alpha0", "8"]
+    # torus_flow.json passes through a cusp at t = 2
+    cases["torus_flow-flow"] = [
+        "flow", str(ROOT / "scripts" / "scenarios" / "torus_flow.json")]
+    for kind, matrix in [("hyperbolic", "2.7182,0,0,0.3678"),
+                         ("parabolic", "1,1,0,1"), ("elliptic", "0,-1,1,0"),
+                         ("identity", "1,0,0,1")]:
+        cases[f"classify-{kind}"] = ["classify", "--matrix", matrix]
+    # non-rotating, rotating and extremal
+    for rp, rm in [("1", "0"), ("1.2", "0.4"), ("1", "1")]:
+        cases[f"btz-{rp}-{rm}"] = ["btz", "--rp", rp, "--rm", rm]
     return cases
 
 

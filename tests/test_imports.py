@@ -1,11 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""Static checks with `ast` (neither pyflakes nor ruff is a dependency).
 
-A static check with `ast` (neither pyflakes nor ruff is a dependency): a
-name bound by an import statement must appear as a name in the module
-body, or be re-exported through `__all__`.
+* Every name a package module imports is used in that module: it must
+  appear as a name in the module body, or be re-exported through
+  `__all__`.
+* Every public entry point of the package (top-level function, or
+  method of a top-level class) is named somewhere in src/, scripts/ or
+  perfbench/ outside its own definition, or is on `UNREACHED` with the
+  ROADMAP direction that will wire or delete it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,37 @@ import pytest
 import quakebend
 
 MODULES = sorted(Path(quakebend.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SEARCHED = sorted(p for d in ("src", "scripts", "perfbench")
+                  for p in (ROOT / d).rglob("*.py"))
+
+# entry points no caller reaches yet: qualified name -> the ROADMAP
+# direction that wires it (D: a verify suite on the regular domain) or
+# decides it (E: reach or delete)
+UNREACHED = {
+    "blackhole.t_symmetry": "E: carry it in the blackhole records",
+    "blackhole.MeridianChoice.swapped": "E: wire or delete",
+    "curvature.riemann": "E: wire or delete; tests compare the stencil with it",
+    "curvature.sectional_curvature": "E: wire or delete",
+    "earthquake.quake_compatible": "E: wire or delete",
+    "earthquake.solve_twist_earthquake": "E: a quake oracle",
+    "lamination.reflect": "E: wire or delete",
+    "lamination.in_V_c": "E: wire or delete",
+    "lamination.MultiCurveLam.scaled": "E: wire or move to the tests",
+    "lamination.TriangulationLam.scaled": "E: wire or move to the tests",
+    "spacetime.flat_holonomy": "D: equivariance of the developing maps",
+    "spacetime.affine_word": "E: wire or delete",
+    "spacetime.local_model_ct": "D: cosmological time on U_lambda",
+    "spacetime.ds_cosmological_time": "D: cosmological time on U_lambda",
+    "spacetime.ads_cosmological_time": "D: cosmological time on U_lambda",
+    "spacetime.ct_level_geometry": "D: cosmological time on U_lambda",
+    "teich.PantDecomposition.three_punctured_sphere":
+        "E: a scenario, or move to the tests",
+    "teich.PantDecomposition.four_punctured_sphere":
+        "E: a scenario, or move to the tests",
+    "teich.IdealTriangulation.three_punctured_sphere":
+        "E: a scenario, or move to the tests",
+}
 
 
 def unused_imports(source):
@@ -53,3 +89,65 @@ def test_detects_unused_import():
            "__all__ = ['sep']\n"
            "x = np.pi\n")
     assert unused_imports(src) == [(2, "math"), (4, "path")]
+
+
+def named(tree):
+    """How often a syntax tree names each identifier: as a variable, an
+    attribute, an imported name or an identifier-like string (spans.py
+    of perfbench patches attributes given by name)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def public_defs(tree):
+    """(qualified name, node) of the public top-level functions and the
+    public methods of the top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreached(modules, searched):
+    """Qualified names of the public entry points of `modules` (module
+    name -> source) that no source of `searched` names outside the
+    entry point's own definition."""
+    total = sum((named(ast.parse(src)) for src in searched), Counter())
+    return sorted(f"{mod}.{qual}" for mod, src in modules.items()
+                  for qual, node in public_defs(ast.parse(src))
+                  if not node.name.startswith("_")
+                  and total[node.name] <= named(node)[node.name])
+
+
+def test_every_entry_point_is_reached():
+    found = unreached({p.stem: p.read_text() for p in MODULES},
+                      [p.read_text() for p in SEARCHED])
+    assert [name for name in found if name not in UNREACHED] == []
+    # an entry that a caller now reaches leaves the list
+    assert [name for name in UNREACHED if name not in found] == []
+
+
+def test_detects_unreached_entry_point():
+    mod = ("def used():\n    return 1\n"
+           "def dead(n):\n    return dead(n - 1)\n"
+           "def _private():\n    pass\n"
+           "class K:\n"
+           "    def patched(self):\n        return self.called()\n"
+           "    def called(self):\n        pass\n"
+           "    def unused(self):\n        pass\n"
+           "    def __repr__(self):\n        return ''\n")
+    other = "from m import used\nPATCHED = [(K, 'patched')]\n"
+    assert unreached({"m": mod}, [mod, other]) == ["m.K.unused", "m.dead"]

@@ -261,7 +261,7 @@ def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
     at half its weight."""
     if fam.empty or abs(x - y) < 1e-14:
         return [], True
-    fi = iso.inv(lm.segment_frame(x, y))
+    fi = iso.inv(lm.segment_frames(x, [y])[0])
     seg_len = math.log(iso.apply_h2(fi, y).imag)
     um = fam.ends_minus @ fi.T
     up = fam.ends_plus @ fi.T
@@ -554,7 +554,7 @@ class TestSegmentFrames:
         ys = [0.5 + 2.0j, 0.137 + 0.2j, -1.0 + 0.7j]
         f = lm.segment_frames(X0, ys)
         for frame, y in zip(f, ys):
-            assert np.array_equal(lm.segment_frame(X0, y), frame)
+            assert np.array_equal(lm.segment_frames(X0, [y])[0], frame)
 
     @pytest.mark.parametrize("y", [X0, 0.3 - 0.1j, 0.3 + 0.0j])
     def test_rejected_endpoints(self, y):
