@@ -1,5 +1,5 @@
 """The causal AdS extension Omega(h): membership, peripheral rectangles,
-horizon invariants, extremal meridians, T-symmetry, and the BTZ metric.
+horizon invariants, extremal meridians, and the BTZ metric.
 
 Boundary-circle arcs use the angle chart theta = 2 arctan(x) (infinity
 at pi), which keeps interval arithmetic free of special cases.
@@ -132,12 +132,6 @@ def horizon_invariants(g_left, g_right):
         raise DegenerateHorizonError(
             "parabolic peripheral side: the horizon degenerates")
     return HorizonData((ll + lr) / 2.0, (ll - lr) / 2.0)
-
-
-def t_symmetry(data: HorizonData):
-    """Exchanging the holonomy components fixes the size and negates the
-    momentum."""
-    return HorizonData(data.size, -data.momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +269,6 @@ class MeridianChoice:
     @property
     def is_past_convex_core_boundary(self):
         return all(c == UPPER for c in self.choices)
-
-    def swapped(self):
-        flip = {LOWER: UPPER, UPPER: LOWER}
-        return MeridianChoice(tuple(flip[c] for c in self.choices))
 
 
 def extremal_meridians(rectangles):

@@ -1,10 +1,12 @@
-"""Finite-difference Riemann curvature of a metric given pointwise.
+"""Constant-curvature fit of a metric given pointwise, from its
+finite-difference Riemann tensor.
 
 Central differences with one Richardson extrapolation at step STEP,
 which balances truncation against cancellation at double precision for
-curvature tolerances around 1e-4.  The tests validate the oracle on the
-round sphere and the hyperbolic plane (tests/oracles.py) before trusting
-it on any pulled-back or rescaled metric.
+curvature tolerances around 1e-4.  The tests validate the fit on the
+round sphere and the hyperbolic plane before trusting it on any
+pulled-back or rescaled metric; the Riemann tensor and the sectional
+curvature themselves are read only by the tests (tests/oracles.py).
 
 Every `metric` argument is a callable from the coordinate point x (a
 float ndarray of length n) to the raw (n, n) ndarray of components, as
@@ -39,9 +41,14 @@ def _diff(f, h):
 
 
 def _stencil(metric, x):
-    """(g, R) at x.  The stencil is x, its 4n neighbours, where Gamma is
-    differenced, and theirs, where g is; points with equal bytes (-0.0
-    and +0.0 differ) are evaluated once, in order of first use."""
+    """(g, R) at x, with the lowered tensor R[i, j, k, l] =
+    <R(e_i, e_j) e_k, e_l> for R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X
+    - nabla_[X, Y]: constant curvature kappa means
+    R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).
+
+    The stencil is x, its 4n neighbours, where Gamma is differenced, and
+    theirs, where g is; points with equal bytes (-0.0 and +0.0 differ)
+    are evaluated once, in order of first use."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     near = _neighbours(x[None], STEP).reshape(4 * n, n)
@@ -70,24 +77,6 @@ def _stencil(metric, x):
             + prod.transpose(0, 3, 1, 2) - prod.transpose(0, 3, 2, 1))
     # lower: R_{ijkl} = g_{lm} R^m_{kij}
     return gs[0], np.einsum("lm,mkij->ijkl", gs[0], r_up)
-
-
-def riemann(metric, x):
-    """Lowered tensor R[i, j, k, l] = <R(e_i, e_j) e_k, e_l>.
-
-    Convention: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
-    nabla_[X, Y]; constant curvature kappa means
-    R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).
-    """
-    return _stencil(metric, x)[1]
-
-
-def sectional_curvature(metric, x, plane=(0, 1)):
-    """Sectional curvature of the coordinate plane (i, j) at x."""
-    i, j = plane
-    g, r = _stencil(metric, x)
-    denom = g[i, i] * g[j, j] - g[i, j] ** 2
-    return r[i, j, j, i] / denom
 
 
 def constant_curvature_fit(metric, x):

@@ -37,10 +37,6 @@ class InvalidLaminationError(QuakebendError):
     """Input leaves cross each other."""
 
 
-class NoChartWitnessError(QuakebendError):
-    """The twist-chart witness construction does not apply."""
-
-
 def _side_sign(side):
     if side == LEFT:
         return 1.0
@@ -246,34 +242,3 @@ def quake_flow(state: FlowState, t):
         raise DomainError("t must be >= 0; negative times are the right flow")
     return FlowState(state.surface, state.lam, state.time + t)
 
-
-def quake_compatible(f0, sigma0, f1, sigma1):
-    """Necessary compatibility for a left earthquake from F0 to F1 with
-    the given spiraling signatures."""
-    n = len(sigma0)
-    if len(sigma1) != n:
-        raise StructureError("signatures must have equal length")
-    lengths0, lengths1 = teich.boundary_lengths(f0), teich.boundary_lengths(f1)
-    for i in range(n):
-        l0, l1 = lengths0[i], lengths1[i]
-        if l1 < l0 and sigma0[i] != 1:
-            return False
-        if l1 > l0 and sigma1[i] != 1:
-            return False
-    return True
-
-
-def solve_twist_earthquake(f0: teich.FNPoint, f1: teich.FNPoint):
-    """Witness multicurve for a left earthquake in the twist chart.
-
-    Applies only when the two points share all lengths and differ by
-    componentwise non-negative twist increments.
-    """
-    if f0.boundary_lengths != f1.boundary_lengths or \
-            f0.interior_lengths != f1.interior_lengths:
-        raise NoChartWitnessError("length coordinates differ")
-    dt = tuple(b - a for a, b in zip(f0.twists, f1.twists))
-    if any(d < 0 for d in dt):
-        raise NoChartWitnessError("twist differences must be >= 0 for a "
-                                  "left-quake witness in this chart")
-    return lm.MultiCurveLam(dt)

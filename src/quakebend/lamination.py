@@ -46,9 +46,6 @@ class MultiCurveLam:
         if any(w < 0 for w in self.weights):
             raise DomainError("multicurve weights must be >= 0")
 
-    def scaled(self, t):
-        return MultiCurveLam(tuple(t * w for w in self.weights))
-
 
 @dataclass(frozen=True)
 class TriangulationLam:
@@ -83,13 +80,6 @@ class TriangulationLam:
             s = sp.puncture_sum(i)
             sig.append(1 if s == 0.0 else (-1 if s > 0 else 1))
         return cls(sp.triangulation, tuple(weights), tuple(sig))
-
-    def scaled(self, t):
-        if t <= 0:
-            raise DomainError("ray parameter must be positive for this family")
-        return TriangulationLam(self.triangulation,
-                                tuple(t * w for w in self.weights),
-                                self.signature)
 
 
 @dataclass(frozen=True)
@@ -173,32 +163,6 @@ def intersection_spectrum(curve, lam: MultiCurveLam, pd: teich.PantDecomposition
 def enhanced_spectrum(elam: EnhancedLam, i):
     """Signed peripheral spectrum I#_{C_i} = eta_i I_{C_i}."""
     return elam.eta[i] * peripheral_spectrum(elam.lam, len(elam.kinds))[i]
-
-
-def reflect(elam: EnhancedLam, i):
-    """Reflection along C_i: negates the signs at i when the lamination
-    reaches the puncture, otherwise the identity.  An involution."""
-    spec = peripheral_spectrum(elam.lam, len(elam.kinds))
-    if spec[i] == 0.0:
-        return elam
-    lam = elam.lam
-    if isinstance(lam, TriangulationLam) and elam.kinds[i] == teich.BOUNDARY:
-        sig = list(lam.signature)
-        sig[i] = -sig[i]
-        lam = TriangulationLam(lam.triangulation, lam.weights, tuple(sig))
-    eta = list(elam.eta)
-    eta[i] = -eta[i]
-    return EnhancedLam(lam, tuple(eta), elam.kinds)
-
-
-def in_V_c(point, lam):
-    """Whether I_{C_i} < l_{C_i} strictly at every geodesic boundary."""
-    lengths = teich.boundary_lengths(point)
-    spec = peripheral_spectrum(lam, len(lengths))
-    for I, l in zip(spec, lengths):
-        if l > 0.0 and I >= l:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

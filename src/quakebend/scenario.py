@@ -50,8 +50,15 @@ def _values(kind, sec, key, default=None):
     tuple of `kind`; anything else is a ParseError."""
     try:
         return tuple(kind(v) for v in sec.get(key, default))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {key!r} entries: {exc}") from exc
+
+
+def _sign(v):
+    """A sign entry as an int: a bool or a fraction is not one."""
+    if isinstance(v, bool) or v != int(v):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
 
 
 def _require(data, key):
@@ -136,17 +143,20 @@ def lamination(data, point):
     if family == "triangulation":
         if not isinstance(point, teich.ShearPoint):
             raise ParseError("triangulation laminations need a shear surface")
-        if "signature" in sec:
-            return lm.TriangulationLam(point.triangulation, weights,
-                                       _values(int, sec, "signature"))
-        return lm.TriangulationLam.from_shear(point, weights)
+        try:
+            if "signature" in sec:
+                return lm.TriangulationLam(point.triangulation, weights,
+                                           _values(_sign, sec, "signature"))
+            return lm.TriangulationLam.from_shear(point, weights)
+        except StructureError as exc:
+            raise ParseError(f"inconsistent lamination: {exc}") from exc
     raise ParseError(f"unknown lamination family {family!r}")
 
 
 def eta(data, lam, point):
     """Enhancement signs for the lamination, defaulting to its signature."""
     kinds = teich.puncture_kinds(point)
-    values = _values(int, data["lamination"], "eta",
+    values = _values(_sign, data["lamination"], "eta",
                      lm.signature(lam, len(kinds)))
     try:
         return lm.EnhancedLam(lam, values, kinds)
@@ -156,7 +166,7 @@ def eta(data, lam, point):
 
 def enhanced_point(data, point):
     """The point with the boundary-orientation signs `eps`, +1 by default."""
-    eps = _values(int, data, "eps", (1,) * len(teich.puncture_kinds(point)))
+    eps = _values(_sign, data, "eps", (1,) * len(teich.puncture_kinds(point)))
     try:
         return teich.EnhancedPoint(point, eps)
     except StructureError as exc:

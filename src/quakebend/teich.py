@@ -156,15 +156,6 @@ class PantDecomposition:
     def once_punctured_torus(cls):
         return cls(1, (((0, 0), (0, 1)),), ((0, 2),))
 
-    @classmethod
-    def three_punctured_sphere(cls):
-        return cls(1, (), ((0, 0), (0, 1), (0, 2)))
-
-    @classmethod
-    def four_punctured_sphere(cls):
-        return cls(2, (((0, 2), (1, 2)),),
-                   ((0, 0), (0, 1), (1, 0), (1, 1)))
-
 
 @dataclass(frozen=True)
 class FNPoint:
@@ -260,10 +251,6 @@ class IdealTriangulation:
     @classmethod
     def once_punctured_torus(cls):
         return cls(2, (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))))
-
-    @classmethod
-    def three_punctured_sphere(cls):
-        return cls(2, (((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))))
 
 
 @dataclass(frozen=True)
@@ -476,21 +463,15 @@ class Holonomy:
                         self.curve_words, self.peripheral, self.meta)
 
 
-def _decomposition(pd):
-    if pd is None:
-        raise StructureError("FN holonomy needs the pant decomposition")
-    return pd
-
-
 def holonomy_of(point, pd=None):
     """Holonomy of an FNPoint (over its decomposition `pd`) or a
-    ShearPoint; a Holonomy is returned as it is."""
+    ShearPoint."""
     if isinstance(point, FNPoint):
-        return holonomy_from_fn(_decomposition(pd), point)
+        if pd is None:
+            raise StructureError("FN holonomy needs the pant decomposition")
+        return holonomy_from_fn(pd, point)
     if isinstance(point, ShearPoint):
         return holonomy_from_shear(point)
-    if isinstance(point, Holonomy):
-        return point
     raise StructureError(f"unsupported point {type(point)!r}")
 
 
@@ -511,17 +492,11 @@ def puncture_kinds(point):
     return tuple(CUSP if l == 0.0 else BOUNDARY for l in boundary_lengths(point))
 
 
-def surface_type(obj, pd=None):
+def surface_type(h: Holonomy):
     """Partition of the punctures into cusps and geodesic boundaries."""
-    if isinstance(obj, Holonomy):
-        kinds = tuple(CUSP if boundary_length(obj, i) == 0.0 else BOUNDARY
-                      for i in range(len(obj.peripheral)))
-        return SurfaceType(obj.meta.get("genus", 0), kinds)
-    if isinstance(obj, FNPoint):
-        return SurfaceType(_decomposition(pd).genus, puncture_kinds(obj))
-    if isinstance(obj, ShearPoint):
-        return SurfaceType(obj.triangulation.genus, puncture_kinds(obj))
-    raise StructureError(f"cannot type {type(obj)!r}")
+    kinds = tuple(CUSP if boundary_length(h, i) == 0.0 else BOUNDARY
+                  for i in range(len(h.peripheral)))
+    return SurfaceType(h.meta.get("genus", 0), kinds)
 
 
 # ---------------------------------------------------------------------------

