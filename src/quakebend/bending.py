@@ -1,16 +1,12 @@
 """Bending cocycles: PSL(2, C)-valued for H3, PSL(2, R)^2-valued for AdS.
 
-Both take the leaves ``LiftFamily.crossings`` returns -- ordered,
-oriented, and at half weight through a segment endpoint -- through the
-quake module's ``cocycle_product``; only the per-leaf exponent map
-differs:
-
-* hyperbolic: exp(a X_l), X_l the rotation generator of the oriented
-  leaf with exp(2 pi X_l) projectively trivial;
-* AdS: the pair (exp(+a X^), exp(-a X^)) of half-angle translations --
-  with leaves oriented per the base-point-on-the-left convention the
-  first component lifts the *left* earthquake and the second the right
-  one, which is the calibration asserted by the cross-oracle tests.
+Both are the quake module's ``cocycle_product`` of exp(c a D) over the
+leaves ``LiftFamily.crossings`` returns, D the displacement generator of
+each leaf: c = i for H3, the earthquake at imaginary weight (exp(i a D)
+rotates by angle a around the leaf), and the pair c = (+1, -1) for AdS,
+the left and right quake cocycles -- with leaves oriented per the
+base-point-on-the-left convention the first component lifts the *left*
+earthquake, the calibration asserted by the cross-oracle tests.
 
 H3 points travel as unit timelike Minkowski-4 vectors; the totally
 geodesic copy of H2 is the slice x3 = 0.
@@ -116,11 +112,8 @@ def bend_points(ctx: BendContext, zs, target):
 
 def bend_cocycle_hyp_from_lifts(lifts):
     """B_lambda(x, y) in PSL(2, C) from the leaves crossing [x, y]:
-    product of exp(a_i X_{l_i})."""
-    def factor(geo, a):
-        return iso.expm2(a * geo.rotation_generator())
-
-    return eq.cocycle_product(lifts, factor).astype(complex)
+    product of exp(i a_k D_k)."""
+    return eq.cocycle_product(lifts, 1j).astype(complex)
 
 
 def bend_map_hyp(ctx: BendContext, x):
@@ -134,7 +127,7 @@ def hyp_holonomy(point, lam, depth=8, pd=None):
     Returns the deformed holonomy with meta['converged'] flagging lift
     convergence; the empty lamination reproduces the Fuchsian inclusion.
     """
-    def deform(m, leaves, y):
+    def deform(m, leaves):
         b = bend_cocycle_hyp_from_lifts(leaves)
         return iso.normalize(b @ m.astype(complex))
 
@@ -151,7 +144,7 @@ def hyp_holonomy(point, lam, depth=8, pd=None):
 # ---------------------------------------------------------------------------
 
 def bend_cocycle_ads_from_lifts(lifts):
-    """The pair (B^-, B^+) of half-angle translation products over the
+    """The pair (B^-, B^+) of the left and right quake cocycles over the
     leaves crossing [x, y].
 
     The first component composed with gamma gives the left-earthquake
@@ -173,7 +166,7 @@ def ads_holonomy(point, lam, depth=8, pd=None):
     h_L is conjugate to the left-earthquake holonomy of (F, lam) and
     h_R to the right one; both carry meta['converged'].
     """
-    def deform(m, leaves, y):
+    def deform(m, leaves):
         return tuple(iso.normalize(b @ m) for b in
                      bend_cocycle_ads_from_lifts(leaves))
 

@@ -138,7 +138,7 @@ def horizon_invariants(g_left, g_right):
 # rectangles
 # ---------------------------------------------------------------------------
 
-def _limit_set_samples(h: teich.Holonomy, depth):
+def limit_set_samples(h: teich.Holonomy, depth):
     """Limit-set points at the reduced words up to `depth`: the
     attracting fixed point of each hyperbolic word and the fixed point
     of each parabolic one.  The inverse of every word is enumerated as
@@ -189,17 +189,16 @@ def _select_side(g, samples):
     return arc1 if inhabited2 else arc2
 
 
-def peripheral_rectangle(g_left, g_right, h_left: teich.Holonomy,
-                         h_right: teich.Holonomy, depth=10):
+def peripheral_rectangle(g_left, g_right, samples_left, samples_right):
     """R(gamma): per side, the fixed point (parabolic) or the arc between
-    the fixed points missing the limit set, sampled at the fixed points
-    of the reduced words up to `depth`.
+    the fixed points missing the limit set, given by its samples
+    (`limit_set_samples` of h_L and h_R, taken once for all punctures).
 
     The two vertices spanning the horizon geodesic pair the attracting
     point of one side with the repelling point of the other.
     """
-    side_l = _select_side(g_left, _limit_set_samples(h_left, depth))
-    side_r = _select_side(g_right, _limit_set_samples(h_right, depth))
+    side_l = _select_side(g_left, samples_left)
+    side_r = _select_side(g_right, samples_right)
     vertices = ()
     if isinstance(side_l, CircleArc) and isinstance(side_r, CircleArc):
         att_l, rep_l = iso.fixed_points(g_left)

@@ -1,13 +1,14 @@
 """Left/right earthquakes: coordinate form, quake cocycle, flow.
 
-Sign conventions (calibrated against the twist rule of the holonomy
-builder and asserted by the cross-oracle tests): leaves returned by
-``LiftFamily.crossings`` are oriented with the initial base point on
-their left, and the *left* quake cocycle composes ``exp(+a X^)`` over
-the crossed leaves, ``X^`` the unit-displacement generator of the
-oriented leaf.  The right cocycle is its inverse on matching data.
-The cocycles take leaves only: ``crossings`` orients each leaf and
-halves the weight of one through a segment endpoint.
+Every cocycle of the package is ``cocycle_product(lifts, c)``, the
+ordered product of exp(c a D) over the leaves ``LiftFamily.crossings``
+returns, a the weight and D the displacement generator of each: c = +1
+is the left quake and -1 the right one, c = i is H3 bending and
+(+1, -1) the AdS pair; the flat translation part is its derivative in
+the weights.  ``crossings`` orients each leaf with the segment's start
+on its left (the sign convention the cross-oracle tests calibrate
+against the twist rule of the holonomy builder) and halves the weight
+of a leaf through a segment endpoint.
 
 Every deformed holonomy of the package (quake, H3 and AdS bending, the
 flat translation part) is gamma -> B(x0, gamma x0) gamma at the one base
@@ -17,6 +18,7 @@ point ``BASE_POINT``, built by ``deform_letters``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -75,37 +77,25 @@ def quake_shear(sp: teich.ShearPoint, lam: lm.TriangulationLam, side):
 # quake cocycle
 # ---------------------------------------------------------------------------
 
-def cocycle_product(lifts, factor):
-    """Ordered product of the per-leaf factors of oriented, weighted
-    leaves as `LiftFamily.crossings` returns them.
-
-    One routine serves the quake cocycle and both bending cocycles:
-    only the `factor(geodesic, weight) -> matrix` map differs.
-    """
+def cocycle_product(lifts, c):
+    """Ordered product of exp(c a D) over oriented, weighted leaves as
+    `LiftFamily.crossings` returns them, a the weight and D the
+    displacement generator of each leaf."""
     if not lm.leaves_pairwise_disjoint(lifts):
         raise InvalidLaminationError("crossing leaves in the lift family")
-    out = None
-    for leaf in lifts:
-        m = factor(leaf.geodesic, leaf.weight)
-        out = m if out is None else out @ m
-    if out is None:
-        return np.eye(2)
-    return iso.normalize(out)
+    factors = [iso.expm2(c * leaf.weight * leaf.geodesic.displacement_generator())
+               for leaf in lifts]
+    return iso.normalize(reduce(np.matmul, factors)) if factors else np.eye(2)
 
 
 def quake_cocycle(lifts, side):
-    """B(x, y): ordered product of exp(+-a X^) over the crossed leaves.
+    """B(x, y): ordered product of exp(+-a D) over the crossed leaves.
 
     `lifts` must come ordered along the segment and oriented with x on
     the left, a leaf through x or y at half its weight (the
     `LiftFamily.crossings` convention).
     """
-    s = _side_sign(side)
-
-    def factor(geo, a):
-        return iso.expm2(s * a * geo.displacement_generator())
-
-    return cocycle_product(lifts, factor)
+    return cocycle_product(lifts, _side_sign(side))
 
 
 def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
@@ -116,7 +106,7 @@ def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
     Realizes `lam` on the holonomy h of `point` (an FNPoint with its
     decomposition `pd`, or a ShearPoint) to the given lift depth.  For
     each alphabet letter m, with y = m x0 and x0 = BASE_POINT, the
-    letter becomes `deform(m, leaves, y)`, `leaves` the lifts crossing
+    letter becomes `deform(m, leaves)`, `leaves` the lifts crossing
     [x0, y] as one `LiftFamily.crossings_from` query at x0 returns them
     for all letters; a base point on a weighted leaf raises
     BasePointOnLeafError.  An empty lamination
@@ -130,8 +120,8 @@ def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
         return h, {name: include(m) for name, m in h.alphabet.items()}, True
     ys = [iso.apply_h2(m, BASE_POINT) for m in h.alphabet.values()]
     crossed = fam.crossings_from(BASE_POINT, ys)
-    letters = {name: deform(m, leaves, y) for (name, m), y, (leaves, _)
-               in zip(h.alphabet.items(), ys, crossed)}
+    letters = {name: deform(m, leaves) for (name, m), (leaves, _)
+               in zip(h.alphabet.items(), crossed)}
     return h, letters, all(ok for _, ok in crossed)
 
 
@@ -141,7 +131,7 @@ def quake_holonomy(point, lam, side, depth=8, pd=None):
     `point` is an FNPoint (with its decomposition) or a ShearPoint; the
     result carries meta['converged'] reporting lift-depth convergence.
     """
-    def deform(m, leaves, y):
+    def deform(m, leaves):
         return iso.normalize(quake_cocycle(leaves, side) @ m)
 
     h, letters, converged = deform_letters(point, lam, deform, depth=depth, pd=pd)

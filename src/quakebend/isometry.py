@@ -6,9 +6,8 @@ Conventions fixed here and used by every other module:
   real line R u {oo} (``INF``).
 * A hyperbolic element ``diag(e^{L/2}, e^{-L/2})`` translates by ``L``
   along the geodesic (0, oo), upward.
-* ``exp(t * X)`` with ``X`` the *unit positive generator* of an oriented
-  geodesic has translation length ``2t``; the *unit displacement*
-  generator is ``X / 2``.
+* An oriented geodesic has one generator, its displacement generator
+  D (``Geodesic.displacement_generator``), which every cocycle reads.
 * The anti-de Sitter space X_{-1} is PSL(2, R) with the quadratic form
   q(X) = -det X on M(2, R); <P, Q> = -tr(P adj Q) / 2, so unit-det
   representatives satisfy <P, P> = -1 and <P, Q> = -tr(P Q^{-1}) / 2.
@@ -16,7 +15,7 @@ Conventions fixed here and used by every other module:
   unit-determinant matrices (order-two rotations); ``ads_embed`` below
   realizes z -> R_z equivariantly for the diagonal action.
 * Positive rotation around an oriented spacelike geodesic l of P(Id) is
-  the pair (exp(-tX), exp(tX)), X the unit positive generator of l.
+  the pair (exp(-2tD), exp(2tD)), D the displacement generator of l.
 * Time orientation of X_{-1}: at Id the future cone contains the
   rotation generator [[0, -1], [1, 0]]; transported by left translation.
 """
@@ -190,22 +189,12 @@ class Geodesic:
             return normalize(np.array([[q, p], [1.0, 1.0]]))
         return normalize(np.array([[q, -p], [1.0, -1.0]]))
 
-    def unit_generator(self):
-        """Unit positive generator X: exp(tX) translates by 2t."""
-        m = self.map_from_standard()
-        x0 = np.array([[1.0, 0.0], [0.0, -1.0]])
-        return m @ x0 @ inv(m)
-
     def displacement_generator(self):
-        """Unit displacement generator: exp(a * gen) translates by a."""
-        return 0.5 * self.unit_generator()
-
-    def rotation_generator(self):
-        """Generator X_l in sl(2, C) of rotation around the geodesic
-        viewed inside H3, with exp(2 pi X_l) projectively the identity."""
-        m = self.map_from_standard().astype(complex)
-        x0 = np.array([[0.5j, 0.0], [0.0, -0.5j]])
-        return m @ x0 @ inv(m)
+        """D in sl(2, R): exp(a D) translates by a along the geodesic,
+        exp(i a D) rotates H3 by angle a around it, and 2 lie_vector(D)
+        is its unit spacelike normal in R^{2,1}, pointing to its right."""
+        m = self.map_from_standard()
+        return m @ np.diag([0.5, -0.5]) @ inv(m)
 
 
 def transform_geodesic(m, g):
@@ -340,15 +329,24 @@ def is_future_directed(p, v):
     return (w[1, 0] - w[0, 1]) > 0
 
 
+def _unsym(s):
+    """y of the symmetric matrix S(y) = [[y0 + y2, y1], [y1, y0 - y2]]."""
+    return np.array([(s[0, 0] + s[1, 1]) / 2.0, s[0, 1],
+                     (s[0, 0] - s[1, 1]) / 2.0])
+
+
 def psl2r_to_so21(m):
     """Linear part in SO+(2,1) acting on (y0, y1, y2) hyperboloid
     coordinates, from the symmetric-matrix model S(y) -> m S(y) m^T."""
     def sym(y):
         return np.array([[y[0] + y[2], y[1]], [y[1], y[0] - y[2]]])
 
-    def unsym(s):
-        return np.array([(s[0, 0] + s[1, 1]) / 2.0, s[0, 1],
-                         (s[0, 0] - s[1, 1]) / 2.0])
-
-    cols = [unsym(m @ sym(e) @ m.T) for e in np.eye(3)]
+    cols = [_unsym(m @ sym(e) @ m.T) for e in np.eye(3)]
     return np.column_stack(cols)
+
+
+def lie_vector(x):
+    """iota: sl(2, R) -> R^{2,1}, X -> unsym(X J^-1), J = [[0, -1], [1, 0]];
+    g X g^-1 J^-1 = g (X J^-1) g^T gives iota(g X g^-1) =
+    psl2r_to_so21(g) iota(X)."""
+    return _unsym(x @ np.array([[0.0, 1.0], [-1.0, 0.0]]))

@@ -22,6 +22,7 @@ Exactly one of "fn" (with "pants") or "shear" describes the structure.
 from __future__ import annotations
 
 import json
+import math
 
 from quakebend import teich
 from quakebend import lamination as lm
@@ -59,6 +60,13 @@ def _sign(v):
     if isinstance(v, bool) or v != int(v):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _finite(v):
+    """A real entry as a float: NaN and the infinities are not one."""
+    if not math.isfinite(float(v)):
+        raise ValueError(f"{v!r} is not a finite number")
+    return float(v)
 
 
 def _require(data, key):
@@ -108,7 +116,7 @@ def surface_point(data):
     """(point, pd-or-None): the FN or shear structure of the scenario."""
     if "fn" in data:
         pd = pant_decomposition(data)
-        l, t = _values(float, data["fn"], "l"), _values(float, data["fn"], "t")
+        l, t = (_values(_finite, data["fn"], key) for key in ("l", "t"))
         nb = pd.num_boundary
         if len(l) != nb + pd.num_interior:
             raise ParseError(
@@ -119,7 +127,7 @@ def surface_point(data):
         return fn, pd
     if "shear" in data:
         tri = triangulation(data)
-        s = _values(float, data["shear"], "s")
+        s = _values(_finite, data["shear"], "s")
         if len(s) != tri.num_edges:
             raise ParseError(f"shear.s must list {tri.num_edges} values")
         _check_surface_section(data, tri.genus, tri.num_punctures)
@@ -131,7 +139,7 @@ def lamination(data, point):
     sec = data.get("lamination")
     if sec is None:
         return None
-    weights = _values(float, sec, "weights")
+    weights = _values(_finite, sec, "weights")
     family = sec.get("family")
     if family == "multicurve":
         if not isinstance(point, teich.FNPoint):
@@ -175,4 +183,4 @@ def enhanced_point(data, point):
 
 def times(data):
     """The flow times, none by default."""
-    return _values(float, data, "times", ())
+    return _values(_finite, data, "times", ())

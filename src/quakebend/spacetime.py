@@ -25,6 +25,10 @@ any chart where |dT|_h = -1; the universal function pairs are
 `chart_metric` gives these metrics as raw functions (T, zeta, u) ->
 ndarray for the curvature oracle; the public metric functions return
 the same components checked once as a `MetricSample`.
+
+The flat translation part of (F, lambda) is the derivative of the quake
+cocycle in the weights: each crossed leaf adds its weight times its unit
+normal 2 iota(D), D its displacement generator (`isometry.lie_vector`).
 """
 
 from __future__ import annotations
@@ -369,34 +373,21 @@ class AffineIsom3:
                            self.translation + self.linear @ other.translation)
 
 
-def _leaf_normal_toward(geo: iso.Geodesic, target):
-    """Unit spacelike Minkowski normal of the leaf's plane pointing to
-    the side of the H2 point `target`."""
-    def null_vec(b):
-        if b == iso.INF:
-            return np.array([1.0, 0.0, 1.0])
-        return np.array([1.0 + b * b, 2.0 * b, b * b - 1.0]) / 2.0
-
-    a = null_vec(geo.p_minus)
-    b = null_vec(geo.p_plus)
-    w = np.diag([-1.0, 1.0, 1.0]) @ np.cross(a, b)
-    w = w / math.sqrt(abs(w @ np.diag([-1.0, 1.0, 1.0]) @ w))
-    t = iso.h2_to_hyperboloid(target)
-    side = float(w @ np.diag([-1.0, 1.0, 1.0]) @ t)
-    return w if side > 0 else -w
-
-
-def _normal_sum(leaves, y):
-    """Sum of the weighted unit normals of `leaves`, each toward y."""
-    return sum((leaf.weight * _leaf_normal_toward(leaf.geodesic, y)
+def _normal_sum(leaves):
+    """Sum of the weighted unit normals 2 iota(D) of `leaves`, as
+    `LiftFamily.crossings` orients them: the far end of the segment is
+    on each leaf's right, where its normal points."""
+    return sum((2.0 * leaf.weight
+                * iso.lie_vector(leaf.geodesic.displacement_generator())
                 for leaf in leaves), np.zeros(3))
 
 
 def translation_part(fam: lm.LiftFamily, x0, y):
     """s(y) relative to s(x0) = 0: sum of weighted unit normals of the
-    crossed leaves, each pointing toward y."""
+    crossed leaves, each pointing toward y (the derivative in the
+    weights of the left quake cocycle B(x0, y), through iota)."""
     leaves, converged = fam.crossings(x0, y)
-    return _normal_sum(leaves, y), converged
+    return _normal_sum(leaves), converged
 
 
 def flat_holonomy(point, lam, depth=8, pd=None):
@@ -406,11 +397,11 @@ def flat_holonomy(point, lam, depth=8, pd=None):
     the underlying holonomy to an AffineIsom3; words compose through
     AffineIsom3.compose.
     """
-    def deform(m, leaves, y):
-        return AffineIsom3(iso.psl2r_to_so21(m), _normal_sum(leaves, y))
+    def deform(m, leaves):
+        return AffineIsom3(iso.psl2r_to_so21(m), _normal_sum(leaves))
 
     _, letters, converged = eq.deform_letters(
-        point, lam, deform, include=lambda m: deform(m, [], None),
+        point, lam, deform, include=lambda m: deform(m, []),
         depth=depth, pd=pd)
     return letters, converged
 
@@ -458,7 +449,7 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     # s(x) of every sampled point from one query at the base point
     points = samples + mids
     for x, (leaves, _) in zip(points, fam.crossings_from(x0, points)):
-        gap = float((q - _normal_sum(leaves, x)) @ np.diag([-1.0, 1.0, 1.0])
+        gap = float((q - _normal_sum(leaves)) @ np.diag([-1.0, 1.0, 1.0])
                     @ iso.h2_to_hyperboloid(x))
         if gap >= 0:
             return False

@@ -10,6 +10,12 @@ calls, kept next to the tests that compare the package against them:
   `dual_point`, the duality of X_{-1} in the conventions of
   `quakebend.isometry`;
 * `translation` along an oriented geodesic of H2;
+* `rotation_generator`, `leaf_normal_toward` and `iota`, the per-leaf
+  formulas that the displacement generator
+  (`isometry.Geodesic.displacement_generator`) replaced: the H3
+  rotation generator written from the leaf's frame, the leaf's unit
+  normal in R^{2,1} from the null vectors of its endpoints, and the
+  map sl(2, R) -> R^{2,1} written out;
 * `sphere_metric` and `hyperbolic_metric`, the reference metrics of the
   curvature fit, and `riemann` and `sectional_curvature` from its
   stencil;
@@ -80,7 +86,7 @@ def ads_spacelike_distance(p, q):
 def positive_rotation(geo, t):
     """Positive rotation by parameter t around the oriented geodesic of
     P(Id) over `geo`: the pair (exp(-tX), exp(tX))."""
-    x = geo.unit_generator()
+    x = 2.0 * geo.displacement_generator()
     return iso.expm2(-t * x), iso.expm2(t * x)
 
 
@@ -92,7 +98,7 @@ def dual_point(geo, s):
     The parametrization is chosen so the positive rotation by t > 0
     moves dual points by +2t.
     """
-    return iso.expm2(-s * geo.unit_generator())
+    return iso.expm2(-s * 2.0 * geo.displacement_generator())
 
 
 # -- H2 -----------------------------------------------------------------------
@@ -103,6 +109,40 @@ def translation(geo, length):
     a = np.array([[math.exp(length / 2.0), 0.0],
                   [0.0, math.exp(-length / 2.0)]])
     return m @ a @ iso.inv(m)
+
+
+# -- per-leaf references for the displacement generator ----------------------
+
+def rotation_generator(geo):
+    """Generator X in sl(2, C) of the rotation of H3 around `geo`, from
+    the leaf's frame: exp(2 pi X) is projectively the identity."""
+    m = geo.map_from_standard().astype(complex)
+    x0 = np.array([[0.5j, 0.0], [0.0, -0.5j]])
+    return m @ x0 @ iso.inv(m)
+
+
+def leaf_normal_toward(geo, target):
+    """Unit spacelike normal in R^{2,1} of the plane of `geo`, pointing
+    to the side of the H2 point `target`: the Minkowski cross product of
+    the null vectors of its endpoints, normalized."""
+    eta = np.diag([-1.0, 1.0, 1.0])
+
+    def null_vec(b):
+        if b == iso.INF:
+            return np.array([1.0, 0.0, 1.0])
+        return np.array([1.0 + b * b, 2.0 * b, b * b - 1.0]) / 2.0
+
+    w = eta @ np.cross(null_vec(geo.p_minus), null_vec(geo.p_plus))
+    w = w / math.sqrt(abs(w @ eta @ w))
+    side = float(w @ eta @ iso.h2_to_hyperboloid(target))
+    return w if side > 0 else -w
+
+
+def iota(x):
+    """sl(2, R) -> R^{2,1} in hyperboloid coordinates (y0, y1, y2):
+    [[a, b], [c, -a]] -> ((c - b) / 2, a, -(b + c) / 2)."""
+    a, b, c = x[0, 0], x[0, 1], x[1, 0]
+    return np.array([(c - b) / 2.0, a, -(b + c) / 2.0])
 
 
 # -- reference metrics of the curvature fit -----------------------------------

@@ -48,7 +48,8 @@ class TestMink4:
         assert np.allclose(v, bd.mink4_from_h2(iso.apply_h2(g.real, z)), atol=1e-12)
 
     def test_rotation_moves_off_slice(self):
-        rot = iso.expm2(0.5 * iso.Geodesic(0.0, iso.INF).rotation_generator())
+        geo = iso.Geodesic(0.0, iso.INF)
+        rot = iso.expm2(0.5j * geo.displacement_generator())
         v = bd.apply_psl2c(rot, bd.mink4_from_h2(2.0 + 1.0j))
         assert abs(v[3]) > 1e-3
         assert oracles.mink4_inner(v, v) == pytest.approx(-1.0, abs=1e-10)
@@ -73,7 +74,8 @@ class TestHypCocycle:
             leaves, _ = fam.crossings(*seg, on_leaf="include")
             assert [l.weight for l in leaves] == [0.4]
             b = bd.bend_cocycle_hyp_from_lifts(leaves)
-            expected = iso.expm2(0.4 * leaves[0].geodesic.rotation_generator())
+            expected = iso.expm2(
+                0.4j * leaves[0].geodesic.displacement_generator())
             assert iso.proj_equal(b, expected, tol=1e-12)
 
     def test_composition(self, ctx_hyp):

@@ -138,14 +138,16 @@ class TestRectangles:
                                (0.0, 0.0, 0.0))
         h = teich.holonomy_from_shear(sp0)
         g = h.peripheral_matrix(0)
-        r = bh.peripheral_rectangle(g, g, h, h, depth=4)
+        s = bh.limit_set_samples(h, 4)
+        r = bh.peripheral_rectangle(g, g, s, s)
         assert r.degenerate
         assert not isinstance(r.left, bh.CircleArc)
 
     def test_nondegenerate_once_punctured_torus(self, holonomy_pair):
         hl, hr = holonomy_pair
         gl, gr = hl.peripheral_matrix(0), hr.peripheral_matrix(0)
-        r = bh.peripheral_rectangle(gl, gr, hl, hr, depth=8)
+        r = bh.peripheral_rectangle(gl, gr, bh.limit_set_samples(hl, 8),
+                                    bh.limit_set_samples(hr, 8))
         assert not r.degenerate
         (v1l, v1r), (v2l, v2r) = r.vertices
         att_l, rep_l = iso.fixed_points(gl)
@@ -159,7 +161,9 @@ class TestRectangles:
     def test_sides_invariant_under_peripheral_pair(self, holonomy_pair):
         hl, hr = holonomy_pair
         gl = hl.peripheral_matrix(0)
-        r = bh.peripheral_rectangle(gl, hr.peripheral_matrix(0), hl, hr, depth=8)
+        r = bh.peripheral_rectangle(gl, hr.peripheral_matrix(0),
+                                    bh.limit_set_samples(hl, 8),
+                                    bh.limit_set_samples(hr, 8))
         # interior points of the side arc stay inside under g
         arc = r.left
         for t in (0.25, 0.5, 0.75):
@@ -178,9 +182,11 @@ class TestRectangles:
         rects = {}
         for depth in (6, 8):
             hl, hr = bd.ads_holonomy(point, lam, depth=depth)
+            sl = bh.limit_set_samples(hl, depth)
+            sr = bh.limit_set_samples(hr, depth)
             rects[depth] = [bh.peripheral_rectangle(
-                hl.peripheral_matrix(i), hr.peripheral_matrix(i), hl, hr,
-                depth=depth) for i in range(3)]
+                hl.peripheral_matrix(i), hr.peripheral_matrix(i), sl, sr)
+                for i in range(3)]
         assert rects[8] == rects[6]
         assert not any(r.degenerate for r in rects[6])
 

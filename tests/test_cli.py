@@ -246,6 +246,18 @@ BAD_SECTIONS = [
         **SPHERE_LAM, "weights": [0.4, 0.7]}}, "spectrum"),
     ("times-text", "torus_flow", {"times": ["x"]}, "flow"),
     ("times-number", "torus_flow", {"times": 3}, "flow"),
+    # non-finite numbers: JSON NaN and Infinity parse, but are no value
+    ("times-nan", "torus_flow", {"times": [math.nan]}, "flow"),
+    ("weights-nan", "torus_flow", {"lamination": {
+        **FLOW_LAM, "weights": [math.nan] * 3}}, "quake"),
+    ("shear-infinite", "torus_flow", {"shear": {
+        **scenario_with("torus_flow")["shear"],
+        "s": [math.inf, -0.3, -0.3]}}, "flow"),
+    *[(f"fn-t-nan-{cmd}", "torus_multicurve",
+       {"fn": {"l": [1.0, 2.0], "t": [math.nan]}}, cmd)
+      for cmd in ("quake", "bend")],
+    ("fn-l-infinite", "torus_multicurve",
+     {"fn": {"l": [math.inf, 2.0], "t": [0.3]}}, "quake"),
     *[(f"multicurve-on-shear-{cmd}", "sphere_shear",
        {"lamination": {"family": "multicurve", "weights": [0.5]}}, cmd)
       for cmd in ("spectrum", "quake", "flow", "bend", "blackhole")],

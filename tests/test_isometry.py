@@ -75,9 +75,10 @@ class TestClassify:
 
 class TestTranslationLength:
     def test_unit_generator_scaling(self):
-        # translation length of exp(tX) is 2t for the unit positive generator
+        # translation length of exp(tX) is 2t for X = 2D, D the
+        # displacement generator
         geo = iso.Geodesic(0.0, iso.INF)
-        g = iso.expm2(0.7 * geo.unit_generator())
+        g = iso.expm2(0.7 * 2.0 * geo.displacement_generator())
         assert iso.translation_length(g) == pytest.approx(1.4, abs=1e-12)
 
     def test_identity_is_zero(self):
@@ -189,7 +190,7 @@ class TestGeodesic:
     def test_rotation_generator_full_turn(self):
         for geo in (iso.Geodesic(0.0, iso.INF), iso.Geodesic(-1.0, 3.0),
                     iso.Geodesic(2.0, -7.0), iso.Geodesic(iso.INF, 0.5)):
-            g = iso.expm2(2.0 * math.pi * geo.rotation_generator())
+            g = iso.expm2(2.0j * math.pi * geo.displacement_generator())
             assert iso.proj_equal(g, np.eye(2, dtype=complex), tol=1e-10)
 
 
