@@ -8,8 +8,15 @@ the left and right quake cocycles -- with leaves oriented per the
 base-point-on-the-left convention the first component lifts the *left*
 earthquake, the calibration asserted by the cross-oracle tests.
 
-H3 points travel as unit timelike Minkowski-4 vectors; the totally
-geodesic copy of H2 is the slice x3 = 0.
+The bent surface is pleated: B(x0, z) depends only on the ordered
+leaves that [x0, z] crosses, so the bent map is one isometry per
+crossing sequence.  `bend_points` builds each sequence's cocycle once
+and applies it to all of its points as one stacked product; a point
+whose segment from x0 crosses no leaf, x0 included, maps by the
+inclusion.
+
+H3 points travel as unit timelike Minkowski-4 vectors (one row each in
+a stack); the totally geodesic copy of H2 is the slice x3 = 0.
 """
 
 from __future__ import annotations
@@ -33,25 +40,28 @@ ADS = "ads"
 # ---------------------------------------------------------------------------
 
 def mink4_from_h2(z):
-    """Inclusion H2 -> H3 as the slice x3 = 0."""
+    """Inclusion H2 -> H3 as the slice x3 = 0, of a point or an array of
+    points (one row each)."""
     y = iso.h2_to_hyperboloid(z)
-    return np.array([y[0], y[1], y[2], 0.0])
+    return np.stack([y[0], y[1], y[2], np.zeros_like(y[0])], -1)
 
 
 def hermitian_from_mink4(v):
-    x0, x1, x2, x3 = v
-    return np.array([[x0 + x2, x1 + 1j * x3], [x1 - 1j * x3, x0 - x2]])
+    """(..., 4) Minkowski-4 points to (..., 2, 2) Hermitian matrices."""
+    x0, x1, x2, x3 = np.moveaxis(v, -1, 0)
+    return np.stack([np.stack([x0 + x2, x1 + 1j * x3], -1),
+                     np.stack([x1 - 1j * x3, x0 - x2], -1)], -2)
 
 
 def mink4_from_hermitian(p):
-    return np.array([(p[0, 0].real + p[1, 1].real) / 2.0,
-                     p[0, 1].real,
-                     (p[0, 0].real - p[1, 1].real) / 2.0,
-                     p[0, 1].imag])
+    """(..., 2, 2) Hermitian matrices to (..., 4) Minkowski-4 points."""
+    a, d, b = p[..., 0, 0].real, p[..., 1, 1].real, p[..., 0, 1]
+    return np.stack([(a + d) / 2.0, b.real, (a - d) / 2.0, b.imag], -1)
 
 
 def apply_psl2c(a, v):
-    """Isometry action of PSL(2, C) on Minkowski-4 points, P -> A P A*."""
+    """Isometry action of PSL(2, C) on Minkowski-4 points, P -> A P A*,
+    of one matrix on a point or on a (..., 4) stack of points."""
     p = hermitian_from_mink4(v)
     return mink4_from_hermitian(a @ p @ a.conj().T)
 
@@ -83,26 +93,34 @@ def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None):
 
 
 def bend_points(ctx: BendContext, zs, target):
-    """The bent images B(x0, z) . z of the points zs in `target`: unit
-    timelike Minkowski-4 vectors in H3, 2x2 matrices in AdS.
+    """The bent images B(x0, z) . z of the points zs in `target`: an
+    (n, 4) array of unit timelike Minkowski-4 vectors in H3, an
+    (n, 2, 2) array of matrices in AdS.
 
-    One `crossings_from` query at the base point x0 serves all of zs.
-    Pinned normalization: the base point maps to its isometric
-    inclusion, eliminating the global post-composition freedom.
+    The bent map is piecewise isometric: B(x0, z) depends only on the
+    ordered leaves that [x0, z] crosses, which one `crossings_from`
+    query at the base point x0 finds for all of zs.  The points are
+    grouped by that crossing sequence; each group's cocycle is built
+    once and applied to the whole group as one stacked product.  A
+    point that crosses no leaf, x0 among them, maps by the inclusion
+    (the slice x3 = 0 of H3, the plane P(Id) of AdS), which pins the
+    global post-composition freedom.
     """
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    hyp = target == HYPERBOLIC
+    out = mink4_from_h2(zs) if hyp else iso.ads_embed(zs)
+    groups = {}
     crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
-    out = []
-    for z, (leaves, _) in zip(zs, crossed):
-        moved = abs(z - eq.BASE_POINT) >= 1e-14
-        if target == HYPERBOLIC:
-            p = mink4_from_h2(z)
-            if moved:
-                p = apply_psl2c(bend_cocycle_hyp_from_lifts(leaves), p)
+    for i, (leaves, _) in enumerate(crossed):
+        if leaves:
+            key = tuple((l.geodesic.p_minus, l.geodesic.p_plus, l.weight)
+                        for l in leaves)
+            groups.setdefault(key, (leaves, []))[1].append(i)
+    for leaves, idx in groups.values():
+        if hyp:
+            out[idx] = apply_psl2c(bend_cocycle_hyp_from_lifts(leaves), out[idx])
         else:
-            p = iso.ads_embed(z)
-            if moved:
-                p = iso.ads_act(bend_cocycle_ads_from_lifts(leaves), p)
-        out.append(p)
+            out[idx] = iso.ads_act(bend_cocycle_ads_from_lifts(leaves), out[idx])
     return out
 
 

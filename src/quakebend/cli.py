@@ -217,10 +217,8 @@ def cmd_bend(args):
                              pd=pd)
     points = bd.bend_points(ctx, [complex(xv, yv) for yv in ys for xv in xs],
                             args.target)
-    if args.target == bd.HYPERBOLIC:
-        vertices = [list(v) for v in points]
-    else:
-        vertices = [[float(v) for v in m.flatten()] for m in points]
+    # Minkowski-4 points, or 2x2 matrices flattened row by row
+    vertices = points.reshape(len(points), 4).tolist()
     emit({"command": "bend", "target": args.target,
           "points": len(vertices), "depth": args.depth})
     if args.mesh_out:

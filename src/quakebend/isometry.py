@@ -281,12 +281,14 @@ def ads_embed(z):
     """Point of the plane P(Id) dual to Id realizing z in H2.
 
     Returns the order-two rotation about z; the map intertwines the
-    Moebius action with the diagonal action g . X = g X g^{-1}.
+    Moebius action with the diagonal action g . X = g X g^{-1}.  An
+    array of points gives one (2, 2) matrix per point.
     """
     x, y = z.real, z.imag
-    if y <= 0:
+    if np.any(y <= 0):
         raise DomainError("ads_embed expects a point of the open upper half-plane")
-    return np.array([[x / y, -(x * x + y * y) / y], [1.0 / y, -x / y]])
+    return np.moveaxis(np.array([[x / y, -(x * x + y * y) / y],
+                                 [1.0 / y, -x / y]]), (0, 1), (-2, -1))
 
 
 def h2_to_hyperboloid(z):

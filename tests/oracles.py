@@ -6,6 +6,8 @@ calls, kept next to the tests that compare the package against them:
 * `causal_type_grid`, the brute-force form of `isometry.causal_type`;
 * `mink4_inner` and `dist_h3` on H3 as unit timelike Minkowski-4
   vectors;
+* `bend_points_per_vertex`, the bent map built one cocycle per point,
+  the reference of the grouped `bending.bend_points`;
 * `ads_inner`, `ads_spacelike_distance`, `positive_rotation` and
   `dual_point`, the duality of X_{-1} in the conventions of
   `quakebend.isometry`;
@@ -29,7 +31,9 @@ import math
 
 import numpy as np
 
+from quakebend import bending as bd
 from quakebend import curvature as cv
+from quakebend import earthquake as eq
 from quakebend import isometry as iso
 from quakebend import teich
 from quakebend.errors import DomainError
@@ -66,6 +70,26 @@ def mink4_inner(v, w):
 
 def dist_h3(v, w):
     return math.acosh(max(-mink4_inner(v, w), 1.0))
+
+
+def bend_points_per_vertex(ctx, zs, target):
+    """`bending.bend_points` one point at a time: the cocycle B(x0, z)
+    of the leaves [x0, z] crosses, built and applied for every z but
+    the base point, which maps to its inclusion."""
+    crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
+    out = []
+    for z, (leaves, _) in zip(zs, crossed):
+        moved = abs(z - eq.BASE_POINT) >= 1e-14
+        if target == bd.HYPERBOLIC:
+            p = bd.mink4_from_h2(z)
+            if moved:
+                p = bd.apply_psl2c(bd.bend_cocycle_hyp_from_lifts(leaves), p)
+        else:
+            p = iso.ads_embed(z)
+            if moved:
+                p = iso.ads_act(bd.bend_cocycle_ads_from_lifts(leaves), p)
+        out.append(p)
+    return out
 
 
 # -- X_{-1} duality -----------------------------------------------------------

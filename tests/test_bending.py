@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quakebend import isometry as iso
+from quakebend import scenario
 from quakebend import teich
 from quakebend import lamination as lm
 from quakebend import earthquake as eq
@@ -360,3 +362,104 @@ class TestCocycleLawOnLift:
                                        for k in range(4)))
         assert probes >= (20 if name == "fn" else 150)
         assert worst < 1e-9
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+SCENARIO_NAMES = ("torus_multicurve", "torus_flow", "sphere_shear",
+                  "torus_two_boundary")
+
+
+@pytest.fixture(scope="module", params=SCENARIO_NAMES)
+def scenario_ctx(request):
+    """The bending context `bend` builds (depth 8) for a checked-in
+    scenario; `bend_points` takes the target separately."""
+    data = scenario.load(SCENARIOS / f"{request.param}.json")
+    point, pd = scenario.surface_point(data)
+    ctx, _ = bd.make_context(point, scenario.lamination(data, point),
+                             depth=8, pd=pd)
+    return ctx
+
+
+def grid(n):
+    """The n x n version of the default grid of `bend`."""
+    return [complex(x, y) for y in np.linspace(0.3, 2.5, n)
+            for x in np.linspace(-1.5, 1.5, n)]
+
+
+def crossing_groups(ctx, zs):
+    """Indices of zs grouped by the leaves [x0, z] crosses."""
+    groups = {}
+    crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
+    for i, (leaves, _) in enumerate(crossed):
+        key = tuple((l.geodesic.p_minus, l.geodesic.p_plus, l.weight)
+                    for l in leaves)
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+class TestPiecewiseIsometricBendMap:
+    """`bend_points` applies one isometry per crossing sequence."""
+
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_isometric_on_each_crossing_group(self, scenario_ctx, target):
+        zs = grid(12)
+        pts = bd.bend_points(scenario_ctx, zs, target)
+        dist = oracles.dist_h3 if target == bd.HYPERBOLIC else \
+            oracles.ads_spacelike_distance
+        groups = crossing_groups(scenario_ctx, zs)
+        assert len(groups) > 1
+        worst = 0.0
+        for idx in groups.values():
+            for k, i in enumerate(idx):
+                for j in idx[k + 1:]:
+                    worst = max(worst, abs(dist(pts[i], pts[j])
+                                           - iso.dist_h2(zs[i], zs[j])))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_uncrossed_points_map_by_inclusion(self, scenario_ctx, target):
+        # the grid of 12 x 12 points plus the base point itself
+        zs = grid(12) + [eq.BASE_POINT]
+        pts = bd.bend_points(scenario_ctx, zs, target)
+        include = bd.mink4_from_h2 if target == bd.HYPERBOLIC else \
+            iso.ads_embed
+        uncrossed = crossing_groups(scenario_ctx, zs)[()]
+        assert len(zs) - 1 in uncrossed
+        for i in uncrossed:
+            assert pts[i].tobytes() == include(zs[i]).tobytes()
+
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_one_disjointness_check_per_sequence(self, scenario_ctx, target,
+                                                 monkeypatch):
+        checked = []
+        check = lm.leaves_pairwise_disjoint
+        monkeypatch.setattr(lm, "leaves_pairwise_disjoint",
+                            lambda leaves: checked.append(leaves) or
+                            check(leaves))
+        zs = grid(12)
+        bd.bend_points(scenario_ctx, zs, target)
+        sequences = set(crossing_groups(scenario_ctx, zs)) - {()}
+        # the AdS pair checks each sequence once per component
+        assert len(checked) == len(sequences) * (1 if target == bd.HYPERBOLIC
+                                                 else 2)
+
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_matches_per_vertex_reference(self, scenario_ctx, target):
+        zs = grid(24)
+        pts = bd.bend_points(scenario_ctx, zs, target)
+        ref = oracles.bend_points_per_vertex(scenario_ctx, zs, target)
+        assert pts.shape == (len(zs),) + ref[0].shape
+        assert np.max(np.abs(pts - np.array(ref))) <= 1e-14
+
+
+class TestStackedMink4:
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(19)
+        zs = np.array([random_h2(rng) for _ in range(7)])
+        geo = iso.Geodesic(-0.3, 1.9)
+        a = iso.expm2(0.7j * geo.displacement_generator())
+        stack = bd.apply_psl2c(a, bd.mink4_from_h2(zs))
+        assert stack.shape == (7, 4)
+        for z, row in zip(zs, stack):
+            assert row.tobytes() == \
+                bd.apply_psl2c(a, bd.mink4_from_h2(z)).tobytes()

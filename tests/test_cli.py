@@ -9,6 +9,7 @@ import pytest
 from quakebend import cli
 from quakebend import earthquake as eq
 from quakebend import isometry as iso
+from quakebend import lamination as lm
 from quakebend import teich
 
 
@@ -395,6 +396,37 @@ class TestBendCommand:
         assert code == 0
         dim, vertices, faces = read_noff(mesh)
         assert dim == 4 and len(vertices) == 9 and len(faces) == 4
+
+    @pytest.mark.parametrize("target", ["hyperbolic", "ads"])
+    def test_mesh_matches_stream(self, tmp_path, capsys, target):
+        # nx = 4 columns by ny = 3 rows, so a swapped stride shows
+        argv = ["bend", str(SCENARIOS / "torus_multicurve.json"),
+                "--target", target, "--grid", "x=-1.2:1.2:4,y=0.4:2:3"]
+        code, recs = run(capsys, argv)
+        assert code == 0
+        streamed = [r["vertex"] for r in recs if "vertex" in r]
+        mesh = tmp_path / "bent.off"
+        code, recs = run(capsys, argv + ["--mesh-out", str(mesh)])
+        assert code == 0
+        assert recs[-1] == {"command": "bend", "mesh": str(mesh)}
+        dim, vertices, faces = read_noff(mesh)
+        assert dim == 4 and len(vertices) == 12
+        assert sorted(faces) == sorted(
+            [a, a + 1, a + 5, a + 4] for a in (0, 1, 2, 4, 5, 6))
+        lines = mesh.read_text().splitlines()
+        assert lines[3:15] == [" ".join(f"{c:.12g}" for c in v)
+                               for v in streamed]
+
+    @pytest.mark.parametrize("target", ["hyperbolic", "ads"])
+    def test_crossing_leaves_exit_3(self, capsys, monkeypatch, target):
+        # every crossing sequence goes through the disjointness check
+        monkeypatch.setattr(lm, "leaves_pairwise_disjoint",
+                            lambda leaves: False)
+        code = cli.main(["bend", str(SCENARIOS / "torus_multicurve.json"),
+                         "--target", target])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "crossing leaves in the lift family" in captured.err
 
     def test_spiraling_lifts_on_shear_sphere(self, tmp_path, capsys):
         # asymptotic lifts are not crossing leaves: the bend succeeds, and

@@ -7,12 +7,16 @@ stdout with ``golden/<case>.jsonl`` and its exit code with
 unchanged.  Regenerate the files only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --regen
+
+which prints the name of each file whose bytes changed and how many of
+its lines differ.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -97,14 +101,38 @@ def test_base_point_grid_hits_the_base_point_column():
                              for x in grid["x"]]
 
 
+def write_golden(path, text):
+    """Write `text` to `path`; if that changes the file's bytes, return
+    the report line "<file name>: <n> changed lines", n the number of
+    line positions at which the old and the new text differ."""
+    old = path.read_bytes().decode() if path.exists() else None
+    if old == text:
+        return None
+    path.write_text(text)
+    changed = sum(a != b for a, b in itertools.zip_longest(
+        (old or "").splitlines(), text.splitlines()))
+    return f"{path.name}: {changed} changed lines"
+
+
+def test_regen_reports_changed_files(tmp_path):
+    path = tmp_path / "case.jsonl"
+    assert write_golden(path, "a\nb\n") == "case.jsonl: 2 changed lines"
+    assert write_golden(path, "a\nb\n") is None
+    assert write_golden(path, "a\nc\nd\n") == "case.jsonl: 2 changed lines"
+    assert path.read_text() == "a\nc\nd\n"
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
+    files = {}
     for name, argv in sorted(CASES.items()):
-        stdout, codes[name] = run_case(argv)
-        (GOLDEN / f"{name}.jsonl").write_text(stdout)
-    (GOLDEN / "exit_codes.json").write_text(
-        json.dumps(codes, indent=1, sort_keys=True) + "\n")
+        files[f"{name}.jsonl"], codes[name] = run_case(argv)
+    files["exit_codes.json"] = json.dumps(codes, indent=1, sort_keys=True) + "\n"
+    for name, text in files.items():
+        report = write_golden(GOLDEN / name, text)
+        if report:
+            print(report)
 
 
 if __name__ == "__main__":
