@@ -92,9 +92,9 @@ def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None):
     return BendContext(fam, target), h
 
 
-def bend_points(ctx: BendContext, zs, target):
-    """The bent images B(x0, z) . z of the points zs in `target`: an
-    (n, 4) array of unit timelike Minkowski-4 vectors in H3, an
+def bend_points(ctx: BendContext, zs):
+    """The bent images B(x0, z) . z of the points zs in the target of
+    `ctx`: an (n, 4) array of unit timelike Minkowski-4 vectors in H3, an
     (n, 2, 2) array of matrices in AdS.
 
     The bent map is piecewise isometric: B(x0, z) depends only on the
@@ -107,7 +107,7 @@ def bend_points(ctx: BendContext, zs, target):
     global post-composition freedom.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    hyp = target == HYPERBOLIC
+    hyp = ctx.target == HYPERBOLIC
     out = mink4_from_h2(zs) if hyp else iso.ads_embed(zs)
     groups = {}
     crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
@@ -135,26 +135,18 @@ def bend_cocycle_hyp_from_lifts(lifts):
 
 
 def bend_map_hyp(ctx: BendContext, x):
-    """F(x) = B(x0, x) . x, a point of H3: `bend_points` at one point."""
-    return bend_points(ctx, [x], HYPERBOLIC)[0]
+    """F(x) = B(x0, x) . x, a point of H3: `bend_points` at one point of
+    a hyperbolic context."""
+    if ctx.target != HYPERBOLIC:
+        raise DomainError("bend_map_hyp needs a hyperbolic context")
+    return bend_points(ctx, [x])[0]
 
 
 def hyp_holonomy(point, lam, depth=8, pd=None):
-    """h_H(gamma) = B(x0, gamma x0) gamma in PSL(2, C).
-
-    Returns the deformed holonomy with meta['converged'] flagging lift
-    convergence; the empty lamination reproduces the Fuchsian inclusion.
-    """
-    def deform(m, leaves):
-        b = bend_cocycle_hyp_from_lifts(leaves)
-        return iso.normalize(b @ m.astype(complex))
-
-    h, letters, converged = eq.deform_letters(
-        point, lam, deform, include=lambda m: m.astype(complex),
-        depth=depth, pd=pd)
-    out = h.map(lambda name, _: letters[name])
-    out.meta["converged"] = converged
-    return out
+    """h_H(gamma) = B(x0, gamma x0) gamma in PSL(2, C), the deformed
+    holonomy at c = i with meta['converged']; the empty lamination
+    gives the Fuchsian inclusion."""
+    return eq.deformed_holonomies(point, lam, (1j,), depth, pd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +166,14 @@ def bend_cocycle_ads_from_lifts(lifts):
 
 def bend_map_ads(ctx: BendContext, x):
     """phi_lambda(x) = B(x0, x) . x on the embedded copy of H2 in X_{-1}:
-    `bend_points` at one point."""
-    return bend_points(ctx, [x], ADS)[0]
+    `bend_points` at one point of an AdS context."""
+    if ctx.target != ADS:
+        raise DomainError("bend_map_ads needs an AdS context")
+    return bend_points(ctx, [x])[0]
 
 
 def ads_holonomy(point, lam, depth=8, pd=None):
-    """(h_L, h_R): the PSL(2,R) x PSL(2,R) holonomy of the AdS spacetime.
-
-    h_L is conjugate to the left-earthquake holonomy of (F, lam) and
-    h_R to the right one; both carry meta['converged'].
-    """
-    def deform(m, leaves):
-        return tuple(iso.normalize(b @ m) for b in
-                     bend_cocycle_ads_from_lifts(leaves))
-
-    h, pairs, converged = eq.deform_letters(
-        point, lam, deform, include=lambda m: (m, m), depth=depth, pd=pd)
-    out_l = h.map(lambda name, _: pairs[name][0])
-    out_r = h.map(lambda name, _: pairs[name][1])
-    out_l.meta["converged"] = out_r.meta["converged"] = converged
-    return out_l, out_r
+    """(h_L, h_R): the PSL(2,R) x PSL(2,R) holonomy of the AdS spacetime,
+    the deformed holonomies at c = (+1, -1), conjugate to the left and
+    right earthquake holonomies of (F, lam); both carry meta['converged']."""
+    return tuple(eq.deformed_holonomies(point, lam, (1.0, -1.0), depth, pd))

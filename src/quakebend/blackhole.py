@@ -280,21 +280,6 @@ def extremal_meridians(rectangles):
                                                          repeat=k)]
 
 
-def meridian_vertex_records(rectangles, choice: MeridianChoice):
-    """Vertex sequences of the chosen arcs (for the CLI output)."""
-    out = []
-    idx = 0
-    for r in rectangles:
-        if r.degenerate:
-            out.append({"degenerate": True})
-            continue
-        out.append({"degenerate": False,
-                    "side": choice.choices[idx],
-                    "vertices": r.vertices})
-        idx += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # BTZ metric
 # ---------------------------------------------------------------------------

@@ -215,8 +215,7 @@ def cmd_bend(args):
     data, point, pd, lam = _load_laminated(args)
     ctx, _ = bd.make_context(point, lam, depth=args.depth, target=args.target,
                              pd=pd)
-    points = bd.bend_points(ctx, [complex(xv, yv) for yv in ys for xv in xs],
-                            args.target)
+    points = bd.bend_points(ctx, [complex(xv, yv) for yv in ys for xv in xs])
     # Minkowski-4 points, or 2x2 matrices flattened row by row
     vertices = points.reshape(len(points), 4).tolist()
     emit({"command": "bend", "target": args.target,
@@ -236,14 +235,15 @@ def cmd_wick(args):
     a0 = args.alpha0
     chart = sp.chart_metric("wick", a0)
     worst = 0.0
+    images = []
     for T in grid["T"]:
         for u in grid["u"]:
             for z in grid["zeta"]:
                 p = sp.LocalPoint(float(T), float(u), float(z), a0)
-                v = sp.wick_rotate(p)
                 g = sp.wick_metric(p).components
+                images.append([float(c) for c in sp.wick_rotate(p)])
                 rec = {"command": "wick", "T": float(T), "u": float(u),
-                       "zeta": float(z), "image": [float(c) for c in v],
+                       "zeta": float(z), "image": images[-1],
                        "metric": [[float(c) for c in row] for row in g]}
                 # the chart is only C^{1,1} on the seams: curvature is
                 # reported away from them
@@ -256,13 +256,11 @@ def cmd_wick(args):
                 emit(rec)
     emit({"command": "wick", "max_curvature_residual": worst})
     if args.mesh_out:
-        us = grid["u"]
-        zs = grid["zeta"]
-        T = float(grid["T"][0])
-        vertices = [list(sp.wick_rotate(sp.LocalPoint(T, float(u), float(z), a0)))
-                    for u in us for z in zs]
-        write_mesh(args.mesh_out, vertices, grid_faces(len(us), len(zs)))
-        emit({"command": "wick", "mesh": args.mesh_out, "level": T})
+        # the first level T[0] is the first len(u) * len(zeta) images
+        nu, nz = len(grid["u"]), len(grid["zeta"])
+        write_mesh(args.mesh_out, images[:nu * nz], grid_faces(nu, nz))
+        emit({"command": "wick", "mesh": args.mesh_out,
+              "level": float(grid["T"][0])})
 
 
 def cmd_btz(args):
@@ -299,15 +297,16 @@ def cmd_blackhole(args):
     meridians = bh.extremal_meridians(rects)
     emit({"command": "blackhole", "meridians": len(meridians)})
     for n, choice in enumerate(meridians):
-        recs = bh.meridian_vertex_records(rects, choice)
+        # one side per non-degenerate rectangle, in order
+        sides = iter(choice.choices)
         emit({"command": "blackhole", "meridian": n,
               "future_core": choice.is_future_convex_core_boundary,
               "past_core": choice.is_past_convex_core_boundary,
               "arcs": [
-                  {"degenerate": True} if r["degenerate"] else
-                  {"side": r["side"],
-                   "vertices": [[_num(a), _num(b)] for a, b in r["vertices"]]}
-                  for r in recs]})
+                  {"degenerate": True} if r.degenerate else
+                  {"side": next(sides),
+                   "vertices": [[_num(a), _num(b)] for a, b in r.vertices]}
+                  for r in rects]})
 
 
 # ---------------------------------------------------------------------------

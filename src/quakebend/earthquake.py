@@ -10,9 +10,9 @@ on its left (the sign convention the cross-oracle tests calibrate
 against the twist rule of the holonomy builder) and halves the weight
 of a leaf through a segment endpoint.
 
-Every deformed holonomy of the package (quake, H3 and AdS bending, the
-flat translation part) is gamma -> B(x0, gamma x0) gamma at the one base
-point ``BASE_POINT``, built by ``deform_letters``.
+Every deformed holonomy is gamma -> B(x0, gamma x0) gamma at the base
+point ``BASE_POINT``: ``deformed_holonomies`` at the c above, over the
+leaves ``deform_letters`` finds; a letter crossing none stays undeformed.
 """
 
 from __future__ import annotations
@@ -98,46 +98,42 @@ def quake_cocycle(lifts, side):
     return cocycle_product(lifts, _side_sign(side))
 
 
-def deform_letters(point, lam, deform, include=lambda m: m, depth=8,
-                   pd=None):
-    """The per-letter pass of every deformed holonomy,
-    gamma -> B(x0, gamma x0) gamma.
-
-    Realizes `lam` on the holonomy h of `point` (an FNPoint with its
-    decomposition `pd`, or a ShearPoint) to the given lift depth.  For
-    each alphabet letter m, with y = m x0 and x0 = BASE_POINT, the
-    letter becomes `deform(m, leaves)`, `leaves` the lifts crossing
-    [x0, y] as one `LiftFamily.crossings_from` query at x0 returns them
-    for all letters; a base point on a weighted leaf raises
-    BasePointOnLeafError.  An empty lamination
-    leaves every letter undeformed: `include(m)` puts it in the target
-    group.  Returns (h, {letter: deformed letter}, converged), the flag
-    the AND of the per-letter depth-convergence flags.
-    """
+def deform_letters(point, lam, depth=8, pd=None):
+    """(h, {letter: leaves}, converged): the holonomy h of `point` (an
+    FNPoint over `pd`, or a ShearPoint) and, per alphabet letter m, the
+    leaves of `lam` realized to the given lift depth that cross
+    [x0, m x0], x0 = BASE_POINT, from one `LiftFamily.crossings_from`
+    query at x0 (a base point on a weighted leaf raises
+    BasePointOnLeafError); converged ANDs the per-letter flags."""
     h = teich.holonomy_of(point, pd)
     fam = lm.LiftFamily(lam, h, depth=depth)
-    if fam.empty:
-        return h, {name: include(m) for name, m in h.alphabet.items()}, True
     ys = [iso.apply_h2(m, BASE_POINT) for m in h.alphabet.values()]
     crossed = fam.crossings_from(BASE_POINT, ys)
-    letters = {name: deform(m, leaves) for (name, m), (leaves, _)
-               in zip(h.alphabet.items(), crossed)}
-    return h, letters, all(ok for _, ok in crossed)
+    leaves = {name: lv for name, (lv, _) in zip(h.alphabet, crossed)}
+    return h, leaves, all(ok for _, ok in crossed)
+
+
+def deformed_holonomies(point, lam, coefficients, depth=8, pd=None):
+    """gamma -> B(x0, gamma x0) gamma for each c in `coefficients`, B the
+    `cocycle_product` at c of the leaves `deform_letters` finds, each
+    holonomy with meta['converged'].  The letters are complex exactly
+    when c is; one that crosses no leaf (every letter of an empty
+    lamination) stays undeformed: the inclusion into the target group."""
+    h, crossed, converged = deform_letters(point, lam, depth, pd)
+    h.meta["converged"] = converged
+
+    def deformed(c):
+        dt = complex if np.iscomplexobj(c) else float
+        return h.map(lambda name, m: iso.normalize(
+            cocycle_product(crossed[name], c).astype(dt) @ m.astype(dt))
+            if crossed[name] else m.astype(dt))
+    return [deformed(c) for c in coefficients]
 
 
 def quake_holonomy(point, lam, side, depth=8, pd=None):
-    """Deformed holonomy gamma -> B(x0, gamma x0) gamma.
-
-    `point` is an FNPoint (with its decomposition) or a ShearPoint; the
-    result carries meta['converged'] reporting lift-depth convergence.
-    """
-    def deform(m, leaves):
-        return iso.normalize(quake_cocycle(leaves, side) @ m)
-
-    h, letters, converged = deform_letters(point, lam, deform, depth=depth, pd=pd)
-    out = h.map(lambda name, _: letters[name])
-    out.meta["converged"] = converged
-    return out
+    """The `side` quake holonomy gamma -> B(x0, gamma x0) gamma of an
+    FNPoint (over `pd`) or a ShearPoint, with meta['converged']."""
+    return deformed_holonomies(point, lam, (_side_sign(side),), depth, pd)[0]
 
 
 # ---------------------------------------------------------------------------

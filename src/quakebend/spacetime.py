@@ -393,17 +393,14 @@ def translation_part(fam: lm.LiftFamily, x0, y):
 def flat_holonomy(point, lam, depth=8, pd=None):
     """Affine holonomy letter map of the flat spacetime of (F, lambda).
 
-    Returns (letters, converged): letters maps each alphabet letter of
-    the underlying holonomy to an AffineIsom3; words compose through
+    Returns (letters, converged): letters maps each alphabet letter m
+    to the AffineIsom3 of m and the `_normal_sum` of the leaves that
+    `deform_letters` finds on [x0, m x0]; words compose through
     AffineIsom3.compose.
     """
-    def deform(m, leaves):
-        return AffineIsom3(iso.psl2r_to_so21(m), _normal_sum(leaves))
-
-    _, letters, converged = eq.deform_letters(
-        point, lam, deform, include=lambda m: deform(m, []),
-        depth=depth, pd=pd)
-    return letters, converged
+    h, crossed, converged = eq.deform_letters(point, lam, depth, pd)
+    return {name: AffineIsom3(iso.psl2r_to_so21(m), _normal_sum(crossed[name]))
+            for name, m in h.alphabet.items()}, converged
 
 
 def affine_word(letters, word):

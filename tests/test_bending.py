@@ -10,6 +10,7 @@ from quakebend import teich
 from quakebend import lamination as lm
 from quakebend import earthquake as eq
 from quakebend import bending as bd
+from quakebend.errors import DomainError
 
 import oracles
 
@@ -371,13 +372,14 @@ SCENARIO_NAMES = ("torus_multicurve", "torus_flow", "sphere_shear",
 
 @pytest.fixture(scope="module", params=SCENARIO_NAMES)
 def scenario_ctx(request):
-    """The bending context `bend` builds (depth 8) for a checked-in
-    scenario; `bend_points` takes the target separately."""
+    """The bending contexts `bend` builds (depth 8) for a checked-in
+    scenario, one per target, sharing one lift family."""
     data = scenario.load(SCENARIOS / f"{request.param}.json")
     point, pd = scenario.surface_point(data)
     ctx, _ = bd.make_context(point, scenario.lamination(data, point),
                              depth=8, pd=pd)
-    return ctx
+    return {target: bd.BendContext(ctx.family, target)
+            for target in (bd.HYPERBOLIC, bd.ADS)}
 
 
 def grid(n):
@@ -403,10 +405,10 @@ class TestPiecewiseIsometricBendMap:
     @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
     def test_isometric_on_each_crossing_group(self, scenario_ctx, target):
         zs = grid(12)
-        pts = bd.bend_points(scenario_ctx, zs, target)
+        pts = bd.bend_points(scenario_ctx[target], zs)
         dist = oracles.dist_h3 if target == bd.HYPERBOLIC else \
             oracles.ads_spacelike_distance
-        groups = crossing_groups(scenario_ctx, zs)
+        groups = crossing_groups(scenario_ctx[target], zs)
         assert len(groups) > 1
         worst = 0.0
         for idx in groups.values():
@@ -420,10 +422,10 @@ class TestPiecewiseIsometricBendMap:
     def test_uncrossed_points_map_by_inclusion(self, scenario_ctx, target):
         # the grid of 12 x 12 points plus the base point itself
         zs = grid(12) + [eq.BASE_POINT]
-        pts = bd.bend_points(scenario_ctx, zs, target)
+        pts = bd.bend_points(scenario_ctx[target], zs)
         include = bd.mink4_from_h2 if target == bd.HYPERBOLIC else \
             iso.ads_embed
-        uncrossed = crossing_groups(scenario_ctx, zs)[()]
+        uncrossed = crossing_groups(scenario_ctx[target], zs)[()]
         assert len(zs) - 1 in uncrossed
         for i in uncrossed:
             assert pts[i].tobytes() == include(zs[i]).tobytes()
@@ -437,8 +439,8 @@ class TestPiecewiseIsometricBendMap:
                             lambda leaves: checked.append(leaves) or
                             check(leaves))
         zs = grid(12)
-        bd.bend_points(scenario_ctx, zs, target)
-        sequences = set(crossing_groups(scenario_ctx, zs)) - {()}
+        bd.bend_points(scenario_ctx[target], zs)
+        sequences = set(crossing_groups(scenario_ctx[target], zs)) - {()}
         # the AdS pair checks each sequence once per component
         assert len(checked) == len(sequences) * (1 if target == bd.HYPERBOLIC
                                                  else 2)
@@ -446,10 +448,34 @@ class TestPiecewiseIsometricBendMap:
     @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
     def test_matches_per_vertex_reference(self, scenario_ctx, target):
         zs = grid(24)
-        pts = bd.bend_points(scenario_ctx, zs, target)
-        ref = oracles.bend_points_per_vertex(scenario_ctx, zs, target)
+        pts = bd.bend_points(scenario_ctx[target], zs)
+        ref = oracles.bend_points_per_vertex(scenario_ctx[target], zs, target)
         assert pts.shape == (len(zs),) + ref[0].shape
         assert np.max(np.abs(pts - np.array(ref))) <= 1e-14
+
+
+class TestTargetFromContext:
+    """The bent maps take their target from the context, which checks it."""
+
+    def test_unknown_target_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            bd.make_context(FN, lm.MultiCurveLam((0.6,)), depth=4,
+                            target="hyperbolc", pd=PD)
+
+    @pytest.mark.parametrize("target,shape", [(bd.HYPERBOLIC, (4,)),
+                                              (bd.ADS, (2, 2))])
+    def test_points_in_the_context_target(self, target, shape):
+        ctx, _ = bd.make_context(FN, lm.MultiCurveLam((0.6,)), depth=4,
+                                 target=target, pd=PD)
+        assert bd.bend_points(ctx, grid(3)).shape == (9,) + shape
+
+    def test_one_point_maps_check_the_target(self):
+        for target, other in ((bd.HYPERBOLIC, bd.bend_map_ads),
+                              (bd.ADS, bd.bend_map_hyp)):
+            ctx, _ = bd.make_context(FN, lm.MultiCurveLam((0.6,)), depth=4,
+                                     target=target, pd=PD)
+            with pytest.raises(DomainError):
+                other(ctx, 0.5 + 1j)
 
 
 class TestStackedMink4:

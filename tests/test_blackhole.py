@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -11,12 +12,13 @@ from quakebend import bending as bd
 from quakebend import blackhole as bh
 from quakebend import curvature as cv
 from quakebend import scenario
+from quakebend import cli
 from quakebend.errors import DomainError
 
 PD = teich.PantDecomposition.once_punctured_torus()
 FN = teich.FNPoint((1.5,), (2.0,), (0.3,))
-SPHERE_SHEAR = str(Path(__file__).resolve().parent.parent / "scripts"
-                   / "scenarios" / "sphere_shear.json")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+SPHERE_SHEAR = str(SCENARIOS / "sphere_shear.json")
 
 
 def hyperbolic_of_length(l, conj=None):
@@ -317,12 +319,25 @@ class TestMeridians:
         ms = bh.extremal_meridians(self.make_rects(0, deg=2))
         assert len(ms) == 1
 
-    def test_vertex_records(self):
-        rects = self.make_rects(1, deg=1)
-        ms = bh.extremal_meridians(rects)
-        rec = bh.meridian_vertex_records(rects, ms[0])
-        assert rec[0]["side"] in (bh.LOWER, bh.UPPER)
-        assert rec[1]["degenerate"]
+    def test_vertex_records(self, tmp_path, capsys):
+        # the arcs `blackhole` prints, one per puncture, on the torus
+        # with two boundaries with one puncture made a cusp (the boundary
+        # lengths come first in "l")
+        data = json.loads((SCENARIOS / "torus_two_boundary.json").read_text())
+        path = tmp_path / "cusp.json"
+        for cusp in (0, 1):
+            data["fn"]["l"] = [0.0 if i == cusp else 1.0 for i in (0, 1)] \
+                + [1.0, 1.2]
+            path.write_text(json.dumps(data))
+            assert cli.main(["blackhole", str(path), "--depth", "6"]) == 0
+            recs = [json.loads(line)
+                    for line in capsys.readouterr().out.splitlines()]
+            arcs = [r["arcs"] for r in recs if "meridian" in r]
+            assert len(arcs) == 2
+            for arc, side in zip(arcs, (bh.LOWER, bh.UPPER)):
+                assert arc[cusp] == {"degenerate": True}
+                assert arc[1 - cusp]["side"] == side
+                assert len(arc[1 - cusp]["vertices"]) == 2
 
 
 class TestSizeMomentumVsEarthquake:

@@ -379,11 +379,16 @@ class TestWickCommand:
     def test_mesh_output(self, tmp_path, capsys):
         mesh = tmp_path / "level.off"
         code, recs = run(capsys, ["wick", "--grid",
-                                  "T=1.5:1.5:1,u=0:1:3,zeta=-0.5:0.5:3",
+                                  "T=1.5:2.5:2,u=0:1:3,zeta=-0.5:0.5:3",
                                   "--mesh-out", str(mesh)])
         assert code == 0
+        assert recs[-1] == {"command": "wick", "mesh": str(mesh), "level": 1.5}
         dim, vertices, faces = read_noff(mesh)
         assert dim == 4 and len(vertices) == 9 and len(faces) == 4
+        # the mesh is the first level, T = 1.5, in the streamed order
+        lines = mesh.read_text().splitlines()
+        assert lines[3:12] == [" ".join(f"{c:.12g}" for c in r["image"])
+                               for r in recs if r.get("T") == 1.5]
 
 
 class TestBendCommand:

@@ -187,3 +187,48 @@ def test_base_point_on_leaf_raises(monkeypatch, tmp_path):
         "fn": {"l": [1.0, 2.0], "t": [0.3]},
         "lamination": {"family": "multicurve", "weights": [0.5]}}))
     assert cli.main(["quake", str(path), "--depth", "6"]) == cli.EXIT_DOMAIN
+
+
+# ---------------------------------------------------------------------------
+# the inclusion: a letter that crosses no leaf stays undeformed
+# ---------------------------------------------------------------------------
+
+FN = teich.FNPoint((1.0,), (2.0,), (0.3,))
+# quake left and right, H3, AdS left and right
+DTYPES = (float, float, complex, float, float)
+
+
+def deformed(lam):
+    """The quake, H3 and AdS holonomies and the flat letters of the FN
+    torus under `lam`, depth 8."""
+    hols = [eq.quake_holonomy(FN, lam, side, depth=8, pd=PD)
+            for side in (eq.LEFT, eq.RIGHT)]
+    hols.append(bd.hyp_holonomy(FN, lam, depth=8, pd=PD))
+    hols.extend(bd.ads_holonomy(FN, lam, depth=8, pd=PD))
+    return hols, sp.flat_holonomy(FN, lam, depth=8, pd=PD)
+
+
+def test_uncrossed_letters_are_the_inclusion():
+    lam = lm.MultiCurveLam((0.5,))
+    h0 = teich.holonomy_from_fn(PD, FN)
+    _, crossed, _ = eq.deform_letters(FN, lam, depth=8, pd=PD)
+    assert not crossed["z0"] and not crossed["C0"] and crossed["b0"]
+    hols, (letters, _) = deformed(lam)
+    for h, dt in zip(hols, DTYPES):
+        for name in ("z0", "C0"):
+            assert same_bits(h.alphabet[name], h0.alphabet[name].astype(dt))
+        assert not iso.proj_equal(h.alphabet["b0"], h0.alphabet["b0"])
+    for name in ("z0", "C0"):
+        assert not np.any(letters[name].translation)
+    assert np.any(letters["b0"].translation)
+
+
+def test_zero_weights_give_the_undeformed_holonomy():
+    h0 = teich.holonomy_from_fn(PD, FN)
+    hols, (letters, ok) = deformed(lm.MultiCurveLam((0.0,)))
+    for h, dt in zip(hols, DTYPES):
+        assert h.meta["converged"] is True
+        for name, m in h0.alphabet.items():
+            assert same_bits(h.alphabet[name], m.astype(dt)), name
+    assert ok is True
+    assert not any(np.any(g.translation) for g in letters.values())

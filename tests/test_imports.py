@@ -8,7 +8,7 @@
   perfbench/ outside its own definition, or is on `UNREACHED` with the
   ROADMAP direction that will wire it.
 * Every (owner, attribute) that perfbench/spans.py patches by name
-  exists.
+  exists, and the benchmark's job lists build.
 """
 
 import ast
@@ -147,3 +147,20 @@ def test_perfbench_patched_names_exist(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import spans
     spans.Tracer()
+
+
+@pytest.mark.parametrize("workload", ["bend_grid", "deep_words",
+                                      "metric_oracle"])
+def test_perfbench_jobs_build(workload, tmp_path, monkeypatch):
+    # set-up only, nothing timed: the library calls the job lists make
+    # (holonomies, lift families, translation parts, bend contexts)
+    # still fit the signatures of src/
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import jobs
+    round_ = jobs.build(workload, 1, tmp_path)
+    assert round_
+    if workload == "bend_grid":
+        for target in ("hyperbolic", "ads"):
+            job = next(j for j in round_ if j.expect["target"] == target)
+            ends_minus, ends_plus, weights = jobs._leaves(job.argv[1], target)
+            assert len(ends_minus) == len(ends_plus) == len(weights) > 0
