@@ -42,8 +42,12 @@ def _jsonable(v):
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
+# the encoder json.dumps(record, sort_keys=True, default=_jsonable) builds
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_jsonable)
+
+
 def emit(record):
-    sys.stdout.write(json.dumps(record, sort_keys=True, default=_jsonable) + "\n")
+    sys.stdout.write(_ENCODER.encode(record) + "\n")
 
 
 def _load_surface(args):
@@ -234,26 +238,45 @@ def cmd_wick(args):
         "zeta": np.linspace(-0.8, 1.2, 5)}
     a0 = args.alpha0
     chart = sp.chart_metric("wick", a0)
+    # the records up to the first point that fails, and its exception
+    recs, images, fitted, error = [], [], {}, None
+    try:
+        for T in grid["T"]:
+            for u in grid["u"]:
+                for z in grid["zeta"]:
+                    p = sp.LocalPoint(float(T), float(u), float(z), a0)
+                    g = sp.wick_metric(p).components
+                    images.append([float(c) for c in sp.wick_rotate(p)])
+                    recs.append({"command": "wick", "T": float(T),
+                                 "u": float(u), "zeta": float(z),
+                                 "image": images[-1],
+                                 "metric": [[float(c) for c in row]
+                                            for row in g]})
+                    # the chart is only C^{1,1} on the seams: curvature is
+                    # reported away from them
+                    if min(abs(z), abs(z - a0 / T)) > 0.05:
+                        fitted[len(recs) - 1] = (T, z, u)
+    except Exception as exc:
+        error = exc
+    try:
+        fits = dict(zip(fitted, cv.constant_curvature_fits(
+            chart, list(fitted.values()))))
+    except Exception:
+        # a stencil fails, say by leaving the domain: fit point by point,
+        # so that the records before the failing point go out and its
+        # exception is raised
+        fits = None
     worst = 0.0
-    images = []
-    for T in grid["T"]:
-        for u in grid["u"]:
-            for z in grid["zeta"]:
-                p = sp.LocalPoint(float(T), float(u), float(z), a0)
-                g = sp.wick_metric(p).components
-                images.append([float(c) for c in sp.wick_rotate(p)])
-                rec = {"command": "wick", "T": float(T), "u": float(u),
-                       "zeta": float(z), "image": images[-1],
-                       "metric": [[float(c) for c in row] for row in g]}
-                # the chart is only C^{1,1} on the seams: curvature is
-                # reported away from them
-                seam_dist = min(abs(z), abs(z - a0 / T))
-                if seam_dist > 0.05:
-                    kappa, _ = cv.constant_curvature_fit(chart, (T, z, u))
-                    worst = max(worst, abs(kappa + 1.0))
-                    rec["curvature"] = float(kappa)
-                    rec["curvature_residual"] = float(abs(kappa + 1.0))
-                emit(rec)
+    for i, rec in enumerate(recs):
+        if i in fitted:
+            kappa, _ = (cv.constant_curvature_fit(chart, fitted[i])
+                        if fits is None else fits[i])
+            worst = max(worst, abs(kappa + 1.0))
+            rec["curvature"] = float(kappa)
+            rec["curvature_residual"] = float(abs(kappa + 1.0))
+        emit(rec)
+    if error is not None:
+        raise error
     emit({"command": "wick", "max_curvature_residual": worst})
     if args.mesh_out:
         # the first level T[0] is the first len(u) * len(zeta) images
@@ -347,10 +370,9 @@ CHART_SUITES = {
 
 def _verify_chart(suite, tol):
     kind, kappa_want, points = CHART_SUITES[suite]
-    metric = sp.chart_metric(kind)
     worst = 0.0
-    for x in points:
-        kappa, resid = cv.constant_curvature_fit(metric, x)
+    for kappa, resid in cv.constant_curvature_fits(sp.chart_metric(kind),
+                                                   points):
         worst = max(worst, abs(kappa - kappa_want), resid)
     return worst, tol if tol is not None else 1e-4
 

@@ -23,8 +23,9 @@ any chart where |dT|_h = -1; the universal function pairs are
 (1/(1+T^2), 1/(1+T^2)^2) to anti-de Sitter (any T > 0).
 
 `chart_metric` gives these metrics as raw functions (T, zeta, u) ->
-ndarray for the curvature oracle; the public metric functions return
-the same components checked once as a `MetricSample`.
+ndarray for the curvature oracle, also over an (N, 3) stack of points;
+the public metric functions return the same components checked once as
+a `MetricSample`.
 
 The flat translation part of (F, lambda) is the derivative of the quake
 cocycle in the weights: each crossed leaf adds its weight times its unit
@@ -100,6 +101,28 @@ class MetricSample:
 # chart metrics: raw components, one flat chart and one rescaling step
 # ---------------------------------------------------------------------------
 
+def _by_value(f, v):
+    """f (a function of one float) over the array v, called once per
+    distinct value: numpy's own cosh and its array ** 2 (that is, v * v)
+    are not libm's cosh and pow, and differ in the last bit."""
+    levels, at = np.unique(v, return_inverse=True)
+    return np.array([f(w) for w in levels.tolist()])[at]
+
+
+def _cosh2(x):
+    """cosh(x) ** 2 by libm, for a float or elementwise over an array."""
+    if isinstance(x, np.ndarray):
+        return _by_value(_cosh2, x)
+    return math.cosh(x) ** 2
+
+
+def _pow2(x):
+    """x ** 2 by libm's pow, for a float or elementwise over an array."""
+    if isinstance(x, np.ndarray):
+        return _by_value(_pow2, x)
+    return x ** 2
+
+
 def wick_functions(T):
     if T <= 1.0:
         raise DomainError("the Wick rotation needs T > 1")
@@ -126,42 +149,89 @@ _RESCALINGS = {"flat": (lambda T: (1.0, 1.0), "lorentzian"),
                "ads": (ads_functions, "lorentzian")}
 
 
+# the flat chart per regime: (g_TT, g_Tzeta, g_zetazeta, g_uu) at one
+# point (floats) or at the rows of that regime (arrays)
+
+def _wing(T, z, alpha0):
+    return -1.0, 0.0, T * T, T * T * _cosh2(z)
+
+
+def _band(T, z, alpha0):
+    return -1.0 + z * z, T * z, T * T, T * T
+
+
+def _rotated_wing(T, z, alpha0):
+    a = alpha0 / T
+    return -1.0 + _pow2(a), alpha0, T * T, T * T * _cosh2(z - a)
+
+
+_REGIMES = {1: _wing, 2: _band, 3: _rotated_wing}
+
+
+def _chart_point(kind, alpha0, T, z):
+    """The `kind` metric at the point (T, z) of the model of weight alpha0."""
+    if T <= 0:
+        raise DomainError("cosmological time must be positive")
+    functions, signature = _RESCALINGS[kind]
+    g00, g01, g11, g22 = _REGIMES[regime(T, z, alpha0)](T, z, alpha0)
+    alpha, beta = functions(T)
+    # alpha times every flat component, its zeros too, as the stack has it
+    g01, zero = alpha * g01, alpha * 0.0
+    return np.array([
+        [alpha * g00 + (alpha + beta if signature == "riemannian"
+                        else alpha - beta), g01, zero],
+        [g01, alpha * g11, zero],
+        [zero, zero, alpha * g22]])
+
+
+def _chart_stack(kind, alpha0, xs):
+    """The `kind` metric at the rows (T, z, ...) of xs, as _chart_point
+    gives it row by row."""
+    T, z = xs[:, 0], xs[:, 1]
+    functions, signature = _RESCALINGS[kind]
+    try:
+        if np.any(T <= 0):
+            raise DomainError("cosmological time must be positive")
+        # the universal functions depend on T alone
+        alpha, beta = _by_value(functions, T).T
+    except DomainError:
+        for x in xs:
+            _chart_point(kind, alpha0, x[0], x[1])  # raises at the first row
+    wing = z < 0
+    band = ~wing if alpha0 == INF else ~wing & (z <= alpha0 / T)
+    g = np.zeros((len(xs), 3, 3))
+    for reg, rows in ((1, wing), (2, band), (3, ~(wing | band))):
+        if rows.any():
+            g00, g01, g11, g22 = _REGIMES[reg](T[rows], z[rows], alpha0)
+            g[rows, 0, 0], g[rows, 1, 1], g[rows, 2, 2] = g00, g11, g22
+            g[rows, 0, 1] = g[rows, 1, 0] = g01
+    g *= alpha[:, None, None]
+    g[:, 0, 0] += alpha + beta if signature == "riemannian" else alpha - beta
+    return g
+
+
 def chart_metric(kind, alpha0=1.0):
     """The `kind` metric ('flat', 'wick', 'ds' or 'ads') of the model of
-    weight alpha0 as a raw function x = (T, zeta, u) -> (3, 3) ndarray,
-    the form the curvature oracle evaluates: only the domain checks of T
-    run per call (that of alpha0 runs once, here)."""
+    weight alpha0 as a raw function, the form the curvature oracle
+    evaluates: a point x = (T, zeta, u) gives the (3, 3) ndarray, an
+    (N, 3) ndarray of points the (N, 3, 3) stack, bitwise equal to the
+    pointwise calls.  Only the domain checks of T run per call (that of
+    alpha0 runs once, here); a stack out of the domain raises the error
+    of its first such row."""
     if not (alpha0 > 0):
         raise DomainError("the model weight must be positive (inf allowed)")
-    functions, signature = _RESCALINGS[kind]
 
     def metric(x):
-        T, z = x[0], x[1]
-        if T <= 0:
-            raise DomainError("cosmological time must be positive")
-        reg = regime(T, z, alpha0)
-        if reg == 1:
-            g = np.diag([-1.0, T * T, T * T * math.cosh(z) ** 2])
-        elif reg == 2:
-            g = np.array([[-1.0 + z * z, T * z, 0.0],
-                          [T * z, T * T, 0.0],
-                          [0.0, 0.0, T * T]])
-        else:
-            zp = z - alpha0 / T
-            g = np.array([[-1.0 + (alpha0 / T) ** 2, alpha0, 0.0],
-                          [alpha0, T * T, 0.0],
-                          [0.0, 0.0, T * T * math.cosh(zp) ** 2]])
-        alpha, beta = functions(T)
-        g = alpha * g
-        g[0, 0] += alpha + beta if signature == "riemannian" else alpha - beta
-        return g
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            return _chart_stack(kind, alpha0, x)
+        return _chart_point(kind, alpha0, x[0], x[1])
 
     return metric
 
 
 def _sample(kind, p: LocalPoint):
     """The `kind` metric at p, checked once."""
-    return MetricSample(chart_metric(kind, p.alpha0)((p.T, p.zeta, p.u)),
+    return MetricSample(_chart_point(kind, p.alpha0, p.T, p.zeta),
                         _RESCALINGS[kind][1])
 
 

@@ -391,6 +391,44 @@ class TestWickCommand:
                                for r in recs if r.get("T") == 1.5]
 
 
+class TestWickErrorStreams:
+    """A grid point that fails ends the stream: the records of the points
+    before it go out whole (curvature included), then its error, exit 3."""
+
+    def stream(self, capsys, grid):
+        code = cli.main(["wick", "--grid", grid])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("grid,good,message", [
+        # the second point's curvature stencil reaches below T = 1
+        ("T=2:1.0015:2,u=0:0:1,zeta=-0.5:-0.5:1",
+         "T=2:2:1,u=0:0:1,zeta=-0.5:-0.5:1",
+         "the Wick rotation needs T > 1"),
+        # the second point itself is below T = 1
+        ("T=2:0.5:2,u=0:0:1,zeta=0.3:0.3:1",
+         "T=2:2:1,u=0:0:1,zeta=0.3:0.3:1",
+         "the Wick rotation needs T > 1"),
+    ])
+    def test_records_before_the_failing_point(self, capsys, grid, good,
+                                              message):
+        code, out, err = self.stream(capsys, grid)
+        assert code == cli.EXIT_DOMAIN
+        assert err == f"domain error: {message}\n"
+        # byte for byte the first record of the grid of that point alone
+        code, first, _ = self.stream(capsys, good)
+        assert code == 0
+        assert out == first.splitlines(keepends=True)[0]
+        assert "curvature" in json.loads(out)
+
+    def test_first_point_not_in_the_model(self, capsys):
+        code, out, err = self.stream(capsys,
+                                     "T=-1:2:2,u=0:0:1,zeta=-0.5:-0.5:1")
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert err == "domain error: cosmological time must be positive\n"
+
+
 class TestBendCommand:
     def test_mesh(self, tmp_path, capsys):
         path = write_scenario(tmp_path, TORUS_SCENARIO)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from quakebend import lamination as lm
 from quakebend import spacetime as sp
 from quakebend import curvature as cv
 from quakebend import blackhole as bh
+from quakebend import cli
 from quakebend.errors import DomainError, StructureError
 
 import oracles
@@ -320,6 +322,141 @@ class TestStencil:
                  rng.uniform(-0.8, 0.8))
             assert cv.constant_curvature_fit(public, x) == \
                 cv.constant_curvature_fit(raw, x)
+
+
+def bits(a):
+    """The bytes of a float array: -0.0 and +0.0 differ, as do the last
+    bits of the components."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def seeded_rows(rng, kind, a0, n):
+    """3n seeded (T, zeta, u) rows in the domain of `kind`, n in each
+    regime (none in the third for a0 = inf), then rows on the seams
+    zeta = +0.0, -0.0 and (for finite a0) zeta = a0 / T."""
+    lo, hi = CHARTS[kind][1]
+    T = rng.uniform(lo, hi, 3 * n)
+    seam = a0 / T[n:2 * n] if a0 != sp.INF else 3.0
+    zeta = np.concatenate([rng.uniform(-1.0, 0.0, n),
+                           rng.uniform(0.0, 1.0, n) * seam,
+                           a0 / T[2 * n:] + rng.uniform(0.0, 1.5, n)])
+    rows = np.column_stack([T, zeta, rng.uniform(-1.0, 1.0, 3 * n)])
+    T = rng.uniform(lo, hi, 4)
+    seams = [(t, z, 0.3) for t in T for z in (0.0, -0.0)]
+    if a0 != sp.INF:
+        seams += [(t, a0 / t, 0.3) for t in T]
+    return np.concatenate([rows, seams])
+
+
+class TestStackedChartMetric:
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    def test_bitwise_equal_to_pointwise(self, kind, a0):
+        # 2000 draws per regime: numpy's array x ** 2 is x * x, which
+        # differs from the pointwise pow in the last bit on about 1 draw
+        # in 1000
+        rows = seeded_rows(np.random.default_rng(31), kind, a0, 2000)
+        chart = sp.chart_metric(kind, a0)
+        stack = chart(rows)
+        assert stack.shape == (len(rows), 3, 3)
+        assert bits(stack) == bits([chart(x) for x in rows])
+        assert bits(stack) == bits([chart(tuple(x.tolist())) for x in rows])
+        regimes = {sp.regime(T, z, a0) for T, z, _ in rows}
+        assert regimes == ({1, 2} if a0 == sp.INF else {1, 2, 3})
+
+    def test_squares_and_cosh_by_libm(self):
+        # numpy's array x ** 2 (x * x) differs from pow on about 161 of
+        # 200,000 such draws, and its SIMD cosh may differ from libm's
+        v = np.random.default_rng(37).uniform(-3.0, 3.0, 200_000)
+        assert bits(sp._pow2(v)) == bits([x ** 2 for x in v.tolist()])
+        assert bits(sp._cosh2(v)) == bits([math.cosh(x) ** 2
+                                           for x in v.tolist()])
+
+    @pytest.mark.parametrize("kind,rows,message", [
+        ("wick", [(1.5, 0.2, 0.3), (0.5, 0.2, 0.3), (-1.0, 0.2, 0.3)],
+         "the Wick rotation needs T > 1"),
+        ("wick", [(1.5, 0.2, 0.3), (0.0, 0.2, 0.3), (0.5, 0.2, 0.3)],
+         "cosmological time must be positive"),
+        ("ds", [(0.5, 0.2, 0.3), (1.0, 1.5, 0.3)],
+         "the de Sitter rescaling needs 0 < T < 1"),
+        ("flat", [(0.5, 0.2, 0.3), (-0.5, 0.2, 0.3)],
+         "cosmological time must be positive"),
+    ])
+    def test_error_of_the_first_failing_row(self, kind, rows, message):
+        chart = sp.chart_metric(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                chart(np.array(rows))
+        first = next(x for x in rows if x[0] <= 0 or
+                     (kind == "wick" and x[0] <= 1) or
+                     (kind == "ds" and not 0 < x[0] < 1))
+        with pytest.raises(DomainError, match=message):
+            chart(first)
+
+
+class TestStackedFits:
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    def test_bitwise_equal_to_reference(self, kind, a0):
+        rng = np.random.default_rng(41)
+        lo, hi = CHARTS[kind][1]
+        xs = [(rng.uniform(lo, hi), rng.uniform(-1.0, 2.0),
+               rng.uniform(-1.0, 1.0)) for _ in range(3)]
+        xs += [(0.5 * (lo + hi), -0.0, 0.0), (0.5 * (lo + hi), 0.0, -0.0)]
+        chart = sp.chart_metric(kind, a0)
+        fits = cv.constant_curvature_fits(chart, xs)
+        assert fits == [fit_reference(chart, x) for x in xs]
+        assert fits == [cv.constant_curvature_fit(chart, x) for x in xs]
+
+    def test_no_points(self):
+        assert cv.constant_curvature_fits(sp.chart_metric("wick"), []) == []
+
+    def test_one_metric_call_for_all_stencils(self):
+        chart = sp.chart_metric("ads")
+        calls = []
+
+        def recorded(xs):
+            calls.append(xs.shape)
+            return chart(xs)
+        cv.constant_curvature_fits(recorded, [(1.3, 0.2, 0.3), (0.6, -0.4, 0.1)])
+        # 2 stencils of 1 + 12 + 144 points each, repeats included
+        assert calls == [(2 * 157, 3)]
+
+
+# the grids of the golden wick streams, and one whose second point's
+# stencil reaches below T = 1
+WICK_GRID = "T=1.2:2.8:3,u=-0.8:0.8:3,zeta=-0.9:1.3:3"
+EDGE_GRID = "T=2:1.0015:2,u=0:0:1,zeta=-0.5:-0.5:1"
+
+
+def grid_points(spec):
+    grid = cli.parse_grid(spec, ("T", "u", "zeta"))
+    return [(T, z, u) for T in grid["T"] for u in grid["u"]
+            for z in grid["zeta"]]
+
+
+class TestStackedWarnings:
+    """The stacked metric evaluates no formula on a row it rejects, nor a
+    regime's formula on the rows of another: no RuntimeWarning."""
+
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    def test_golden_grids(self, a0):
+        chart = sp.chart_metric("wick", a0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = cv.constant_curvature_fits(chart, grid_points(WICK_GRID))
+        assert len(fits) == 27
+
+    def test_grid_leaving_the_domain(self):
+        chart = sp.chart_metric("wick")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="needs T > 1"):
+                cv.constant_curvature_fits(chart, grid_points(EDGE_GRID))
+            with pytest.raises(DomainError, match="must be positive"):
+                cv.constant_curvature_fits(sp.chart_metric("flat"),
+                                           [(1.0, 0.2, 0.3), (1e-3, 0.2, 0.3)])
 
 
 class TestFlatMetric:
