@@ -106,15 +106,14 @@ def _stencil(metric, x):
 def _fits(gs):
     """(kappa, residual) per stencil of gs, as `_riemann` takes them."""
     g, r = _riemann(gs)
-    pattern = (np.einsum("...jk,...il->...ijkl", g, g)
-               - np.einsum("...ik,...jl->...ijkl", g, g))
     m = len(g)
-    num = np.sum((r * pattern).reshape(m, -1), axis=1)
-    den = np.sum((pattern * pattern).reshape(m, -1), axis=1)
-    kappa = num / den
-    worst = np.max(np.abs(r - kappa[:, None, None, None, None] * pattern)
-                   .reshape(m, -1), axis=1)
-    scale = np.maximum(np.max(np.abs(pattern).reshape(m, -1), axis=1), 1e-30)
+    # kappa (g_jk g_il - g_ik g_jl) at kappa = 1, flat per stencil
+    pattern = (g[:, None, :, :, None] * g[:, :, None, None, :]
+               - g[:, :, None, :, None] * g[:, None, :, None, :]).reshape(m, -1)
+    r = r.reshape(m, -1)
+    kappa = np.sum(r * pattern, axis=1) / np.sum(pattern * pattern, axis=1)
+    worst = np.max(np.abs(r - kappa[:, None] * pattern), axis=1)
+    scale = np.maximum(np.max(np.abs(pattern), axis=1), 1e-30)
     return list(zip(kappa.tolist(), (worst / scale).tolist()))
 
 
