@@ -107,7 +107,7 @@ def _fits(gs):
     """(kappa, residual) per stencil of gs, as `_riemann` takes them."""
     g, r = _riemann(gs)
     m = len(g)
-    # kappa (g_jk g_il - g_ik g_jl) at kappa = 1, flat per stencil
+    # g_jk g_il - g_ik g_jl, the tensor R of curvature 1, a row per stencil
     pattern = (g[:, None, :, :, None] * g[:, :, None, None, :]
                - g[:, :, None, :, None] * g[:, None, :, None, :]).reshape(m, -1)
     r = r.reshape(m, -1)

@@ -200,9 +200,10 @@ def _chart_stack(kind, alpha0, xs):
     wing = z < 0
     band = ~wing if alpha0 == INF else ~wing & (z <= alpha0 / T)
     g = np.zeros((len(xs), 3, 3))
-    for reg, rows in ((1, wing), (2, band), (3, ~(wing | band))):
+    for formula, rows in ((_wing, wing), (_band, band),
+                          (_rotated_wing, ~(wing | band))):
         if rows.any():
-            g00, g01, g11, g22 = _REGIMES[reg](T[rows], z[rows], alpha0)
+            g00, g01, g11, g22 = formula(T[rows], z[rows], alpha0)
             g[rows, 0, 0], g[rows, 1, 1], g[rows, 2, 2] = g00, g11, g22
             g[rows, 0, 1] = g[rows, 1, 0] = g01
     g *= alpha[:, None, None]
