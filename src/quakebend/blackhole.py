@@ -1,6 +1,12 @@
 """The causal AdS extension Omega(h): membership, peripheral rectangles,
 horizon invariants, extremal meridians, and the BTZ metric.
 
+Each hyperbolic side of a peripheral rectangle is the arc between the
+fixed points of a boundary element g that misses the limit set.  The
+axis of g bounds the Nielsen region, so the limit set lies on one side
+of it (Katok, *Fuchsian Groups*, 1992; Beardon 1983), and one limit
+point that g does not fix picks the arc.
+
 Boundary-circle arcs use the angle chart theta = 2 arctan(x) (infinity
 at pi), which keeps interval arithmetic free of special cases.
 """
@@ -23,10 +29,6 @@ class DegenerateHorizonError(QuakebendError):
     """A parabolic side leaves the horizon without a size."""
 
 
-class IncreaseDepthError(QuakebendError):
-    """Limit-set sampling too shallow to select the rectangle sides."""
-
-
 class CoordinateSingularityError(QuakebendError):
     """BTZ chart breaks down where f(r) = 0."""
 
@@ -47,15 +49,11 @@ class CircleArc:
     start: float  # boundary values (extended reals)
     end: float
 
-    def contains(self, x, tol=0.0):
-        """Whether the boundary value x (or each entry of an array of
-        them) lies in the arc, at least tol radians inside it."""
-        a, b = circle_angle(self.start), circle_angle(self.end)
-        x = np.asarray(x, dtype=float)
-        theta = np.where(np.isinf(x), math.pi, 2.0 * np.arctan(x))
-        t = (theta - a) % (2.0 * math.pi)
-        w = (b - a) % (2.0 * math.pi)
-        return (tol < t) & (t < w - tol)
+    def contains(self, x):
+        """Whether the boundary value x lies in the arc."""
+        a = circle_angle(self.start)
+        t = (circle_angle(x) - a) % (2.0 * math.pi)
+        return 0.0 < t < (circle_angle(self.end) - a) % (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -138,67 +136,41 @@ def horizon_invariants(g_left, g_right):
 # rectangles
 # ---------------------------------------------------------------------------
 
-def limit_set_samples(h: teich.Holonomy, depth):
-    """Limit-set points at the reduced words up to `depth`: the
-    attracting fixed point of each hyperbolic word and the fixed point
-    of each parabolic one.  The inverse of every word is enumerated as
-    well, so both fixed points of a hyperbolic word are sampled."""
-    words = np.concatenate([m for m, _ in h.word_levels(depth)])
-    (a, b), (c, d) = words[:, 0].T, words[:, 1].T
-    tr, p = a + d, a - d
-    det = a * d - b * c
-    # fixed points solve c x^2 - p x - b = 0; the attracting one has the
-    # larger |c x + d| = |tr +- disc| / 2, so x = (p + s disc) / 2c with s
-    # the sign of the trace.  Of that and the equal -2b / (p - s disc),
-    # take the one free of cancellation (the second when the first is
-    # 0/0, a parabolic fixing infinity).
-    s = np.where(tr < 0, -1.0, 1.0)
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    plus, minus = p + s * disc, p - s * disc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first, second = plus / (2.0 * c), -2.0 * b / minus
-    att = np.where(np.abs(plus) >= np.abs(minus), first, second)
-    att = np.where(np.isnan(att), second, att)
-    # as in `isometry.classify`, elliptic words have no boundary fixed
-    # point (words are products of unimodular generators, so det = 1:
-    # the computed a d - b c cancels, even below 0); the empty word gives
-    # 0/0 in both forms
-    return att[(np.abs(tr) >= 2.0 - iso.TAU_CLASS) & ~np.isnan(att)]
-
-
-#: a limit-set sample inhabits an arc ARC_MARGIN radians inside it
-ARC_MARGIN = 1e-7
-
-
-def _select_side(g, samples):
+def _select_side(g, h: teich.Holonomy):
     k = iso.classify(g)
     if k.kind == "parabolic":
         return k.fixed_points[0]
     if k.kind != "hyperbolic":
         raise DomainError("peripheral holonomy must be hyperbolic or parabolic")
+    ends = [circle_angle(x) for x in k.fixed_points]
+
+    def gap(x):
+        """Angle from x to the nearer fixed point of g."""
+        return min(abs(math.remainder(circle_angle(x) - e, 2.0 * math.pi))
+                   for e in ends)
+
+    x = max((x for m in h.gens.values() for x in iso.classify(m).fixed_points),
+            key=gap)
     att, rep = k.fixed_points
-    arc1, arc2 = CircleArc(att, rep), CircleArc(rep, att)
-    inhabited1 = bool(arc1.contains(samples, tol=ARC_MARGIN).any())
-    inhabited2 = bool(arc2.contains(samples, tol=ARC_MARGIN).any())
-    if inhabited1 and inhabited2:
-        raise IncreaseDepthError(
-            "both candidate arcs meet the sampled limit set; increase depth")
-    if not inhabited1 and not inhabited2:
-        raise IncreaseDepthError(
-            "no limit-set samples landed near either arc; increase depth")
-    return arc1 if inhabited2 else arc2
+    arc = CircleArc(att, rep)
+    return CircleArc(rep, att) if arc.contains(x) else arc
 
 
-def peripheral_rectangle(g_left, g_right, samples_left, samples_right):
+def peripheral_rectangle(g_left, g_right, h_left, h_right):
     """R(gamma): per side, the fixed point (parabolic) or the arc between
-    the fixed points missing the limit set, given by its samples
-    (`limit_set_samples` of h_L and h_R, taken once for all punctures).
+    the fixed points that misses the limit set of h_L or h_R.
+
+    The whole limit set lies in one of the two arcs between the fixed
+    points of a boundary element g (see the module docstring), so one
+    limit point that g does not fix settles which: of the fixed points
+    of the free generators, the one farthest in angle from g's fixed
+    points.  The side is the other arc.
 
     The two vertices spanning the horizon geodesic pair the attracting
     point of one side with the repelling point of the other.
     """
-    side_l = _select_side(g_left, samples_left)
-    side_r = _select_side(g_right, samples_right)
+    side_l = _select_side(g_left, h_left)
+    side_r = _select_side(g_right, h_right)
     vertices = ()
     if isinstance(side_l, CircleArc) and isinstance(side_r, CircleArc):
         att_l, rep_l = iso.fixed_points(g_left)

@@ -299,12 +299,10 @@ def cmd_blackhole(args):
     data, point, pd, lam = _load_laminated(args)
     hl, hr = bd.ads_holonomy(point, lam, depth=args.depth, pd=pd)
     kinds = teich.puncture_kinds(point)
-    samples = (bh.limit_set_samples(hl, args.depth),
-               bh.limit_set_samples(hr, args.depth))
     rects = []
     for i in range(len(kinds)):
         gl, gr = hl.peripheral_matrix(i), hr.peripheral_matrix(i)
-        rect = bh.peripheral_rectangle(gl, gr, *samples)
+        rect = bh.peripheral_rectangle(gl, gr, hl, hr)
         rects.append(rect)
         rec = {"command": "blackhole", "puncture": i,
                "degenerate": rect.degenerate, "depth": args.depth,

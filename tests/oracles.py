@@ -21,6 +21,9 @@ calls, kept next to the tests that compare the package against them:
 * `sphere_metric` and `hyperbolic_metric`, the reference metrics of the
   curvature fit, and `riemann` and `sectional_curvature` from its
   stencil;
+* `limit_set_samples` and `sampled_side`, the side rule of
+  `blackhole.peripheral_rectangle` from the limit set sampled at every
+  reduced word up to a depth, which the one-point rule replaced;
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
@@ -32,6 +35,7 @@ import math
 import numpy as np
 
 from quakebend import bending as bd
+from quakebend import blackhole as bh
 from quakebend import curvature as cv
 from quakebend import earthquake as eq
 from quakebend import isometry as iso
@@ -194,6 +198,72 @@ def sectional_curvature(metric, x, plane=(0, 1)):
     i, j = plane
     g, r = cv._stencil(metric, x)
     return r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
+
+
+# -- sampled side rule of the black-hole rectangles ---------------------------
+
+def limit_set_samples(h, depth):
+    """Limit-set points at the reduced words up to `depth`: the
+    attracting fixed point of each hyperbolic word and the fixed point
+    of each parabolic one.  The inverse of every word is enumerated as
+    well, so both fixed points of a hyperbolic word are sampled."""
+    words = np.concatenate([m for m, _ in h.word_levels(depth)])
+    (a, b), (c, d) = words[:, 0].T, words[:, 1].T
+    tr, p = a + d, a - d
+    det = a * d - b * c
+    # fixed points solve c x^2 - p x - b = 0; the attracting one has the
+    # larger |c x + d| = |tr +- disc| / 2, so x = (p + s disc) / 2c with s
+    # the sign of the trace.  Of that and the equal -2b / (p - s disc),
+    # take the one free of cancellation (the second when the first is
+    # 0/0, a parabolic fixing infinity).
+    s = np.where(tr < 0, -1.0, 1.0)
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    plus, minus = p + s * disc, p - s * disc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first, second = plus / (2.0 * c), -2.0 * b / minus
+    att = np.where(np.abs(plus) >= np.abs(minus), first, second)
+    att = np.where(np.isnan(att), second, att)
+    # as in `isometry.classify`, elliptic words have no boundary fixed
+    # point (words are products of unimodular generators, so det = 1:
+    # the computed a d - b c cancels, even below 0); the empty word gives
+    # 0/0 in both forms
+    return att[(np.abs(tr) >= 2.0 - iso.TAU_CLASS) & ~np.isnan(att)]
+
+
+#: a limit-set sample inhabits an arc ARC_MARGIN radians inside it
+ARC_MARGIN = 1e-7
+
+
+def arc_contains(arc, x, tol=0.0):
+    """Whether each boundary value of the array x lies in `arc`, at
+    least tol radians inside it."""
+    a, b = bh.circle_angle(arc.start), bh.circle_angle(arc.end)
+    x = np.asarray(x, dtype=float)
+    theta = np.where(np.isinf(x), math.pi, 2.0 * np.arctan(x))
+    t = (theta - a) % (2.0 * math.pi)
+    w = (b - a) % (2.0 * math.pi)
+    return (tol < t) & (t < w - tol)
+
+
+def sampled_side(g, samples):
+    """The side of g: its fixed point if parabolic, else the arc between
+    its fixed points that no limit-set sample inhabits."""
+    k = iso.classify(g)
+    if k.kind == "parabolic":
+        return k.fixed_points[0]
+    if k.kind != "hyperbolic":
+        raise DomainError("peripheral holonomy must be hyperbolic or parabolic")
+    att, rep = k.fixed_points
+    arc1, arc2 = bh.CircleArc(att, rep), bh.CircleArc(rep, att)
+    inhabited1 = bool(arc_contains(arc1, samples, tol=ARC_MARGIN).any())
+    inhabited2 = bool(arc_contains(arc2, samples, tol=ARC_MARGIN).any())
+    if inhabited1 and inhabited2:
+        raise DomainError(
+            "both candidate arcs meet the sampled limit set; increase depth")
+    if not inhabited1 and not inhabited2:
+        raise DomainError(
+            "no limit-set samples landed near either arc; increase depth")
+    return arc1 if inhabited2 else arc2
 
 
 # -- fixture surfaces ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from quakebend import curvature as cv
 from quakebend import scenario
 from quakebend import cli
 from quakebend.errors import DomainError
+
+import oracles
 
 PD = teich.PantDecomposition.once_punctured_torus()
 FN = teich.FNPoint((1.5,), (2.0,), (0.3,))
@@ -140,16 +143,14 @@ class TestRectangles:
                                (0.0, 0.0, 0.0))
         h = teich.holonomy_from_shear(sp0)
         g = h.peripheral_matrix(0)
-        s = bh.limit_set_samples(h, 4)
-        r = bh.peripheral_rectangle(g, g, s, s)
+        r = bh.peripheral_rectangle(g, g, h, h)
         assert r.degenerate
         assert not isinstance(r.left, bh.CircleArc)
 
     def test_nondegenerate_once_punctured_torus(self, holonomy_pair):
         hl, hr = holonomy_pair
         gl, gr = hl.peripheral_matrix(0), hr.peripheral_matrix(0)
-        r = bh.peripheral_rectangle(gl, gr, bh.limit_set_samples(hl, 8),
-                                    bh.limit_set_samples(hr, 8))
+        r = bh.peripheral_rectangle(gl, gr, hl, hr)
         assert not r.degenerate
         (v1l, v1r), (v2l, v2r) = r.vertices
         att_l, rep_l = iso.fixed_points(gl)
@@ -163,9 +164,7 @@ class TestRectangles:
     def test_sides_invariant_under_peripheral_pair(self, holonomy_pair):
         hl, hr = holonomy_pair
         gl = hl.peripheral_matrix(0)
-        r = bh.peripheral_rectangle(gl, hr.peripheral_matrix(0),
-                                    bh.limit_set_samples(hl, 8),
-                                    bh.limit_set_samples(hr, 8))
+        r = bh.peripheral_rectangle(gl, hr.peripheral_matrix(0), hl, hr)
         # interior points of the side arc stay inside under g
         arc = r.left
         for t in (0.25, 0.5, 0.75):
@@ -176,28 +175,100 @@ class TestRectangles:
             assert arc.contains(iso.apply_boundary(gl, x))
 
     def test_deeper_sampling_keeps_the_arcs(self):
-        # the limit set misses the free arcs at every depth; samples must
-        # not drift into them as the words grow long
+        # the limit set misses the free arcs at every depth; the chosen
+        # limit point must not drift into them as the letters deepen
         data = scenario.load(SPHERE_SHEAR)
         point, _ = scenario.surface_point(data)
         lam = scenario.lamination(data, point)
         rects = {}
         for depth in (6, 8):
             hl, hr = bd.ads_holonomy(point, lam, depth=depth)
-            sl = bh.limit_set_samples(hl, depth)
-            sr = bh.limit_set_samples(hr, depth)
             rects[depth] = [bh.peripheral_rectangle(
-                hl.peripheral_matrix(i), hr.peripheral_matrix(i), sl, sr)
+                hl.peripheral_matrix(i), hr.peripheral_matrix(i), hl, hr)
                 for i in range(3)]
         assert rects[8] == rects[6]
         assert not any(r.degenerate for r in rects[6])
 
-    def test_ambiguous_sampling_raises(self):
-        g = hyperbolic_of_length(2.0)  # fixed points 0, oo
-        with pytest.raises(bh.IncreaseDepthError):
-            bh._select_side(g, [1.0, -1.0])  # samples in both arcs
-        with pytest.raises(bh.IncreaseDepthError):
-            bh._select_side(g, [])  # nothing to decide with
+    def test_elliptic_side_raises(self, holonomy_pair):
+        hl, hr = holonomy_pair
+        quarter_turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(DomainError):
+            bh.peripheral_rectangle(hl.peripheral_matrix(0), quarter_turn,
+                                    hl, hr)
+
+    def test_contains_with_an_endpoint_at_infinity(self):
+        # puncture 0 of the two-boundary torus: a side arc from or to oo
+        data = scenario.load(SCENARIOS / "torus_two_boundary.json")
+        point, pd = scenario.surface_point(data)
+        lam = scenario.lamination(data, point)
+        hl, hr = bd.ads_holonomy(point, lam, depth=4, pd=pd)
+        r = bh.peripheral_rectangle(hl.peripheral_matrix(0),
+                                    hr.peripheral_matrix(0), hl, hr)
+        arc = r.left
+        assert iso.INF in (arc.start, arc.end)
+        other = bh.CircleArc(arc.end, arc.start)
+
+        def midpoint(c):
+            a = bh.circle_angle(c.start)
+            return math.tan((a + (bh.circle_angle(c.end) - a) % (2 * math.pi)
+                             / 2.0) / 2.0)
+
+        assert not arc.contains(iso.INF)  # an endpoint, not in the open arc
+        assert arc.contains(midpoint(arc))
+        assert not arc.contains(midpoint(other))
+        assert other.contains(midpoint(other))
+        assert bh.CircleArc(1.0, -1.0).contains(iso.INF)  # oo inside
+
+
+def seeded_shear_sphere(seed):
+    """The sphere_shear scenario with its shears drawn from U(0.3, 2) and
+    its lamination weights from U(0.05, 0.6), by random.Random(seed)."""
+    rng = random.Random(seed)
+    data = scenario.load(SPHERE_SHEAR)
+    data["shear"]["s"] = [rng.uniform(0.3, 2.0) for _ in range(3)]
+    data["lamination"]["weights"] = [rng.uniform(0.05, 0.6) for _ in range(3)]
+    return data
+
+
+def farthest_generator_point(g, h):
+    """Angle from g's fixed points to the farthest fixed point of a
+    free generator of h."""
+    ends = [bh.circle_angle(x) for x in iso.fixed_points(g)]
+    return max(min(abs(math.remainder(bh.circle_angle(x) - e, 2 * math.pi))
+                   for e in ends)
+               for m in h.gens.values() for x in iso.classify(m).fixed_points)
+
+
+SIDE_CASES = ([(scen, depth, None)
+               for scen in ("torus_multicurve", "torus_flow", "sphere_shear",
+                            "torus_two_boundary")
+               for depth in range(2, 9)]
+              + [("sphere_shear", 6, seed) for seed in range(30)])
+
+
+class TestSideRuleAgainstSampling:
+    @pytest.mark.parametrize("scen,depth,seed", SIDE_CASES)
+    def test_same_sides_as_sampled_limit_set(self, scen, depth, seed):
+        # the chosen limit point lies far from g's fixed points: at least
+        # 1.18 rad on the scenarios, 0.936 rad on the seeded spheres
+        # (seed 15, the shear 0.32)
+        if seed is None:
+            data, min_angle = scenario.load(SCENARIOS / f"{scen}.json"), 1.0
+        else:
+            data, min_angle = seeded_shear_sphere(seed), 0.9
+        point, pd = scenario.surface_point(data)
+        lam = scenario.lamination(data, point)
+        hl, hr = bd.ads_holonomy(point, lam, depth=depth, pd=pd)
+        samples = (oracles.limit_set_samples(hl, depth),
+                   oracles.limit_set_samples(hr, depth))
+        for i in range(len(teich.puncture_kinds(point))):
+            gl, gr = hl.peripheral_matrix(i), hr.peripheral_matrix(i)
+            r = bh.peripheral_rectangle(gl, gr, hl, hr)
+            assert r.left == oracles.sampled_side(gl, samples[0])
+            assert r.right == oracles.sampled_side(gr, samples[1])
+            for g, h, side in ((gl, hl, r.left), (gr, hr, r.right)):
+                if isinstance(side, bh.CircleArc):
+                    assert farthest_generator_point(g, h) > min_angle
 
 
 def first_failing_length(x, h_left, h_right, depth):

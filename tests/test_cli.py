@@ -521,6 +521,15 @@ class TestBlackholeCommand:
         assert len(arcs["6"]) == 8  # three non-degenerate rectangles
         assert arcs["8"] == arcs["6"]
 
+    def test_elliptic_side_stops_after_the_first_puncture(self, capsys):
+        # at depth 1 the right-hand side of puncture 1 is elliptic: the
+        # record of puncture 0 is out, then the run stops with exit 3
+        path = str(Path(__file__).resolve().parent.parent / "scripts"
+                   / "scenarios" / "sphere_shear.json")
+        code, recs = run(capsys, ["blackhole", path, "--depth", "1"])
+        assert code == 3
+        assert [r["puncture"] for r in recs] == [0]
+
     def test_equal_lengths_are_extremal(self, tmp_path, capsys):
         # puncture 1 has momentum ~1e-12, not 0.0: zero up to the
         # stated relative tolerance

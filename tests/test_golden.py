@@ -53,6 +53,11 @@ def _cases():
     for target in ("ads", "hyperbolic"):
         cases[f"torus_multicurve-bend-{target}-base-point-grid"] = [
             "bend", path, "--target", target, "--grid", BASE_POINT_GRID]
+    # depth 8: the rank-3 group of the two-boundary torus at its deepest
+    # blackhole run
+    path = str(ROOT / "scripts" / "scenarios" / "torus_two_boundary.json")
+    cases["torus_two_boundary-blackhole-d8"] = ["blackhole", path, "--depth",
+                                                "8"]
     cases["verify-all"] = ["verify", "--suite", "all"]
     # T, zeta chosen so the grid visits zeta < 0, the band 0 <= zeta <=
     # a0/T and the rotated wing zeta > a0/T
