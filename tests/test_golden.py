@@ -53,6 +53,14 @@ def _cases():
     for target in ("ads", "hyperbolic"):
         cases[f"torus_multicurve-bend-{target}-base-point-grid"] = [
             "bend", path, "--target", target, "--grid", BASE_POINT_GRID]
+    # the depths at which most of the word tree lies far from the queries
+    cases["torus_multicurve-quake-right-d12"] = ["quake", path, "--side",
+                                                 "right", "--depth", "12"]
+    cases["torus_multicurve-quake-left-d10"] = ["quake", path, "--side",
+                                                "left", "--depth", "10"]
+    cases["torus_multicurve-bend-hyperbolic-d10"] = [
+        "bend", path, "--target", "hyperbolic", "--grid", BEND_GRID,
+        "--depth", "10"]
     # depth 8: the rank-3 group of the two-boundary torus at its deepest
     # blackhole run
     path = str(ROOT / "scripts" / "scenarios" / "torus_two_boundary.json")
