@@ -33,6 +33,9 @@ from quakebend.errors import DomainError
 
 HYPERBOLIC = "hyperbolic"
 ADS = "ads"
+#: BendContext checks that the base point is off the weighted leaves on
+#: the segment from it to the base point plus BASE_CHECK_STEP
+BASE_CHECK_STEP = 1e-3j
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +85,17 @@ class BendContext:
         if self.target not in (HYPERBOLIC, ADS):
             raise DomainError(f"unknown bending target {self.target!r}")
         # the base point itself must be off the weighted leaves
-        self.family.crossings(eq.BASE_POINT, eq.BASE_POINT + 1e-3j)
+        self.family.crossings(eq.BASE_POINT, eq.BASE_POINT + BASE_CHECK_STEP)
 
 
-def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None):
-    """Realize `lam` on the holonomy of `point` for the bent maps."""
+def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None,
+                 reach=None):
+    """Realize `lam` on the holonomy of `point` for the bent maps: of
+    the points `reach` only, if given (`LiftFamily`)."""
     h = teich.holonomy_of(point, pd)
-    fam = lm.LiftFamily(lam, h, depth=depth)
+    if reach is not None:
+        reach = [eq.BASE_POINT, eq.BASE_POINT + BASE_CHECK_STEP, *reach]
+    fam = lm.LiftFamily(lam, h, depth=depth, reach=reach)
     return BendContext(fam, target), h
 
 

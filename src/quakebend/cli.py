@@ -217,9 +217,10 @@ def cmd_bend(args):
         raise DomainError("bend grid points must lie in the upper "
                           "half-plane (y > 0)")
     data, point, pd, lam = _load_laminated(args)
+    zs = [complex(xv, yv) for yv in ys for xv in xs]
     ctx, _ = bd.make_context(point, lam, depth=args.depth, target=args.target,
-                             pd=pd)
-    points = bd.bend_points(ctx, [complex(xv, yv) for yv in ys for xv in xs])
+                             pd=pd, reach=zs)
+    points = bd.bend_points(ctx, zs)
     # Minkowski-4 points, or 2x2 matrices flattened row by row
     vertices = points.reshape(len(points), 4).tolist()
     emit({"command": "bend", "target": args.target,

@@ -106,8 +106,8 @@ def deform_letters(point, lam, depth=8, pd=None):
     query at x0 (a base point on a weighted leaf raises
     BasePointOnLeafError); converged ANDs the per-letter flags."""
     h = teich.holonomy_of(point, pd)
-    fam = lm.LiftFamily(lam, h, depth=depth)
     ys = [iso.apply_h2(m, BASE_POINT) for m in h.alphabet.values()]
+    fam = lm.LiftFamily(lam, h, depth=depth, reach=[BASE_POINT, *ys])
     crossed = fam.crossings_from(BASE_POINT, ys)
     leaves = {name: lv for name, (lv, _) in zip(h.alphabet, crossed)}
     return h, leaves, all(ok for _, ok in crossed)

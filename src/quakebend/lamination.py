@@ -231,8 +231,145 @@ def _sinh_dist_from_i(a, b):
     return np.where(np.isfinite(key), key, np.inf)
 
 
+def reach_cut(zs):
+    """sinh R(z), R(z) = d(i, z) + 2 END_TOL, for each point z.
+
+    Distance to i is convex along a segment, so the leaves crossing it
+    lie within the larger R of its ends; R is padded by one END_TOL for
+    the near-end window of `LiftFamily.crossings_from` and one for
+    rounding.  sinh(d / 2) = |z - i| / (2 sqrt(Im z)).
+    """
+    z = np.asarray(zs, dtype=complex)
+    half = np.abs(z - 1j) / (2.0 * np.sqrt(z.imag))
+    return np.sinh(2.0 * np.arcsinh(half) + 2.0 * END_TOL)
+
+
+# ---------------------------------------------------------------------------
+# limit-set arcs: the certificate that prunes the word tree
+# ---------------------------------------------------------------------------
+
+#: the arcs start from the attracting fixed points of the reduced words
+#: up to this length ...
+ARC_SEED_DEPTH = 4
+#: ... widened by this angle (of endpoint vectors, mod pi) at each end
+ARC_WIDEN = 1e-6
+#: passes of growth by the letters' images before the arcs are refused
+ARC_PASSES = 8
+#: a subtree is dropped only beyond the reach cut times 1 + PRUNE_SLACK:
+#: room for the rounding of the leaf keys against the half-plane test
+PRUNE_SLACK = 1e-6
+
+
+def _angle(v):
+    """Angle mod pi of endpoint vectors (..., 2), their point on RP^1.
+    Twice it is the visual angle at i, so PSL(2, R) keeps its cyclic
+    order, and an arc is the counterclockwise run between two angles."""
+    return np.arctan2(v[..., 1], v[..., 0]) % np.pi
+
+
+def _offset(p, s):
+    """Counterclockwise angle from s to p, in [0, pi]."""
+    return (p - s) % np.pi
+
+
+def _attracting(w):
+    """Attracting fixed points, as endpoint vectors, of a stack of
+    matrices (..., 2, 2)."""
+    (a, b), (c, d) = np.moveaxis(w, (-2, -1), (0, 1))
+    tr = a + d
+    lam = 0.5 * (tr + np.sign(tr)
+                 * np.sqrt(np.maximum(tr * tr - 4.0 * (a * d - b * c), 0.0)))
+    # of the two forms of the eigenvector, the one free of cancellation
+    big = np.hypot(b, lam - a) >= np.hypot(lam - d, c)
+    return np.where(big[..., None], np.stack([b, lam - a], -1),
+                    np.stack([lam - d, c], -1))
+
+
+def limit_arcs(h: teich.Holonomy, seed):
+    """Arcs A_g of the boundary, one per letter g of
+    `teich.Holonomy.letter_matrices`, with g A_h inside A_g for every
+    h != g^-1: a (2k, 2, 2) array of endpoint vectors (start, end), or
+    None when no such arcs were found.  `seed` lists the word stacks of
+    the levels 0..ARC_SEED_DEPTH of `h.word_levels`.
+
+    By induction on the word, A_g then holds the limit-set cylinder of
+    g (the limit points of the reduced words that begin with g).  Each
+    arc is kept off the repelling fixed point of g, where the circle is
+    cut open.  It starts as the hull of the attracting fixed points of
+    the words up to ARC_SEED_DEPTH that begin with g, widened by
+    ARC_WIDEN, and grows by the images g A_h until a pass moves no arc.
+    A Moebius map keeps the cyclic order, so g [s, t] = [g s, g t] and
+    the check reads the arc ends only.  Letters off the
+    orientation-preserving group, an arc or image over a cut point,
+    arcs that together would cover the circle, or no fixed point after
+    ARC_PASSES refuse the certificate (a cusped surface, whose limit
+    set is the whole circle, is refused so).
+    """
+    gens = h.letter_matrices()
+    n = len(gens)
+    if not n or np.any(np.linalg.det(gens) <= 0):
+        return None
+    rows = np.arange(n)
+    # each level lists the words that begin with g as its g-th block,
+    # and level 1 the letters: the circle is cut at att(g^-1)
+    words = np.concatenate([m.reshape(n, -1, 2, 2) for m in seed[1:]], 1)
+    att = _angle(_attracting(words))
+    cut = att[rows ^ 1, 0]
+    x = _offset(att, cut[:, None])
+    lo, hi = x.min(axis=1) - ARC_WIDEN, x.max(axis=1) + ARC_WIDEN
+    other = rows[None, :] != (rows[:, None] ^ 1)  # the pairs h != g^-1
+    for _ in range(ARC_PASSES):
+        if (np.any(lo <= 0.0) or np.any(hi >= np.pi)
+                or np.sum(hi - lo) >= np.pi):
+            return None
+        ends = cut[:, None] + np.stack([lo, hi], 1)
+        arcs = np.stack([np.cos(ends), np.sin(ends)], -1)
+        img = _offset(_angle(np.einsum("gij,hej->ghei", gens, arcs)),
+                      cut[:, None, None])
+        if np.any(other & (img[..., 0] > img[..., 1])):
+            return None
+        new_lo = np.minimum(lo, np.where(other, img[..., 0], np.pi).min(1))
+        new_hi = np.maximum(hi, np.where(other, img[..., 1], 0.0).max(1))
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            return arcs
+        lo, hi = new_lo, new_hi
+    return None
+
+
+def _arcs_hold(arcs, gens, ends, letters):
+    """Whether u e lies in A_u for each endpoint vector e of `ends` and
+    each letter index u of `letters`."""
+    start, end = _angle(arcs[letters, 0]), _angle(arcs[letters, 1])
+    img = np.einsum("uij,ej->uei", gens[letters], ends)
+    return bool(np.all(_offset(_angle(img), start[:, None])
+                       <= _offset(end, start)[:, None]))
+
+
+def _prune_beyond(arcs, cut):
+    """`word_levels` keep test: the child p of a prefix P is built unless
+    all of its subtree lies farther than sinh^-1(cut) from i.
+
+    When the last letters' images of the base leaf's ends lie in their
+    arcs, every leaf P p U l of the subtree has both ends in P A_p, so
+    lies in the closed half-plane over that arc.  With a = P s_p and
+    b = P t_p, the arc spans under pi / 2 in `_angle` (under half the
+    circle seen from i, which is then outside the half-plane) exactly
+    when (a . b) det[a | b] > 0, and the distance from i to the
+    half-plane's side has sinh |a . b| / |det[a | b]|.
+    """
+    s, t = arcs[:, 0].T, arcs[:, 1].T
+
+    def keep(mats):
+        a, b = mats @ s, mats @ t
+        dot = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+        det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        return ~(dot * det > cut * det * det)
+    return keep
+
+
 class LiftFamily:
-    """All translates of a finite lamination's leaves up to a word depth.
+    """The translates of a finite lamination's leaves up to a word depth
+    that queries from the points of `reach` can cross.
 
     Enumerates the reduced words of the free generating set once with
     `teich.Holonomy.word_levels` (the expensive part) and answers
@@ -242,16 +379,36 @@ class LiftFamily:
     stabilizing letter), so distinct entries are distinct geodesics and
     every leaf is produced by its shortest word.  `sinh_dist` holds
     sinh d(i, leaf), so a query tests only the leaves near its segment.
+
+    With `reach`, the points that the queries' segments join, the
+    family holds every leaf with sinh_dist <= `cut`, the largest
+    `reach_cut` of them (times 1 + PRUNE_SLACK), and `crossings_from`
+    refuses a segment that reaches farther.  The word tree is then
+    pruned on the `limit_arcs` certificate: a subtree all of whose
+    leaves lie in a half-plane beyond the cut is never built.  The
+    certificate covers the family when u e lies in A_u for each end e
+    of each base leaf and each last letter u that the leaf allows.  It
+    is sought only when a letter stabilizes every base leaf (the
+    multicurve family).  The triangulation family's leaves end at
+    fixed points of peripheral words, whose first letter the last
+    letter can cancel, so that the check fails for them.  A family the
+    certificate does not cover is enumerated in full, and so are the
+    levels up to ARC_SEED_DEPTH, which seed the certificate.  The rows
+    within the cut are bitwise those of the full family, in its order:
+    base leaf, then level, then prefix-major.  Without `reach` the
+    family is the full one and answers any query.
     """
 
     MAX_WORDS = 6_000_000
     #: (segment, leaf) pairs tested at once by `crossings_from` (bounds memory)
     PAIRS_PER_BLOCK = 1 << 15
 
-    def __init__(self, lam, h: teich.Holonomy, depth=12):
+    def __init__(self, lam, h: teich.Holonomy, depth=12, reach=None):
         if depth < 1:
             raise DomainError("depth must be >= 1")
         self.depth = depth
+        self.cut = math.inf if reach is None else (
+            float(np.max(reach_cut(reach), initial=0.0)) * (1.0 + PRUNE_SLACK))
         base = _base_leaves(lam, h)
         self.empty = not base
         if self.empty:
@@ -263,15 +420,32 @@ class LiftFamily:
                 f"depth {depth} enumerates ~{est} words on a rank-{k} group; "
                 "reduce the depth")
         names = list(h.gens)
-        words = list(h.word_levels(depth))
-        ends_m, ends_p, ws, lv, keys = [], [], [], [], []
+        leaves = []  # (end vectors, weight, last letters it forbids)
         for geo, w, stab_name in base:
-            vm, vp = _proj_vec(geo.p_minus), _proj_vec(geo.p_plus)
-            if stab_name in names:
-                gi = 2 * names.index(stab_name)
-                forbidden = (gi, gi + 1)
-            else:
-                forbidden = ()
+            gi = 2 * names.index(stab_name) if stab_name in names else None
+            leaves.append((np.array([_proj_vec(geo.p_minus),
+                                     _proj_vec(geo.p_plus)]), w,
+                           () if gi is None else (gi, gi + 1)))
+        # the keep test is read as the tree grows: the trunk is built
+        # before the arcs it seeds, the levels below it after
+        prune = []
+        tree = h.word_levels(depth, lambda m: prune[0](m) if prune else True)
+        words = [next(tree) for _ in range(min(depth, ARC_SEED_DEPTH) + 1)]
+        # a tree no deeper than the trunk leaves nothing to prune, and
+        # leaves that no letter stabilizes fail the certificate (see the
+        # class notes)
+        if (reach is not None and depth > ARC_SEED_DEPTH
+                and all(forbidden for _, _, forbidden in leaves)):
+            arcs = limit_arcs(h, [m for m, _ in words])
+            gens = h.letter_matrices()
+            if arcs is not None and all(
+                    _arcs_hold(arcs, gens, ends, [u for u in range(2 * k)
+                                                  if u not in forbidden])
+                    for ends, _, forbidden in leaves):
+                prune.append(_prune_beyond(arcs, self.cut))
+        words += tree
+        ends_m, ends_p, ws, lv, keys = [], [], [], [], []
+        for (vm, vp), w, forbidden in leaves:
             for level, (block, bl) in enumerate(words):
                 if forbidden:
                     keep = (bl != forbidden[0]) & (bl != forbidden[1])
@@ -297,7 +471,8 @@ class LiftFamily:
         """(leaves, converged) for each segment [x, y], y in `ys`: the
         leaves crossing it, ordered along it, and whether none of them
         comes from the deepest word level.  The one place that decides
-        how a leaf meets a segment.
+        how a leaf meets a segment.  A segment whose `reach_cut` exceeds
+        the family's `cut` raises StructureError.
 
         In the segment frame (x = i, y = i e^L) a crossed leaf runs from
         its positive frame endpoint to its negative one, which puts x on
@@ -312,16 +487,14 @@ class LiftFamily:
         seg = np.flatnonzero(np.abs(x - ys) >= 1e-14)
         if self.empty or not len(seg):
             return out
-        # distance to i is convex along [x, y], so leaves crossing it lie
-        # within R = max(d(i, x), d(i, y)) of i; sinh(d/2) = |z - i| /
-        # (2 sqrt(Im z)).  R is padded by one END_TOL for the near-end
-        # window and one for rounding.  The index is cut once at the
-        # largest R; each segment then keeps the leaves within its own R.
+        # the index is cut once at the largest `reach_cut`; each
+        # segment then keeps the leaves within its own
         y = ys[seg]
         frames = segment_frames(x, y)
-        half = np.maximum(abs(x - 1j) / (2.0 * math.sqrt(x.imag)),
-                          np.abs(y - 1j) / (2.0 * np.sqrt(y.imag)))
-        cut = np.sinh(2.0 * np.arcsinh(half) + 2.0 * END_TOL)
+        cut = np.maximum(reach_cut(x), reach_cut(y))
+        if cut.max() > self.cut:
+            raise StructureError("a segment reaches beyond the points the "
+                                 "lift family was built for")
         rows = np.flatnonzero(self.sinh_dist <= cut.max())
         if not len(rows):
             return out

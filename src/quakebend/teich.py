@@ -405,31 +405,46 @@ class Holonomy:
         if not set(self.gens) <= set(self.alphabet):
             raise StructureError("every generator must be an alphabet letter")
 
-    def word_levels(self, depth):
+    def letter_matrices(self):
+        """(2k, 2, 2) stack of the letters g0, g0^-1, g1, g1^-1, ...:
+        the inverse of letter i is letter i ^ 1."""
+        return np.array([m for g in self.gens.values()
+                         for m in (g, iso.inv(g))]).reshape(-1, 2, 2)
+
+    def word_levels(self, depth, keep=None):
         """Reduced words of the free generators, one length at a time.
 
-        Letters are ordered g0, g0^-1, g1, g1^-1, ... (the inverse of
-        letter i is letter i ^ 1), so level 1 lists them in that order.
-        Yields, for each length 0..depth, the (n, 2, 2) stack of word
-        matrices (unnormalized) and the index of each word's last letter
-        (-1 for the empty word).  Each level lists the words of the
-        previous one in turn, each extended by every letter but the
-        inverse of its last one (prefix-major order).  This is the one
-        reduced-word enumeration of the package.
+        Letters are ordered as in `letter_matrices`, so level 1 lists
+        them in that order.  Yields, for each length 0..depth, the
+        (n, 2, 2) stack of word matrices (unnormalized) and the index of
+        each word's last letter (-1 for the empty word).  Each level
+        lists the words of the previous one in turn, each extended by
+        every letter but the inverse of its last one (prefix-major
+        order).  This is the one reduced-word enumeration of the
+        package.
+
+        `keep`, if given, prunes the tree: called on each level's stack,
+        it returns an (n, 2k) mask of the (prefix, letter) children to
+        build, and a child left out is never extended.  The words kept
+        are bitwise those of the full tree, in the same order.
         """
-        gens = np.array([m for g in self.gens.values()
-                         for m in (g, iso.inv(g))]).reshape(-1, 2, 2)
+        gens = self.letter_matrices()
         idx = np.arange(len(gens))
         mats, last = np.eye(2, dtype=gens.dtype)[None], np.array([-1])
         yield mats, last
         for _ in range(depth):
             # every (letter, prefix) product, one einsum per letter (a
-            # fixed right factor is the fast kernel), then the pairs that
-            # do not backtrack, gathered in prefix-major order
+            # fixed right factor is the fast kernel, and its rows do not
+            # depend on which other rows are in the stack), then the
+            # pairs that do not backtrack and are kept, gathered in
+            # prefix-major order
             prod = np.empty((len(gens),) + mats.shape, dtype=gens.dtype)
             for g in idx:
                 np.einsum("nij,jk->nik", mats, gens[g], out=prod[g])
-            prefix, last = np.nonzero(idx != (last[:, None] ^ 1))
+            child = idx != (last[:, None] ^ 1)
+            if keep is not None:
+                child &= keep(mats)
+            prefix, last = np.nonzero(child)
             mats = prod.reshape(-1, 2, 2)[last * len(mats) + prefix]
             yield mats, last
 

@@ -24,6 +24,10 @@ calls, kept next to the tests that compare the package against them:
 * `limit_set_samples` and `sampled_side`, the side rule of
   `blackhole.peripheral_rectangle` from the limit set sampled at every
   reduced word up to a depth, which the one-point rule replaced;
+* `cylinder_samples`, `circle_arc` and `arcs_invariant`, the limit-set
+  cylinders sampled per first letter and the arc containments of the
+  certificate `lamination.limit_arcs`, in the circle coordinate of
+  `blackhole.circle_angle` rather than the certificate's own;
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
@@ -208,6 +212,13 @@ def limit_set_samples(h, depth):
     of each parabolic one.  The inverse of every word is enumerated as
     well, so both fixed points of a hyperbolic word are sampled."""
     words = np.concatenate([m for m, _ in h.word_levels(depth)])
+    return limit_points(words)
+
+
+def limit_points(words):
+    """The attracting fixed point of each hyperbolic matrix of a stack,
+    and the fixed point of each parabolic one (elliptic ones and the
+    identity are dropped)."""
     (a, b), (c, d) = words[:, 0].T, words[:, 1].T
     tr, p = a + d, a - d
     det = a * d - b * c
@@ -264,6 +275,59 @@ def sampled_side(g, samples):
         raise DomainError(
             "no limit-set samples landed near either arc; increase depth")
     return arc1 if inhabited2 else arc2
+
+
+# -- limit-set arcs of the pruned lift families --------------------------------
+
+def cylinder_samples(h, depth):
+    """Per letter g, in the order of `teich.Holonomy.letter_matrices`,
+    the `limit_points` of the reduced words up to `depth` that begin
+    with g: each level of `word_levels` lists them as its g-th block."""
+    n = 2 * len(h.gens)
+    levels = [m for m, _ in h.word_levels(depth)][1:]
+    return [limit_points(np.concatenate(
+                [m[g * len(m) // n:(g + 1) * len(m) // n] for m in levels]))
+            for g in range(n)]
+
+
+def boundary_value(vec):
+    """The ideal point a / b of an endpoint vector (a, b), or oo."""
+    return iso.INF if vec[1] == 0 else float(vec[0] / vec[1])
+
+
+def circle_arc(ends):
+    """The `blackhole.CircleArc` of a (start, end) pair of endpoint
+    vectors of `lamination.limit_arcs`.  Those arcs run counterclockwise
+    in the angle of (a, b), which falls as a / b grows, so in
+    `blackhole.circle_angle` the arc runs from end to start."""
+    return bh.CircleArc(boundary_value(ends[1]), boundary_value(ends[0]))
+
+
+def arc_holds(outer, inner, tol):
+    """Whether the arc `inner` lies in the arc `outer` (both
+    `blackhole.CircleArc`), to tol radians of `circle_angle`, read off
+    the arc ends."""
+    a = bh.circle_angle(outer.start)
+    width = (bh.circle_angle(outer.end) - a) % (2.0 * math.pi)
+    s, e = ((bh.circle_angle(x) - a + tol) % (2.0 * math.pi)
+            for x in (inner.start, inner.end))
+    return s <= e <= width + 2.0 * tol
+
+
+def arcs_invariant(arcs, gens, tol=1e-12):
+    """Whether g A_h lies in A_g for each letter g of `gens` and each
+    letter h != g^-1 (letter i ^ 1 is the inverse of letter i): a
+    Moebius map takes the arc from s to t to the arc from g s to g t."""
+    for g, m in enumerate(gens):
+        for k, ends in enumerate(arcs):
+            if k == g ^ 1:
+                continue
+            arc = circle_arc(ends)
+            image = bh.CircleArc(iso.apply_boundary(m, arc.start),
+                                 iso.apply_boundary(m, arc.end))
+            if not arc_holds(circle_arc(arcs[g]), image, tol):
+                return False
+    return True
 
 
 # -- fixture surfaces ---------------------------------------------------------

@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quakebend import bending as bd
 from quakebend import earthquake as eq
 from quakebend import isometry as iso
 from quakebend import teich
 from quakebend import lamination as lm
+from quakebend import scenario
 from quakebend.errors import DomainError, StructureError
 
 import oracles
@@ -245,8 +248,9 @@ def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
     return leaves, bool(np.all(fam.levels[idx] < fam.depth))
 
 
-def seeded_family(kind, depth, seed):
-    rng = np.random.default_rng(seed)
+def seeded_surface(kind, rng):
+    """(lamination, holonomy) of a seeded FN torus with a weighted pant
+    curve, or of a seeded shear torus with its triangulation."""
     if kind == "fn":
         pd = teich.PantDecomposition.once_punctured_torus()
         fn = teich.FNPoint((rng.uniform(0.6, 2.0),), (rng.uniform(0.8, 2.4),),
@@ -257,6 +261,12 @@ def seeded_family(kind, depth, seed):
         sp = teich.ShearPoint(TRI_1PT, tuple(rng.uniform(-0.6, -0.1, 3)))
         h = teich.holonomy_from_shear(sp)
         lam = lm.TriangulationLam.from_shear(sp, tuple(rng.uniform(0.05, 0.6, 3)))
+    return lam, h
+
+
+def seeded_family(kind, depth, seed):
+    rng = np.random.default_rng(seed)
+    lam, h = seeded_surface(kind, rng)
     return lm.LiftFamily(lam, h, depth=depth), rng
 
 
@@ -512,3 +522,161 @@ class TestSegmentFrames:
     def test_rejected_endpoints(self, y):
         with pytest.raises(DomainError):
             lm.segment_frames(X0, [1.0 + 1.0j, y])
+
+
+# ---------------------------------------------------------------------------
+# lift families built for a reach
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+SCENARIOS = ("torus_multicurve", "torus_flow", "sphere_shear",
+             "torus_two_boundary")
+GRID = [complex(x, y) for y in np.linspace(0.3, 2.5, 7)
+        for x in np.linspace(-1.5, 1.5, 7)]
+
+
+def scenario_surface(name):
+    data = scenario.load(str(SCENARIO_DIR / f"{name}.json"))
+    point, pd = scenario.surface_point(data)
+    return scenario.lamination(data, point), teich.holonomy_of(point, pd)
+
+
+def letter_orbit(h):
+    """m x0 for each alphabet letter m: the far ends of the segments
+    that `earthquake.deform_letters` queries."""
+    return [iso.apply_h2(m, eq.BASE_POINT) for m in h.alphabet.values()]
+
+
+def limit_arcs(h):
+    return lm.limit_arcs(h, [m for m, _ in h.word_levels(lm.ARC_SEED_DEPTH)])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_reach_family_is_full_family(lam, h, depth, ys):
+    """The family built for the segments [x0, y], y in `ys`, against the
+    full one: the same rows within its cut, bit for bit (-0.0 apart from
+    0.0) and in the same order, and the same answers to the queries.
+    Returns both families."""
+    x0 = eq.BASE_POINT
+    full = lm.LiftFamily(lam, h, depth)
+    fam = lm.LiftFamily(lam, h, depth, reach=[x0, *ys])
+    assert math.isinf(full.cut) and fam.cut < math.inf
+    for name in ("ends_minus", "ends_plus", "weights", "levels", "sinh_dist"):
+        assert np.array_equal(bits(getattr(full, name)[full.sinh_dist <= fam.cut]),
+                              bits(getattr(fam, name)[fam.sinh_dist <= fam.cut]))
+    got = fam.crossings_from(x0, ys, on_leaf="include")
+    assert got == full.crossings_from(x0, ys, on_leaf="include")
+    return full, fam
+
+
+class TestReachFamily:
+    @pytest.mark.parametrize("name,depth",
+                             [(n, d) for n in SCENARIOS for d in (6, 8, 10)
+                              if (n, d) != ("torus_two_boundary", 10)]
+                             + [("torus_multicurve", 12)])
+    def test_scenarios(self, name, depth):
+        # torus_two_boundary at depth 10 is over MAX_WORDS either way
+        lam, h = scenario_surface(name)
+        for ys in (letter_orbit(h), GRID):
+            full, fam = assert_reach_family_is_full_family(lam, h, depth, ys)
+        multicurve = isinstance(lam, lm.MultiCurveLam)
+        # the multicurve trees are pruned, the triangulation trees are not
+        assert (len(fam.weights) < len(full.weights)) == multicurve
+        if not multicurve:
+            assert np.array_equal(bits(fam.ends_minus), bits(full.ends_minus))
+
+    @pytest.mark.parametrize("kind", ["fn", "shear"])
+    def test_seeded_tori(self, kind):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            lam, h = seeded_surface(kind, rng)
+            assert_reach_family_is_full_family(lam, h, 8, letter_orbit(h))
+            grid = [complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
+                    for _ in range(30)]
+            assert_reach_family_is_full_family(lam, h, 8, grid)
+
+    def test_converged_flags_follow_the_full_family(self):
+        # segments of length 1-5 from the base point: at depth 5 some
+        # cross a leaf of the deepest level
+        lam, h = scenario_surface("torus_multicurve")
+        rng = np.random.default_rng(5)
+        ys = [point_at(r, th) for r, th in zip(rng.uniform(1.0, 5.0, 300),
+                                               rng.uniform(0.0, 6.3, 300))]
+        for depth in (5, 6):
+            full, fam = assert_reach_family_is_full_family(lam, h, depth, ys)
+            flags = [ok for _, ok in fam.crossings_from(eq.BASE_POINT, ys,
+                                                        on_leaf="include")]
+            assert len(fam.weights) < len(full.weights)
+            assert not all(flags) or depth == 6
+
+
+class TestReachGuard:
+    def test_query_beyond_the_reach_raises(self):
+        lam, h = scenario_surface("torus_multicurve")
+        x0, y = eq.BASE_POINT, 0.4 + 1.6j
+        fam = lm.LiftFamily(lam, h, 10, reach=[x0, y])
+        # the build and the query cut with the same helper
+        assert fam.cut == max(lm.reach_cut([x0, y])) * (1 + lm.PRUNE_SLACK)
+        fam.crossings_from(x0, [y, 0.3 + 1.2j])
+        with pytest.raises(StructureError):
+            fam.crossings_from(x0, [y, 3.0 + 0.2j])
+        with pytest.raises(StructureError):
+            fam.crossings(x0, 3.0 + 0.2j)
+
+    def test_full_family_answers_any_query(self):
+        lam, h = scenario_surface("torus_multicurve")
+        fam = lm.LiftFamily(lam, h, 6)
+        assert fam.cut == math.inf
+        fam.crossings_from(eq.BASE_POINT, [30.0 + 0.01j])
+
+    def test_bend_context_refuses_points_off_its_grid(self):
+        data = scenario.load(str(SCENARIO_DIR / "torus_multicurve.json"))
+        point, pd = scenario.surface_point(data)
+        ctx, _ = bd.make_context(point, scenario.lamination(data, point),
+                                 depth=8, pd=pd, reach=GRID)
+        bd.bend_points(ctx, GRID)
+        with pytest.raises(StructureError):
+            bd.bend_points(ctx, [5.0 + 0.1j])
+
+
+class TestLimitArcs:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_scenario_arcs(self, name):
+        _, h = scenario_surface(name)
+        self.check(h)
+
+    @pytest.mark.parametrize("kind", ["fn", "shear"])
+    def test_seeded_arcs(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            self.check(seeded_surface(kind, rng)[1])
+
+    @staticmethod
+    def check(h):
+        arcs = limit_arcs(h)
+        assert arcs is not None
+        assert oracles.arcs_invariant(arcs, h.letter_matrices())
+        for ends, points in zip(arcs, oracles.cylinder_samples(h, 8)):
+            assert oracles.arc_contains(oracles.circle_arc(ends), points).all()
+
+    def test_cusped_torus_is_refused_and_built_in_full(self):
+        pd = teich.PantDecomposition.once_punctured_torus()
+        h = teich.holonomy_from_fn(pd, teich.FNPoint((0.0,), (1.5,), (0.2,)))
+        assert limit_arcs(h) is None
+        lam = lm.MultiCurveLam((0.5,))
+        full, fam = assert_reach_family_is_full_family(lam, h, 8,
+                                                       letter_orbit(h))
+        assert np.array_equal(bits(fam.ends_plus), bits(full.ends_plus))
+
+    @pytest.mark.parametrize("name", ["torus_flow", "sphere_shear"])
+    def test_triangulation_leaves_fail_the_leaf_check(self, name):
+        # each leaf has an end e and a letter u with u e outside A_u, so
+        # the certificate would not cover it (the family skips it)
+        lam, h = scenario_surface(name)
+        arcs, gens = limit_arcs(h), h.letter_matrices()
+        for geo, _, _ in lm._base_leaves(lam, h):
+            assert not all(
+                oracles.circle_arc(arcs[u]).contains(iso.apply_boundary(m, e))
+                for u, m in enumerate(gens) for e in (geo.p_minus, geo.p_plus))
