@@ -97,12 +97,6 @@ def _evaluate(metric, x):
     return np.asarray(vals, dtype=float)[idx][None]
 
 
-def _stencil(metric, x):
-    """(g, R) at x, in the convention of `_riemann`."""
-    g, r = _riemann(_evaluate(metric, x))
-    return g[0], r[0]
-
-
 def _fits(gs):
     """(kappa, residual) per stencil of gs, as `_riemann` takes them."""
     g, r = _riemann(gs)

@@ -137,11 +137,6 @@ def apply_h2(m, z):
     return (a * z + b) / (c * z + d)
 
 
-def dist_h2(z, w):
-    """Hyperbolic distance in the upper half-plane."""
-    return math.acosh(1.0 + (abs(z - w) ** 2) / (2.0 * z.imag * w.imag))
-
-
 @dataclass(frozen=True)
 class Geodesic:
     """Oriented geodesic of H2 with ideal endpoints (p_minus, p_plus)."""
@@ -152,9 +147,6 @@ class Geodesic:
     def __post_init__(self):
         if self.p_minus == self.p_plus:
             raise DomainError("degenerate geodesic: equal ideal endpoints")
-
-    def reversed(self):
-        return Geodesic(self.p_plus, self.p_minus)
 
     def side(self, z):
         """Signed side of z: positive on the left of the orientation.

@@ -285,12 +285,11 @@ def _attracting(w):
                     np.stack([lam - d, c], -1))
 
 
-def limit_arcs(h: teich.Holonomy, seed):
+def limit_arcs(h: teich.Holonomy):
     """Arcs A_g of the boundary, one per letter g of
     `teich.Holonomy.letter_matrices`, with g A_h inside A_g for every
     h != g^-1: a (2k, 2, 2) array of endpoint vectors (start, end), or
-    None when no such arcs were found.  `seed` lists the word stacks of
-    the levels 0..ARC_SEED_DEPTH of `h.word_levels`.
+    None when no such arcs were found.
 
     By induction on the word, A_g then holds the limit-set cylinder of
     g (the limit points of the reduced words that begin with g).  Each
@@ -310,9 +309,11 @@ def limit_arcs(h: teich.Holonomy, seed):
     if not n or np.any(np.linalg.det(gens) <= 0):
         return None
     rows = np.arange(n)
-    # each level lists the words that begin with g as its g-th block,
-    # and level 1 the letters: the circle is cut at att(g^-1)
-    words = np.concatenate([m.reshape(n, -1, 2, 2) for m in seed[1:]], 1)
+    # each level of `h.word_levels` lists the words that begin with g as
+    # its g-th block, and level 1 the letters: the circle is cut at
+    # att(g^-1)
+    seed = list(h.word_levels(ARC_SEED_DEPTH))[1:]
+    words = np.concatenate([m.reshape(n, -1, 2, 2) for m, _ in seed], 1)
     att = _angle(_attracting(words))
     cut = att[rows ^ 1, 0]
     x = _offset(att, cut[:, None])
@@ -384,22 +385,20 @@ class LiftFamily:
     family holds every leaf with sinh_dist <= `cut`, the largest
     `reach_cut` of them (times 1 + PRUNE_SLACK), and `crossings_from`
     refuses a segment that reaches farther.  The word tree is then
-    pruned on the `limit_arcs` certificate: a subtree all of whose
-    leaves lie in a half-plane beyond the cut is never built.  The
-    certificate covers the family when u e lies in A_u for each end e
-    of each base leaf and each last letter u that the leaf allows.  It
-    is sought only when a letter stabilizes every base leaf (the
-    multicurve family).  The triangulation family's leaves end at
-    fixed points of peripheral words, whose first letter the last
-    letter can cancel, so that the check fails for them.  A family the
-    certificate does not cover is enumerated in full, and so are the
-    levels up to ARC_SEED_DEPTH, which seed the certificate.  The rows
-    within the cut are bitwise those of the full family, in its order:
-    base leaf, then level, then prefix-major.  Without `reach` the
-    family is the full one and answers any query.
+    pruned on the `limit_arcs` certificate from its first level on: a
+    subtree all of whose leaves lie in a half-plane beyond the cut is
+    never built.  The certificate covers the family when u e lies in
+    A_u for each end e of each base leaf and each last letter u that
+    the leaf allows.  It is sought only when a letter stabilizes every
+    base leaf (the multicurve family).  The triangulation family's
+    leaves end at fixed points of peripheral words, whose first letter
+    the last letter can cancel, so that the check fails for them.  A
+    family the certificate does not cover is enumerated in full.  The
+    rows within the cut are bitwise those of the full family, in its
+    order: base leaf, then level, then prefix-major.  Without `reach`
+    the family is the full one and answers any query.
     """
 
-    MAX_WORDS = 6_000_000
     #: (segment, leaf) pairs tested at once by `crossings_from` (bounds memory)
     PAIRS_PER_BLOCK = 1 << 15
 
@@ -413,12 +412,6 @@ class LiftFamily:
         self.empty = not base
         if self.empty:
             return
-        k = len(h.gens)
-        est = 2 * k * ((2 * k - 1) ** (depth - 1)) if k else 1
-        if est > self.MAX_WORDS:
-            raise DomainError(
-                f"depth {depth} enumerates ~{est} words on a rank-{k} group; "
-                "reduce the depth")
         names = list(h.gens)
         leaves = []  # (end vectors, weight, last letters it forbids)
         for geo, w, stab_name in base:
@@ -426,30 +419,23 @@ class LiftFamily:
             leaves.append((np.array([_proj_vec(geo.p_minus),
                                      _proj_vec(geo.p_plus)]), w,
                            () if gi is None else (gi, gi + 1)))
-        # the keep test is read as the tree grows: the trunk is built
-        # before the arcs it seeds, the levels below it after
-        prune = []
-        tree = h.word_levels(depth, lambda m: prune[0](m) if prune else True)
-        words = [next(tree) for _ in range(min(depth, ARC_SEED_DEPTH) + 1)]
-        # a tree no deeper than the trunk leaves nothing to prune, and
+        keep = None
         # leaves that no letter stabilizes fail the certificate (see the
         # class notes)
-        if (reach is not None and depth > ARC_SEED_DEPTH
-                and all(forbidden for _, _, forbidden in leaves)):
-            arcs = limit_arcs(h, [m for m, _ in words])
+        if reach is not None and all(forbidden for _, _, forbidden in leaves):
+            arcs = limit_arcs(h)
             gens = h.letter_matrices()
             if arcs is not None and all(
-                    _arcs_hold(arcs, gens, ends, [u for u in range(2 * k)
+                    _arcs_hold(arcs, gens, ends, [u for u in range(len(gens))
                                                   if u not in forbidden])
                     for ends, _, forbidden in leaves):
-                prune.append(_prune_beyond(arcs, self.cut))
-        words += tree
+                keep = _prune_beyond(arcs, self.cut)
+        words = list(h.word_levels(depth, keep))
         ends_m, ends_p, ws, lv, keys = [], [], [], [], []
         for (vm, vp), w, forbidden in leaves:
             for level, (block, bl) in enumerate(words):
                 if forbidden:
-                    keep = (bl != forbidden[0]) & (bl != forbidden[1])
-                    block = block[keep]
+                    block = block[(bl != forbidden[0]) & (bl != forbidden[1])]
                 ends_m.append(block @ vm)
                 ends_p.append(block @ vp)
                 keys.append(_sinh_dist_from_i(ends_m[-1], ends_p[-1]))

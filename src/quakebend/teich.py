@@ -388,6 +388,10 @@ def _pant_side_check(cuffs):
 # holonomy container
 # ---------------------------------------------------------------------------
 
+#: products one level of `Holonomy.word_levels` may build (bounds memory)
+MAX_WORDS = 6_000_000
+
+
 class Holonomy:
     """Representation of pi_1(S) into PSL(2, R) (or PSL(2, C), or pairs).
 
@@ -427,12 +431,21 @@ class Holonomy:
         it returns an (n, 2k) mask of the (prefix, letter) children to
         build, and a child left out is never extended.  The words kept
         are bitwise those of the full tree, in the same order.
+
+        A level whose n prefixes would build more than MAX_WORDS
+        products (n 2k) raises DomainError before it allocates them, so
+        a pruned tree goes as deep as its kept prefixes allow.
         """
         gens = self.letter_matrices()
         idx = np.arange(len(gens))
         mats, last = np.eye(2, dtype=gens.dtype)[None], np.array([-1])
         yield mats, last
-        for _ in range(depth):
+        for level in range(1, depth + 1):
+            if len(mats) * len(gens) > MAX_WORDS:
+                raise DomainError(
+                    f"depth {depth} builds {len(mats) * len(gens)} words at "
+                    f"level {level} on a rank-{len(self.gens)} group; "
+                    "reduce the depth")
             # every (letter, prefix) product, one einsum per letter (a
             # fixed right factor is the fast kernel, and its rows do not
             # depend on which other rows are in the stack), then the
@@ -528,11 +541,16 @@ def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
     """Holonomy of F(l, t): normalized pants glued along the interior
     curves with the stated twist convention.  A closed surface (no
     boundary curve) is rejected: its generators satisfy a relation, and
-    the word engine needs a free group."""
+    the word engine needs a free group.  So is a surface of genus >= 2,
+    whose curve words fail the quake cross-oracle."""
     fn.check(pd)
     if pd.num_boundary == 0:
         raise DomainError("closed surfaces (r = 0) are not supported: "
                           "their holonomy group is not free")
+    if pd.genus >= 2:
+        raise DomainError("Fenchel-Nielsen surfaces of genus >= 2 are not "
+                          "supported: their curve words fail the quake "
+                          "cross-oracle")
 
     local_cuffs = []
     frames = []

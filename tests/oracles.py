@@ -11,6 +11,8 @@ calls, kept next to the tests that compare the package against them:
 * `ads_inner`, `ads_spacelike_distance`, `positive_rotation` and
   `dual_point`, the duality of X_{-1} in the conventions of
   `quakebend.isometry`;
+* `dist_h2`, the distance of the upper half-plane, and
+  `reversed_geodesic`, a geodesic of H2 with its orientation reversed;
 * `translation` along an oriented geodesic of H2;
 * `rotation_generator`, `leaf_normal_toward` and `iota`, the per-leaf
   formulas that the displacement generator
@@ -19,8 +21,8 @@ calls, kept next to the tests that compare the package against them:
   normal in R^{2,1} from the null vectors of its endpoints, and the
   map sl(2, R) -> R^{2,1} written out;
 * `sphere_metric` and `hyperbolic_metric`, the reference metrics of the
-  curvature fit, and `riemann` and `sectional_curvature` from its
-  stencil;
+  curvature fit, and `stencil`, `riemann` and `sectional_curvature`
+  from its stencil at one point;
 * `limit_set_samples` and `sampled_side`, the side rule of
   `blackhole.peripheral_rectangle` from the limit set sampled at every
   reduced word up to a depth, which the one-point rule replaced;
@@ -135,6 +137,15 @@ def dual_point(geo, s):
 
 # -- H2 -----------------------------------------------------------------------
 
+def dist_h2(z, w):
+    """Hyperbolic distance in the upper half-plane."""
+    return math.acosh(1.0 + (abs(z - w) ** 2) / (2.0 * z.imag * w.imag))
+
+
+def reversed_geodesic(geo):
+    return iso.Geodesic(geo.p_plus, geo.p_minus)
+
+
 def translation(geo, length):
     """Hyperbolic translating by `length` along the oriented geodesic."""
     m = geo.map_from_standard()
@@ -191,16 +202,22 @@ def hyperbolic_metric(x):
     return np.diag([1.0 / y ** 2, 1.0 / y ** 2])
 
 
+def stencil(metric, x):
+    """(g, R) at x, in the convention of `curvature._riemann`."""
+    g, r = cv._riemann(cv._evaluate(metric, x))
+    return g[0], r[0]
+
+
 def riemann(metric, x):
     """The lowered Riemann tensor of the curvature fit at x, in the
-    convention of `curvature._stencil`."""
-    return cv._stencil(metric, x)[1]
+    convention of `stencil`."""
+    return stencil(metric, x)[1]
 
 
 def sectional_curvature(metric, x, plane=(0, 1)):
     """Sectional curvature of the coordinate plane (i, j) at x."""
     i, j = plane
-    g, r = cv._stencil(metric, x)
+    g, r = stencil(metric, x)
     return r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
 
 

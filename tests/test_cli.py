@@ -13,6 +13,10 @@ from quakebend import lamination as lm
 from quakebend import teich
 
 
+# a numpy overflow or invalid value on a CLI path fails the run
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 TORUS_SCENARIO = {
     "version": 1,
     "surface": {"g": 1, "r": 1},
@@ -63,6 +67,20 @@ GENUS_TWO = {
               "boundary": []},
     "fn": {"l": [1.0, 1.2, 1.4], "t": [0.1, 0.2, 0.3]},
     "lamination": {"family": "multicurve", "weights": [0.5, 0.0, 0.0]},
+}
+
+# genus 2 with one boundary: three pants, weight on z1.  Its curve words
+# fail the quake cross-oracle (z3 with residual 15, zpp3 with 4e5), so
+# the surface is refused
+GENUS_TWO_ONE_BOUNDARY = {
+    "version": 1,
+    "surface": {"g": 2, "r": 1},
+    "pants": {"num_pants": 3,
+              "interior": [[[0, 0], [0, 1]], [[0, 2], [1, 0]],
+                           [[1, 1], [2, 0]], [[2, 1], [2, 2]]],
+              "boundary": [[1, 2]]},
+    "fn": {"l": [1.0, 1.1, 1.3, 1.5, 1.2], "t": [0.1, 0.2, 0.3, 0.4]},
+    "lamination": {"family": "multicurve", "weights": [0.0, 0.5, 0.0, 0.0]},
 }
 
 
@@ -187,6 +205,23 @@ class TestTwoBoundaryTorus:
             assert r["converged"] is True
             assert r["residual"] <= 1e-8 * r["trace_coordinates"], r
 
+    def test_quake_at_depth_10_matches_the_depth_8_golden(self, capsys):
+        # the full tree is over the word budget at depth 10; the pruned
+        # one is not, and every crossed leaf is already within depth 8
+        path = str(SCENARIOS / "torus_two_boundary.json")
+        code, recs = run(capsys, ["quake", path, "--side", "left",
+                                  "--depth", "10"])
+        assert code == 0
+        golden = Path(__file__).resolve().parent / "golden"
+        d8 = [json.loads(line) for line in
+              (golden / "torus_two_boundary-quake-left-d8.jsonl")
+              .read_text().splitlines()]
+        assert len(recs) == len(d8)
+        for r, g in zip(recs, d8):
+            assert r.pop("depth", 10) == 10 and g.pop("depth", 8) == 8
+            assert r == g
+        assert all(r["converged"] is True for r in recs if "curve" in r)
+
 
 class TestDomainErrors:
     """A domain error exits 3 and leaves stdout empty."""
@@ -197,6 +232,16 @@ class TestDomainErrors:
     def test_closed_surface_rejected(self, tmp_path, capsys, argv):
         # the word engine needs a free group; the closed surface's is not
         path = write_scenario(tmp_path, GENUS_TWO)
+        code = cli.main([argv[0], path] + argv[1:])
+        assert code == cli.EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["holonomy"], ["quake", "--depth", "6"],
+        ["bend", "--target", "hyperbolic", "--depth", "6"],
+        ["blackhole", "--depth", "6"]])
+    def test_genus_two_surface_rejected(self, tmp_path, capsys, argv):
+        path = write_scenario(tmp_path, GENUS_TWO_ONE_BOUNDARY)
         code = cli.main([argv[0], path] + argv[1:])
         assert code == cli.EXIT_DOMAIN
         assert capsys.readouterr().out == ""

@@ -99,8 +99,8 @@ class TestQuakeCocycle:
         # reversed order with reversed orientation
         leaves = [lm.WeightedGeodesic(iso.Geodesic(0.0, iso.INF), 0.5),
                   lm.WeightedGeodesic(iso.Geodesic(-3.0, -1.0), 0.3)]
-        from_y = [lm.WeightedGeodesic(l.geodesic.reversed(), l.weight)
-                  for l in reversed(leaves)]
+        from_y = [lm.WeightedGeodesic(oracles.reversed_geodesic(l.geodesic),
+                                      l.weight) for l in reversed(leaves)]
         for side in (eq.LEFT, eq.RIGHT):
             fwd = eq.quake_cocycle(leaves, side)
             back = eq.quake_cocycle(from_y, side)

@@ -26,6 +26,9 @@ import pytest
 from quakebend import cli
 from quakebend import earthquake as eq
 
+# a numpy overflow or invalid value on a CLI path fails the run
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = ("torus_multicurve", "torus_flow", "sphere_shear",

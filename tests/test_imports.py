@@ -6,7 +6,9 @@
 * Every public entry point of the package (top-level function, or
   method of a top-level class) is named somewhere in src/, scripts/ or
   perfbench/ outside its own definition, or is on `UNREACHED` with the
-  ROADMAP direction that will wire it.
+  ROADMAP direction that will wire it.  A method counts as named only
+  as an attribute or a string, since a bare name (the builtin
+  `reversed`, say) cannot reach it.
 * Every (owner, attribute) that perfbench/spans.py patches by name
   exists, and the benchmark's job lists build.
 """
@@ -78,21 +80,21 @@ def test_detects_unused_import():
     assert unused_imports(src) == [(2, "math"), (4, "path")]
 
 
-def named(tree):
-    """How often a syntax tree names each identifier: as a variable, an
-    attribute, an imported name or an identifier-like string (spans.py
-    of perfbench patches attributes given by name)."""
+def named(tree, bare=True):
+    """How often a syntax tree names each identifier: as an attribute or
+    an identifier-like string (spans.py of perfbench patches attributes
+    given by name) and, if `bare`, as a variable or an imported name."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             out[node.value] += 1
+        elif bare and isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif bare and isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
     return out
 
 
@@ -111,12 +113,16 @@ def public_defs(tree):
 def unreached(modules, searched):
     """Qualified names of the public entry points of `modules` (module
     name -> source) that no source of `searched` names outside the
-    entry point's own definition."""
-    total = sum((named(ast.parse(src)) for src in searched), Counter())
+    entry point's own definition (a method: as an attribute or a
+    string)."""
+    trees = [ast.parse(src) for src in searched]
+    total = {bare: sum((named(t, bare) for t in trees), Counter())
+             for bare in (True, False)}
     return sorted(f"{mod}.{qual}" for mod, src in modules.items()
                   for qual, node in public_defs(ast.parse(src))
                   if not node.name.startswith("_")
-                  and total[node.name] <= named(node)[node.name])
+                  and total["." not in qual][node.name]
+                  <= named(node, "." not in qual)[node.name])
 
 
 def test_every_entry_point_is_reached():
@@ -128,16 +134,19 @@ def test_every_entry_point_is_reached():
 
 
 def test_detects_unreached_entry_point():
-    mod = ("def used():\n    return 1\n"
+    # the builtin sorted() does not reach the method K.sorted
+    mod = ("def used():\n    return sorted([1])\n"
            "def dead(n):\n    return dead(n - 1)\n"
            "def _private():\n    pass\n"
            "class K:\n"
            "    def patched(self):\n        return self.called()\n"
            "    def called(self):\n        pass\n"
            "    def unused(self):\n        pass\n"
+           "    def sorted(self):\n        pass\n"
            "    def __repr__(self):\n        return ''\n")
     other = "from m import used\nPATCHED = [(K, 'patched')]\n"
-    assert unreached({"m": mod}, [mod, other]) == ["m.K.unused", "m.dead"]
+    assert unreached({"m": mod}, [mod, other]) == ["m.K.sorted", "m.K.unused",
+                                                   "m.dead"]
 
 
 def test_perfbench_patched_names_exist(monkeypatch):

@@ -240,7 +240,7 @@ def crossings_scan(fam, x, y, tol=1e-9, on_leaf="raise"):
         geo = iso.Geodesic(endpoint(fam.ends_minus[i]),
                            endpoint(fam.ends_plus[i]))
         if vm[i] < 0:
-            geo = geo.reversed()
+            geo = oracles.reversed_geodesic(geo)
         w = float(fam.weights[i])
         if near_end[inside][k]:
             w = w / 2.0
@@ -336,7 +336,7 @@ class TestDistanceIndex:
 
     def test_index_prunes(self):
         fam, _ = seeded_family("fn", 8, seed=8)
-        reach = max(iso.dist_h2(1j, z) for z in (-1.5 + 0.3j, 1.5 + 2.5j))
+        reach = max(oracles.dist_h2(1j, z) for z in (-1.5 + 0.3j, 1.5 + 2.5j))
         assert np.count_nonzero(fam.sinh_dist <= math.sinh(reach)) \
             < 0.01 * len(fam.sinh_dist)
 
@@ -546,10 +546,6 @@ def letter_orbit(h):
     return [iso.apply_h2(m, eq.BASE_POINT) for m in h.alphabet.values()]
 
 
-def limit_arcs(h):
-    return lm.limit_arcs(h, [m for m, _ in h.word_levels(lm.ARC_SEED_DEPTH)])
-
-
 def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -577,7 +573,8 @@ class TestReachFamily:
                               if (n, d) != ("torus_two_boundary", 10)]
                              + [("torus_multicurve", 12)])
     def test_scenarios(self, name, depth):
-        # torus_two_boundary at depth 10 is over MAX_WORDS either way
+        # the full torus_two_boundary family is over teich.MAX_WORDS at
+        # depth 10 (the pruned one is not)
         lam, h = scenario_surface(name)
         for ys in (letter_orbit(h), GRID):
             full, fam = assert_reach_family_is_full_family(lam, h, depth, ys)
@@ -625,6 +622,20 @@ class TestReachGuard:
         with pytest.raises(StructureError):
             fam.crossings(x0, 3.0 + 0.2j)
 
+    def test_word_budget_refuses_the_full_tree_only(self, monkeypatch):
+        # 432 = 108 x 4 products: the full rank-2 tree stops at level 6
+        lam, h = scenario_surface("torus_multicurve")
+        reach = [eq.BASE_POINT, *letter_orbit(h)]
+        fam = lm.LiftFamily(lam, h, 8, reach=reach)
+        monkeypatch.setattr(teich, "MAX_WORDS", 432)
+        with pytest.raises(DomainError, match="level 6"):
+            lm.LiftFamily(lam, h, 8)
+        again = lm.LiftFamily(lam, h, 8, reach=reach)
+        for name in ("ends_minus", "ends_plus", "weights", "levels",
+                     "sinh_dist"):
+            assert np.array_equal(bits(getattr(again, name)),
+                                  bits(getattr(fam, name)))
+
     def test_full_family_answers_any_query(self):
         lam, h = scenario_surface("torus_multicurve")
         fam = lm.LiftFamily(lam, h, 6)
@@ -655,7 +666,7 @@ class TestLimitArcs:
 
     @staticmethod
     def check(h):
-        arcs = limit_arcs(h)
+        arcs = lm.limit_arcs(h)
         assert arcs is not None
         assert oracles.arcs_invariant(arcs, h.letter_matrices())
         for ends, points in zip(arcs, oracles.cylinder_samples(h, 8)):
@@ -664,7 +675,7 @@ class TestLimitArcs:
     def test_cusped_torus_is_refused_and_built_in_full(self):
         pd = teich.PantDecomposition.once_punctured_torus()
         h = teich.holonomy_from_fn(pd, teich.FNPoint((0.0,), (1.5,), (0.2,)))
-        assert limit_arcs(h) is None
+        assert lm.limit_arcs(h) is None
         lam = lm.MultiCurveLam((0.5,))
         full, fam = assert_reach_family_is_full_family(lam, h, 8,
                                                        letter_orbit(h))
@@ -675,7 +686,7 @@ class TestLimitArcs:
         # each leaf has an end e and a letter u with u e outside A_u, so
         # the certificate would not cover it (the family skips it)
         lam, h = scenario_surface(name)
-        arcs, gens = limit_arcs(h), h.letter_matrices()
+        arcs, gens = lm.limit_arcs(h), h.letter_matrices()
         for geo, _, _ in lm._base_leaves(lam, h):
             assert not all(
                 oracles.circle_arc(arcs[u]).contains(iso.apply_boundary(m, e))

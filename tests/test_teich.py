@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quakebend import blackhole as bh
 from quakebend import isometry as iso
+from quakebend import lamination as lm
+from quakebend import spacetime as sp
 from quakebend import teich
 from quakebend.errors import DomainError, StructureError
 
@@ -350,6 +353,53 @@ class TestWordLevels:
         for i, name in enumerate(h.gens):
             assert np.array_equal(letters[2 * i], h.gens[name])
             assert np.array_equal(letters[2 * i + 1], iso.inv(h.gens[name]))
+
+
+class TestWordBudget:
+    """`word_levels` refuses a level whose prefixes would build more than
+    `teich.MAX_WORDS` products; on the rank-2 torus 144 = 36 x 4 builds
+    levels 1-4 and refuses level 5 (108 prefixes)."""
+
+    BUDGET = 144
+
+    @staticmethod
+    def bits(levels):
+        return [(m.tobytes(), last.tobytes()) for m, last in levels]
+
+    def test_levels_up_to_the_budget_then_refused(self, monkeypatch):
+        h = WORD_HOLONOMIES["fn-torus"]
+        full = self.bits(h.word_levels(6))
+        monkeypatch.setattr(teich, "MAX_WORDS", self.BUDGET)
+        tree = h.word_levels(6)
+        assert self.bits(itertools.islice(tree, 5)) == full[:5]
+        with pytest.raises(DomainError, match="level 5 on a rank-2 group"):
+            next(tree)
+
+    def test_pruned_tree_passes_the_same_depth(self, monkeypatch):
+        # letters 0 and 2 only (g0 and g1, never an inverse): 2^d words
+        # at level d, so level 6 builds 32 x 4 products
+        h = WORD_HOLONOMIES["fn-torus"]
+
+        def keep(mats):
+            return np.broadcast_to(np.arange(4) % 2 == 0, (len(mats), 4))
+        full = self.bits(h.word_levels(6, keep))
+        monkeypatch.setattr(teich, "MAX_WORDS", self.BUDGET)
+        assert self.bits(h.word_levels(6, keep)) == full
+        assert [len(m) for m, _ in h.word_levels(6, keep)] == \
+            [2 ** d for d in range(7)]
+
+    def test_word_loops_are_refused(self, monkeypatch):
+        h = WORD_HOLONOMIES["fn-torus"]
+        empty = lm.LiftFamily(lm.MultiCurveLam((0.0,)), h, depth=4)
+        q = np.array([2.0, 0.1, -0.3])
+        # inside at every depth, so neither test stops before the budget
+        assert bh.omega_contains(np.eye(2), h, h, depth=6)
+        assert sp.regular_domain_contains(q, empty, h, depth=6)
+        monkeypatch.setattr(teich, "MAX_WORDS", self.BUDGET)
+        with pytest.raises(DomainError):
+            bh.omega_contains(np.eye(2), h, h, depth=6)
+        with pytest.raises(DomainError):
+            sp.regular_domain_contains(q, empty, h, depth=6)
 
 
 class TestHolonomyMap:
