@@ -122,8 +122,7 @@ def cmd_classify(args):
         raise ParseError("--matrix expects a,b,c,d")
     g = iso.normalize(np.array(entries).reshape(2, 2))
     k = iso.classify(g, tol=args.tol)
-    rec = {"command": "classify", "kind": k.kind,
-           "trace": abs(float(iso.tr(g)))}
+    rec = {"kind": k.kind, "trace": abs(float(iso.tr(g)))}
     if k.kind == "hyperbolic":
         rec["translation_length"] = k.translation_length
         rec["fixed_points"] = [_num(p) for p in k.fixed_points]
@@ -131,7 +130,7 @@ def cmd_classify(args):
         rec["rotation_angle"] = k.rotation_angle
     elif k.kind == "parabolic":
         rec["fixed_points"] = [_num(p) for p in k.fixed_points]
-    emit(rec)
+    yield rec
 
 
 def _num(x):
@@ -144,11 +143,11 @@ def cmd_holonomy(args):
     for name in h.curve_names():
         m = h.curve(name)
         k = iso.classify(m)
-        emit({"command": "holonomy", "curve": name,
-              "trace": abs(float(iso.tr(m))), "kind": k.kind,
-              "length": k.translation_length if k.kind == "hyperbolic" else 0.0})
+        yield {"curve": name, "trace": abs(float(iso.tr(m))), "kind": k.kind,
+               "length": k.translation_length if k.kind == "hyperbolic"
+               else 0.0}
     st = teich.surface_type(h)
-    emit({"command": "holonomy", "types": list(st.kinds), "genus": st.genus})
+    yield {"types": list(st.kinds), "genus": st.genus}
 
 
 def cmd_spectrum(args):
@@ -157,17 +156,16 @@ def cmd_spectrum(args):
     elam = scenario.eta(data, lam, point)
     spec = lm.peripheral_spectrum(lam, len(kinds))
     for i in range(len(kinds)):
-        emit({"command": "spectrum", "puncture": i, "I": spec[i],
-              "I_sharp": lm.enhanced_spectrum(elam, i),
-              "sigma": lm.signature(lam, len(kinds))[i],
-              "eta": elam.eta[i], "kind": kinds[i]})
+        yield {"puncture": i, "I": spec[i],
+               "I_sharp": lm.enhanced_spectrum(elam, i),
+               "sigma": lm.signature(lam, len(kinds))[i],
+               "eta": elam.eta[i], "kind": kinds[i]}
     if isinstance(lam, lm.MultiCurveLam) and pd is not None:
         for name in sorted(["z%d" % j for j in range(pd.num_interior)]
                            + ["zp%d" % j for j in range(pd.num_interior)]
                            + ["zpp%d" % j for j in range(pd.num_interior)]
                            + ["C%d" % i for i in range(pd.num_boundary)]):
-            emit({"command": "spectrum", "curve": name,
-                  "I": lm.intersection_spectrum(name, lam, pd)})
+            yield {"curve": name, "I": lm.intersection_spectrum(name, lam, pd)}
 
 
 def cmd_quake(args):
@@ -181,16 +179,16 @@ def cmd_quake(args):
         coords = {"shears": list(moved.shears)}
     h2 = teich.holonomy_of(moved, pd)
     hq = eq.quake_holonomy(point, lam, side, depth=args.depth, pd=pd)
-    emit({"command": "quake", "side": side, **coords})
+    yield {"side": side, **coords}
     for name in h2.curve_names():
         tc = abs(float(iso.tr(h2.curve(name))))
         tq = abs(float(iso.tr(hq.curve(name)))) if name in hq.curve_words else None
-        rec = {"command": "quake", "curve": name, "trace_coordinates": tc,
-               "depth": args.depth, "converged": hq.meta.get("converged")}
+        rec = {"curve": name, "trace_coordinates": tc, "depth": args.depth,
+               "converged": hq.meta.get("converged")}
         if tq is not None:
             rec["trace_cocycle"] = tq
             rec["residual"] = abs(tc - tq)
-        emit(rec)
+        yield rec
 
 
 def cmd_flow(args):
@@ -204,14 +202,12 @@ def cmd_flow(args):
     for t in times:
         out = eq.quake_flow(state, float(t))
         rec = out.record()
-        rec.update({"command": "flow"})
         rec["l"] = [abs(v) for v in rec["l_sharp"]]
-        emit(rec)
+        yield rec
 
 
 def cmd_bend(args):
-    grid = parse_grid(args.grid, ("x", "y")) if args.grid else {
-        "x": np.linspace(-1.5, 1.5, 12), "y": np.linspace(0.3, 2.5, 12)}
+    grid = parse_grid(args.grid, ("x", "y"))
     xs, ys = grid["x"], grid["y"]
     if not np.all(ys > 0):
         raise DomainError("bend grid points must lie in the upper "
@@ -223,20 +219,17 @@ def cmd_bend(args):
     points = bd.bend_points(ctx, zs)
     # Minkowski-4 points, or 2x2 matrices flattened row by row
     vertices = points.reshape(len(points), 4).tolist()
-    emit({"command": "bend", "target": args.target,
-          "points": len(vertices), "depth": args.depth})
+    yield {"target": args.target, "points": len(vertices), "depth": args.depth}
     if args.mesh_out:
         write_mesh(args.mesh_out, vertices, grid_faces(len(ys), len(xs)))
-        emit({"command": "bend", "mesh": args.mesh_out})
+        yield {"mesh": args.mesh_out}
     else:
         for v in vertices:
-            emit({"command": "bend", "vertex": v})
+            yield {"vertex": v}
 
 
 def cmd_wick(args):
-    grid = parse_grid(args.grid, ("T", "u", "zeta")) if args.grid else {
-        "T": np.linspace(1.2, 2.8, 5), "u": np.linspace(-0.8, 0.8, 5),
-        "zeta": np.linspace(-0.8, 1.2, 5)}
+    grid = parse_grid(args.grid, ("T", "u", "zeta"))
     a0 = args.alpha0
     chart = sp.chart_metric("wick", a0)
     # the records up to the first point that fails, and its exception
@@ -248,9 +241,8 @@ def cmd_wick(args):
                     p = sp.LocalPoint(float(T), float(u), float(z), a0)
                     g = sp.wick_metric(p).components
                     images.append([float(c) for c in sp.wick_rotate(p)])
-                    recs.append({"command": "wick", "T": float(T),
-                                 "u": float(u), "zeta": float(z),
-                                 "image": images[-1],
+                    recs.append({"T": float(T), "u": float(u),
+                                 "zeta": float(z), "image": images[-1],
                                  "metric": [[float(c) for c in row]
                                             for row in g]})
                     # the chart is only C^{1,1} on the seams: curvature is
@@ -275,39 +267,36 @@ def cmd_wick(args):
             worst = max(worst, abs(kappa + 1.0))
             rec["curvature"] = float(kappa)
             rec["curvature_residual"] = float(abs(kappa + 1.0))
-        emit(rec)
+        yield rec
     if error is not None:
         raise error
-    emit({"command": "wick", "max_curvature_residual": worst})
+    yield {"max_curvature_residual": worst}
     if args.mesh_out:
         # the first level T[0] is the first len(u) * len(zeta) images
         nu, nz = len(grid["u"]), len(grid["zeta"])
         write_mesh(args.mesh_out, images[:nu * nz], grid_faces(nu, nz))
-        emit({"command": "wick", "mesh": args.mesh_out,
-              "level": float(grid["T"][0])})
+        yield {"mesh": args.mesh_out, "level": float(grid["T"][0])}
 
 
 def cmd_btz(args):
     params = bh.BTZParams(args.rp, args.rm)
-    emit({"command": "btz", "r_plus": params.r_plus, "r_minus": params.r_minus,
-          "M": params.mass, "J": params.angular_momentum,
-          "f_at_r_plus": bh.btz_f(params.r_plus, params),
-          "f_at_r_minus": bh.btz_f(params.r_minus, params)
-          if params.r_minus > 0 else 0.0})
+    yield {"r_plus": params.r_plus, "r_minus": params.r_minus,
+           "M": params.mass, "J": params.angular_momentum,
+           "f_at_r_plus": bh.btz_f(params.r_plus, params),
+           "f_at_r_minus": bh.btz_f(params.r_minus, params)
+           if params.r_minus > 0 else 0.0}
 
 
 def cmd_blackhole(args):
     data, point, pd, lam = _load_laminated(args)
     hl, hr = bd.ads_holonomy(point, lam, depth=args.depth, pd=pd)
-    kinds = teich.puncture_kinds(point)
     rects = []
-    for i in range(len(kinds)):
+    for i in range(len(hl.peripheral)):
         gl, gr = hl.peripheral_matrix(i), hr.peripheral_matrix(i)
         rect = bh.peripheral_rectangle(gl, gr, hl, hr)
         rects.append(rect)
-        rec = {"command": "blackhole", "puncture": i,
-               "degenerate": rect.degenerate, "depth": args.depth,
-               "converged": hl.meta.get("converged")}
+        rec = {"puncture": i, "degenerate": rect.degenerate,
+               "depth": args.depth, "converged": hl.meta.get("converged")}
         if not rect.degenerate:
             d = bh.horizon_invariants(gl, gr)
             params = bh.BTZParams.from_horizon(d)
@@ -315,27 +304,27 @@ def cmd_blackhole(args):
                         "r_plus": params.r_plus, "r_minus": params.r_minus,
                         "M": params.mass, "J": params.angular_momentum,
                         "extremal": d.extremal})
-        emit(rec)
+        yield rec
     meridians = bh.extremal_meridians(rects)
-    emit({"command": "blackhole", "meridians": len(meridians)})
+    yield {"meridians": len(meridians)}
     for n, choice in enumerate(meridians):
         # one side per non-degenerate rectangle, in order
         sides = iter(choice.choices)
-        emit({"command": "blackhole", "meridian": n,
-              "future_core": choice.is_future_convex_core_boundary,
-              "past_core": choice.is_past_convex_core_boundary,
-              "arcs": [
-                  {"degenerate": True} if r.degenerate else
-                  {"side": next(sides),
-                   "vertices": [[_num(a), _num(b)] for a, b in r.vertices]}
-                  for r in rects]})
+        yield {"meridian": n,
+               "future_core": choice.is_future_convex_core_boundary,
+               "past_core": choice.is_past_convex_core_boundary,
+               "arcs": [
+                   {"degenerate": True} if r.degenerate else
+                   {"side": next(sides),
+                    "vertices": [[_num(a), _num(b)] for a, b in r.vertices]}
+                   for r in rects]}
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _verify_fn_torus(tol, ads):
+def _verify_fn_torus(ads):
     """Worst |trace| gap on the FN torus, over three multicurve weights,
     of the quake (or both AdS) holonomies to their FN coordinate rebuilds."""
     pd = teich.PantDecomposition.once_punctured_torus()
@@ -354,7 +343,7 @@ def _verify_fn_torus(tol, ads):
             for name in hf.curve_names():
                 worst = max(worst, abs(abs(iso.tr(h.curve(name)))
                                        - abs(iso.tr(hf.curve(name)))))
-    return worst, tol if tol is not None else 1e-8
+    return worst
 
 
 # chart-metric suites: kind, target curvature, sample points (T, zeta, u)
@@ -367,16 +356,16 @@ CHART_SUITES = {
 }
 
 
-def _verify_chart(suite, tol):
+def _verify_chart(suite):
     kind, kappa_want, points = CHART_SUITES[suite]
     worst = 0.0
     for kappa, resid in cv.constant_curvature_fits(sp.chart_metric(kind),
                                                    points):
         worst = max(worst, abs(kappa - kappa_want), resid)
-    return worst, tol if tol is not None else 1e-4
+    return worst
 
 
-def _verify_btz(tol):
+def _verify_btz():
     worst = 0.0
     for (rp, rm) in [(1.0, 0.0), (1.2, 0.4)]:
         params = bh.BTZParams(rp, rm)
@@ -384,14 +373,15 @@ def _verify_btz(tol):
                                                  (0.0, 2.0 * rp, 0.3))
         worst = max(worst, abs(kappa + 1.0), resid)
         worst = max(worst, abs(bh.btz_f(params.r_plus, params)))
-    return worst, tol if tol is not None else 1e-4
+    return worst
 
 
+# suite -> (its worst residual, the tolerance it passes under by default)
 VERIFY_SUITES = {
-    "quake": partial(_verify_fn_torus, ads=False),
-    "ads": partial(_verify_fn_torus, ads=True),
-    **{name: partial(_verify_chart, name) for name in CHART_SUITES},
-    "btz": _verify_btz,
+    "quake": (partial(_verify_fn_torus, ads=False), 1e-8),
+    "ads": (partial(_verify_fn_torus, ads=True), 1e-8),
+    **{name: (partial(_verify_chart, name), 1e-4) for name in CHART_SUITES},
+    "btz": (_verify_btz, 1e-4),
 }
 
 
@@ -399,11 +389,12 @@ def cmd_verify(args):
     suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in suites:
-        worst, tol = VERIFY_SUITES[name](args.tol)
+        suite, default = VERIFY_SUITES[name]
+        tol = default if args.tol is None else args.tol
+        worst = suite()
         ok = worst < tol
         failed = failed or not ok
-        emit({"command": "verify", "suite": name, "residual": worst,
-              "tolerance": tol, "ok": ok})
+        yield {"suite": name, "residual": worst, "tolerance": tol, "ok": ok}
     if failed:
         raise VerificationError("verification residual above tolerance")
 
@@ -412,62 +403,69 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+SCENARIO = dict(help="scenario JSON file")
+DEPTH = dict(type=int, default=8)
+# command -> (handler, help, the flags it reads and nothing else); a
+# handler yields its records and `main` stamps and writes them
+COMMANDS = {
+    "classify": (cmd_classify, "classify a PSL(2,R) matrix", {
+        "--matrix": dict(required=True, help="a,b,c,d entries"),
+        "--tol": dict(type=float, default=iso.TAU_CLASS)}),
+    "holonomy": (cmd_holonomy, "curve holonomies", {"scenario": SCENARIO}),
+    "spectrum": (cmd_spectrum, "intersection spectra", {"scenario": SCENARIO}),
+    "quake": (cmd_quake, "earthquake coordinates against the cocycle", {
+        "scenario": SCENARIO,
+        "--side": dict(choices=[eq.LEFT, eq.RIGHT], default=eq.LEFT),
+        "--depth": DEPTH}),
+    "flow": (cmd_flow, "enhanced quake flow records", {
+        "scenario": SCENARIO,
+        "--grid": dict(help="t=lo:hi:n (default: the scenario's times)")}),
+    "bend": (cmd_bend, "bent grid vertices in H3 or AdS", {
+        "scenario": SCENARIO,
+        "--target": dict(choices=[bd.HYPERBOLIC, bd.ADS],
+                         default=bd.HYPERBOLIC),
+        "--depth": DEPTH,
+        "--grid": dict(default="x=-1.5:1.5:12,y=0.3:2.5:12",
+                       help="x=lo:hi:n,y=lo:hi:n (default: %(default)s)"),
+        "--mesh-out": dict(default=None)}),
+    "blackhole": (cmd_blackhole, "black-hole rectangles and meridians", {
+        "scenario": SCENARIO, "--depth": DEPTH}),
+    "wick": (cmd_wick, "Wick-rotation grid records", {
+        "--grid": dict(default="T=1.2:2.8:5,u=-0.8:0.8:5,zeta=-0.8:1.2:5",
+                       help="T=lo:hi:n,u=lo:hi:n,zeta=lo:hi:n "
+                            "(default: %(default)s)"),
+        "--alpha0": dict(type=float, default=1.0),
+        "--mesh-out": dict(default=None)}),
+    "btz": (cmd_btz, "BTZ invariants from the horizon radii", {
+        "--rp": dict(type=float, required=True),
+        "--rm": dict(type=float, required=True)}),
+    "verify": (cmd_verify, "run the cross-oracle suites", {
+        "--suite": dict(choices=["all"] + sorted(VERIFY_SUITES),
+                        default="all"),
+        "--tol": dict(type=float, default=None)}),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="quakebend",
         description="earthquakes, bending, Wick rotations and AdS "
                     "black-hole invariants")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a PSL(2,R) matrix")
-    p.add_argument("--matrix", required=True, help="a,b,c,d entries")
-    p.add_argument("--tol", type=float, default=iso.TAU_CLASS)
-    p.set_defaults(func=cmd_classify)
-
-    # the flags each command reads, and nothing else
-    flags = {
-        "--side": dict(choices=[eq.LEFT, eq.RIGHT], default=eq.LEFT),
-        "--target": dict(choices=[bd.HYPERBOLIC, bd.ADS], default=bd.HYPERBOLIC),
-        "--depth": dict(type=int, default=8),
-        "--grid": dict(default=None, help="grid spec key=lo:hi:n[,key=...]"),
-        "--alpha0": dict(type=float, default=1.0),
-        "--mesh-out": dict(default=None),
-    }
-    for name, fn, names in [
-            ("holonomy", cmd_holonomy, ()),
-            ("spectrum", cmd_spectrum, ()),
-            ("quake", cmd_quake, ("--side", "--depth")),
-            ("flow", cmd_flow, ("--grid",)),
-            ("bend", cmd_bend, ("--target", "--depth", "--grid", "--mesh-out")),
-            ("blackhole", cmd_blackhole, ("--depth",)),
-            ("wick", cmd_wick, ("--grid", "--alpha0", "--mesh-out"))]:
-        if name == "wick":
-            p = sub.add_parser(name, help="Wick-rotation grid records")
-        else:
-            p = sub.add_parser(name)
-            p.add_argument("scenario", help="scenario JSON file")
-        for flag in names:
-            p.add_argument(flag, **flags[flag])
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("btz")
-    p.add_argument("--rp", type=float, required=True)
-    p.add_argument("--rm", type=float, required=True)
-    p.set_defaults(func=cmd_btz)
-
-    p = sub.add_parser("verify", help="run the cross-oracle suites")
-    p.add_argument("--suite", default="all",
-                   choices=["all"] + sorted(VERIFY_SUITES))
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_verify)
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # records already written stay written when the handler fails
+        for rec in args.func(args):
+            emit({"command": args.command, **rec})
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -124,6 +124,7 @@ def surface_point(data):
                 "interior lengths")
         fn = teich.FNPoint(l[:nb], l[nb:], t)
         _check_surface_section(data, pd.genus, pd.num_boundary)
+        fn.check(pd)
         return fn, pd
     if "shear" in data:
         tri = triangulation(data)

@@ -177,9 +177,16 @@ class FNPoint:
             raise StructureError("one twist per interior curve")
 
     def check(self, pd: PantDecomposition):
+        """Refuse a decomposition the point does not fit, and one of
+        genus >= 2, whose curve words fail the quake cross-oracle (a
+        closed decomposition has at least 2 pants, so genus >= 2)."""
         if (len(self.boundary_lengths) != pd.num_boundary
                 or len(self.interior_lengths) != pd.num_interior):
             raise StructureError("FN point does not match the pant decomposition")
+        if pd.genus >= 2:
+            raise DomainError("Fenchel-Nielsen surfaces of genus >= 2 are not "
+                              "supported: their curve words fail the quake "
+                              "cross-oracle")
 
     def with_twists(self, twists):
         return FNPoint(self.boundary_lengths, self.interior_lengths, tuple(twists))
@@ -539,18 +546,9 @@ def _curve_length(pd, fn, pant, slot):
 
 def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
     """Holonomy of F(l, t): normalized pants glued along the interior
-    curves with the stated twist convention.  A closed surface (no
-    boundary curve) is rejected: its generators satisfy a relation, and
-    the word engine needs a free group.  So is a surface of genus >= 2,
-    whose curve words fail the quake cross-oracle."""
+    curves with the stated twist convention, on the surfaces
+    `FNPoint.check` accepts."""
     fn.check(pd)
-    if pd.num_boundary == 0:
-        raise DomainError("closed surfaces (r = 0) are not supported: "
-                          "their holonomy group is not free")
-    if pd.genus >= 2:
-        raise DomainError("Fenchel-Nielsen surfaces of genus >= 2 are not "
-                          "supported: their curve words fail the quake "
-                          "cross-oracle")
 
     local_cuffs = []
     frames = []

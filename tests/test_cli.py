@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,21 @@ class TestClassify:
         assert code == cli.EXIT_PARSE
 
 
+class TestEntryPoint:
+    """The console script that an install of the package puts on PATH."""
+
+    def test_resolves_to_main(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml",
+                  "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        main = EntryPoint("quakebend", scripts["quakebend"],
+                          "console_scripts").load()
+        assert main(["verify", "--suite", "btz"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert main(["classify", "--matrix", "1,2,3"]) == cli.EXIT_PARSE
+
+
 class TestScenarios:
     def test_holonomy_lengths(self, tmp_path, capsys):
         path = write_scenario(tmp_path, TORUS_SCENARIO)
@@ -228,9 +244,10 @@ class TestDomainErrors:
 
     @pytest.mark.parametrize("argv", [
         ["holonomy"], ["quake", "--depth", "8"],
-        ["bend", "--target", "hyperbolic", "--depth", "6"]])
+        ["bend", "--target", "hyperbolic", "--depth", "6"],
+        ["spectrum"], ["flow", "--grid", "t=0:1:2"]])
     def test_closed_surface_rejected(self, tmp_path, capsys, argv):
-        # the word engine needs a free group; the closed surface's is not
+        # a closed FN surface has at least two pants, so genus >= 2
         path = write_scenario(tmp_path, GENUS_TWO)
         code = cli.main([argv[0], path] + argv[1:])
         assert code == cli.EXIT_DOMAIN
@@ -239,7 +256,8 @@ class TestDomainErrors:
     @pytest.mark.parametrize("argv", [
         ["holonomy"], ["quake", "--depth", "6"],
         ["bend", "--target", "hyperbolic", "--depth", "6"],
-        ["blackhole", "--depth", "6"]])
+        ["blackhole", "--depth", "6"], ["spectrum"],
+        ["flow", "--grid", "t=0:1:2"]])
     def test_genus_two_surface_rejected(self, tmp_path, capsys, argv):
         path = write_scenario(tmp_path, GENUS_TWO_ONE_BOUNDARY)
         code = cli.main([argv[0], path] + argv[1:])

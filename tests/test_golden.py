@@ -64,6 +64,10 @@ def _cases():
     cases["torus_multicurve-bend-hyperbolic-d10"] = [
         "bend", path, "--target", "hyperbolic", "--grid", BEND_GRID,
         "--depth", "10"]
+    # the grids bend and wick run on when --grid is not given
+    cases["torus_multicurve-bend-hyperbolic-default-grid"] = [
+        "bend", path, "--target", "hyperbolic"]
+    cases["wick-default-grid"] = ["wick"]
     # depth 8: the rank-3 group of the two-boundary torus at its deepest
     # blackhole run
     path = str(ROOT / "scripts" / "scenarios" / "torus_two_boundary.json")
