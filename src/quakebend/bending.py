@@ -1,8 +1,10 @@
 """Bending cocycles: PSL(2, C)-valued for H3, PSL(2, R)^2-valued for AdS.
 
 Both are the quake module's ``cocycle_product`` of exp(c a D) over the
-leaves ``LiftFamily.crossings`` returns, D the displacement generator of
-each leaf: c = i for H3, the earthquake at imaginary weight (exp(i a D)
+leaves that the context's realization (``lamination.realize``: a
+``LiftFamily``, or the ``TriangleWalk`` of a triangulation lamination)
+finds crossing a segment, D the displacement generator of each leaf:
+c = i for H3, the earthquake at imaginary weight (exp(i a D)
 rotates by angle a around the leaf), and the pair c = (+1, -1) for AdS,
 the left and right quake cocycles -- with leaves oriented per the
 base-point-on-the-left convention the first component lifts the *left*
@@ -75,10 +77,10 @@ def apply_psl2c(a, v):
 
 @dataclass
 class BendContext:
-    """Realized lift family and target geometry of the bent maps, which
-    start at the base point `earthquake.BASE_POINT`."""
+    """Realized lifts (`lamination.realize`) and target geometry of the
+    bent maps, which start at the base point `earthquake.BASE_POINT`."""
 
-    family: lm.LiftFamily
+    family: lm.LiftFamily | lm.TriangleWalk
     target: str = HYPERBOLIC
 
     def __post_init__(self):
@@ -90,13 +92,13 @@ class BendContext:
 
 def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None,
                  reach=None):
-    """Realize `lam` on the holonomy of `point` for the bent maps: of
-    the points `reach` only, if given (`LiftFamily`)."""
+    """Realize `lam` on the holonomy of `point` for the bent maps
+    (`lamination.realize`): between the points `reach` only, if given,
+    else as the full `LiftFamily`."""
     h = teich.holonomy_of(point, pd)
     if reach is not None:
         reach = [eq.BASE_POINT, eq.BASE_POINT + BASE_CHECK_STEP, *reach]
-    fam = lm.LiftFamily(lam, h, depth=depth, reach=reach)
-    return BendContext(fam, target), h
+    return BendContext(lm.realize(lam, h, depth, reach), target), h
 
 
 def bend_points(ctx: BendContext, zs):

@@ -140,13 +140,22 @@ def _num(x):
 def cmd_holonomy(args):
     _, point, pd = _load_surface(args)
     h = teich.holonomy_of(point, pd)
+    st = teich.surface_type(h, point)
+    lengths = teich.boundary_lengths(point)
     for name in h.curve_names():
         m = h.curve(name)
         k = iso.classify(m)
-        yield {"curve": name, "trace": abs(float(iso.tr(m))), "kind": k.kind,
-               "length": k.translation_length if k.kind == "hyperbolic"
-               else 0.0}
-    st = teich.surface_type(h)
+        kind, length = k.kind, (k.translation_length
+                                if k.kind == "hyperbolic" else 0.0)
+        if name in h.peripheral:
+            # the coordinates know a boundary too short for classify
+            i = h.peripheral.index(name)
+            if st.kinds[i] == teich.CUSP:
+                kind, length = "parabolic", 0.0
+            elif kind != "hyperbolic":
+                kind, length = "hyperbolic", lengths[i]
+        yield {"curve": name, "trace": abs(float(iso.tr(m))), "kind": kind,
+               "length": length}
     yield {"types": list(st.kinds), "genus": st.genus}
 
 

@@ -1,14 +1,15 @@
 """Left/right earthquakes: coordinate form, quake cocycle, flow.
 
 Every cocycle of the package is ``cocycle_product(lifts, c)``, the
-ordered product of exp(c a D) over the leaves ``LiftFamily.crossings``
-returns, a the weight and D the displacement generator of each: c = +1
-is the left quake and -1 the right one, c = i is H3 bending and
-(+1, -1) the AdS pair; the flat translation part is its derivative in
-the weights.  ``crossings`` orients each leaf with the segment's start
-on its left (the sign convention the cross-oracle tests calibrate
-against the twist rule of the holonomy builder) and halves the weight
-of a leaf through a segment endpoint.
+ordered product of exp(c a D) over the crossed leaves that a
+``lamination.realize`` realization returns (a ``LiftFamily``, or the
+``TriangleWalk`` of a triangulation lamination), a the weight and D the
+displacement generator of each: c = +1 is the left quake and -1 the
+right one, c = i is H3 bending and (+1, -1) the AdS pair; the flat
+translation part is its derivative in the weights.  Both orient each
+leaf with the segment's start on its left (the sign convention the
+cross-oracle tests calibrate against the twist rule of the holonomy
+builder) and halve the weight of a leaf through a segment endpoint.
 
 Every deformed holonomy is gamma -> B(x0, gamma x0) gamma at the base
 point ``BASE_POINT``: ``deformed_holonomies`` at the c above, over the
@@ -79,8 +80,8 @@ def quake_shear(sp: teich.ShearPoint, lam: lm.TriangulationLam, side):
 
 def cocycle_product(lifts, c):
     """Ordered product of exp(c a D) over oriented, weighted leaves as
-    `LiftFamily.crossings` returns them, a the weight and D the
-    displacement generator of each leaf."""
+    `crossings` returns them, a the weight and D the displacement
+    generator of each leaf."""
     if not lm.leaves_pairwise_disjoint(lifts):
         raise InvalidLaminationError("crossing leaves in the lift family")
     factors = [iso.expm2(c * leaf.weight * leaf.geodesic.displacement_generator())
@@ -93,7 +94,7 @@ def quake_cocycle(lifts, side):
 
     `lifts` must come ordered along the segment and oriented with x on
     the left, a leaf through x or y at half its weight (the
-    `LiftFamily.crossings` convention).
+    `crossings` convention).
     """
     return cocycle_product(lifts, _side_sign(side))
 
@@ -101,14 +102,15 @@ def quake_cocycle(lifts, side):
 def deform_letters(point, lam, depth=8, pd=None):
     """(h, {letter: leaves}, converged): the holonomy h of `point` (an
     FNPoint over `pd`, or a ShearPoint) and, per alphabet letter m, the
-    leaves of `lam` realized to the given lift depth that cross
-    [x0, m x0], x0 = BASE_POINT, from one `LiftFamily.crossings_from`
-    query at x0 (a base point on a weighted leaf raises
-    BasePointOnLeafError); converged ANDs the per-letter flags."""
+    leaves of `lam` that cross [x0, m x0], x0 = BASE_POINT, from one
+    `crossings_from` query at x0 of its `lamination.realize`
+    realization (a word family capped at `depth`, or the triangle
+    walk); a base point on a weighted leaf raises
+    BasePointOnLeafError, and converged ANDs the per-letter flags."""
     h = teich.holonomy_of(point, pd)
     ys = [iso.apply_h2(m, BASE_POINT) for m in h.alphabet.values()]
-    fam = lm.LiftFamily(lam, h, depth=depth, reach=[BASE_POINT, *ys])
-    crossed = fam.crossings_from(BASE_POINT, ys)
+    lifts = lm.realize(lam, h, depth, reach=[BASE_POINT, *ys])
+    crossed = lifts.crossings_from(BASE_POINT, ys)
     leaves = {name: lv for name, (lv, _) in zip(h.alphabet, crossed)}
     return h, leaves, all(ok for _, ok in crossed)
 

@@ -244,6 +244,75 @@ def reach_cut(zs):
     return np.sinh(2.0 * np.arcsinh(half) + 2.0 * END_TOL)
 
 
+def _segment_lengths(x, ys):
+    """Hyperbolic length d(x, y) of each segment [x, y], y of `ys`."""
+    return 2.0 * np.arcsinh(np.abs(ys - x) / (2.0 * np.sqrt(x.imag * ys.imag)))
+
+
+def _frame_test(frames, seg_len, si, em, ep, on_leaf):
+    """The one crossing rule, on candidate (segment, leaf) pairs: the
+    segment of row si of `frames` (see `segment_frames`) and `seg_len`,
+    and the leaf with endpoint vectors em, ep, (2, P) arrays.
+
+    In the segment frame (x = i, y = i e^L) a leaf crosses the segment's
+    line where its frame endpoints have opposite signs, at the
+    parameter t with e^{2t} = -(product of the endpoints).  A leaf
+    within END_TOL of x or y (in t) raises BasePointOnLeafError, or
+    with on_leaf='include' counts at half its weight, so that
+    B(x, y) B(y, z) = B(x, z) holds for every y.  Returns the indices
+    of the crossing pairs, ordered by segment and then along it, and
+    per crossing pair whether it meets an end and whether its negative
+    frame endpoint comes from em (it then runs from ep to em, which
+    puts x on its left).
+    """
+    # frame coordinates F^{-1} e of the endpoints, F^{-1} = [[d, -b], [-c, a]]
+    a, b, c, d = (frames[si, i, j] for i in (0, 1) for j in (0, 1))
+    dm, dp = a * em[1] - c * em[0], a * ep[1] - c * ep[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vm = (d * em[0] - b * em[1]) / dm
+        vp = (d * ep[0] - b * ep[1]) / dp
+    finite = np.isfinite(vm) & np.isfinite(vp) & (dm != 0) & (dp != 0)
+    prod = np.where(finite, vm * vp, 1.0)
+    hit = np.flatnonzero(finite & (prod < 0))
+    t = 0.5 * np.log(-prod[hit])
+    length = seg_len[si[hit]]
+    near_end = (np.abs(t) <= END_TOL) | (np.abs(t - length) <= END_TOL)
+    if near_end.any() and on_leaf == "raise":
+        raise BasePointOnLeafError(
+            "a segment endpoint lies on a weighted leaf")
+    inside = ((t > 0) & (t < length)) | near_end
+    # along each segment in t order; np.lexsort is stable
+    order = np.flatnonzero(inside)[np.lexsort((t[inside], si[hit[inside]]))]
+    return hit[order], near_end[order], vm[hit[order]] < 0
+
+
+def _endpoints(vecs):
+    """Ideal endpoints of rows of endpoint vectors, as floats."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = vecs[:, 0] / vecs[:, 1]
+    return np.where(np.abs(vecs[:, 1]) < 1e-13 * np.abs(vecs[:, 0]),
+                    iso.INF, p).tolist()
+
+
+def _append_leaves(out, segs, ends_m, ends_p, weights, near_end, reverse,
+                   deep):
+    """Append each crossing of `_frame_test` to the leaves of its segment
+    in `out`, a list of (leaves, converged): the leaf with the endpoint
+    vectors (rows of ends_m, ends_p) and weight, halved at an end, run
+    so that x is on its left.  A crossing marked `deep` clears its
+    segment's converged flag."""
+    weight = (np.where(near_end, 0.5, 1.0) * weights).tolist()
+    p_minus, p_plus = _endpoints(ends_m), _endpoints(ends_p)
+    reverse, deep = reverse.tolist(), deep.tolist()
+    for k, s in enumerate(segs.tolist()):
+        leaves = out[s][0]
+        geo = (iso.Geodesic(p_plus[k], p_minus[k]) if reverse[k]
+               else iso.Geodesic(p_minus[k], p_plus[k]))
+        leaves.append(WeightedGeodesic(geo, weight[k]))
+        if deep[k]:
+            out[s] = (leaves, False)
+
+
 # ---------------------------------------------------------------------------
 # limit-set arcs: the certificate that prunes the word tree
 # ---------------------------------------------------------------------------
@@ -393,7 +462,9 @@ class LiftFamily:
     base leaf (the multicurve family).  The triangulation family's
     leaves end at fixed points of peripheral words, whose first letter
     the last letter can cancel, so that the check fails for them.  A
-    family the certificate does not cover is enumerated in full.  The
+    family the certificate does not cover is enumerated in full (the
+    reach queries of a triangulation lamination go to `TriangleWalk`
+    instead, see `realize`).  The
     rows within the cut are bitwise those of the full family, in its
     order: base leaf, then level, then prefix-major.  Without `reach`
     the family is the full one and answers any query.
@@ -455,18 +526,13 @@ class LiftFamily:
 
     def crossings_from(self, x, ys, on_leaf="raise"):
         """(leaves, converged) for each segment [x, y], y in `ys`: the
-        leaves crossing it, ordered along it, and whether none of them
-        comes from the deepest word level.  The one place that decides
-        how a leaf meets a segment.  A segment whose `reach_cut` exceeds
-        the family's `cut` raises StructureError.
-
-        In the segment frame (x = i, y = i e^L) a crossed leaf runs from
-        its positive frame endpoint to its negative one, which puts x on
-        its left.  A leaf within END_TOL of x or y (in the crossing
-        parameter t) raises BasePointOnLeafError, or with
-        on_leaf='include' comes back at half its weight, so that
-        B(x, y) B(y, z) = B(x, z) holds for every y.  A y equal to x
-        gives no leaves.
+        leaves crossing it as `_frame_test` decides, ordered along it
+        and with x on their left, and whether none of them comes from
+        the deepest word level.  A leaf through x or y raises
+        BasePointOnLeafError, or with on_leaf='include' comes back at
+        half its weight.  A y equal to x gives no leaves.  A segment
+        whose `reach_cut` exceeds the family's `cut` raises
+        StructureError.
         """
         ys = np.asarray(ys, dtype=complex).reshape(-1)
         out = [([], True) for _ in ys]
@@ -484,58 +550,219 @@ class LiftFamily:
         rows = np.flatnonzero(self.sinh_dist <= cut.max())
         if not len(rows):
             return out
-        seg_len = 2.0 * np.arcsinh(np.abs(y - x)
-                                   / (2.0 * np.sqrt(x.imag * y.imag)))
+        seg_len = _segment_lengths(x, y)
         dist = self.sinh_dist[rows]
         em, ep = self.ends_minus[rows].T, self.ends_plus[rows].T
         step = max(1, self.PAIRS_PER_BLOCK // len(rows))
         for lo in range(0, len(y), step):
-            # frame coordinates F^{-1} e of the endpoints of every
-            # (segment, leaf) pair of the block, F^{-1} = [[d, -b], [-c, a]]
-            a, b, c, d = (frames[lo:lo + step, i, j, None]
-                          for i in (0, 1) for j in (0, 1))
-            dm, dp = a * em[1] - c * em[0], a * ep[1] - c * ep[0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vm = (d * em[0] - b * em[1]) / dm
-                vp = (d * ep[0] - b * ep[1]) / dp
-            finite = ((dist <= cut[lo:lo + step, None]) & np.isfinite(vm)
-                      & np.isfinite(vp) & (dm != 0) & (dp != 0))
-            prod = np.where(finite, vm * vp, 1.0)
-            si, ci = np.nonzero(finite & (prod < 0))
-            if not len(si):
-                continue
-            t = 0.5 * np.log(-prod[si, ci])
-            length = seg_len[lo + si]
-            near_end = (np.abs(t) <= END_TOL) | (np.abs(t - length) <= END_TOL)
-            if near_end.any() and on_leaf == "raise":
-                raise BasePointOnLeafError(
-                    "a segment endpoint lies on a weighted leaf")
-            inside = ((t > 0) & (t < length)) | near_end
-            # along each segment in t order; np.lexsort is stable
-            order = np.flatnonzero(inside)[np.lexsort((t[inside], si[inside]))]
-            si, ci, near_end = si[order], ci[order], near_end[order]
-            idx = rows[ci]
-            reverse = (vm[si, ci] < 0).tolist()
-            weight = (np.where(near_end, 0.5, 1.0) * self.weights[idx]).tolist()
-            p_minus = self._endpoints(self.ends_minus[idx])
-            p_plus = self._endpoints(self.ends_plus[idx])
-            deep = self.levels[idx] >= self.depth
-            for k, s in enumerate(seg[lo + si].tolist()):
-                leaves = out[s][0]
-                geo = (iso.Geodesic(p_plus[k], p_minus[k]) if reverse[k]
-                       else iso.Geodesic(p_minus[k], p_plus[k]))
-                leaves.append(WeightedGeodesic(geo, weight[k]))
-                if deep[k]:
-                    out[s] = (leaves, False)
+            si, ci = np.nonzero(dist <= cut[lo:lo + step, None])
+            si += lo
+            hit, near_end, reverse = _frame_test(
+                frames, seg_len, si, em[:, ci], ep[:, ci], on_leaf)
+            idx = rows[ci[hit]]
+            _append_leaves(out, seg[si[hit]], self.ends_minus[idx],
+                           self.ends_plus[idx], self.weights[idx], near_end,
+                           reverse, self.levels[idx] >= self.depth)
         return out
 
-    @staticmethod
-    def _endpoints(vecs):
-        """Ideal endpoints of rows of endpoint vectors, as floats."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = vecs[:, 0] / vecs[:, 1]
-        return np.where(np.abs(vecs[:, 1]) < 1e-13 * np.abs(vecs[:, 0]),
-                        iso.INF, p).tolist()
+
+# ---------------------------------------------------------------------------
+# the walk across the ideal triangles of a triangulation lamination
+# ---------------------------------------------------------------------------
+
+#: a query whose walk takes this many steps is answered by the word family
+WALK_STEPS = 64
+#: a point beyond a wall, or nearer to it than this (sinh of the
+#: distance), leaves the convex core
+WALL_TOL = 1e-9
+#: corners 0, 1, 2 of the standard triangle (0, oo, -1) as endpoint vectors
+_CORNERS = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 1.0]])
+#: (A, B, C) per side k of the standard triangle: A |w|^2 + B Re w + C > 0
+#: beyond it, that is Re w > 0, Re w < -1 and |w + 1/2| < 1/2
+_SIDES = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, -1.0], [-1.0, -1.0, 0.0]])
+#: a point inside the standard triangle
+_INSIDE = complex(-0.5, math.sqrt(3.0) / 2.0)
+
+
+def _walls(charts: teich.TriangleCharts):
+    """(n, 3, 3) coefficients (A, B, C), per triangle and corner, of the
+    half-plane beyond the wall at the corner, in the triangle's chart:
+    (A |w|^2 + B Re w + C) / Im w is the sinh of the distance of w
+    beyond it.  A boundary corner's wall is the axis of its peripheral
+    element, which fixes the corner; (0, 0, -inf), no wall, at a cusp.
+
+    The geodesic between endpoint vectors p and q is the zero set of
+    p1 q1 |w|^2 - (p0 q1 + p1 q0) Re w + p0 q0, which is
+    det[p | q] Im w times the signed sinh distance to it.
+    """
+    out = np.tile([0.0, 0.0, -np.inf], charts.boundary.shape + (1,))
+    for t, c in zip(*np.nonzero(charts.boundary)):
+        (a, b), (g, d) = charts.fan[t, c]
+        # the other fixed point of [[a, b], [g, d]] given corner c
+        q = ((a - d, g), (b, d - a), (a - d + g, g))[c]
+        p = _CORNERS[c]
+        coef = np.array([p[1] * q[1], -(p[0] * q[1] + p[1] * q[0]),
+                         p[0] * q[0]]) / abs(_det(p, q))
+        if coef @ [abs(_INSIDE) ** 2, _INSIDE.real, 1.0] > 0:
+            coef = -coef
+        out[t, c] = coef
+    return out
+
+
+def _mul(g, s):
+    """Products g_i s_i of two (n, 2, 2) stacks, entry by entry, so that
+    each product is bitwise the same in any stack."""
+    return g[:, :, :1] * s[:, None, 0] + g[:, :, 1:] * s[:, None, 1]
+
+
+def _moebius(m, w):
+    """The images m_i w_i of points under an (n, 2, 2) stack."""
+    return (m[:, 0, 0] * w + m[:, 0, 1]) / (m[:, 1, 0] * w + m[:, 1, 1])
+
+
+def _side_ends(g, k):
+    """Endpoint vectors, (2, n) each, of side k_i of the triangle with
+    chart g_i."""
+    return [(g[:, :, 0] * v[:, :1] + g[:, :, 1] * v[:, 1:]).T
+            for v in (_CORNERS[k], _CORNERS[(k + 1) % 3])]
+
+
+class TriangleWalk:
+    """Crossing queries of a triangulation lamination, answered by walking
+    its ideal triangles (Devillers-Pion-Teillaud's straight walk, in the
+    shear charts of `teich.TriangleCharts`).
+
+    The lifted edges tile the convex core, so the leaves crossing [x, y]
+    are the edges that separate x from y.  In the chart of a triangle,
+    (0, oo, -1), its complement is three disjoint half-planes, so y
+    lies beyond at most one side; the walk crosses that side and
+    repeats until y lies inside a triangle.  Each crossed side separates
+    x from y, and they come in order along the segment.  There is no
+    depth, and `converged` is true by construction.  The walk proposes
+    the crossed edges and the sides of its first and last triangles
+    (for an end on a leaf); `_frame_test`, the rule of `LiftFamily`,
+    decides them.  All segments of a query walk together, one stacked
+    step per crossing.
+
+    At a corner whose puncture is a geodesic boundary the edges spiral
+    onto it: the lift of the boundary, the axis of the corner's
+    peripheral element (a wall), bounds the core.  A target beyond a
+    wall of a triangle the walk enters, or a walk of WALK_STEPS steps,
+    sends the whole query to the depth-capped `LiftFamily` of `reach`
+    (built once, on first need), whose answer it returns.
+    """
+
+    def __init__(self, lam: TriangulationLam, h: teich.Holonomy, depth=12,
+                 reach=None):
+        if depth < 1:
+            raise DomainError("depth must be >= 1")
+        charts = h.meta.get("triangle_charts")
+        if charts is None:
+            raise StructureError("holonomy lacks the triangle charts; "
+                                 "build it with holonomy_from_shear")
+        self.lam, self.h, self.depth, self.reach = lam, h, depth, reach
+        self.charts = charts
+        self.planes = np.concatenate(
+            [np.broadcast_to(_SIDES, charts.boundary.shape + (3,)),
+             _walls(charts)], 1)
+        self.edge_weight = np.asarray(lam.weights)[charts.edge]
+        self.fallback = None
+
+    def crossings(self, x, y, on_leaf="raise"):
+        """`crossings_from` for one segment."""
+        return self.crossings_from(x, [y], on_leaf)[0]
+
+    def crossings_from(self, x, ys, on_leaf="raise"):
+        """(leaves, converged) for each segment [x, y], y in `ys`, as
+        `LiftFamily.crossings_from` returns them."""
+        ys = np.asarray(ys, dtype=complex).reshape(-1)
+        out = [([], True) for _ in ys]
+        seg = np.flatnonzero(np.abs(x - ys) >= 1e-14)
+        if not len(seg):
+            return out
+        y = ys[seg]
+        frames = segment_frames(x, y)
+        proposed = self._propose(x, y)
+        if proposed is None:
+            if self.fallback is None:
+                self.fallback = LiftFamily(self.lam, self.h, self.depth,
+                                           self.reach)
+            return self.fallback.crossings_from(x, ys, on_leaf)
+        si, em, ep, w = proposed
+        hit, near_end, reverse = _frame_test(
+            frames, _segment_lengths(x, y), si, em, ep, on_leaf)
+        _append_leaves(out, seg[si[hit]], em[:, hit].T, ep[:, hit].T, w[hit],
+                       near_end, reverse, np.zeros(len(hit), bool))
+        return out
+
+    def _propose(self, x, ys):
+        """(segment, ends_minus, ends_plus, weight) of the leaves proposed
+        for each [x, y], or None if the query falls back."""
+        ch = self.charts
+        # the triangle of x, from the base lift of triangle 0
+        found = self._walk(np.zeros(1, int), ch.placement[:1],
+                           _moebius(iso.inv(ch.placement[0])[None], x), [])
+        if found is None:
+            return None
+        (t0,), g0, _ = found
+        n = len(ys)
+        crossed = []
+        found = self._walk(np.full(n, t0), np.repeat(g0, n, 0),
+                           _moebius(iso.inv(g0[0])[None], ys), crossed)
+        if found is None:
+            return None
+        tri, g, entry = found
+        # (segments, charts, sides, triangles): the sides of the first
+        # triangle, the later crossings (the first is one of those
+        # sides) and the sides of the last triangle but the one the
+        # walk came in by
+        last, k = np.nonzero((entry >= 0)[:, None]
+                             & (np.arange(3) != entry[:, None]))
+        parts = [(np.repeat(np.arange(n), 3), np.repeat(g0, 3 * n, 0),
+                  np.tile(np.arange(3), n), np.full(3 * n, t0)),
+                 *crossed[1:], (last, g[last], k, tri[last])]
+        si, gs, k, t = (np.concatenate(c) for c in zip(*parts))
+        return (si, *_side_ends(gs, k), self.edge_weight[t, k])
+
+    def _walk(self, tri, g, w, crossed):
+        """Walk each target into its triangle: w_i, in the chart g_i of
+        triangle tri_i, until it lies in none of the half-planes beyond
+        the sides.  Appends (segments, charts, sides, triangles) of each
+        step's crossings to the list `crossed`, and returns the final
+        (tri, g, side entered by or -1), or None when a target lies
+        beyond a wall or a walk reaches WALK_STEPS."""
+        tri, g, w = tri.copy(), g.copy(), w.copy()
+        entry = np.full(len(w), -1)
+        live = np.arange(len(w))
+        ch = self.charts
+        for _ in range(WALK_STEPS):
+            t, z = tri[live], w[live]
+            u, v = z.real, z.imag
+            q = self.planes[t]
+            val = q[..., 0] * (u * u + v * v)[:, None] \
+                + q[..., 1] * u[:, None] + q[..., 2]
+            if np.any(val[:, 3:] > -WALL_TOL * v[:, None]):
+                return None
+            beyond = (val[:, :3] > 0) & (np.arange(3) != entry[live][:, None])
+            moving = beyond.any(1)
+            live, t = live[moving], t[moving]
+            if not len(live):
+                return tri, g, entry
+            k = beyond[moving].argmax(1)
+            crossed.append((live, g[live], k, t))
+            g[live] = _mul(g[live], ch.step[t, k])
+            w[live] = _moebius(ch.step_inv[t, k], w[live])
+            entry[live], tri[live] = ch.entry[t, k], ch.across[t, k]
+        return None
+
+
+def realize(lam, h: teich.Holonomy, depth=12, reach=None):
+    """What answers the crossing queries of `lam` on `h` between the
+    points `reach`: a `TriangleWalk` for a triangulation lamination,
+    else a `LiftFamily` (the full one without `reach`)."""
+    if reach is not None and isinstance(lam, TriangulationLam):
+        return TriangleWalk(lam, h, depth, reach)
+    return LiftFamily(lam, h, depth, reach)
 
 
 def leaves_pairwise_disjoint(leaves):

@@ -446,14 +446,14 @@ class AffineIsom3:
 
 def _normal_sum(leaves):
     """Sum of the weighted unit normals 2 iota(D) of `leaves`, as
-    `LiftFamily.crossings` orients them: the far end of the segment is
+    `crossings` orients them: the far end of the segment is
     on each leaf's right, where its normal points."""
     return sum((2.0 * leaf.weight
                 * iso.lie_vector(leaf.geodesic.displacement_generator())
                 for leaf in leaves), np.zeros(3))
 
 
-def translation_part(fam: lm.LiftFamily, x0, y):
+def translation_part(fam: lm.LiftFamily | lm.TriangleWalk, x0, y):
     """s(y) relative to s(x0) = 0: sum of weighted unit normals of the
     crossed leaves, each pointing toward y (the derivative in the
     weights of the left quake cocycle B(x0, y), through iota)."""

@@ -249,12 +249,6 @@ class IdealTriangulation:
             out.append(int(a == puncture) + int(b == puncture))
         return out
 
-    def side_edge(self, tri, side):
-        for j, pair in enumerate(self.gluing):
-            if (tri, side) in pair:
-                return j
-        raise StructureError("unglued side")
-
     @classmethod
     def once_punctured_torus(cls):
         return cls(2, (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))))
@@ -527,10 +521,14 @@ def puncture_kinds(point):
     return tuple(CUSP if l == 0.0 else BOUNDARY for l in boundary_lengths(point))
 
 
-def surface_type(h: Holonomy):
-    """Partition of the punctures into cusps and geodesic boundaries."""
-    kinds = tuple(CUSP if boundary_length(h, i) == 0.0 else BOUNDARY
-                  for i in range(len(h.peripheral)))
+def surface_type(h: Holonomy, point=None):
+    """Partition of the punctures into cusps and geodesic boundaries:
+    from the coordinates of `point` when given (`puncture_kinds`), else
+    classified from the peripheral holonomy, where a boundary shorter
+    than about 6e-5 (|tr| - 2 under iso.TAU_CLASS) reads as a cusp."""
+    kinds = (puncture_kinds(point) if point is not None else
+             tuple(CUSP if boundary_length(h, i) == 0.0 else BOUNDARY
+                   for i in range(len(h.peripheral))))
     return SurfaceType(h.meta.get("genus", 0), kinds)
 
 
@@ -664,12 +662,33 @@ def _f_edge(s):
     return np.array([[0.0, -math.exp(s / 2.0)], [math.exp(-s / 2.0), 0.0]])
 
 
+@dataclass(frozen=True, eq=False)
+class TriangleCharts:
+    """The ideal triangles of a shear holonomy, for walks across them.
+
+    Triangle t's chart maps the standard triangle (0, oo, -1), corners
+    0, 1, 2, onto one of its lifts; side k joins corners k and k + 1.
+    The arrays are indexed by (triangle, side) or (triangle, corner).
+    """
+
+    placement: np.ndarray  # (n, 2, 2) chart of the base lift of each triangle
+    step: np.ndarray       # (n, 3, 2, 2) chart change across each side ...
+    step_inv: np.ndarray   # (n, 3, 2, 2) ... and its inverse
+    across: np.ndarray     # (n, 3) the triangle across each side ...
+    entry: np.ndarray      # (n, 3) ... and the side of it glued there
+    edge: np.ndarray       # (n, 3) the edge index of each side
+    fan: np.ndarray        # (n, 3, 2, 2) peripheral element of each corner
+    boundary: np.ndarray   # (n, 3) whether a corner's puncture is a boundary
+
+
 def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
     """Holonomy of F(s): ideal triangles glued with shears.
 
     Boundary lengths satisfy l_{C_i} = |s(p_i)| with s(p_i) the shear
     sum over the star of p_i counted with corner multiplicity; cusps
-    occur exactly at s(p_i) = 0.
+    occur exactly at s(p_i) = 0.  The meta holds the placed edge
+    geodesics and the `TriangleCharts`, whose corner kinds come from
+    these sums.
     """
     tri = sp.triangulation
     shears = sp.shears
@@ -694,28 +713,36 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
         alphabet[name] = mat
         gens[name] = mat
 
+    # per (triangle, side): the edge, the triangle and side across it,
+    # and the chart change there
+    across = {}
+    for j, (a, b) in enumerate(tri.gluing):
+        across[a], across[b] = (j, b), (j, a)
+    sides = [[across[(t, k)] for k in range(3)]
+             for t in range(tri.num_triangles)]
+    step = np.array([[transition(j, (t, k), dst)
+                      for k, (j, dst) in enumerate(row)]
+                     for t, row in enumerate(sides)])
+
+    def fan(t, c):
+        # product of the chart changes once around corner c of triangle
+        # t, in t's chart: the peripheral element of the corner's puncture
+        mat = np.eye(2)
+        start = (t, c)
+        while True:
+            mat = mat @ step[t, c]
+            _, (t, m) = sides[t][c]
+            c = (m + 1) % 3
+            if (t, c) == start:
+                return mat
+
     # peripheral loops: walk the corner fan around each puncture
     def peripheral_word(puncture):
-        start = None
-        for t in range(tri.num_triangles):
-            for c in range(3):
-                if tri.puncture_of_corner(t, c) == puncture:
-                    start = (t, c)
-                    break
-            if start:
-                break
-        mat = np.eye(2)
-        t, c = start
-        while True:
-            j = tri.side_edge(t, c)
-            (a, k), (b, m) = tri.gluing[j]
-            (u, mm) = (b, m) if (a, k) == (t, c) else (a, k)
-            mat = mat @ transition(j, (t, c), (u, mm))
-            t, c = u, (mm + 1) % 3
-            if (t, c) == start:
-                break
+        start = next((t, c) for t in range(tri.num_triangles)
+                     for c in range(3)
+                     if tri.puncture_of_corner(t, c) == puncture)
         g0 = placement[start[0]]
-        return iso.normalize(g0 @ mat @ iso.inv(g0))
+        return iso.normalize(g0 @ fan(*start) @ iso.inv(g0))
 
     curve_words = {}
     peripheral = []
@@ -730,6 +757,20 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
         chart = iso.normalize(placement[t] @ np.linalg.matrix_power(_L_TURN, k % 3))
         edge_geodesics.append(iso.transform_geodesic(chart, iso.Geodesic(0.0, iso.INF)))
 
+    boundary = [b == BOUNDARY for b in puncture_kinds(sp)]
+    charts = TriangleCharts(
+        placement=np.array([placement[t] for t in range(tri.num_triangles)]),
+        step=step, step_inv=np.array([[iso.inv(m) for m in row]
+                                      for row in step]),
+        across=np.array([[u for _, (u, _) in row] for row in sides]),
+        entry=np.array([[m for _, (_, m) in row] for row in sides]),
+        edge=np.array([[j for j, _ in row] for row in sides]),
+        fan=np.array([[fan(t, c) for c in range(3)]
+                      for t in range(tri.num_triangles)]),
+        boundary=np.array([[boundary[tri.puncture_of_corner(t, c)]
+                            for c in range(3)]
+                           for t in range(tri.num_triangles)]))
     return Holonomy(gens, alphabet, curve_words, peripheral,
                     meta={"genus": tri.genus,
-                          "edge_geodesics": tuple(edge_geodesics)})
+                          "edge_geodesics": tuple(edge_geodesics),
+                          "triangle_charts": charts})

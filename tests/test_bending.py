@@ -343,7 +343,7 @@ class TestCocycleLawOnLift:
         fam = on_lift_family(name)
         x = eq.BASE_POINT
         probes, worst = 0, 0.0
-        ends = zip(fam._endpoints(fam.ends_minus), fam._endpoints(fam.ends_plus))
+        ends = zip(lm._endpoints(fam.ends_minus), lm._endpoints(fam.ends_plus))
         for p_minus, p_plus in ends:
             geo = iso.Geodesic(p_minus, p_plus)
             if iso.INF not in (geo.p_minus, geo.p_plus) and \

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quakebend import bending as bd
 from quakebend import cli
 from quakebend import earthquake as eq
 from quakebend import isometry as iso
 from quakebend import lamination as lm
+from quakebend import scenario
 from quakebend import teich
 
 
@@ -51,6 +53,17 @@ SPIRAL_SPHERE = {
               "s": [1.0505768, 1.5813722, 0.6571415]},
     "lamination": {"family": "triangulation",
                    "weights": [0.5934013, 0.1410365, 0.3577207]},
+}
+
+# ROADMAP defect 1's case: random.Random(23) shears from U(0.3, 2), then
+# weights from U(0.05, 0.6), on the triangulation of sphere_shear.json
+RANDOM_23_SPHERE = {
+    **SPIRAL_SPHERE,
+    "shear": {**SPIRAL_SPHERE["shear"],
+              "s": [1.872270927764107, 1.912629822588401, 1.817136684882585]},
+    "lamination": {"family": "triangulation",
+                   "weights": [0.09595287225687599, 0.37561497478715433,
+                               0.28306107452922874]},
 }
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
@@ -182,6 +195,25 @@ class TestScenarios:
         assert code == 0
         p0 = next(r for r in recs if r.get("puncture") == 0)
         assert p0["I"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("s0,length", [(5e-6, 1e-5), (4e-5, 8e-5)])
+    def test_short_boundary_is_a_boundary(self, tmp_path, capsys, s0,
+                                          length):
+        # boundary lengths 1e-5 and 8e-5 on either side of classify's cut
+        # (|tr| - 2 = l^2 / 4 against iso.TAU_CLASS, l ~ 6.3e-5): holonomy
+        # takes the kind from the shear sums, as spectrum does
+        data = json.loads((SCENARIOS / "torus_flow.json").read_text())
+        data["shear"]["s"] = [s0, 0.5, -0.5]
+        path = write_scenario(tmp_path, data)
+        code, recs = run(capsys, ["holonomy", path])
+        assert code == 0
+        c0 = next(r for r in recs if r.get("curve") == "C0")
+        assert c0["kind"] == "hyperbolic"
+        assert c0["length"] == pytest.approx(length, rel=1e-6)
+        assert recs[-1]["types"] == ["boundary"]
+        code, recs = run(capsys, ["spectrum", path])
+        assert code == 0
+        assert [r["kind"] for r in recs if "puncture" in r] == ["boundary"]
 
 
 # flags these commands do not read
@@ -560,6 +592,40 @@ class TestBendCommand:
             assert np.all(d3 <= d2 + 1e-9)
 
 
+    def test_grid_beyond_the_core_takes_the_word_family(self, tmp_path,
+                                                        capsys):
+        # 58 of the 156 points lie beyond the convex core, whose segments
+        # from x0 cross walls: the query falls back to the depth-capped
+        # word family, which at depth 10 finds crossing leaves (exit 3).
+        # Refusing such a grid (ROADMAP defect 1) will change this.
+        path = write_scenario(tmp_path, RANDOM_23_SPHERE)
+        grid = "x=-1.048:1.108:12,y=0.298:2.156:13"
+        code, recs = run(capsys, ["bend", path, "--depth", "10",
+                                  "--grid", grid])
+        assert code == 3 and recs == []
+        code, _ = run(capsys, ["bend", path, "--depth", "8", "--grid", grid])
+        assert code == 0
+        # the first six columns above the first row lie in the core: the
+        # walk decides them, the same at depths 8 and 10
+        grid = "x=-1.048:-0.068:6,y=0.45283333333333337:2.156:12"
+        streams = []
+        for depth in ("8", "10"):
+            code, recs = run(capsys, ["bend", path, "--depth", depth,
+                                      "--grid", grid])
+            assert code == 0
+            streams.append([r for r in recs if "vertex" in r])
+        assert len(streams[0]) == 72 and streams[0] == streams[1]
+        data = scenario.load(path)
+        point, _ = scenario.surface_point(data)
+        zs = [complex(x, y)
+              for y in np.linspace(0.45283333333333337, 2.156, 12)
+              for x in np.linspace(-1.048, -0.068, 6)]
+        ctx, _ = bd.make_context(point, scenario.lamination(data, point),
+                                 depth=10, reach=zs)
+        bd.bend_points(ctx, zs)
+        assert ctx.family.fallback is None
+
+
 class TestBlackholeCommand:
     def test_records(self, tmp_path, capsys):
         path = write_scenario(tmp_path, TORUS_SCENARIO)
@@ -584,14 +650,34 @@ class TestBlackholeCommand:
         assert len(arcs["6"]) == 8  # three non-degenerate rectangles
         assert arcs["8"] == arcs["6"]
 
-    def test_elliptic_side_stops_after_the_first_puncture(self, capsys):
-        # at depth 1 the right-hand side of puncture 1 is elliptic: the
-        # record of puncture 0 is out, then the run stops with exit 3
-        path = str(Path(__file__).resolve().parent.parent / "scripts"
-                   / "scenarios" / "sphere_shear.json")
+    def test_elliptic_side_stops_after_the_first_puncture(self, tmp_path,
+                                                          capsys):
+        # a shear sphere whose base point lies beyond the convex core:
+        # its letters take the depth-capped word family, and at depth 1
+        # the right-hand side of puncture 1 is elliptic.  The record of
+        # puncture 0 is out, then the run stops with exit 3.  (Refusing
+        # a base point beyond the core, ROADMAP defect 1, changes this.)
+        data = json.loads((SCENARIOS / "sphere_shear.json").read_text())
+        data["shear"]["s"] = [2.44, 1.21, 1.94]
+        data["lamination"]["weights"] = [0.28, 1.05, 1.15]
+        path = write_scenario(tmp_path, data)
         code, recs = run(capsys, ["blackhole", path, "--depth", "1"])
         assert code == 3
         assert [r["puncture"] for r in recs] == [0]
+
+    def test_walked_sphere_is_exact_at_depth_one(self, capsys):
+        # sphere_shear's base point lies in the core: the triangle walk
+        # answers at any depth, and the right-hand sides of the depth-1
+        # run are the hyperbolic ones of depth 6
+        path = str(SCENARIOS / "sphere_shear.json")
+        runs = {}
+        for depth in ("1", "6"):
+            code, recs = run(capsys, ["blackhole", path, "--depth", depth])
+            assert code == 0
+            runs[depth] = [{k: v for k, v in r.items() if k != "depth"}
+                           for r in recs]
+        assert runs["1"] == runs["6"]
+        assert all(r["converged"] for r in runs["1"] if "puncture" in r)
 
     def test_equal_lengths_are_extremal(self, tmp_path, capsys):
         # puncture 1 has momentum ~1e-12, not 0.0: zero up to the

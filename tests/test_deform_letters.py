@@ -2,8 +2,11 @@
 
 `earthquake.deform_letters` builds the quake, H3-bending, AdS-pair and
 flat holonomies.  The reference below keeps the four per-letter loops
-those functions ran before they shared the pass; the pass must
-reproduce them bit for bit.
+those functions ran before they shared the pass, each over the
+realization the pass queries (`lamination.realize` between X0 and the
+letter orbit: a word family for a multicurve, the triangle walk for a
+triangulation); the pass must reproduce them bit for bit.  The walk is
+checked against the word family in test_lamination.py.
 """
 
 import json
@@ -28,12 +31,19 @@ TRI = teich.IdealTriangulation.once_punctured_torus()
 # reference: one loop per deformed holonomy, base point X0
 # ---------------------------------------------------------------------------
 
+def realization(lam, h, depth):
+    """The lifts the pass queries: realized between X0 and its letter
+    orbit."""
+    ys = [iso.apply_h2(m, X0) for m in h.alphabet.values()]
+    return lm.realize(lam, h, depth, reach=[X0, *ys])
+
+
 def ref_quake(point, lam, side, depth, pd):
     h = teich.holonomy_of(point, pd)
     if isinstance(lam, lm.MultiCurveLam) and not any(lam.weights):
         h.meta["converged"] = True
         return h
-    fam = lm.LiftFamily(lam, h, depth=depth)
+    fam = realization(lam, h, depth)
     converged = True
 
     def deform(name, m):
@@ -50,8 +60,8 @@ def ref_quake(point, lam, side, depth, pd):
 
 def ref_hyp(point, lam, depth, pd):
     h = teich.holonomy_of(point, pd)
-    fam = lm.LiftFamily(lam, h, depth=depth)
-    if fam.empty:
+    fam = realization(lam, h, depth)
+    if not any(lam.weights):
         out = h.map(lambda _, m: m.astype(complex))
         out.meta["converged"] = True
         return out
@@ -72,8 +82,8 @@ def ref_hyp(point, lam, depth, pd):
 
 def ref_ads(point, lam, depth, pd):
     h = teich.holonomy_of(point, pd)
-    fam = lm.LiftFamily(lam, h, depth=depth)
-    if fam.empty:
+    fam = realization(lam, h, depth)
+    if not any(lam.weights):
         h.meta["converged"] = True
         return h, h
     converged = True
@@ -95,7 +105,7 @@ def ref_ads(point, lam, depth, pd):
 
 def ref_flat(point, lam, depth, pd):
     h = teich.holonomy_of(point, pd)
-    fam = lm.LiftFamily(lam, h, depth=depth)
+    fam = realization(lam, h, depth)
     letters = {}
     flags = []
     for name, m in h.alphabet.items():

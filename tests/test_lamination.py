@@ -691,3 +691,129 @@ class TestLimitArcs:
             assert not all(
                 oracles.circle_arc(arcs[u]).contains(iso.apply_boundary(m, e))
                 for u, m in enumerate(gens) for e in (geo.p_minus, geo.p_plus))
+
+
+# ---------------------------------------------------------------------------
+# the triangle walk against the word family
+# ---------------------------------------------------------------------------
+
+def seeded_shear(kind, rng):
+    """(lamination, holonomy) of a shear torus with perfbench's ranges,
+    or of a shear three-punctured sphere."""
+    tri, lo, hi = ((TRI_1PT, -0.6, -0.1) if kind == "torus"
+                   else (TRI_3PS, 0.3, 2.0))
+    sp = teich.ShearPoint(tri, tuple(rng.uniform(lo, hi, 3)))
+    lam = lm.TriangulationLam.from_shear(sp, tuple(rng.uniform(0.05, 0.6, 3)))
+    return lam, teich.holonomy_from_shear(sp)
+
+
+def walked(walk, ys):
+    """The points y of `ys` whose segment [x0, y] the walk answers
+    itself, without its word family."""
+    return [y for y in ys
+            if walk._propose(eq.BASE_POINT, np.array([y])) is not None]
+
+
+def angle_gap(p, q):
+    """Distance of two ideal points as angles 2 arctan on the circle."""
+    a, b = (math.pi if v == iso.INF else 2.0 * math.atan(v) for v in (p, q))
+    return abs(math.remainder(a - b, 2.0 * math.pi))
+
+
+def assert_walk_is_family(lam, h, *point_sets):
+    """On the segments [x0, y], y in each of `point_sets`, that the walk
+    answers, every one that the depth-10 family marks converged has the
+    same leaves: weights in the same order, endpoints within 1e-12 rad.
+    Returns the numbers of walked and of converged walked segments, per
+    point set."""
+    x0 = eq.BASE_POINT
+    ys = [y for points in point_sets for y in points]
+    fam = lm.LiftFamily(lam, h, 10, reach=[x0, *ys])
+    counts = []
+    for points in point_sets:
+        walk = lm.TriangleWalk(lam, h, 10, reach=[x0, *points])
+        inside = walked(walk, points)
+        got = walk.crossings_from(x0, inside, on_leaf="include")
+        assert walk.fallback is None  # walked, as one stacked query
+        converged = 0
+        for (leaves, ok), (want, want_ok) in zip(
+                got, fam.crossings_from(x0, inside, on_leaf="include")):
+            assert ok
+            if not want_ok:
+                continue
+            converged += 1
+            assert [l.weight for l in leaves] == [l.weight for l in want]
+            for a, b in zip(leaves, want):
+                assert angle_gap(a.geodesic.p_minus,
+                                 b.geodesic.p_minus) <= 1e-12
+                assert angle_gap(a.geodesic.p_plus,
+                                 b.geodesic.p_plus) <= 1e-12
+        counts.append((len(inside), converged))
+    return counts
+
+
+class TestTriangleWalk:
+    @pytest.mark.parametrize("kind", ["torus", "sphere"])
+    def test_seeded_surfaces_match_the_family(self, kind):
+        rng = np.random.default_rng(21)
+        orbits = grids = 0
+        for _ in range(20):
+            lam, h = seeded_shear(kind, rng)
+            (n, ok), (_, on_grid) = assert_walk_is_family(
+                lam, h, letter_orbit(h), GRID)
+            # x0 in the core puts its orbit there: all of it or none walks
+            assert n in (0, len(h.alphabet))
+            orbits += ok > 0
+            grids += on_grid
+        # the walk answered and agreed on most surfaces
+        assert orbits >= (20 if kind == "torus" else 10)
+        assert grids >= (20 if kind == "torus" else 10) * 20
+
+    @pytest.mark.parametrize("name", ["torus_flow", "sphere_shear"])
+    def test_scenarios_match_the_family(self, name):
+        lam, h = scenario_surface(name)
+        for n, ok in assert_walk_is_family(lam, h, letter_orbit(h), GRID):
+            assert ok == n > 0
+
+    @pytest.mark.parametrize("name", ["torus_flow", "sphere_shear"])
+    def test_end_on_an_edge(self, name):
+        # y on the last leaf the segment to -1.5 + 0.3i crosses, at the
+        # foot of the perpendicular from x0 (in the core, as x0 and the
+        # leaf are): half its weight with on_leaf='include', an error
+        # with 'raise', as the family gives
+        lam, h = scenario_surface(name)
+        x0 = eq.BASE_POINT
+        probe = lm.TriangleWalk(lam, h, 10, reach=[x0, -1.5 + 0.3j])
+        leaves, _ = probe.crossings(x0, -1.5 + 0.3j)
+        assert probe.fallback is None and len(leaves) >= 3
+        leaf = leaves[-1]
+        frame = leaf.geodesic.map_from_standard()
+        y = iso.apply_h2(frame, 1j * abs(iso.apply_h2(iso.inv(frame), x0)))
+        walk = lm.TriangleWalk(lam, h, 10, reach=[x0, y])
+        fam = lm.LiftFamily(lam, h, 10, reach=[x0, y])
+        got, ok = walk.crossings(x0, y, on_leaf="include")
+        want, _ = fam.crossings(x0, y, on_leaf="include")
+        assert walk.fallback is None and ok
+        assert [l.weight for l in got] == [l.weight for l in want]
+        assert got[-1].weight == leaf.weight / 2.0
+        for lifts in (walk, fam):
+            with pytest.raises(lm.BasePointOnLeafError):
+                lifts.crossings(x0, y)
+
+    def test_walls_send_points_beyond_the_core_to_the_family(self,
+                                                             monkeypatch):
+        # the golden bend grid of sphere_shear: 1 + 0.5i and 1 + i lie
+        # beyond the core.  Without the step cap, the walk still stops at
+        # their walls within a few steps; the other points walk
+        lam, h = scenario_surface("sphere_shear")
+        monkeypatch.setattr(lm, "WALK_STEPS", 10_000)
+        walk = lm.TriangleWalk(lam, h, 10, reach=[eq.BASE_POINT])
+        ch = walk.charts
+        (t0,), g0, _ = walk._walk(np.zeros(1, int), ch.placement[:1],
+                                  np.array([eq.BASE_POINT]), [])
+        for y in (complex(x, v) for v in (0.5, 1.0, 1.5) for x in (-1, 0, 1)):
+            crossed = []
+            end = walk._walk(np.array([t0]), g0, lm._moebius(
+                iso.inv(g0[0])[None], np.array([y])), crossed)
+            assert (end is None) == (y in (1 + 0.5j, 1 + 1j))
+            assert len(crossed) < 10
