@@ -4,18 +4,18 @@ Both are the quake module's ``cocycle_product`` of exp(c a D) over the
 leaves that the context's realization (``lamination.realize``: a
 ``LiftFamily``, or the ``TriangleWalk`` of a triangulation lamination)
 finds crossing a segment, D the displacement generator of each leaf:
-c = i for H3, the earthquake at imaginary weight (exp(i a D)
-rotates by angle a around the leaf), and the pair c = (+1, -1) for AdS,
-the left and right quake cocycles -- with leaves oriented per the
-base-point-on-the-left convention the first component lifts the *left*
-earthquake, the calibration asserted by the cross-oracle tests.
+c = i for H3, the earthquake at imaginary weight (exp(i a D) rotates
+by angle a around the leaf), and the pair c = (+1, -1) for AdS, the
+left and right quake cocycles in one pass -- with leaves oriented per
+the base-point-on-the-left convention the first component lifts the
+*left* earthquake, the calibration asserted by the cross-oracle tests.
 
 The bent surface is pleated: B(x0, z) depends only on the ordered
 leaves that [x0, z] crosses, so the bent map is one isometry per
-crossing sequence.  `bend_points` builds each sequence's cocycle once
-and applies it to all of its points as one stacked product; a point
-whose segment from x0 crosses no leaf, x0 included, maps by the
-inclusion.
+crossing sequence.  `bend_points` groups the points on those leaves,
+builds each sequence's cocycle once and applies it to all of its
+points as one stacked product; a point whose segment from x0 crosses
+no leaf, x0 included, maps by the inclusion.
 
 H3 points travel as unit timelike Minkowski-4 vectors (one row each in
 a stack); the totally geodesic copy of H2 is the slice x3 = 0.
@@ -122,10 +122,8 @@ def bend_points(ctx: BendContext, zs):
     crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
     for i, (leaves, _) in enumerate(crossed):
         if leaves:
-            key = tuple((l.geodesic.p_minus, l.geodesic.p_plus, l.weight)
-                        for l in leaves)
-            groups.setdefault(key, (leaves, []))[1].append(i)
-    for leaves, idx in groups.values():
+            groups.setdefault(tuple(leaves), []).append(i)
+    for leaves, idx in groups.items():
         if hyp:
             out[idx] = apply_psl2c(bend_cocycle_hyp_from_lifts(leaves), out[idx])
         else:
@@ -140,7 +138,7 @@ def bend_points(ctx: BendContext, zs):
 def bend_cocycle_hyp_from_lifts(lifts):
     """B_lambda(x, y) in PSL(2, C) from the leaves crossing [x, y]:
     product of exp(i a_k D_k)."""
-    return eq.cocycle_product(lifts, 1j).astype(complex)
+    return eq.cocycle_product(lifts, (1j,))[0].astype(complex)
 
 
 def bend_map_hyp(ctx: BendContext, x):
@@ -164,13 +162,12 @@ def hyp_holonomy(point, lam, depth=8, pd=None):
 
 def bend_cocycle_ads_from_lifts(lifts):
     """The pair (B^-, B^+) of the left and right quake cocycles over the
-    leaves crossing [x, y].
+    leaves crossing [x, y], from one `cocycle_product` pass.
 
     The first component composed with gamma gives the left-earthquake
     holonomy h_L, the second the right one.
     """
-    return (eq.quake_cocycle(lifts, eq.LEFT),
-            eq.quake_cocycle(lifts, eq.RIGHT))
+    return tuple(eq.cocycle_product(lifts, (1.0, -1.0)))
 
 
 def bend_map_ads(ctx: BendContext, x):

@@ -42,12 +42,18 @@ def _jsonable(v):
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-# the encoder json.dumps(record, sort_keys=True, default=_jsonable) builds
-_ENCODER = json.JSONEncoder(sort_keys=True, default=_jsonable)
+# the encoder json.dumps(record, sort_keys=True, default=_jsonable) builds,
+# refusing the non-finite numbers that JSON does not have
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_jsonable,
+                            allow_nan=False)
 
 
 def emit(record):
-    sys.stdout.write(_ENCODER.encode(record) + "\n")
+    try:
+        line = _ENCODER.encode(record)
+    except ValueError as exc:
+        raise DomainError(f"a record holds a non-finite number ({exc})")
+    sys.stdout.write(line + "\n")
 
 
 def _load_surface(args):
@@ -181,7 +187,7 @@ def cmd_quake(args):
     data, point, pd, lam = _load_laminated(args)
     side = args.side
     if isinstance(point, teich.FNPoint):
-        moved = eq.quake_coordinates(point, lam, side, pd=pd)
+        moved = eq.quake_coordinates(point, lam, side)
         coords = {"twists": list(moved.twists)}
     else:
         moved = eq.quake_shear(point, lam, side)
@@ -483,6 +489,10 @@ def main(argv=None):
         return EXIT_VERIFY
     except QuakebendError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError as exc:
+        # float arithmetic of the math module past the largest double
+        print(f"domain error: overflow: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return 0
 

@@ -1,11 +1,12 @@
 """Left/right earthquakes: coordinate form, quake cocycle, flow.
 
-Every cocycle of the package is ``cocycle_product(lifts, c)``, the
-ordered product of exp(c a D) over the crossed leaves that a
+Every cocycle of the package comes from ``cocycle_product(lifts,
+coefficients)``: one pass over the crossed leaves that a
 ``lamination.realize`` realization returns (a ``LiftFamily``, or the
-``TriangleWalk`` of a triangulation lamination), a the weight and D the
-displacement generator of each: c = +1 is the left quake and -1 the
-right one, c = i is H3 bending and (+1, -1) the AdS pair; the flat
+``TriangleWalk`` of a triangulation lamination) gives the ordered
+product of exp(c a D) for each coefficient c, a the weight and D the
+displacement generator of each leaf: c = +1 is the left quake and -1
+the right one, c = i is H3 bending and (+1, -1) the AdS pair; the flat
 translation part is its derivative in the weights.  Both orient each
 leaf with the segment's start on its left (the sign convention the
 cross-oracle tests calibrate against the twist rule of the holonomy
@@ -52,13 +53,10 @@ def _side_sign(side):
 # earthquakes in coordinates
 # ---------------------------------------------------------------------------
 
-def quake_coordinates(fn: teich.FNPoint, lam: lm.MultiCurveLam, side,
-                      pd: teich.PantDecomposition | None = None):
+def quake_coordinates(fn: teich.FNPoint, lam: lm.MultiCurveLam, side):
     """Earthquake along a weighted multicurve: twists move by +-w."""
     if len(lam.weights) != len(fn.interior_lengths):
         raise StructureError("lamination does not match the decomposition")
-    if pd is not None:
-        fn.check(pd)
     s = _side_sign(side)
     return fn.with_twists(tuple(t + s * w for t, w in
                                 zip(fn.twists, lam.weights)))
@@ -78,15 +76,17 @@ def quake_shear(sp: teich.ShearPoint, lam: lm.TriangulationLam, side):
 # quake cocycle
 # ---------------------------------------------------------------------------
 
-def cocycle_product(lifts, c):
-    """Ordered product of exp(c a D) over oriented, weighted leaves as
-    `crossings` returns them, a the weight and D the displacement
-    generator of each leaf."""
+def cocycle_product(lifts, coefficients):
+    """The ordered products of exp(c a D), one per c of `coefficients`,
+    over oriented, weighted leaves as `crossings` returns them, a the
+    weight and D the displacement generator of each leaf."""
     if not lm.leaves_pairwise_disjoint(lifts):
         raise InvalidLaminationError("crossing leaves in the lift family")
-    factors = [iso.expm2(c * leaf.weight * leaf.geodesic.displacement_generator())
-               for leaf in lifts]
-    return iso.normalize(reduce(np.matmul, factors)) if factors else np.eye(2)
+    gens = [(leaf.weight, leaf.geodesic.displacement_generator())
+            for leaf in lifts]
+    return [iso.normalize(reduce(np.matmul, [iso.expm2(c * a * d)
+                                             for a, d in gens]))
+            if gens else np.eye(2) for c in coefficients]
 
 
 def quake_cocycle(lifts, side):
@@ -96,7 +96,7 @@ def quake_cocycle(lifts, side):
     the left, a leaf through x or y at half its weight (the
     `crossings` convention).
     """
-    return cocycle_product(lifts, _side_sign(side))
+    return cocycle_product(lifts, (_side_sign(side),))[0]
 
 
 def deform_letters(point, lam, depth=8, pd=None):
@@ -123,13 +123,15 @@ def deformed_holonomies(point, lam, coefficients, depth=8, pd=None):
     lamination) stays undeformed: the inclusion into the target group."""
     h, crossed, converged = deform_letters(point, lam, depth, pd)
     h.meta["converged"] = converged
+    products = {name: cocycle_product(leaves, coefficients)
+                for name, leaves in crossed.items() if leaves}
 
-    def deformed(c):
+    def deformed(k, c):
         dt = complex if np.iscomplexobj(c) else float
         return h.map(lambda name, m: iso.normalize(
-            cocycle_product(crossed[name], c).astype(dt) @ m.astype(dt))
-            if crossed[name] else m.astype(dt))
-    return [deformed(c) for c in coefficients]
+            products[name][k].astype(dt) @ m.astype(dt))
+            if name in products else m.astype(dt))
+    return [deformed(k, c) for k, c in enumerate(coefficients)]
 
 
 def quake_holonomy(point, lam, side, depth=8, pd=None):

@@ -12,6 +12,7 @@ formula: every corner incidence of an edge at the puncture counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -294,23 +295,35 @@ def _endpoints(vecs):
                     iso.INF, p).tolist()
 
 
-def _append_leaves(out, segs, ends_m, ends_p, weights, near_end, reverse,
-                   deep):
-    """Append each crossing of `_frame_test` to the leaves of its segment
-    in `out`, a list of (leaves, converged): the leaf with the endpoint
-    vectors (rows of ends_m, ends_p) and weight, halved at an end, run
-    so that x is on its left.  A crossing marked `deep` clears its
-    segment's converged flag."""
-    weight = (np.where(near_end, 0.5, 1.0) * weights).tolist()
-    p_minus, p_plus = _endpoints(ends_m), _endpoints(ends_p)
-    reverse, deep = reverse.tolist(), deep.tolist()
-    for k, s in enumerate(segs.tolist()):
-        leaves = out[s][0]
-        geo = (iso.Geodesic(p_plus[k], p_minus[k]) if reverse[k]
-               else iso.Geodesic(p_minus[k], p_plus[k]))
-        leaves.append(WeightedGeodesic(geo, weight[k]))
-        if deep[k]:
-            out[s] = (leaves, False)
+def _crossings(x, ys, on_leaf, candidates):
+    """(leaves, converged) for each segment [x, y], y in `ys`, from the
+    blocks (segment, ends_minus, ends_plus, weight, deep) of candidate
+    pairs, end vectors as (2, P) arrays, that `candidates(x, y)` yields
+    for the y apart from x.  A pair that `_frame_test` finds crossing
+    is run with x on its left, at half weight at an end; a `deep` one
+    clears converged.  Equal crossed leaves are one object."""
+    ys = np.asarray(ys, dtype=complex).reshape(-1)
+    leaves, converged = [[] for _ in ys], np.ones(len(ys), bool)
+    seg = np.flatnonzero(np.abs(x - ys) >= 1e-14)
+    if not len(seg):
+        return [(crossed, True) for crossed in leaves]
+    y = ys[seg]
+    frames, seg_len = segment_frames(x, y), _segment_lengths(x, y)
+    # one leaf object per distinct (start, end, weight) of the query
+    leaf = functools.cache(
+        lambda p, q, wk: WeightedGeodesic(iso.Geodesic(p, q), wk))
+    for si, em, ep, w, deep in candidates(x, y):
+        hit, near_end, reverse = _frame_test(frames, seg_len, si, em, ep,
+                                             on_leaf)
+        start = np.where(reverse, ep[:, hit], em[:, hit]).T
+        end = np.where(reverse, em[:, hit], ep[:, hit]).T
+        keys = zip(_endpoints(start), _endpoints(end),
+                   (np.where(near_end, 0.5, 1.0) * w[hit]).tolist())
+        segs = seg[si[hit]]
+        converged[segs[deep[hit]]] = False
+        for s, key in zip(segs.tolist(), keys):
+            leaves[s].append(leaf(*key))
+    return list(zip(leaves, converged.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -534,36 +547,27 @@ class LiftFamily:
         whose `reach_cut` exceeds the family's `cut` raises
         StructureError.
         """
-        ys = np.asarray(ys, dtype=complex).reshape(-1)
-        out = [([], True) for _ in ys]
-        seg = np.flatnonzero(np.abs(x - ys) >= 1e-14)
-        if self.empty or not len(seg):
-            return out
+        return _crossings(x, ys, on_leaf, self._candidates)
+
+    def _candidates(self, x, y):
+        """`_crossings` blocks: the (segment, leaf) pairs within the
+        reach cut of each segment, PAIRS_PER_BLOCK at a time."""
+        if self.empty:
+            return
         # the index is cut once at the largest `reach_cut`; each
         # segment then keeps the leaves within its own
-        y = ys[seg]
-        frames = segment_frames(x, y)
         cut = np.maximum(reach_cut(x), reach_cut(y))
         if cut.max() > self.cut:
             raise StructureError("a segment reaches beyond the points the "
                                  "lift family was built for")
         rows = np.flatnonzero(self.sinh_dist <= cut.max())
-        if not len(rows):
-            return out
-        seg_len = _segment_lengths(x, y)
         dist = self.sinh_dist[rows]
         em, ep = self.ends_minus[rows].T, self.ends_plus[rows].T
-        step = max(1, self.PAIRS_PER_BLOCK // len(rows))
+        w, deep = self.weights[rows], self.levels[rows] >= self.depth
+        step = max(1, self.PAIRS_PER_BLOCK // max(1, len(rows)))
         for lo in range(0, len(y), step):
             si, ci = np.nonzero(dist <= cut[lo:lo + step, None])
-            si += lo
-            hit, near_end, reverse = _frame_test(
-                frames, seg_len, si, em[:, ci], ep[:, ci], on_leaf)
-            idx = rows[ci[hit]]
-            _append_leaves(out, seg[si[hit]], self.ends_minus[idx],
-                           self.ends_plus[idx], self.weights[idx], near_end,
-                           reverse, self.levels[idx] >= self.depth)
-        return out
+            yield si + lo, em[:, ci], ep[:, ci], w[ci], deep[ci]
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +650,12 @@ class TriangleWalk:
 
     At a corner whose puncture is a geodesic boundary the edges spiral
     onto it: the lift of the boundary, the axis of the corner's
-    peripheral element (a wall), bounds the core.  A target beyond a
-    wall of a triangle the walk enters, or a walk of WALK_STEPS steps,
-    sends the whole query to the depth-capped `LiftFamily` of `reach`
-    (built once, on first need), whose answer it returns.
+    peripheral element (a wall), bounds the core.  A start x beyond a
+    wall is refused with DomainError.  A target beyond a wall of a
+    triangle the walk enters, or a walk of WALK_STEPS steps, sends the
+    whole query to the depth-capped `LiftFamily` of `reach` (built
+    once, on first need), whose candidates it yields in place of its
+    own.
     """
 
     def __init__(self, lam: TriangulationLam, h: teich.Holonomy, depth=12,
@@ -668,40 +674,37 @@ class TriangleWalk:
         self.edge_weight = np.asarray(lam.weights)[charts.edge]
         self.fallback = None
 
-    def crossings(self, x, y, on_leaf="raise"):
-        """`crossings_from` for one segment."""
-        return self.crossings_from(x, [y], on_leaf)[0]
+    crossings = LiftFamily.crossings
 
     def crossings_from(self, x, ys, on_leaf="raise"):
         """(leaves, converged) for each segment [x, y], y in `ys`, as
         `LiftFamily.crossings_from` returns them."""
-        ys = np.asarray(ys, dtype=complex).reshape(-1)
-        out = [([], True) for _ in ys]
-        seg = np.flatnonzero(np.abs(x - ys) >= 1e-14)
-        if not len(seg):
-            return out
-        y = ys[seg]
-        frames = segment_frames(x, y)
+        return _crossings(x, ys, on_leaf, self._candidates)
+
+    def _candidates(self, x, y):
+        """`_crossings` blocks: the walk's proposals, or on a fallback
+        the blocks of the word family."""
         proposed = self._propose(x, y)
         if proposed is None:
             if self.fallback is None:
                 self.fallback = LiftFamily(self.lam, self.h, self.depth,
                                            self.reach)
-            return self.fallback.crossings_from(x, ys, on_leaf)
-        si, em, ep, w = proposed
-        hit, near_end, reverse = _frame_test(
-            frames, _segment_lengths(x, y), si, em, ep, on_leaf)
-        _append_leaves(out, seg[si[hit]], em[:, hit].T, ep[:, hit].T, w[hit],
-                       near_end, reverse, np.zeros(len(hit), bool))
-        return out
+            yield from self.fallback._candidates(x, y)
+        else:
+            yield proposed
 
     def _propose(self, x, ys):
-        """(segment, ends_minus, ends_plus, weight) of the leaves proposed
-        for each [x, y], or None if the query falls back."""
+        """The `_crossings` block of the leaves proposed for each [x, y],
+        or None if the query falls back.  An x whose own walk stops at
+        a wall raises DomainError."""
         ch = self.charts
-        # the triangle of x, from the base lift of triangle 0
+        # the triangle of x, from the base lift of triangle 0; a walk
+        # that stops before WALK_STEPS steps stopped at a wall
+        steps = []
         found = self._walk(np.zeros(1, int), ch.placement[:1],
-                           _moebius(iso.inv(ch.placement[0])[None], x), [])
+                           _moebius(iso.inv(ch.placement[0])[None], x), steps)
+        if found is None and len(steps) < WALK_STEPS:
+            raise DomainError("the base point lies beyond the convex core")
         if found is None:
             return None
         (t0,), g0, _ = found
@@ -722,7 +725,8 @@ class TriangleWalk:
                   np.tile(np.arange(3), n), np.full(3 * n, t0)),
                  *crossed[1:], (last, g[last], k, tri[last])]
         si, gs, k, t = (np.concatenate(c) for c in zip(*parts))
-        return (si, *_side_ends(gs, k), self.edge_weight[t, k])
+        return (si, *_side_ends(gs, k), self.edge_weight[t, k],
+                np.zeros(len(si), bool))
 
     def _walk(self, tri, g, w, crossed):
         """Walk each target into its triangle: w_i, in the chart g_i of

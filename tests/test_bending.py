@@ -441,9 +441,34 @@ class TestPiecewiseIsometricBendMap:
         zs = grid(12)
         bd.bend_points(scenario_ctx[target], zs)
         sequences = set(crossing_groups(scenario_ctx[target], zs)) - {()}
-        # the AdS pair checks each sequence once per component
-        assert len(checked) == len(sequences) * (1 if target == bd.HYPERBOLIC
-                                                 else 2)
+        # the AdS pair too: one cocycle pass serves both components
+        assert len(checked) == len(sequences)
+
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_groups_are_the_crossing_groups(self, scenario_ctx, target,
+                                            monkeypatch):
+        # the points each cocycle is applied to, found by their rows in
+        # the inclusion, against the crossed points of crossing_groups
+        hyp = target == bd.HYPERBOLIC
+        cocycle = ("bend_cocycle_hyp_from_lifts" if hyp
+                   else "bend_cocycle_ads_from_lifts")
+        owner, act = (bd, "apply_psl2c") if hyp else (iso, "ads_act")
+        build, apply = getattr(bd, cocycle), getattr(owner, act)
+        keys, rows = [], []
+        monkeypatch.setattr(bd, cocycle, lambda leaves: keys.append(leaves)
+                            or build(leaves))
+        monkeypatch.setattr(owner, act, lambda b, v: rows.append(
+            [r.tobytes() for r in v]) or apply(b, v))
+        zs = grid(12)
+        bd.bend_points(scenario_ctx[target], zs)
+        index = {r.tobytes(): i for i, r in enumerate(
+            (bd.mink4_from_h2 if hyp else iso.ads_embed)(np.array(zs)))}
+        got = {tuple((l.geodesic.p_minus, l.geodesic.p_plus, l.weight)
+                     for l in leaves): [index[r] for r in points]
+               for leaves, points in zip(keys, rows)}
+        want = crossing_groups(scenario_ctx[target], zs)
+        want.pop((), None)
+        assert len(keys) == len(got) and got == want
 
     @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
     def test_matches_per_vertex_reference(self, scenario_ctx, target):
@@ -452,6 +477,21 @@ class TestPiecewiseIsometricBendMap:
         ref = oracles.bend_points_per_vertex(scenario_ctx[target], zs, target)
         assert pts.shape == (len(zs),) + ref[0].shape
         assert np.max(np.abs(pts - np.array(ref))) <= 1e-14
+
+
+def test_equal_leaves_are_one_object():
+    # torus_flow's 48 x 48 grid, walked as bend realizes it and in the
+    # full word family: one object per distinct crossed leaf
+    data = scenario.load(SCENARIOS / "torus_flow.json")
+    point, pd = scenario.surface_point(data)
+    lam, zs = scenario.lamination(data, point), grid(48)
+    for reach in (zs, None):
+        ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=reach)
+        crossed = ctx.family.crossings_from(eq.BASE_POINT, zs,
+                                            on_leaf="include")
+        leaves = [leaf for ls, _ in crossed for leaf in ls]
+        assert len(leaves) > 1000
+        assert len({id(leaf) for leaf in leaves}) == len(set(leaves))
 
 
 class TestTargetFromContext:

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from quakebend import bending as bd
+from quakebend import blackhole as bh
 from quakebend import cli
 from quakebend import earthquake as eq
 from quakebend import isometry as iso
 from quakebend import lamination as lm
 from quakebend import scenario
 from quakebend import teich
+from quakebend.errors import DomainError
 
 
 # a numpy overflow or invalid value on a CLI path fails the run
@@ -64,6 +66,15 @@ RANDOM_23_SPHERE = {
     "lamination": {"family": "triangulation",
                    "weights": [0.09595287225687599, 0.37561497478715433,
                                0.28306107452922874]},
+}
+
+# ROADMAP defect 1's base-point case, the 58th of random.Random(3)'s
+# spheres (shears U(0.3, 2.5), weights U(0.05, 1.5), rounded to 0.01):
+# the base point lies beyond the convex core
+BEYOND_CORE_SPHERE = {
+    **SPIRAL_SPHERE,
+    "shear": {**SPIRAL_SPHERE["shear"], "s": [2.44, 1.21, 1.94]},
+    "lamination": {"family": "triangulation", "weights": [0.28, 1.05, 1.15]},
 }
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
@@ -305,6 +316,41 @@ class TestDomainErrors:
         path = write_scenario(tmp_path, TORUS_SCENARIO)
         assert cli.main(["quake", path, "--depth", "6"]) == cli.EXIT_DOMAIN
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["quake", "--depth", "8"], ["blackhole", "--depth", "1"],
+        ["bend", "--target", "hyperbolic"], ["bend", "--target", "ads"]])
+    def test_base_point_beyond_the_core(self, tmp_path, capsys, argv):
+        path = write_scenario(tmp_path, BEYOND_CORE_SPHERE)
+        code = cli.main([argv[0], path] + argv[1:])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN and out == ""
+        assert err == "domain error: the base point lies beyond the convex core\n"
+
+
+class TestNonFiniteOutput:
+    """Input the parser accepts but whose numbers overflow exits 3 with a
+    domain error: no traceback, and no Infinity or NaN, which are not
+    JSON, on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bend", str(SCENARIOS / "torus_multicurve.json"),
+         "--grid", "x=-1e200:1e200:2,y=0.5:1:2"],
+        ["wick", "--grid", "T=1.2:2:1,u=0:0:1,zeta=-400:-400:1"],
+        ["btz", "--rp", "1e200", "--rm", "0"]])
+    def test_exits_3(self, capsys, argv):
+        # numpy warns of the overflow on the way to bend's infinite
+        # vertices; the run must still end in a domain error
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN
+        assert err.startswith("domain error: ")
+        assert "Infinity" not in out and "NaN" not in out
+        # the records before the failure stay written
+        assert [json.loads(line)["command"] for line in out.splitlines()] \
+            == (["bend"] if argv[0] == "bend" else [])
 
 
 def scenario_with(name, **sections):
@@ -650,18 +696,21 @@ class TestBlackholeCommand:
         assert len(arcs["6"]) == 8  # three non-degenerate rectangles
         assert arcs["8"] == arcs["6"]
 
-    def test_elliptic_side_stops_after_the_first_puncture(self, tmp_path,
-                                                          capsys):
-        # a shear sphere whose base point lies beyond the convex core:
-        # its letters take the depth-capped word family, and at depth 1
-        # the right-hand side of puncture 1 is elliptic.  The record of
-        # puncture 0 is out, then the run stops with exit 3.  (Refusing
-        # a base point beyond the core, ROADMAP defect 1, changes this.)
-        data = json.loads((SCENARIOS / "sphere_shear.json").read_text())
-        data["shear"]["s"] = [2.44, 1.21, 1.94]
-        data["lamination"]["weights"] = [0.28, 1.05, 1.15]
-        path = write_scenario(tmp_path, data)
-        code, recs = run(capsys, ["blackhole", path, "--depth", "1"])
+    def test_elliptic_side_stops_after_the_first_puncture(self, capsys,
+                                                          monkeypatch):
+        # the rectangle of puncture 1 fails, as on an elliptic side: the
+        # record of puncture 0 is out, then the run stops with exit 3
+        rectangle, calls = bh.peripheral_rectangle, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DomainError("an elliptic side")
+            return rectangle(*args)
+        monkeypatch.setattr(bh, "peripheral_rectangle", fail_second)
+        code, recs = run(capsys, ["blackhole",
+                                  str(SCENARIOS / "sphere_shear.json"),
+                                  "--depth", "1"])
         assert code == 3
         assert [r["puncture"] for r in recs] == [0]
 

@@ -10,6 +10,7 @@ checked against the word family in test_lamination.py.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from quakebend import earthquake as eq
 from quakebend import bending as bd
 from quakebend import spacetime as sp
 from quakebend import cli
+from quakebend import scenario
 
 X0 = complex(0.137, 1.03)
 PD = teich.PantDecomposition.once_punctured_torus()
@@ -242,3 +244,25 @@ def test_zero_weights_give_the_undeformed_holonomy():
             assert same_bits(h.alphabet[name], m.astype(dt)), name
     assert ok is True
     assert not any(np.any(g.translation) for g in letters.values())
+
+
+# ---------------------------------------------------------------------------
+# one cocycle pass for every coefficient
+# ---------------------------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["torus_multicurve", "torus_flow",
+                                  "sphere_shear", "torus_two_boundary"])
+def test_products_of_one_pass_are_the_single_products(name):
+    data = scenario.load(SCENARIOS / f"{name}.json")
+    point, pd = scenario.surface_point(data)
+    _, crossed, _ = eq.deform_letters(point, scenario.lamination(data, point),
+                                      depth=8, pd=pd)
+    assert any(crossed.values())
+    for leaves in crossed.values():
+        got = eq.cocycle_product(leaves, (1.0, -1.0, 1j))
+        assert len(got) == 3
+        for b, c in zip(got, (1.0, -1.0, 1j)):
+            assert same_bits(b, eq.cocycle_product(leaves, (c,))[0])

@@ -121,6 +121,15 @@ def test_base_point_grid_hits_the_base_point_column():
                              for x in grid["x"]]
 
 
+def test_goldens_hold_no_non_finite_number():
+    # JSON has no Infinity or NaN, and `cli.emit` refuses them
+    def refuse(constant):
+        raise AssertionError(f"{constant} in {path.name}")
+    for path in sorted(GOLDEN.glob("*.jsonl")):
+        for line in path.read_text().splitlines():
+            json.loads(line, parse_constant=refuse)
+
+
 def write_golden(path, text):
     """Write `text` to `path`; if that changes the file's bytes, return
     the report line "<file name>: <n> changed lines", n the number of

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -709,7 +710,8 @@ def seeded_shear(kind, rng):
 
 def walked(walk, ys):
     """The points y of `ys` whose segment [x0, y] the walk answers
-    itself, without its word family."""
+    itself, without its word family (a base point beyond the convex
+    core raises DomainError)."""
     return [y for y in ys
             if walk._propose(eq.BASE_POINT, np.array([y])) is not None]
 
@@ -761,8 +763,9 @@ class TestTriangleWalk:
             lam, h = seeded_shear(kind, rng)
             (n, ok), (_, on_grid) = assert_walk_is_family(
                 lam, h, letter_orbit(h), GRID)
-            # x0 in the core puts its orbit there: all of it or none walks
-            assert n in (0, len(h.alphabet))
+            # x0 in the core puts its orbit there, and x0 beyond it is
+            # refused: all of the orbit walks
+            assert n == len(h.alphabet)
             orbits += ok > 0
             grids += on_grid
         # the walk answered and agreed on most surfaces
@@ -799,6 +802,58 @@ class TestTriangleWalk:
         for lifts in (walk, fam):
             with pytest.raises(lm.BasePointOnLeafError):
                 lifts.crossings(x0, y)
+
+    def test_fallback_answers_as_the_family(self):
+        # ROADMAP defect 1's Random(23) sphere: points of its 12 x 13
+        # grid lie beyond the core, so the query takes the candidates of
+        # the word family, and its answer is the family's, bit for bit
+        sp = teich.ShearPoint(TRI_3PS, (1.872270927764107, 1.912629822588401,
+                                        1.817136684882585))
+        lam = lm.TriangulationLam.from_shear(sp, (
+            0.09595287225687599, 0.37561497478715433, 0.28306107452922874))
+        h, x0 = teich.holonomy_from_shear(sp), eq.BASE_POINT
+        zs = [complex(x, y) for y in np.linspace(0.298, 2.156, 13)
+              for x in np.linspace(-1.048, 1.108, 12)]
+        walk = lm.TriangleWalk(lam, h, 8, reach=[x0, *zs])
+        got = walk.crossings_from(x0, zs, on_leaf="include")
+        assert walk.fallback is not None
+        want = lm.LiftFamily(lam, h, 8, reach=[x0, *zs]).crossings_from(
+            x0, zs, on_leaf="include")
+        assert got == want
+
+        def ends(crossed):
+            return np.array([(l.geodesic.p_minus, l.geodesic.p_plus)
+                             for leaves, _ in crossed for l in leaves])
+        assert np.array_equal(bits(ends(got)), bits(ends(want)))
+
+    def test_base_point_beyond_the_core_is_refused(self, monkeypatch):
+        # the first 118 spheres of random.Random(3), shears U(0.3, 2.5)
+        # and weights U(0.05, 1.5) rounded to 0.01: a query from x0 is
+        # refused exactly when the walk of x0 itself, without the step
+        # cap, stops at a wall
+        rnd, refused = random.Random(3), 0
+        for _ in range(118):
+            s = tuple(round(rnd.uniform(0.3, 2.5), 2) for _ in range(3))
+            w = tuple(round(rnd.uniform(0.05, 1.5), 2) for _ in range(3))
+            sp = teich.ShearPoint(TRI_3PS, s)
+            lam = lm.TriangulationLam.from_shear(sp, w)
+            h = teich.holonomy_from_shear(sp)
+            ys = letter_orbit(h)
+            walk = lm.TriangleWalk(lam, h, 8, reach=[eq.BASE_POINT, *ys])
+            with monkeypatch.context() as m:
+                m.setattr(lm, "WALK_STEPS", 10_000)
+                ch = walk.charts
+                beyond = walk._walk(np.zeros(1, int), ch.placement[:1],
+                                    lm._moebius(iso.inv(ch.placement[0])[None],
+                                                eq.BASE_POINT), []) is None
+            if beyond:
+                refused += 1
+                with pytest.raises(DomainError, match="beyond the convex"):
+                    walk.crossings_from(eq.BASE_POINT, ys)
+                assert walk.fallback is None
+            else:
+                walk.crossings_from(eq.BASE_POINT, ys)
+        assert refused == 6
 
     def test_walls_send_points_beyond_the_core_to_the_family(self,
                                                              monkeypatch):
