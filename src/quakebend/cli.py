@@ -227,8 +227,15 @@ def cmd_bend(args):
     if not np.all(ys > 0):
         raise DomainError("bend grid points must lie in the upper "
                           "half-plane (y > 0)")
-    data, point, pd, lam = _load_laminated(args)
     zs = [complex(xv, yv) for yv in ys for xv in xs]
+    # a point whose reach or hyperboloid lift overflows is refused before
+    # any record or lift family
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = lm.reach_cut(zs), iso.h2_to_hyperboloid(np.asarray(zs))
+    if not all(np.isfinite(a).all() for a in far):
+        raise DomainError("bend grid points lie too far from i: their "
+                          "reach or hyperboloid lift overflows")
+    data, point, pd, lam = _load_laminated(args)
     ctx, _ = bd.make_context(point, lam, depth=args.depth, target=args.target,
                              pd=pd, reach=zs)
     points = bd.bend_points(ctx, zs)

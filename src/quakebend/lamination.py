@@ -207,11 +207,12 @@ def _base_leaves(lam, h: teich.Holonomy):
         return [(iso.axis(h.curve(f"z{j}")), float(w), f"z{j}")
                 for j, w in enumerate(lam.weights) if w > 0]
     if isinstance(lam, TriangulationLam):
-        geos = h.meta.get("edge_geodesics")
-        if geos is None:
+        charts = h.meta.get("triangle_charts")
+        if charts is None:
             raise StructureError("holonomy lacks the placed edge geodesics; "
                                  "build it with holonomy_from_shear")
-        return [(g, float(w), None) for g, w in zip(geos, lam.weights)]
+        return [(g, float(w), None)
+                for g, w in zip(charts.geodesics, lam.weights)]
     raise StructureError(f"unsupported lamination {type(lam)!r}")
 
 

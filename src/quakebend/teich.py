@@ -27,6 +27,10 @@ perpendicular feet.
 Shear holonomy follows the ideal-triangulation developing recipe with
 turn matrix L = [[-1, -1], [1, 0]] (cyclic rotation of the standard
 triangle (0, oo, -1)) and edge matrix F(s) = [[0, -e^{s/2}], [e^{-s/2}, 0]].
+The chart change across side k of a triangle into side m of its
+neighbour, L^k F(s) L^{-m}, is built once per side; the placements,
+letters, peripheral elements, placed edge geodesics and the
+`TriangleCharts` of the triangle walk are all read from that one table.
 """
 
 from __future__ import annotations
@@ -157,11 +161,17 @@ class PantDecomposition:
         return cls(1, (((0, 0), (0, 1)),), ((0, 2),))
 
 
+#: the shortest geodesic boundary whose cuff classifies as hyperbolic:
+#: |tr| - 2 = 2 cosh(l / 2) - 2 must exceed iso.TAU_CLASS
+MIN_BOUNDARY = 2.0 * math.acosh(1.0 + iso.TAU_CLASS / 2.0)
+
+
 @dataclass(frozen=True)
 class FNPoint:
     """Fenchel-Nielsen coordinates over a pant decomposition.
 
-    Boundary length 0 encodes a cusp; interior lengths are positive.
+    Boundary length 0 encodes a cusp, and a positive one is at least
+    MIN_BOUNDARY (about 6.3e-5); interior lengths are positive.
     """
 
     boundary_lengths: tuple
@@ -171,6 +181,9 @@ class FNPoint:
     def __post_init__(self):
         if any(l < 0 for l in self.boundary_lengths):
             raise DomainError("boundary lengths must be >= 0")
+        if any(0 < l < MIN_BOUNDARY for l in self.boundary_lengths):
+            raise DomainError(f"boundary lengths in (0, {MIN_BOUNDARY:.3g}) "
+                              "are too short to tell from a cusp (length 0)")
         if any(l <= 0 for l in self.interior_lengths):
             raise DomainError("interior curve lengths must be > 0")
         if len(self.twists) != len(self.interior_lengths):
@@ -525,7 +538,7 @@ def surface_type(h: Holonomy, point=None):
     """Partition of the punctures into cusps and geodesic boundaries:
     from the coordinates of `point` when given (`puncture_kinds`), else
     classified from the peripheral holonomy, where a boundary shorter
-    than about 6e-5 (|tr| - 2 under iso.TAU_CLASS) reads as a cusp."""
+    than MIN_BOUNDARY (|tr| - 2 under iso.TAU_CLASS) reads as a cusp."""
     kinds = (puncture_kinds(point) if point is not None else
              tuple(CUSP if boundary_length(h, i) == 0.0 else BOUNDARY
                    for i in range(len(h.peripheral))))
@@ -668,7 +681,8 @@ class TriangleCharts:
 
     Triangle t's chart maps the standard triangle (0, oo, -1), corners
     0, 1, 2, onto one of its lifts; side k joins corners k and k + 1.
-    The arrays are indexed by (triangle, side) or (triangle, corner).
+    The arrays are indexed by (triangle, side) or (triangle, corner);
+    `geodesics` by edge.
     """
 
     placement: np.ndarray  # (n, 2, 2) chart of the base lift of each triangle
@@ -679,98 +693,77 @@ class TriangleCharts:
     edge: np.ndarray       # (n, 3) the edge index of each side
     fan: np.ndarray        # (n, 3, 2, 2) peripheral element of each corner
     boundary: np.ndarray   # (n, 3) whether a corner's puncture is a boundary
+    geodesics: tuple       # per edge j, its lift on the side gluing[j][0]
 
 
 def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
     """Holonomy of F(s): ideal triangles glued with shears.
 
+    One table, per (triangle, side), of the edge, the triangle and side
+    across it and the chart change there, step[t, k] = L^k F(s_j) L^-m,
+    gives everything else: the placements (a spanning tree of the
+    gluing), a generator per edge off the tree, the fan of chart changes
+    around each corner, whose product at the first corner of puncture i
+    is C_i, and the placed edge geodesics.
+
     Boundary lengths satisfy l_{C_i} = |s(p_i)| with s(p_i) the shear
     sum over the star of p_i counted with corner multiplicity; cusps
-    occur exactly at s(p_i) = 0.  The meta holds the placed edge
-    geodesics and the `TriangleCharts`, whose corner kinds come from
-    these sums.
+    occur exactly at s(p_i) = 0.  The meta holds the genus and the
+    `TriangleCharts`, whose corner kinds come from these sums.
     """
     tri = sp.triangulation
-    shears = sp.shears
-
-    def transition(j, src, dst):
-        # chart change crossing edge j from (t, side k) into (u, side m)
-        (_, k), (_, m) = src, dst
-        turn_out = np.linalg.matrix_power(_L_TURN, k % 3)
-        turn_in = np.linalg.matrix_power(_L_TURN, (-m) % 3)
-        return iso.normalize(turn_out @ _f_edge(shears[j]) @ turn_in)
-
-    placement, tree_edges = _spanning_tree(tri.gluing, transition)
-
-    alphabet = {}
-    gens = {}
-    for j, ((a, k), (b, m)) in enumerate(tri.gluing):
-        if j in tree_edges:
-            continue
-        name = f"g{j}"
-        mat = iso.normalize(placement[a] @ transition(j, (a, k), (b, m))
-                            @ iso.inv(placement[b]))
-        alphabet[name] = mat
-        gens[name] = mat
-
-    # per (triangle, side): the edge, the triangle and side across it,
-    # and the chart change there
-    across = {}
+    n = tri.num_triangles
+    side = {}
     for j, (a, b) in enumerate(tri.gluing):
-        across[a], across[b] = (j, b), (j, a)
-    sides = [[across[(t, k)] for k in range(3)]
-             for t in range(tri.num_triangles)]
-    step = np.array([[transition(j, (t, k), dst)
-                      for k, (j, dst) in enumerate(row)]
-                     for t, row in enumerate(sides)])
+        side[a], side[b] = (j, *b), (j, *a)
+    # (edge, triangle across, side across) per (triangle, side)
+    sides = [[side[(t, k)] for k in range(3)] for t in range(n)]
+    edge, across, entry = np.array(sides).transpose(2, 0, 1).copy()
+    turns = [np.linalg.matrix_power(_L_TURN, k) for k in range(3)]
+    step = np.array([[iso.normalize(turns[k] @ _f_edge(sp.shears[j])
+                                    @ turns[-m % 3])
+                      for k, (j, _, m) in enumerate(row)] for row in sides])
+
+    placed, tree_edges = _spanning_tree(tri.gluing,
+                                        lambda j, src, dst: step[src])
+    placement = np.array([placed[t] for t in range(n)])
+    alphabet = {f"g{j}": iso.normalize(placement[a] @ step[a, k]
+                                       @ iso.inv(placement[b]))
+                for j, ((a, k), (b, _)) in enumerate(tri.gluing)
+                if j not in tree_edges}
+    gens = dict(alphabet)
 
     def fan(t, c):
         # product of the chart changes once around corner c of triangle
         # t, in t's chart: the peripheral element of the corner's puncture
-        mat = np.eye(2)
-        start = (t, c)
+        mat, start = np.eye(2), (t, c)
         while True:
             mat = mat @ step[t, c]
-            _, (t, m) = sides[t][c]
+            _, t, m = sides[t][c]
             c = (m + 1) % 3
             if (t, c) == start:
                 return mat
 
-    # peripheral loops: walk the corner fan around each puncture
-    def peripheral_word(puncture):
-        start = next((t, c) for t in range(tri.num_triangles)
-                     for c in range(3)
-                     if tri.puncture_of_corner(t, c) == puncture)
-        g0 = placement[start[0]]
-        return iso.normalize(g0 @ fan(*start) @ iso.inv(g0))
-
-    curve_words = {}
-    peripheral = []
+    fans = np.array([[fan(t, c) for c in range(3)] for t in range(n)])
+    # the puncture of each corner, (triangle, corner) in row-major order
+    puncture = [tri.puncture_of_corner(t, c)
+                for t in range(n) for c in range(3)]
     for i in range(tri.num_punctures):
-        name = f"C{i}"
-        alphabet[name] = peripheral_word(i)
-        curve_words[name] = ((name, +1),)
-        peripheral.append(name)
+        t, c = divmod(puncture.index(i), 3)
+        alphabet[f"C{i}"] = iso.normalize(placement[t] @ fans[t, c]
+                                          @ iso.inv(placement[t]))
+    curve_words = {f"C{i}": ((f"C{i}", +1),)
+                   for i in range(tri.num_punctures)}
 
-    edge_geodesics = []
-    for j, ((t, k), _) in enumerate(tri.gluing):
-        chart = iso.normalize(placement[t] @ np.linalg.matrix_power(_L_TURN, k % 3))
-        edge_geodesics.append(iso.transform_geodesic(chart, iso.Geodesic(0.0, iso.INF)))
-
-    boundary = [b == BOUNDARY for b in puncture_kinds(sp)]
+    kinds = puncture_kinds(sp)
     charts = TriangleCharts(
-        placement=np.array([placement[t] for t in range(tri.num_triangles)]),
-        step=step, step_inv=np.array([[iso.inv(m) for m in row]
-                                      for row in step]),
-        across=np.array([[u for _, (u, _) in row] for row in sides]),
-        entry=np.array([[m for _, (_, m) in row] for row in sides]),
-        edge=np.array([[j for j, _ in row] for row in sides]),
-        fan=np.array([[fan(t, c) for c in range(3)]
-                      for t in range(tri.num_triangles)]),
-        boundary=np.array([[boundary[tri.puncture_of_corner(t, c)]
-                            for c in range(3)]
-                           for t in range(tri.num_triangles)]))
-    return Holonomy(gens, alphabet, curve_words, peripheral,
-                    meta={"genus": tri.genus,
-                          "edge_geodesics": tuple(edge_geodesics),
-                          "triangle_charts": charts})
+        placement=placement, step=step,
+        step_inv=np.array([[iso.inv(m) for m in row] for row in step]),
+        across=across, entry=entry, edge=edge, fan=fans,
+        boundary=np.array([kinds[p] == BOUNDARY
+                           for p in puncture]).reshape(n, 3),
+        geodesics=tuple(iso.transform_geodesic(
+            iso.normalize(placement[t] @ turns[k]), iso.Geodesic(0.0, iso.INF))
+            for (t, k), _ in tri.gluing))
+    return Holonomy(gens, alphabet, curve_words, tuple(curve_words),
+                    meta={"genus": tri.genus, "triangle_charts": charts})

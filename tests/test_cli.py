@@ -327,6 +327,29 @@ class TestDomainErrors:
         assert code == cli.EXIT_DOMAIN and out == ""
         assert err == "domain error: the base point lies beyond the convex core\n"
 
+    @pytest.mark.parametrize("length", [5e-5, 1e-9])
+    @pytest.mark.parametrize("argv", [
+        ["holonomy"], ["quake", "--depth", "6"],
+        ["bend", "--target", "hyperbolic", "--depth", "6"],
+        ["blackhole", "--depth", "6"], ["spectrum"]])
+    def test_fn_boundary_too_short(self, tmp_path, capsys, argv, length):
+        # |tr| - 2 of such a cuff is under iso.TAU_CLASS: it is neither a
+        # cusp nor a boundary the pant normal form can frame
+        path = write_scenario(tmp_path, {**TORUS_SCENARIO, "fn": {
+            "l": [length, 2.0], "t": [0.3]}})
+        code = cli.main([argv[0], path] + argv[1:])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN and out == ""
+        assert err.startswith("domain error: boundary lengths in (0, ")
+
+    def test_fn_boundary_above_the_bound(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {**TORUS_SCENARIO, "fn": {
+            "l": [7e-5, 2.0], "t": [0.3]}})
+        code, recs = run(capsys, ["holonomy", path])
+        assert code == 0
+        assert [r["kind"] for r in recs if r.get("curve") == "C0"] \
+            == ["hyperbolic"]
+
 
 class TestNonFiniteOutput:
     """Input the parser accepts but whose numbers overflow exits 3 with a
@@ -336,21 +359,19 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize("argv", [
         ["bend", str(SCENARIOS / "torus_multicurve.json"),
          "--grid", "x=-1e200:1e200:2,y=0.5:1:2"],
+        # a finite reach, but an infinite hyperboloid point
+        ["bend", str(SCENARIOS / "torus_multicurve.json"),
+         "--grid", "x=-1:1:2,y=1e300:2e300:2"],
         ["wick", "--grid", "T=1.2:2:1,u=0:0:1,zeta=-400:-400:1"],
         ["btz", "--rp", "1e200", "--rm", "0"]])
     def test_exits_3(self, capsys, argv):
-        # numpy warns of the overflow on the way to bend's infinite
-        # vertices; the run must still end in a domain error
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = cli.main(argv)
+        # bend refuses its grid before any record, and without a numpy
+        # overflow warning (the module makes one an error)
+        code = cli.main(argv)
         out, err = capsys.readouterr()
         assert code == cli.EXIT_DOMAIN
         assert err.startswith("domain error: ")
-        assert "Infinity" not in out and "NaN" not in out
-        # the records before the failure stay written
-        assert [json.loads(line)["command"] for line in out.splitlines()] \
-            == (["bend"] if argv[0] == "bend" else [])
+        assert out == ""
 
 
 def scenario_with(name, **sections):

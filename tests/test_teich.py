@@ -1,5 +1,7 @@
 import math
 import itertools
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quakebend import blackhole as bh
 from quakebend import isometry as iso
 from quakebend import lamination as lm
+from quakebend import scenario
 from quakebend import spacetime as sp
 from quakebend import teich
 from quakebend.errors import DomainError, StructureError
@@ -87,6 +90,17 @@ class TestFNHolonomy:
         assert abs(abs(iso.tr(comm)) - 2.0) < 1e-9
         # Fricke branch: commutator trace is -2 for the cusp
         assert iso.tr(h.peripheral_matrix(0)) == pytest.approx(-2.0, abs=1e-9)
+
+    def test_min_boundary_is_the_class_tolerance(self):
+        # a cuff just above the bound is hyperbolic, one just below reads
+        # as parabolic; FNPoint refuses the latter
+        for scale, kind in ((1.0 + 1e-4, "hyperbolic"),
+                            (1.0 - 1e-4, "parabolic")):
+            c1, _, _ = teich.pants_matrices(teich.MIN_BOUNDARY * scale,
+                                            1.0, 1.0)
+            assert iso.classify(c1).kind == kind
+        with pytest.raises(DomainError, match="too short"):
+            teich.FNPoint((teich.MIN_BOUNDARY * (1.0 - 1e-4),), (2.0,), (0.3,))
 
     def test_single_pant_traces(self):
         pd = oracles.pants_three_punctured_sphere()
@@ -173,7 +187,81 @@ class TestFNHolonomy:
             assert not iso.is_identity(h.word(reduced), tol=1e-6)
 
 
+def _shear_surfaces():
+    """(id, ShearPoint): the shear scenarios, then 10 once-punctured tori
+    and 10 three-punctured spheres with shears U(-2, 2)."""
+    out = []
+    for name in ("torus_flow", "sphere_shear"):
+        data = scenario.load(str(Path(__file__).resolve().parent.parent
+                                 / "scripts" / "scenarios" / f"{name}.json"))
+        out.append((name, scenario.surface_point(data)[0]))
+    rnd = random.Random(11)
+    for kind, tri in (
+            ("torus", teich.IdealTriangulation.once_punctured_torus()),
+            ("sphere", oracles.triangulation_three_punctured_sphere())):
+        out += [(f"{kind}-{i}", teich.ShearPoint(
+            tri, tuple(rnd.uniform(-2.0, 2.0) for _ in range(3))))
+            for i in range(10)]
+    return out
+
+
+SHEAR_SURFACES = _shear_surfaces()
+
+
+def _on_circle(x):
+    """An ideal point of R u {oo} on the unit circle: (x - i) / (x + i)."""
+    return 1.0 if x == iso.INF else (x - 1j) / (x + 1j)
+
+
+#: the one table of chart changes that `holonomy_from_shear` builds, read
+#: back through its `TriangleCharts`, on each of SHEAR_SURFACES
+ON_SHEAR_SURFACES = pytest.mark.parametrize(
+    "sp", [s for _, s in SHEAR_SURFACES], ids=[n for n, _ in SHEAR_SURFACES])
+
+
 class TestShearHolonomy:
+    @ON_SHEAR_SURFACES
+    def test_steps_invert(self, sp):
+        ch = teich.holonomy_from_shear(sp).meta["triangle_charts"]
+        eye = np.eye(2)
+        for t, k in itertools.product(range(len(ch.step)), range(3)):
+            # across the side and back is F(s) F(s) = -I, up to sign
+            back = ch.step[t, k] @ ch.step[ch.across[t, k], ch.entry[t, k]]
+            assert min(np.abs(back - eye).max(),
+                       np.abs(back + eye).max()) < 1e-12
+            assert np.abs(ch.step_inv[t, k] @ ch.step[t, k]
+                          - eye).max() < 1e-12
+
+    @ON_SHEAR_SURFACES
+    def test_sides_match_the_gluing(self, sp):
+        ch = teich.holonomy_from_shear(sp).meta["triangle_charts"]
+        for j, (a, b) in enumerate(sp.triangulation.gluing):
+            for (t, k), (u, m) in ((a, b), (b, a)):
+                assert (ch.across[t, k], ch.entry[t, k], ch.edge[t, k]) \
+                    == (u, m, j)
+                assert (ch.across[u, m], ch.entry[u, m]) == (t, k)
+
+    @ON_SHEAR_SURFACES
+    def test_fans_are_the_peripheral_elements(self, sp):
+        h = teich.holonomy_from_shear(sp)
+        ch, tri = h.meta["triangle_charts"], sp.triangulation
+        kinds = teich.surface_type(h).kinds
+        for t, c in itertools.product(range(tri.num_triangles), range(3)):
+            i = tri.puncture_of_corner(t, c)
+            assert abs(iso.tr(ch.fan[t, c])) == pytest.approx(
+                abs(iso.tr(h.peripheral_matrix(i))), rel=1e-12)
+            assert ch.boundary[t, c] == (kinds[i] == teich.BOUNDARY)
+
+    @ON_SHEAR_SURFACES
+    def test_edge_geodesics_join_the_corners(self, sp):
+        ch = teich.holonomy_from_shear(sp).meta["triangle_charts"]
+        corners = (0.0, iso.INF, -1.0)
+        for geo, ((t, k), _) in zip(ch.geodesics, sp.triangulation.gluing):
+            for end, corner in ((geo.p_minus, corners[k]),
+                                (geo.p_plus, corners[(k + 1) % 3])):
+                want = iso.apply_boundary(ch.placement[t], corner)
+                assert abs(_on_circle(end) - _on_circle(want)) < 1e-12
+
     def test_all_zero_shears_give_cusps(self):
         for tri in (teich.IdealTriangulation.once_punctured_torus(),
                     oracles.triangulation_three_punctured_sphere()):
