@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -468,6 +468,10 @@ COMMANDS = {
 }
 
 
+# built once per process, as parsing leaves no state in the parser: prog
+# is fixed, no default is mutable and help reads the terminal width when
+# it is formatted
+@cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="quakebend",

@@ -78,19 +78,61 @@ class LocalPoint:
         return regime(self.T, self.zeta, self.alpha0)
 
 
+def _close(m, n):
+    """One entry of iso.allclose(g, g.T, 1e-12): m == n, or m within
+    1e-12 + 1e-5 |n| of a finite n (so NaN is never close)."""
+    return m == n or (abs(m - n) <= 1e-12 + 1e-5 * abs(n) and math.isfinite(n))
+
+
+def _negative_count(rows):
+    """Negative eigenvalues of the symmetric 3x3 `rows`, read from its
+    lower triangle as eigvalsh reads it, by the signs of e1 = trace,
+    e2 = the sum of the principal 2x2 minors and e3 = det (Descartes'
+    rule on the characteristic polynomial, whose roots are real).  None
+    when an entry is not finite or |e3| <= 1e-8 s^3, s the largest
+    |entry|: past that cut every eigenvalue is at least about 1e-9 s
+    from 0, far beyond the rounding of e1, e2, e3 and of eigvalsh."""
+    (a, _, _), (d, b, _), (e, f, c) = rows
+    s = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+    if not 0.0 < s < math.inf:
+        return None
+    # scaled to s = 1, so that e3 neither overflows nor underflows
+    a, b, c, d, e, f = a / s, b / s, c / s, d / s, e / s, f / s
+    e1 = a + b + c
+    e2 = a * b - d * d + a * c - e * e + b * c - f * f
+    e3 = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+    if e3 > 1e-8:
+        return 0 if e1 > 0 and e2 > 0 else 2
+    if e3 < -1e-8:
+        return 3 if e1 < 0 and e2 > 0 else 1
+    return None
+
+
 @dataclass(frozen=True)
 class MetricSample:
-    """Checked symmetric 3x3 metric in the (T-or-tau, zeta, u) frame."""
+    """Checked symmetric 3x3 metric in the (T-or-tau, zeta, u) frame.
+
+    Symmetry is the rule of iso.allclose(g, g.T, 1e-12), applied entry
+    by entry in plain floats.  The signature is the number of negative
+    eigenvalues, read from the signs of the trace, the principal minors'
+    sum and the determinant; np.linalg.eigvalsh decides only when the
+    determinant is within 1e-8 s^3 of 0 (s the largest |entry|) or an
+    entry is infinite.
+    """
 
     components: np.ndarray
     signature: str  # 'lorentzian' | 'riemannian'
 
     def __post_init__(self):
         g = np.asarray(self.components, dtype=float)
-        if g.shape != (3, 3) or not iso.allclose(g, g.T, 1e-12):
+        rows = g.tolist()
+        if g.shape != (3, 3) or not all(
+                _close(m, n) for row, col in zip(rows, zip(*rows))
+                for m, n in zip(row, col)):
             raise StructureError("metric sample must be symmetric 3x3")
-        eig = np.linalg.eigvalsh(g)
-        negs = int(np.sum(eig < 0))
+        negs = _negative_count(rows)
+        if negs is None:
+            negs = int(np.sum(np.linalg.eigvalsh(g) < 0))
         want = 1 if self.signature == "lorentzian" else 0
         if negs != want:
             raise StructureError(

@@ -166,12 +166,17 @@ class PantDecomposition:
 MIN_BOUNDARY = 2.0 * math.acosh(1.0 + iso.TAU_CLASS / 2.0)
 
 
+def _too_short(what):
+    return DomainError(f"{what} lengths in (0, {MIN_BOUNDARY:.3g}) are too "
+                       "short to tell from a cusp (length 0)")
+
+
 @dataclass(frozen=True)
 class FNPoint:
     """Fenchel-Nielsen coordinates over a pant decomposition.
 
-    Boundary length 0 encodes a cusp, and a positive one is at least
-    MIN_BOUNDARY (about 6.3e-5); interior lengths are positive.
+    Boundary length 0 encodes a cusp; a positive boundary length and
+    every interior length is at least MIN_BOUNDARY (about 6.3e-5).
     """
 
     boundary_lengths: tuple
@@ -182,10 +187,11 @@ class FNPoint:
         if any(l < 0 for l in self.boundary_lengths):
             raise DomainError("boundary lengths must be >= 0")
         if any(0 < l < MIN_BOUNDARY for l in self.boundary_lengths):
-            raise DomainError(f"boundary lengths in (0, {MIN_BOUNDARY:.3g}) "
-                              "are too short to tell from a cusp (length 0)")
+            raise _too_short("boundary")
         if any(l <= 0 for l in self.interior_lengths):
             raise DomainError("interior curve lengths must be > 0")
+        if any(l < MIN_BOUNDARY for l in self.interior_lengths):
+            raise _too_short("interior curve")
         if len(self.twists) != len(self.interior_lengths):
             raise StructureError("one twist per interior curve")
 
@@ -566,6 +572,12 @@ def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
     for p in range(pd.num_pants):
         ls = [_curve_length(pd, fn, p, k) for k in range(3)]
         cuffs = pants_matrices(*ls)
+        # a length just above MIN_BOUNDARY can still round to a cuff with
+        # |tr| - 2 under iso.TAU_CLASS
+        for k in range(3):
+            if ls[k] > 0 and iso.classify(cuffs[k]).kind != "hyperbolic":
+                raise _too_short("boundary" if pd.slot_curve(p, k)[0] == "C"
+                                 else "interior curve")
         _pant_side_check(cuffs)
         local_cuffs.append(cuffs)
         frames.append([_cuff_frame(cuffs, k) if ls[k] > 0 else None

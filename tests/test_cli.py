@@ -174,6 +174,37 @@ class TestEntryPoint:
         assert main(["classify", "--matrix", "1,2,3"]) == cli.EXIT_PARSE
 
 
+class TestOneParser:
+    """main parses with one parser per process, built on the first call."""
+
+    SEQUENCE = [["--help"], ["bend", "--help"], ["no-such-command"],
+                ["classify"], ["classify", "--matrix", "1,1,1,1"],
+                ["verify", "--suite", "btz"], ["classify"],
+                ["classify", "--matrix", f"{math.e},0,0,{1 / math.e}"]]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_calls_in_one_process_match_calls_alone(self, capsys):
+        alone = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            alone.append(self.outcome(capsys, argv))
+        cli.build_parser.cache_clear()
+        assert [self.outcome(capsys, argv) for argv in self.SEQUENCE] == alone
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+        assert [code for code, _, _ in alone] == [
+            ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 2),
+            ("SystemExit", 2), cli.EXIT_DOMAIN, 0, ("SystemExit", 2), 0]
+
+
 class TestScenarios:
     def test_holonomy_lengths(self, tmp_path, capsys):
         path = write_scenario(tmp_path, TORUS_SCENARIO)
@@ -341,6 +372,48 @@ class TestDomainErrors:
         out, err = capsys.readouterr()
         assert code == cli.EXIT_DOMAIN and out == ""
         assert err.startswith("domain error: boundary lengths in (0, ")
+
+    @pytest.mark.parametrize("length", [5e-5, 1e-9])
+    @pytest.mark.parametrize("argv", [
+        ["holonomy"], ["quake", "--depth", "6"],
+        ["bend", "--target", "hyperbolic", "--depth", "6"],
+        ["blackhole", "--depth", "6"], ["spectrum"]])
+    def test_fn_interior_too_short(self, tmp_path, capsys, argv, length):
+        path = write_scenario(tmp_path, {**TORUS_SCENARIO, "fn": {
+            "l": [1.0, length], "t": [0.3]}})
+        code = cli.main([argv[0], path] + argv[1:])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN and out == ""
+        assert err.startswith("domain error: interior curve lengths in (0, ")
+
+    # just above MIN_BOUNDARY, lengths whose cuffs still round to
+    # |tr| - 2 under iso.TAU_CLASS: the boundary length is the largest
+    # such one, found by bisection (the next double is hyperbolic)
+    @pytest.mark.parametrize("l,kind", [
+        ([6.32455645944225e-05, 2.0], "boundary"),
+        ([1.0, teich.MIN_BOUNDARY * (1.0 + 1e-7)], "interior curve")])
+    @pytest.mark.parametrize("argv", [
+        ["holonomy"], ["quake", "--depth", "6"],
+        ["bend", "--target", "hyperbolic", "--depth", "6"],
+        ["blackhole", "--depth", "6"]])
+    def test_fn_length_in_the_rounding_sliver(self, tmp_path, capsys, argv,
+                                              l, kind):
+        assert min(l) > teich.MIN_BOUNDARY
+        path = write_scenario(tmp_path, {**TORUS_SCENARIO, "fn": {
+            "l": l, "t": [0.3]}})
+        code = cli.main([argv[0], path] + argv[1:])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN and out == ""
+        assert err.startswith(f"domain error: {kind} lengths in (0, ")
+
+    def test_fn_boundary_above_the_sliver(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {**TORUS_SCENARIO, "fn": {
+            "l": [float(np.nextafter(6.32455645944225e-05, 1.0)), 2.0],
+            "t": [0.3]}})
+        code, recs = run(capsys, ["holonomy", path])
+        assert code == 0
+        assert [r["kind"] for r in recs if r.get("curve") == "C0"] \
+            == ["hyperbolic"]
 
     def test_fn_boundary_above_the_bound(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {**TORUS_SCENARIO, "fn": {

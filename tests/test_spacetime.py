@@ -852,3 +852,55 @@ class TestMetricSampleType:
                     sp.MetricSample(m, "riemannian")
                 cases += 1
         assert cases > 600
+
+    @staticmethod
+    def _by_eigvalsh(g, signature):
+        """The signature rule with np.linalg.eigvalsh deciding every
+        sample, as MetricSample decided before its closed form."""
+        negs = int(np.sum(np.linalg.eigvalsh(g) < 0))
+        if negs != (1 if signature == "lorentzian" else 0):
+            raise StructureError(f"{signature} sample has {negs} negative "
+                                 "directions")
+
+    def _outcome(self, check, g, signature):
+        try:
+            with np.errstate(invalid="ignore"):
+                check(g, signature)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_signature_decision_matches_eigvalsh(self):
+        rng = np.random.default_rng(29)
+        samples = []
+        # every inertia, eigenvalues from 1e-6 to 1e6 in a random frame;
+        # every other sample has one eigenvalue shrunk by 1e-18 to 1e-6,
+        # which puts it on either side of the closed form's 1e-8 cut
+        for negs in range(4):
+            for k in range(400):
+                q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                lam = 10.0 ** rng.uniform(-6.0, 6.0, 3)
+                lam[:negs] *= -1.0
+                if k % 2:
+                    lam[rng.integers(3)] *= 10.0 ** rng.uniform(-18.0, -6.0)
+                samples.append(q @ np.diag(rng.permutation(lam)) @ q.T)
+        # symmetric samples with infinite entries
+        base = np.array([[-1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 1.5]])
+        for v in (np.inf, -np.inf):
+            for i in range(3):
+                for j in range(i, 3):
+                    m = base.copy()
+                    m[i, j] = m[j, i] = v
+                    samples += [m, -m]
+        decided = []
+        for g in samples:
+            count = sp._negative_count(g.tolist())
+            if count is not None:
+                decided.append(count)
+                assert count == int(np.sum(np.linalg.eigvalsh(g) < 0)), g
+            for signature in ("lorentzian", "riemannian"):
+                assert (self._outcome(sp.MetricSample, g, signature)
+                        == self._outcome(self._by_eigvalsh, g, signature)), g
+        # both sides of the cut are sampled, and every inertia is decided
+        assert 400 < len(decided) < len(samples) - 400
+        assert set(decided) == {0, 1, 2, 3}
