@@ -79,24 +79,30 @@ class LocalPoint:
 
 
 def _close(m, n):
-    """One entry of iso.allclose(g, g.T, 1e-12): m == n, or m within
-    1e-12 + 1e-5 |n| of a finite n (so NaN is never close)."""
+    """iso.allclose's rule for one entry m against n (NaN is never close)."""
     return m == n or (abs(m - n) <= 1e-12 + 1e-5 * abs(n) and math.isfinite(n))
 
 
+def _symmetric(rows):
+    """iso.allclose(g, g.T, 1e-12) on the rows of a 3x3 g: each
+    off-diagonal pair in both orders, and each diagonal entry against
+    itself, which refuses NaN."""
+    (a, p, q), (d, b, r), (e, f, c) = rows
+    return (a == a and b == b and c == c and _close(p, d) and _close(d, p)
+            and _close(q, e) and _close(e, q) and _close(r, f) and _close(f, r))
+
+
 def _negative_count(rows):
-    """Negative eigenvalues of the symmetric 3x3 `rows`, read from its
-    lower triangle as eigvalsh reads it, by the signs of e1 = trace,
-    e2 = the sum of the principal 2x2 minors and e3 = det (Descartes'
-    rule on the characteristic polynomial, whose roots are real).  None
-    when an entry is not finite or |e3| <= 1e-8 s^3, s the largest
-    |entry|: past that cut every eigenvalue is at least about 1e-9 s
-    from 0, far beyond the rounding of e1, e2, e3 and of eigvalsh."""
+    """Negative eigenvalues of the lower triangle of `rows` (the part
+    eigvalsh reads), or None where eigvalsh must decide.  The signs of
+    trace, minors' sum and det fix the count (Descartes' rule; the roots
+    are real); past the cut every eigenvalue is about 1e-9 s or more
+    from 0, far beyond the rounding of either method."""
     (a, _, _), (d, b, _), (e, f, c) = rows
     s = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
     if not 0.0 < s < math.inf:
         return None
-    # scaled to s = 1, so that e3 neither overflows nor underflows
+    # scaled to s = 1, so that det neither overflows nor underflows
     a, b, c, d, e, f = a / s, b / s, c / s, d / s, e / s, f / s
     e1 = a + b + c
     e2 = a * b - d * d + a * c - e * e + b * c - f * f
@@ -126,9 +132,7 @@ class MetricSample:
     def __post_init__(self):
         g = np.asarray(self.components, dtype=float)
         rows = g.tolist()
-        if g.shape != (3, 3) or not all(
-                _close(m, n) for row, col in zip(rows, zip(*rows))
-                for m, n in zip(row, col)):
+        if g.shape != (3, 3) or not _symmetric(rows):
             raise StructureError("metric sample must be symmetric 3x3")
         negs = _negative_count(rows)
         if negs is None:
