@@ -30,6 +30,9 @@ a `MetricSample`.
 The flat translation part of (F, lambda) is the derivative of the quake
 cocycle in the weights: each crossed leaf adds its weight times its unit
 normal 2 iota(D), D its displacement generator (`isometry.lie_vector`).
+It is equivariant under the affine holonomy, so regular-domain
+membership takes s at the orbit points of the base point from the
+translation columns of the affine words, not from a query per point.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from quakebend import earthquake as eq
 from quakebend.errors import DomainError, StructureError
 
 INF = math.inf
+#: the Minkowski form of R^{2,1}, signature (-, +, +)
+ETA = np.diag([-1.0, 1.0, 1.0])
 
 
 def regime(T, zeta, alpha0):
@@ -97,10 +102,13 @@ def _negative_count(rows):
     eigvalsh reads), or None where eigvalsh must decide.  The signs of
     trace, minors' sum and det fix the count (Descartes' rule; the roots
     are real); past the cut every eigenvalue is about 1e-9 s or more
-    from 0, far beyond the rounding of either method."""
+    from 0, far beyond the rounding of either method.  An infinite
+    entry raises StructureError."""
     (a, _, _), (d, b, _), (e, f, c) = rows
     s = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
-    if not 0.0 < s < math.inf:
+    if not s < math.inf:
+        raise StructureError("metric sample entries must be finite")
+    if s == 0.0:
         return None
     # scaled to s = 1, so that det neither overflows nor underflows
     a, b, c, d, e, f = a / s, b / s, c / s, d / s, e / s, f / s
@@ -119,11 +127,11 @@ class MetricSample:
     """Checked symmetric 3x3 metric in the (T-or-tau, zeta, u) frame.
 
     Symmetry is the rule of iso.allclose(g, g.T, 1e-12), applied entry
-    by entry in plain floats.  The signature is the number of negative
-    eigenvalues, read from the signs of the trace, the principal minors'
-    sum and the determinant; np.linalg.eigvalsh decides only when the
-    determinant is within 1e-8 s^3 of 0 (s the largest |entry|) or an
-    entry is infinite.
+    by entry in plain floats, and every entry must be finite.  The
+    signature is the number of negative eigenvalues, read from the
+    signs of the trace, the principal minors' sum and the determinant;
+    np.linalg.eigvalsh decides only when the determinant is within
+    1e-8 s^3 of 0 (s the largest |entry|).
     """
 
     components: np.ndarray
@@ -479,9 +487,8 @@ class AffineIsom3:
     translation: np.ndarray
 
     def __post_init__(self):
-        eta = np.diag([-1.0, 1.0, 1.0])
         scale = max(1.0, float(np.sum(self.linear * self.linear)))
-        if not np.allclose(self.linear.T @ eta @ self.linear, eta,
+        if not np.allclose(self.linear.T @ ETA @ self.linear, ETA,
                            atol=1e-10 * scale):
             raise StructureError("linear part must preserve the Minkowski form")
 
@@ -541,18 +548,31 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     reduced words of `teich.Holonomy.word_levels` to the given depth,
     plus midpoints between consecutive leaf crossings on the segments
     to the first 15 of them); conservative and monotone in depth.
+
+    s is equivariant under the affine holonomy, s(g x) = A_g s(x) + t_g,
+    so s at the orbit points is the translation column of the affine
+    words, composed by `word_levels` from the letters [[A_g, t_g],
+    [0, 1]]: A_g = psl2r_to_so21(g), t_g = s(g x0) from one crossings
+    query, and each inverse letter the exact affine inverse.  This is
+    exact: the leaves are disjoint complete geodesics, so signed
+    crossing sums do not depend on the path, and the lamination is
+    pi_1-invariant.  The midpoints take s from one more query.
     """
     q = np.asarray(q, dtype=float)
     x0 = eq.BASE_POINT
-    # orbit points in word order, the base point (empty word) first
-    words = np.concatenate([m for m, _ in h.word_levels(depth)])
-    (a, b), (c, d) = words[:, 0].T, words[:, 1].T
-    samples = ((a * x0 + b) / (c * x0 + d)).tolist()
-    # midpoints between consecutive crossings along segments to orbit points
-    ys = samples[1:16]
+    # orbit points on the hyperboloid and s there, in word order, the
+    # base point (empty word) first
+    words = np.concatenate([m for m, _ in h.word_levels(
+        depth, letters=_affine_letters(fam, h))])
+    ys = words[:, :3, :3] @ iso.h2_to_hyperboloid(x0)
+    if not _in_future(q, words[:, :3, 3], ys):
+        return False
+    # midpoints between consecutive crossings along segments to orbit
+    # points, taken back to the upper half-plane, z = (y1 + i) / (y0 - y2)
+    ends = ((ys[1:16, 1] + 1j) / (ys[1:16, 0] - ys[1:16, 2])).tolist()
     mids = []
-    for frame, (leaves, _) in zip(lm.segment_frames(x0, ys),
-                                  fam.crossings_from(x0, ys)):
+    for frame, (leaves, _) in zip(lm.segment_frames(x0, ends),
+                                  fam.crossings_from(x0, ends)):
         fi = iso.inv(frame)
         heights = sorted(
             math.sqrt(abs(iso.apply_boundary(fi, leaf.geodesic.p_minus)
@@ -560,11 +580,32 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
             for leaf in leaves)
         for h1, h2 in zip(heights, heights[1:]):
             mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
-    # s(x) of every sampled point from one query at the base point
-    points = samples + mids
-    for x, (leaves, _) in zip(points, fam.crossings_from(x0, points)):
-        gap = float((q - _normal_sum(leaves)) @ np.diag([-1.0, 1.0, 1.0])
-                    @ iso.h2_to_hyperboloid(x))
-        if gap >= 0:
-            return False
-    return True
+    if not mids:
+        return True
+    s = [_normal_sum(leaves) for leaves, _ in fam.crossings_from(x0, mids)]
+    return _in_future(q, np.array(s), iso.h2_to_hyperboloid(np.array(mids)).T)
+
+
+def _affine_letters(fam, h):
+    """(2k, 4, 4) stack of the affine letters [[A_g, t_g], [0, 1]] in
+    `teich.Holonomy.letter_matrices` order: A_g = psl2r_to_so21(g) and
+    t_g = s(g x0), from one crossings query at the base point x0, for
+    each generator g, then its exact inverse [[A_g^-1, -A_g^-1 t_g],
+    [0, 1]]."""
+    x0 = eq.BASE_POINT
+    gens = list(h.gens.values())
+    letters = np.zeros((2 * len(gens), 4, 4))
+    letters[:, 3, 3] = 1.0
+    for i, (g, (leaves, _)) in enumerate(zip(gens, fam.crossings_from(
+            x0, [iso.apply_h2(g, x0) for g in gens]))):
+        a, ai = iso.psl2r_to_so21(g), iso.psl2r_to_so21(iso.inv(g))
+        t = _normal_sum(leaves)
+        letters[2 * i, :3] = np.column_stack([a, t])
+        letters[2 * i + 1, :3] = np.column_stack([ai, -ai @ t])
+    return letters
+
+
+def _in_future(q, s, ys):
+    """Whether q lies strictly in the future of s_n + ys_n-perp for
+    every row n: each Minkowski product <q - s_n, ys_n> is negative."""
+    return bool((np.einsum("ni,ij,nj->n", q - s, ETA, ys) < 0).all())

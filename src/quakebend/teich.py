@@ -435,7 +435,7 @@ class Holonomy:
         return np.array([m for g in self.gens.values()
                          for m in (g, iso.inv(g))]).reshape(-1, 2, 2)
 
-    def word_levels(self, depth, keep=None):
+    def word_levels(self, depth, keep=None, letters=None):
         """Reduced words of the free generators, one length at a time.
 
         Letters are ordered as in `letter_matrices`, so level 1 lists
@@ -452,13 +452,19 @@ class Holonomy:
         build, and a child left out is never extended.  The words kept
         are bitwise those of the full tree, in the same order.
 
+        `letters`, if given, is a (2k, d, d) stack that replaces the
+        2x2 letters, in the same order (the inverse of letter i is
+        letter i ^ 1): an affine letter stack, say, enumerates the same
+        words as (d, d) products.
+
         A level whose n prefixes would build more than MAX_WORDS
         products (n 2k) raises DomainError before it allocates them, so
         a pruned tree goes as deep as its kept prefixes allow.
         """
-        gens = self.letter_matrices()
+        gens = self.letter_matrices() if letters is None else letters
         idx = np.arange(len(gens))
-        mats, last = np.eye(2, dtype=gens.dtype)[None], np.array([-1])
+        mats = np.eye(gens.shape[-1], dtype=gens.dtype)[None]
+        last = np.array([-1])
         yield mats, last
         for level in range(1, depth + 1):
             if len(mats) * len(gens) > MAX_WORDS:
@@ -478,7 +484,7 @@ class Holonomy:
             if keep is not None:
                 child &= keep(mats)
             prefix, last = np.nonzero(child)
-            mats = prod.reshape(-1, 2, 2)[last * len(mats) + prefix]
+            mats = prod.reshape(-1, *gens.shape[1:])[last * len(mats) + prefix]
             yield mats, last
 
     def word(self, letters):

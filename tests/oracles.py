@@ -30,6 +30,10 @@ calls, kept next to the tests that compare the package against them:
   cylinders sampled per first letter and the arc containments of the
   certificate `lamination.limit_arcs`, in the circle coordinate of
   `blackhole.circle_angle` rather than the certificate's own;
+* `regular_domain_direct`, the sampled regular-domain membership with
+  s(x) found at every orbit point by its own crossings query, which
+  the affine words of `spacetime.regular_domain_contains` replaced,
+  and `crossing_midpoints`, the midpoints it samples;
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
@@ -45,6 +49,8 @@ from quakebend import blackhole as bh
 from quakebend import curvature as cv
 from quakebend import earthquake as eq
 from quakebend import isometry as iso
+from quakebend import lamination as lm
+from quakebend import spacetime as sp
 from quakebend import teich
 from quakebend.errors import DomainError
 
@@ -292,6 +298,44 @@ def sampled_side(g, samples):
         raise DomainError(
             "no limit-set samples landed near either arc; increase depth")
     return arc1 if inhabited2 else arc2
+
+
+# -- per-point regular-domain membership -------------------------------------
+
+def regular_domain_direct(q, fam, h, depth=4):
+    """`spacetime.regular_domain_contains` with s(x) at each sampled
+    point from one crossings query at the base point and the sum of the
+    crossed leaves' normals: the orbit points of the 2x2 reduced words
+    to `depth`, and the `crossing_midpoints` of the segments to the
+    first 15 of them."""
+    q = np.asarray(q, dtype=float)
+    x0 = eq.BASE_POINT
+    words = np.concatenate([m for m, _ in h.word_levels(depth)])
+    (a, b), (c, d) = words[:, 0].T, words[:, 1].T
+    samples = ((a * x0 + b) / (c * x0 + d)).tolist()
+    points = samples + crossing_midpoints(fam, x0, samples[1:16])
+    for x, (leaves, _) in zip(points, fam.crossings_from(x0, points)):
+        gap = float((q - sp._normal_sum(leaves)) @ sp.ETA
+                    @ iso.h2_to_hyperboloid(x))
+        if gap >= 0:
+            return False
+    return True
+
+
+def crossing_midpoints(fam, x0, ys):
+    """The hyperbolic midpoints between consecutive leaf crossings along
+    each segment [x0, y], y in `ys`, segment by segment."""
+    mids = []
+    for frame, (leaves, _) in zip(lm.segment_frames(x0, ys),
+                                  fam.crossings_from(x0, ys)):
+        fi = iso.inv(frame)
+        heights = sorted(
+            math.sqrt(abs(iso.apply_boundary(fi, leaf.geodesic.p_minus)
+                          * iso.apply_boundary(fi, leaf.geodesic.p_plus)))
+            for leaf in leaves)
+        for h1, h2 in zip(heights, heights[1:]):
+            mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
+    return mids
 
 
 # -- limit-set arcs of the pruned lift families --------------------------------

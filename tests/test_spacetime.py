@@ -7,6 +7,7 @@ import pytest
 from quakebend import isometry as iso
 from quakebend import teich
 from quakebend import lamination as lm
+from quakebend import earthquake as eq
 from quakebend import spacetime as sp
 from quakebend import curvature as cv
 from quakebend import blackhole as bh
@@ -806,6 +807,80 @@ class TestRegularDomain:
         for x, s in samples:
             assert (q - s) @ ETA3 @ x < 0
 
+    def test_matches_the_per_point_rule(self):
+        # seeded FN tori: s at the orbit points from the affine words
+        # against translation_part, and the decision against the rule
+        # that queries s at every sampled point, on points s(x) + T x
+        # plus noise with |T| small, near the boundary of the domain; x
+        # anywhere, an orbit point, or on a segment to one of the first
+        # 15 orbit points, where the midpoints are sampled
+        rng = np.random.default_rng(43)
+        x0 = eq.BASE_POINT
+        decisions = []
+        for _ in range(20):
+            fn = teich.FNPoint((rng.uniform(0.6, 2.0),),
+                               (rng.uniform(0.8, 2.4),),
+                               (rng.uniform(-0.5, 0.5),))
+            h = teich.holonomy_from_fn(PD, fn)
+            lam = lm.MultiCurveLam((rng.uniform(0.1, 0.9),))
+            fam = lm.LiftFamily(lam, h, depth=5)
+            words = np.concatenate([m for m, _ in h.word_levels(3)])
+            aff = np.concatenate([m for m, _ in h.word_levels(
+                3, letters=sp._affine_letters(fam, h))])
+            orbit = [iso.apply_h2(m, x0) for m in words]
+            assert (aff[0, :3, 3] == 0.0).all()
+            # relative to |s|, or to the weights' scale 1 where the
+            # segment crosses no leaf and s = 0
+            for x, w in zip(orbit[1:], aff[1:]):
+                s, _ = sp.translation_part(fam, x0, x)
+                err = np.abs(w[:3, 3] - s).max()
+                assert err <= 1e-9 * max(1.0, np.abs(s).max())
+            frames = lm.segment_frames(x0, orbit[1:16])
+            for k in range(10):
+                if k % 3 == 0:
+                    x = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
+                elif k % 3 == 1:
+                    x = orbit[rng.integers(1, len(orbit))]
+                else:
+                    # F^-1 takes the segment to [i, i e^d]
+                    j = rng.integers(15)
+                    top = iso.apply_h2(iso.inv(frames[j]), orbit[1 + j]).imag
+                    x = iso.apply_h2(frames[j], 1j * top ** rng.uniform())
+                s, _ = sp.translation_part(fam, x0, x)
+                q = (s + rng.uniform(-0.05, 0.05) * iso.h2_to_hyperboloid(x)
+                     + rng.normal(scale=0.01, size=3))
+                depth = int(rng.integers(2, 5))
+                want = oracles.regular_domain_direct(q, fam, h, depth)
+                assert sp.regular_domain_contains(q, fam, h, depth) == want
+                decisions.append(want)
+        assert 40 <= sum(decisions) <= len(decisions) - 40
+
+    def test_midpoints_on_triangulation_laminations(self):
+        # plaques of a triangulation lamination are ideal triangles, and
+        # many crossed by the segments hold no orbit point: the sample at
+        # a midpoint alone refuses a point just past its support plane
+        rng = np.random.default_rng(47)
+        x0 = eq.BASE_POINT
+        for tri in (teich.IdealTriangulation.once_punctured_torus(),
+                    oracles.triangulation_three_punctured_sphere()) * 2:
+            pt = teich.ShearPoint(tri, tuple(rng.uniform(0.0, 1.5, 3)))
+            h = teich.holonomy_from_shear(pt)
+            lam = lm.TriangulationLam.from_shear(
+                pt, tuple(rng.uniform(0.05, 0.6, 3)))
+            fam = lm.LiftFamily(lam, h, depth=7)
+            words = np.concatenate([m for m, _ in h.word_levels(3)])
+            mids = oracles.crossing_midpoints(
+                fam, x0, [iso.apply_h2(m, x0) for m in words[1:16]])
+            assert len(mids) > 10
+            for m in mids:
+                s, _ = sp.translation_part(fam, x0, m)
+                y = iso.h2_to_hyperboloid(m)
+                assert not sp.regular_domain_contains(s - 0.01 * y, fam, h, 3)
+                q = (s + rng.uniform(-0.05, 0.05) * y
+                     + rng.normal(scale=0.01, size=3))
+                assert (sp.regular_domain_contains(q, fam, h, 3)
+                        == oracles.regular_domain_direct(q, fam, h, 3))
+
 
 class TestMetricSampleType:
     def test_signature_enforced(self):
@@ -884,14 +959,6 @@ class TestMetricSampleType:
                 if k % 2:
                     lam[rng.integers(3)] *= 10.0 ** rng.uniform(-18.0, -6.0)
                 samples.append(q @ np.diag(rng.permutation(lam)) @ q.T)
-        # symmetric samples with infinite entries
-        base = np.array([[-1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 1.5]])
-        for v in (np.inf, -np.inf):
-            for i in range(3):
-                for j in range(i, 3):
-                    m = base.copy()
-                    m[i, j] = m[j, i] = v
-                    samples += [m, -m]
         decided = []
         for g in samples:
             count = sp._negative_count(g.tolist())
@@ -904,3 +971,19 @@ class TestMetricSampleType:
         # both sides of the cut are sampled, and every inertia is decided
         assert 400 < len(decided) < len(samples) - 400
         assert set(decided) == {0, 1, 2, 3}
+        # symmetric samples with an infinite entry, in every cell and of
+        # either sign, are refused for both signatures, with no numpy
+        # error leaking (eigvalsh does not converge on some of them)
+        base = np.array([[-1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 1.5]])
+        samples = [np.diag([v, 1.0, 1.0]) for v in (np.inf, -np.inf)]
+        samples.append(np.diag([1.0, np.inf, -1.0]))
+        for v in (np.inf, -np.inf):
+            for i in range(3):
+                for j in range(i, 3):
+                    m = base.copy()
+                    m[i, j] = m[j, i] = v
+                    samples += [m, -m]
+        for g in samples:
+            for signature in ("lorentzian", "riemannian"):
+                with pytest.raises(StructureError, match="finite"):
+                    sp.MetricSample(g, signature)

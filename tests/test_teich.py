@@ -443,6 +443,68 @@ class TestWordLevels:
             assert np.array_equal(letters[2 * i + 1], iso.inv(h.gens[name]))
 
 
+class TestAffineLetters:
+    """`word_levels` on a (2k, 4, 4) stack of affine letters [[A, t],
+    [0, 1]], A = psl2r_to_so21 of the 2x2 letter and each inverse the
+    exact affine inverse, enumerates the words of the 2x2 tree."""
+
+    DEPTH = 4
+
+    @staticmethod
+    def affine_stack(h, rng):
+        letters = []
+        for g in h.gens.values():
+            a, ai = iso.psl2r_to_so21(g), iso.psl2r_to_so21(iso.inv(g))
+            t = rng.normal(size=3)
+            for lin, tr in ((a, t), (ai, -ai @ t)):
+                m = np.eye(4)
+                m[:3, :3], m[:3, 3] = lin, tr
+                letters.append(m)
+        return np.array(letters)
+
+    @pytest.mark.parametrize("name", sorted(WORD_HOLONOMIES))
+    def test_same_tree_as_the_2x2_letters(self, name):
+        # the linear blocks within 1e-12 of the rounding scale of a
+        # product, the same product of the letters' entrywise |.|: the
+        # four-holed sphere's letters reach 2.8e3 and cancel in words
+        h = WORD_HOLONOMIES[name]
+        aff = self.affine_stack(h, np.random.default_rng(5))
+        for (m2, last2), (m4, last4), (scale, _) in zip(
+                h.word_levels(self.DEPTH),
+                h.word_levels(self.DEPTH, letters=aff),
+                h.word_levels(self.DEPTH, letters=np.abs(aff)), strict=True):
+            assert np.array_equal(last2, last4)
+            assert m4.shape == (len(m2), 4, 4)
+            assert (m4[:, 3] == [0.0, 0.0, 0.0, 1.0]).all()
+            lin = np.array([iso.psl2r_to_so21(w) for w in m2])
+            assert (np.abs(m4[:, :3, :3] - lin)
+                    <= 1e-12 * scale[:, :3, :3]).all()
+
+    @pytest.mark.parametrize("name", sorted(WORD_HOLONOMIES))
+    def test_keep_prunes_the_same_children(self, name):
+        # keep the children of the prefixes whose orbit point of i has
+        # y0 (= |m|^2 / 2 for a 2x2 m) at most the median of its level,
+        # and never letter 1
+        h = WORD_HOLONOMIES[name]
+        aff = self.affine_stack(h, np.random.default_rng(6))
+        k2 = len(aff)
+
+        def keep_by(y0):
+            return (y0 <= np.median(y0))[:, None] & (np.arange(k2) != 1)
+
+        def y0_of(mats):
+            if mats.shape[1] == 2:
+                return np.sum(mats * mats, axis=(1, 2)) / 2.0
+            return mats[:, 0, 0]
+        levels2 = list(h.word_levels(self.DEPTH, lambda m: keep_by(y0_of(m))))
+        levels4 = list(h.word_levels(self.DEPTH, lambda m: keep_by(y0_of(m)),
+                                     letters=aff))
+        assert 0 < len(levels2[-1][0]) < 2 * k2 * (k2 - 1) ** (self.DEPTH - 1)
+        for (m2, last2), (m4, last4) in zip(levels2, levels4, strict=True):
+            assert np.array_equal(last2, last4)
+            assert np.allclose(y0_of(m4), y0_of(m2), rtol=1e-8, atol=0)
+
+
 class TestWordBudget:
     """`word_levels` refuses a level whose prefixes would build more than
     `teich.MAX_WORDS` products; on the rank-2 torus 144 = 36 x 4 builds
