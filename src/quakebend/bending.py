@@ -118,12 +118,13 @@ def bend_points(ctx: BendContext, zs):
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     hyp = ctx.target == HYPERBOLIC
     out = mink4_from_h2(zs) if hyp else iso.ads_embed(zs)
+    # keyed by leaf identity: a query gives each distinct leaf one object
     groups = {}
     crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
     for i, (leaves, _) in enumerate(crossed):
         if leaves:
-            groups.setdefault(tuple(leaves), []).append(i)
-    for leaves, idx in groups.items():
+            groups.setdefault(tuple(map(id, leaves)), (leaves, []))[1].append(i)
+    for leaves, idx in groups.values():
         if hyp:
             out[idx] = apply_psl2c(bend_cocycle_hyp_from_lifts(leaves), out[idx])
         else:

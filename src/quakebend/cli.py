@@ -1,8 +1,8 @@
 """Batch front-end: scenario files in, line-delimited JSON records out.
 
 Exit codes: 0 success, 2 parse error, 3 domain error, 4 verification
-failure.  Records are emitted with sorted keys so identical scenarios
-produce byte-identical streams.
+failure, 141 stdout closed by its reader.  Records are emitted with
+sorted keys so identical scenarios produce byte-identical streams.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import cache, partial
 
@@ -30,6 +31,8 @@ from quakebend.errors import (DomainError, ParseError, QuakebendError,
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+#: 128 + SIGPIPE, what a shell reports for a writer the signal ended
+EXIT_PIPE = 141
 
 
 def _jsonable(v):
@@ -48,9 +51,35 @@ _ENCODER = json.JSONEncoder(sort_keys=True, default=_jsonable,
                             allow_nan=False)
 
 
-def emit(record):
+#: vertex rows that `emit` formats per write (bounds memory)
+EMIT_ROWS = 4096
+
+
+def emit(command, record):
+    """Write the record {"command": command, **record} as one JSON line.
+
+    An (n, 4) float array in place of the dict is `bend`'s vertex
+    stream, the records {"command": command, "vertex": row}: written
+    EMIT_ROWS rows at a time with one template whose %r is the
+    float.__repr__ that json writes floats with, so the bytes are those
+    of one record at a time.  The rows before the first one that holds a
+    non-finite number are written, and that row then takes the
+    one-record path, which refuses it.
+    """
+    if isinstance(record, np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(record).all(axis=1))
+        stop = bad[0] if len(bad) else len(record)
+        template = ('{"command": %s, "vertex": [%%r, %%r, %%r, %%r]}\n'
+                    % json.dumps(command))
+        for lo in range(0, stop, EMIT_ROWS):
+            rows = record[lo:min(lo + EMIT_ROWS, stop)]
+            sys.stdout.write(template * len(rows)
+                             % tuple(rows.ravel().tolist()))
+        if stop == len(record):
+            return
+        record = {"vertex": record[stop].tolist()}
     try:
-        line = _ENCODER.encode(record)
+        line = _ENCODER.encode({"command": command, **record})
     except ValueError as exc:
         raise DomainError(f"a record holds a non-finite number ({exc})")
     sys.stdout.write(line + "\n")
@@ -240,14 +269,15 @@ def cmd_bend(args):
                              pd=pd, reach=zs)
     points = bd.bend_points(ctx, zs)
     # Minkowski-4 points, or 2x2 matrices flattened row by row
-    vertices = points.reshape(len(points), 4).tolist()
+    vertices = points.reshape(len(points), 4)
     yield {"target": args.target, "points": len(vertices), "depth": args.depth}
     if args.mesh_out:
-        write_mesh(args.mesh_out, vertices, grid_faces(len(ys), len(xs)))
+        write_mesh(args.mesh_out, vertices.tolist(),
+                   grid_faces(len(ys), len(xs)))
         yield {"mesh": args.mesh_out}
     else:
-        for v in vertices:
-            yield {"vertex": v}
+        # the whole vertex stream, which `emit` writes as one block
+        yield vertices
 
 
 def cmd_wick(args):
@@ -428,7 +458,8 @@ def cmd_verify(args):
 SCENARIO = dict(help="scenario JSON file")
 DEPTH = dict(type=int, default=8)
 # command -> (handler, help, the flags it reads and nothing else); a
-# handler yields its records and `main` stamps and writes them
+# handler yields its records (`bend` its vertices as one array) and
+# `main` has `emit` stamp and write them
 COMMANDS = {
     "classify": (cmd_classify, "classify a PSL(2,R) matrix", {
         "--matrix": dict(required=True, help="a,b,c,d entries"),
@@ -486,12 +517,12 @@ def build_parser():
     return ap
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def _run(args):
+    """Write the records of the command's handler; its exit code."""
     try:
         # records already written stay written when the handler fails
         for rec in args.func(args):
-            emit({"command": args.command, **rec})
+            emit(args.command, rec)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -506,6 +537,22 @@ def main(argv=None):
         print(f"domain error: overflow: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return 0
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        # a closed pipe fails here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`, say): stdout goes to devnull,
+        # so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -451,6 +451,33 @@ def _prune_beyond(arcs, cut):
     return keep
 
 
+def _lift_tree(lam, h: teich.Holonomy, cut=None):
+    """(leaves, keep): the base leaves of `lam` on `h`, each as (its
+    endpoint vectors, its weight, the last letters it forbids), and the
+    `word_levels` keep test of the family within `cut`, None for the
+    full tree (see `LiftFamily`)."""
+    names = list(h.gens)
+    leaves = []
+    for geo, w, stab_name in _base_leaves(lam, h):
+        gi = 2 * names.index(stab_name) if stab_name in names else None
+        leaves.append((np.array([_proj_vec(geo.p_minus),
+                                 _proj_vec(geo.p_plus)]), w,
+                       () if gi is None else (gi, gi + 1)))
+    # leaves that no letter stabilizes fail the certificate (see the
+    # LiftFamily notes)
+    if cut is None or not leaves or not all(
+            forbidden for _, _, forbidden in leaves):
+        return leaves, None
+    arcs = limit_arcs(h)
+    gens = h.letter_matrices()
+    if arcs is None or not all(
+            _arcs_hold(arcs, gens, ends, [u for u in range(len(gens))
+                                          if u not in forbidden])
+            for ends, _, forbidden in leaves):
+        return leaves, None
+    return leaves, _prune_beyond(arcs, cut)
+
+
 class LiftFamily:
     """The translates of a finite lamination's leaves up to a word depth
     that queries from the points of `reach` can cross.
@@ -470,9 +497,10 @@ class LiftFamily:
     refuses a segment that reaches farther.  The word tree is then
     pruned on the `limit_arcs` certificate from its first level on: a
     subtree all of whose leaves lie in a half-plane beyond the cut is
-    never built.  The certificate covers the family when u e lies in
-    A_u for each end e of each base leaf and each last letter u that
-    the leaf allows.  It is sought only when a letter stabilizes every
+    never built, and the enumeration stops at the first level left
+    empty (a pruned subtree never regrows).  The certificate covers
+    the family when u e lies in A_u for each end e of each base leaf
+    and each last letter u that the leaf allows.  It is sought only when a letter stabilizes every
     base leaf (the multicurve family).  The triangulation family's
     leaves end at fixed points of peripheral words, whose first letter
     the last letter can cancel, so that the check fails for them.  A
@@ -493,29 +521,17 @@ class LiftFamily:
         self.depth = depth
         self.cut = math.inf if reach is None else (
             float(np.max(reach_cut(reach), initial=0.0)) * (1.0 + PRUNE_SLACK))
-        base = _base_leaves(lam, h)
-        self.empty = not base
+        leaves, keep = _lift_tree(lam, h, None if reach is None else self.cut)
+        self.empty = not leaves
         if self.empty:
             return
-        names = list(h.gens)
-        leaves = []  # (end vectors, weight, last letters it forbids)
-        for geo, w, stab_name in base:
-            gi = 2 * names.index(stab_name) if stab_name in names else None
-            leaves.append((np.array([_proj_vec(geo.p_minus),
-                                     _proj_vec(geo.p_plus)]), w,
-                           () if gi is None else (gi, gi + 1)))
-        keep = None
-        # leaves that no letter stabilizes fail the certificate (see the
-        # class notes)
-        if reach is not None and all(forbidden for _, _, forbidden in leaves):
-            arcs = limit_arcs(h)
-            gens = h.letter_matrices()
-            if arcs is not None and all(
-                    _arcs_hold(arcs, gens, ends, [u for u in range(len(gens))
-                                                  if u not in forbidden])
-                    for ends, _, forbidden in leaves):
-                keep = _prune_beyond(arcs, self.cut)
-        words = list(h.word_levels(depth, keep))
+        # the levels up to the first empty one: a pruned subtree never
+        # regrows, so the levels after it are empty too
+        words = []
+        for block, bl in h.word_levels(depth, keep):
+            if not len(block):
+                break
+            words.append((block, bl))
         ends_m, ends_p, ws, lv, keys = [], [], [], [], []
         for (vm, vp), w, forbidden in leaves:
             for level, (block, bl) in enumerate(words):

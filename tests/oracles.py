@@ -26,6 +26,9 @@ calls, kept next to the tests that compare the package against them:
 * `limit_set_samples` and `sampled_side`, the side rule of
   `blackhole.peripheral_rectangle` from the limit set sampled at every
   reduced word up to a depth, which the one-point rule replaced;
+* `lift_rows_every_level`, the rows of a `lamination.LiftFamily`
+  assembled from every level of its word tree, the empty levels after
+  a pruned tree's last leaf included, which the family no longer draws;
 * `cylinder_samples`, `circle_arc` and `arcs_invariant`, the limit-set
   cylinders sampled per first letter and the arc containments of the
   certificate `lamination.limit_arcs`, in the circle coordinate of
@@ -389,6 +392,30 @@ def arcs_invariant(arcs, gens, tol=1e-12):
             if not arc_holds(circle_arc(arcs[g]), image, tol):
                 return False
     return True
+
+
+# -- lift-family rows from every word level ----------------------------------
+
+LIFT_ROWS = ("ends_minus", "ends_plus", "weights", "levels", "sinh_dist")
+
+
+def lift_rows_every_level(lam, h, depth, cut):
+    """The rows `LIFT_ROWS` of `lamination.LiftFamily(lam, h, depth,
+    reach)` whose cut is `cut`, assembled from each level 0..depth that
+    `word_levels` yields for its pruned tree, empty or not."""
+    leaves, keep = lm._lift_tree(lam, h, cut)
+    levels = list(h.word_levels(depth, keep))
+    rows = {name: [] for name in LIFT_ROWS}
+    for (vm, vp), w, forbidden in leaves:
+        for level, (block, last) in enumerate(levels):
+            block = block[~np.isin(last, forbidden)]
+            em, ep = block @ vm, block @ vp
+            rows["ends_minus"].append(em)
+            rows["ends_plus"].append(ep)
+            rows["weights"].append(np.full(len(block), w))
+            rows["levels"].append(np.full(len(block), level))
+            rows["sinh_dist"].append(lm._sinh_dist_from_i(em, ep))
+    return {name: np.concatenate(v) for name, v in rows.items()}
 
 
 # -- fixture surfaces ---------------------------------------------------------

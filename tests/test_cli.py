@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quakebend import bending as bd
 from quakebend import blackhole as bh
@@ -445,6 +452,98 @@ class TestNonFiniteOutput:
         assert code == cli.EXIT_DOMAIN
         assert err.startswith("domain error: ")
         assert out == ""
+
+
+class TestClosedPipe:
+    """A reader that closes stdout before the end of the stream (`| head`)
+    ends the run with EXIT_PIPE and an empty stderr, not a
+    BrokenPipeError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        # both streams overfill the pipe before the reader closes it
+        ["bend", str(SCENARIOS / "torus_multicurve.json"),
+         "--grid", "x=-1.5:1.5:60,y=0.3:2.5:60"],
+        ["wick", "--grid", "T=1.2:2.8:12,u=-0.8:0.8:12,zeta=-0.8:1.2:12"]])
+    def test_exit_code_and_quiet_stderr(self, argv):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quakebend.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert json.loads(first)["command"] == argv[0]
+        assert code == cli.EXIT_PIPE
+        assert err == b""
+
+
+# the floats whose shortest repr is easy to get wrong, then any finite one
+TRICKY_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22,
+                     0.1 + 0.2, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+VERTICES = arrays(np.float64, st.tuples(st.integers(0, 12), st.just(4)),
+                  elements=TRICKY_FLOATS)
+
+
+class TestVertexBlock:
+    """`emit` writes the vertex array of `bend` as one block, with the
+    bytes that one json encoding per record gives, and refuses a row
+    with a non-finite entry after the rows before it."""
+
+    ARGV = ["bend", str(SCENARIOS / "torus_multicurve.json"),
+            "--grid", "x=-1:1:2,y=0.5:1.5:2"]
+
+    @staticmethod
+    def per_record(rows):
+        return "".join(json.dumps({"command": "bend", "vertex": row},
+                                  sort_keys=True, allow_nan=False) + "\n"
+                       for row in rows.tolist())
+
+    def bend(self, vertices):
+        """(exit code, stdout after the header record, stderr) of `bend`
+        with `bending.bend_points` giving `vertices`, written three rows
+        per block."""
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            mp.setattr(bd, "bend_points", lambda ctx, zs: vertices)
+            mp.setattr(cli, "EMIT_ROWS", 3)
+            code = cli.main(self.ARGV)
+        head = json.dumps({"command": "bend", "depth": 8,
+                           "points": len(vertices), "target": "hyperbolic"})
+        lines = out.getvalue().split("\n", 1)
+        assert lines[0] == head
+        return code, lines[1], err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(VERTICES)
+    def test_bytes_of_one_record_per_row(self, vertices):
+        code, out, err = self.bend(vertices)
+        assert (code, err) == (0, "")
+        assert out == self.per_record(vertices)
+
+    @settings(max_examples=30, deadline=None)
+    @given(VERTICES.filter(len), st.data())
+    def test_non_finite_row(self, vertices, data):
+        k = data.draw(st.integers(0, len(vertices) - 1))
+        vertices[k, data.draw(st.integers(0, 3))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValueError) as exc:
+            self.per_record(vertices[k:k + 1])
+        code, out, err = self.bend(vertices)
+        assert code == cli.EXIT_DOMAIN
+        assert out == self.per_record(vertices[:k])
+        assert err == ("domain error: a record holds a non-finite number "
+                       f"({exc.value})\n")
 
 
 def scenario_with(name, **sections):

@@ -610,6 +610,46 @@ class TestReachFamily:
             assert not all(flags) or depth == 6
 
 
+class TestFirstEmptyLevel:
+    """A reach family draws its pruned word tree up to its first empty
+    level only, with the rows of the tree drawn to `depth`."""
+
+    @staticmethod
+    def build(lam, h, depth, reach):
+        """The family and the sizes of the word levels it drew."""
+        drawn, levels = [], h.word_levels
+
+        def counted(*args):
+            for level in levels(*args):
+                drawn.append(len(level[0]))
+                yield level
+        h.word_levels = counted
+        try:
+            return lm.LiftFamily(lam, h, depth, reach=reach), drawn
+        finally:
+            del h.word_levels
+
+    @pytest.mark.parametrize("depth", [8, 12])
+    def test_rows_of_every_level(self, depth):
+        rng = np.random.default_rng(26)
+        surfaces = [seeded_surface("fn", rng) for _ in range(6)]
+        surfaces.append(scenario_surface("torus_two_boundary"))
+        stopped = 0
+        for lam, h in surfaces:
+            for ys in (letter_orbit(h), GRID):
+                fam, drawn = self.build(lam, h, depth, [eq.BASE_POINT, *ys])
+                want = oracles.lift_rows_every_level(lam, h, depth, fam.cut)
+                for name in oracles.LIFT_ROWS:
+                    assert np.array_equal(bits(getattr(fam, name)),
+                                          bits(want[name]))
+                assert drawn.count(0) <= 1
+                stopped += drawn.count(0)
+        # the trees that run empty before the depth: at depth 8 those of
+        # the grid and one of the six letter orbits, at depth 12 all but
+        # the letter orbit of torus_two_boundary (its tree is the widest)
+        assert stopped == {8: 8, 12: 13}[depth]
+
+
 class TestReachGuard:
     def test_query_beyond_the_reach_raises(self):
         lam, h = scenario_surface("torus_multicurve")
