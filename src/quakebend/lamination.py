@@ -500,16 +500,16 @@ class LiftFamily:
     never built, and the enumeration stops at the first level left
     empty (a pruned subtree never regrows).  The certificate covers
     the family when u e lies in A_u for each end e of each base leaf
-    and each last letter u that the leaf allows.  It is sought only when a letter stabilizes every
-    base leaf (the multicurve family).  The triangulation family's
-    leaves end at fixed points of peripheral words, whose first letter
-    the last letter can cancel, so that the check fails for them.  A
-    family the certificate does not cover is enumerated in full (the
-    reach queries of a triangulation lamination go to `TriangleWalk`
-    instead, see `realize`).  The
-    rows within the cut are bitwise those of the full family, in its
-    order: base leaf, then level, then prefix-major.  Without `reach`
-    the family is the full one and answers any query.
+    and each last letter u that the leaf allows.  It is sought only
+    when a letter stabilizes every base leaf (the multicurve family).
+    The triangulation family's leaves end at fixed points of peripheral
+    words, whose first letter the last letter can cancel, so that the
+    check fails for them.  A family the certificate does not cover is
+    enumerated in full (the reach queries of a triangulation lamination
+    go to `TriangleWalk` instead, see `realize`).  The rows within the
+    cut are bitwise those of the full family, in its order: base leaf,
+    then level, then prefix-major.  Without `reach` the family is the
+    full one and answers any query.
     """
 
     #: (segment, leaf) pairs tested at once by `crossings_from` (bounds memory)

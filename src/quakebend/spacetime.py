@@ -30,9 +30,12 @@ a `MetricSample`.
 The flat translation part of (F, lambda) is the derivative of the quake
 cocycle in the weights: each crossed leaf adds its weight times its unit
 normal 2 iota(D), D its displacement generator (`isometry.lie_vector`).
-It is equivariant under the affine holonomy, so regular-domain
-membership takes s at the orbit points of the base point from the
-translation columns of the affine words, not from a query per point.
+It is equivariant under the affine holonomy (`flat_holonomy`), so
+regular-domain membership takes s at the orbit points of the base point
+from the translation columns of the affine words, not from a query per
+point.  A midpoint between crossings k and k + 1 of a segment [x0, y]
+sums the normals of its first k + 1 leaves: [x0, mid] crosses exactly
+those, with the same orientation.
 """
 
 from __future__ import annotations
@@ -478,25 +481,6 @@ def ct_level_geometry(a, kappa):
 # flat translation cocycle and regular domains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineIsom3:
-    """Isometry of Minkowski 3-space: linear part in SO+(2,1) plus a
-    translation vector."""
-
-    linear: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        scale = max(1.0, float(np.sum(self.linear * self.linear)))
-        if not np.allclose(self.linear.T @ ETA @ self.linear, ETA,
-                           atol=1e-10 * scale):
-            raise StructureError("linear part must preserve the Minkowski form")
-
-    def compose(self, other):
-        return AffineIsom3(self.linear @ other.linear,
-                           self.translation + self.linear @ other.translation)
-
-
 def _normal_sum(leaves):
     """Sum of the weighted unit normals 2 iota(D) of `leaves`, as
     `crossings` orients them: the far end of the segment is
@@ -514,29 +498,26 @@ def translation_part(fam: lm.LiftFamily | lm.TriangleWalk, x0, y):
     return _normal_sum(leaves), converged
 
 
-def flat_holonomy(point, lam, depth=8, pd=None):
-    """Affine holonomy letter map of the flat spacetime of (F, lambda).
-
-    Returns (letters, converged): letters maps each alphabet letter m
-    to the AffineIsom3 of m and the `_normal_sum` of the leaves that
-    `deform_letters` finds on [x0, m x0]; words compose through
-    AffineIsom3.compose.
+def flat_holonomy(fam: lm.LiftFamily | lm.TriangleWalk, h: teich.Holonomy):
+    """(letters, converged): the affine holonomy of the flat spacetime
+    of (F, lambda), the (2k, 4, 4) stack of [[A_g, t_g], [0, 1]] in
+    `teich.Holonomy.letter_matrices` order that `word_levels(letters=)`
+    composes.  A_g = psl2r_to_so21(g) and t_g = s(g x0), from one
+    crossings query of `fam` at the base point x0, for each generator
+    g, then its exact inverse [[A_g^-1, -A_g^-1 t_g], [0, 1]];
+    converged ANDs the query's flags.
     """
-    h, crossed, converged = eq.deform_letters(point, lam, depth, pd)
-    return {name: AffineIsom3(iso.psl2r_to_so21(m), _normal_sum(crossed[name]))
-            for name, m in h.alphabet.items()}, converged
-
-
-def affine_word(letters, word):
-    out = AffineIsom3(np.eye(3), np.zeros(3))
-    for name, e in word:
-        g = letters[name]
-        if e < 0:
-            li = np.linalg.inv(g.linear)
-            g = AffineIsom3(li, -li @ g.translation)
-        for _ in range(abs(e)):
-            out = out.compose(g)
-    return out
+    x0 = eq.BASE_POINT
+    gens = list(h.gens.values())
+    crossed = fam.crossings_from(x0, [iso.apply_h2(g, x0) for g in gens])
+    letters = np.zeros((2 * len(gens), 4, 4))
+    letters[:, 3, 3] = 1.0
+    for i, (g, (leaves, _)) in enumerate(zip(gens, crossed)):
+        a, ai = iso.psl2r_to_so21(g), iso.psl2r_to_so21(iso.inv(g))
+        t = _normal_sum(leaves)
+        letters[2 * i, :3] = np.column_stack([a, t])
+        letters[2 * i + 1, :3] = np.column_stack([ai, -ai @ t])
+    return letters, all(ok for _, ok in crossed)
 
 
 def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
@@ -551,58 +532,41 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
 
     s is equivariant under the affine holonomy, s(g x) = A_g s(x) + t_g,
     so s at the orbit points is the translation column of the affine
-    words, composed by `word_levels` from the letters [[A_g, t_g],
-    [0, 1]]: A_g = psl2r_to_so21(g), t_g = s(g x0) from one crossings
-    query, and each inverse letter the exact affine inverse.  This is
-    exact: the leaves are disjoint complete geodesics, so signed
-    crossing sums do not depend on the path, and the lamination is
-    pi_1-invariant.  The midpoints take s from one more query.
+    words, composed by `word_levels` from the `flat_holonomy` letters.
+    This is exact: the leaves are disjoint complete geodesics, so
+    signed crossing sums do not depend on the path, and the lamination
+    is pi_1-invariant.  A midpoint between crossings k and k + 1 of a
+    segment takes s = `_normal_sum` of the segment's first k + 1
+    leaves: the sub-segment [x0, mid] crosses exactly those leaves,
+    with the same orientation.
     """
     q = np.asarray(q, dtype=float)
     x0 = eq.BASE_POINT
     # orbit points on the hyperboloid and s there, in word order, the
     # base point (empty word) first
     words = np.concatenate([m for m, _ in h.word_levels(
-        depth, letters=_affine_letters(fam, h))])
+        depth, letters=flat_holonomy(fam, h)[0])])
     ys = words[:, :3, :3] @ iso.h2_to_hyperboloid(x0)
     if not _in_future(q, words[:, :3, 3], ys):
         return False
     # midpoints between consecutive crossings along segments to orbit
     # points, taken back to the upper half-plane, z = (y1 + i) / (y0 - y2)
     ends = ((ys[1:16, 1] + 1j) / (ys[1:16, 0] - ys[1:16, 2])).tolist()
-    mids = []
+    mids, s = [], []
     for frame, (leaves, _) in zip(lm.segment_frames(x0, ends),
                                   fam.crossings_from(x0, ends)):
         fi = iso.inv(frame)
-        heights = sorted(
+        # the leaves come ordered along the segment, heights rising
+        heights = [
             math.sqrt(abs(iso.apply_boundary(fi, leaf.geodesic.p_minus)
                           * iso.apply_boundary(fi, leaf.geodesic.p_plus)))
-            for leaf in leaves)
-        for h1, h2 in zip(heights, heights[1:]):
+            for leaf in leaves]
+        for k, (h1, h2) in enumerate(zip(heights, heights[1:])):
             mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
+            s.append(_normal_sum(leaves[:k + 1]))
     if not mids:
         return True
-    s = [_normal_sum(leaves) for leaves, _ in fam.crossings_from(x0, mids)]
     return _in_future(q, np.array(s), iso.h2_to_hyperboloid(np.array(mids)).T)
-
-
-def _affine_letters(fam, h):
-    """(2k, 4, 4) stack of the affine letters [[A_g, t_g], [0, 1]] in
-    `teich.Holonomy.letter_matrices` order: A_g = psl2r_to_so21(g) and
-    t_g = s(g x0), from one crossings query at the base point x0, for
-    each generator g, then its exact inverse [[A_g^-1, -A_g^-1 t_g],
-    [0, 1]]."""
-    x0 = eq.BASE_POINT
-    gens = list(h.gens.values())
-    letters = np.zeros((2 * len(gens), 4, 4))
-    letters[:, 3, 3] = 1.0
-    for i, (g, (leaves, _)) in enumerate(zip(gens, fam.crossings_from(
-            x0, [iso.apply_h2(g, x0) for g in gens]))):
-        a, ai = iso.psl2r_to_so21(g), iso.psl2r_to_so21(iso.inv(g))
-        t = _normal_sum(leaves)
-        letters[2 * i, :3] = np.column_stack([a, t])
-        letters[2 * i + 1, :3] = np.column_stack([ai, -ai @ t])
-    return letters
 
 
 def _in_future(q, s, ys):

@@ -36,7 +36,12 @@ calls, kept next to the tests that compare the package against them:
 * `regular_domain_direct`, the sampled regular-domain membership with
   s(x) found at every orbit point by its own crossings query, which
   the affine words of `spacetime.regular_domain_contains` replaced,
-  and `crossing_midpoints`, the midpoints it samples;
+  and `crossing_midpoints`, the midpoints it samples, with
+  s there from a query of its own rather than the prefix of the
+  segment's leaves;
+* `affine_word`, a word of `spacetime.flat_holonomy`'s letter stack
+  composed one letter at a time, as the per-letter affine holonomy did,
+  rather than level by level through `word_levels`;
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
@@ -339,6 +344,15 @@ def crossing_midpoints(fam, x0, ys):
         for h1, h2 in zip(heights, heights[1:]):
             mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
     return mids
+
+
+def affine_word(letters, word):
+    """The product of the letters of a (2k, 4, 4) affine letter stack
+    indexed by `word`, left to right (the identity for an empty word)."""
+    out = np.eye(4)
+    for i in word:
+        out = out @ letters[i]
+    return out
 
 
 # -- limit-set arcs of the pruned lift families --------------------------------

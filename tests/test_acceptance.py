@@ -375,25 +375,24 @@ class TestCriterion7FlatHolonomy:
     def test_homomorphism_and_path_independence(self):
         t0 = time.monotonic()
         lam = lm.MultiCurveLam((0.7,))
-        letters, conv = sp.flat_holonomy(FN_1PT, lam, depth=8, pd=PD_1PT)
         h = teich.holonomy_from_fn(PD_1PT, FN_1PT)
+        fam = lm.LiftFamily(lam, h, depth=8)
+        letters, conv = sp.flat_holonomy(fam, h)
+        # words index the letter stack, whose letter i ^ 1 inverts i:
+        # w1 w2 against w1 then w2, and w1 w1^-1 against the identity
         rng = np.random.default_rng(5)
-        names = list(h.gens)
         worst = 0.0
         for _ in range(200):
-            w1 = [(names[int(rng.integers(len(names)))],
-                   int(rng.choice([-1, 1]))) for _ in range(int(rng.integers(1, 4)))]
-            w2 = [(names[int(rng.integers(len(names)))],
-                   int(rng.choice([-1, 1]))) for _ in range(int(rng.integers(1, 4)))]
-            g12 = sp.affine_word(letters, w1 + w2)
-            g1g2 = sp.affine_word(letters, w1).compose(
-                sp.affine_word(letters, w2))
-            worst = max(worst,
-                        float(np.max(np.abs(g12.linear - g1g2.linear))),
-                        float(np.max(np.abs(g12.translation
-                                            - g1g2.translation))))
+            w1 = rng.integers(len(letters), size=rng.integers(1, 4)).tolist()
+            w2 = rng.integers(len(letters), size=rng.integers(1, 4)).tolist()
+            g12 = oracles.affine_word(letters, w1 + w2)
+            g1g2 = (oracles.affine_word(letters, w1)
+                    @ oracles.affine_word(letters, w2))
+            unit = oracles.affine_word(letters,
+                                       w1 + [i ^ 1 for i in reversed(w1)])
+            worst = max(worst, float(np.max(np.abs(g12 - g1g2))),
+                        float(np.max(np.abs(unit - np.eye(4)))))
         # path independence over three homotopic two-leg paths
-        fam = lm.LiftFamily(lam, h, depth=8)
         x0 = complex(0.137, 1.03)
         y = iso.apply_h2(h.curve("zpp0"), x0)
         direct, _ = sp.translation_part(fam, x0, y)

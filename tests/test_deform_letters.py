@@ -1,12 +1,13 @@
 """The one per-letter pass of the deformed holonomies.
 
-`earthquake.deform_letters` builds the quake, H3-bending, AdS-pair and
-flat holonomies.  The reference below keeps the four per-letter loops
-those functions ran before they shared the pass, each over the
-realization the pass queries (`lamination.realize` between X0 and the
-letter orbit: a word family for a multicurve, the triangle walk for a
-triangulation); the pass must reproduce them bit for bit.  The walk is
-checked against the word family in test_lamination.py.
+`earthquake.deform_letters` builds the quake, H3-bending and AdS-pair
+holonomies; `spacetime.flat_holonomy` builds the flat affine letter
+stack from one query of its own.  The reference below keeps one
+per-letter loop for each, over the realization the pass queries
+(`lamination.realize` between X0 and the letter orbit: a word family
+for a multicurve, the triangle walk for a triangulation); the pass must
+reproduce them bit for bit.  The walk is checked against the word
+family in test_lamination.py.
 """
 
 import json
@@ -105,17 +106,20 @@ def ref_ads(point, lam, depth, pd):
     return out_l, out_r
 
 
-def ref_flat(point, lam, depth, pd):
-    h = teich.holonomy_of(point, pd)
-    fam = realization(lam, h, depth)
-    letters = {}
+def ref_flat(h, fam):
+    """The affine letter stack of `h`: per generator g, t = s(g X0)
+    from one `translation_part`, then the letter [[A_g, t], [0, 1]] and
+    its exact inverse."""
+    letters = []
     flags = []
-    for name, m in h.alphabet.items():
-        y = iso.apply_h2(m, X0)
-        s, ok = sp.translation_part(fam, X0, y)
+    for m in h.gens.values():
+        s, ok = sp.translation_part(fam, X0, iso.apply_h2(m, X0))
         flags.append(ok)
-        letters[name] = sp.AffineIsom3(iso.psl2r_to_so21(m), s)
-    return letters, all(flags)
+        a, ai = iso.psl2r_to_so21(m), iso.psl2r_to_so21(iso.inv(m))
+        for lin, t in ((a, s), (ai, -ai @ s)):
+            letters.append(np.vstack([np.column_stack([lin, t]),
+                                      [0.0, 0.0, 0.0, 1.0]]))
+    return np.array(letters), all(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +173,12 @@ def test_pass_matches_reference_loops(surface, depth):
         for got, want in zip(bd.ads_holonomy(point, lam, depth=depth, pd=pd),
                              ref_ads(point, lam, depth, pd)):
             assert_same_holonomy(got, want)
-        letters, ok = sp.flat_holonomy(point, lam, depth=depth, pd=pd)
-        want, want_ok = ref_flat(point, lam, depth, pd)
+        h = teich.holonomy_of(point, pd)
+        fam = realization(lam, h, depth)
+        letters, ok = sp.flat_holonomy(fam, h)
+        want, want_ok = ref_flat(h, fam)
         assert ok == want_ok
-        assert list(letters) == list(want)
-        for name, g in want.items():
-            assert same_bits(letters[name].linear, g.linear), name
-            assert same_bits(letters[name].translation, g.translation), name
+        assert same_bits(letters, want)
 
 
 def test_base_point_on_leaf_raises(monkeypatch, tmp_path):
@@ -187,7 +190,8 @@ def test_base_point_on_leaf_raises(monkeypatch, tmp_path):
     for build in (lambda: eq.quake_holonomy(fn, lam, eq.LEFT, depth=6, pd=PD),
                   lambda: bd.hyp_holonomy(fn, lam, depth=6, pd=PD),
                   lambda: bd.ads_holonomy(fn, lam, depth=6, pd=PD),
-                  lambda: sp.flat_holonomy(fn, lam, depth=6, pd=PD)):
+                  lambda: sp.flat_holonomy(lm.LiftFamily(lam, h, depth=6),
+                                           h)):
         with pytest.raises(lm.BasePointOnLeafError):
             build()
     # a domain error at the command line
@@ -211,13 +215,14 @@ DTYPES = (float, float, complex, float, float)
 
 
 def deformed(lam):
-    """The quake, H3 and AdS holonomies and the flat letters of the FN
-    torus under `lam`, depth 8."""
+    """The quake, H3 and AdS holonomies and the flat letter stack of
+    the FN torus under `lam`, depth 8."""
     hols = [eq.quake_holonomy(FN, lam, side, depth=8, pd=PD)
             for side in (eq.LEFT, eq.RIGHT)]
     hols.append(bd.hyp_holonomy(FN, lam, depth=8, pd=PD))
     hols.extend(bd.ads_holonomy(FN, lam, depth=8, pd=PD))
-    return hols, sp.flat_holonomy(FN, lam, depth=8, pd=PD)
+    h = teich.holonomy_from_fn(PD, FN)
+    return hols, sp.flat_holonomy(realization(lam, h, 8), h)
 
 
 def test_uncrossed_letters_are_the_inclusion():
@@ -230,9 +235,11 @@ def test_uncrossed_letters_are_the_inclusion():
         for name in ("z0", "C0"):
             assert same_bits(h.alphabet[name], h0.alphabet[name].astype(dt))
         assert not iso.proj_equal(h.alphabet["b0"], h0.alphabet["b0"])
-    for name in ("z0", "C0"):
-        assert not np.any(letters[name].translation)
-    assert np.any(letters["b0"].translation)
+    # the flat stack holds the generators z0, b0 and their inverses;
+    # C0 is no generator, so its flat letter is not in it
+    z0, b0 = (2 * list(h0.gens).index(name) for name in ("z0", "b0"))
+    assert not np.any(letters[z0:z0 + 2, :3, 3])
+    assert np.all(np.any(letters[b0:b0 + 2, :3, 3], axis=1))
 
 
 def test_zero_weights_give_the_undeformed_holonomy():
@@ -243,7 +250,7 @@ def test_zero_weights_give_the_undeformed_holonomy():
         for name, m in h0.alphabet.items():
             assert same_bits(h.alphabet[name], m.astype(dt)), name
     assert ok is True
-    assert not any(np.any(g.translation) for g in letters.values())
+    assert not np.any(letters[:, :3, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,7 @@ SEARCHED = sorted(p for d in ("src", "scripts", "perfbench")
 
 # entry points no caller reaches yet: qualified name -> the ROADMAP
 # direction that wires them (D: a verify suite on the regular domain).
-# affine_word stays in src/ with them: it is the only caller there of
-# AffineIsom3.compose
 UNREACHED = {
-    "spacetime.flat_holonomy": "D: equivariance of the developing maps",
-    "spacetime.affine_word": "D: equivariance of the developing maps",
     "spacetime.local_model_ct": "D: cosmological time on U_lambda",
     "spacetime.ds_cosmological_time": "D: cosmological time on U_lambda",
     "spacetime.ads_cosmological_time": "D: cosmological time on U_lambda",

@@ -718,10 +718,11 @@ class TestFlatHolonomy:
         self.h = teich.holonomy_from_fn(PD, FN)
 
     def test_empty_lamination_zero_translation(self):
-        letters, conv = sp.flat_holonomy(FN, lm.MultiCurveLam((0.0,)), pd=PD)
+        fam = lm.LiftFamily(lm.MultiCurveLam((0.0,)), self.h, depth=8)
+        letters, conv = sp.flat_holonomy(fam, self.h)
         assert conv
-        for g in letters.values():
-            assert np.allclose(g.translation, 0.0)
+        for g in letters:
+            assert np.allclose(g[:3, 3], 0.0)
 
     def test_single_leaf_translation_vector(self):
         fam = lm.LiftFamily(lm.MultiCurveLam((0.7,)), self.h, depth=6)
@@ -749,20 +750,27 @@ class TestFlatHolonomy:
         assert abs((s / 0.7) @ ETA3 @ tangent) < 1e-8
 
     def test_homomorphism(self):
-        letters, conv = sp.flat_holonomy(FN, lm.MultiCurveLam((0.7,)),
-                                         depth=8, pd=PD)
+        fam = lm.LiftFamily(lm.MultiCurveLam((0.7,)), self.h, depth=8)
+        letters, conv = sp.flat_holonomy(fam, self.h)
         assert conv
+        # every linear part preserves the Minkowski form
+        for g in letters:
+            a = g[:3, :3]
+            scale = max(1.0, float(np.sum(a * a)))
+            assert np.abs(a.T @ ETA3 @ a - ETA3).max() <= 1e-10 * scale
+        # words are index lists into the stack; letter i ^ 1 inverts i
         rng = np.random.default_rng(2)
-        names = list(self.h.gens)
         for _ in range(200):
-            w1 = [(names[rng.integers(2)], int(rng.choice([-1, 1])))
-                  for _ in range(rng.integers(1, 3))]
-            w2 = [(names[rng.integers(2)], int(rng.choice([-1, 1])))
-                  for _ in range(rng.integers(1, 3))]
-            g12 = sp.affine_word(letters, w1 + w2)
-            g1g2 = sp.affine_word(letters, w1).compose(sp.affine_word(letters, w2))
-            assert np.allclose(g12.linear, g1g2.linear, atol=1e-8)
-            assert np.allclose(g12.translation, g1g2.translation, atol=1e-8)
+            w1 = rng.integers(len(letters), size=rng.integers(1, 3)).tolist()
+            w2 = rng.integers(len(letters), size=rng.integers(1, 3)).tolist()
+            g12 = oracles.affine_word(letters, w1 + w2)
+            g1g2 = (oracles.affine_word(letters, w1)
+                    @ oracles.affine_word(letters, w2))
+            assert np.allclose(g12[:3, :3], g1g2[:3, :3], atol=1e-8)
+            assert np.allclose(g12[:3, 3], g1g2[:3, 3], atol=1e-8)
+            inverse = [i ^ 1 for i in reversed(w1)]
+            assert np.allclose(oracles.affine_word(letters, w1 + inverse),
+                               np.eye(4), atol=1e-8)
 
     def test_path_independence(self):
         fam = lm.LiftFamily(lm.MultiCurveLam((0.7,)), self.h, depth=8)
@@ -826,7 +834,7 @@ class TestRegularDomain:
             fam = lm.LiftFamily(lam, h, depth=5)
             words = np.concatenate([m for m, _ in h.word_levels(3)])
             aff = np.concatenate([m for m, _ in h.word_levels(
-                3, letters=sp._affine_letters(fam, h))])
+                3, letters=sp.flat_holonomy(fam, h)[0])])
             orbit = [iso.apply_h2(m, x0) for m in words]
             assert (aff[0, :3, 3] == 0.0).all()
             # relative to |s|, or to the weights' scale 1 where the
