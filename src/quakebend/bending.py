@@ -1,6 +1,6 @@
 """Bending cocycles: PSL(2, C)-valued for H3, PSL(2, R)^2-valued for AdS.
 
-Both are the quake module's ``cocycle_product`` of exp(c a D) over the
+Both are the quake module's ``cocycle_products`` of exp(c a D) over the
 leaves that the context's realization (``lamination.realize``: a
 ``LiftFamily``, or the ``TriangleWalk`` of a triangulation lamination)
 finds crossing a segment, D the displacement generator of each leaf:
@@ -12,8 +12,9 @@ the base-point-on-the-left convention the first component lifts the
 
 The bent surface is pleated: B(x0, z) depends only on the ordered
 leaves that [x0, z] crosses, so the bent map is one isometry per
-crossing sequence.  `bend_points` groups the points on those leaves,
-builds each sequence's cocycle once and applies it to all of its
+crossing sequence.  `bend_points` finds every point's sequence and
+checks the base point in one crossings query, builds all sequences'
+cocycles in one `cocycle_products` call and applies each to its
 points as one stacked product; a point whose segment from x0 crosses
 no leaf, x0 included, maps by the inclusion.
 
@@ -35,9 +36,9 @@ from quakebend.errors import DomainError
 
 HYPERBOLIC = "hyperbolic"
 ADS = "ads"
-#: BendContext checks that the base point is off the weighted leaves on
-#: the segment from it to the base point plus BASE_CHECK_STEP
-BASE_CHECK_STEP = 1e-3j
+#: `bend_points` checks the base point for weighted leaves on the segments
+#: to it plus each step: a leaf through it runs along at most one of them
+BASE_CHECK_STEPS = (1e-3, 1e-3j)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def apply_psl2c(a, v):
 @dataclass
 class BendContext:
     """Realized lifts (`lamination.realize`) and target geometry of the
-    bent maps, which start at the base point `earthquake.BASE_POINT`."""
+    bent maps from `earthquake.BASE_POINT`, which `bend_points` checks."""
 
     family: lm.LiftFamily | lm.TriangleWalk
     target: str = HYPERBOLIC
@@ -86,18 +87,16 @@ class BendContext:
     def __post_init__(self):
         if self.target not in (HYPERBOLIC, ADS):
             raise DomainError(f"unknown bending target {self.target!r}")
-        # the base point itself must be off the weighted leaves
-        self.family.crossings(eq.BASE_POINT, eq.BASE_POINT + BASE_CHECK_STEP)
 
 
 def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None,
                  reach=None):
     """Realize `lam` on the holonomy of `point` for the bent maps
-    (`lamination.realize`): between the points `reach` only, if given,
-    else as the full `LiftFamily`."""
+    (`lamination.realize`): between the points `reach`, the base point
+    and its check points only, if given, else as the full `LiftFamily`."""
     h = teich.holonomy_of(point, pd)
     if reach is not None:
-        reach = [eq.BASE_POINT, eq.BASE_POINT + BASE_CHECK_STEP, *reach]
+        reach = [*(eq.BASE_POINT + np.array((0, *BASE_CHECK_STEPS))), *reach]
     return BendContext(lm.realize(lam, h, depth, reach), target), h
 
 
@@ -106,41 +105,38 @@ def bend_points(ctx: BendContext, zs):
     `ctx`: an (n, 4) array of unit timelike Minkowski-4 vectors in H3, an
     (n, 2, 2) array of matrices in AdS.
 
-    The bent map is piecewise isometric: B(x0, z) depends only on the
-    ordered leaves that [x0, z] crosses, which one `crossings_from`
-    query at the base point x0 finds for all of zs.  The points are
-    grouped by that crossing sequence; each group's cocycle is built
-    once and applied to the whole group as one stacked product.  A
-    point that crosses no leaf, x0 among them, maps by the inclusion
-    (the slice x3 = 0 of H3, the plane P(Id) of AdS), which pins the
-    global post-composition freedom.
+    B(x0, z) depends only on the ordered leaves that [x0, z] crosses,
+    which one `crossings_from` query at the base point x0 finds for the
+    check points x0 + BASE_CHECK_STEPS and zs: a leaf through x0 raises
+    BasePointOnLeafError, one through a check point counts at half
+    weight in a row that is dropped.  The points are grouped by their
+    crossing sequence; one `cocycle_products` call builds the cocycles,
+    each applied to its group as one stacked product.  A point that
+    crosses no leaf, x0 among them, maps by the inclusion (the slice
+    x3 = 0 of H3, the plane P(Id) of AdS), which pins the global
+    post-composition freedom.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     hyp = ctx.target == HYPERBOLIC
     out = mink4_from_h2(zs) if hyp else iso.ads_embed(zs)
+    ys = np.concatenate([eq.BASE_POINT + np.array(BASE_CHECK_STEPS), zs])
+    crossed = ctx.family.crossings_from(eq.BASE_POINT, ys, on_leaf="end")
     # keyed by leaf identity: a query gives each distinct leaf one object
     groups = {}
-    crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
-    for i, (leaves, _) in enumerate(crossed):
+    for i, (leaves, _) in enumerate(crossed[len(BASE_CHECK_STEPS):]):
         if leaves:
             groups.setdefault(tuple(map(id, leaves)), (leaves, []))[1].append(i)
-    for leaves, idx in groups.values():
-        if hyp:
-            out[idx] = apply_psl2c(bend_cocycle_hyp_from_lifts(leaves), out[idx])
-        else:
-            out[idx] = iso.ads_act(bend_cocycle_ads_from_lifts(leaves), out[idx])
+    products = eq.cocycle_products([leaves for leaves, _ in groups.values()],
+                                   (1j,) if hyp else (1.0, -1.0))
+    for (_, idx), b in zip(groups.values(), products):
+        out[idx] = (apply_psl2c(b[0], out[idx]) if hyp
+                    else iso.ads_act(b, out[idx]))
     return out
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic bending
+# bent maps and deformed holonomies
 # ---------------------------------------------------------------------------
-
-def bend_cocycle_hyp_from_lifts(lifts):
-    """B_lambda(x, y) in PSL(2, C) from the leaves crossing [x, y]:
-    product of exp(i a_k D_k)."""
-    return eq.cocycle_product(lifts, (1j,))[0].astype(complex)
-
 
 def bend_map_hyp(ctx: BendContext, x):
     """F(x) = B(x0, x) . x, a point of H3: `bend_points` at one point of
@@ -155,20 +151,6 @@ def hyp_holonomy(point, lam, depth=8, pd=None):
     holonomy at c = i with meta['converged']; the empty lamination
     gives the Fuchsian inclusion."""
     return eq.deformed_holonomies(point, lam, (1j,), depth, pd)[0]
-
-
-# ---------------------------------------------------------------------------
-# AdS bending
-# ---------------------------------------------------------------------------
-
-def bend_cocycle_ads_from_lifts(lifts):
-    """The pair (B^-, B^+) of the left and right quake cocycles over the
-    leaves crossing [x, y], from one `cocycle_product` pass.
-
-    The first component composed with gamma gives the left-earthquake
-    holonomy h_L, the second the right one.
-    """
-    return tuple(eq.cocycle_product(lifts, (1.0, -1.0)))
 
 
 def bend_map_ads(ctx: BendContext, x):

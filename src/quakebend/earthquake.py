@@ -1,6 +1,6 @@
 """Left/right earthquakes: coordinate form, quake cocycle, flow.
 
-Every cocycle of the package comes from ``cocycle_product(lifts,
+Every cocycle of the package comes from ``cocycle_products(sequences,
 coefficients)``: one pass over the crossed leaves that a
 ``lamination.realize`` realization returns (a ``LiftFamily``, or the
 ``TriangleWalk`` of a triangulation lamination) gives the ordered
@@ -20,7 +20,6 @@ leaves ``deform_letters`` finds; a letter crossing none stays undeformed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -76,17 +75,33 @@ def quake_shear(sp: teich.ShearPoint, lam: lm.TriangulationLam, side):
 # quake cocycle
 # ---------------------------------------------------------------------------
 
+def cocycle_products(sequences, coefficients):
+    """For each list of `sequences`, oriented, weighted leaves as
+    `crossings` returns them: the ordered products of exp(c a D), c in
+    `coefficients`, a the weight and D the displacement generator of
+    each leaf.  A crossed prefix (of leaves by identity) is built once,
+    as its parent's product times its last factors: the left fold."""
+    prefixes, out = {}, []
+    for lifts in sequences:
+        if not lm.leaves_pairwise_disjoint(lifts):
+            raise InvalidLaminationError("crossing leaves in the lift family")
+        prod = None
+        for leaf in lifts:
+            key = (id(prod), id(leaf))
+            if key not in prefixes:
+                d = leaf.geodesic.displacement_generator()
+                f = [iso.expm2(c * leaf.weight * d) for c in coefficients]
+                prefixes[key] = f if prod is None else [
+                    p @ g for p, g in zip(prod, f)]
+            prod = prefixes[key]
+        out.append([np.eye(2) for _ in coefficients] if prod is None else
+                   [iso.normalize(p) for p in prod])
+    return out
+
+
 def cocycle_product(lifts, coefficients):
-    """The ordered products of exp(c a D), one per c of `coefficients`,
-    over oriented, weighted leaves as `crossings` returns them, a the
-    weight and D the displacement generator of each leaf."""
-    if not lm.leaves_pairwise_disjoint(lifts):
-        raise InvalidLaminationError("crossing leaves in the lift family")
-    gens = [(leaf.weight, leaf.geodesic.displacement_generator())
-            for leaf in lifts]
-    return [iso.normalize(reduce(np.matmul, [iso.expm2(c * a * d)
-                                             for a, d in gens]))
-            if gens else np.eye(2) for c in coefficients]
+    """`cocycle_products` of the one sequence `lifts`."""
+    return cocycle_products([lifts], coefficients)[0]
 
 
 def quake_cocycle(lifts, side):

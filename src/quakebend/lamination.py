@@ -261,7 +261,8 @@ def _frame_test(frames, seg_len, si, em, ep, on_leaf):
     parameter t with e^{2t} = -(product of the endpoints).  A leaf
     within END_TOL of x or y (in t) raises BasePointOnLeafError, or
     with on_leaf='include' counts at half its weight, so that
-    B(x, y) B(y, z) = B(x, z) holds for every y.  Returns the indices
+    B(x, y) B(y, z) = B(x, z) holds for every y; with on_leaf='end'
+    one at x raises and one at y counts at half.  Returns the indices
     of the crossing pairs, ordered by segment and then along it, and
     per crossing pair whether it meets an end and whether its negative
     frame endpoint comes from em (it then runs from ep to em, which
@@ -273,15 +274,17 @@ def _frame_test(frames, seg_len, si, em, ep, on_leaf):
     with np.errstate(divide="ignore", invalid="ignore"):
         vm = (d * em[0] - b * em[1]) / dm
         vp = (d * ep[0] - b * ep[1]) / dp
-    finite = np.isfinite(vm) & np.isfinite(vp) & (dm != 0) & (dp != 0)
-    prod = np.where(finite, vm * vp, 1.0)
+        finite = np.isfinite(vm) & np.isfinite(vp) & (dm != 0) & (dp != 0)
+        prod = np.where(finite, vm * vp, 1.0)
     hit = np.flatnonzero(finite & (prod < 0))
     t = 0.5 * np.log(-prod[hit])
     length = seg_len[si[hit]]
-    near_end = (np.abs(t) <= END_TOL) | (np.abs(t - length) <= END_TOL)
-    if near_end.any() and on_leaf == "raise":
+    at_x, at_y = np.abs(t) <= END_TOL, np.abs(t - length) <= END_TOL
+    if (at_x.any() and on_leaf != "include") or \
+            (at_y.any() and on_leaf == "raise"):
         raise BasePointOnLeafError(
             "a segment endpoint lies on a weighted leaf")
+    near_end = at_x | at_y
     inside = ((t > 0) & (t < length)) | near_end
     # along each segment in t order; np.lexsort is stable
     order = np.flatnonzero(inside)[np.lexsort((t[inside], si[hit[inside]]))]
@@ -560,9 +563,9 @@ class LiftFamily:
         and with x on their left, and whether none of them comes from
         the deepest word level.  A leaf through x or y raises
         BasePointOnLeafError, or with on_leaf='include' comes back at
-        half its weight.  A y equal to x gives no leaves.  A segment
-        whose `reach_cut` exceeds the family's `cut` raises
-        StructureError.
+        half its weight; with on_leaf='end' only one through y does.  A
+        y equal to x gives no leaves.  A segment whose `reach_cut`
+        exceeds the family's `cut` raises StructureError.
         """
         return _crossings(x, ys, on_leaf, self._candidates)
 

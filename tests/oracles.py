@@ -7,7 +7,10 @@ calls, kept next to the tests that compare the package against them:
 * `mink4_inner` and `dist_h3` on H3 as unit timelike Minkowski-4
   vectors;
 * `bend_points_per_vertex`, the bent map built one cocycle per point,
-  the reference of the grouped `bending.bend_points`;
+  and `bend_points_per_group`, one cocycle per crossing sequence, each
+  the left fold of its own factors: the references of
+  `bending.bend_points`, which checks the base point in its one query
+  and builds each crossed prefix once for all sequences;
 * `ads_inner`, `ads_spacelike_distance`, `positive_rotation` and
   `dual_point`, the duality of X_{-1} in the conventions of
   `quakebend.isometry`;
@@ -48,6 +51,7 @@ calls, kept next to the tests that compare the package against them:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -107,12 +111,43 @@ def bend_points_per_vertex(ctx, zs, target):
         if target == bd.HYPERBOLIC:
             p = bd.mink4_from_h2(z)
             if moved:
-                p = bd.apply_psl2c(bd.bend_cocycle_hyp_from_lifts(leaves), p)
+                p = bd.apply_psl2c(eq.cocycle_product(leaves, (1j,))[0], p)
         else:
             p = iso.ads_embed(z)
             if moved:
-                p = iso.ads_act(bd.bend_cocycle_ads_from_lifts(leaves), p)
+                p = iso.ads_act(eq.cocycle_product(leaves, (1.0, -1.0)), p)
         out.append(p)
+    return out
+
+
+def cocycle_fold(leaves, c):
+    """The cocycle at c of the leaves on its own: the normalized left
+    fold of the factors exp(c a D)."""
+    return iso.normalize(functools.reduce(np.matmul, [
+        iso.expm2(c * leaf.weight * leaf.geodesic.displacement_generator())
+        for leaf in leaves]))
+
+
+def bend_points_per_group(ctx, zs):
+    """`bending.bend_points` one crossing sequence at a time: the points
+    grouped by the leaves of a query of zs alone, each group's cocycle
+    folded on its own (`cocycle_fold`) and applied to the group as one
+    stacked product; a point that crosses no leaf maps by the
+    inclusion."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    hyp = ctx.target == bd.HYPERBOLIC
+    out = bd.mink4_from_h2(zs) if hyp else iso.ads_embed(zs)
+    groups = {}
+    crossed = ctx.family.crossings_from(eq.BASE_POINT, zs, on_leaf="include")
+    for i, (leaves, _) in enumerate(crossed):
+        if leaves:
+            groups.setdefault(tuple(map(id, leaves)), (leaves, []))[1].append(i)
+    for leaves, idx in groups.values():
+        if hyp:
+            out[idx] = bd.apply_psl2c(cocycle_fold(leaves, 1j), out[idx])
+        else:
+            pair = [cocycle_fold(leaves, c) for c in (1.0, -1.0)]
+            out[idx] = iso.ads_act(pair, out[idx])
     return out
 
 

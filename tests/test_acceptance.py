@@ -78,8 +78,8 @@ class TestCriterion1CocycleAlgebra:
 
             def cocycles(leaves):
                 return (eq.quake_cocycle(leaves, eq.LEFT),
-                        bd.bend_cocycle_hyp_from_lifts(leaves),
-                        *bd.bend_cocycle_ads_from_lifts(leaves))
+                        eq.cocycle_product(leaves, (1j,))[0],
+                        *eq.cocycle_product(leaves, (1.0, -1.0)))
 
             n_done = 0
             while n_done < 150:

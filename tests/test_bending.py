@@ -62,7 +62,7 @@ class TestHypCocycle:
     def test_identity_at_coincident_points(self, ctx_hyp):
         ctx, _ = ctx_hyp
         x = 0.9 + 1.3j
-        b = bd.bend_cocycle_hyp_from_lifts(crossed(ctx, x, x))
+        b = eq.cocycle_product(crossed(ctx, x, x), (1j,))[0]
         assert iso.proj_equal(b, np.eye(2, dtype=complex), tol=1e-12)
 
     def test_single_leaf_half_weight_on_leaf(self):
@@ -76,7 +76,7 @@ class TestHypCocycle:
         for seg in ((on, off), (off, on)):
             leaves, _ = fam.crossings(*seg, on_leaf="include")
             assert [l.weight for l in leaves] == [0.4]
-            b = bd.bend_cocycle_hyp_from_lifts(leaves)
+            b = eq.cocycle_product(leaves, (1j,))[0]
             expected = iso.expm2(
                 0.4j * leaves[0].geodesic.displacement_generator())
             assert iso.proj_equal(b, expected, tol=1e-12)
@@ -86,9 +86,9 @@ class TestHypCocycle:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x, y, z = (random_h2(rng) for _ in range(3))
-            bxy = bd.bend_cocycle_hyp_from_lifts(crossed(ctx, x, y))
-            byz = bd.bend_cocycle_hyp_from_lifts(crossed(ctx, y, z))
-            bxz = bd.bend_cocycle_hyp_from_lifts(crossed(ctx, x, z))
+            bxy = eq.cocycle_product(crossed(ctx, x, y), (1j,))[0]
+            byz = eq.cocycle_product(crossed(ctx, y, z), (1j,))[0]
+            bxz = eq.cocycle_product(crossed(ctx, x, z), (1j,))[0]
             assert iso.proj_equal(bxy @ byz, bxz, tol=1e-9)
 
     def test_stratum_constancy(self, ctx_hyp):
@@ -97,8 +97,8 @@ class TestHypCocycle:
         # nearby points in the same stratum (no leaf between them)
         y1, y2 = x + 0.001, x + 0.001j
         if not ctx.family.crossings(y1, y2)[0]:
-            b1 = bd.bend_cocycle_hyp_from_lifts(crossed(ctx, x, y1))
-            b2 = bd.bend_cocycle_hyp_from_lifts(crossed(ctx, x, y2))
+            b1 = eq.cocycle_product(crossed(ctx, x, y1), (1j,))[0]
+            b2 = eq.cocycle_product(crossed(ctx, x, y2), (1j,))[0]
             assert iso.proj_equal(b1, b2, tol=1e-10)
 
     def test_equivariance(self, ctx_hyp):
@@ -108,8 +108,8 @@ class TestHypCocycle:
         for _ in range(50):
             x, y = random_h2(rng), random_h2(rng)
             gx, gy = iso.apply_h2(g, x), iso.apply_h2(g, y)
-            lhs = bd.bend_cocycle_hyp_from_lifts(crossed(ctx, gx, gy))
-            rhs = g @ bd.bend_cocycle_hyp_from_lifts(crossed(ctx, x, y)) \
+            lhs = eq.cocycle_product(crossed(ctx, gx, gy), (1j,))[0]
+            rhs = g @ eq.cocycle_product(crossed(ctx, x, y), (1j,))[0] \
                 @ iso.inv(g)
             assert iso.proj_equal(lhs, rhs, tol=1e-8)
 
@@ -179,7 +179,7 @@ class TestAdsCocycle:
     def test_identity_pair(self, ctx_hyp):
         ctx, _ = ctx_hyp
         x = 0.9 + 1.3j
-        bl, br = bd.bend_cocycle_ads_from_lifts(crossed(ctx, x, x))
+        bl, br = eq.cocycle_product(crossed(ctx, x, x), (1.0, -1.0))
         assert iso.is_identity(bl) and iso.is_identity(br)
 
     def test_single_leaf_is_positive_rotation(self):
@@ -187,7 +187,7 @@ class TestAdsCocycle:
         # rotation by parameter a/2, i.e. by angle a
         geo = iso.Geodesic(0.0, iso.INF)
         leaf = lm.WeightedGeodesic(geo, 0.9)
-        pair = bd.bend_cocycle_ads_from_lifts([leaf])
+        pair = tuple(eq.cocycle_product([leaf], (1.0, -1.0)))
         rot = oracles.positive_rotation(oracles.reversed_geodesic(geo), 0.45)
         assert iso.proj_equal(pair[0], rot[0], tol=1e-12)
         assert iso.proj_equal(pair[1], rot[1], tol=1e-12)
@@ -200,8 +200,8 @@ class TestAdsCocycle:
         leaves = [lm.WeightedGeodesic(iso.Geodesic(0.0, iso.INF), 0.5),
                   lm.WeightedGeodesic(iso.Geodesic(-3.0, -1.0), 0.3)]
         neg = [lm.WeightedGeodesic(l.geodesic, -l.weight) for l in leaves]
-        pl, pr = bd.bend_cocycle_ads_from_lifts(leaves)
-        nl, nr = bd.bend_cocycle_ads_from_lifts(neg)
+        pl, pr = eq.cocycle_product(leaves, (1.0, -1.0))
+        nl, nr = eq.cocycle_product(neg, (1.0, -1.0))
         assert iso.proj_equal(pl, nr, tol=1e-12)
         assert iso.proj_equal(pr, nl, tol=1e-12)
 
@@ -215,7 +215,7 @@ class TestAdsCocycle:
             mass = sum(l.weight for l in leaves)
             if mass == 0:
                 continue
-            _, bp = bd.bend_cocycle_ads_from_lifts(leaves)
+            _, bp = eq.cocycle_product(leaves, (1.0, -1.0))
             k = iso.classify(bp)
             assert k.kind == "hyperbolic"
             assert k.translation_length >= mass - 1e-9
@@ -228,7 +228,7 @@ class TestAdsCocycle:
             x, y, z = (random_h2(rng) for _ in range(3))
             for comp in (0, 1):
                 bxy, byz, bxz = (
-                    bd.bend_cocycle_ads_from_lifts(crossed(ctx, a, b))[comp]
+                    eq.cocycle_product(crossed(ctx, a, b), (1.0, -1.0))[comp]
                     for a, b in ((x, y), (y, z), (x, z)))
                 assert iso.proj_equal(bxy @ byz, bxz, tol=1e-9)
 
@@ -329,8 +329,8 @@ class TestCocycleLawOnLift:
     @staticmethod
     def cocycles(leaves):
         return (eq.quake_cocycle(leaves, eq.LEFT),
-                bd.bend_cocycle_hyp_from_lifts(leaves),
-                *bd.bend_cocycle_ads_from_lifts(leaves))
+                eq.cocycle_product(leaves, (1j,))[0],
+                *eq.cocycle_product(leaves, (1.0, -1.0)))
 
     @staticmethod
     def residual(a, b):
@@ -450,13 +450,11 @@ class TestPiecewiseIsometricBendMap:
         # the points each cocycle is applied to, found by their rows in
         # the inclusion, against the crossed points of crossing_groups
         hyp = target == bd.HYPERBOLIC
-        cocycle = ("bend_cocycle_hyp_from_lifts" if hyp
-                   else "bend_cocycle_ads_from_lifts")
         owner, act = (bd, "apply_psl2c") if hyp else (iso, "ads_act")
-        build, apply = getattr(bd, cocycle), getattr(owner, act)
+        build, apply = eq.cocycle_products, getattr(owner, act)
         keys, rows = [], []
-        monkeypatch.setattr(bd, cocycle, lambda leaves: keys.append(leaves)
-                            or build(leaves))
+        monkeypatch.setattr(eq, "cocycle_products", lambda sequences, c:
+                            keys.extend(sequences) or build(sequences, c))
         monkeypatch.setattr(owner, act, lambda b, v: rows.append(
             [r.tobytes() for r in v]) or apply(b, v))
         zs = grid(12)
@@ -477,6 +475,79 @@ class TestPiecewiseIsometricBendMap:
         ref = oracles.bend_points_per_vertex(scenario_ctx[target], zs, target)
         assert pts.shape == (len(zs),) + ref[0].shape
         assert np.max(np.abs(pts - np.array(ref))) <= 1e-14
+
+
+def seeded_tori(seed):
+    """An FN and a shear once-punctured torus with their laminations, and
+    a 14 x 14 grid, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    fn = teich.FNPoint((rng.uniform(0.6, 2.0),), (rng.uniform(0.8, 2.4),),
+                       (rng.uniform(-0.5, 0.5),))
+    sp = teich.ShearPoint(teich.IdealTriangulation.once_punctured_torus(),
+                          tuple(rng.uniform(-0.6, -0.1, 3)))
+    tori = [(fn, lm.MultiCurveLam((rng.uniform(0.1, 0.9),)), PD),
+            (sp, lm.TriangulationLam.from_shear(
+                sp, tuple(rng.uniform(0.05, 0.6, 3))), None)]
+    cx, half = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 1.6)
+    y0, y1 = rng.uniform(0.25, 0.5), rng.uniform(1.8, 2.6)
+    zs = [complex(x, y) for y in np.linspace(y0, y1, 14)
+          for x in np.linspace(cx - half, cx + half, 14)]
+    return tori, zs
+
+
+def bend_cases():
+    """(point, lamination, pd, grid) of the 4 scenarios on the 14 x 14
+    grid and of the tori of three seeds."""
+    for name in SCENARIO_NAMES:
+        data = scenario.load(SCENARIOS / f"{name}.json")
+        point, pd = scenario.surface_point(data)
+        yield point, scenario.lamination(data, point), pd, grid(14)
+    for seed in (7, 11, 12):
+        tori, zs = seeded_tori(seed)
+        for point, lam, pd in tori:
+            yield point, lam, pd, zs
+
+
+class TestOneQuery:
+    """`bend_points` checks the base point in its one crossings query and
+    builds each crossed prefix once, with the streams of the per-group
+    form."""
+
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_bytes_of_the_per_group_form(self, target):
+        cases = 0
+        for point, lam, pd, zs in bend_cases():
+            # the context `bend` builds, realized between the grid points
+            ctx, _ = bd.make_context(point, lam, depth=8, target=target,
+                                     pd=pd, reach=zs)
+            got = bd.bend_points(ctx, zs)
+            assert got.tobytes() == \
+                oracles.bend_points_per_group(ctx, zs).tobytes()
+            cases += 1
+        assert cases == 10
+
+    @pytest.mark.parametrize("target,coefficients",
+                             [(bd.HYPERBOLIC, 1), (bd.ADS, 2)])
+    def test_one_query_and_one_factor_per_prefix(self, target, coefficients,
+                                                  monkeypatch):
+        queries, factors = [], []
+        crossings, expm2 = lm._crossings, iso.expm2
+        monkeypatch.setattr(lm, "_crossings", lambda *a: queries.append(a)
+                            or crossings(*a))
+        monkeypatch.setattr(iso, "expm2", lambda a: factors.append(a)
+                            or expm2(a))
+        for point, lam, pd, zs in bend_cases():
+            queries.clear()
+            factors.clear()
+            ctx, _ = bd.make_context(point, lam, depth=8, target=target,
+                                     pd=pd, reach=zs)
+            bd.bend_points(ctx, zs)
+            assert len(queries) == 1
+            sequences = crossing_groups(ctx, zs)
+            prefixes = {leaves[:k] for leaves in sequences
+                        for k in range(1, len(leaves) + 1)}
+            assert len(prefixes) > 1
+            assert len(factors) == len(prefixes) * coefficients
 
 
 def test_equal_leaves_are_one_object():

@@ -11,6 +11,7 @@ family in test_lamination.py.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ def ref_hyp(point, lam, depth, pd):
         y = iso.apply_h2(m, X0)
         leaves, ok = fam.crossings(X0, y, on_leaf="include")
         converged = converged and ok
-        b = bd.bend_cocycle_hyp_from_lifts(leaves)
+        b = eq.cocycle_product(leaves, (1j,))[0]
         return iso.normalize(b @ m.astype(complex))
 
     out = h.map(deform)
@@ -96,7 +97,7 @@ def ref_ads(point, lam, depth, pd):
         y = iso.apply_h2(m, X0)
         leaves, ok = fam.crossings(X0, y, on_leaf="include")
         converged = converged and ok
-        bl, br = bd.bend_cocycle_ads_from_lifts(leaves)
+        bl, br = eq.cocycle_product(leaves, (1.0, -1.0))
         return iso.normalize(bl @ m), iso.normalize(br @ m)
 
     pairs = {name: deform(m) for name, m in h.alphabet.items()}
@@ -181,7 +182,7 @@ def test_pass_matches_reference_loops(surface, depth):
         assert same_bits(letters, want)
 
 
-def test_base_point_on_leaf_raises(monkeypatch, tmp_path):
+def test_base_point_on_leaf_raises(monkeypatch, tmp_path, capsys):
     fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
     lam = lm.MultiCurveLam((0.5,))
     h = teich.holonomy_from_fn(PD, fn)
@@ -203,6 +204,26 @@ def test_base_point_on_leaf_raises(monkeypatch, tmp_path):
         "fn": {"l": [1.0, 2.0], "t": [0.3]},
         "lamination": {"family": "multicurve", "weights": [0.5]}}))
     assert cli.main(["quake", str(path), "--depth", "6"]) == cli.EXIT_DOMAIN
+    capsys.readouterr()
+    # bend, to both targets, on the z0 axis and on each placed edge of
+    # torus_flow: edges 0 (0, oo) and 1 (oo, -1) run vertically through
+    # the base point, along the segment to x0 + 1e-3i
+    flow = SCENARIOS / "torus_flow.json"
+    point, _ = scenario.surface_point(scenario.load(flow))
+    edges = teich.holonomy_of(point).meta["triangle_charts"].geodesics
+    cases = [(path, on_leaf)] + [
+        (flow, iso.apply_h2(edges[k].map_from_standard(), 1.03j))
+        for k in range(3)]
+    for scen, x0 in cases:
+        monkeypatch.setattr(eq, "BASE_POINT", x0)
+        for target in (bd.HYPERBOLIC, bd.ADS):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["bend", str(scen), "--target", target])
+            out, err = capsys.readouterr()
+            assert (code, out, caught) == (cli.EXIT_DOMAIN, "", [])
+            assert err == ("domain error: a segment endpoint lies on a "
+                           "weighted leaf\n")
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,11 @@ class TestDistanceIndex:
                     fam.crossings(*seg)
                 with pytest.raises(lm.BasePointOnLeafError):
                     crossings_scan(fam, *seg)
+            # on_leaf='end' refuses a leaf through the start only
+            with pytest.raises(lm.BasePointOnLeafError):
+                fam.crossings(on, y, on_leaf="end")
+            assert fam.crossings(x, on, on_leaf="end") == \
+                crossings_scan(fam, x, on, on_leaf="include")
 
     def test_index_prunes(self):
         fam, _ = seeded_family("fn", 8, seed=8)
