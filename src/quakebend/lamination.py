@@ -305,7 +305,11 @@ def _crossings(x, ys, on_leaf, candidates):
     pairs, end vectors as (2, P) arrays, that `candidates(x, y)` yields
     for the y apart from x.  A pair that `_frame_test` finds crossing
     is run with x on its left, at half weight at an end; a `deep` one
-    clears converged.  Equal crossed leaves are one object."""
+    clears converged.  Equal crossed leaves are one object.  An unknown
+    `on_leaf` raises StructureError."""
+    if on_leaf not in ("raise", "include", "end"):
+        raise StructureError("on_leaf must be 'raise', 'include' or 'end', "
+                             f"not {on_leaf!r}")
     ys = np.asarray(ys, dtype=complex).reshape(-1)
     leaves, converged = [[] for _ in ys], np.ones(len(ys), bool)
     seg = np.flatnonzero(np.abs(x - ys) >= 1e-14)
@@ -384,15 +388,16 @@ def limit_arcs(h: teich.Holonomy):
     the words up to ARC_SEED_DEPTH that begin with g, widened by
     ARC_WIDEN, and grows by the images g A_h until a pass moves no arc.
     A Moebius map keeps the cyclic order, so g [s, t] = [g s, g t] and
-    the check reads the arc ends only.  Letters off the
-    orientation-preserving group, an arc or image over a cut point,
-    arcs that together would cover the circle, or no fixed point after
-    ARC_PASSES refuse the certificate (a cusped surface, whose limit
-    set is the whole circle, is refused so).
+    the check reads the arc ends only: a pass maps the (2k, 2) array of
+    arc ends by every letter and takes each arc's hull with its images.
+    Letters off the orientation-preserving group, an arc or image over
+    a cut point, arcs that together would cover the circle, or no fixed
+    point after ARC_PASSES refuse the certificate (a cusped surface,
+    whose limit set is the whole circle, is refused so).
     """
     gens = h.letter_matrices()
     n = len(gens)
-    if not n or np.any(np.linalg.det(gens) <= 0):
+    if not n or np.any(iso.det(np.moveaxis(gens, 0, -1)) <= 0):
         return None
     rows = np.arange(n)
     # each level of `h.word_levels` lists the words that begin with g as
@@ -403,23 +408,23 @@ def limit_arcs(h: teich.Holonomy):
     att = _angle(_attracting(words))
     cut = att[rows ^ 1, 0]
     x = _offset(att, cut[:, None])
-    lo, hi = x.min(axis=1) - ARC_WIDEN, x.max(axis=1) + ARC_WIDEN
+    span = np.stack([x.min(1), x.max(1)], 1) + [-ARC_WIDEN, ARC_WIDEN]
     other = rows[None, :] != (rows[:, None] ^ 1)  # the pairs h != g^-1
     for _ in range(ARC_PASSES):
-        if (np.any(lo <= 0.0) or np.any(hi >= np.pi)
-                or np.sum(hi - lo) >= np.pi):
+        lo, hi = span.T
+        if (lo <= 0.0).any() or (hi >= np.pi).any() or (hi - lo).sum() >= np.pi:
             return None
-        ends = cut[:, None] + np.stack([lo, hi], 1)
+        ends = cut[:, None] + span
         arcs = np.stack([np.cos(ends), np.sin(ends)], -1)
         img = _offset(_angle(np.einsum("gij,hej->ghei", gens, arcs)),
                       cut[:, None, None])
-        if np.any(other & (img[..., 0] > img[..., 1])):
+        if (other & (img[..., 0] > img[..., 1])).any():
             return None
-        new_lo = np.minimum(lo, np.where(other, img[..., 0], np.pi).min(1))
-        new_hi = np.maximum(hi, np.where(other, img[..., 1], 0.0).max(1))
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+        img[rows, rows ^ 1] = span  # the pair (g, g^-1) is the arc itself
+        new = np.stack([img[..., 0].min(1), img[..., 1].max(1)], 1)
+        if (new == span).all():
             return arcs
-        lo, hi = new_lo, new_hi
+        span = new
     return None
 
 
@@ -486,12 +491,13 @@ class LiftFamily:
     that queries from the points of `reach` can cross.
 
     Enumerates the reduced words of the free generating set once with
-    `teich.Holonomy.word_levels` (the expensive part) and answers
-    segment-crossing queries cheaply, so cocycles along many segments
-    share one realization.  Leaves are indexed by canonical coset
-    representatives of their stabilizers (words not ending in the
-    stabilizing letter), so distinct entries are distinct geodesics and
-    every leaf is produced by its shortest word.  `sinh_dist` holds
+    `teich.Holonomy.word_levels` and answers segment-crossing queries
+    cheaply, so cocycles along many segments share one realization (a
+    reach family's `limit_arcs` certificate and per-level set-up cost
+    the most).  Leaves are indexed by canonical coset representatives
+    of their stabilizers (words not ending in the stabilizing letter),
+    so distinct entries are distinct geodesics and every leaf is
+    produced by its shortest word.  `sinh_dist` holds
     sinh d(i, leaf), so a query tests only the leaves near its segment.
 
     With `reach`, the points that the queries' segments join, the
@@ -535,22 +541,22 @@ class LiftFamily:
             if not len(block):
                 break
             words.append((block, bl))
-        ends_m, ends_p, ws, lv, keys = [], [], [], [], []
-        for (vm, vp), w, forbidden in leaves:
-            for level, (block, bl) in enumerate(words):
+        ends_m, ends_p, sizes = [], [], []
+        for (vm, vp), _, forbidden in leaves:
+            for block, bl in words:
                 if forbidden:
                     block = block[(bl != forbidden[0]) & (bl != forbidden[1])]
                 ends_m.append(block @ vm)
                 ends_p.append(block @ vp)
-                keys.append(_sinh_dist_from_i(ends_m[-1], ends_p[-1]))
-                ws.append(np.full(len(block), w))
-                lv.append(np.full(len(block), level))
+                sizes.append(len(block))
         del words, block, bl  # free the word stack before concatenating
         self.ends_minus = np.concatenate(ends_m)
         self.ends_plus = np.concatenate(ends_p)
-        self.weights = np.concatenate(ws)
-        self.levels = np.concatenate(lv)
-        self.sinh_dist = np.concatenate(keys)
+        del ends_m, ends_p  # the key is elementwise: one pass for all levels
+        self.sinh_dist = _sinh_dist_from_i(self.ends_minus, self.ends_plus)
+        sizes = np.reshape(sizes, (len(leaves), -1))
+        self.weights = np.repeat([w for _, w, _ in leaves], sizes.sum(1))
+        self.levels = np.repeat(np.indices(sizes.shape)[1], sizes.ravel())
 
     def crossings(self, x, y, on_leaf="raise"):
         """Leaves crossing [x, y], ordered along it, and the

@@ -355,20 +355,21 @@ def pants_matrices(l1, l2, l3):
     return c1, c2, c3
 
 
-def _axis_or_point(c):
-    """Axis of a hyperbolic element, or the ideal fixed point if parabolic."""
-    k = iso.classify(c)
+def _axis_or_point(k: iso.IsomClass):
+    """Axis (repelling to attracting) of a hyperbolic cuff of class k,
+    or the ideal fixed point of a parabolic one."""
     if k.kind == "hyperbolic":
-        return iso.axis(c)
+        att, rep = k.fixed_points
+        return iso.Geodesic(rep, att)
     if k.kind == "parabolic":
         return k.fixed_points[0]
     raise StructureError("pant cuff holonomy is neither hyperbolic nor parabolic")
 
 
-def _foot_height(axis: iso.Geodesic, target):
-    """Height h such that M(i h) is the foot on `axis` of the
+def _foot_height(m, target):
+    """Height h such that M(i h) is the foot on the axis M(0, oo) of the
     perpendicular toward `target` (a Geodesic or an ideal point)."""
-    minv = iso.inv(axis.map_from_standard())
+    minv = iso.inv(m)
     if isinstance(target, iso.Geodesic):
         u = iso.apply_boundary(minv, target.p_minus)
         v = iso.apply_boundary(minv, target.p_plus)
@@ -381,27 +382,20 @@ def _foot_height(axis: iso.Geodesic, target):
     return abs(u)
 
 
-def _cuff_frame(cuffs, k):
-    """Frame N with N^{-1} C_k N = A(l), pinned at the perpendicular
-    foot toward the cyclically next cuff."""
-    ax = iso.axis(cuffs[k])
-    target = _axis_or_point(cuffs[(k + 1) % 3])
-    h = _foot_height(ax, target)
-    return ax.map_from_standard() @ _a_mat(math.log(h))
-
-
-def _pant_side_check(cuffs):
-    # pant interior must sit on the right of each translation direction
-    axes = [_axis_or_point(c) for c in cuffs]
-    for i, ax in enumerate(axes):
-        if not isinstance(ax, iso.Geodesic):
-            continue
-        for j, other in enumerate(axes):
-            if i == j or not isinstance(other, iso.Geodesic):
-                continue
-            z = iso.apply_h2(other.map_from_standard(), 1j)
-            if ax.side(z) >= 0:
-                raise StructureError("pant normal form lost its chirality")
+def _pant_frames(axes):
+    """Frames of a pant's cuffs from their `_axis_or_point`s: N with
+    N^{-1} C_k N = A(l_k) and N(i) at the foot of the perpendicular
+    toward the next cuff, None at a cusp.  Each axis's map M from (0, oo)
+    is taken once; the pant interior lies on the right of every axis, so
+    each foot M(i) must lie on the right of the other axes."""
+    maps = [ax.map_from_standard() if isinstance(ax, iso.Geodesic) else None
+            for ax in axes]
+    feet = [(k, iso.apply_h2(m, 1j)) for k, m in enumerate(maps) if m is not None]
+    if any(axes[i].side(z) >= 0 for i, _ in feet for j, z in feet if j != i):
+        raise StructureError("pant normal form lost its chirality")
+    return [None if m is None
+            else m @ _a_mat(math.log(_foot_height(m, axes[(k + 1) % 3])))
+            for k, m in enumerate(maps)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +564,8 @@ def _curve_length(pd, fn, pant, slot):
 def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
     """Holonomy of F(l, t): normalized pants glued along the interior
     curves with the stated twist convention, on the surfaces
-    `FNPoint.check` accepts."""
+    `FNPoint.check` accepts.  Each cuff is classified once, for the
+    too-short check and for its axis, which `_pant_frames` maps once."""
     fn.check(pd)
 
     local_cuffs = []
@@ -578,16 +573,15 @@ def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
     for p in range(pd.num_pants):
         ls = [_curve_length(pd, fn, p, k) for k in range(3)]
         cuffs = pants_matrices(*ls)
+        kinds = [iso.classify(c) for c in cuffs]
         # a length just above MIN_BOUNDARY can still round to a cuff with
         # |tr| - 2 under iso.TAU_CLASS
         for k in range(3):
-            if ls[k] > 0 and iso.classify(cuffs[k]).kind != "hyperbolic":
+            if ls[k] > 0 and kinds[k].kind != "hyperbolic":
                 raise _too_short("boundary" if pd.slot_curve(p, k)[0] == "C"
                                  else "interior curve")
-        _pant_side_check(cuffs)
         local_cuffs.append(cuffs)
-        frames.append([_cuff_frame(cuffs, k) if ls[k] > 0 else None
-                       for k in range(3)])
+        frames.append(_pant_frames([_axis_or_point(c) for c in kinds]))
 
     def edge_transition(j, src, dst):
         t = fn.twists[j]

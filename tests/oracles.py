@@ -36,6 +36,12 @@ calls, kept next to the tests that compare the package against them:
   cylinders sampled per first letter and the arc containments of the
   certificate `lamination.limit_arcs`, in the circle coordinate of
   `blackhole.circle_angle` rather than the certificate's own;
+* `limit_arcs_reference`, the pass loop of `lamination.limit_arcs`
+  with separate start and end arrays, which one (2k, 2) span array
+  replaced;
+* `pant_frames_reference`, the cuff frames of a pant with each cuff
+  classified and each axis mapped from (0, oo) anew at every use,
+  which `teich._pant_frames` replaced;
 * `regular_domain_direct`, the sampled regular-domain membership with
   s(x) found at every orbit point by its own crossings query, which
   the affine words of `spacetime.regular_domain_contains` replaced,
@@ -64,7 +70,7 @@ from quakebend import isometry as iso
 from quakebend import lamination as lm
 from quakebend import spacetime as sp
 from quakebend import teich
-from quakebend.errors import DomainError
+from quakebend.errors import DomainError, StructureError
 
 
 def causal_type_grid(p, q, tol=iso.TAU_CLASS, samples=720):
@@ -441,6 +447,95 @@ def arcs_invariant(arcs, gens, tol=1e-12):
             if not arc_holds(circle_arc(arcs[g]), image, tol):
                 return False
     return True
+
+
+def limit_arcs_reference(h):
+    """`lamination.limit_arcs` as its pass loop was first written: the
+    letters' determinants from `np.linalg.det`, and the arc starts and
+    ends in separate arrays, each grown and compared on its own."""
+    gens = h.letter_matrices()
+    n = len(gens)
+    if not n or np.any(np.linalg.det(gens) <= 0):
+        return None
+    rows = np.arange(n)
+    seed = list(h.word_levels(lm.ARC_SEED_DEPTH))[1:]
+    words = np.concatenate([m.reshape(n, -1, 2, 2) for m, _ in seed], 1)
+    att = lm._angle(lm._attracting(words))
+    cut = att[rows ^ 1, 0]
+    x = lm._offset(att, cut[:, None])
+    lo, hi = x.min(axis=1) - lm.ARC_WIDEN, x.max(axis=1) + lm.ARC_WIDEN
+    other = rows[None, :] != (rows[:, None] ^ 1)
+    for _ in range(lm.ARC_PASSES):
+        if (np.any(lo <= 0.0) or np.any(hi >= np.pi)
+                or np.sum(hi - lo) >= np.pi):
+            return None
+        ends = cut[:, None] + np.stack([lo, hi], 1)
+        arcs = np.stack([np.cos(ends), np.sin(ends)], -1)
+        img = lm._offset(lm._angle(np.einsum("gij,hej->ghei", gens, arcs)),
+                         cut[:, None, None])
+        if np.any(other & (img[..., 0] > img[..., 1])):
+            return None
+        new_lo = np.minimum(lo, np.where(other, img[..., 0], np.pi).min(1))
+        new_hi = np.maximum(hi, np.where(other, img[..., 1], 0.0).max(1))
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            return arcs
+        lo, hi = new_lo, new_hi
+    return None
+
+
+# -- cuff frames of a pant, one classification per use -----------------------
+
+def _axis_or_point(c):
+    """Axis of a hyperbolic cuff matrix, or its ideal fixed point if
+    parabolic, classifying it anew."""
+    k = iso.classify(c)
+    if k.kind == "hyperbolic":
+        return iso.axis(c)
+    if k.kind == "parabolic":
+        return k.fixed_points[0]
+    raise StructureError("pant cuff holonomy is neither hyperbolic nor parabolic")
+
+
+def pant_frames_reference(cuffs, lengths):
+    """The frames of `teich._pant_frames` for a pant's cuff matrices and
+    lengths, as first written: the chirality check and each frame take
+    the axes from `iso.axis` and `_axis_or_point` and their
+    `map_from_standard` at each use."""
+    axes = [_axis_or_point(c) for c in cuffs]
+    for i, ax in enumerate(axes):
+        if not isinstance(ax, iso.Geodesic):
+            continue
+        for j, other in enumerate(axes):
+            if i == j or not isinstance(other, iso.Geodesic):
+                continue
+            z = iso.apply_h2(other.map_from_standard(), 1j)
+            if ax.side(z) >= 0:
+                raise StructureError("pant normal form lost its chirality")
+    frames = []
+    for k, length in enumerate(lengths):
+        if length <= 0:
+            frames.append(None)
+            continue
+        ax = iso.axis(cuffs[k])
+        frames.append(ax.map_from_standard() @ teich._a_mat(math.log(
+            _foot_height(ax, _axis_or_point(cuffs[(k + 1) % 3])))))
+    return frames
+
+
+def _foot_height(axis, target):
+    """Height h such that M(i h), M = axis.map_from_standard(), is the
+    foot on `axis` of the perpendicular toward `target`."""
+    minv = iso.inv(axis.map_from_standard())
+    if isinstance(target, iso.Geodesic):
+        u = iso.apply_boundary(minv, target.p_minus)
+        v = iso.apply_boundary(minv, target.p_plus)
+        if u == iso.INF or v == iso.INF or u * v <= 0:
+            raise StructureError("cuff axes are not disjoint")
+        return math.sqrt(u * v)
+    u = iso.apply_boundary(minv, target)
+    if u == iso.INF or u == 0.0:
+        raise StructureError("ideal point lies on the cuff axis")
+    return abs(u)
 
 
 # -- lift-family rows from every word level ----------------------------------

@@ -164,6 +164,22 @@ class TestRealizeLifts:
         with pytest.raises(lm.BasePointOnLeafError):
             lm.LiftFamily(lam, self.h, depth=6).crossings(x_on, far)
 
+    def test_misspelt_on_leaf_is_refused(self):
+        # the far end is on the z0 axis, where 'end' gives the leaf at
+        # half weight; a misspelt value is refused before any candidate
+        # block is drawn
+        fam = lm.LiftFamily(lm.MultiCurveLam((0.8,)), self.h, depth=6)
+        frame = iso.axis(self.h.curve("z0")).map_from_standard()
+        on = iso.apply_h2(frame, 1j)
+        off = iso.apply_h2(frame, complex(math.cos(1.1), math.sin(1.1)))
+        assert [l.weight for l in fam.crossings(off, on, on_leaf="end")[0]] \
+            == [0.4]
+        fam._candidates = lambda x, y: pytest.fail("candidates drawn")
+        for y in (on, off):
+            with pytest.raises(StructureError,
+                               match="'raise', 'include' or 'end'"):
+                fam.crossings(off, y, on_leaf="rasie")
+
     def test_triangulation_family_peripheral_mass(self):
         # a peripheral loop pushed into the collar on the interior side
         # crosses each spiraling leaf end exactly once per period
@@ -727,6 +743,25 @@ class TestLimitArcs:
                                                        letter_orbit(h))
         assert np.array_equal(bits(fam.ends_plus), bits(full.ends_plus))
 
+    def test_bits_of_the_reference_loop(self):
+        # the (2k, 2) span loop against the loop with separate start and
+        # end arrays: equal bits, or None on both sides (the cusped torus)
+        surfaces = [scenario_surface(name)[1] for name in SCENARIOS]
+        rng = np.random.default_rng(29)
+        surfaces += [seeded_surface("fn", rng)[1] for _ in range(20)]
+        pd = teich.PantDecomposition.once_punctured_torus()
+        surfaces.append(teich.holonomy_from_fn(
+            pd, teich.FNPoint((0.0,), (1.5,), (0.2,))))
+        refused = 0
+        for h in surfaces:
+            got, want = lm.limit_arcs(h), oracles.limit_arcs_reference(h)
+            if want is None:
+                assert got is None
+                refused += 1
+            else:
+                assert np.array_equal(bits(got), bits(want))
+        assert refused == 1
+
     @pytest.mark.parametrize("name", ["torus_flow", "sphere_shear"])
     def test_triangulation_leaves_fail_the_leaf_check(self, name):
         # each leaf has an end e and a letter u with u e outside A_u, so
@@ -847,6 +882,9 @@ class TestTriangleWalk:
         for lifts in (walk, fam):
             with pytest.raises(lm.BasePointOnLeafError):
                 lifts.crossings(x0, y)
+            with pytest.raises(StructureError,
+                               match="'raise', 'include' or 'end'"):
+                lifts.crossings(x0, y, on_leaf="rasie")
 
     def test_fallback_answers_as_the_family(self):
         # ROADMAP defect 1's Random(23) sphere: points of its 12 x 13

@@ -17,6 +17,8 @@ from quakebend.errors import DomainError, StructureError
 
 import oracles
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
 
 class TestPantsMatrices:
     def test_product_is_identity(self):
@@ -138,6 +140,63 @@ class TestFNHolonomy:
                 teich.boundary_length(h2, i), abs=1e-9)
         assert iso.translation_length(h1.curve("z0")) == pytest.approx(
             iso.translation_length(h2.curve("z0")), abs=1e-9)
+
+    def test_mirrored_pant_is_refused(self, monkeypatch):
+        # each cuff conjugated by diag(1, -1): the same traces, but the
+        # pant interior on the left of the cuff axes
+        flip, normal = np.diag([1.0, -1.0]), teich.pants_matrices
+        monkeypatch.setattr(teich, "pants_matrices", lambda *ls: tuple(
+            flip @ c @ flip for c in normal(*ls)))
+        pd = teich.PantDecomposition.once_punctured_torus()
+        with pytest.raises(StructureError, match="lost its chirality"):
+            teich.holonomy_from_fn(pd, teich.FNPoint((1.0,), (2.0,), (0.3,)))
+        # unmirrored, a cusp (a parabolic cuff, with no frame) passes
+        monkeypatch.undo()
+        h = teich.holonomy_from_fn(pd, teich.FNPoint((0.0,), (1.5,), (0.2,)))
+        assert iso.classify(h.peripheral_matrix(0)).kind == "parabolic"
+
+    @staticmethod
+    def fn_pants():
+        """(cuffs, lengths) of every pant of the FN scenarios, 20 seeded
+        tori, the cusped torus and the three- and four-punctured
+        spheres."""
+        cases = []
+        for name in ("torus_multicurve", "torus_two_boundary"):
+            data = scenario.load(str(SCENARIO_DIR / f"{name}.json"))
+            point, pd = scenario.surface_point(data)
+            cases.append((pd, point))
+        torus = teich.PantDecomposition.once_punctured_torus()
+        rng = np.random.default_rng(29)
+        cases += [(torus, teich.FNPoint((rng.uniform(0.6, 2.0),),
+                                        (rng.uniform(0.8, 2.4),),
+                                        (rng.uniform(-0.5, 0.5),)))
+                  for _ in range(20)]
+        cases += [(torus, teich.FNPoint((0.0,), (1.5,), (0.2,))),
+                  (oracles.pants_three_punctured_sphere(),
+                   teich.FNPoint((0.0, 0.0, 0.0), (), ())),
+                  (oracles.pants_four_punctured_sphere(),
+                   teich.FNPoint((0.0, 1.0, 0.5, 0.0), (1.5,), (-0.8,)))]
+        for pd, fn in cases:
+            for p in range(pd.num_pants):
+                ls = [teich._curve_length(pd, fn, p, k) for k in range(3)]
+                yield teich.pants_matrices(*ls), ls
+
+    def test_pant_frames_bits(self):
+        # one classification and one map per cuff against a fresh one
+        # at each use: the same frames, bit for bit, and None at a cusp
+        cusps = 0
+        for cuffs, ls in self.fn_pants():
+            got = teich._pant_frames(
+                [teich._axis_or_point(iso.classify(c)) for c in cuffs])
+            want = oracles.pant_frames_reference(cuffs, ls)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                cusps += g is None
+                assert g is None or np.array_equal(g.view(np.int64),
+                                                   w.view(np.int64))
+        # the cusped torus, two cusps of the four-punctured sphere and
+        # the three of the thrice-punctured sphere
+        assert cusps == 6
 
     def test_dimension_mismatch(self):
         pd = teich.PantDecomposition.once_punctured_torus()
