@@ -268,7 +268,7 @@ def btz_chart_metric(params: BTZParams):
     m, j = params.mass, params.angular_momentum
 
     def metric(x):
-        r = x[1]
+        r = float(x[1])
         if r <= 0:
             raise DomainError("the BTZ chart needs r > 0")
         f = btz_f(r, params)
@@ -276,9 +276,9 @@ def btz_chart_metric(params: BTZParams):
             # at the extremal double root the one horizon is r+
             name = "r+" if abs(r - params.r_plus) <= abs(r - params.r_minus) else "r-"
             raise CoordinateSingularityError(name)
-        return np.array([[m - r * r, 0.0, -j / 2.0],
-                         [0.0, 1.0 / f, 0.0],
-                         [-j / 2.0, 0.0, r * r]])
+        return np.array([m - r * r, 0.0, -j / 2.0,
+                         0.0, 1.0 / f, 0.0,
+                         -j / 2.0, 0.0, r * r]).reshape(3, 3)
 
     return metric
 

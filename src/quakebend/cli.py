@@ -284,38 +284,42 @@ def cmd_wick(args):
     grid = parse_grid(args.grid, ("T", "u", "zeta"))
     a0 = args.alpha0
     chart = sp.chart_metric("wick", a0)
-    # the records up to the first point that fails, and its exception
-    recs, images, fitted, error = [], [], {}, None
+    # the chart metrics never read u: each (T, zeta) column, keyed by its
+    # grid indices (the floats -0.0 and 0.0 are one dict key), is sampled
+    # and fitted once; the records up to the first point that fails, each
+    # with its column, and that point's exception
+    recs, images, metrics, fitted, error = [], [], {}, {}, None
     try:
-        for T in grid["T"]:
+        for i, T in enumerate(grid["T"]):
             for u in grid["u"]:
-                for z in grid["zeta"]:
+                for k, z in enumerate(grid["zeta"]):
                     p = sp.LocalPoint(float(T), float(u), float(z), a0)
-                    g = sp.wick_metric(p).components
+                    if (i, k) not in metrics:
+                        metrics[i, k] = sp.wick_metric(p).components.tolist()
+                        # the chart is only C^{1,1} on the seams: curvature
+                        # is reported away from them
+                        if min(abs(z), abs(z - a0 / T)) > 0.05:
+                            fitted[i, k] = (T, z, u)
                     images.append([float(c) for c in sp.wick_rotate(p)])
-                    recs.append({"T": float(T), "u": float(u),
-                                 "zeta": float(z), "image": images[-1],
-                                 "metric": [[float(c) for c in row]
-                                            for row in g]})
-                    # the chart is only C^{1,1} on the seams: curvature is
-                    # reported away from them
-                    if min(abs(z), abs(z - a0 / T)) > 0.05:
-                        fitted[len(recs) - 1] = (T, z, u)
+                    recs.append(((i, k), {
+                        "T": float(T), "u": float(u), "zeta": float(z),
+                        "image": images[-1], "metric": metrics[i, k]}))
     except Exception as exc:
         error = exc
     try:
         fits = dict(zip(fitted, cv.constant_curvature_fits(
             chart, list(fitted.values()))))
     except Exception:
-        # a stencil fails, say by leaving the domain: fit point by point,
-        # so that the records before the failing point go out and its
-        # exception is raised
-        fits = None
+        # a stencil fails, say by leaving the domain: fit column by column
+        # at first use, so that the records before the failing point go
+        # out and its exception is raised
+        fits = {}
     worst = 0.0
-    for i, rec in enumerate(recs):
-        if i in fitted:
-            kappa, _ = (cv.constant_curvature_fit(chart, fitted[i])
-                        if fits is None else fits[i])
+    for key, rec in recs:
+        if key in fitted:
+            if key not in fits:
+                fits[key] = cv.constant_curvature_fit(chart, fitted[key])
+            kappa, _ = fits[key]
             worst = max(worst, abs(kappa + 1.0))
             rec["curvature"] = float(kappa)
             rec["curvature_residual"] = float(abs(kappa + 1.0))

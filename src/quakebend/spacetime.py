@@ -76,8 +76,10 @@ class LocalPoint:
     alpha0: float = 1.0
 
     def __post_init__(self):
-        if self.T <= 0:
+        if not self.T > 0:
             raise DomainError("cosmological time must be positive")
+        if not (self.T < INF and abs(self.u) < INF and abs(self.zeta) < INF):
+            raise DomainError("the chart coordinates must be finite")
         if not (self.alpha0 > 0):
             raise DomainError("the model weight must be positive (inf allowed)")
 
@@ -96,8 +98,10 @@ def _symmetric(rows):
     off-diagonal pair in both orders, and each diagonal entry against
     itself, which refuses NaN."""
     (a, p, q), (d, b, r), (e, f, c) = rows
-    return (a == a and b == b and c == c and _close(p, d) and _close(d, p)
-            and _close(q, e) and _close(e, q) and _close(r, f) and _close(f, r))
+    return (a == a and b == b and c == c
+            and (p == d or (_close(p, d) and _close(d, p)))
+            and (q == e or (_close(q, e) and _close(e, q)))
+            and (r == f or (_close(r, f) and _close(f, r))))
 
 
 def _negative_count(rows):
@@ -227,6 +231,7 @@ _REGIMES = {1: _wing, 2: _band, 3: _rotated_wing}
 
 def _chart_point(kind, alpha0, T, z):
     """The `kind` metric at the point (T, z) of the model of weight alpha0."""
+    T, z = float(T), float(z)
     if T <= 0:
         raise DomainError("cosmological time must be positive")
     functions, signature = _RESCALINGS[kind]
@@ -235,10 +240,10 @@ def _chart_point(kind, alpha0, T, z):
     # alpha times every flat component, its zeros too, as the stack has it
     g01, zero = alpha * g01, alpha * 0.0
     return np.array([
-        [alpha * g00 + (alpha + beta if signature == "riemannian"
-                        else alpha - beta), g01, zero],
-        [g01, alpha * g11, zero],
-        [zero, zero, alpha * g22]])
+        alpha * g00 + (alpha + beta if signature == "riemannian"
+                       else alpha - beta), g01, zero,
+        g01, alpha * g11, zero,
+        zero, zero, alpha * g22]).reshape(3, 3)
 
 
 def _chart_stack(kind, alpha0, xs):
@@ -275,7 +280,9 @@ def chart_metric(kind, alpha0=1.0):
     (N, 3) ndarray of points the (N, 3, 3) stack, bitwise equal to the
     pointwise calls.  Only the domain checks of T run per call (that of
     alpha0 runs once, here); a stack out of the domain raises the error
-    of its first such row."""
+    of its first such row.  The metrics never read x[2] (u): the model
+    is invariant under translation along the leaf, so the value at
+    (T, zeta, u) is bitwise that at any other u."""
     if not (alpha0 > 0):
         raise DomainError("the model weight must be positive (inf allowed)")
 

@@ -51,6 +51,10 @@ calls, kept next to the tests that compare the package against them:
 * `affine_word`, a word of `spacetime.flat_holonomy`'s letter stack
   composed one letter at a time, as the per-letter affine holonomy did,
   rather than level by level through `word_levels`;
+* `wick_records_reference`, the records of `cli.cmd_wick` with one
+  metric sample and one curvature fit per grid point, and a fallback
+  fit per point, which the one sample and one fit per (T, zeta) column
+  replaced;
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
@@ -64,6 +68,7 @@ import numpy as np
 
 from quakebend import bending as bd
 from quakebend import blackhole as bh
+from quakebend import cli
 from quakebend import curvature as cv
 from quakebend import earthquake as eq
 from quakebend import isometry as iso
@@ -560,6 +565,57 @@ def lift_rows_every_level(lam, h, depth, cut):
             rows["levels"].append(np.full(len(block), level))
             rows["sinh_dist"].append(lm._sinh_dist_from_i(em, ep))
     return {name: np.concatenate(v) for name, v in rows.items()}
+
+
+# -- wick records point by point ---------------------------------------------
+
+def wick_records_reference(args):
+    """The records of `cli.cmd_wick` for the parsed `wick` arguments
+    args, each grid point sampled and fitted on its own: the records up
+    to the first point that fails, then its exception; if the one
+    stacked fit raises, each point is fitted alone as its record goes
+    out."""
+    grid = cli.parse_grid(args.grid, ("T", "u", "zeta"))
+    a0 = args.alpha0
+    chart = sp.chart_metric("wick", a0)
+    recs, images, fitted, error = [], [], {}, None
+    try:
+        for T in grid["T"]:
+            for u in grid["u"]:
+                for z in grid["zeta"]:
+                    p = sp.LocalPoint(float(T), float(u), float(z), a0)
+                    g = sp.wick_metric(p).components
+                    images.append([float(c) for c in sp.wick_rotate(p)])
+                    recs.append({"T": float(T), "u": float(u),
+                                 "zeta": float(z), "image": images[-1],
+                                 "metric": [[float(c) for c in row]
+                                            for row in g]})
+                    if min(abs(z), abs(z - a0 / T)) > 0.05:
+                        fitted[len(recs) - 1] = (T, z, u)
+    except Exception as exc:
+        error = exc
+    try:
+        fits = dict(zip(fitted, cv.constant_curvature_fits(
+            chart, list(fitted.values()))))
+    except Exception:
+        fits = None
+    worst = 0.0
+    for i, rec in enumerate(recs):
+        if i in fitted:
+            kappa, _ = (cv.constant_curvature_fit(chart, fitted[i])
+                        if fits is None else fits[i])
+            worst = max(worst, abs(kappa + 1.0))
+            rec["curvature"] = float(kappa)
+            rec["curvature_residual"] = float(abs(kappa + 1.0))
+        yield rec
+    if error is not None:
+        raise error
+    yield {"max_curvature_residual": worst}
+    if args.mesh_out:
+        nu, nz = len(grid["u"]), len(grid["zeta"])
+        cli.write_mesh(args.mesh_out, images[:nu * nz],
+                       cli.grid_faces(nu, nz))
+        yield {"mesh": args.mesh_out, "level": float(grid["T"][0])}
 
 
 # -- fixture surfaces ---------------------------------------------------------

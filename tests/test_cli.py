@@ -24,6 +24,8 @@ from quakebend import scenario
 from quakebend import teich
 from quakebend.errors import DomainError
 
+import oracles
+
 
 # a numpy overflow or invalid value on a CLI path fails the run
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -761,6 +763,76 @@ class TestWickErrorStreams:
         assert code == cli.EXIT_DOMAIN
         assert out == ""
         assert err == "domain error: cosmological time must be positive\n"
+
+
+def seeded_wick_grids(rng, n):
+    """n seeded `wick` argument lists: 1 to 4 values on each axis, the
+    bounds of an axis in either order, T above the stencils' reach of 1,
+    zeta over the wing, the band and the rotated wing."""
+    grids = []
+    for k in range(n):
+        bounds = {"T": rng.uniform(1.01, 3.0, 2).tolist(),
+                  "u": rng.uniform(-1.5, 1.5, 2).tolist(),
+                  "zeta": rng.uniform(-1.5, 2.5, 2).tolist()}
+        grid = ",".join(f"{axis}={lo!r}:{hi!r}:{rng.integers(1, 5)}"
+                        for axis, (lo, hi) in bounds.items())
+        grids.append(["wick", "--grid", grid,
+                      "--alpha0", ("1", "8", "inf", "0.5")[k % 4]])
+    return grids
+
+
+class TestWickColumns:
+    """`wick` samples and fits each (T, zeta) column once: its stream,
+    exit code and mesh are byte for byte those of every point sampled
+    and fitted on its own (`oracles.wick_records_reference`)."""
+
+    def streams(self, capsys, argv):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        args = cli.build_parser().parse_args(argv)
+        args.func = oracles.wick_records_reference
+        ref_code = cli._run(args)
+        return (code, out), (ref_code, capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", seeded_wick_grids(
+        np.random.default_rng(30), 30))
+    def test_seeded_grids(self, capsys, argv):
+        got, want = self.streams(capsys, argv)
+        assert got == want
+        assert got[0] == 0
+
+    @pytest.mark.parametrize("grid", [
+        # T = 0.5 fails after the records of T = 2 and 1.25
+        "T=2:0.5:3,u=-0.5:0.5:2,zeta=-0.6:1.2:3",
+        # every stencil reaches below T = 1: the stacked fit fails, and
+        # the fit of the second point's column raises after the first,
+        # on the seam, goes out
+        "T=1.0001:1.0001:1,u=-0.5:0.5:2,zeta=0:-0.8:2",
+    ])
+    def test_failing_grids(self, capsys, grid):
+        got, want = self.streams(capsys, ["wick", "--grid", grid])
+        assert got == want
+        assert got[0] == cli.EXIT_DOMAIN and got[1]
+
+    def test_signed_zero_columns(self, capsys):
+        # zeta = -0.0 and +0.0 are one dict key but two columns, whose
+        # metrics differ in the sign of g_{T zeta}
+        got, want = self.streams(
+            capsys, ["wick", "--grid", "T=1.5:2.5:2,u=0:1:2,zeta=0:-0:2"])
+        assert got == want
+        recs = [json.loads(line) for line in got[1].splitlines()[:-1]]
+        assert [math.copysign(1.0, r["metric"][0][1]) for r in recs] == \
+            [math.copysign(1.0, r["zeta"]) for r in recs] == [1.0, -1.0] * 4
+
+    def test_mesh(self, tmp_path, capsys):
+        argv = ["wick", "--grid", "T=1.5:2.5:2,u=0:1:3,zeta=-0.5:0.5:3"]
+        got, _ = self.streams(capsys, argv + ["--mesh-out",
+                                              str(tmp_path / "got.off")])
+        _, want = self.streams(capsys, argv + ["--mesh-out",
+                                               str(tmp_path / "want.off")])
+        assert got[0] == want[0] == 0
+        assert (tmp_path / "got.off").read_bytes() == \
+            (tmp_path / "want.off").read_bytes()
 
 
 class TestBendCommand:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from quakebend.errors import DomainError, StructureError
 
 import oracles
 
+GOLDEN = Path(__file__).parent / "golden"
 ETA3 = np.diag([-1.0, 1.0, 1.0])
 ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -196,6 +198,23 @@ class TestSampleChecks:
             public(pt(0.5 * (lo + hi), z, 0.3))
             assert checks[0] - before == 1
 
+    def test_wick_grid_samples_and_fits_each_column_once(
+            self, checks, monkeypatch, capsys):
+        # 3 T by 3 zeta columns, each off the seams, over 3 values of u
+        fits, stacked = [], cv.constant_curvature_fits
+
+        def counted(metric, xs):
+            fits.append(len(xs))
+            return stacked(metric, xs)
+        monkeypatch.setattr(cv, "constant_curvature_fits", counted)
+        # and no point is fitted on its own
+        monkeypatch.setattr(cv, "constant_curvature_fit", None)
+        assert cli.main(["wick", "--grid", WICK_GRID]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "wick-3x3x3.jsonl").read_text()
+        assert checks[0] == 9
+        assert fits == [9]
+
     def test_no_check_inside_fits(self, checks):
         for kind, (_, (lo, hi)) in CHARTS.items():
             cv.constant_curvature_fit(sp.chart_metric(kind),
@@ -349,6 +368,28 @@ def seeded_rows(rng, kind, a0, n):
     return np.concatenate([rows, seams])
 
 
+class TestLocalPointDomain:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("a0", [1.0, sp.INF])
+    def test_non_finite_coordinate_refused(self, a0, axis, value):
+        coords = [1.5, 0.1, 0.2]
+        coords[axis] = value
+        with pytest.raises(DomainError):
+            sp.LocalPoint(*coords, a0)
+
+    @pytest.mark.parametrize("T", [0.0, -0.5, -math.inf, math.nan])
+    def test_time_not_positive(self, T):
+        with pytest.raises(DomainError, match="must be positive"):
+            sp.LocalPoint(T, 0.1, 0.2)
+
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    def test_finite_point_in_every_weight(self, a0):
+        p = sp.LocalPoint(1.5, -3.0, 40.0, a0)
+        assert np.isfinite(sp.wick_rotate(p)).all()
+        assert sp.flat_metric(p).signature == "lorentzian"
+
+
 class TestStackedChartMetric:
     @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
     @pytest.mark.parametrize("kind", sorted(CHARTS))
@@ -364,6 +405,19 @@ class TestStackedChartMetric:
         assert bits(stack) == bits([chart(tuple(x.tolist())) for x in rows])
         regimes = {sp.regime(T, z, a0) for T, z, _ in rows}
         assert regimes == ({1, 2} if a0 == sp.INF else {1, 2, 3})
+
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    def test_never_reads_u(self, kind, a0):
+        # the model is invariant along the leaf, which `wick` relies on
+        # to sample and fit each (T, zeta) column once
+        rng = np.random.default_rng(43)
+        rows = seeded_rows(rng, kind, a0, 200)
+        moved = rows.copy()
+        moved[:, 2] = rng.uniform(-40.0, 40.0, len(rows))
+        chart = sp.chart_metric(kind, a0)
+        assert np.array_equal(chart(rows), chart(moved))
+        assert bits(chart(rows)) == bits(chart(moved))
 
     def test_squares_and_cosh_by_libm(self):
         # numpy's array x ** 2 (x * x) differs from pow on about 180 of
