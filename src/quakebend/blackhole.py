@@ -74,8 +74,10 @@ class Rectangle:
 class HorizonData:
     size: float
     momentum: float
-    # peripheral lengths come from traces of depth-d cocycle products:
-    # equal ones land ~1e-12 apart, so |momentum| <= 1e-9 size is zero
+    # on shear surfaces peripheral lengths come from traces of depth-d
+    # cocycle products, where equal ones land ~1e-12 apart; on FN
+    # surfaces from the holonomies of the quaked twists, ~1e-15 apart:
+    # |momentum| <= 1e-9 size is zero
     EXTREMAL_RTOL = 1e-9
 
     def __post_init__(self):

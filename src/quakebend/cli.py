@@ -344,8 +344,21 @@ def cmd_btz(args):
 
 
 def cmd_blackhole(args):
+    """Rectangles, horizon invariants and meridians of the AdS pair
+    (h_L, h_R).  On an FN surface the pair is exact: the quakes move only
+    the twists, to t +- w, so each side is the holonomy of its quaked
+    coordinates and `converged` is true; --depth bounds only the lift
+    family of a shear surface's cocycle pair (`bending.ads_holonomy`)."""
     data, point, pd, lam = _load_laminated(args)
-    hl, hr = bd.ads_holonomy(point, lam, depth=args.depth, pd=pd)
+    if args.depth < 1:
+        raise DomainError("depth must be >= 1")
+    if isinstance(point, teich.FNPoint):
+        hl, hr = (teich.holonomy_from_fn(
+            pd, eq.quake_coordinates(point, lam, side))
+            for side in (eq.LEFT, eq.RIGHT))
+        hl.meta["converged"] = True
+    else:
+        hl, hr = bd.ads_holonomy(point, lam, depth=args.depth, pd=pd)
     rects = []
     for i in range(len(hl.peripheral)):
         gl, gr = hl.peripheral_matrix(i), hr.peripheral_matrix(i)

@@ -12,7 +12,8 @@ Every `metric` argument is a callable from the coordinate point x (a
 float ndarray of length n) to the raw (n, n) ndarray of components, as
 `spacetime.chart_metric` gives; `constant_curvature_fit` calls it once
 per distinct stencil point (at most 157 in a 3-D fit), so it should
-check only its domain.  `constant_curvature_fits` fits many points from
+check only its domain; a non-finite point is refused with a DomainError
+before the first call.  `constant_curvature_fits` fits many points from
 one call on the (N, n) stack of all their stencil points, which needs a
 metric that also maps such a stack to the (N, n, n) one, as
 `chart_metric`'s does.  A DomainError the metric raises propagates.
@@ -22,7 +23,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from quakebend.errors import DomainError
+
 STEP = 1e-3
+
+
+def _finite_points(xs):
+    """xs as a float array, refused if any coordinate is not finite:
+    checked once, before any stencil is built."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise DomainError("a curvature fit needs finite points")
+    return xs
 
 
 def _neighbours(pts, h):
@@ -114,14 +126,14 @@ def _fits(gs):
 def constant_curvature_fit(metric, x):
     """(kappa, residual): least-squares constant-curvature coefficient
     and the relative misfit of the full Riemann tensor."""
-    return _fits(_evaluate(metric, x))[0]
+    return _fits(_evaluate(metric, _finite_points(x)))[0]
 
 
 def constant_curvature_fits(metric, xs):
     """[constant_curvature_fit(metric, x) for x in xs], bitwise, from one
     call of metric on the (N, n) stack of the points of all the
     stencils, repeats included."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _finite_points(xs)
     if not len(xs):
         return []
     pts = _stencils(xs)

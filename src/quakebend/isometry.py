@@ -36,6 +36,9 @@ INF = math.inf
 TAU_CLASS = 1e-9
 #: a tangent vector of X_{-1} is timelike when <v, v> < -TIMELIKE_TOL
 TIMELIKE_TOL = 1e-12
+#: bound on the rounding of (a - d)^2 + 4bc, relative to max|m|^2: the
+#: two products and the sum each round at about eps times 4 max|m|^2
+DISC_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def normalize(mat):
@@ -212,11 +215,14 @@ def classify(m, tol=TAU_CLASS):
     Hyperbolic iff |tr| > 2, parabolic iff |tr| = 2 (and not the
     identity), elliptic iff |tr| < 2, all at tolerance `tol`.  The
     elliptic rotation angle is reported unsigned as 2 arccos(|tr|/2) in
-    (0, pi].
+    (0, pi].  The determinant is checked at 1e-9 relative to the
+    square of the largest entry, the scale of its rounding.
     """
-    if abs(abs(det(m)) - 1.0) > 1e-9:
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    big = max(1.0, abs(a), abs(b), abs(c), abs(d))
+    if abs(abs(a * d - b * c) - 1.0) > 1e-9 * big * big:
         raise MalformedMatrixError("matrix is not normalized to det 1")
-    t = abs(tr(m))
+    t = abs(a + d)
     if t > 2.0 + tol:
         att, rep = fixed_points(m, _checked=False)
         return IsomClass("hyperbolic",
@@ -225,7 +231,6 @@ def classify(m, tol=TAU_CLASS):
     if t >= 2.0 - tol:
         if is_identity(m):
             return IsomClass("identity")
-        a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
         fp = INF if abs(c) < 1e-14 else (a - d) / (2.0 * c)
         return IsomClass("parabolic", fixed_points=(fp,))
     return IsomClass("elliptic", rotation_angle=2.0 * math.acos(t / 2.0))
@@ -250,7 +255,16 @@ def fixed_points(m, _checked=True):
         # one fixed point at infinity; attracting iff |a| > |d|
         other = b / (d - a)
         return (INF, other) if abs(a) > abs(d) else (other, INF)
-    disc = math.sqrt((a - d) ** 2 + 4.0 * b * c)
+    # (a - d)^2 + 4bc = tr^2 - 4 at unit determinant: a value not above
+    # its rounding bound, negative ones included, leaves no two fixed
+    # points to tell apart
+    disc2 = (a - d) ** 2 + 4.0 * b * c
+    big = max(abs(a), abs(b), abs(c), abs(d))
+    if not disc2 > DISC_ROUNDING * big * big:
+        raise DomainError("hyperbolic element too close to parabolic for "
+                          "its entries: the fixed points are lost to "
+                          "rounding")
+    disc = math.sqrt(disc2)
     r1 = (a - d + disc) / (2.0 * c)
     r2 = (a - d - disc) / (2.0 * c)
     # attracting fixed point has Moebius derivative 1/(c x + d)^2 < 1

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -994,7 +995,7 @@ class TestBlackholeCommand:
         assert all(r["converged"] for r in runs["1"] if "puncture" in r)
 
     def test_equal_lengths_are_extremal(self, tmp_path, capsys):
-        # puncture 1 has momentum ~1e-12, not 0.0: zero up to the
+        # puncture 1 has momentum ~3e-15, not 0.0: zero up to the
         # stated relative tolerance
         path = write_scenario(tmp_path, TWO_BOUNDARY_TORUS)
         code, recs = run(capsys, ["blackhole", path, "--depth", "6"])
@@ -1010,3 +1011,103 @@ class TestBlackholeCommand:
             warnings.simplefilter("error")
             code, _ = run(capsys, ["blackhole", path, "--depth", "6"])
         assert code == 0
+
+    def test_fn_surface_builds_no_lift_family(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the pair is the holonomy of the quaked twists: no cocycle, so no
+        # lift family, at any depth
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LiftFamily was built")
+        monkeypatch.setattr(lm.LiftFamily, "__init__", refuse)
+        for data in (TORUS_SCENARIO, TWO_BOUNDARY_TORUS):
+            path = write_scenario(tmp_path, data)
+            for depth in ("1", "8"):
+                code, recs = run(capsys, ["blackhole", path, "--depth", depth])
+                assert code == 0
+                assert all(r["converged"] for r in recs if "puncture" in r)
+
+    @pytest.mark.parametrize("seed", [None, *range(20)])
+    def test_fn_records_match_the_cocycle_pair(self, tmp_path, capsys, seed):
+        # torus_multicurve, then one-holed tori drawn over perfbench's
+        # ranges: boundary U(0.6, 2), interior U(0.8, 2.4), twist
+        # U(-0.5, 0.5), weight U(0.1, 0.9)
+        data = json.loads((SCENARIOS / "torus_multicurve.json").read_text())
+        if seed is not None:
+            rng = random.Random(seed)
+            data["fn"] = {"l": [rng.uniform(0.6, 2.0), rng.uniform(0.8, 2.4)],
+                          "t": [rng.uniform(-0.5, 0.5)]}
+            data["lamination"]["weights"] = [rng.uniform(0.1, 0.9)]
+        point, pd = scenario.surface_point(data)
+        hl, hr = bd.ads_holonomy(point, scenario.lamination(data, point),
+                                 depth=8, pd=pd)
+        code, recs = run(capsys, ["blackhole", write_scenario(tmp_path, data)])
+        assert code == 0
+        punct = [r for r in recs if "puncture" in r]
+        arcs = next(r["arcs"] for r in recs if r.get("meridian") == 0)
+        assert len(punct) == len(arcs) == len(hl.peripheral)
+        for i, (rec, arc) in enumerate(zip(punct, arcs)):
+            gl, gr = hl.peripheral_matrix(i), hr.peripheral_matrix(i)
+            d = bh.horizon_invariants(gl, gr)
+            assert rec["size"] == pytest.approx(d.size, rel=1e-9, abs=1e-9)
+            assert rec["momentum"] == pytest.approx(d.momentum, abs=1e-9)
+            want = bh.peripheral_rectangle(gl, gr, hl, hr).vertices
+            got = [iso.INF if v == "inf" else v
+                   for pair in arc["vertices"] for v in pair]
+            assert got == pytest.approx([v for pair in want for v in pair],
+                                        rel=1e-9, abs=1e-9)
+
+    def test_defect_four_surfaces_are_exact(self, tmp_path, capsys):
+        # ROADMAP defect 4's probe: random.Random(seed), seeds 0-99, four
+        # lengths 10^U(-1, 0.7), two twists U(-2, 2), two weights
+        # U(0.05, 1) on the pants of torus_two_boundary.json
+        for seed in range(100):
+            rng = random.Random(seed)
+            data = {**TWO_BOUNDARY_TORUS,
+                    "fn": {"l": [10 ** rng.uniform(-1, 0.7) for _ in range(4)],
+                           "t": [rng.uniform(-2, 2) for _ in range(2)]}}
+            data["lamination"] = {"family": "multicurve", "weights": [
+                rng.uniform(0.05, 1) for _ in range(2)]}
+            code, recs = run(capsys, ["blackhole", write_scenario(tmp_path,
+                                                                  data),
+                                      "--depth", "6"])
+            assert code == 0, seed
+            for r in recs:
+                if "puncture" in r:
+                    length = data["fn"]["l"][r["puncture"]]
+                    assert r["size"] == pytest.approx(length, rel=1e-5), seed
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    @pytest.mark.parametrize("name", ["torus_two_boundary", "sphere_shear"])
+    def test_depth_below_one_is_refused(self, capsys, name, depth):
+        code = cli.main(["blackhole", str(SCENARIOS / f"{name}.json"),
+                         "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "depth must be >= 1" in captured.err
+
+    # ROADMAP defect 5's surface with the weights of torus_two_boundary,
+    # and the two-boundary tori of random.Random(seed) (four lengths
+    # 10^U(-4, 1), two twists U(-10, 10), two weights U(0.05, 1)) on
+    # which a discriminant of iso.fixed_points rounds negative
+    @pytest.mark.parametrize("seed", [None, 10, 28, 39, 52, 81, 93, 98, 117,
+                                      138])
+    def test_rounded_discriminant_is_a_domain_error(self, tmp_path, capsys,
+                                                    seed):
+        if seed is None:
+            fn = {"l": [1.2553e-4, 0.019237, 0.0052293, 0.013881],
+                  "t": [-1.8891, -6.6078]}
+            weights = TWO_BOUNDARY_TORUS["lamination"]["weights"]
+        else:
+            rng = random.Random(seed)
+            fn = {"l": [10 ** rng.uniform(-4, 1) for _ in range(4)],
+                  "t": [rng.uniform(-10, 10) for _ in range(2)]}
+            weights = [rng.uniform(0.05, 1) for _ in range(2)]
+        data = {**TWO_BOUNDARY_TORUS, "fn": fn,
+                "lamination": {"family": "multicurve", "weights": weights}}
+        code = cli.main(["blackhole", write_scenario(tmp_path, data),
+                         "--depth", "6"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("domain error:")
+        assert "Traceback" not in err

@@ -68,8 +68,8 @@ def _cases():
     cases["torus_multicurve-bend-hyperbolic-default-grid"] = [
         "bend", path, "--target", "hyperbolic"]
     cases["wick-default-grid"] = ["wick"]
-    # depth 8: the rank-3 group of the two-boundary torus at its deepest
-    # blackhole run
+    # the rank-3 group of the two-boundary torus, whose exact AdS pair
+    # makes a stream that differs from depth 6 in the depth key alone
     path = str(ROOT / "scripts" / "scenarios" / "torus_two_boundary.json")
     cases["torus_two_boundary-blackhole-d8"] = ["blackhole", path, "--depth",
                                                 "8"]

@@ -61,6 +61,24 @@ class TestClassify:
         with pytest.raises(MalformedMatrixError):
             iso.classify(np.array([[2.0, 0.0], [0.0, 2.0]]))
 
+    def test_determinant_tolerance_scales_with_the_entries(self):
+        # ROADMAP defect 4's zp1 = C1 b1 C0 b1^-1, entries up to 5.5e3,
+        # one ulp off: its determinant rounds to 1 - 1.86e-9
+        g = np.array([[3083.0206370493866, 1724.4455830631423],
+                      [-5543.129857321733, -3100.473828794149]])
+        g[0, 0] = np.nextafter(g[0, 0], math.inf)
+        assert iso.det(g) - 1.0 == pytest.approx(-1.86e-9, rel=1e-2)
+        k = iso.classify(g)
+        assert k.kind == "hyperbolic"
+        assert k.translation_length == pytest.approx(5.7124474, abs=1e-6)
+
+    @pytest.mark.parametrize("m", [[[1.5, 0.0], [0.0, 1.0]],
+                                   [[1.0 + 1e-6, 0.0], [0.0, 1.0]],
+                                   [[1.0 + 1e-6, 0.5], [0.0, 1.0]]])
+    def test_determinant_off_at_unit_entries_rejected(self, m):
+        with pytest.raises(MalformedMatrixError):
+            iso.classify(np.array(m))
+
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -122,6 +140,28 @@ class TestFixedPoints:
     def test_wrong_class(self):
         with pytest.raises(WrongClassError):
             iso.fixed_points(np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    def test_discriminant_within_rounding_refused(self, scale):
+        # translation length 2e-3 (|tr| - 2 = 1e-6) conjugated to entries
+        # of about scale^2: tr^2 - 4 = 4e-6 is below the rounding of
+        # (a - d)^2 + 4bc, so no two fixed points can be told apart
+        h = np.array([[scale, scale - 1.0 / scale], [1.0, 1.0]])
+        h = h / math.sqrt(iso.det(h))
+        g = h @ np.diag([math.exp(1e-3), math.exp(-1e-3)]) @ iso.inv(h)
+        assert abs(iso.tr(g)) > 2.0 + iso.TAU_CLASS
+        with pytest.raises(DomainError, match="lost to rounding"):
+            iso.fixed_points(g)
+        with pytest.raises(DomainError, match="lost to rounding"):
+            iso.classify(g)
+
+    def test_short_axis_at_unit_scale_kept(self):
+        # the same element at entries of about 1 keeps its fixed points
+        g = np.diag([math.exp(1e-3), math.exp(-1e-3)])
+        h = iso.normalize([[2.0, 1.0], [1.0, 1.0]])
+        att, rep = iso.fixed_points(h @ g @ iso.inv(h))
+        assert att == pytest.approx(iso.apply_boundary(h, iso.INF), abs=1e-9)
+        assert rep == pytest.approx(iso.apply_boundary(h, 0.0), abs=1e-9)
 
 
 class TestAxis:

@@ -480,6 +480,27 @@ class TestStackedFits:
         assert calls == [(2 * 157, 3)]
 
 
+class TestFitDomain:
+    """A non-finite point is refused before the metric is evaluated, by
+    the pointwise and by the stacked fit."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_point_refused(self, axis, value):
+        calls = []
+
+        def recorded(xs):
+            calls.append(xs)
+            return sp.chart_metric("ads")(xs)
+        x = [1.5, 0.2, 0.3]
+        x[axis] = value
+        with pytest.raises(DomainError, match="finite points"):
+            cv.constant_curvature_fit(recorded, x)
+        with pytest.raises(DomainError, match="finite points"):
+            cv.constant_curvature_fits(recorded, [(1.3, 0.2, 0.3), x])
+        assert calls == []
+
+
 # the grids of the golden wick streams, and one whose second point's
 # stencil reaches below T = 1
 WICK_GRID = "T=1.2:2.8:3,u=-0.8:0.8:3,zeta=-0.9:1.3:3"
