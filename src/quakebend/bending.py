@@ -1,9 +1,10 @@
 """Bending cocycles: PSL(2, C)-valued for H3, PSL(2, R)^2-valued for AdS.
 
 Both are the quake module's ``cocycle_products`` of exp(c a D) over the
-leaves that the context's realization (``lamination.realize``: a
-``LiftFamily``, or the ``TriangleWalk`` of a triangulation lamination)
-finds crossing a segment, D the displacement generator of each leaf:
+leaves that the context's realization (``lamination.realize``: the
+``HexagonWalk`` of a multicurve, the ``TriangleWalk`` of a
+triangulation lamination, or a ``LiftFamily``) finds crossing a
+segment, D the displacement generator of each leaf:
 c = i for H3, the earthquake at imaginary weight (exp(i a D) rotates
 by angle a around the leaf), and the pair c = (+1, -1) for AdS, the
 left and right quake cocycles in one pass -- with leaves oriented per
@@ -81,7 +82,7 @@ class BendContext:
     """Realized lifts (`lamination.realize`) and target geometry of the
     bent maps from `earthquake.BASE_POINT`, which `bend_points` checks."""
 
-    family: lm.LiftFamily | lm.TriangleWalk
+    family: lm.LiftFamily | lm.TriangleWalk | lm.HexagonWalk
     target: str = HYPERBOLIC
 
     def __post_init__(self):

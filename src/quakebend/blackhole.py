@@ -264,12 +264,25 @@ def btz_f(r, params: BTZParams):
 
 
 def btz_chart_metric(params: BTZParams):
-    """The BTZ metric as a raw function x = (v, r, phi) -> (3, 3) ndarray
-    of Kerr-like components, the form the curvature oracle evaluates;
-    fails on the horizons."""
+    """The BTZ metric as a raw function, the form the curvature oracle
+    evaluates: a point x = (v, r, phi) gives the (3, 3) ndarray of
+    Kerr-like components, an (N, 3) ndarray of points the (N, 3, 3)
+    stack, bitwise equal to the pointwise calls.  It fails on the
+    horizons; a stack raises the error of its first row there."""
     m, j = params.mass, params.angular_momentum
 
     def metric(x):
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            r = x[:, 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = btz_f(r, params)
+            if not np.all((r > 0) & (np.abs(f) >= 1e-12)):
+                for row in x:
+                    metric(row)  # raises at the first row off the chart
+            g = np.zeros((len(x), 3, 3))
+            g[:, 0, 0], g[:, 1, 1], g[:, 2, 2] = m - r * r, 1.0 / f, r * r
+            g[:, 0, 2] = g[:, 2, 0] = -j / 2.0
+            return g
         r = float(x[1])
         if r <= 0:
             raise DomainError("the BTZ chart needs r > 0")

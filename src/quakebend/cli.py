@@ -216,13 +216,15 @@ def cmd_quake(args):
     data, point, pd, lam = _load_laminated(args)
     side = args.side
     if isinstance(point, teich.FNPoint):
+        # the quake moves only the twists: one set-up for both holonomies
         moved = eq.quake_coordinates(point, lam, side)
         coords = {"twists": list(moved.twists)}
+        h, h2 = teich.holonomies_from_fn(pd, [point, moved])
     else:
         moved = eq.quake_shear(point, lam, side)
         coords = {"shears": list(moved.shears)}
-    h2 = teich.holonomy_of(moved, pd)
-    hq = eq.quake_holonomy(point, lam, side, depth=args.depth, pd=pd)
+        h, h2 = teich.holonomy_of(point), teich.holonomy_of(moved)
+    hq = eq.quake_holonomy(point, lam, side, depth=args.depth, pd=pd, h=h)
     yield {"side": side, **coords}
     for name in h2.curve_names():
         tc = abs(float(iso.tr(h2.curve(name))))
@@ -353,9 +355,9 @@ def cmd_blackhole(args):
     if args.depth < 1:
         raise DomainError("depth must be >= 1")
     if isinstance(point, teich.FNPoint):
-        hl, hr = (teich.holonomy_from_fn(
-            pd, eq.quake_coordinates(point, lam, side))
-            for side in (eq.LEFT, eq.RIGHT))
+        hl, hr = teich.holonomies_from_fn(
+            pd, [eq.quake_coordinates(point, lam, side)
+                 for side in (eq.LEFT, eq.RIGHT)])
         hl.meta["converged"] = True
     else:
         hl, hr = bd.ads_holonomy(point, lam, depth=args.depth, pd=pd)
@@ -438,8 +440,8 @@ def _verify_btz():
     worst = 0.0
     for (rp, rm) in [(1.0, 0.0), (1.2, 0.4)]:
         params = bh.BTZParams(rp, rm)
-        kappa, resid = cv.constant_curvature_fit(bh.btz_chart_metric(params),
-                                                 (0.0, 2.0 * rp, 0.3))
+        (kappa, resid), = cv.constant_curvature_fits(
+            bh.btz_chart_metric(params), [(0.0, 2.0 * rp, 0.3)])
         worst = max(worst, abs(kappa + 1.0), resid)
         worst = max(worst, abs(bh.btz_f(params.r_plus, params)))
     return worst
@@ -473,7 +475,13 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 SCENARIO = dict(help="scenario JSON file")
-DEPTH = dict(type=int, default=8)
+DEPTH = dict(type=int, default=8, help=(
+    "word depth (>= 1) of a lift family, where one remains: the queries "
+    "walk, with converged true by construction and no depth, on a "
+    "Fenchel-Nielsen surface whose boundaries are geodesic and on a "
+    "shear surface; the depth bounds the family of a cusped "
+    "Fenchel-Nielsen surface and of a shear target beyond the convex "
+    "core (default: %(default)s)"))
 # command -> (handler, help, the flags it reads and nothing else); a
 # handler yields its records (`bend` its vertices as one array) and
 # `main` has `emit` stamp and write them

@@ -2,8 +2,9 @@
 
 Every cocycle of the package comes from ``cocycle_products(sequences,
 coefficients)``: one pass over the crossed leaves that a
-``lamination.realize`` realization returns (a ``LiftFamily``, or the
-``TriangleWalk`` of a triangulation lamination) gives the ordered
+``lamination.realize`` realization returns (the ``HexagonWalk`` of a
+multicurve, the ``TriangleWalk`` of a triangulation lamination, or a
+``LiftFamily``) gives the ordered
 product of exp(c a D) for each coefficient c, a the weight and D the
 displacement generator of each leaf: c = +1 is the left quake and -1
 the right one, c = i is H3 bending and (+1, -1) the AdS pair; the flat
@@ -114,15 +115,17 @@ def quake_cocycle(lifts, side):
     return cocycle_product(lifts, (_side_sign(side),))[0]
 
 
-def deform_letters(point, lam, depth=8, pd=None):
+def deform_letters(point, lam, depth=8, pd=None, h=None):
     """(h, {letter: leaves}, converged): the holonomy h of `point` (an
-    FNPoint over `pd`, or a ShearPoint) and, per alphabet letter m, the
-    leaves of `lam` that cross [x0, m x0], x0 = BASE_POINT, from one
-    `crossings_from` query at x0 of its `lamination.realize`
-    realization (a word family capped at `depth`, or the triangle
-    walk); a base point on a weighted leaf raises
-    BasePointOnLeafError, and converged ANDs the per-letter flags."""
-    h = teich.holonomy_of(point, pd)
+    FNPoint over `pd`, or a ShearPoint; built here unless given) and,
+    per alphabet letter m, the leaves of `lam` that cross [x0, m x0],
+    x0 = BASE_POINT, from one `crossings_from` query at x0 of its
+    `lamination.realize` realization (the hexagon or the triangle
+    walk, or a word family capped at `depth` on a cusped FN surface); a
+    base point on a weighted leaf raises BasePointOnLeafError, and
+    converged ANDs the per-letter flags."""
+    if h is None:
+        h = teich.holonomy_of(point, pd)
     ys = [iso.apply_h2(m, BASE_POINT) for m in h.alphabet.values()]
     lifts = lm.realize(lam, h, depth, reach=[BASE_POINT, *ys])
     crossed = lifts.crossings_from(BASE_POINT, ys)
@@ -130,13 +133,14 @@ def deform_letters(point, lam, depth=8, pd=None):
     return h, leaves, all(ok for _, ok in crossed)
 
 
-def deformed_holonomies(point, lam, coefficients, depth=8, pd=None):
+def deformed_holonomies(point, lam, coefficients, depth=8, pd=None, h=None):
     """gamma -> B(x0, gamma x0) gamma for each c in `coefficients`, B the
-    `cocycle_product` at c of the leaves `deform_letters` finds, each
-    holonomy with meta['converged'].  The letters are complex exactly
-    when c is; one that crosses no leaf (every letter of an empty
-    lamination) stays undeformed: the inclusion into the target group."""
-    h, crossed, converged = deform_letters(point, lam, depth, pd)
+    `cocycle_product` at c of the leaves `deform_letters` finds (on the
+    holonomy h of `point`, if given), each holonomy with
+    meta['converged'].  The letters are complex exactly when c is; one
+    that crosses no leaf (every letter of an empty lamination) stays
+    undeformed: the inclusion into the target group."""
+    h, crossed, converged = deform_letters(point, lam, depth, pd, h)
     h.meta["converged"] = converged
     products = {name: cocycle_product(leaves, coefficients)
                 for name, leaves in crossed.items() if leaves}
@@ -149,10 +153,12 @@ def deformed_holonomies(point, lam, coefficients, depth=8, pd=None):
     return [deformed(k, c) for k, c in enumerate(coefficients)]
 
 
-def quake_holonomy(point, lam, side, depth=8, pd=None):
+def quake_holonomy(point, lam, side, depth=8, pd=None, h=None):
     """The `side` quake holonomy gamma -> B(x0, gamma x0) gamma of an
-    FNPoint (over `pd`) or a ShearPoint, with meta['converged']."""
-    return deformed_holonomies(point, lam, (_side_sign(side),), depth, pd)[0]
+    FNPoint (over `pd`) or a ShearPoint, with meta['converged'], from
+    the holonomy h of `point` if given."""
+    return deformed_holonomies(point, lam, (_side_sign(side),), depth, pd,
+                               h)[0]
 
 
 # ---------------------------------------------------------------------------

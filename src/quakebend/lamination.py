@@ -3,8 +3,9 @@
 A ``MultiCurveLam`` weights the pant curves of a decomposition; a
 ``TriangulationLam`` weights the edges of an ideal triangulation and
 records the per-puncture spiraling signature.  Arbitrary finite
-laminations occur only as realized lift families (``LiftFamily``),
-never as user input, which keeps disjointness decidable.
+laminations occur only as realized lifts (``realize``: the walks
+across hexagons and ideal triangles, or a ``LiftFamily``), never as
+user input, which keeps disjointness decidable.
 
 Peripheral spectra use the same star convention as the shear length
 formula: every corner incidence of an edge at the puncture counts.
@@ -514,8 +515,9 @@ class LiftFamily:
     The triangulation family's leaves end at fixed points of peripheral
     words, whose first letter the last letter can cancel, so that the
     check fails for them.  A family the certificate does not cover is
-    enumerated in full (the reach queries of a triangulation lamination
-    go to `TriangleWalk` instead, see `realize`).  The rows within the
+    enumerated in full (the reach queries of a triangulation lamination,
+    and of a multicurve on a surface with geodesic boundaries, are
+    walked instead, see `realize`).  The rows within the
     cut are bitwise those of the full family, in its order: base leaf,
     then level, then prefix-major.  Without `reach` the family is the
     full one and answers any query.
@@ -614,25 +616,34 @@ _SIDES = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, -1.0], [-1.0, -1.0, 0.0]])
 _INSIDE = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 
-def _walls(charts: teich.TriangleCharts):
-    """(n, 3, 3) coefficients (A, B, C), per triangle and corner, of the
-    half-plane beyond the wall at the corner, in the triangle's chart:
-    (A |w|^2 + B Re w + C) / Im w is the sinh of the distance of w
-    beyond it.  A boundary corner's wall is the axis of its peripheral
-    element, which fixes the corner; (0, 0, -inf), no wall, at a cusp.
+def _planes(p, q):
+    """(..., 3) coefficients (A, B, C) of the geodesics between the
+    endpoint vectors p and q, (..., 2) arrays, with (A |w|^2 + B Re w +
+    C) / Im w the sinh of the signed distance of w from each.
 
-    The geodesic between endpoint vectors p and q is the zero set of
+    The geodesic between p and q is the zero set of
     p1 q1 |w|^2 - (p0 q1 + p1 q0) Re w + p0 q0, which is
-    det[p | q] Im w times the signed sinh distance to it.
+    det[p | q] Im w times the signed sinh distance to it.  Mapping p and
+    q by a matrix M of determinant +-1 maps the signs with the points,
+    as z -> M z, or z -> M conj(z) when det M = -1 (a reflection).
     """
+    p0, p1, q0, q1 = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    return np.stack([p1 * q1, -(p0 * q1 + p1 * q0), p0 * q0], -1) \
+        / np.abs(p0 * q1 - p1 * q0)[..., None]
+
+
+def _walls(charts: teich.TriangleCharts):
+    """(n, 3, 3) coefficients (A, B, C) of `_planes`, per triangle and
+    corner, of the half-plane beyond the wall at the corner, in the
+    triangle's chart.  A boundary corner's wall is the axis of its
+    peripheral element, which fixes the corner; (0, 0, -inf), no wall,
+    at a cusp."""
     out = np.tile([0.0, 0.0, -np.inf], charts.boundary.shape + (1,))
     for t, c in zip(*np.nonzero(charts.boundary)):
         (a, b), (g, d) = charts.fan[t, c]
         # the other fixed point of [[a, b], [g, d]] given corner c
         q = ((a - d, g), (b, d - a), (a - d + g, g))[c]
-        p = _CORNERS[c]
-        coef = np.array([p[1] * q[1], -(p[0] * q[1] + p[1] * q[0]),
-                         p[0] * q[0]]) / abs(_det(p, q))
+        coef = _planes(_CORNERS[c], np.array(q))
         if coef @ [abs(_INSIDE) ** 2, _INSIDE.real, 1.0] > 0:
             coef = -coef
         out[t, c] = coef
@@ -786,12 +797,246 @@ class TriangleWalk:
         return None
 
 
+# ---------------------------------------------------------------------------
+# the walk across the right-angled hexagons of a Fenchel-Nielsen surface
+# ---------------------------------------------------------------------------
+
+#: a hexagon walk of this many steps is a fault of the walk, not of its input
+HEX_STEPS = 1000
+#: a walk crosses a side only when its target lies farther beyond it than
+#: this (sinh of the distance), so that no rounding takes it back
+HEX_TOL = 1e-12
+#: z -> M(conj z) reflects in the unit circle, the seam of a cuff frame
+_MIRROR = np.array([[0.0, 1.0], [1.0, 0.0]])
+#: the midpoint of hexagon D0's or D1's side on cuff k, in its cuff frame,
+#: in units of the coordinate sign * l / 2 where D0's side ends: D1's
+#: sides are D0's reflected in the feet of seam 0 (at 0 on cuff 0 and at
+#: the end on cuff 1) and, on cuff 2, in the foot of seam 2
+_MIDPOINT = np.array([[0.5, 0.5, 0.5], [-0.5, 1.5, -0.5]])
+#: per side k of a hexagon, the sides whose proposal flags a step across
+#: it keeps: seam k - 3 keeps its two cuffs, side 6 (stay) keeps all, and
+#: a cuff keeps none, unless it is a wall (where the walk stays)
+_KEEP = np.zeros((7, 7), bool)
+_KEEP[6] = True
+for _k in range(3):
+    _KEEP[3 + _k, [_k, (_k + 1) % 3]] = True
+
+
+def _adj(m):
+    """Adjugates of a stack (..., 2, 2): the inverses, up to the scale of
+    the determinant, which no Moebius map or endpoint vector sees."""
+    out = np.empty_like(m)
+    out[..., 0, 0], out[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    out[..., 0, 1], out[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    return out
+
+
+class HexagonWalk:
+    """Crossing queries of a multicurve on a Fenchel-Nielsen surface whose
+    boundaries are all geodesic, answered by walking the right-angled
+    hexagons that tile its pants (Buser, *Geometry and Spectra of
+    Compact Riemann Surfaces*, ch. 3), in the charts of
+    `teich.PantCharts`.
+
+    Each pant is two hexagons, D0 and its mirror D1 = R(D0) in the seam
+    from cuff 0 to cuff 1, with alternate sides on the cuff axes (sides
+    0-2) and on the seams, their common perpendiculars (sides 3-5, seam
+    k from cuff k to cuff k + 1).  In the frame N of cuff k the cuff is
+    (0, oo), D0's side on it runs from N(i), the foot of seam k, to the
+    foot of seam k - 1 at height e^(+-l/2), and seam k is the unit
+    circle, so z -> M(conj z), M = N [[0, 1], [1, 0]] N^-1, reflects in
+    it.  A tile is a hexagon, 2 pant + (0 for D0, 1 for D1), and a
+    chart that maps its pant's normal form onto the lift.  The chart
+    changes across the sides are tables, as in `TriangleWalk`: across a
+    seam lies the same pant's mirror hexagon; across a cuff half, the
+    hexagon of the neighbouring pant that holds the half's midpoint,
+    picked by the midpoint's coordinate along the cuff, after the
+    twist, mod the cuff length.
+
+    The lifted cuffs cut the convex core into lifts of pants, the
+    regions, whose adjacency is a tree; inside a region the seams cut
+    the hexagons apart, so theirs is a tree too.  The leaves crossing
+    [x, y] are the lifted weighted cuffs that separate x from y.  y lies
+    beyond at most one cuff and at most one seam of a hexagon (its
+    non-adjacent sides are ultraparallel); the walk crosses that cuff,
+    else that seam, so each step crosses a line that separates the
+    hexagon from y, and the walk stops in the hexagon of y.  A side is
+    crossed only when y lies more than HEX_TOL beyond it, so no
+    rounding takes the walk back.  A boundary cuff is a wall: the
+    funnel beyond it holds no leaf, so a walk stops there with its
+    crossings complete, and an x beyond a wall starts the walks from
+    the hexagon at the wall.  There is no depth, and `converged` is true
+    by construction.  A walk of HEX_STEPS steps raises RuntimeError.
+
+    The walk proposes the weighted cuffs of the first hexagon, the
+    later crossings and the cuffs of the last hexagon that no proposal
+    holds yet (for an end on a leaf); `_frame_test`, the rule of
+    `LiftFamily`, decides them.  All segments of a query walk together,
+    one stacked step per side crossed.
+    """
+
+    def __init__(self, lam: MultiCurveLam, h: teich.Holonomy, depth=12):
+        if depth < 1:
+            raise DomainError("depth must be >= 1")
+        ch = h.meta.get("pant_charts")
+        if ch is None or not _geodesic_boundaries(ch):
+            raise StructureError("the hexagon walk needs the pant charts of "
+                                 "holonomy_from_fn and geodesic boundaries")
+        self.charts = ch
+        n = ch.decomposition.num_pants
+        # per slot: the slot (q, m) glued to it, with the twist and the
+        # weight of its curve, or a wall
+        q, m = np.zeros((2, n, 3), int)
+        twist, weight = np.zeros((n, 3)), np.zeros((n, 7))
+        stop = np.ones((n, 7), bool)  # the walls, and side 6
+        stop[:, 3:6] = False
+        for j, (a, b) in enumerate(ch.decomposition.interior):
+            for (p, k), other in ((a, b), (b, a)):
+                (q[p, k], m[p, k]), stop[p, k] = other, False
+                twist[p, k], weight[p, k] = ch.twists[j], lam.weights[j]
+        wall = stop[:, :3]
+        frame = np.array(ch.frames)                    # (n, 3, 2, 2)
+        inv = _adj(frame)
+        mirror = frame @ _MIRROR @ inv                 # the seam reflections
+        # D0 across seam k is (M_k M_0) D1, and D1 across seam k is
+        # (M_0 M_k) D0: deck transformations of the pant
+        seam = mirror @ mirror[:, :1]
+        seam[:, 0] = np.eye(2)
+        # D0's side on cuff k ends at the foot of seam k - 1, at height
+        # e^(sign l / 2) in the cuff's frame
+        foot = inv @ frame[:, [2, 0, 1]] @ [1.0, 1.0]
+        sign = np.where(np.abs(foot[..., 0]) > np.abs(foot[..., 1]), 1, -1)
+        # the sides of D0 as endpoint vectors, the cuffs N(oo), N(0) and
+        # the seams N(1), N(-1), and those of D1, their images under M_0.
+        # D0 lies right of its cuffs, Re N^-1 z > 0, and outside the unit
+        # circle of a seam k, |N^-1 z| > 1, where sign > 0
+        ends = np.concatenate([frame, frame @ [[1.0, -1.0], [1.0, 1.0]]],
+                              1).swapaxes(-1, -2)
+        ends = np.stack([ends, ends @ mirror[:, None, 0].swapaxes(-1, -2)], 1)
+        planes = np.zeros((n, 2, 7, 3))
+        planes[:, :, :6] = _planes(ends[..., 0, :], ends[..., 1, :])
+        planes[:, :, 3:6] *= -sign[:, None, :, None]
+        planes[:, :, 6, 2] = np.inf  # side 6: stay, beyond which y always is
+        self.planes = planes.reshape(2 * n, 7, 3).swapaxes(1, 2).copy()
+        # the cuff frames of each hexagon: D1's cuff 2 is (M_0 M_2) axis 2
+        frames = np.stack([frame, frame], 1)
+        frames[:, 1, 2] = _adj(seam[:, 2]) @ frame[:, 2]
+        # the coordinate of each side's midpoint on the cuff of the slot
+        # (q, m) across, after the twist t, puts it in C^j D0 or in
+        # C^j (D0's mirror in seam m), C = N A(l) N^-1
+        half = np.array(ch.lengths) / 2.0
+        sq, hq, t = sign[q, m][:, None], half[q, m][:, None], twist[:, None]
+        j = np.floor((-_MIDPOINT * (sign * half)[:, None] - t) / hq
+                     + (sq < 0)).astype(int)
+        odd = j & 1
+        shift = np.exp((t + (j + sq * odd) * hq) / 2.0)[..., None, None] \
+            ** [[1.0, 0.0], [0.0, -1.0]] * np.eye(2)
+        enter = np.stack([inv, inv @ seam], 2)[q, m]   # (n, 3, odd, 2, 2)
+        # per hexagon and side: the chart change, the hexagon across, and
+        # what a step does to the flags of the cuffs whose axes a
+        # proposal holds (a seam keeps those of its two cuffs, a cuff sets
+        # that of its slot in the hexagon across); a wall or side 6 stays
+        step = np.tile(np.eye(2), (n, 2, 7, 1, 1))
+        step[:, :, :3] = np.where(wall[:, None, :, None, None], np.eye(2),
+                                  frames @ teich.J_FLIP @ shift @ enter[
+                                      np.arange(n)[:, None, None],
+                                      np.arange(3), odd])
+        step[:, 0, 3:6], step[:, 1, 3:6] = seam, _adj(seam)
+        tiles = 2 * np.arange(n)[:, None, None] + np.arange(2)[:, None]
+        across = np.repeat(tiles, 7, 2)
+        across[:, :, :3] = np.where(wall[:, None], tiles, 2 * q[:, None] + odd)
+        across[:, :, 3:6] ^= 1
+        keep = np.tile(_KEEP, (n, 2, 1, 1))
+        keep[:, :, :3] = wall[:, None, :, None]
+        entry = np.zeros((n, 2, 7, 7), bool)
+        entry[:, :, :3] = (np.eye(7, dtype=bool)[m] & ~wall[..., None])[:, None]
+        self.step = step.reshape(2 * n, 7, 2, 2)
+        self.across = across.reshape(2 * n, 7)
+        self.keep = keep.reshape(2 * n, 7, 7)
+        self.entry = entry.reshape(2 * n, 7, 7)
+        self.cuff = frames.reshape(2 * n, 3, 2, 2)
+        self.stop = np.repeat(stop, 2, 0)
+        self.weight = np.repeat(weight, 2, 0)
+
+    crossings = LiftFamily.crossings
+
+    def crossings_from(self, x, ys, on_leaf="raise"):
+        """(leaves, converged) for each segment [x, y], y in `ys`, as
+        `LiftFamily.crossings_from` returns them."""
+        return _crossings(x, ys, on_leaf, self._candidates)
+
+    def _candidates(self, x, ys):
+        """The one `_crossings` block of the leaves proposed for each
+        [x, y]."""
+        n = len(ys)
+        lines = np.zeros((n, 7), bool)
+        lines[:, :3] = True
+        (t0,), g0, _ = self._walk(np.zeros(1, int), self.charts.placement[0][None],
+                                  np.array([x]), lines[:1], [])
+        k0 = np.flatnonzero(self.weight[t0] > 0)
+        proposed = [(np.repeat(np.arange(n), len(k0)),
+                     np.repeat(g0, n * len(k0), 0), np.full(n * len(k0), t0),
+                     np.tile(k0, n))]
+        tile, g, lines = self._walk(np.full(n, t0), np.repeat(g0, n, 0), ys,
+                                    lines, proposed)
+        last, k = np.nonzero(~lines & (self.weight[tile] > 0))
+        proposed.append((last, g[last], tile[last], k))
+        si, gs, ts, ks = (np.concatenate(c) for c in zip(*proposed))
+        ends = _mul(gs, self.cuff[ts, ks])
+        yield si, ends[:, :, 0].T, ends[:, :, 1].T, self.weight[ts, ks], \
+            np.zeros(len(si), bool)
+
+    def _walk(self, t, g, ys, lines, proposed):
+        """Walk each target ys_i from the hexagon t_i of chart g_i into its
+        hexagon, or up to a wall beyond which it lies; lines_i flags the
+        sides of its hexagon whose axes a proposal holds already.
+        Appends (segments, charts, hexagons, cuffs) of the new weighted
+        cuffs each step crosses to the list `proposed`, and returns the
+        final (t, g, lines).  A walk that has stopped steps across side
+        6, or its wall, which leaves it where it is."""
+        flat = 7 * np.arange(len(ys))
+        for _ in range(HEX_STEPS):
+            w = (g[:, 1, 1] * ys - g[:, 0, 1]) / (g[:, 0, 0] - g[:, 1, 0] * ys)
+            u, v = w.real[:, None], w.imag[:, None]
+            q = self.planes[t]
+            k = (q[:, 0] * (u * u + v * v) + q[:, 1] * u + q[:, 2]
+                 > HEX_TOL * v).argmax(1)  # a cuff before a seam
+            if self.stop[t, k].all():
+                return t, g, lines
+            new = (self.weight[t, k] > 0) > lines.take(flat + k)
+            if new.any():
+                proposed.append((np.flatnonzero(new), g[new], t[new], k[new]))
+            lines = (lines & self.keep[t, k]) | self.entry[t, k]
+            g = _mul(g, self.step[t, k])
+            t = self.across[t, k]
+        raise RuntimeError(f"a hexagon walk took {HEX_STEPS} steps")
+
+
+def _geodesic_boundaries(charts):
+    """Whether every cuff of the `teich.PantCharts` is a closed geodesic
+    (no boundary length 0, a cusp)."""
+    return all(length > 0 for row in charts.lengths for length in row)
+
+
 def realize(lam, h: teich.Holonomy, depth=12, reach=None):
     """What answers the crossing queries of `lam` on `h` between the
-    points `reach`: a `TriangleWalk` for a triangulation lamination,
-    else a `LiftFamily` (the full one without `reach`)."""
+    points `reach` (`quake`, `bend`, `deform_letters` and the `verify`
+    quake and AdS suites ask it): a `TriangleWalk` for a triangulation
+    lamination, a `HexagonWalk` for a multicurve on a Fenchel-Nielsen
+    surface whose boundaries are all geodesic.  Both walks answer a
+    query exactly, with `converged` true by construction, and `depth`
+    bounds nothing there.  `LiftFamily` (with `limit_arcs`, which prunes
+    it) answers the rest: the reach family of a multicurve on a cusped
+    Fenchel-Nielsen surface (a boundary length of 0), the fallback of
+    `TriangleWalk` for a target beyond the convex core, and, without
+    `reach`, the full family, which `regular_domain_contains`, the
+    benchmark's check of `bend` and the tests use."""
     if reach is not None and isinstance(lam, TriangulationLam):
         return TriangleWalk(lam, h, depth, reach)
+    charts = h.meta.get("pant_charts")
+    if reach is not None and isinstance(lam, MultiCurveLam) and \
+            charts is not None and _geodesic_boundaries(charts):
+        return HexagonWalk(lam, h, depth)
     return LiftFamily(lam, h, depth, reach)
 
 

@@ -497,22 +497,24 @@ def _normal_sum(leaves):
                 for leaf in leaves), np.zeros(3))
 
 
-def translation_part(fam: lm.LiftFamily | lm.TriangleWalk, x0, y):
+def translation_part(fam, x0, y):
     """s(y) relative to s(x0) = 0: sum of weighted unit normals of the
-    crossed leaves, each pointing toward y (the derivative in the
-    weights of the left quake cocycle B(x0, y), through iota)."""
+    leaves of `fam` (a `lamination.realize` realization) crossing
+    [x0, y], each pointing toward y (the derivative in the weights of
+    the left quake cocycle B(x0, y), through iota)."""
     leaves, converged = fam.crossings(x0, y)
     return _normal_sum(leaves), converged
 
 
-def flat_holonomy(fam: lm.LiftFamily | lm.TriangleWalk, h: teich.Holonomy):
+def flat_holonomy(fam, h: teich.Holonomy):
     """(letters, converged): the affine holonomy of the flat spacetime
     of (F, lambda), the (2k, 4, 4) stack of [[A_g, t_g], [0, 1]] in
     `teich.Holonomy.letter_matrices` order that `word_levels(letters=)`
     composes.  A_g = psl2r_to_so21(g) and t_g = s(g x0), from one
     crossings query of `fam` at the base point x0, for each generator
     g, then its exact inverse [[A_g^-1, -A_g^-1 t_g], [0, 1]];
-    converged ANDs the query's flags.
+    converged ANDs the query's flags.  `fam` is a `lamination.realize`
+    realization.
     """
     x0 = eq.BASE_POINT
     gens = list(h.gens.values())

@@ -66,27 +66,34 @@ def _union_roots(items, pairs):
     return {x: find(x) for x in items}
 
 
-def _spanning_tree(gluing, transition):
-    """Placements of the nodes of a gluing graph, by breadth-first search
-    from node 0, and the set of tree edges.
+def _spanning_tree(gluing):
+    """The tree edges of a gluing graph, by breadth-first search from
+    node 0: (edge, src, dst) per node first reached, in search order.
 
-    `gluing` lists ((node, slot), (node, slot)) per edge; a node first
-    reached across edge j from src to dst is placed at
-    placement[src node] @ transition(j, src, dst).
+    `gluing` lists ((node, slot), (node, slot)) per edge; node dst[0] is
+    first reached across edge j from the placed node src[0].
     """
-    placement = {0: np.eye(2)}
-    tree_edges = set()
-    queue = [0]
+    reached, order, queue = {0}, [], [0]
     while queue:
         p = queue.pop(0)
         for j, (a, b) in enumerate(gluing):
             for src, dst in ((a, b), (b, a)):
-                if src[0] == p and dst[0] not in placement:
-                    placement[dst[0]] = iso.normalize(
-                        placement[p] @ transition(j, src, dst))
-                    tree_edges.add(j)
+                if src[0] == p and dst[0] not in reached:
+                    reached.add(dst[0])
+                    order.append((j, src, dst))
                     queue.append(dst[0])
-    return placement, tree_edges
+    return order
+
+
+def _placements(order, transition):
+    """Placements of the nodes along the tree `order` of `_spanning_tree`:
+    node 0 at the identity, dst[0] at placement[src[0]] @
+    transition(j, src, dst)."""
+    placement = {0: np.eye(2)}
+    for j, src, dst in order:
+        placement[dst[0]] = iso.normalize(
+            placement[src[0]] @ transition(j, src, dst))
+    return placement
 
 
 # ---------------------------------------------------------------------------
@@ -561,119 +568,173 @@ def _curve_length(pd, fn, pant, slot):
             else fn.boundary_lengths[idx])
 
 
+@dataclass(frozen=True, eq=False)
+class PantCharts:
+    """The pants of a Fenchel-Nielsen holonomy, for walks across their
+    hexagons, as the holonomy's gluing builds them.
+
+    Pant p's chart is its normal form (`pants_matrices`), placed by
+    `placement[p]`, with the frame N of the cuff in each slot k,
+    `frames[p][k]` (`_pant_frames`, None at a cusp).  The slots (p, k)
+    and (q, m) of interior curve j are glued with `twists[j]`: the chart
+    of pant q, seen from pant p, is N_pk A(-t) J N_qm^-1 either way
+    round.
+    """
+
+    decomposition: PantDecomposition
+    placement: dict  # pant -> the chart of its normal form
+    frames: list     # [pant][slot] the frame of its cuff
+    lengths: list    # [pant][slot] the length of its cuff, 0 at a cusp
+    twists: tuple    # per interior curve
+
+
+class _FNSetup:
+    """What a Fenchel-Nielsen holonomy takes from the lengths and the
+    decomposition alone: the pants in normal form (each cuff classified
+    once, for the too-short check and for its axis, which
+    `_pant_frames` maps once), the spanning tree of the gluing, the slot
+    words, the free basis and the curve words.  `glue` adds the twists."""
+
+    def __init__(self, pd: PantDecomposition, fn: FNPoint):
+        fn.check(pd)
+        self.pd, self.lengths = pd, (fn.boundary_lengths, fn.interior_lengths)
+        self.cuffs, self.frames, lengths = [], [], []
+        for p in range(pd.num_pants):
+            ls = [_curve_length(pd, fn, p, k) for k in range(3)]
+            lengths.append(ls)
+            cuffs = pants_matrices(*ls)
+            kinds = [iso.classify(c) for c in cuffs]
+            # a length just above MIN_BOUNDARY can still round to a cuff
+            # with |tr| - 2 under iso.TAU_CLASS
+            for k in range(3):
+                if ls[k] > 0 and kinds[k].kind != "hyperbolic":
+                    raise _too_short("boundary" if pd.slot_curve(p, k)[0] == "C"
+                                     else "interior curve")
+            self.cuffs.append(cuffs)
+            self.frames.append(_pant_frames([_axis_or_point(c) for c in kinds]))
+        self.slot_lengths = lengths
+        self.order = _spanning_tree(pd.interior)
+        self.tree_edges = {j for j, _, _ in self.order}
+
+        # primary/secondary slot per edge, spreading secondaries so every
+        # pant keeps an eliminable letter for its product relation
+        secondary_count = [0] * pd.num_pants
+        self.edge_sides = []
+        for a, b in pd.interior:
+            if secondary_count[a[0]] < secondary_count[b[0]]:
+                a, b = b, a
+            self.edge_sides.append((a, b))
+            secondary_count[b[0]] += 1
+
+        # derived words: secondary slot of edge j is b_j^{-1} z_j^{-1} b_j
+        slot_word = {}
+        for j, (a, b) in enumerate(self.edge_sides):
+            slot_word[a] = ((f"z{j}", +1),)
+            if j in self.tree_edges:
+                slot_word[b] = ((f"z{j}", -1),)
+            else:
+                slot_word[b] = ((f"b{j}", -1), (f"z{j}", -1), (f"b{j}", +1))
+        for i, (p, k) in enumerate(pd.boundary):
+            slot_word[(p, k)] = ((f"C{i}", +1),)
+
+        # free generators: eliminate one letter per pant via C1 C2 C3 = Id
+        self.eliminated = set()
+        for p in range(pd.num_pants):
+            candidates = []
+            for k in (2, 1, 0):
+                lw = slot_word[(p, k)]
+                if len(lw) == 1 and lw[0][1] == +1 and \
+                        lw[0][0] not in self.eliminated:
+                    candidates.append(lw[0][0])
+            boundary_first = sorted(candidates,
+                                    key=lambda n: (not n.startswith("C"), n))
+            if not boundary_first:
+                raise StructureError("pant decomposition admits no free basis here")
+            self.eliminated.add(boundary_first[0])
+
+        def inverse_word(w):
+            return tuple((n, -e) for n, e in reversed(w))
+
+        self.curve_words = curve_words = {}
+        for i in range(pd.num_boundary):
+            curve_words[f"C{i}"] = ((f"C{i}", +1),)
+        for j in range(pd.num_interior):
+            curve_words[f"z{j}"] = ((f"z{j}", +1),)
+        # z'_j crosses z_j exactly twice (two seam arcs glued across the
+        # curve); z''_j is its image under a Dehn twist along z_j, i.e. a
+        # z_j letter inserted at each crossing, on the a side of the
+        # connector b_j of a non-tree edge (z_j is placed in a's pant)
+        for j, (a, b) in enumerate(self.edge_sides):
+            zj, bj = (f"z{j}", +1), (f"b{j}", +1)
+            if a[0] == b[0]:
+                # self-gluing: both crossings have the same sign
+                curve_words[f"zp{j}"] = (zj, bj, bj)
+                curve_words[f"zpp{j}"] = (zj, bj, zj, bj, zj)
+            else:
+                u = slot_word[(a[0], (a[1] + 1) % 3)]
+                v = slot_word[(b[0], (b[1] + 1) % 3)]
+                cross = (bj,) if j not in self.tree_edges else ()
+                back = inverse_word(cross)
+                curve_words[f"zp{j}"] = u + cross + v + back
+                curve_words[f"zpp{j}"] = (u + (zj,) + cross + v + back
+                                          + ((f"z{j}", -1),))
+
+    def glue(self, fn: FNPoint) -> Holonomy:
+        """The holonomy at the twists of `fn`, whose lengths must be
+        those of the set-up: the edge transitions, the placements, the
+        placed and connector letters and the `PantCharts`."""
+        pd, frames = self.pd, self.frames
+        if (fn.boundary_lengths, fn.interior_lengths) != self.lengths:
+            raise StructureError("FN points of one set-up share their lengths")
+
+        def edge_transition(j, src, dst):
+            t = fn.twists[j]
+            (p, k) = src
+            (q, m) = dst
+            return iso.normalize(frames[p][k] @ _a_mat(-t) @ J_FLIP
+                                 @ iso.inv(frames[q][m]))
+
+        placement = _placements(self.order, edge_transition)
+
+        def placed(p, mat):
+            g = placement[p]
+            return iso.normalize(g @ mat @ iso.inv(g))
+
+        # letters: one per interior curve (primary slot), one per boundary
+        # curve, one connector per non-tree edge
+        alphabet = {}
+        for j, (a, b) in enumerate(self.edge_sides):
+            alphabet[f"z{j}"] = placed(a[0], self.cuffs[a[0]][a[1]])
+        for i, (p, k) in enumerate(pd.boundary):
+            alphabet[f"C{i}"] = placed(p, self.cuffs[p][k])
+        for j, (a, b) in enumerate(self.edge_sides):
+            if j in self.tree_edges:
+                continue
+            alphabet[f"b{j}"] = iso.normalize(
+                placement[a[0]] @ edge_transition(j, a, b)
+                @ iso.inv(placement[b[0]]))
+        gens = {n: alphabet[n] for n in alphabet if n not in self.eliminated}
+        peripheral = tuple(f"C{i}" for i in range(pd.num_boundary))
+        return Holonomy(gens, alphabet, self.curve_words, peripheral,
+                        meta={"genus": pd.genus, "pant_charts": PantCharts(
+                            pd, placement, self.frames, self.slot_lengths,
+                            fn.twists)})
+
+
+def holonomies_from_fn(pd: PantDecomposition, points) -> list:
+    """`holonomy_from_fn(pd, fn)` for each FNPoint fn of `points`, which
+    share their lengths and differ in their twists (a quake moves only
+    the twists): one `_FNSetup`, then a gluing per point."""
+    setup = _FNSetup(pd, points[0])
+    return [setup.glue(fn) for fn in points]
+
+
 def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
     """Holonomy of F(l, t): normalized pants glued along the interior
     curves with the stated twist convention, on the surfaces
-    `FNPoint.check` accepts.  Each cuff is classified once, for the
-    too-short check and for its axis, which `_pant_frames` maps once."""
-    fn.check(pd)
-
-    local_cuffs = []
-    frames = []
-    for p in range(pd.num_pants):
-        ls = [_curve_length(pd, fn, p, k) for k in range(3)]
-        cuffs = pants_matrices(*ls)
-        kinds = [iso.classify(c) for c in cuffs]
-        # a length just above MIN_BOUNDARY can still round to a cuff with
-        # |tr| - 2 under iso.TAU_CLASS
-        for k in range(3):
-            if ls[k] > 0 and kinds[k].kind != "hyperbolic":
-                raise _too_short("boundary" if pd.slot_curve(p, k)[0] == "C"
-                                 else "interior curve")
-        local_cuffs.append(cuffs)
-        frames.append(_pant_frames([_axis_or_point(c) for c in kinds]))
-
-    def edge_transition(j, src, dst):
-        t = fn.twists[j]
-        (p, k) = src
-        (q, m) = dst
-        return iso.normalize(frames[p][k] @ _a_mat(-t) @ J_FLIP @ iso.inv(frames[q][m]))
-
-    placement, tree_edges = _spanning_tree(pd.interior, edge_transition)
-
-    def placed(p, mat):
-        g = placement[p]
-        return iso.normalize(g @ mat @ iso.inv(g))
-
-    # primary/secondary slot per edge, spreading secondaries so every
-    # pant keeps an eliminable letter for its product relation
-    secondary_count = [0] * pd.num_pants
-    edge_sides = []
-    for a, b in pd.interior:
-        if secondary_count[a[0]] < secondary_count[b[0]]:
-            a, b = b, a
-        edge_sides.append((a, b))
-        secondary_count[b[0]] += 1
-
-    # letters: one per interior curve (primary slot), one per boundary
-    # curve, one connector per non-tree edge
-    alphabet = {}
-    for j, (a, b) in enumerate(edge_sides):
-        alphabet[f"z{j}"] = placed(a[0], local_cuffs[a[0]][a[1]])
-    for i, (p, k) in enumerate(pd.boundary):
-        alphabet[f"C{i}"] = placed(p, local_cuffs[p][k])
-    for j, (a, b) in enumerate(edge_sides):
-        if j in tree_edges:
-            continue
-        alphabet[f"b{j}"] = iso.normalize(
-            placement[a[0]] @ edge_transition(j, a, b) @ iso.inv(placement[b[0]]))
-
-    # derived words: secondary slot of edge j is b_j^{-1} z_j^{-1} b_j
-    slot_word = {}
-    for j, (a, b) in enumerate(edge_sides):
-        slot_word[a] = ((f"z{j}", +1),)
-        if j in tree_edges:
-            slot_word[b] = ((f"z{j}", -1),)
-        else:
-            slot_word[b] = ((f"b{j}", -1), (f"z{j}", -1), (f"b{j}", +1))
-    for i, (p, k) in enumerate(pd.boundary):
-        slot_word[(p, k)] = ((f"C{i}", +1),)
-
-    # free generators: eliminate one letter per pant via C1 C2 C3 = Id
-    eliminated = set()
-    for p in range(pd.num_pants):
-        candidates = []
-        for k in (2, 1, 0):
-            lw = slot_word[(p, k)]
-            if len(lw) == 1 and lw[0][1] == +1 and lw[0][0] not in eliminated:
-                candidates.append(lw[0][0])
-        boundary_first = sorted(candidates,
-                                key=lambda n: (not n.startswith("C"), n))
-        if not boundary_first:
-            raise StructureError("pant decomposition admits no free basis here")
-        eliminated.add(boundary_first[0])
-    gens = {n: alphabet[n] for n in alphabet if n not in eliminated}
-
-    def inverse_word(w):
-        return tuple((n, -e) for n, e in reversed(w))
-
-    curve_words = {}
-    for i in range(pd.num_boundary):
-        curve_words[f"C{i}"] = ((f"C{i}", +1),)
-    for j in range(pd.num_interior):
-        curve_words[f"z{j}"] = ((f"z{j}", +1),)
-    # z'_j crosses z_j exactly twice (two seam arcs glued across the
-    # curve); z''_j is its image under a Dehn twist along z_j, i.e. a
-    # z_j letter inserted at each crossing, on the a side of the
-    # connector b_j of a non-tree edge (z_j is placed in a's pant)
-    for j, (a, b) in enumerate(edge_sides):
-        zj, bj = (f"z{j}", +1), (f"b{j}", +1)
-        if a[0] == b[0]:
-            # self-gluing: both crossings have the same sign
-            curve_words[f"zp{j}"] = (zj, bj, bj)
-            curve_words[f"zpp{j}"] = (zj, bj, zj, bj, zj)
-        else:
-            u = slot_word[(a[0], (a[1] + 1) % 3)]
-            v = slot_word[(b[0], (b[1] + 1) % 3)]
-            cross = (bj,) if j not in tree_edges else ()
-            back = inverse_word(cross)
-            curve_words[f"zp{j}"] = u + cross + v + back
-            curve_words[f"zpp{j}"] = (u + (zj,) + cross + v + back
-                                      + ((f"z{j}", -1),))
-
-    peripheral = tuple(f"C{i}" for i in range(pd.num_boundary))
-    return Holonomy(gens, alphabet, curve_words, peripheral,
-                    meta={"genus": pd.genus})
+    `FNPoint.check` accepts.  The meta holds the genus and the
+    `PantCharts` of the hexagon walk."""
+    return holonomies_from_fn(pd, [fn])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +797,9 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
                                     @ turns[-m % 3])
                       for k, (j, _, m) in enumerate(row)] for row in sides])
 
-    placed, tree_edges = _spanning_tree(tri.gluing,
-                                        lambda j, src, dst: step[src])
+    order = _spanning_tree(tri.gluing)
+    placed = _placements(order, lambda j, src, dst: step[src])
+    tree_edges = {j for j, _, _ in order}
     placement = np.array([placed[t] for t in range(n)])
     alphabet = {f"g{j}": iso.normalize(placement[a] @ step[a, k]
                                        @ iso.inv(placement[b]))

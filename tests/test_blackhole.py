@@ -130,6 +130,51 @@ class TestBTZ:
                 assert abs(k + 1.0) < 1e-4 and resid < 1e-4
 
 
+class TestStackedBTZMetric:
+    def test_bitwise_equal_to_pointwise(self):
+        # radii off both horizons, on either side of them, including the
+        # extremal hole, and every r the verify suite's stencils reach
+        rng = np.random.default_rng(32)
+        for rp, rm in [(1.0, 0.0), (1.2, 0.4), (2.0, 1.1), (1.0, 1.0)]:
+            params = bh.BTZParams(rp, rm)
+            metric = bh.btz_chart_metric(params)
+            r = np.concatenate([rng.uniform(1.05, 3.0, 500) * rp,
+                                rng.uniform(0.05, 0.95, 200) * max(rm, 0.1)])
+            rows = np.column_stack([rng.uniform(-1, 1, len(r)), r,
+                                    rng.uniform(0, 6, len(r))])
+            stack = metric(rows)
+            assert stack.shape == (len(rows), 3, 3)
+            want = np.array([metric(x) for x in rows])
+            assert np.array_equal(stack.view(np.int64), want.view(np.int64))
+            assert np.array_equal(stack.view(np.int64), np.array(
+                [metric(tuple(x.tolist())) for x in rows]).view(np.int64))
+
+    def test_fits_equal_the_pointwise_fit(self):
+        params = bh.BTZParams(1.2, 0.4)
+        metric = bh.btz_chart_metric(params)
+        points = [(0.0, 2.4, 0.3), (0.5, 3.1, 1.0)]
+        assert cv.constant_curvature_fits(metric, points) == \
+            [cv.constant_curvature_fit(metric, x) for x in points]
+
+    @pytest.mark.parametrize("bad,error", [
+        (0.0, DomainError), (-0.5, DomainError),
+        (1.2, bh.CoordinateSingularityError),
+        (0.4, bh.CoordinateSingularityError)])
+    def test_first_bad_row_raises(self, bad, error):
+        # the pointwise error of the first row off the chart, and no
+        # floating-point warning on the way
+        import warnings
+        metric = bh.btz_chart_metric(bh.BTZParams(1.2, 0.4))
+        rows = np.array([(0.0, 2.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as stacked:
+                metric(rows)
+        with pytest.raises(error) as pointwise:
+            metric(rows[1])
+        assert str(stacked.value) == str(pointwise.value)
+
+
 @pytest.fixture(scope="module")
 def holonomy_pair():
     lam = lm.MultiCurveLam((0.4,))

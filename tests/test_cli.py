@@ -306,8 +306,8 @@ class TestTwoBoundaryTorus:
             assert r["residual"] <= 1e-8 * r["trace_coordinates"], r
 
     def test_quake_at_depth_10_matches_the_depth_8_golden(self, capsys):
-        # the full tree is over the word budget at depth 10; the pruned
-        # one is not, and every crossed leaf is already within depth 8
+        # the hexagon walk has no depth (the full word tree would be over
+        # the word budget at depth 10)
         path = str(SCENARIOS / "torus_two_boundary.json")
         code, recs = run(capsys, ["quake", path, "--side", "left",
                                   "--depth", "10"])
@@ -1111,3 +1111,105 @@ class TestBlackholeCommand:
         assert code == 3
         assert err.startswith("domain error:")
         assert "Traceback" not in err
+
+
+def seeded_fn_scenarios():
+    """torus_multicurve, torus_two_boundary, 20 one-holed tori over
+    perfbench's ranges and 10 rank-3 surfaces, two-boundary tori and
+    four-holed spheres in turn, with the ranges of `TestHexagonWalk`
+    (lengths U(0.5, 2.5), twists U(-1, 1), weights U(0.1, 0.9))."""
+    data = [TORUS_SCENARIO, TWO_BOUNDARY_TORUS]
+    rng = random.Random(32)
+    for _ in range(20):
+        data.append({**TORUS_SCENARIO,
+                     "fn": {"l": [rng.uniform(0.6, 2.0), rng.uniform(0.8, 2.4)],
+                            "t": [rng.uniform(-0.5, 0.5)]},
+                     "lamination": {"family": "multicurve",
+                                    "weights": [rng.uniform(0.1, 0.9)]}})
+    for i in range(10):
+        r, s = (2, 2) if i % 2 == 0 else (4, 1)
+        pants = (TWO_BOUNDARY_TORUS["pants"] if i % 2 == 0 else
+                 {"num_pants": 2, "interior": [[[0, 0], [1, 0]]],
+                  "boundary": [[0, 1], [0, 2], [1, 1], [1, 2]]})
+        data.append({"version": 1, "surface": {"g": 1 - i % 2, "r": r},
+                     "pants": pants,
+                     "fn": {"l": [rng.uniform(0.5, 2.5) for _ in range(r + s)],
+                            "t": [rng.uniform(-1.0, 1.0) for _ in range(s)]},
+                     "lamination": {"family": "multicurve", "weights": [
+                         rng.uniform(0.1, 0.9) for _ in range(s)]}})
+    return data
+
+
+class TestHexagonWalkCommands:
+    """`quake` and `bend` on Fenchel-Nielsen surfaces with geodesic
+    boundaries take their crossings from the hexagon walk."""
+
+    def test_no_lift_family(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LiftFamily was built")
+        monkeypatch.setattr(lm.LiftFamily, "__init__", refuse)
+        for i, data in enumerate(seeded_fn_scenarios()):
+            path = write_scenario(tmp_path, data, f"s{i}.json")
+            code, recs = run(capsys, ["quake", path, "--depth", "12"])
+            assert code == 0
+            # the cross-oracle bound of TestTwoBoundaryTorus (defect 6
+            # of ROADMAP.md keeps the cocycle column from 1e-12 there)
+            assert all(r["converged"] is True and
+                       r["residual"] <= 1e-8 * r["trace_coordinates"]
+                       for r in recs if "curve" in r)
+            for target in ("hyperbolic", "ads"):
+                code, recs = run(capsys, ["bend", path, "--target", target])
+                assert code == 0 and len(recs) == 1 + 144
+
+    @pytest.mark.parametrize("argv", [
+        ["quake", "--side", "right"],
+        ["bend", "--grid", "x=-3:3:9,y=0.05:2.5:9"],
+        ["bend", "--target", "ads"]])
+    def test_depth_bounds_nothing(self, capsys, argv):
+        # depth 1 and depth 14 give the same records, up to the depth key
+        path = str(SCENARIOS / "torus_two_boundary.json")
+        runs = []
+        for depth in ("1", "14"):
+            code, recs = run(capsys, [argv[0], path, *argv[1:],
+                                      "--depth", depth])
+            assert code == 0
+            runs.append([{k: v for k, v in r.items() if k != "depth"}
+                         for r in recs])
+        assert runs[0] == runs[1]
+
+
+class TestFNSetUp:
+    @pytest.mark.parametrize("command", ["quake", "blackhole"])
+    def test_one_set_up_per_run(self, capsys, monkeypatch, command):
+        # both holonomies of a run (the point and the quaked twists, or
+        # t + w and t - w) share one set-up: each pant's frames once
+        calls = []
+        frames = teich._pant_frames
+
+        def counted(axes):
+            calls.append(1)
+            return frames(axes)
+        monkeypatch.setattr(teich, "_pant_frames", counted)
+        for name, pants in (("torus_multicurve", 1), ("torus_two_boundary", 2)):
+            calls.clear()
+            code, _ = run(capsys, [command, str(SCENARIOS / f"{name}.json")])
+            assert code == 0 and len(calls) == pants
+
+    def test_points_of_one_set_up_share_lengths(self):
+        pd = teich.PantDecomposition.once_punctured_torus()
+        fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
+        with pytest.raises(teich.StructureError):
+            teich.holonomies_from_fn(pd, [fn, teich.FNPoint((1.0,), (2.5,),
+                                                            (0.3,))])
+
+    def test_letters_are_the_one_point_builds(self):
+        pd = teich.PantDecomposition(
+            2, (((0, 0), (1, 0)), ((0, 1), (1, 1))), ((0, 2), (1, 2)))
+        fn = teich.FNPoint((1.0, 1.2), (1.0, 1.0), (0.0, 0.0))
+        points = [fn, fn.with_twists((0.5, 0.3)), fn.with_twists((-0.5, -0.3))]
+        for h, p in zip(teich.holonomies_from_fn(pd, points), points):
+            alone = teich.holonomy_from_fn(pd, p)
+            assert h.curve_words == alone.curve_words
+            for name, m in h.alphabet.items():
+                assert np.array_equal(m.view(np.int64),
+                                      alone.alphabet[name].view(np.int64))

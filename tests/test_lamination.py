@@ -705,13 +705,29 @@ class TestReachGuard:
         fam.crossings_from(eq.BASE_POINT, [30.0 + 0.01j])
 
     def test_bend_context_refuses_points_off_its_grid(self):
+        # torus_multicurve with its boundary pinched to a cusp: a cusped
+        # FN surface keeps the reach family, and its guard
         data = scenario.load(str(SCENARIO_DIR / "torus_multicurve.json"))
+        data["fn"]["l"][0] = 0.0
         point, pd = scenario.surface_point(data)
         ctx, _ = bd.make_context(point, scenario.lamination(data, point),
                                  depth=8, pd=pd, reach=GRID)
+        assert isinstance(ctx.family, lm.LiftFamily)
         bd.bend_points(ctx, GRID)
         with pytest.raises(StructureError):
             bd.bend_points(ctx, [5.0 + 0.1j])
+
+    def test_walked_bend_context_answers_points_off_its_grid(self):
+        # the hexagon walk of torus_multicurve has no reach: a point off
+        # the grid bends as in a context built for it
+        data = scenario.load(str(SCENARIO_DIR / "torus_multicurve.json"))
+        point, pd = scenario.surface_point(data)
+        lam, far = scenario.lamination(data, point), [5.0 + 0.1j]
+        ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=GRID)
+        own, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=far)
+        assert isinstance(ctx.family, lm.HexagonWalk)
+        assert np.array_equal(bd.bend_points(ctx, far),
+                              bd.bend_points(own, far))
 
 
 class TestLimitArcs:
@@ -955,3 +971,172 @@ class TestTriangleWalk:
                 iso.inv(g0[0])[None], np.array([y])), crossed)
             assert (end is None) == (y in (1 + 0.5j, 1 + 1j))
             assert len(crossed) < 10
+
+
+# ---------------------------------------------------------------------------
+# the hexagon walk against the word family
+# ---------------------------------------------------------------------------
+
+PD_TWO_BOUNDARY = teich.PantDecomposition(
+    2, (((0, 0), (1, 0)), ((0, 1), (1, 1))), ((0, 2), (1, 2)))
+PD_FOUR_HOLED = teich.PantDecomposition(
+    2, (((0, 0), (1, 0)),), ((0, 1), (0, 2), (1, 1), (1, 2)))
+#: a 7 x 7 grid that reaches into the funnels beyond the walls of most of
+#: the surfaces below, near the real axis
+WALL_GRID = [complex(x, y) for y in np.linspace(0.05, 2.5, 7)
+             for x in np.linspace(-3.0, 3.0, 7)]
+
+
+def seeded_rank_three(i, rng):
+    """(lamination, holonomy) of a two-boundary torus (even i) or of a
+    four-holed sphere (odd i): lengths U(0.5, 2.5), twists U(-1, 1) and
+    weights U(0.1, 0.9)."""
+    r, s = (2, 2) if i % 2 == 0 else (4, 1)
+    fn = teich.FNPoint(tuple(rng.uniform(0.5, 2.5, r)),
+                       tuple(rng.uniform(0.5, 2.5, s)),
+                       tuple(rng.uniform(-1.0, 1.0, s)))
+    pd = PD_TWO_BOUNDARY if i % 2 == 0 else PD_FOUR_HOLED
+    return (lm.MultiCurveLam(tuple(rng.uniform(0.1, 0.9, s))),
+            teich.holonomy_from_fn(pd, fn))
+
+
+def beyond_a_wall(walk, z):
+    """Whether the point z lies beyond a wall (in a funnel): its walk from
+    the base hexagon stops at a wall that z lies beyond."""
+    t, g, _ = walk._walk(np.zeros(1, int), walk.charts.placement[0][None],
+                         np.array([z]), np.zeros((1, 7), bool), [])
+    (a, b), (c, d) = g[0]
+    w = (d * z - b) / (a - c * z)
+    q = walk.planes[t[0]]
+    beyond = q[0] * abs(w) ** 2 + q[1] * w.real + q[2] > 0
+    return bool((beyond & walk.stop[t[0]])[:3].any())
+
+
+def relative_gap(p, q):
+    """|p - q| / max(1, |q|) of two ideal points (0 for two infinities)."""
+    if iso.INF in (p, q):
+        return 0.0 if p == q else math.inf
+    return abs(p - q) / max(1.0, abs(q))
+
+
+#: how far (relative) the walk's leaf endpoints may lie from the family's.
+#: Against a 50-digit evaluation of the same surfaces the walk's lie
+#: within 2e-15, while the family's, word products applied to the axis
+#: of a placed letter, lie up to 1.6e-12 off (the fifth rank-3 surface)
+ENDPOINT_TOL = 1e-11
+
+
+def assert_hexagon_walk_is_family(lam, h, *point_sets):
+    """On the segments [x0, y], y in each of `point_sets`, the walk's
+    crossings are the depth-10 reach family's, which converges on every
+    one: the same weights in the same order, halved at an end, and
+    endpoints within ENDPOINT_TOL relative.  Returns the number of
+    segments."""
+    x0, count = eq.BASE_POINT, 0
+    walk = lm.realize(lam, h, 10, reach=[x0])
+    assert isinstance(walk, lm.HexagonWalk)
+    for ys in point_sets:
+        fam = lm.LiftFamily(lam, h, 10, reach=[x0, *ys])
+        for (got, ok), (want, want_ok) in zip(
+                walk.crossings_from(x0, ys, on_leaf="include"),
+                fam.crossings_from(x0, ys, on_leaf="include")):
+            assert ok and want_ok
+            assert [l.weight for l in got] == [l.weight for l in want]
+            for a, b in zip(got, want):
+                assert relative_gap(a.geodesic.p_minus,
+                                    b.geodesic.p_minus) <= ENDPOINT_TOL
+                assert relative_gap(a.geodesic.p_plus,
+                                    b.geodesic.p_plus) <= ENDPOINT_TOL
+            count += 1
+    return count
+
+
+class TestHexagonWalk:
+    @pytest.mark.parametrize("kind", ["torus", "rank3"])
+    def test_seeded_surfaces_match_the_family(self, kind):
+        # 20 one-holed tori over perfbench's ranges, or 10 rank-3
+        # surfaces; the quake reach (the letter orbit of x0) and the
+        # wall grid.  x0 lies in the convex core of all of them (one
+        # beyond a wall is tested below); the grid leaves it on most
+        rng = np.random.default_rng(32)
+        segments = funnels = 0
+        for i in range(20 if kind == "torus" else 10):
+            lam, h = (seeded_surface("fn", rng) if kind == "torus"
+                      else seeded_rank_three(i, rng))
+            walk = lm.HexagonWalk(lam, h)
+            assert not beyond_a_wall(walk, eq.BASE_POINT)
+            funnels += sum(beyond_a_wall(walk, z) for z in WALL_GRID)
+            segments += assert_hexagon_walk_is_family(
+                lam, h, letter_orbit(h), WALL_GRID)
+        # every letter orbit and grid point was compared
+        assert segments == (20 * (3 + 49) if kind == "torus"
+                            else 10 * (5 + 49))
+        assert funnels == {"torus": 16, "rank3": 87}[kind]
+
+    @pytest.mark.parametrize("name", ["torus_multicurve",
+                                      "torus_two_boundary"])
+    def test_scenarios_match_the_family(self, name):
+        lam, h = scenario_surface(name)
+        assert assert_hexagon_walk_is_family(
+            lam, h, letter_orbit(h), WALL_GRID, GRID) == \
+            len(h.alphabet) + 2 * 49
+
+    def test_base_point_beyond_a_wall(self, capsys):
+        # a long boundary puts x0 in its funnel: the walks start at the
+        # wall, and the answers are the family's and exact
+        pd = teich.PantDecomposition.once_punctured_torus()
+        h = teich.holonomy_from_fn(pd, teich.FNPoint((6.0,), (1.0,), (0.3,)))
+        lam = lm.MultiCurveLam((0.5,))
+        assert beyond_a_wall(lm.HexagonWalk(lam, h), eq.BASE_POINT)
+        assert_hexagon_walk_is_family(lam, h, letter_orbit(h), WALL_GRID)
+        hq = eq.quake_holonomy(teich.FNPoint((6.0,), (1.0,), (0.3,)), lam,
+                               eq.LEFT, pd=pd)
+        hf = teich.holonomy_from_fn(pd, teich.FNPoint((6.0,), (1.0,), (0.8,)))
+        for name in hf.curve_names():
+            assert abs(iso.tr(hq.curve(name))) == pytest.approx(
+                abs(iso.tr(hf.curve(name))), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["torus_multicurve",
+                                      "torus_two_boundary"])
+    def test_end_on_a_leaf(self, name):
+        # y on the last leaf that the segment to -1.5 + 0.3i crosses, at
+        # the foot of the perpendicular from x0: half its weight with
+        # on_leaf='include', an error with 'raise', as the family gives;
+        # x0 on it raises either way
+        lam, h = scenario_surface(name)
+        x0 = eq.BASE_POINT
+        walk = lm.HexagonWalk(lam, h)
+        leaves, _ = walk.crossings(x0, -1.5 + 0.3j)
+        leaf = leaves[-1]
+        frame = leaf.geodesic.map_from_standard()
+        y = iso.apply_h2(frame, 1j * abs(iso.apply_h2(iso.inv(frame), x0)))
+        fam = lm.LiftFamily(lam, h, 10, reach=[x0, y])
+        got, ok = walk.crossings(x0, y, on_leaf="include")
+        want, _ = fam.crossings(x0, y, on_leaf="include")
+        assert ok and [l.weight for l in got] == [l.weight for l in want]
+        assert got[-1].weight == leaf.weight / 2.0
+        for lifts in (walk, fam):
+            with pytest.raises(lm.BasePointOnLeafError):
+                lifts.crossings(x0, y)
+            with pytest.raises(lm.BasePointOnLeafError):
+                lifts.crossings(y, x0)
+
+    def test_step_cap_raises(self, monkeypatch):
+        # a fault of the walk, not a domain error; the cap of the walk
+        # is far above the longest walk of these tests
+        lam, h = scenario_surface("torus_two_boundary")
+        walk = lm.HexagonWalk(lam, h)
+        monkeypatch.setattr(lm, "HEX_STEPS", 2)
+        with pytest.raises(RuntimeError, match="2 steps"):
+            walk.crossings_from(eq.BASE_POINT, letter_orbit(h))
+
+    def test_longest_walk_is_far_below_the_cap(self, monkeypatch):
+        # every walk of the rank-3 surfaces, letter orbits and wall grid
+        # ends within 40 steps, far below the cap
+        assert lm.HEX_STEPS > 40
+        monkeypatch.setattr(lm, "HEX_STEPS", 40)
+        rng = np.random.default_rng(32)
+        for i in range(10):
+            lam, h = seeded_rank_three(i, rng)
+            lm.HexagonWalk(lam, h).crossings_from(
+                eq.BASE_POINT, letter_orbit(h) + WALL_GRID, on_leaf="include")

@@ -634,14 +634,15 @@ class TestHolonomyMap:
         pd = teich.PantDecomposition.once_punctured_torus()
         fn = teich.FNPoint((1.0,), (2.0,), (0.3,))
         lam = lm.MultiCurveLam((0.5,))
-        # one crossings_from query at the base point, one segment per letter
+        # one crossings_from query at the base point, one segment per
+        # letter, of the hexagon walk
         calls = []
-        crossings_from = lm.LiftFamily.crossings_from
+        crossings_from = lm.HexagonWalk.crossings_from
 
         def counted(self, x, ys, *args, **kwargs):
             calls.append(len(ys))
             return crossings_from(self, x, ys, *args, **kwargs)
-        monkeypatch.setattr(lm.LiftFamily, "crossings_from", counted)
+        monkeypatch.setattr(lm.HexagonWalk, "crossings_from", counted)
         for deformed in (lambda: eq.quake_holonomy(fn, lam, eq.LEFT, depth=6,
                                                    pd=pd),
                          lambda: bd.hyp_holonomy(fn, lam, depth=6, pd=pd),
