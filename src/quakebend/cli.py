@@ -225,7 +225,9 @@ def cmd_quake(args):
         coords = {"shears": list(moved.shears)}
         h, h2 = teich.holonomy_of(point), teich.holonomy_of(moved)
     hq = eq.quake_holonomy(point, lam, side, depth=args.depth, pd=pd, h=h)
-    yield {"side": side, **coords}
+    # every record is built before the first is written: a curve word
+    # whose product fails (ROADMAP defect 3) leaves stdout empty
+    recs = [{"side": side, **coords}]
     for name in h2.curve_names():
         tc = abs(float(iso.tr(h2.curve(name))))
         tq = abs(float(iso.tr(hq.curve(name)))) if name in hq.curve_words else None
@@ -234,7 +236,8 @@ def cmd_quake(args):
         if tq is not None:
             rec["trace_cocycle"] = tq
             rec["residual"] = abs(tc - tq)
-        yield rec
+        recs.append(rec)
+    yield from recs
 
 
 def cmd_flow(args):

@@ -806,6 +806,10 @@ HEX_STEPS = 1000
 #: a walk crosses a side only when its target lies farther beyond it than
 #: this (sinh of the distance), so that no rounding takes it back
 HEX_TOL = 1e-12
+#: a seam step along a cuff shorter than this jumps along the cuff to the
+#: hexagon that holds the target's foot on it: the hexagons there are
+#: l / 2 long, so a walk past a short cuff would cross ~1 / l seams
+JUMP_LENGTH = 0.25
 #: z -> M(conj z) reflects in the unit circle, the seam of a cuff frame
 _MIRROR = np.array([[0.0, 1.0], [1.0, 0.0]])
 #: the midpoint of hexagon D0's or D1's side on cuff k, in its cuff frame,
@@ -862,10 +866,12 @@ class HexagonWalk:
     else that seam, so each step crosses a line that separates the
     hexagon from y, and the walk stops in the hexagon of y.  A side is
     crossed only when y lies more than HEX_TOL beyond it, so no
-    rounding takes the walk back.  A boundary cuff is a wall: the
-    funnel beyond it holds no leaf, so a walk stops there with its
-    crossings complete, and an x beyond a wall starts the walks from
-    the hexagon at the wall.  There is no depth, and `converged` is true
+    rounding takes the walk back.  Along a cuff shorter than
+    JUMP_LENGTH a seam step becomes a jump (`_jump`), so a walk past a
+    short cuff takes a few steps, not ~1 / l.  A boundary cuff is a
+    wall: the funnel beyond it holds no leaf, so a walk stops there
+    with its crossings complete, and an x beyond a wall starts the
+    walks from the hexagon at the wall.  There is no depth, and `converged` is true
     by construction.  A walk of HEX_STEPS steps raises RuntimeError.
 
     The walk proposes the weighted cuffs of the first hexagon, the
@@ -931,7 +937,9 @@ class HexagonWalk:
         odd = j & 1
         shift = np.exp((t + (j + sq * odd) * hq) / 2.0)[..., None, None] \
             ** [[1.0, 0.0], [0.0, -1.0]] * np.eye(2)
-        enter = np.stack([inv, inv @ seam], 2)[q, m]   # (n, 3, odd, 2, 2)
+        # the charts into D0 and into D0's mirror in seam k of each slot
+        self.enter = np.stack([inv, inv @ seam], 2)    # (n, 3, odd, 2, 2)
+        enter = self.enter[q, m]
         # per hexagon and side: the chart change, the hexagon across, and
         # what a step does to the flags of the cuffs whose axes a
         # proposal holds (a seam keeps those of its two cuffs, a cuff sets
@@ -949,12 +957,25 @@ class HexagonWalk:
         keep = np.tile(_KEEP, (n, 2, 1, 1))
         keep[:, :, :3] = wall[:, None, :, None]
         entry = np.zeros((n, 2, 7, 7), bool)
-        entry[:, :, :3] = (np.eye(7, dtype=bool)[m] & ~wall[..., None])[:, None]
+        entry[:, :, :3] = (np.eye(7, dtype=bool)[m]
+                           & ~wall[..., None])[:, None]
         self.step = step.reshape(2 * n, 7, 2, 2)
         self.across = across.reshape(2 * n, 7)
         self.keep = keep.reshape(2 * n, 7, 7)
         self.entry = entry.reshape(2 * n, 7, 7)
         self.cuff = frames.reshape(2 * n, 3, 2, 2)
+        self.half, self.sign = half, sign
+        # the jumps: a seam step may run along either of its two cuffs
+        # that is short, and the index of each hexagon's side on a cuff,
+        # in units of l / 2 from the foot N(i) in the hexagon's frame
+        self.short = 2 * half < JUMP_LENGTH
+        self.jump = None  # per hexagon and side, if any cuff is short
+        if self.short.any():
+            self.jump = np.zeros((2 * n, 7), bool)
+            self.jump[:, 3:6] = np.repeat(
+                self.short | np.roll(self.short, -1, 1), 2, 0)
+        self.chain_index = np.floor(_MIDPOINT * sign[:, None]).astype(
+            int).reshape(2 * n, 3)
         self.stop = np.repeat(stop, 2, 0)
         self.weight = np.repeat(weight, 2, 0)
 
@@ -971,7 +992,8 @@ class HexagonWalk:
         n = len(ys)
         lines = np.zeros((n, 7), bool)
         lines[:, :3] = True
-        (t0,), g0, _ = self._walk(np.zeros(1, int), self.charts.placement[0][None],
+        (t0,), g0, _ = self._walk(np.zeros(1, int),
+                                  self.charts.placement[0][None],
                                   np.array([x]), lines[:1], [])
         k0 = np.flatnonzero(self.weight[t0] > 0)
         proposed = [(np.repeat(np.arange(n), len(k0)),
@@ -1006,10 +1028,49 @@ class HexagonWalk:
             new = (self.weight[t, k] > 0) > lines.take(flat + k)
             if new.any():
                 proposed.append((np.flatnonzero(new), g[new], t[new], k[new]))
-            lines = (lines & self.keep[t, k]) | self.entry[t, k]
-            g = _mul(g, self.step[t, k])
-            t = self.across[t, k]
+            step = (_mul(g, self.step[t, k]), self.across[t, k],
+                    (lines & self.keep[t, k]) | self.entry[t, k])
+            if self.jump is not None:
+                jump = np.flatnonzero(self.jump[t, k])
+                if len(jump):
+                    self._jump(jump, t, k, g, ys, *step)
+            g, t, lines = step
         raise RuntimeError(f"a hexagon walk took {HEX_STEPS} steps")
+
+    def _jump(self, rows, t, k, g, ys, to_g, to_t, to_lines):
+        """Replace the steps of the walks `rows` across seam k of their
+        hexagons t (charts g) by jumps along one of the seam's two cuffs
+        c, a short one, to the hexagon that holds the foot of y on c,
+        where that is two or more hexagons on (the farther of the two
+        cuffs): the hexagon, chart and proposal flags go to to_t, to_g
+        and to_lines.  The path of the walk to y leaves the chain of
+        hexagons along c at that hexagon, as a hexagon's two seams on c
+        are perpendicular to it; after a jump the hexagon shares only c
+        with the one left."""
+        t = np.repeat(t[rows], 2)
+        c = ((np.repeat(k[rows], 2) - 3) + np.tile([0, 1], len(rows))) % 3
+        p = t >> 1
+        hmat = _mul(np.repeat(g[rows], 2, 0), self.cuff[t, c])
+        (a, b), (cc, d) = hmat.transpose(1, 2, 0)
+        z = np.repeat(ys[rows], 2)
+        half, sign = self.half[p, c], self.sign[p, c]
+        u = np.log(np.abs((d * z - b) / (a - cc * z)))
+        j = np.floor(u / half + (sign < 0)).astype(int)
+        reach = (np.abs(j - self.chain_index[t, c]) * self.short[p, c]) \
+            .reshape(-1, 2)
+        pick = 2 * np.arange(len(rows)) + reach.argmax(1)
+        far = reach.max(1) >= 2
+        if not far.any():
+            return
+        rows, pick = rows[far], pick[far]
+        c, p, j, hmat = c[pick], p[pick], j[pick], hmat[pick]
+        odd = j & 1
+        e = np.exp((j + sign[pick] * odd) * half[pick] / 2.0)[:, None]
+        hmat[:, :, 0] *= e
+        hmat[:, :, 1] /= e
+        to_g[rows] = _mul(hmat, self.enter[p, c, odd])
+        to_t[rows] = 2 * p + odd
+        to_lines[rows] &= np.eye(7, dtype=bool)[c]
 
 
 def _geodesic_boundaries(charts):

@@ -1178,6 +1178,18 @@ class TestHexagonWalkCommands:
         assert runs[0] == runs[1]
 
 
+    @pytest.mark.parametrize("length", [6.35e-5, 1e-4, 3e-4])
+    def test_failing_curve_word_leaves_stdout_empty(self, tmp_path, capsys,
+                                                    length):
+        # ROADMAP defect 3's short interior lengths: a curve word's product
+        # fails iso.normalize; quake builds every record before the first
+        # goes out, so it exits 3 with no record (it wrote 3 before)
+        data = {**TORUS_SCENARIO, "fn": {"l": [1.0, length], "t": [0.3]}}
+        code, recs = run(capsys, ["quake", write_scenario(tmp_path, data),
+                                  "--depth", "6"])
+        assert code == cli.EXIT_DOMAIN and recs == []
+
+
 class TestFNSetUp:
     @pytest.mark.parametrize("command", ["quake", "blackhole"])
     def test_one_set_up_per_run(self, capsys, monkeypatch, command):

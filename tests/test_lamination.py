@@ -1140,3 +1140,46 @@ class TestHexagonWalk:
             lam, h = seeded_rank_three(i, rng)
             lm.HexagonWalk(lam, h).crossings_from(
                 eq.BASE_POINT, letter_orbit(h) + WALL_GRID, on_leaf="include")
+
+    @pytest.mark.parametrize("lengths", ["short", "tiny"])
+    def test_short_cuffs_jump(self, monkeypatch, lengths):
+        # hexagons along a cuff of length l are l / 2 long: the walks jump
+        # along short cuffs, so each ends within 40 steps (without the
+        # jumps, tens of thousands on the tiny ones), and match the family
+        # where it converges.  One-holed tori: interior length U(0.05,
+        # 0.25), or both lengths 10^U(-4, -2) with twists U(-10, 10)
+        monkeypatch.setattr(lm, "HEX_STEPS", 40)
+        rng = np.random.default_rng(33 if lengths == "short" else 34)
+        pd = teich.PantDecomposition.once_punctured_torus()
+        compared = 0
+        for _ in range(10):
+            if lengths == "short":
+                fn = teich.FNPoint((rng.uniform(0.6, 2.0),),
+                                   (rng.uniform(0.05, 0.25),),
+                                   (rng.uniform(-0.5, 0.5),))
+            else:
+                fn = teich.FNPoint((10 ** rng.uniform(-4, -2),),
+                                   (10 ** rng.uniform(-4, -2),),
+                                   (rng.uniform(-10, 10),))
+            lam = lm.MultiCurveLam((rng.uniform(0.1, 0.9),))
+            h = teich.holonomy_from_fn(pd, fn)
+            walk = lm.HexagonWalk(lam, h)
+            assert walk.jump is not None
+            for ys in (letter_orbit(h), WALL_GRID):
+                fam = lm.LiftFamily(lam, h, 10, reach=[eq.BASE_POINT, *ys])
+                for (got, ok), (want, want_ok) in zip(
+                        walk.crossings_from(eq.BASE_POINT, ys,
+                                            on_leaf="include"),
+                        fam.crossings_from(eq.BASE_POINT, ys,
+                                           on_leaf="include")):
+                    assert ok
+                    if want_ok:
+                        compared += 1
+                        assert [l.weight for l in got] == \
+                            [l.weight for l in want]
+                        for a, b in zip(got, want):
+                            assert relative_gap(a.geodesic.p_minus,
+                                                b.geodesic.p_minus) <= 1e-12
+                            assert relative_gap(a.geodesic.p_plus,
+                                                b.geodesic.p_plus) <= 1e-12
+        assert compared >= 10 * (3 + 49) - 2
