@@ -822,8 +822,7 @@ _MIDPOINT = np.array([[0.5, 0.5, 0.5], [-0.5, 1.5, -0.5]])
 #: a cuff keeps none, unless it is a wall (where the walk stays)
 _KEEP = np.zeros((7, 7), bool)
 _KEEP[6] = True
-for _k in range(3):
-    _KEEP[3 + _k, [_k, (_k + 1) % 3]] = True
+_KEEP[[3, 3, 4, 4, 5, 5], [0, 1, 1, 2, 2, 0]] = True
 
 
 def _adj(m):
