@@ -3,7 +3,7 @@
 Both are the quake module's ``cocycle_products`` of exp(c a D) over the
 leaves that the context's realization (``lamination.realize``: the
 ``HexagonWalk`` of a multicurve, the ``TriangleWalk`` of a
-triangulation lamination, or a ``LiftFamily``) finds crossing a
+triangulation lamination, or the full ``LiftFamily``) finds crossing a
 segment, D the displacement generator of each leaf:
 c = i for H3, the earthquake at imaginary weight (exp(i a D) rotates
 by angle a around the leaf), and the pair c = (+1, -1) for AdS, the
@@ -93,11 +93,11 @@ class BendContext:
 def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None,
                  reach=None):
     """Realize `lam` on the holonomy of `point` for the bent maps
-    (`lamination.realize`): between the points `reach`, the base point
-    and its check points only, if given, else as the full `LiftFamily`."""
+    (`lamination.realize`): with `reach`, the points the bent maps are
+    asked at, by a walk where one applies; else, or on a cusped
+    Fenchel-Nielsen surface, as the full `LiftFamily`.  Every
+    realization answers points off `reach` too."""
     h = teich.holonomy_of(point, pd)
-    if reach is not None:
-        reach = [*(eq.BASE_POINT + np.array((0, *BASE_CHECK_STEPS))), *reach]
     return BendContext(lm.realize(lam, h, depth, reach), target), h
 
 

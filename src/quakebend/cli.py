@@ -177,6 +177,9 @@ def cmd_holonomy(args):
     h = teich.holonomy_of(point, pd)
     st = teich.surface_type(h, point)
     lengths = teich.boundary_lengths(point)
+    # every record is built before the first is written: a curve word
+    # whose product fails (ROADMAP defect 3) leaves stdout empty
+    recs = []
     for name in h.curve_names():
         m = h.curve(name)
         k = iso.classify(m)
@@ -189,8 +192,9 @@ def cmd_holonomy(args):
                 kind, length = "parabolic", 0.0
             elif kind != "hyperbolic":
                 kind, length = "hyperbolic", lengths[i]
-        yield {"curve": name, "trace": abs(float(iso.tr(m))), "kind": kind,
-               "length": length}
+        recs.append({"curve": name, "trace": abs(float(iso.tr(m))),
+                     "kind": kind, "length": length})
+    yield from recs
     yield {"types": list(st.kinds), "genus": st.genus}
 
 

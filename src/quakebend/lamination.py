@@ -4,8 +4,9 @@ A ``MultiCurveLam`` weights the pant curves of a decomposition; a
 ``TriangulationLam`` weights the edges of an ideal triangulation and
 records the per-puncture spiraling signature.  Arbitrary finite
 laminations occur only as realized lifts (``realize``: the walks
-across hexagons and ideal triangles, or a ``LiftFamily``), never as
-user input, which keeps disjointness decidable.
+across hexagons and ideal triangles, or the full word family
+``LiftFamily`` where no walk applies), never as user input, which keeps
+disjointness decidable.
 
 Peripheral spectra use the same star convention as the shear length
 formula: every corner incidence of an edge at the puncture counts.
@@ -335,136 +336,10 @@ def _crossings(x, ys, on_leaf, candidates):
     return list(zip(leaves, converged.tolist()))
 
 
-# ---------------------------------------------------------------------------
-# limit-set arcs: the certificate that prunes the word tree
-# ---------------------------------------------------------------------------
-
-#: the arcs start from the attracting fixed points of the reduced words
-#: up to this length ...
-ARC_SEED_DEPTH = 4
-#: ... widened by this angle (of endpoint vectors, mod pi) at each end
-ARC_WIDEN = 1e-6
-#: passes of growth by the letters' images before the arcs are refused
-ARC_PASSES = 8
-#: a subtree is dropped only beyond the reach cut times 1 + PRUNE_SLACK:
-#: room for the rounding of the leaf keys against the half-plane test
-PRUNE_SLACK = 1e-6
-
-
-def _angle(v):
-    """Angle mod pi of endpoint vectors (..., 2), their point on RP^1.
-    Twice it is the visual angle at i, so PSL(2, R) keeps its cyclic
-    order, and an arc is the counterclockwise run between two angles."""
-    return np.arctan2(v[..., 1], v[..., 0]) % np.pi
-
-
-def _offset(p, s):
-    """Counterclockwise angle from s to p, in [0, pi]."""
-    return (p - s) % np.pi
-
-
-def _attracting(w):
-    """Attracting fixed points, as endpoint vectors, of a stack of
-    matrices (..., 2, 2)."""
-    (a, b), (c, d) = np.moveaxis(w, (-2, -1), (0, 1))
-    tr = a + d
-    lam = 0.5 * (tr + np.sign(tr)
-                 * np.sqrt(np.maximum(tr * tr - 4.0 * (a * d - b * c), 0.0)))
-    # of the two forms of the eigenvector, the one free of cancellation
-    big = np.hypot(b, lam - a) >= np.hypot(lam - d, c)
-    return np.where(big[..., None], np.stack([b, lam - a], -1),
-                    np.stack([lam - d, c], -1))
-
-
-def limit_arcs(h: teich.Holonomy):
-    """Arcs A_g of the boundary, one per letter g of
-    `teich.Holonomy.letter_matrices`, with g A_h inside A_g for every
-    h != g^-1: a (2k, 2, 2) array of endpoint vectors (start, end), or
-    None when no such arcs were found.
-
-    By induction on the word, A_g then holds the limit-set cylinder of
-    g (the limit points of the reduced words that begin with g).  Each
-    arc is kept off the repelling fixed point of g, where the circle is
-    cut open.  It starts as the hull of the attracting fixed points of
-    the words up to ARC_SEED_DEPTH that begin with g, widened by
-    ARC_WIDEN, and grows by the images g A_h until a pass moves no arc.
-    A Moebius map keeps the cyclic order, so g [s, t] = [g s, g t] and
-    the check reads the arc ends only: a pass maps the (2k, 2) array of
-    arc ends by every letter and takes each arc's hull with its images.
-    Letters off the orientation-preserving group, an arc or image over
-    a cut point, arcs that together would cover the circle, or no fixed
-    point after ARC_PASSES refuse the certificate (a cusped surface,
-    whose limit set is the whole circle, is refused so).
-    """
-    gens = h.letter_matrices()
-    n = len(gens)
-    if not n or np.any(iso.det(np.moveaxis(gens, 0, -1)) <= 0):
-        return None
-    rows = np.arange(n)
-    # each level of `h.word_levels` lists the words that begin with g as
-    # its g-th block, and level 1 the letters: the circle is cut at
-    # att(g^-1)
-    seed = list(h.word_levels(ARC_SEED_DEPTH))[1:]
-    words = np.concatenate([m.reshape(n, -1, 2, 2) for m, _ in seed], 1)
-    att = _angle(_attracting(words))
-    cut = att[rows ^ 1, 0]
-    x = _offset(att, cut[:, None])
-    span = np.stack([x.min(1), x.max(1)], 1) + [-ARC_WIDEN, ARC_WIDEN]
-    other = rows[None, :] != (rows[:, None] ^ 1)  # the pairs h != g^-1
-    for _ in range(ARC_PASSES):
-        lo, hi = span.T
-        if (lo <= 0.0).any() or (hi >= np.pi).any() or (hi - lo).sum() >= np.pi:
-            return None
-        ends = cut[:, None] + span
-        arcs = np.stack([np.cos(ends), np.sin(ends)], -1)
-        img = _offset(_angle(np.einsum("gij,hej->ghei", gens, arcs)),
-                      cut[:, None, None])
-        if (other & (img[..., 0] > img[..., 1])).any():
-            return None
-        img[rows, rows ^ 1] = span  # the pair (g, g^-1) is the arc itself
-        new = np.stack([img[..., 0].min(1), img[..., 1].max(1)], 1)
-        if (new == span).all():
-            return arcs
-        span = new
-    return None
-
-
-def _arcs_hold(arcs, gens, ends, letters):
-    """Whether u e lies in A_u for each endpoint vector e of `ends` and
-    each letter index u of `letters`."""
-    start, end = _angle(arcs[letters, 0]), _angle(arcs[letters, 1])
-    img = np.einsum("uij,ej->uei", gens[letters], ends)
-    return bool(np.all(_offset(_angle(img), start[:, None])
-                       <= _offset(end, start)[:, None]))
-
-
-def _prune_beyond(arcs, cut):
-    """`word_levels` keep test: the child p of a prefix P is built unless
-    all of its subtree lies farther than sinh^-1(cut) from i.
-
-    When the last letters' images of the base leaf's ends lie in their
-    arcs, every leaf P p U l of the subtree has both ends in P A_p, so
-    lies in the closed half-plane over that arc.  With a = P s_p and
-    b = P t_p, the arc spans under pi / 2 in `_angle` (under half the
-    circle seen from i, which is then outside the half-plane) exactly
-    when (a . b) det[a | b] > 0, and the distance from i to the
-    half-plane's side has sinh |a . b| / |det[a | b]|.
-    """
-    s, t = arcs[:, 0].T, arcs[:, 1].T
-
-    def keep(mats):
-        a, b = mats @ s, mats @ t
-        dot = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
-        det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        return ~(dot * det > cut * det * det)
-    return keep
-
-
-def _lift_tree(lam, h: teich.Holonomy, cut=None):
-    """(leaves, keep): the base leaves of `lam` on `h`, each as (its
-    endpoint vectors, its weight, the last letters it forbids), and the
-    `word_levels` keep test of the family within `cut`, None for the
-    full tree (see `LiftFamily`)."""
+def _lift_leaves(lam, h: teich.Holonomy):
+    """The base leaves of `lam` on `h`, each as (its endpoint vectors,
+    its weight, the last letters it forbids: its stabilizer's letter
+    and inverse, or none)."""
     names = list(h.gens)
     leaves = []
     for geo, w, stab_name in _base_leaves(lam, h):
@@ -472,77 +347,40 @@ def _lift_tree(lam, h: teich.Holonomy, cut=None):
         leaves.append((np.array([_proj_vec(geo.p_minus),
                                  _proj_vec(geo.p_plus)]), w,
                        () if gi is None else (gi, gi + 1)))
-    # leaves that no letter stabilizes fail the certificate (see the
-    # LiftFamily notes)
-    if cut is None or not leaves or not all(
-            forbidden for _, _, forbidden in leaves):
-        return leaves, None
-    arcs = limit_arcs(h)
-    gens = h.letter_matrices()
-    if arcs is None or not all(
-            _arcs_hold(arcs, gens, ends, [u for u in range(len(gens))
-                                          if u not in forbidden])
-            for ends, _, forbidden in leaves):
-        return leaves, None
-    return leaves, _prune_beyond(arcs, cut)
+    return leaves
 
 
 class LiftFamily:
-    """The translates of a finite lamination's leaves up to a word depth
-    that queries from the points of `reach` can cross.
+    """The translates of a finite lamination's leaves up to a word depth.
 
     Enumerates the reduced words of the free generating set once with
     `teich.Holonomy.word_levels` and answers segment-crossing queries
-    cheaply, so cocycles along many segments share one realization (a
-    reach family's `limit_arcs` certificate and per-level set-up cost
-    the most).  Leaves are indexed by canonical coset representatives
-    of their stabilizers (words not ending in the stabilizing letter),
-    so distinct entries are distinct geodesics and every leaf is
-    produced by its shortest word.  `sinh_dist` holds
-    sinh d(i, leaf), so a query tests only the leaves near its segment.
-
-    With `reach`, the points that the queries' segments join, the
-    family holds every leaf with sinh_dist <= `cut`, the largest
-    `reach_cut` of them (times 1 + PRUNE_SLACK), and `crossings_from`
-    refuses a segment that reaches farther.  The word tree is then
-    pruned on the `limit_arcs` certificate from its first level on: a
-    subtree all of whose leaves lie in a half-plane beyond the cut is
-    never built, and the enumeration stops at the first level left
-    empty (a pruned subtree never regrows).  The certificate covers
-    the family when u e lies in A_u for each end e of each base leaf
-    and each last letter u that the leaf allows.  It is sought only
-    when a letter stabilizes every base leaf (the multicurve family).
-    The triangulation family's leaves end at fixed points of peripheral
-    words, whose first letter the last letter can cancel, so that the
-    check fails for them.  A family the certificate does not cover is
-    enumerated in full (the reach queries of a triangulation lamination,
-    and of a multicurve on a surface with geodesic boundaries, are
-    walked instead, see `realize`).  The rows within the
-    cut are bitwise those of the full family, in its order: base leaf,
-    then level, then prefix-major.  Without `reach` the family is the
-    full one and answers any query.
+    cheaply, so cocycles along many segments share one realization.
+    Leaves are indexed by canonical coset representatives of their
+    stabilizers (words not ending in the stabilizing letter), so
+    distinct entries are distinct geodesics and every leaf is produced
+    by its shortest word; the rows come base leaf, then level, then
+    prefix-major.  `sinh_dist` holds sinh d(i, leaf), so a query tests
+    only the leaves within the `reach_cut` of its segment.  The family
+    answers a query of any reach; a crossing from the deepest level
+    clears `converged`.  It answers what no walk does (see `realize`):
+    a multicurve on a cusped Fenchel-Nielsen surface, the fallback of
+    `TriangleWalk`, and the full families of `regular_domain_contains`,
+    the benchmark's check of `bend` and the tests.
     """
 
     #: (segment, leaf) pairs tested at once by `crossings_from` (bounds memory)
     PAIRS_PER_BLOCK = 1 << 15
 
-    def __init__(self, lam, h: teich.Holonomy, depth=12, reach=None):
+    def __init__(self, lam, h: teich.Holonomy, depth=12):
         if depth < 1:
             raise DomainError("depth must be >= 1")
         self.depth = depth
-        self.cut = math.inf if reach is None else (
-            float(np.max(reach_cut(reach), initial=0.0)) * (1.0 + PRUNE_SLACK))
-        leaves, keep = _lift_tree(lam, h, None if reach is None else self.cut)
+        leaves = _lift_leaves(lam, h)
         self.empty = not leaves
         if self.empty:
             return
-        # the levels up to the first empty one: a pruned subtree never
-        # regrows, so the levels after it are empty too
-        words = []
-        for block, bl in h.word_levels(depth, keep):
-            if not len(block):
-                break
-            words.append((block, bl))
+        words = list(h.word_levels(depth))
         ends_m, ends_p, sizes = [], [], []
         for (vm, vp), _, forbidden in leaves:
             for block, bl in words:
@@ -572,8 +410,7 @@ class LiftFamily:
         the deepest word level.  A leaf through x or y raises
         BasePointOnLeafError, or with on_leaf='include' comes back at
         half its weight; with on_leaf='end' only one through y does.  A
-        y equal to x gives no leaves.  A segment whose `reach_cut`
-        exceeds the family's `cut` raises StructureError.
+        y equal to x gives no leaves.
         """
         return _crossings(x, ys, on_leaf, self._candidates)
 
@@ -585,9 +422,6 @@ class LiftFamily:
         # the index is cut once at the largest `reach_cut`; each
         # segment then keeps the leaves within its own
         cut = np.maximum(reach_cut(x), reach_cut(y))
-        if cut.max() > self.cut:
-            raise StructureError("a segment reaches beyond the points the "
-                                 "lift family was built for")
         rows = np.flatnonzero(self.sinh_dist <= cut.max())
         dist = self.sinh_dist[rows]
         em, ep = self.ends_minus[rows].T, self.ends_plus[rows].T
@@ -690,20 +524,18 @@ class TriangleWalk:
     peripheral element (a wall), bounds the core.  A start x beyond a
     wall is refused with DomainError.  A target beyond a wall of a
     triangle the walk enters, or a walk of WALK_STEPS steps, sends the
-    whole query to the depth-capped `LiftFamily` of `reach` (built
-    once, on first need), whose candidates it yields in place of its
-    own.
+    whole query to the depth-capped `LiftFamily` (built once, on first
+    need), whose candidates it yields in place of its own.
     """
 
-    def __init__(self, lam: TriangulationLam, h: teich.Holonomy, depth=12,
-                 reach=None):
+    def __init__(self, lam: TriangulationLam, h: teich.Holonomy, depth=12):
         if depth < 1:
             raise DomainError("depth must be >= 1")
         charts = h.meta.get("triangle_charts")
         if charts is None:
             raise StructureError("holonomy lacks the triangle charts; "
                                  "build it with holonomy_from_shear")
-        self.lam, self.h, self.depth, self.reach = lam, h, depth, reach
+        self.lam, self.h, self.depth = lam, h, depth
         self.charts = charts
         self.planes = np.concatenate(
             [np.broadcast_to(_SIDES, charts.boundary.shape + (3,)),
@@ -724,8 +556,7 @@ class TriangleWalk:
         proposed = self._propose(x, y)
         if proposed is None:
             if self.fallback is None:
-                self.fallback = LiftFamily(self.lam, self.h, self.depth,
-                                           self.reach)
+                self.fallback = LiftFamily(self.lam, self.h, self.depth)
             yield from self.fallback._candidates(x, y)
         else:
             yield proposed
@@ -1079,25 +910,23 @@ def _geodesic_boundaries(charts):
 
 
 def realize(lam, h: teich.Holonomy, depth=12, reach=None):
-    """What answers the crossing queries of `lam` on `h` between the
-    points `reach` (`quake`, `bend`, `deform_letters` and the `verify`
-    quake and AdS suites ask it): a `TriangleWalk` for a triangulation
-    lamination, a `HexagonWalk` for a multicurve on a Fenchel-Nielsen
-    surface whose boundaries are all geodesic.  Both walks answer a
-    query exactly, with `converged` true by construction, and `depth`
-    bounds nothing there.  `LiftFamily` (with `limit_arcs`, which prunes
-    it) answers the rest: the reach family of a multicurve on a cusped
-    Fenchel-Nielsen surface (a boundary length of 0), the fallback of
-    `TriangleWalk` for a target beyond the convex core, and, without
-    `reach`, the full family, which `regular_domain_contains`, the
-    benchmark's check of `bend` and the tests use."""
+    """What answers the crossing queries of `lam` on `h`.  Given `reach`,
+    the points that the queries join (`quake`, `bend`, `deform_letters`
+    and the `verify` quake and AdS suites give it): a `TriangleWalk` for
+    a triangulation lamination, a `HexagonWalk` for a multicurve on a
+    Fenchel-Nielsen surface whose boundaries are all geodesic.  Both
+    walks answer any query exactly, with `converged` true by
+    construction, and `depth` bounds nothing there.  Otherwise, on a
+    cusped Fenchel-Nielsen surface (a boundary length of 0) or without
+    `reach`, the full `LiftFamily` to `depth`, which answers any query
+    too."""
     if reach is not None and isinstance(lam, TriangulationLam):
-        return TriangleWalk(lam, h, depth, reach)
+        return TriangleWalk(lam, h, depth)
     charts = h.meta.get("pant_charts")
     if reach is not None and isinstance(lam, MultiCurveLam) and \
             charts is not None and _geodesic_boundaries(charts):
         return HexagonWalk(lam, h, depth)
-    return LiftFamily(lam, h, depth, reach)
+    return LiftFamily(lam, h, depth)
 
 
 def leaves_pairwise_disjoint(leaves):

@@ -334,18 +334,6 @@ def flat_gauss_map(p: LocalPoint):
                      math.sinh(p.u) * math.cosh(w), math.sinh(w)])
 
 
-def local_model_ct(q, alpha0=1.0):
-    """Cosmological time of a Minkowski point over the segment
-    [0, alpha0 v0], v0 = (0, 0, 1)."""
-    q = np.asarray(q, dtype=float)
-    s = min(max(q[2], 0.0), alpha0)
-    d = q - np.array([0.0, 0.0, s])
-    val = -(-d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    if val <= 0 or d[0] <= 0:
-        raise DomainError("point is not in the open future of the segment")
-    return math.sqrt(val)
-
-
 # ---------------------------------------------------------------------------
 # Wick rotation into H3
 # ---------------------------------------------------------------------------
@@ -391,13 +379,6 @@ def hyperbolic_boundary_distance(T):
 def rescale_ds(p: LocalPoint):
     """De Sitter metric sample at p (0 < T < 1): constant curvature +1."""
     return _sample("ds", p)
-
-
-def ds_cosmological_time(T):
-    """CT of the rescaled spacetime: tau = arctanh(T)."""
-    if not 0.0 < T < 1.0:
-        raise DomainError("needs 0 < T < 1")
-    return math.atanh(T)
 
 
 # ---------------------------------------------------------------------------
@@ -448,40 +429,6 @@ def ads_map(p: LocalPoint):
 def ads_metric(p: LocalPoint):
     """Expected pulled-back metric of the AdS map: constant curvature -1."""
     return _sample("ads", p)
-
-
-def ads_cosmological_time(T):
-    """tau = arctan(T) on the past part."""
-    if T <= 0:
-        raise DomainError("needs T > 0")
-    return math.atan(T)
-
-
-# ---------------------------------------------------------------------------
-# CT level-surface geometry
-# ---------------------------------------------------------------------------
-
-def ct_level_geometry(a, kappa):
-    """(scale factor, graft-weight factor) of the CT level surface at a.
-
-    The level surface at time a is (scale) Gr_{lambda / (graft)}(F):
-    (a, a) for flat, (sinh a, tanh a) for +1, (sin a, tan a) for -1 --
-    returned as (scale, 1/graft-denominator) pairs (a, 1/a),
-    (sinh a, 1/tanh a), (sin a, 1/tan a).
-    """
-    if kappa == 0:
-        if a <= 0:
-            raise DomainError("flat CT level needs a > 0")
-        return a, 1.0 / a
-    if kappa == 1:
-        if a <= 0:
-            raise DomainError("dS CT level needs a > 0")
-        return math.sinh(a), 1.0 / math.tanh(a)
-    if kappa == -1:
-        if not 0.0 < a < math.pi / 2.0:
-            raise DomainError("AdS CT level needs 0 < a < pi/2")
-        return math.sin(a), 1.0 / math.tan(a)
-    raise DomainError("kappa must be 0, +1 or -1")
 
 
 # ---------------------------------------------------------------------------

@@ -436,7 +436,7 @@ class Holonomy:
         return np.array([m for g in self.gens.values()
                          for m in (g, iso.inv(g))]).reshape(-1, 2, 2)
 
-    def word_levels(self, depth, keep=None, letters=None):
+    def word_levels(self, depth, letters=None):
         """Reduced words of the free generators, one length at a time.
 
         Letters are ordered as in `letter_matrices`, so level 1 lists
@@ -448,19 +448,13 @@ class Holonomy:
         order).  This is the one reduced-word enumeration of the
         package.
 
-        `keep`, if given, prunes the tree: called on each level's stack,
-        it returns an (n, 2k) mask of the (prefix, letter) children to
-        build, and a child left out is never extended.  The words kept
-        are bitwise those of the full tree, in the same order.
-
         `letters`, if given, is a (2k, d, d) stack that replaces the
         2x2 letters, in the same order (the inverse of letter i is
         letter i ^ 1): an affine letter stack, say, enumerates the same
         words as (d, d) products.
 
         A level whose n prefixes would build more than MAX_WORDS
-        products (n 2k) raises DomainError before it allocates them, so
-        a pruned tree goes as deep as its kept prefixes allow.
+        products (n 2k) raises DomainError before it allocates them.
         """
         gens = self.letter_matrices() if letters is None else letters
         idx = np.arange(len(gens))
@@ -476,15 +470,11 @@ class Holonomy:
             # every (letter, prefix) product, one einsum per letter (a
             # fixed right factor is the fast kernel, and its rows do not
             # depend on which other rows are in the stack), then the
-            # pairs that do not backtrack and are kept, gathered in
-            # prefix-major order
+            # pairs that do not backtrack, gathered in prefix-major order
             prod = np.empty((len(gens),) + mats.shape, dtype=gens.dtype)
             for g in idx:
                 np.einsum("nij,jk->nik", mats, gens[g], out=prod[g])
-            child = idx != (last[:, None] ^ 1)
-            if keep is not None:
-                child &= keep(mats)
-            prefix, last = np.nonzero(child)
+            prefix, last = np.nonzero(idx != (last[:, None] ^ 1))
             mats = prod.reshape(-1, *gens.shape[1:])[last * len(mats) + prefix]
             yield mats, last
 

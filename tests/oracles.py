@@ -29,19 +29,22 @@ calls, kept next to the tests that compare the package against them:
 * `limit_set_samples` and `sampled_side`, the side rule of
   `blackhole.peripheral_rectangle` from the limit set sampled at every
   reduced word up to a depth, which the one-point rule replaced;
-* `lift_rows_every_level`, the rows of a `lamination.LiftFamily`
-  assembled from every level of its word tree, the empty levels after
-  a pruned tree's last leaf included, which the family no longer draws;
+* `limit_arcs_reference`, the limit-set arcs A_g with g A_h inside A_g,
+  and `reach_family`, the lift family that the queries between a set
+  of points can cross, its word tree pruned on those arcs
+  (`reach_keep`, `prune_beyond`, `pruned_word_levels`): the depth-10
+  reference of the hexagon walk where the full tree is over
+  `teich.MAX_WORDS`, which `lamination.LiftFamily` built until the
+  walks left no input that reaches it;
 * `cylinder_samples`, `circle_arc` and `arcs_invariant`, the limit-set
-  cylinders sampled per first letter and the arc containments of the
-  certificate `lamination.limit_arcs`, in the circle coordinate of
-  `blackhole.circle_angle` rather than the certificate's own;
-* `limit_arcs_reference`, the pass loop of `lamination.limit_arcs`
-  with separate start and end arrays, which one (2k, 2) span array
-  replaced;
+  cylinders sampled per first letter and the arc containments of
+  `limit_arcs_reference`, in the circle coordinate of
+  `blackhole.circle_angle` rather than the arcs' own;
 * `pant_frames_reference`, the cuff frames of a pant with each cuff
   classified and each axis mapped from (0, oo) anew at every use,
   which `teich._pant_frames` replaced;
+* `local_model_ct`, the cosmological time of the one-geodesic local
+  model, from the Minkowski coordinates of a point;
 * `regular_domain_direct`, the sampled regular-domain membership with
   s(x) found at every orbit point by its own crossings query, which
   the affine words of `spacetime.regular_domain_contains` replaced,
@@ -356,6 +359,19 @@ def sampled_side(g, samples):
 
 # -- per-point regular-domain membership -------------------------------------
 
+def local_model_ct(q, alpha0=1.0):
+    """Cosmological time of a Minkowski point over the segment
+    [0, alpha0 v0], v0 = (0, 0, 1): its Lorentzian distance from the
+    nearest point of the segment."""
+    q = np.asarray(q, dtype=float)
+    s = min(max(q[2], 0.0), alpha0)
+    d = q - np.array([0.0, 0.0, s])
+    val = -(-d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+    if val <= 0 or d[0] <= 0:
+        raise DomainError("point is not in the open future of the segment")
+    return math.sqrt(val)
+
+
 def regular_domain_direct(q, fam, h, depth=4):
     """`spacetime.regular_domain_contains` with s(x) at each sampled
     point from one crossings query at the base point and the sum of the
@@ -401,7 +417,7 @@ def affine_word(letters, word):
     return out
 
 
-# -- limit-set arcs of the pruned lift families --------------------------------
+# -- limit-set arcs ------------------------------------------------------------
 
 def cylinder_samples(h, depth):
     """Per letter g, in the order of `teich.Holonomy.letter_matrices`,
@@ -421,7 +437,7 @@ def boundary_value(vec):
 
 def circle_arc(ends):
     """The `blackhole.CircleArc` of a (start, end) pair of endpoint
-    vectors of `lamination.limit_arcs`.  Those arcs run counterclockwise
+    vectors of `limit_arcs_reference`.  Those arcs run counterclockwise
     in the angle of (a, b), which falls as a / b grows, so in
     `blackhole.circle_angle` the arc runs from end to start."""
     return bh.CircleArc(boundary_value(ends[1]), boundary_value(ends[0]))
@@ -454,29 +470,80 @@ def arcs_invariant(arcs, gens, tol=1e-12):
     return True
 
 
+#: the arcs start from the attracting fixed points of the reduced words
+#: up to this length ...
+ARC_SEED_DEPTH = 4
+#: ... widened by this angle (of endpoint vectors, mod pi) at each end
+ARC_WIDEN = 1e-6
+#: passes of growth by the letters' images before the arcs are refused
+ARC_PASSES = 8
+
+
+def arc_angle(v):
+    """Angle mod pi of endpoint vectors (..., 2), their point on RP^1.
+    Twice it is the visual angle at i, so PSL(2, R) keeps its cyclic
+    order, and an arc is the counterclockwise run between two angles."""
+    return np.arctan2(v[..., 1], v[..., 0]) % np.pi
+
+
+def arc_offset(p, s):
+    """Counterclockwise angle from s to p, in [0, pi]."""
+    return (p - s) % np.pi
+
+
+def attracting(w):
+    """Attracting fixed points, as endpoint vectors, of a stack of
+    matrices (..., 2, 2)."""
+    (a, b), (c, d) = np.moveaxis(w, (-2, -1), (0, 1))
+    tr = a + d
+    lam = 0.5 * (tr + np.sign(tr)
+                 * np.sqrt(np.maximum(tr * tr - 4.0 * (a * d - b * c), 0.0)))
+    # of the two forms of the eigenvector, the one free of cancellation
+    big = np.hypot(b, lam - a) >= np.hypot(lam - d, c)
+    return np.where(big[..., None], np.stack([b, lam - a], -1),
+                    np.stack([lam - d, c], -1))
+
+
 def limit_arcs_reference(h):
-    """`lamination.limit_arcs` as its pass loop was first written: the
-    letters' determinants from `np.linalg.det`, and the arc starts and
-    ends in separate arrays, each grown and compared on its own."""
+    """Arcs A_g of the boundary, one per letter g of
+    `teich.Holonomy.letter_matrices`, with g A_h inside A_g for every
+    h != g^-1: a (2k, 2, 2) array of endpoint vectors (start, end), or
+    None when no such arcs were found.
+
+    By induction on the word, A_g then holds the limit-set cylinder of
+    g (the limit points of the reduced words that begin with g).  Each
+    arc is kept off the repelling fixed point of g, where the circle is
+    cut open.  It starts as the hull of the attracting fixed points of
+    the words up to ARC_SEED_DEPTH that begin with g, widened by
+    ARC_WIDEN, and grows by the images g A_h until a pass moves no arc;
+    a Moebius map keeps the cyclic order, so a pass reads the arc ends
+    only.  Letters off the orientation-preserving group, an arc or image
+    over a cut point, arcs that together would cover the circle, or no
+    fixed point after ARC_PASSES refuse the arcs (a cusped surface,
+    whose limit set is the whole circle, is refused so).
+    """
     gens = h.letter_matrices()
     n = len(gens)
     if not n or np.any(np.linalg.det(gens) <= 0):
         return None
     rows = np.arange(n)
-    seed = list(h.word_levels(lm.ARC_SEED_DEPTH))[1:]
+    # each level of `h.word_levels` lists the words that begin with g as
+    # its g-th block, and level 1 the letters: the circle is cut at
+    # att(g^-1)
+    seed = list(h.word_levels(ARC_SEED_DEPTH))[1:]
     words = np.concatenate([m.reshape(n, -1, 2, 2) for m, _ in seed], 1)
-    att = lm._angle(lm._attracting(words))
+    att = arc_angle(attracting(words))
     cut = att[rows ^ 1, 0]
-    x = lm._offset(att, cut[:, None])
-    lo, hi = x.min(axis=1) - lm.ARC_WIDEN, x.max(axis=1) + lm.ARC_WIDEN
+    x = arc_offset(att, cut[:, None])
+    lo, hi = x.min(axis=1) - ARC_WIDEN, x.max(axis=1) + ARC_WIDEN
     other = rows[None, :] != (rows[:, None] ^ 1)
-    for _ in range(lm.ARC_PASSES):
+    for _ in range(ARC_PASSES):
         if (np.any(lo <= 0.0) or np.any(hi >= np.pi)
                 or np.sum(hi - lo) >= np.pi):
             return None
         ends = cut[:, None] + np.stack([lo, hi], 1)
         arcs = np.stack([np.cos(ends), np.sin(ends)], -1)
-        img = lm._offset(lm._angle(np.einsum("gij,hej->ghei", gens, arcs)),
+        img = arc_offset(arc_angle(np.einsum("gij,hej->ghei", gens, arcs)),
                          cut[:, None, None])
         if np.any(other & (img[..., 0] > img[..., 1])):
             return None
@@ -543,28 +610,138 @@ def _foot_height(axis, target):
     return abs(u)
 
 
-# -- lift-family rows from every word level ----------------------------------
+# -- the reach lift family: the word tree pruned on the limit-set arcs -------
 
+#: a subtree is dropped only beyond the reach cut times 1 + PRUNE_SLACK:
+#: room for the rounding of the leaf keys against the half-plane test
+PRUNE_SLACK = 1e-6
 LIFT_ROWS = ("ends_minus", "ends_plus", "weights", "levels", "sinh_dist")
 
 
-def lift_rows_every_level(lam, h, depth, cut):
-    """The rows `LIFT_ROWS` of `lamination.LiftFamily(lam, h, depth,
-    reach)` whose cut is `cut`, assembled from each level 0..depth that
-    `word_levels` yields for its pruned tree, empty or not."""
-    leaves, keep = lm._lift_tree(lam, h, cut)
-    levels = list(h.word_levels(depth, keep))
-    rows = {name: [] for name in LIFT_ROWS}
-    for (vm, vp), w, forbidden in leaves:
-        for level, (block, last) in enumerate(levels):
-            block = block[~np.isin(last, forbidden)]
-            em, ep = block @ vm, block @ vp
-            rows["ends_minus"].append(em)
-            rows["ends_plus"].append(ep)
-            rows["weights"].append(np.full(len(block), w))
-            rows["levels"].append(np.full(len(block), level))
-            rows["sinh_dist"].append(lm._sinh_dist_from_i(em, ep))
-    return {name: np.concatenate(v) for name, v in rows.items()}
+def arcs_hold(arcs, gens, ends, letters):
+    """Whether u e lies in A_u for each endpoint vector e of `ends` and
+    each letter index u of `letters`."""
+    start, end = arc_angle(arcs[letters, 0]), arc_angle(arcs[letters, 1])
+    img = np.einsum("uij,ej->uei", gens[letters], ends)
+    return bool(np.all(arc_offset(arc_angle(img), start[:, None])
+                       <= arc_offset(end, start)[:, None]))
+
+
+def prune_beyond(arcs, cut):
+    """`pruned_word_levels` keep test: the child p of a prefix P is built
+    unless all of its subtree lies farther than sinh^-1(cut) from i.
+
+    When the last letters' images of the base leaf's ends lie in their
+    arcs, every leaf P p U l of the subtree has both ends in P A_p, so
+    lies in the closed half-plane over that arc.  With a = P s_p and
+    b = P t_p, the arc spans under pi / 2 in `arc_angle` (under half
+    the circle seen from i, which is then outside the half-plane)
+    exactly when (a . b) det[a | b] > 0, and the distance from i to the
+    half-plane's side has sinh |a . b| / |det[a | b]|.
+    """
+    s, t = arcs[:, 0].T, arcs[:, 1].T
+
+    def keep(mats):
+        a, b = mats @ s, mats @ t
+        dot = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+        det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        return ~(dot * det > cut * det * det)
+    return keep
+
+
+def reach_keep(leaves, h, cut):
+    """The `prune_beyond` test of the family of `leaves` (as
+    `lamination._lift_leaves` gives them) within `cut`, or None where
+    the arcs do not cover it.  They cover it when u e lies in A_u for
+    each end e of each base leaf and each last letter u that the leaf
+    allows.  They are sought only when a letter stabilizes every base
+    leaf (the multicurve family): the triangulation family's leaves end
+    at fixed points of peripheral words, whose first letter the last
+    letter can cancel, so that the check fails for them."""
+    if not all(forbidden for _, _, forbidden in leaves):
+        return None
+    arcs, gens = limit_arcs_reference(h), h.letter_matrices()
+    if arcs is None or not all(
+            arcs_hold(arcs, gens, ends, [u for u in range(len(gens))
+                                         if u not in forbidden])
+            for ends, _, forbidden in leaves):
+        return None
+    return prune_beyond(arcs, cut)
+
+
+def pruned_word_levels(h, depth, keep):
+    """`teich.Holonomy.word_levels` with its tree pruned: `keep`, called
+    on each level's stack, returns an (n, 2k) mask of the (prefix,
+    letter) children to build, and a child left out is never extended.
+    The products are `word_levels`' own per-letter einsum, whose rows do
+    not depend on the other rows of the stack, so the words kept are
+    bitwise those of the full tree, in its order; the same
+    `teich.MAX_WORDS` budget holds for the products a level builds."""
+    gens = h.letter_matrices()
+    idx = np.arange(len(gens))
+    mats, last = np.eye(2)[None], np.array([-1])
+    yield mats, last
+    for level in range(1, depth + 1):
+        if len(mats) * len(gens) > teich.MAX_WORDS:
+            raise DomainError(f"depth {depth} builds {len(mats) * len(gens)} "
+                              f"words at level {level}")
+        prod = np.empty((len(gens),) + mats.shape)
+        for g in idx:
+            np.einsum("nij,jk->nik", mats, gens[g], out=prod[g])
+        prefix, last = np.nonzero((idx != (last[:, None] ^ 1)) & keep(mats))
+        mats = prod.reshape(-1, 2, 2)[last * len(mats) + prefix]
+        yield mats, last
+
+
+class _ReachFamily(lm.LiftFamily):
+    """See `reach_family`."""
+
+    def __init__(self, lam, h, depth, reach):
+        self.depth = depth
+        self.cut = float(np.max(lm.reach_cut(reach), initial=0.0)) \
+            * (1.0 + PRUNE_SLACK)
+        leaves = lm._lift_leaves(lam, h)
+        self.empty = not leaves
+        if self.empty:
+            return
+        keep = reach_keep(leaves, h, self.cut)
+        levels = list(h.word_levels(depth) if keep is None
+                      else pruned_word_levels(h, depth, keep))
+        rows = {name: [] for name in LIFT_ROWS}
+        for (vm, vp), w, forbidden in leaves:
+            for level, (block, last) in enumerate(levels):
+                block = block[~np.isin(last, forbidden)]
+                em, ep = block @ vm, block @ vp
+                rows["ends_minus"].append(em)
+                rows["ends_plus"].append(ep)
+                rows["weights"].append(np.full(len(block), w))
+                rows["levels"].append(np.full(len(block), level))
+                rows["sinh_dist"].append(lm._sinh_dist_from_i(em, ep))
+        for name, v in rows.items():
+            setattr(self, name, np.concatenate(v))
+
+    def _candidates(self, x, y):
+        if np.maximum(lm.reach_cut(x), lm.reach_cut(y)).max() > self.cut:
+            raise StructureError("a segment reaches beyond the points the "
+                                 "lift family was built for")
+        yield from super()._candidates(x, y)
+
+
+def reach_family(lam, h, depth, reach):
+    """The lift family of `lam` on `h` to `depth` that holds every leaf
+    within sinh distance `cut` of i, the largest `lamination.reach_cut`
+    of the points `reach` times 1 + PRUNE_SLACK: a
+    `lamination.LiftFamily` whose word tree is pruned on the
+    `limit_arcs_reference` certificate (`reach_keep`) from its first
+    level on, so that a subtree all of whose leaves lie in a half-plane
+    beyond the cut is never built.  Where the arcs do not cover the
+    family, the tree is the full one.  Its rows are the full family's
+    within the cut, bit for bit and in its order, and each level is
+    drawn to `depth`, empty or not.  It answers `crossings_from` as the
+    full family does, and refuses with StructureError a segment that
+    reaches beyond the cut.  The depth-10 reference of the hexagon walk
+    on rank-3 surfaces, whose full tree is over `teich.MAX_WORDS`."""
+    return _ReachFamily(lam, h, depth, reach)
 
 
 # -- wick records point by point ---------------------------------------------

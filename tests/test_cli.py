@@ -1182,12 +1182,14 @@ class TestHexagonWalkCommands:
     def test_failing_curve_word_leaves_stdout_empty(self, tmp_path, capsys,
                                                     length):
         # ROADMAP defect 3's short interior lengths: a curve word's product
-        # fails iso.normalize; quake builds every record before the first
-        # goes out, so it exits 3 with no record (it wrote 3 before)
+        # fails iso.normalize or iso.classify; quake and holonomy build
+        # every record before the first goes out, so each exits 3 with
+        # no record (quake wrote 3 before, holonomy 2 or 3)
         data = {**TORUS_SCENARIO, "fn": {"l": [1.0, length], "t": [0.3]}}
-        code, recs = run(capsys, ["quake", write_scenario(tmp_path, data),
-                                  "--depth", "6"])
-        assert code == cli.EXIT_DOMAIN and recs == []
+        path = write_scenario(tmp_path, data)
+        for argv in (["quake", path, "--depth", "6"], ["holonomy", path]):
+            code, recs = run(capsys, argv)
+            assert code == cli.EXIT_DOMAIN and recs == []
 
 
 class TestFNSetUp:

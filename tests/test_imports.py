@@ -27,13 +27,8 @@ SEARCHED = sorted(p for d in ("src", "scripts", "perfbench")
                   for p in (ROOT / d).rglob("*.py"))
 
 # entry points no caller reaches yet: qualified name -> the ROADMAP
-# direction that wires them (D: a verify suite on the regular domain).
-UNREACHED = {
-    "spacetime.local_model_ct": "D: cosmological time on U_lambda",
-    "spacetime.ds_cosmological_time": "D: cosmological time on U_lambda",
-    "spacetime.ads_cosmological_time": "D: cosmological time on U_lambda",
-    "spacetime.ct_level_geometry": "D: cosmological time on U_lambda",
-}
+# direction that wires them
+UNREACHED = {}
 
 
 def unused_imports(source):

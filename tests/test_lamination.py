@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from pathlib import Path
@@ -547,13 +548,17 @@ class TestSegmentFrames:
 
 
 # ---------------------------------------------------------------------------
-# lift families built for a reach
+# lift families for a reach: the pruned oracle against the full family
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 SCENARIOS = ("torus_multicurve", "torus_flow", "sphere_shear",
              "torus_two_boundary")
 GRID = [complex(x, y) for y in np.linspace(0.3, 2.5, 7)
         for x in np.linspace(-1.5, 1.5, 7)]
+PD_TWO_BOUNDARY = teich.PantDecomposition(
+    2, (((0, 0), (1, 0)), ((0, 1), (1, 1))), ((0, 2), (1, 2)))
+PD_FOUR_HOLED = teich.PantDecomposition(
+    2, (((0, 0), (1, 0)),), ((0, 1), (0, 2), (1, 1), (1, 2)))
 
 
 def scenario_surface(name):
@@ -573,14 +578,14 @@ def bits(a):
 
 
 def assert_reach_family_is_full_family(lam, h, depth, ys):
-    """The family built for the segments [x0, y], y in `ys`, against the
-    full one: the same rows within its cut, bit for bit (-0.0 apart from
-    0.0) and in the same order, and the same answers to the queries.
-    Returns both families."""
+    """The reach family of the oracle for the segments [x0, y], y in
+    `ys`, against the full one: the same rows within its cut, bit for
+    bit (-0.0 apart from 0.0) and in the same order, and the same
+    answers to the queries.  Returns both families."""
     x0 = eq.BASE_POINT
     full = lm.LiftFamily(lam, h, depth)
-    fam = lm.LiftFamily(lam, h, depth, reach=[x0, *ys])
-    assert math.isinf(full.cut) and fam.cut < math.inf
+    fam = oracles.reach_family(lam, h, depth, [x0, *ys])
+    assert fam.cut < math.inf
     for name in ("ends_minus", "ends_plus", "weights", "levels", "sinh_dist"):
         assert np.array_equal(bits(getattr(full, name)[full.sinh_dist <= fam.cut]),
                               bits(getattr(fam, name)[fam.sinh_dist <= fam.cut]))
@@ -631,53 +636,14 @@ class TestReachFamily:
             assert not all(flags) or depth == 6
 
 
-class TestFirstEmptyLevel:
-    """A reach family draws its pruned word tree up to its first empty
-    level only, with the rows of the tree drawn to `depth`."""
-
-    @staticmethod
-    def build(lam, h, depth, reach):
-        """The family and the sizes of the word levels it drew."""
-        drawn, levels = [], h.word_levels
-
-        def counted(*args):
-            for level in levels(*args):
-                drawn.append(len(level[0]))
-                yield level
-        h.word_levels = counted
-        try:
-            return lm.LiftFamily(lam, h, depth, reach=reach), drawn
-        finally:
-            del h.word_levels
-
-    @pytest.mark.parametrize("depth", [8, 12])
-    def test_rows_of_every_level(self, depth):
-        rng = np.random.default_rng(26)
-        surfaces = [seeded_surface("fn", rng) for _ in range(6)]
-        surfaces.append(scenario_surface("torus_two_boundary"))
-        stopped = 0
-        for lam, h in surfaces:
-            for ys in (letter_orbit(h), GRID):
-                fam, drawn = self.build(lam, h, depth, [eq.BASE_POINT, *ys])
-                want = oracles.lift_rows_every_level(lam, h, depth, fam.cut)
-                for name in oracles.LIFT_ROWS:
-                    assert np.array_equal(bits(getattr(fam, name)),
-                                          bits(want[name]))
-                assert drawn.count(0) <= 1
-                stopped += drawn.count(0)
-        # the trees that run empty before the depth: at depth 8 those of
-        # the grid and one of the six letter orbits, at depth 12 all but
-        # the letter orbit of torus_two_boundary (its tree is the widest)
-        assert stopped == {8: 8, 12: 13}[depth]
-
-
 class TestReachGuard:
     def test_query_beyond_the_reach_raises(self):
         lam, h = scenario_surface("torus_multicurve")
         x0, y = eq.BASE_POINT, 0.4 + 1.6j
-        fam = lm.LiftFamily(lam, h, 10, reach=[x0, y])
+        fam = oracles.reach_family(lam, h, 10, [x0, y])
         # the build and the query cut with the same helper
-        assert fam.cut == max(lm.reach_cut([x0, y])) * (1 + lm.PRUNE_SLACK)
+        assert fam.cut == \
+            max(lm.reach_cut([x0, y])) * (1 + oracles.PRUNE_SLACK)
         fam.crossings_from(x0, [y, 0.3 + 1.2j])
         with pytest.raises(StructureError):
             fam.crossings_from(x0, [y, 3.0 + 0.2j])
@@ -688,11 +654,11 @@ class TestReachGuard:
         # 432 = 108 x 4 products: the full rank-2 tree stops at level 6
         lam, h = scenario_surface("torus_multicurve")
         reach = [eq.BASE_POINT, *letter_orbit(h)]
-        fam = lm.LiftFamily(lam, h, 8, reach=reach)
+        fam = oracles.reach_family(lam, h, 8, reach)
         monkeypatch.setattr(teich, "MAX_WORDS", 432)
         with pytest.raises(DomainError, match="level 6"):
             lm.LiftFamily(lam, h, 8)
-        again = lm.LiftFamily(lam, h, 8, reach=reach)
+        again = oracles.reach_family(lam, h, 8, reach)
         for name in ("ends_minus", "ends_plus", "weights", "levels",
                      "sinh_dist"):
             assert np.array_equal(bits(getattr(again, name)),
@@ -701,33 +667,22 @@ class TestReachGuard:
     def test_full_family_answers_any_query(self):
         lam, h = scenario_surface("torus_multicurve")
         fam = lm.LiftFamily(lam, h, 6)
-        assert fam.cut == math.inf
         fam.crossings_from(eq.BASE_POINT, [30.0 + 0.01j])
 
-    def test_bend_context_refuses_points_off_its_grid(self):
-        # torus_multicurve with its boundary pinched to a cusp: a cusped
-        # FN surface keeps the reach family, and its guard
-        data = scenario.load(str(SCENARIO_DIR / "torus_multicurve.json"))
-        data["fn"]["l"][0] = 0.0
-        point, pd = scenario.surface_point(data)
-        ctx, _ = bd.make_context(point, scenario.lamination(data, point),
-                                 depth=8, pd=pd, reach=GRID)
-        assert isinstance(ctx.family, lm.LiftFamily)
-        bd.bend_points(ctx, GRID)
-        with pytest.raises(StructureError):
-            bd.bend_points(ctx, [5.0 + 0.1j])
-
     def test_walked_bend_context_answers_points_off_its_grid(self):
-        # the hexagon walk of torus_multicurve has no reach: a point off
-        # the grid bends as in a context built for it
-        data = scenario.load(str(SCENARIO_DIR / "torus_multicurve.json"))
-        point, pd = scenario.surface_point(data)
-        lam, far = scenario.lamination(data, point), [5.0 + 0.1j]
-        ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=GRID)
-        own, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=far)
-        assert isinstance(ctx.family, lm.HexagonWalk)
-        assert np.array_equal(bd.bend_points(ctx, far),
-                              bd.bend_points(own, far))
+        # neither the hexagon walk of torus_multicurve nor the full word
+        # family of its cusped copy has a reach: a point off the grid
+        # bends as in a context built for it
+        for name, kind in (("torus_multicurve", lm.HexagonWalk),
+                           ("torus_cusp", lm.LiftFamily)):
+            data = scenario.load(str(SCENARIO_DIR / f"{name}.json"))
+            point, pd = scenario.surface_point(data)
+            lam, far = scenario.lamination(data, point), [5.0 + 0.1j]
+            ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=GRID)
+            own, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=far)
+            assert type(ctx.family) is kind
+            assert np.array_equal(bd.bend_points(ctx, far),
+                                  bd.bend_points(own, far))
 
 
 class TestLimitArcs:
@@ -744,46 +699,58 @@ class TestLimitArcs:
 
     @staticmethod
     def check(h):
-        arcs = lm.limit_arcs(h)
+        arcs = oracles.limit_arcs_reference(h)
         assert arcs is not None
         assert oracles.arcs_invariant(arcs, h.letter_matrices())
         for ends, points in zip(arcs, oracles.cylinder_samples(h, 8)):
             assert oracles.arc_contains(oracles.circle_arc(ends), points).all()
 
     def test_cusped_torus_is_refused_and_built_in_full(self):
+        # the oracle's reach family on a cusped torus: the certificate
+        # refuses, so it draws the full tree
         pd = teich.PantDecomposition.once_punctured_torus()
         h = teich.holonomy_from_fn(pd, teich.FNPoint((0.0,), (1.5,), (0.2,)))
-        assert lm.limit_arcs(h) is None
+        assert oracles.limit_arcs_reference(h) is None
         lam = lm.MultiCurveLam((0.5,))
         full, fam = assert_reach_family_is_full_family(lam, h, 8,
                                                        letter_orbit(h))
         assert np.array_equal(bits(fam.ends_plus), bits(full.ends_plus))
 
-    def test_bits_of_the_reference_loop(self):
-        # the (2k, 2) span loop against the loop with separate start and
-        # end arrays: equal bits, or None on both sides (the cusped torus)
-        surfaces = [scenario_surface(name)[1] for name in SCENARIOS]
-        rng = np.random.default_rng(29)
-        surfaces += [seeded_surface("fn", rng)[1] for _ in range(20)]
-        pd = teich.PantDecomposition.once_punctured_torus()
-        surfaces.append(teich.holonomy_from_fn(
-            pd, teich.FNPoint((0.0,), (1.5,), (0.2,))))
-        refused = 0
-        for h in surfaces:
-            got, want = lm.limit_arcs(h), oracles.limit_arcs_reference(h)
-            if want is None:
-                assert got is None
-                refused += 1
-            else:
-                assert np.array_equal(bits(got), bits(want))
-        assert refused == 1
+    @pytest.mark.parametrize("pd", [
+        teich.PantDecomposition.once_punctured_torus(), PD_TWO_BOUNDARY,
+        PD_FOUR_HOLED], ids=["torus", "two_boundary", "four_holed"])
+    def test_cusped_surfaces_are_refused_and_built_in_full(self, pd):
+        # every pattern of cusped boundaries, two seeded surfaces each
+        # (lengths U(0.05, 5), twists U(-3, 3)): the limit set is the
+        # whole circle, so no arcs prune the tree, and realize gives the
+        # full family for a reach, bit for bit
+        rng = np.random.default_rng(33)
+        r, s = pd.num_boundary, pd.num_interior
+        for cusps in itertools.product((False, True), repeat=r):
+            if not any(cusps):
+                continue
+            for _ in range(2):
+                bounds = rng.uniform(0.05, 5.0, r)
+                fn = teich.FNPoint(tuple(np.where(cusps, 0.0, bounds)),
+                                   tuple(rng.uniform(0.05, 5.0, s)),
+                                   tuple(rng.uniform(-3.0, 3.0, s)))
+                lam = lm.MultiCurveLam(tuple(rng.uniform(0.1, 0.9, s)))
+                h = teich.holonomy_from_fn(pd, fn)
+                assert oracles.limit_arcs_reference(h) is None
+                fam = lm.realize(lam, h, 8,
+                                 reach=[eq.BASE_POINT, *letter_orbit(h)])
+                full = lm.LiftFamily(lam, h, 8)
+                assert type(fam) is lm.LiftFamily
+                for name in oracles.LIFT_ROWS:
+                    assert np.array_equal(bits(getattr(fam, name)),
+                                          bits(getattr(full, name)))
 
     @pytest.mark.parametrize("name", ["torus_flow", "sphere_shear"])
     def test_triangulation_leaves_fail_the_leaf_check(self, name):
         # each leaf has an end e and a letter u with u e outside A_u, so
         # the certificate would not cover it (the family skips it)
         lam, h = scenario_surface(name)
-        arcs, gens = lm.limit_arcs(h), h.letter_matrices()
+        arcs, gens = oracles.limit_arcs_reference(h), h.letter_matrices()
         for geo, _, _ in lm._base_leaves(lam, h):
             assert not all(
                 oracles.circle_arc(arcs[u]).contains(iso.apply_boundary(m, e))
@@ -825,11 +792,10 @@ def assert_walk_is_family(lam, h, *point_sets):
     Returns the numbers of walked and of converged walked segments, per
     point set."""
     x0 = eq.BASE_POINT
-    ys = [y for points in point_sets for y in points]
-    fam = lm.LiftFamily(lam, h, 10, reach=[x0, *ys])
+    fam = lm.LiftFamily(lam, h, 10)
     counts = []
     for points in point_sets:
-        walk = lm.TriangleWalk(lam, h, 10, reach=[x0, *points])
+        walk = lm.TriangleWalk(lam, h, 10)
         inside = walked(walk, points)
         got = walk.crossings_from(x0, inside, on_leaf="include")
         assert walk.fallback is None  # walked, as one stacked query
@@ -882,14 +848,14 @@ class TestTriangleWalk:
         # with 'raise', as the family gives
         lam, h = scenario_surface(name)
         x0 = eq.BASE_POINT
-        probe = lm.TriangleWalk(lam, h, 10, reach=[x0, -1.5 + 0.3j])
+        probe = lm.TriangleWalk(lam, h, 10)
         leaves, _ = probe.crossings(x0, -1.5 + 0.3j)
         assert probe.fallback is None and len(leaves) >= 3
         leaf = leaves[-1]
         frame = leaf.geodesic.map_from_standard()
         y = iso.apply_h2(frame, 1j * abs(iso.apply_h2(iso.inv(frame), x0)))
-        walk = lm.TriangleWalk(lam, h, 10, reach=[x0, y])
-        fam = lm.LiftFamily(lam, h, 10, reach=[x0, y])
+        walk = lm.TriangleWalk(lam, h, 10)
+        fam = lm.LiftFamily(lam, h, 10)
         got, ok = walk.crossings(x0, y, on_leaf="include")
         want, _ = fam.crossings(x0, y, on_leaf="include")
         assert walk.fallback is None and ok
@@ -913,11 +879,11 @@ class TestTriangleWalk:
         h, x0 = teich.holonomy_from_shear(sp), eq.BASE_POINT
         zs = [complex(x, y) for y in np.linspace(0.298, 2.156, 13)
               for x in np.linspace(-1.048, 1.108, 12)]
-        walk = lm.TriangleWalk(lam, h, 8, reach=[x0, *zs])
+        walk = lm.TriangleWalk(lam, h, 8)
         got = walk.crossings_from(x0, zs, on_leaf="include")
         assert walk.fallback is not None
-        want = lm.LiftFamily(lam, h, 8, reach=[x0, *zs]).crossings_from(
-            x0, zs, on_leaf="include")
+        want = lm.LiftFamily(lam, h, 8).crossings_from(x0, zs,
+                                                       on_leaf="include")
         assert got == want
 
         def ends(crossed):
@@ -938,7 +904,7 @@ class TestTriangleWalk:
             lam = lm.TriangulationLam.from_shear(sp, w)
             h = teich.holonomy_from_shear(sp)
             ys = letter_orbit(h)
-            walk = lm.TriangleWalk(lam, h, 8, reach=[eq.BASE_POINT, *ys])
+            walk = lm.TriangleWalk(lam, h, 8)
             with monkeypatch.context() as m:
                 m.setattr(lm, "WALK_STEPS", 10_000)
                 ch = walk.charts
@@ -961,7 +927,7 @@ class TestTriangleWalk:
         # their walls within a few steps; the other points walk
         lam, h = scenario_surface("sphere_shear")
         monkeypatch.setattr(lm, "WALK_STEPS", 10_000)
-        walk = lm.TriangleWalk(lam, h, 10, reach=[eq.BASE_POINT])
+        walk = lm.TriangleWalk(lam, h, 10)
         ch = walk.charts
         (t0,), g0, _ = walk._walk(np.zeros(1, int), ch.placement[:1],
                                   np.array([eq.BASE_POINT]), [])
@@ -977,10 +943,6 @@ class TestTriangleWalk:
 # the hexagon walk against the word family
 # ---------------------------------------------------------------------------
 
-PD_TWO_BOUNDARY = teich.PantDecomposition(
-    2, (((0, 0), (1, 0)), ((0, 1), (1, 1))), ((0, 2), (1, 2)))
-PD_FOUR_HOLED = teich.PantDecomposition(
-    2, (((0, 0), (1, 0)),), ((0, 1), (0, 2), (1, 1), (1, 2)))
 #: a 7 x 7 grid that reaches into the funnels beyond the walls of most of
 #: the surfaces below, near the real axis
 WALL_GRID = [complex(x, y) for y in np.linspace(0.05, 2.5, 7)
@@ -1028,15 +990,15 @@ ENDPOINT_TOL = 1e-11
 
 def assert_hexagon_walk_is_family(lam, h, *point_sets):
     """On the segments [x0, y], y in each of `point_sets`, the walk's
-    crossings are the depth-10 reach family's, which converges on every
-    one: the same weights in the same order, halved at an end, and
-    endpoints within ENDPOINT_TOL relative.  Returns the number of
-    segments."""
+    crossings are those of the oracle's depth-10 reach family, which
+    converges on every one: the same weights in the same order, halved
+    at an end, and endpoints within ENDPOINT_TOL relative.  Returns the
+    number of segments."""
     x0, count = eq.BASE_POINT, 0
     walk = lm.realize(lam, h, 10, reach=[x0])
     assert isinstance(walk, lm.HexagonWalk)
     for ys in point_sets:
-        fam = lm.LiftFamily(lam, h, 10, reach=[x0, *ys])
+        fam = oracles.reach_family(lam, h, 10, [x0, *ys])
         for (got, ok), (want, want_ok) in zip(
                 walk.crossings_from(x0, ys, on_leaf="include"),
                 fam.crossings_from(x0, ys, on_leaf="include")):
@@ -1110,7 +1072,7 @@ class TestHexagonWalk:
         leaf = leaves[-1]
         frame = leaf.geodesic.map_from_standard()
         y = iso.apply_h2(frame, 1j * abs(iso.apply_h2(iso.inv(frame), x0)))
-        fam = lm.LiftFamily(lam, h, 10, reach=[x0, y])
+        fam = oracles.reach_family(lam, h, 10, [x0, y])
         got, ok = walk.crossings(x0, y, on_leaf="include")
         want, _ = fam.crossings(x0, y, on_leaf="include")
         assert ok and [l.weight for l in got] == [l.weight for l in want]
@@ -1166,7 +1128,7 @@ class TestHexagonWalk:
             walk = lm.HexagonWalk(lam, h)
             assert walk.jump is not None
             for ys in (letter_orbit(h), WALL_GRID):
-                fam = lm.LiftFamily(lam, h, 10, reach=[eq.BASE_POINT, *ys])
+                fam = oracles.reach_family(lam, h, 10, [eq.BASE_POINT, *ys])
                 for (got, ok), (want, want_ok) in zip(
                         walk.crossings_from(eq.BASE_POINT, ys,
                                             on_leaf="include"),

@@ -644,12 +644,16 @@ class TestDeSitter:
             sp.rescale_ds(pt(1.2, 0.0, 0.0))
 
     def test_cosmological_time_by_quadrature(self):
-        # integrate the vertical rescaling along the gradient line
+        # the proper time of the rescaled metric along the gradient line
+        # (the T-line through a wing point, orthogonal to the levels) is
+        # the de Sitter cosmological time arctanh(T)
         T = 0.8
-        ts = np.linspace(1e-9, T, 200001)
-        tau = np.trapezoid(1.0 / (1.0 - ts ** 2), ts)
-        assert tau == pytest.approx(sp.ds_cosmological_time(T), abs=1e-8)
-        assert sp.ds_cosmological_time(T) == pytest.approx(math.atanh(T), abs=1e-15)
+        ts = np.linspace(1e-9, T, 20001)
+        xs = np.column_stack([ts, np.full_like(ts, -0.5), np.zeros_like(ts)])
+        g = sp.chart_metric("ds")(xs)
+        assert np.all(g[:, 0, 1] == 0.0)
+        tau = np.trapezoid(np.sqrt(-g[:, 0, 0]), ts)
+        assert tau == pytest.approx(math.atanh(T), abs=1e-8)
 
     def test_small_T_limit(self):
         # alpha -> 1: the rescaled horizontal block matches the flat one
@@ -720,8 +724,18 @@ class TestAdsMap:
             assert abs(k + 1.0) < 1e-4 and resid < 1e-4
 
     def test_ct_relation(self):
-        assert sp.ads_cosmological_time(1.0) == pytest.approx(math.pi / 4)
-        assert sp.ads_cosmological_time(math.tan(0.3)) == pytest.approx(0.3)
+        # the AdS cosmological time is arctan(T): the proper time of the
+        # metric along the gradient line, and the timelike distance from
+        # x^- = 1 of the image of a wing point (trace 2 cos tau)
+        for T, tau in ((1.0, math.pi / 4), (math.tan(0.3), 0.3)):
+            ts = np.linspace(1e-9, T, 20001)
+            xs = np.column_stack([ts, np.full_like(ts, -0.4),
+                                  np.zeros_like(ts)])
+            g = sp.chart_metric("ads")(xs)
+            assert np.trapezoid(np.sqrt(-g[:, 0, 0]), ts) == \
+                pytest.approx(tau, abs=1e-8)
+            m = sp.ads_map(pt(T, -0.4, 0.2))
+            assert math.acos(iso.tr(m) / 2.0) == pytest.approx(tau, abs=1e-12)
 
 
 class TestWingWarpedProducts:
@@ -757,8 +771,32 @@ class TestWingWarpedProducts:
 
 
 class TestCtLevelGeometry:
+    """The level surface of the cosmological time at a is
+    scale * Gr_{lambda / graft}(F): scale a and graft a in the flat
+    model, sinh a and tanh a after the de Sitter rescaling (T = tanh a),
+    sin a and tan a after the AdS one (T = tan a)."""
+
+    LEVEL_T = {0: lambda a: a, 1: math.tanh, -1: math.tan}
+    KIND = {0: "flat", 1: "ds", -1: "ads"}
+
+    @classmethod
+    def level_geometry(cls, a, kappa, alpha0=0.8):
+        """(scale, 1 / graft) of the level at a, read off the chart
+        metric: the wing is scale^2 (dzeta^2 + cosh^2 zeta du^2), and the
+        band across zeta in [0, alpha0 / T] is alpha0 * scale / graft
+        wide."""
+        T, z = cls.LEVEL_T[kappa](a), -0.5
+        metric = sp.chart_metric(cls.KIND[kappa], alpha0)
+        wing = metric((T, z, 0.0))
+        band = metric((T, 0.5 * alpha0 / T, 0.0))
+        scale = math.sqrt(wing[1, 1])
+        assert wing[2, 2] == pytest.approx(scale ** 2 * math.cosh(z) ** 2,
+                                           rel=1e-14)
+        width = math.sqrt(band[1, 1]) * (alpha0 / T)
+        return scale, width / (alpha0 * scale)
+
     def test_flat_unit(self):
-        assert sp.ct_level_geometry(1.0, 0) == (1.0, 1.0)
+        assert self.level_geometry(1.0, 0) == (1.0, 1.0)
 
     def test_flat_band_width_constant(self):
         # width of the Euclidean band at level a is alpha0 regardless of a
@@ -770,18 +808,19 @@ class TestCtLevelGeometry:
             assert width == pytest.approx(a0, abs=1e-12)
 
     def test_ads_limit(self):
-        scale, graft = sp.ct_level_geometry(math.pi / 2 - 1e-9, -1)
+        scale, graft = self.level_geometry(math.pi / 2 - 1e-9, -1)
         assert scale == pytest.approx(1.0, abs=1e-9)
         assert graft == pytest.approx(0.0, abs=1e-8)
 
     def test_ds_scaling(self):
-        scale, graft = sp.ct_level_geometry(0.7, 1)
+        scale, graft = self.level_geometry(0.7, 1)
         assert scale == pytest.approx(math.sinh(0.7))
         assert graft == pytest.approx(1.0 / math.tanh(0.7))
 
     def test_range_violation(self):
+        # past a = pi / 2 the AdS level has T = tan a < 0, off the chart
         with pytest.raises(DomainError):
-            sp.ct_level_geometry(2.0, -1)
+            self.level_geometry(2.0, -1)
 
 
 PD = teich.PantDecomposition.once_punctured_torus()
@@ -879,7 +918,7 @@ class TestRegularDomain:
         a0 = 0.7
         p = sp.LocalPoint(1.3, 0.2, 0.15, a0)
         q = sp.flat_embedding(p)
-        assert sp.local_model_ct(q, a0) == pytest.approx(1.3, abs=1e-12)
+        assert oracles.local_model_ct(q, a0) == pytest.approx(1.3, abs=1e-12)
         samples = []
         for z in (-1.0, -0.4, -0.01):
             samples.append((sp.flat_gauss_map(sp.LocalPoint(1.0, 0.0, z, a0)),

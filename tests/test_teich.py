@@ -539,30 +539,6 @@ class TestAffineLetters:
             assert (np.abs(m4[:, :3, :3] - lin)
                     <= 1e-12 * scale[:, :3, :3]).all()
 
-    @pytest.mark.parametrize("name", sorted(WORD_HOLONOMIES))
-    def test_keep_prunes_the_same_children(self, name):
-        # keep the children of the prefixes whose orbit point of i has
-        # y0 (= |m|^2 / 2 for a 2x2 m) at most the median of its level,
-        # and never letter 1
-        h = WORD_HOLONOMIES[name]
-        aff = self.affine_stack(h, np.random.default_rng(6))
-        k2 = len(aff)
-
-        def keep_by(y0):
-            return (y0 <= np.median(y0))[:, None] & (np.arange(k2) != 1)
-
-        def y0_of(mats):
-            if mats.shape[1] == 2:
-                return np.sum(mats * mats, axis=(1, 2)) / 2.0
-            return mats[:, 0, 0]
-        levels2 = list(h.word_levels(self.DEPTH, lambda m: keep_by(y0_of(m))))
-        levels4 = list(h.word_levels(self.DEPTH, lambda m: keep_by(y0_of(m)),
-                                     letters=aff))
-        assert 0 < len(levels2[-1][0]) < 2 * k2 * (k2 - 1) ** (self.DEPTH - 1)
-        for (m2, last2), (m4, last4) in zip(levels2, levels4, strict=True):
-            assert np.array_equal(last2, last4)
-            assert np.allclose(y0_of(m4), y0_of(m2), rtol=1e-8, atol=0)
-
 
 class TestWordBudget:
     """`word_levels` refuses a level whose prefixes would build more than
@@ -585,17 +561,18 @@ class TestWordBudget:
             next(tree)
 
     def test_pruned_tree_passes_the_same_depth(self, monkeypatch):
-        # letters 0 and 2 only (g0 and g1, never an inverse): 2^d words
-        # at level d, so level 6 builds 32 x 4 products
+        # the pruned loop of the oracle's reach family, letters 0 and 2
+        # only (g0 and g1, never an inverse): 2^d words at level d, so
+        # level 6 builds 32 x 4 products
         h = WORD_HOLONOMIES["fn-torus"]
 
         def keep(mats):
             return np.broadcast_to(np.arange(4) % 2 == 0, (len(mats), 4))
-        full = self.bits(h.word_levels(6, keep))
+        full = self.bits(oracles.pruned_word_levels(h, 6, keep))
         monkeypatch.setattr(teich, "MAX_WORDS", self.BUDGET)
-        assert self.bits(h.word_levels(6, keep)) == full
-        assert [len(m) for m, _ in h.word_levels(6, keep)] == \
-            [2 ** d for d in range(7)]
+        assert self.bits(oracles.pruned_word_levels(h, 6, keep)) == full
+        assert [len(m) for m, _ in oracles.pruned_word_levels(h, 6, keep)] \
+            == [2 ** d for d in range(7)]
 
     def test_word_loops_are_refused(self, monkeypatch):
         h = WORD_HOLONOMIES["fn-torus"]
