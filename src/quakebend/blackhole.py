@@ -75,8 +75,8 @@ class HorizonData:
     size: float
     momentum: float
     # on shear surfaces peripheral lengths come from traces of depth-d
-    # cocycle products, where equal ones land ~1e-12 apart; on FN
-    # surfaces from the holonomies of the quaked twists, ~1e-15 apart:
+    # cocycle products, where equal ones land ~1e-12 apart (FN surfaces
+    # take them from the coordinates, with momentum exactly 0.0):
     # |momentum| <= 1e-9 size is zero
     EXTREMAL_RTOL = 1e-9
 
@@ -200,23 +200,32 @@ def omega_contains(x, h_left: teich.Holonomy, h_right: teich.Holonomy,
     domain.
 
     The words come from `teich.Holonomy.word_levels`, the same word in
-    both components; each length is tested in one batch with the trace
+    both components; a Fuchsian pair (h_right is h_left) enumerates them
+    once for both.  Each length is tested in one batch with the trace
     test of `isometry.causal_type`: y = W_L x W_R^{-1} fails when
-    |tr(x y^{-1})| <= 2 + TAU_CLASS and y is not projectively equal to x.
+    |tr(x y^{-1})| <= 2 + TAU_CLASS and y is not projectively equal to x,
+    which is tested only on the rows that pass the trace test.  The
+    first failing length returns False before a longer one is built.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    levels = zip(h_left.word_levels(depth), h_right.word_levels(depth))
+    if h_right is h_left:
+        levels = ((w, w) for w, _ in h_left.word_levels(depth))
+    else:
+        levels = ((wl, wr) for (wl, _), (wr, _) in
+                  zip(h_left.word_levels(depth), h_right.word_levels(depth)))
     next(levels)  # the empty word fixes x
-    for (wl, _), (wr, _) in levels:
+    for wl, wr in levels:
         y = wl @ x @ _adj(wr)
         t = np.abs(np.einsum("ij,nji->n", x, _adj(y)))
+        y = y[t <= 2.0 + iso.TAU_CLASS]
+        if not len(y):
+            continue
         # fixed points of the action (e.g. the dual point of an invariant
         # plane) are fine, by the np.allclose rule of `isometry.proj_equal`
         slack = 1e-9 + 1e-5 * np.abs(y)
-        coincident = (np.all(np.abs(x - y) <= slack, axis=(1, 2))
-                      | np.all(np.abs(x + y) <= slack, axis=(1, 2)))
-        if np.any((t <= 2.0 + iso.TAU_CLASS) & ~coincident):
+        if not (np.all(np.abs(x - y) <= slack, axis=(1, 2))
+                | np.all(np.abs(x + y) <= slack, axis=(1, 2))).all():
             return False
     return True
 

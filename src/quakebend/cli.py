@@ -356,8 +356,11 @@ def cmd_blackhole(args):
     """Rectangles, horizon invariants and meridians of the AdS pair
     (h_L, h_R).  On an FN surface the pair is exact: the quakes move only
     the twists, to t +- w, so each side is the holonomy of its quaked
-    coordinates and `converged` is true; --depth bounds only the lift
-    family of a shear surface's cocycle pair (`bending.ads_holonomy`)."""
+    coordinates and `converged` is true, and both sides of puncture i
+    have the boundary length l_i, so its horizon has size l_i and
+    momentum 0.0 from the coordinates.  A shear surface takes them from
+    the traces of its cocycle pair (`bending.ads_holonomy`), the only
+    thing --depth bounds."""
     data, point, pd, lam = _load_laminated(args)
     if args.depth < 1:
         raise DomainError("depth must be >= 1")
@@ -366,8 +369,10 @@ def cmd_blackhole(args):
             pd, [eq.quake_coordinates(point, lam, side)
                  for side in (eq.LEFT, eq.RIGHT)])
         hl.meta["converged"] = True
+        lengths = teich.boundary_lengths(point)
     else:
         hl, hr = bd.ads_holonomy(point, lam, depth=args.depth, pd=pd)
+        lengths = None
     rects = []
     for i in range(len(hl.peripheral)):
         gl, gr = hl.peripheral_matrix(i), hr.peripheral_matrix(i)
@@ -376,7 +381,8 @@ def cmd_blackhole(args):
         rec = {"puncture": i, "degenerate": rect.degenerate,
                "depth": args.depth, "converged": hl.meta.get("converged")}
         if not rect.degenerate:
-            d = bh.horizon_invariants(gl, gr)
+            d = (bh.horizon_invariants(gl, gr) if lengths is None
+                 else bh.HorizonData(lengths[i], 0.0))
             params = bh.BTZParams.from_horizon(d)
             rec.update({"size": d.size, "momentum": d.momentum,
                         "r_plus": params.r_plus, "r_minus": params.r_minus,

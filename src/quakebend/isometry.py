@@ -338,19 +338,22 @@ def is_future_directed(p, v):
 
 
 def _unsym(s):
-    """y of the symmetric matrix S(y) = [[y0 + y2, y1], [y1, y0 - y2]]."""
-    return np.array([(s[0, 0] + s[1, 1]) / 2.0, s[0, 1],
-                     (s[0, 0] - s[1, 1]) / 2.0])
+    """y of the symmetric matrix S(y) = [[y0 + y2, y1], [y1, y0 - y2]];
+    of a stack of n of them, the (3, n) array of their columns y."""
+    return np.array([(s[..., 0, 0] + s[..., 1, 1]) / 2.0, s[..., 0, 1],
+                     (s[..., 0, 0] - s[..., 1, 1]) / 2.0])
+
+
+#: S(e_k) of the basis vectors e_0, e_1, e_2
+_SYM_BASIS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                       [[1.0, 0.0], [0.0, -1.0]]])
 
 
 def psl2r_to_so21(m):
     """Linear part in SO+(2,1) acting on (y0, y1, y2) hyperboloid
-    coordinates, from the symmetric-matrix model S(y) -> m S(y) m^T."""
-    def sym(y):
-        return np.array([[y[0] + y[2], y[1]], [y[1], y[0] - y[2]]])
-
-    cols = [_unsym(m @ sym(e) @ m.T) for e in np.eye(3)]
-    return np.column_stack(cols)
+    coordinates, from the symmetric-matrix model S(y) -> m S(y) m^T:
+    column k is y of m S(e_k) m^T."""
+    return _unsym(m @ _SYM_BASIS @ m.T)
 
 
 def lie_vector(x):

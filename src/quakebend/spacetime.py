@@ -453,7 +453,7 @@ def translation_part(fam, x0, y):
     return _normal_sum(leaves), converged
 
 
-def flat_holonomy(fam, h: teich.Holonomy):
+def flat_holonomy(fam, h: teich.Holonomy, crossed=None):
     """(letters, converged): the affine holonomy of the flat spacetime
     of (F, lambda), the (2k, 4, 4) stack of [[A_g, t_g], [0, 1]] in
     `teich.Holonomy.letter_matrices` order that `word_levels(letters=)`
@@ -461,18 +461,22 @@ def flat_holonomy(fam, h: teich.Holonomy):
     crossings query of `fam` at the base point x0, for each generator
     g, then its exact inverse [[A_g^-1, -A_g^-1 t_g], [0, 1]];
     converged ANDs the query's flags.  `fam` is a `lamination.realize`
-    realization.
+    realization.  `crossed`, if given, is that query's answer, the
+    (leaves, converged) of [x0, g x0] for each generator g in order,
+    from a larger query of the caller (`regular_domain_contains`), and
+    `fam` is not queried.
     """
-    x0 = eq.BASE_POINT
-    gens = list(h.gens.values())
-    crossed = fam.crossings_from(x0, [iso.apply_h2(g, x0) for g in gens])
-    letters = np.zeros((2 * len(gens), 4, 4))
+    if crossed is None:
+        x0 = eq.BASE_POINT
+        crossed = fam.crossings_from(
+            x0, [iso.apply_h2(g, x0) for g in h.gens.values()])
+    letters = np.zeros((2 * len(h.gens), 4, 4))
     letters[:, 3, 3] = 1.0
-    for i, (g, (leaves, _)) in enumerate(zip(gens, crossed)):
+    for i, (g, (leaves, _)) in enumerate(zip(h.gens.values(), crossed)):
         a, ai = iso.psl2r_to_so21(g), iso.psl2r_to_so21(iso.inv(g))
         t = _normal_sum(leaves)
-        letters[2 * i, :3] = np.column_stack([a, t])
-        letters[2 * i + 1, :3] = np.column_stack([ai, -ai @ t])
+        letters[2 * i, :3, :3], letters[2 * i, :3, 3] = a, t
+        letters[2 * i + 1, :3, :3], letters[2 * i + 1, :3, 3] = ai, -ai @ t
     return letters, all(ok for _, ok in crossed)
 
 
@@ -486,31 +490,44 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     plus midpoints between consecutive leaf crossings on the segments
     to the first 15 of them); conservative and monotone in depth.
 
-    s is equivariant under the affine holonomy, s(g x) = A_g s(x) + t_g,
-    so s at the orbit points is the translation column of the affine
-    words, composed by `word_levels` from the `flat_holonomy` letters.
-    This is exact: the leaves are disjoint complete geodesics, so
-    signed crossing sums do not depend on the path, and the lamination
-    is pi_1-invariant.  A midpoint between crossings k and k + 1 of a
-    segment takes s = `_normal_sum` of the segment's first k + 1
-    leaves: the sub-segment [x0, mid] crosses exactly those leaves,
-    with the same orientation.
+    The call makes one crossings query of `fam`, on the segments from
+    the base point x0 to those first 15 orbit points.  They are images
+    of x0 under words of length <= 2 (a rank >= 2 group has at least 16
+    of them), the first 2k under the letters in `letter_matrices`
+    order, so every other one a generator's image; the same query thus
+    gives the `flat_holonomy` letters, bit for bit.  s is equivariant
+    under the affine holonomy, s(g x) = A_g s(x) + t_g, so s at the
+    orbit points is the translation column of the affine words that
+    `word_levels` composes from those letters.  This is exact: the
+    leaves are disjoint complete geodesics, so signed crossing sums do
+    not depend on the path, and the lamination is pi_1-invariant.  A
+    midpoint between crossings k and k + 1 of a segment takes
+    s = `_normal_sum` of the segment's first k + 1 leaves: the
+    sub-segment [x0, mid] crosses exactly those leaves, with the same
+    orientation.
     """
     q = np.asarray(q, dtype=float)
     x0 = eq.BASE_POINT
+    # the first 15 orbit points, in word order after the base point
+    # (the empty word); a depth below 1 samples none of them, but still
+    # builds the letters from the generators' segments
+    w = np.concatenate([m for m, _ in
+                        h.word_levels(min(max(depth, 1), 2))])[1:16]
+    ends = ((w[:, 0, 0] * x0 + w[:, 0, 1])
+            / (w[:, 1, 0] * x0 + w[:, 1, 1])).tolist()
+    crossed = fam.crossings_from(x0, ends)
+    letters, _ = flat_holonomy(fam, h, crossed[:2 * len(h.gens):2])
     # orbit points on the hyperboloid and s there, in word order, the
-    # base point (empty word) first
-    words = np.concatenate([m for m, _ in h.word_levels(
-        depth, letters=flat_holonomy(fam, h)[0])])
+    # base point first
+    words = np.concatenate([m for m, _ in h.word_levels(depth,
+                                                        letters=letters)])
     ys = words[:, :3, :3] @ iso.h2_to_hyperboloid(x0)
     if not _in_future(q, words[:, :3, 3], ys):
         return False
-    # midpoints between consecutive crossings along segments to orbit
-    # points, taken back to the upper half-plane, z = (y1 + i) / (y0 - y2)
-    ends = ((ys[1:16, 1] + 1j) / (ys[1:16, 0] - ys[1:16, 2])).tolist()
+    # midpoints between consecutive crossings along the segments
+    ends = ends[:len(words) - 1]
     mids, s = [], []
-    for frame, (leaves, _) in zip(lm.segment_frames(x0, ends),
-                                  fam.crossings_from(x0, ends)):
+    for frame, (leaves, _) in zip(lm.segment_frames(x0, ends), crossed):
         fi = iso.inv(frame)
         # the leaves come ordered along the segment, heights rising
         heights = [

@@ -345,12 +345,14 @@ class TestOmega:
     @pytest.mark.parametrize("seed", range(20))
     def test_batched_levels_match_word_loop(self, seed):
         # two points of the Fuchsian plane and two random points of
-        # X_{-1}, on a seeded bent torus
+        # X_{-1}, on a seeded bent torus (hl, hr) and on its Fuchsian
+        # pair (h, h), one object on both sides
         rng = np.random.default_rng(seed)
         fn = teich.FNPoint((rng.uniform(0.5, 2.0),), (rng.uniform(1.0, 3.0),),
                            (rng.uniform(-1.0, 1.0),))
         lam = lm.MultiCurveLam((rng.uniform(0.1, 0.6),))
         hl, hr = bd.ads_holonomy(fn, lam, depth=4, pd=PD)
+        h = teich.holonomy_from_fn(PD, fn)
         points = [iso.ads_embed(complex(rng.uniform(-1, 1), rng.uniform(0.5, 2)))
                   for _ in range(2)]
         while len(points) < 4:
@@ -359,9 +361,48 @@ class TestOmega:
             if d > 1e-3:
                 points.append(m / math.sqrt(d))
         for x in points:
-            first = first_failing_length(x, hl, hr, 6)
-            for depth in (1, 3, 6):
-                assert bh.omega_contains(x, hl, hr, depth=depth) == (first > depth)
+            for left, right in ((hl, hr), (h, h)):
+                first = first_failing_length(x, left, right, 6)
+                for depth in (1, 3, 6):
+                    assert (bh.omega_contains(x, left, right, depth=depth)
+                            == (first > depth))
+
+    def test_fuchsian_pair_enumerates_the_words_once(self, monkeypatch):
+        # one word_levels enumeration for (h, h), one per side for a
+        # pair of distinct holonomies
+        h = teich.holonomy_from_fn(PD, FN)
+        hl, hr = bd.ads_holonomy(FN, lm.MultiCurveLam((0.4,)), depth=4, pd=PD)
+        word_levels, calls = teich.Holonomy.word_levels, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return word_levels(self, *args, **kwargs)
+        monkeypatch.setattr(teich.Holonomy, "word_levels", counted)
+        assert bh.omega_contains(np.eye(2), h, h, depth=5)
+        assert calls == [h]
+        calls.clear()
+        assert bh.omega_contains(np.eye(2), hl, hr, depth=5)
+        assert calls == [hl, hr]
+
+    def test_outside_point_stops_before_the_word_budget(self, monkeypatch):
+        # a point timelike-related to a translate by a letter fails at
+        # length 1, so it returns False under a word budget that the
+        # depth-6 levels exceed, where an inside point is refused
+        h = teich.holonomy_from_fn(PD, FN)
+        rng = np.random.default_rng(3)
+        x = None
+        while x is None:
+            m = rng.normal(size=(2, 2))
+            d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            if d > 1e-3 and first_failing_length(m / math.sqrt(d),
+                                                 h, h, 1) == 1:
+                x = m / math.sqrt(d)
+        monkeypatch.setattr(teich, "MAX_WORDS", 144)
+        with pytest.raises(DomainError):
+            list(h.word_levels(6))
+        assert not bh.omega_contains(x, h, h, depth=6)
+        with pytest.raises(DomainError):
+            bh.omega_contains(np.eye(2), h, h, depth=6)
 
     def test_element_fixed_by_its_powers(self):
         # b0^k x b0^-k = x for x = b0: with |b0^6| large the translate

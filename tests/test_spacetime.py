@@ -13,6 +13,7 @@ from quakebend import spacetime as sp
 from quakebend import curvature as cv
 from quakebend import blackhole as bh
 from quakebend import cli
+from quakebend import scenario
 from quakebend.errors import DomainError, StructureError
 
 import oracles
@@ -1002,6 +1003,69 @@ class TestRegularDomain:
                      + rng.normal(scale=0.01, size=3))
                 assert (sp.regular_domain_contains(q, fam, h, 3)
                         == oracles.regular_domain_direct(q, fam, h, 3))
+
+    @staticmethod
+    def surfaces():
+        # FN once-punctured torus (word family and hexagon walk), the
+        # rank-3 two-boundary torus of the scenarios (hexagon walk), and
+        # a shear torus (triangle walk)
+        x0 = eq.BASE_POINT
+        h = teich.holonomy_from_fn(PD, FN)
+        lam = lm.MultiCurveLam((0.7,))
+        yield h, lm.LiftFamily(lam, h, depth=6)
+        yield h, lm.realize(lam, h, 8, reach=[x0])
+        data = scenario.load(Path(__file__).parents[1] / "scripts"
+                             / "scenarios" / "torus_two_boundary.json")
+        point, pd = scenario.surface_point(data)
+        h = teich.holonomy_of(point, pd)
+        yield h, lm.realize(scenario.lamination(data, point), h, 8,
+                            reach=[x0])
+        pt = teich.ShearPoint(teich.IdealTriangulation.once_punctured_torus(),
+                              (-0.3, -0.5, -0.4))
+        h = teich.holonomy_from_shear(pt)
+        lam = lm.TriangulationLam.from_shear(pt, (0.2, 0.4, 0.3))
+        yield h, lm.realize(lam, h, 8, reach=[x0])
+
+    def test_one_crossings_query_per_call(self, monkeypatch):
+        # the segments to the first 15 orbit points (the 2k letters' at
+        # depth 1, words of length <= 2 beyond) are the call's one
+        # crossings query, and their generator rows give letters bitwise
+        # those of flat_holonomy; the decisions are the per-point rule's
+        rng = np.random.default_rng(53)
+        x0 = eq.BASE_POINT
+        for h, fam in self.surfaces():
+            want = sp.flat_holonomy(fam, h)[0]
+            words = np.concatenate([m for m, _ in h.word_levels(2)])
+            orbit = [iso.apply_h2(m, x0) for m in words]
+            points = []
+            for x in orbit[1:4] + [complex(rng.uniform(-1, 1),
+                                           rng.uniform(0.5, 2))]:
+                s, _ = sp.translation_part(fam, x0, x)
+                y = iso.h2_to_hyperboloid(x)
+                points += [s + 0.05 * y, s - 0.01 * y,
+                           s + rng.normal(scale=0.02, size=3)]
+            cases = [(q, d, oracles.regular_domain_direct(q, fam, h, d))
+                     for q in points for d in (1, 2, 3)]
+            queries, letters = [], []
+            crossings_from = fam.crossings_from
+            flat_holonomy = sp.flat_holonomy
+
+            def counted(x, ys, *args):
+                queries.append(len(ys))
+                return crossings_from(x, ys, *args)
+
+            def kept(*args):
+                letters.append(flat_holonomy(*args)[0])
+                return letters[-1], True
+            monkeypatch.setattr(fam, "crossings_from", counted)
+            monkeypatch.setattr(sp, "flat_holonomy", kept)
+            for q, depth, decision in cases:
+                queries.clear()
+                assert sp.regular_domain_contains(q, fam, h, depth) == decision
+                assert queries == [2 * len(h.gens) if depth == 1 else 15]
+                assert letters.pop().tobytes() == want.tobytes()
+            assert 0 < sum(c[2] for c in cases) < len(cases)
+            monkeypatch.undo()
 
 
 class TestMetricSampleType:
