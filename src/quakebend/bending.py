@@ -91,14 +91,13 @@ class BendContext:
 
 
 def make_context(point, lam, depth=8, target=HYPERBOLIC, pd=None,
-                 reach=None):
+                 walk=False):
     """Realize `lam` on the holonomy of `point` for the bent maps
-    (`lamination.realize`): with `reach`, the points the bent maps are
-    asked at, by a walk where one applies; else, or on a cusped
-    Fenchel-Nielsen surface, as the full `LiftFamily`.  Every
-    realization answers points off `reach` too."""
+    (`lamination.realize`): with `walk`, by a walk where one applies;
+    else, or on a cusped Fenchel-Nielsen surface, as the full
+    `LiftFamily`.  Every realization answers every point."""
     h = teich.holonomy_of(point, pd)
-    return BendContext(lm.realize(lam, h, depth, reach), target), h
+    return BendContext(lm.realize(lam, h, depth, walk), target), h
 
 
 def bend_points(ctx: BendContext, zs):

@@ -138,8 +138,9 @@ def horizon_invariants(g_left, g_right):
 # rectangles
 # ---------------------------------------------------------------------------
 
-def _select_side(g, h: teich.Holonomy):
-    k = iso.classify(g)
+def _select_side(k: iso.IsomClass, h: teich.Holonomy):
+    """The side of a boundary element of class k (see
+    `peripheral_rectangle`)."""
     if k.kind == "parabolic":
         return k.fixed_points[0]
     if k.kind != "hyperbolic":
@@ -171,12 +172,13 @@ def peripheral_rectangle(g_left, g_right, h_left, h_right):
     The two vertices spanning the horizon geodesic pair the attracting
     point of one side with the repelling point of the other.
     """
-    side_l = _select_side(g_left, h_left)
-    side_r = _select_side(g_right, h_right)
+    k_l = iso.classify(g_left)
+    side_l = _select_side(k_l, h_left)
+    k_r = iso.classify(g_right)
+    side_r = _select_side(k_r, h_right)
     vertices = ()
     if isinstance(side_l, CircleArc) and isinstance(side_r, CircleArc):
-        att_l, rep_l = iso.fixed_points(g_left)
-        att_r, rep_r = iso.fixed_points(g_right)
+        (att_l, rep_l), (att_r, rep_r) = k_l.fixed_points, k_r.fixed_points
         vertices = ((att_l, rep_r), (rep_l, att_r))
     return Rectangle(side_l, side_r, vertices)
 
@@ -184,14 +186,6 @@ def peripheral_rectangle(g_left, g_right, h_left, h_right):
 # ---------------------------------------------------------------------------
 # Omega(h) membership
 # ---------------------------------------------------------------------------
-
-def _adj(m):
-    """Adjugates of a stack of 2x2 matrices (inverses at unit determinant)."""
-    out = np.empty_like(m)
-    out[:, 0, 0], out[:, 1, 1] = m[:, 1, 1], m[:, 0, 0]
-    out[:, 0, 1], out[:, 1, 0] = -m[:, 0, 1], -m[:, 1, 0]
-    return out
-
 
 def omega_contains(x, h_left: teich.Holonomy, h_right: teich.Holonomy,
                    depth=8):
@@ -216,8 +210,8 @@ def omega_contains(x, h_left: teich.Holonomy, h_right: teich.Holonomy,
                   zip(h_left.word_levels(depth), h_right.word_levels(depth)))
     next(levels)  # the empty word fixes x
     for wl, wr in levels:
-        y = wl @ x @ _adj(wr)
-        t = np.abs(np.einsum("ij,nji->n", x, _adj(y)))
+        y = wl @ x @ iso.inv(wr)
+        t = np.abs(np.einsum("ij,nji->n", x, iso.inv(y)))
         y = y[t <= 2.0 + iso.TAU_CLASS]
         if not len(y):
             continue

@@ -275,7 +275,7 @@ def cmd_bend(args):
                           "reach or hyperboloid lift overflows")
     data, point, pd, lam = _load_laminated(args)
     ctx, _ = bd.make_context(point, lam, depth=args.depth, target=args.target,
-                             pd=pd, reach=zs)
+                             pd=pd, walk=True)
     points = bd.bend_points(ctx, zs)
     # Minkowski-4 points, or 2x2 matrices flattened row by row
     vertices = points.reshape(len(points), 4)

@@ -127,7 +127,7 @@ def deform_letters(point, lam, depth=8, pd=None, h=None):
     if h is None:
         h = teich.holonomy_of(point, pd)
     ys = [iso.apply_h2(m, BASE_POINT) for m in h.alphabet.values()]
-    lifts = lm.realize(lam, h, depth, reach=[BASE_POINT, *ys])
+    lifts = lm.realize(lam, h, depth, walk=True)
     crossed = lifts.crossings_from(BASE_POINT, ys)
     leaves = {name: lv for name, (lv, _) in zip(h.alphabet, crossed)}
     return h, leaves, all(ok for _, ok in crossed)

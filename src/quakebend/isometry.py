@@ -71,8 +71,17 @@ def tr(m):
 
 
 def inv(m):
-    """Inverse of a unit-determinant matrix (the adjugate)."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
+    """Inverse of a unit-determinant matrix, or of each matrix of a
+    (..., 2, 2) stack: the adjugate [[d, -b], [-c, a]], C-ordered.  Off
+    unit determinant it is the inverse up to scale, which no Moebius
+    map or endpoint vector sees."""
+    if m.ndim == 2:  # in scalars: the stack's slice assignments cost 2x
+        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
+                        dtype=m.dtype)
+    out = np.empty(m.shape, m.dtype)
+    out[..., 0, 0], out[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    out[..., 0, 1], out[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    return out
 
 
 def allclose(m, n, tol):
@@ -135,8 +144,10 @@ def apply_boundary(m, x):
 
 
 def apply_h2(m, z):
-    """Moebius action on a point of the open upper half-plane."""
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    """Moebius action on a point of the open upper half-plane; of a
+    (..., 2, 2) stack of matrices, or on an array of points, elementwise
+    by broadcasting."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     return (a * z + b) / (c * z + d)
 
 

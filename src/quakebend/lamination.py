@@ -410,7 +410,8 @@ class LiftFamily:
         the deepest word level.  A leaf through x or y raises
         BasePointOnLeafError, or with on_leaf='include' comes back at
         half its weight; with on_leaf='end' only one through y does.  A
-        y equal to x gives no leaves.
+        y equal to x gives no leaves.  The walks share this query and
+        `crossings`, each with its own `_candidates`.
         """
         return _crossings(x, ys, on_leaf, self._candidates)
 
@@ -443,6 +444,9 @@ WALK_STEPS = 64
 WALL_TOL = 1e-9
 #: corners 0, 1, 2 of the standard triangle (0, oo, -1) as endpoint vectors
 _CORNERS = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 1.0]])
+#: per side k of the standard triangle, its endpoint vectors, corners k
+#: and k + 1, as the columns of a matrix
+_SIDE_ENDS = np.stack([_CORNERS, np.roll(_CORNERS, -1, 0)], -1)
 #: (A, B, C) per side k of the standard triangle: A |w|^2 + B Re w + C > 0
 #: beyond it, that is Re w > 0, Re w < -1 and |w + 1/2| < 1/2
 _SIDES = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, -1.0], [-1.0, -1.0, 0.0]])
@@ -490,18 +494,6 @@ def _mul(g, s):
     return g[:, :, :1] * s[:, None, 0] + g[:, :, 1:] * s[:, None, 1]
 
 
-def _moebius(m, w):
-    """The images m_i w_i of points under an (n, 2, 2) stack."""
-    return (m[:, 0, 0] * w + m[:, 0, 1]) / (m[:, 1, 0] * w + m[:, 1, 1])
-
-
-def _side_ends(g, k):
-    """Endpoint vectors, (2, n) each, of side k_i of the triangle with
-    chart g_i."""
-    return [(g[:, :, 0] * v[:, :1] + g[:, :, 1] * v[:, 1:]).T
-            for v in (_CORNERS[k], _CORNERS[(k + 1) % 3])]
-
-
 class TriangleWalk:
     """Crossing queries of a triangulation lamination, answered by walking
     its ideal triangles (Devillers-Pion-Teillaud's straight walk, in the
@@ -544,11 +536,7 @@ class TriangleWalk:
         self.fallback = None
 
     crossings = LiftFamily.crossings
-
-    def crossings_from(self, x, ys, on_leaf="raise"):
-        """(leaves, converged) for each segment [x, y], y in `ys`, as
-        `LiftFamily.crossings_from` returns them."""
-        return _crossings(x, ys, on_leaf, self._candidates)
+    crossings_from = LiftFamily.crossings_from
 
     def _candidates(self, x, y):
         """`_crossings` blocks: the walk's proposals, or on a fallback
@@ -570,7 +558,7 @@ class TriangleWalk:
         # that stops before WALK_STEPS steps stopped at a wall
         steps = []
         found = self._walk(np.zeros(1, int), ch.placement[:1],
-                           _moebius(iso.inv(ch.placement[0])[None], x), steps)
+                           iso.apply_h2(iso.inv(ch.placement[:1]), x), steps)
         if found is None and len(steps) < WALK_STEPS:
             raise DomainError("the base point lies beyond the convex core")
         if found is None:
@@ -579,7 +567,7 @@ class TriangleWalk:
         n = len(ys)
         crossed = []
         found = self._walk(np.full(n, t0), np.repeat(g0, n, 0),
-                           _moebius(iso.inv(g0[0])[None], ys), crossed)
+                           iso.apply_h2(iso.inv(g0), ys), crossed)
         if found is None:
             return None
         tri, g, entry = found
@@ -593,8 +581,9 @@ class TriangleWalk:
                   np.tile(np.arange(3), n), np.full(3 * n, t0)),
                  *crossed[1:], (last, g[last], k, tri[last])]
         si, gs, k, t = (np.concatenate(c) for c in zip(*parts))
-        return (si, *_side_ends(gs, k), self.edge_weight[t, k],
-                np.zeros(len(si), bool))
+        ends = _mul(gs, _SIDE_ENDS[k])
+        return si, ends[:, :, 0].T, ends[:, :, 1].T, self.edge_weight[t, k], \
+            np.zeros(len(si), bool)
 
     def _walk(self, tri, g, w, crossed):
         """Walk each target into its triangle: w_i, in the chart g_i of
@@ -623,7 +612,7 @@ class TriangleWalk:
             k = beyond[moving].argmax(1)
             crossed.append((live, g[live], k, t))
             g[live] = _mul(g[live], ch.step[t, k])
-            w[live] = _moebius(ch.step_inv[t, k], w[live])
+            w[live] = iso.apply_h2(ch.step_inv[t, k], w[live])
             entry[live], tri[live] = ch.entry[t, k], ch.across[t, k]
         return None
 
@@ -656,13 +645,12 @@ _KEEP[6] = True
 _KEEP[[3, 3, 4, 4, 5, 5], [0, 1, 1, 2, 2, 0]] = True
 
 
-def _adj(m):
-    """Adjugates of a stack (..., 2, 2): the inverses, up to the scale of
-    the determinant, which no Moebius map or endpoint vector sees."""
-    out = np.empty_like(m)
-    out[..., 0, 0], out[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
-    out[..., 0, 1], out[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
-    return out
+def _pull_back(g, z):
+    """The points g^-1 z, for a chart g or a (..., 2, 2) stack of them,
+    elementwise as `iso.apply_h2`, with the adjugate of g written into
+    the quotient: `iso.apply_h2(iso.inv(g), z)` differs from it in the
+    sign of a zero."""
+    return (g[..., 1, 1] * z - g[..., 0, 1]) / (g[..., 0, 0] - g[..., 1, 0] * z)
 
 
 class HexagonWalk:
@@ -732,7 +720,7 @@ class HexagonWalk:
                 twist[p, k], weight[p, k] = ch.twists[j], lam.weights[j]
         wall = stop[:, :3]
         frame = np.array(ch.frames)                    # (n, 3, 2, 2)
-        inv = _adj(frame)
+        inv = iso.inv(frame)
         mirror = frame @ _MIRROR @ inv                 # the seam reflections
         # D0 across seam k is (M_k M_0) D1, and D1 across seam k is
         # (M_0 M_k) D0: deck transformations of the pant
@@ -756,7 +744,7 @@ class HexagonWalk:
         self.planes = planes.reshape(2 * n, 7, 3).swapaxes(1, 2).copy()
         # the cuff frames of each hexagon: D1's cuff 2 is (M_0 M_2) axis 2
         frames = np.stack([frame, frame], 1)
-        frames[:, 1, 2] = _adj(seam[:, 2]) @ frame[:, 2]
+        frames[:, 1, 2] = iso.inv(seam[:, 2]) @ frame[:, 2]
         # the coordinate of each side's midpoint on the cuff of the slot
         # (q, m) across, after the twist t, puts it in C^j D0 or in
         # C^j (D0's mirror in seam m), C = N A(l) N^-1
@@ -779,7 +767,7 @@ class HexagonWalk:
                                   frames @ teich.J_FLIP @ shift @ enter[
                                       np.arange(n)[:, None, None],
                                       np.arange(3), odd])
-        step[:, 0, 3:6], step[:, 1, 3:6] = seam, _adj(seam)
+        step[:, 0, 3:6], step[:, 1, 3:6] = seam, iso.inv(seam)
         tiles = 2 * np.arange(n)[:, None, None] + np.arange(2)[:, None]
         across = np.repeat(tiles, 7, 2)
         across[:, :, :3] = np.where(wall[:, None], tiles, 2 * q[:, None] + odd)
@@ -810,11 +798,7 @@ class HexagonWalk:
         self.weight = np.repeat(weight, 2, 0)
 
     crossings = LiftFamily.crossings
-
-    def crossings_from(self, x, ys, on_leaf="raise"):
-        """(leaves, converged) for each segment [x, y], y in `ys`, as
-        `LiftFamily.crossings_from` returns them."""
-        return _crossings(x, ys, on_leaf, self._candidates)
+    crossings_from = LiftFamily.crossings_from
 
     def _candidates(self, x, ys):
         """The one `_crossings` block of the leaves proposed for each
@@ -848,7 +832,7 @@ class HexagonWalk:
         6, or its wall, which leaves it where it is."""
         flat = 7 * np.arange(len(ys))
         for _ in range(HEX_STEPS):
-            w = (g[:, 1, 1] * ys - g[:, 0, 1]) / (g[:, 0, 0] - g[:, 1, 0] * ys)
+            w = _pull_back(g, ys)
             u, v = w.real[:, None], w.imag[:, None]
             q = self.planes[t]
             k = (q[:, 0] * (u * u + v * v) + q[:, 1] * u + q[:, 2]
@@ -881,10 +865,8 @@ class HexagonWalk:
         c = ((np.repeat(k[rows], 2) - 3) + np.tile([0, 1], len(rows))) % 3
         p = t >> 1
         hmat = _mul(np.repeat(g[rows], 2, 0), self.cuff[t, c])
-        (a, b), (cc, d) = hmat.transpose(1, 2, 0)
-        z = np.repeat(ys[rows], 2)
         half, sign = self.half[p, c], self.sign[p, c]
-        u = np.log(np.abs((d * z - b) / (a - cc * z)))
+        u = np.log(np.abs(_pull_back(hmat, np.repeat(ys[rows], 2))))
         j = np.floor(u / half + (sign < 0)).astype(int)
         reach = (np.abs(j - self.chain_index[t, c]) * self.short[p, c]) \
             .reshape(-1, 2)
@@ -909,21 +891,21 @@ def _geodesic_boundaries(charts):
     return all(length > 0 for row in charts.lengths for length in row)
 
 
-def realize(lam, h: teich.Holonomy, depth=12, reach=None):
-    """What answers the crossing queries of `lam` on `h`.  Given `reach`,
-    the points that the queries join (`quake`, `bend`, `deform_letters`
-    and the `verify` quake and AdS suites give it): a `TriangleWalk` for
-    a triangulation lamination, a `HexagonWalk` for a multicurve on a
-    Fenchel-Nielsen surface whose boundaries are all geodesic.  Both
-    walks answer any query exactly, with `converged` true by
-    construction, and `depth` bounds nothing there.  Otherwise, on a
-    cusped Fenchel-Nielsen surface (a boundary length of 0) or without
-    `reach`, the full `LiftFamily` to `depth`, which answers any query
-    too."""
-    if reach is not None and isinstance(lam, TriangulationLam):
+def realize(lam, h: teich.Holonomy, depth=12, walk=False):
+    """What answers the crossing queries of `lam` on `h`.  With `walk`
+    (`quake`, `bend`, `deform_letters` and the `verify` quake and AdS
+    suites ask for it): a `TriangleWalk` for a triangulation
+    lamination, a `HexagonWalk` for a multicurve on a Fenchel-Nielsen
+    surface whose boundaries are all geodesic.  Both walks answer any
+    query exactly, with `converged` true by construction, and `depth`
+    bounds nothing there.  Otherwise, on a cusped Fenchel-Nielsen
+    surface (a boundary length of 0) or without `walk`, the full
+    `LiftFamily` to `depth`, which answers any query too and holds its
+    leaves as arrays (`ends_minus`, `ends_plus`, `weights`)."""
+    if walk and isinstance(lam, TriangulationLam):
         return TriangleWalk(lam, h, depth)
     charts = h.meta.get("pant_charts")
-    if reach is not None and isinstance(lam, MultiCurveLam) and \
+    if walk and isinstance(lam, MultiCurveLam) and \
             charts is not None and _geodesic_boundaries(charts):
         return HexagonWalk(lam, h, depth)
     return LiftFamily(lam, h, depth)

@@ -435,13 +435,17 @@ def ads_metric(p: LocalPoint):
 # flat translation cocycle and regular domains
 # ---------------------------------------------------------------------------
 
+def _normal(leaf):
+    """The weighted unit normal 2 iota(D) of a leaf as `crossings`
+    orients it: the far end of the segment is on its right, where its
+    normal points."""
+    return 2.0 * leaf.weight \
+        * iso.lie_vector(leaf.geodesic.displacement_generator())
+
+
 def _normal_sum(leaves):
-    """Sum of the weighted unit normals 2 iota(D) of `leaves`, as
-    `crossings` orients them: the far end of the segment is
-    on each leaf's right, where its normal points."""
-    return sum((2.0 * leaf.weight
-                * iso.lie_vector(leaf.geodesic.displacement_generator())
-                for leaf in leaves), np.zeros(3))
+    """Sum of the `_normal`s of `leaves`, added in order."""
+    return sum(map(_normal, leaves), np.zeros(3))
 
 
 def translation_part(fam, x0, y):
@@ -501,10 +505,10 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     `word_levels` composes from those letters.  This is exact: the
     leaves are disjoint complete geodesics, so signed crossing sums do
     not depend on the path, and the lamination is pi_1-invariant.  A
-    midpoint between crossings k and k + 1 of a segment takes
-    s = `_normal_sum` of the segment's first k + 1 leaves: the
-    sub-segment [x0, mid] crosses exactly those leaves, with the same
-    orientation.
+    midpoint between crossings k and k + 1 of a segment takes s = the
+    sum of the `_normal`s of the segment's first k + 1 leaves, a running
+    sum along the segment: the sub-segment [x0, mid] crosses exactly
+    those leaves, with the same orientation.
     """
     q = np.asarray(q, dtype=float)
     x0 = eq.BASE_POINT
@@ -513,8 +517,7 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     # builds the letters from the generators' segments
     w = np.concatenate([m for m, _ in
                         h.word_levels(min(max(depth, 1), 2))])[1:16]
-    ends = ((w[:, 0, 0] * x0 + w[:, 0, 1])
-            / (w[:, 1, 0] * x0 + w[:, 1, 1])).tolist()
+    ends = iso.apply_h2(w, x0).tolist()
     crossed = fam.crossings_from(x0, ends)
     letters, _ = flat_holonomy(fam, h, crossed[:2 * len(h.gens):2])
     # orbit points on the hyperboloid and s there, in word order, the
@@ -524,19 +527,21 @@ def regular_domain_contains(q, fam: lm.LiftFamily, h: teich.Holonomy,
     ys = words[:, :3, :3] @ iso.h2_to_hyperboloid(x0)
     if not _in_future(q, words[:, :3, 3], ys):
         return False
-    # midpoints between consecutive crossings along the segments
-    ends = ends[:len(words) - 1]
+    # midpoints between consecutive crossings along the segments, each
+    # with the running sum of the normals of the leaves before it
+    frames = lm.segment_frames(x0, ends[:len(words) - 1])
     mids, s = [], []
-    for frame, (leaves, _) in zip(lm.segment_frames(x0, ends), crossed):
-        fi = iso.inv(frame)
+    for frame, fi, (leaves, _) in zip(frames, iso.inv(frames), crossed):
         # the leaves come ordered along the segment, heights rising
         heights = [
             math.sqrt(abs(iso.apply_boundary(fi, leaf.geodesic.p_minus)
                           * iso.apply_boundary(fi, leaf.geodesic.p_plus)))
             for leaf in leaves]
-        for k, (h1, h2) in enumerate(zip(heights, heights[1:])):
+        total = np.zeros(3)
+        for leaf, h1, h2 in zip(leaves, heights, heights[1:]):
+            total = total + _normal(leaf)
             mids.append(iso.apply_h2(frame, 1j * math.sqrt(h1 * h2)))
-            s.append(_normal_sum(leaves[:k + 1]))
+            s.append(total)
     if not mids:
         return True
     return _in_future(q, np.array(s), iso.h2_to_hyperboloid(np.array(mids)).T)

@@ -822,7 +822,7 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
     kinds = puncture_kinds(sp)
     charts = TriangleCharts(
         placement=placement, step=step,
-        step_inv=np.array([[iso.inv(m) for m in row] for row in step]),
+        step_inv=iso.inv(step),
         across=across, entry=entry, edge=edge, fan=fans,
         boundary=np.array([kinds[p] == BOUNDARY
                            for p in puncture]).reshape(n, 3),

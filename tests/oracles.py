@@ -58,6 +58,12 @@ calls, kept next to the tests that compare the package against them:
   metric sample and one curvature fit per grid point, and a fallback
   fit per point, which the one sample and one fit per (T, zeta) column
   replaced;
+* `kernel_cases` and the 2x2 formulas that one matrix at a time
+  wrote out before the stacked kernels replaced them:
+  `adjugate_formula` (`isometry.inv`), `moebius_formula`
+  (`isometry.apply_h2`), `pull_back_formula` (the hexagon walk's
+  `lamination._pull_back`) and `side_ends_formula` (the triangle
+  walk's side ends, now `lamination._mul` of its corner-pair table);
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
@@ -809,3 +815,72 @@ def pants_four_punctured_sphere():
 def triangulation_three_punctured_sphere():
     return teich.IdealTriangulation(
         2, (((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))))
+
+
+# -- the 2x2 kernels, one matrix at a time ---------------------------------
+
+def kernel_cases(rng, n=40):
+    """(2, 2) matrices for the bitwise tests of the stacked 2x2 kernels,
+    by name: an (n, 2, 2) stack with entries over seven decades, one
+    (2, 2) matrix, a complex stack, a strided and transposed view into
+    a larger stack, and a stack holding -0.0 and +0.0 entries."""
+    stack = rng.normal(size=(n, 2, 2)) * 10.0 ** rng.uniform(-3, 4, (n, 1, 1))
+    zeros = stack.copy()
+    zeros[:, 0, 1], zeros[:, 1, 0] = np.where(np.arange(n)[:, None] % 2,
+                                              [0.0, -0.0], [-0.0, 0.0]).T
+    zeros[::3, 1, 1], zeros[1::3, 1, 1], zeros[2::5, 0, 0] = 0.0, -0.0, -0.0
+    return {"stack": stack, "single": stack[0],
+            "complex": stack + 1j * rng.normal(size=stack.shape),
+            "strided": rng.normal(size=(n, 3, 2, 2))[:, 1].swapaxes(1, 2),
+            "signed_zeros": zeros}
+
+
+def kernel_points(rng, m):
+    """A point of the upper half-plane per matrix of `m`, or one complex
+    point for a single matrix."""
+    if m.ndim == 2:
+        return complex(rng.normal(), rng.uniform(0.1, 3.0))
+    return rng.normal(size=len(m)) + 1j * rng.uniform(0.1, 3.0, len(m))
+
+
+def adjugate_formula(m):
+    """[[d, -b], [-c, a]] per matrix."""
+    def one(x):
+        return np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]],
+                        dtype=x.dtype)
+    return one(m) if m.ndim == 2 else np.array([one(x) for x in m])
+
+
+def _per_matrix(formula, m, z):
+    """`formula` of a point per matrix: of a real stack matrix by matrix
+    in numpy scalars, as `spacetime.regular_domain_contains` applied
+    each segment frame; of a complex stack all at once, as the walks
+    wrote it (numpy's complex array product may round a multiply-add
+    once where its scalar product rounds twice)."""
+    if m.ndim == 2 or np.iscomplexobj(m):
+        return np.asarray(formula(m, z))
+    return np.array([formula(x, w) for x, w in zip(m, z)])
+
+
+def moebius_formula(m, z):
+    """(a z + b) / (c z + d) per matrix and point."""
+    def one(x, w):
+        (a, b), (c, d) = np.moveaxis(x, (-2, -1), (0, 1))
+        return (a * w + b) / (c * w + d)
+    return _per_matrix(one, m, z)
+
+
+def pull_back_formula(m, z):
+    """(d z - b) / (a - c z) per matrix and point."""
+    def one(x, w):
+        (a, b), (c, d) = np.moveaxis(x, (-2, -1), (0, 1))
+        return (d * w - b) / (a - c * w)
+    return _per_matrix(one, m, z)
+
+
+def side_ends_formula(g, k):
+    """The endpoint vectors, (2, n) each, of side k_i of the triangle of
+    chart g_i: g_i times corners k_i and k_i + 1 of the standard
+    triangle, one column product at a time."""
+    return [(g[:, :, 0] * v[:, :1] + g[:, :, 1] * v[:, 1:]).T
+            for v in (lm._CORNERS[k], lm._CORNERS[(k + 1) % 3])]

@@ -519,7 +519,7 @@ class TestOneQuery:
         for point, lam, pd, zs in bend_cases():
             # the context `bend` builds, realized between the grid points
             ctx, _ = bd.make_context(point, lam, depth=8, target=target,
-                                     pd=pd, reach=zs)
+                                     pd=pd, walk=True)
             got = bd.bend_points(ctx, zs)
             assert got.tobytes() == \
                 oracles.bend_points_per_group(ctx, zs).tobytes()
@@ -540,7 +540,7 @@ class TestOneQuery:
             queries.clear()
             factors.clear()
             ctx, _ = bd.make_context(point, lam, depth=8, target=target,
-                                     pd=pd, reach=zs)
+                                     pd=pd, walk=True)
             bd.bend_points(ctx, zs)
             assert len(queries) == 1
             sequences = crossing_groups(ctx, zs)
@@ -556,8 +556,8 @@ def test_equal_leaves_are_one_object():
     data = scenario.load(SCENARIOS / "torus_flow.json")
     point, pd = scenario.surface_point(data)
     lam, zs = scenario.lamination(data, point), grid(48)
-    for reach in (zs, None):
-        ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=reach)
+    for walk in (True, False):
+        ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, walk=walk)
         crossed = ctx.family.crossings_from(eq.BASE_POINT, zs,
                                             on_leaf="include")
         leaves = [leaf for ls, _ in crossed for leaf in ls]

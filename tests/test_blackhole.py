@@ -206,6 +206,19 @@ class TestRectangles:
         assert {r.left.start, r.left.end} == {att_l, rep_l}
         assert {r.right.start, r.right.end} == {att_r, rep_r}
 
+    def test_each_boundary_element_is_classified_once(self, holonomy_pair,
+                                                      monkeypatch):
+        # the side and the horizon vertices come from one class per side
+        hl, hr = holonomy_pair
+        gl, gr = hl.peripheral_matrix(0), hr.peripheral_matrix(0)
+        want = bh.peripheral_rectangle(gl, gr, hl, hr)
+        seen, classify = [], iso.classify
+        monkeypatch.setattr(iso, "classify", lambda m, *a: seen.append(m)
+                            or classify(m, *a))
+        assert bh.peripheral_rectangle(gl, gr, hl, hr) == want
+        assert sum(m is gl for m in seen) == 1
+        assert sum(m is gr for m in seen) == 1
+
     def test_sides_invariant_under_peripheral_pair(self, holonomy_pair):
         hl, hr = holonomy_pair
         gl = hl.peripheral_matrix(0)

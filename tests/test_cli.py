@@ -933,7 +933,7 @@ class TestBendCommand:
               for y in np.linspace(0.45283333333333337, 2.156, 12)
               for x in np.linspace(-1.048, -0.068, 6)]
         ctx, _ = bd.make_context(point, scenario.lamination(data, point),
-                                 depth=10, reach=zs)
+                                 depth=10, walk=True)
         bd.bend_points(ctx, zs)
         assert ctx.family.fallback is None
 

@@ -36,10 +36,8 @@ TRI = teich.IdealTriangulation.once_punctured_torus()
 # ---------------------------------------------------------------------------
 
 def realization(lam, h, depth):
-    """The lifts the pass queries: realized between X0 and its letter
-    orbit."""
-    ys = [iso.apply_h2(m, X0) for m in h.alphabet.values()]
-    return lm.realize(lam, h, depth, reach=[X0, *ys])
+    """The lifts the pass queries: walked where a walk applies."""
+    return lm.realize(lam, h, depth, walk=True)
 
 
 def ref_quake(point, lam, side, depth, pd):

@@ -391,3 +391,40 @@ class TestSO21:
             v = iso.h2_to_hyperboloid(z)
             assert np.allclose(iso.psl2r_to_so21(g) @ v,
                                iso.h2_to_hyperboloid(iso.apply_h2(g, z)), atol=1e-9)
+
+
+#: the cases of the stacked 2x2 kernels (see oracles.kernel_cases)
+KERNEL_CASES = oracles.kernel_cases(np.random.default_rng(36))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bits: -0.0 and +0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8),
+        np.ascontiguousarray(b).view(np.uint8))
+
+
+class TestStackedKernels:
+    """`inv` and `apply_h2` on a matrix or a stack, bit for bit the
+    per-matrix formulas they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_inv_is_the_adjugate_formula(self, name):
+        m = KERNEL_CASES[name]
+        got = iso.inv(m)
+        assert got.flags.c_contiguous
+        assert same_bits(got, oracles.adjugate_formula(m))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_apply_h2_is_the_moebius_formula(self, name):
+        m = KERNEL_CASES[name]
+        z = oracles.kernel_points(np.random.default_rng(37), m)
+        x0 = complex(0.137, 1.03)
+        # a zero denominator divides by zero, to the same bits
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert same_bits(iso.apply_h2(m, z), oracles.moebius_formula(m, z))
+            if m.ndim > 2:
+                # one point under every matrix, as of the orbit points
+                assert same_bits(iso.apply_h2(m, x0), oracles.moebius_formula(
+                    m, np.full(len(m), x0)))

@@ -669,17 +669,34 @@ class TestReachGuard:
         fam = lm.LiftFamily(lam, h, 6)
         fam.crossings_from(eq.BASE_POINT, [30.0 + 0.01j])
 
+    @pytest.mark.parametrize("name,walk", [
+        ("torus_multicurve", lm.HexagonWalk), ("sphere_shear", lm.TriangleWalk)])
+    def test_default_realization_is_the_word_family(self, name, walk):
+        # without walk, realize and make_context give the full
+        # LiftFamily, whose leaf arrays the benchmark's check of bend
+        # reads; with it, the surface's walk
+        data = scenario.load(str(SCENARIO_DIR / f"{name}.json"))
+        point, pd = scenario.surface_point(data)
+        lam = scenario.lamination(data, point)
+        ctx, h = bd.make_context(point, lam, depth=4, pd=pd)
+        for fam in (ctx.family, lm.realize(lam, h, 4)):
+            assert type(fam) is lm.LiftFamily
+            assert fam.ends_minus.shape == (len(fam.weights), 2)
+        assert type(lm.realize(lam, h, 4, walk=True)) is walk
+
     def test_walked_bend_context_answers_points_off_its_grid(self):
         # neither the hexagon walk of torus_multicurve nor the full word
-        # family of its cusped copy has a reach: a point off the grid
-        # bends as in a context built for it
+        # family of its cusped copy is bound to the points of its first
+        # query: after the grid, a point off it bends as in a fresh
+        # context
         for name, kind in (("torus_multicurve", lm.HexagonWalk),
                            ("torus_cusp", lm.LiftFamily)):
             data = scenario.load(str(SCENARIO_DIR / f"{name}.json"))
             point, pd = scenario.surface_point(data)
             lam, far = scenario.lamination(data, point), [5.0 + 0.1j]
-            ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=GRID)
-            own, _ = bd.make_context(point, lam, depth=8, pd=pd, reach=far)
+            ctx, _ = bd.make_context(point, lam, depth=8, pd=pd, walk=True)
+            own, _ = bd.make_context(point, lam, depth=8, pd=pd, walk=True)
+            bd.bend_points(ctx, GRID)
             assert type(ctx.family) is kind
             assert np.array_equal(bd.bend_points(ctx, far),
                                   bd.bend_points(own, far))
@@ -737,8 +754,7 @@ class TestLimitArcs:
                 lam = lm.MultiCurveLam(tuple(rng.uniform(0.1, 0.9, s)))
                 h = teich.holonomy_from_fn(pd, fn)
                 assert oracles.limit_arcs_reference(h) is None
-                fam = lm.realize(lam, h, 8,
-                                 reach=[eq.BASE_POINT, *letter_orbit(h)])
+                fam = lm.realize(lam, h, 8, walk=True)
                 full = lm.LiftFamily(lam, h, 8)
                 assert type(fam) is lm.LiftFamily
                 for name in oracles.LIFT_ROWS:
@@ -909,8 +925,8 @@ class TestTriangleWalk:
                 m.setattr(lm, "WALK_STEPS", 10_000)
                 ch = walk.charts
                 beyond = walk._walk(np.zeros(1, int), ch.placement[:1],
-                                    lm._moebius(iso.inv(ch.placement[0])[None],
-                                                eq.BASE_POINT), []) is None
+                                    iso.apply_h2(iso.inv(ch.placement[:1]),
+                                                 eq.BASE_POINT), []) is None
             if beyond:
                 refused += 1
                 with pytest.raises(DomainError, match="beyond the convex"):
@@ -933,8 +949,8 @@ class TestTriangleWalk:
                                   np.array([eq.BASE_POINT]), [])
         for y in (complex(x, v) for v in (0.5, 1.0, 1.5) for x in (-1, 0, 1)):
             crossed = []
-            end = walk._walk(np.array([t0]), g0, lm._moebius(
-                iso.inv(g0[0])[None], np.array([y])), crossed)
+            end = walk._walk(np.array([t0]), g0, iso.apply_h2(
+                iso.inv(g0), np.array([y])), crossed)
             assert (end is None) == (y in (1 + 0.5j, 1 + 1j))
             assert len(crossed) < 10
 
@@ -995,7 +1011,7 @@ def assert_hexagon_walk_is_family(lam, h, *point_sets):
     at an end, and endpoints within ENDPOINT_TOL relative.  Returns the
     number of segments."""
     x0, count = eq.BASE_POINT, 0
-    walk = lm.realize(lam, h, 10, reach=[x0])
+    walk = lm.realize(lam, h, 10, walk=True)
     assert isinstance(walk, lm.HexagonWalk)
     for ys in point_sets:
         fam = oracles.reach_family(lam, h, 10, [x0, *ys])
@@ -1011,6 +1027,33 @@ def assert_hexagon_walk_is_family(lam, h, *point_sets):
                                     b.geodesic.p_plus) <= ENDPOINT_TOL
             count += 1
     return count
+
+
+#: the cases of the stacked 2x2 kernels (see oracles.kernel_cases)
+KERNEL_CASES = oracles.kernel_cases(np.random.default_rng(38))
+
+
+class TestWalkKernels:
+    """The walks' 2x2 kernels, bit for bit the per-matrix formulas they
+    replaced."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_pull_back_is_the_adjugate_map(self, name):
+        g = KERNEL_CASES[name]
+        z = oracles.kernel_points(np.random.default_rng(39), g)
+        # a zero row of the adjugate divides by zero, to the same bits
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = lm._pull_back(g, z), oracles.pull_back_formula(g, z)
+        assert got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_side_ends_from_the_corner_table(self, name):
+        g = np.reshape(KERNEL_CASES[name], (-1, 2, 2))
+        k = np.random.default_rng(40).integers(0, 3, len(g))
+        ends = lm._mul(g, lm._SIDE_ENDS[k])
+        for col, want in enumerate(oracles.side_ends_formula(g, k)):
+            assert np.array_equal(bits(ends[:, :, col].T), bits(want))
 
 
 class TestHexagonWalk:

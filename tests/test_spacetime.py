@@ -1013,18 +1013,18 @@ class TestRegularDomain:
         h = teich.holonomy_from_fn(PD, FN)
         lam = lm.MultiCurveLam((0.7,))
         yield h, lm.LiftFamily(lam, h, depth=6)
-        yield h, lm.realize(lam, h, 8, reach=[x0])
+        yield h, lm.realize(lam, h, 8, walk=True)
         data = scenario.load(Path(__file__).parents[1] / "scripts"
                              / "scenarios" / "torus_two_boundary.json")
         point, pd = scenario.surface_point(data)
         h = teich.holonomy_of(point, pd)
         yield h, lm.realize(scenario.lamination(data, point), h, 8,
-                            reach=[x0])
+                            walk=True)
         pt = teich.ShearPoint(teich.IdealTriangulation.once_punctured_torus(),
                               (-0.3, -0.5, -0.4))
         h = teich.holonomy_from_shear(pt)
         lam = lm.TriangulationLam.from_shear(pt, (0.2, 0.4, 0.3))
-        yield h, lm.realize(lam, h, 8, reach=[x0])
+        yield h, lm.realize(lam, h, 8, walk=True)
 
     def test_one_crossings_query_per_call(self, monkeypatch):
         # the segments to the first 15 orbit points (the 2k letters' at
