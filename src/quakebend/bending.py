@@ -15,9 +15,9 @@ The bent surface is pleated: B(x0, z) depends only on the ordered
 leaves that [x0, z] crosses, so the bent map is one isometry per
 crossing sequence.  `bend_points` finds every point's sequence and
 checks the base point in one crossings query, builds all sequences'
-cocycles in one `cocycle_products` call and applies each to its
-points as one stacked product; a point whose segment from x0 crosses
-no leaf, x0 included, maps by the inclusion.
+cocycles in one `cocycle_products` call and applies them to all
+crossed points in one stacked action; a point whose segment from x0
+crosses no leaf, x0 included, maps by the inclusion.
 
 H3 points travel as unit timelike Minkowski-4 vectors (one row each in
 a stack); the totally geodesic copy of H2 is the slice x3 = 0.
@@ -49,28 +49,35 @@ BASE_CHECK_STEPS = (1e-3, 1e-3j)
 def mink4_from_h2(z):
     """Inclusion H2 -> H3 as the slice x3 = 0, of a point or an array of
     points (one row each)."""
-    y = iso.h2_to_hyperboloid(z)
-    return np.stack([y[0], y[1], y[2], np.zeros_like(y[0])], -1)
+    out = np.zeros(np.shape(z) + (4,))
+    out[..., 0], out[..., 1], out[..., 2] = iso.h2_to_hyperboloid(z)
+    return out
 
 
 def hermitian_from_mink4(v):
     """(..., 4) Minkowski-4 points to (..., 2, 2) Hermitian matrices."""
-    x0, x1, x2, x3 = np.moveaxis(v, -1, 0)
-    return np.stack([np.stack([x0 + x2, x1 + 1j * x3], -1),
-                     np.stack([x1 - 1j * x3, x0 - x2], -1)], -2)
+    x0, x1, x2, x3 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    p = np.empty(v.shape[:-1] + (2, 2), complex)
+    p[..., 0, 0], p[..., 0, 1] = x0 + x2, x1 + 1j * x3
+    p[..., 1, 0], p[..., 1, 1] = x1 - 1j * x3, x0 - x2
+    return p
 
 
 def mink4_from_hermitian(p):
     """(..., 2, 2) Hermitian matrices to (..., 4) Minkowski-4 points."""
     a, d, b = p[..., 0, 0].real, p[..., 1, 1].real, p[..., 0, 1]
-    return np.stack([(a + d) / 2.0, b.real, (a - d) / 2.0, b.imag], -1)
+    v = np.empty(b.shape + (4,))
+    v[..., 0], v[..., 1] = (a + d) / 2.0, b.real
+    v[..., 2], v[..., 3] = (a - d) / 2.0, b.imag
+    return v
 
 
 def apply_psl2c(a, v):
     """Isometry action of PSL(2, C) on Minkowski-4 points, P -> A P A*,
-    of one matrix on a point or on a (..., 4) stack of points."""
+    of one matrix on a point or on a (..., 4) stack of points, or of a
+    (..., 2, 2) stack on a stack matrix by matrix, bit for bit."""
     p = hermitian_from_mink4(v)
-    return mink4_from_hermitian(a @ p @ a.conj().T)
+    return mink4_from_hermitian(a @ p @ a.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +116,12 @@ def bend_points(ctx: BendContext, zs):
     which one `crossings_from` query at the base point x0 finds for the
     check points x0 + BASE_CHECK_STEPS and zs: a leaf through x0 raises
     BasePointOnLeafError, one through a check point counts at half
-    weight in a row that is dropped.  The points are grouped by their
-    crossing sequence; one `cocycle_products` call builds the cocycles,
-    each applied to its group as one stacked product.  A point that
-    crosses no leaf, x0 among them, maps by the inclusion (the slice
-    x3 = 0 of H3, the plane P(Id) of AdS), which pins the global
-    post-composition freedom.
+    weight in a row that is dropped.  One pass over the rows gives each
+    point the index of its crossing sequence, whose cocycles one
+    `cocycle_products` call builds; the crossed points take them in one
+    stacked action.  A point that crosses no leaf, x0 among them, maps
+    by the inclusion (the slice x3 = 0 of H3, the plane P(Id) of AdS),
+    which pins the global post-composition freedom.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     hyp = ctx.target == HYPERBOLIC
@@ -122,13 +129,16 @@ def bend_points(ctx: BendContext, zs):
     ys = np.concatenate([eq.BASE_POINT + np.array(BASE_CHECK_STEPS), zs])
     crossed = ctx.family.crossings_from(eq.BASE_POINT, ys, on_leaf="end")
     # keyed by leaf identity: a query gives each distinct leaf one object
-    groups = {}
+    groups, group = {}, np.full(len(zs), -1)
     for i, (leaves, _) in enumerate(crossed[len(BASE_CHECK_STEPS):]):
         if leaves:
-            groups.setdefault(tuple(map(id, leaves)), (leaves, []))[1].append(i)
-    products = eq.cocycle_products([leaves for leaves, _ in groups.values()],
+            group[i] = groups.setdefault(tuple(map(id, leaves)),
+                                         (len(groups), leaves))[0]
+    products = eq.cocycle_products([leaves for _, leaves in groups.values()],
                                    (1j,) if hyp else (1.0, -1.0))
-    for (_, idx), b in zip(groups.values(), products):
+    idx = np.flatnonzero(group >= 0)
+    if len(idx):
+        b = [np.array(factors)[group[idx]] for factors in zip(*products)]
         out[idx] = (apply_psl2c(b[0], out[idx]) if hyp
                     else iso.ads_act(b, out[idx]))
     return out

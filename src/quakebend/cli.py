@@ -260,16 +260,18 @@ def cmd_flow(args):
 
 
 def cmd_bend(args):
+    """`bend_points` of the grid, one complex array filled row by row."""
     grid = parse_grid(args.grid, ("x", "y"))
     xs, ys = grid["x"], grid["y"]
     if not np.all(ys > 0):
         raise DomainError("bend grid points must lie in the upper "
                           "half-plane (y > 0)")
-    zs = [complex(xv, yv) for yv in ys for xv in xs]
+    zs = np.empty((len(ys), len(xs)), complex)
+    zs.real, zs.imag = xs, ys[:, None]
     # a point whose reach or hyperboloid lift overflows is refused before
     # any record or lift family
     with np.errstate(over="ignore", invalid="ignore"):
-        far = lm.reach_cut(zs), iso.h2_to_hyperboloid(np.asarray(zs))
+        far = lm.reach_cut(zs), iso.h2_to_hyperboloid(zs)
     if not all(np.isfinite(a).all() for a in far):
         raise DomainError("bend grid points lie too far from i: their "
                           "reach or hyperboloid lift overflows")

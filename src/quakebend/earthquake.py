@@ -81,23 +81,28 @@ def cocycle_products(sequences, coefficients):
     `crossings` returns them: the ordered products of exp(c a D), c in
     `coefficients`, a the weight and D the displacement generator of
     each leaf.  A crossed prefix (of leaves by identity) is built once,
-    as its parent's product times its last factors: the left fold."""
-    prefixes, out = {}, []
+    as its parent's product times its last factors: the left fold; the
+    generators of all last leaves are one `iso.displacement_generators`
+    stack."""
+    prefixes, ends = {}, []  # (parent, leaf id) -> (prefix, parent, leaf)
     for lifts in sequences:
         if not lm.leaves_pairwise_disjoint(lifts):
             raise InvalidLaminationError("crossing leaves in the lift family")
-        prod = None
+        node = -1
         for leaf in lifts:
-            key = (id(prod), id(leaf))
-            if key not in prefixes:
-                d = leaf.geodesic.displacement_generator()
-                f = [iso.expm2(c * leaf.weight * d) for c in coefficients]
-                prefixes[key] = f if prod is None else [
-                    p @ g for p, g in zip(prod, f)]
-            prod = prefixes[key]
-        out.append([np.eye(2) for _ in coefficients] if prod is None else
-                   [iso.normalize(p) for p in prod])
-    return out
+            node = prefixes.setdefault((node, id(leaf)),
+                                       (len(prefixes), node, leaf))[0]
+        ends.append(node)
+    gens = iso.displacement_generators(np.array(
+        [leaf.geodesic.map_from_standard() for _, _, leaf in
+         prefixes.values()]).reshape(-1, 2, 2))
+    prods = []
+    for (_, parent, leaf), d in zip(prefixes.values(), gens):
+        f = [iso.expm2(c * leaf.weight * d) for c in coefficients]
+        prods.append(f if parent < 0 else
+                     [p @ g for p, g in zip(prods[parent], f)])
+    return [[np.eye(2) for _ in coefficients] if end < 0 else
+            [iso.normalize(p) for p in prods[end]] for end in ends]
 
 
 def cocycle_product(lifts, coefficients):

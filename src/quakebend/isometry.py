@@ -103,29 +103,31 @@ def is_identity(m, tol=TAU_CLASS):
     return proj_equal(m, np.eye(2, dtype=m.dtype), tol=tol)
 
 
+#: the identity of expm2, which numpy casts to complex for a complex a
+_EYE = np.eye(2)
+
+
 def expm2(a):
     """exp of a 2x2 matrix in closed form.
 
     Splits off the trace and uses A0^2 = -det(A0) Id for the traceless
     part A0: exp(A0) = cosh(mu) Id + sinh(mu)/mu A0, mu = sqrt(-det A0).
     """
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    cplx = np.iscomplexobj(a)
+    a = np.asarray(a, dtype=complex if cplx else float)
     half_tr = tr(a) / 2.0
-    a0 = a - half_tr * np.eye(2, dtype=a.dtype)
-    d0 = det(a0)
-    mu2 = -d0
+    a0 = a - half_tr * _EYE
+    mu2 = -det(a0)
     if abs(mu2) < 1e-30:
-        e0 = np.eye(2, dtype=a.dtype) + a0
+        e0 = _EYE + a0
+    elif cplx or mu2 < 0:
+        mu = cmath.sqrt(mu2)
+        e0 = cmath.cosh(mu) * _EYE + cmath.sinh(mu) / mu * a0
     else:
-        mu = cmath.sqrt(mu2) if (np.iscomplexobj(a) or mu2 < 0) else math.sqrt(mu2)
-        c = cmath.cosh(mu) if isinstance(mu, complex) else math.cosh(mu)
-        s = cmath.sinh(mu) / mu if isinstance(mu, complex) else math.sinh(mu) / mu
-        e0 = c * np.eye(2, dtype=complex if isinstance(mu, complex) else float) + s * a0
-    scale = cmath.exp(half_tr) if np.iscomplexobj(a) else math.exp(half_tr)
-    out = scale * e0
-    if not np.iscomplexobj(a) and np.iscomplexobj(out):
-        out = out.real
-    return out
+        mu = math.sqrt(mu2)
+        e0 = math.cosh(mu) * _EYE + math.sinh(mu) / mu * a0
+    out = (cmath.exp(half_tr) if cplx else math.exp(half_tr)) * e0
+    return out if cplx else out.real
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +201,13 @@ class Geodesic:
         """D in sl(2, R): exp(a D) translates by a along the geodesic,
         exp(i a D) rotates H3 by angle a around it, and 2 lie_vector(D)
         is its unit spacelike normal in R^{2,1}, pointing to its right."""
-        m = self.map_from_standard()
-        return m @ np.diag([0.5, -0.5]) @ inv(m)
+        return displacement_generators(self.map_from_standard())
+
+
+def displacement_generators(frames):
+    """M diag(1/2, -1/2) M^-1 of a `Geodesic.map_from_standard` frame M
+    or of each of a (..., 2, 2) stack of them, bit for bit."""
+    return frames @ np.diag([0.5, -0.5]) @ inv(frames)
 
 
 def transform_geodesic(m, g):
@@ -298,14 +305,16 @@ def ads_embed(z):
     """Point of the plane P(Id) dual to Id realizing z in H2.
 
     Returns the order-two rotation about z; the map intertwines the
-    Moebius action with the diagonal action g . X = g X g^{-1}.  An
-    array of points gives one (2, 2) matrix per point.
+    Moebius action with the diagonal action g . X = g X g^{-1}.  One
+    point gives a (2, 2) matrix, an array of points a (..., 2, 2) one.
     """
     x, y = z.real, z.imag
     if np.any(y <= 0):
         raise DomainError("ads_embed expects a point of the open upper half-plane")
-    return np.moveaxis(np.array([[x / y, -(x * x + y * y) / y],
-                                 [1.0 / y, -x / y]]), (0, 1), (-2, -1))
+    out = np.empty(np.shape(z) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1] = x / y, -(x * x + y * y) / y
+    out[..., 1, 0], out[..., 1, 1] = 1.0 / y, -x / y
+    return out
 
 
 def h2_to_hyperboloid(z):
@@ -332,7 +341,7 @@ def causal_type(p, q, tol=TAU_CLASS):
 
 
 def ads_act(pair, x):
-    """Isometry action (alpha, beta) . x = alpha x beta^{-1}."""
+    """(alpha, beta) . x = alpha x beta^{-1}; stacks act matrix by matrix."""
     alpha, beta = pair
     return alpha @ x @ inv(beta)
 

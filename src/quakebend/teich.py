@@ -732,6 +732,7 @@ def holonomy_from_fn(pd: PantDecomposition, fn: FNPoint) -> Holonomy:
 # ---------------------------------------------------------------------------
 
 _L_TURN = np.array([[-1.0, -1.0], [1.0, 0.0]])  # 0 -> oo -> -1 -> 0
+_TURNS = np.array([np.linalg.matrix_power(_L_TURN, k) for k in range(3)])
 
 
 def _f_edge(s):
@@ -765,9 +766,9 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
     One table, per (triangle, side), of the edge, the triangle and side
     across it and the chart change there, step[t, k] = L^k F(s_j) L^-m,
     gives everything else: the placements (a spanning tree of the
-    gluing), a generator per edge off the tree, the fan of chart changes
-    around each corner, whose product at the first corner of puncture i
-    is C_i, and the placed edge geodesics.
+    gluing), a generator per edge off the tree, the fans of chart changes
+    around the corners (one stacked walk), whose product at the first
+    corner of puncture i is C_i, and the placed edge geodesics.
 
     Boundary lengths satisfy l_{C_i} = |s(p_i)| with s(p_i) the shear
     sum over the star of p_i counted with corner multiplicity; cusps
@@ -782,9 +783,8 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
     # (edge, triangle across, side across) per (triangle, side)
     sides = [[side[(t, k)] for k in range(3)] for t in range(n)]
     edge, across, entry = np.array(sides).transpose(2, 0, 1).copy()
-    turns = [np.linalg.matrix_power(_L_TURN, k) for k in range(3)]
-    step = np.array([[iso.normalize(turns[k] @ _f_edge(sp.shears[j])
-                                    @ turns[-m % 3])
+    step = np.array([[iso.normalize(_TURNS[k] @ _f_edge(sp.shears[j])
+                                    @ _TURNS[-m % 3])
                       for k, (j, _, m) in enumerate(row)] for row in sides])
 
     order = _spanning_tree(tri.gluing)
@@ -797,18 +797,17 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
                 if j not in tree_edges}
     gens = dict(alphabet)
 
-    def fan(t, c):
-        # product of the chart changes once around corner c of triangle
-        # t, in t's chart: the peripheral element of the corner's puncture
-        mat, start = np.eye(2), (t, c)
-        while True:
-            mat = mat @ step[t, c]
-            _, t, m = sides[t][c]
-            c = (m + 1) % 3
-            if (t, c) == start:
-                return mat
-
-    fans = np.array([[fan(t, c) for c in range(3)] for t in range(n)])
+    # the fan of corner 3 t + c, in t's chart: every corner steps across
+    # the table at once, each until it is back at its start
+    turn = (3 * across + (entry + 1) % 3).ravel()
+    fans = np.broadcast_to(np.eye(2), (3 * n, 2, 2)).copy()
+    live = at = np.arange(3 * n)
+    while len(live):
+        fans[live] = fans[live] @ step.reshape(-1, 2, 2)[at]
+        at = turn[at]
+        moving = at != live
+        live, at = live[moving], at[moving]
+    fans = fans.reshape(n, 3, 2, 2)
     # the puncture of each corner, (triangle, corner) in row-major order
     puncture = [tri.puncture_of_corner(t, c)
                 for t in range(n) for c in range(3)]
@@ -827,7 +826,7 @@ def holonomy_from_shear(sp: ShearPoint) -> Holonomy:
         boundary=np.array([kinds[p] == BOUNDARY
                            for p in puncture]).reshape(n, 3),
         geodesics=tuple(iso.transform_geodesic(
-            iso.normalize(placement[t] @ turns[k]), iso.Geodesic(0.0, iso.INF))
+            iso.normalize(placement[t] @ _TURNS[k]), iso.Geodesic(0.0, iso.INF))
             for (t, k), _ in tri.gluing))
     return Holonomy(gens, alphabet, curve_words, tuple(curve_words),
                     meta={"genus": tri.genus, "triangle_charts": charts})

@@ -64,12 +64,18 @@ calls, kept next to the tests that compare the package against them:
   (`isometry.apply_h2`), `pull_back_formula` (the hexagon walk's
   `lamination._pull_back`) and `side_ends_formula` (the triangle
   walk's side ends, now `lamination._mul` of its corner-pair table);
+* `expm2_reference`, `isometry.expm2` as it was written before it
+  kept one identity and one dtype test per call;
+* `corner_fans`, the corner fans of a shear holonomy walked one corner
+  at a time, which the stacked walk of `teich.holonomy_from_shear`
+  replaced;
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -884,3 +890,43 @@ def side_ends_formula(g, k):
     triangle, one column product at a time."""
     return [(g[:, :, 0] * v[:, :1] + g[:, :, 1] * v[:, 1:]).T
             for v in (lm._CORNERS[k], lm._CORNERS[(k + 1) % 3])]
+
+
+def corner_fans(charts):
+    """The (n, 3, 2, 2) corner fans of `TriangleCharts`, one corner at a
+    time: the product of the chart changes `step` once around corner c
+    of triangle t, through the triangles `across` and the sides `entry`,
+    starting from the identity."""
+    def fan(t, c):
+        mat, start = np.eye(2), (t, c)
+        while True:
+            mat = mat @ charts.step[t, c]
+            t, c = charts.across[t, c], (charts.entry[t, c] + 1) % 3
+            if (t, c) == start:
+                return mat
+    return np.array([[fan(t, c) for c in range(3)]
+                     for t in range(len(charts.step))])
+
+
+def expm2_reference(a):
+    """exp of a 2x2 matrix in closed form, with an identity of the
+    matrix's dtype built at each use."""
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    half_tr = iso.tr(a) / 2.0
+    a0 = a - half_tr * np.eye(2, dtype=a.dtype)
+    mu2 = -iso.det(a0)
+    if abs(mu2) < 1e-30:
+        e0 = np.eye(2, dtype=a.dtype) + a0
+    else:
+        mu = cmath.sqrt(mu2) if (np.iscomplexobj(a) or mu2 < 0) \
+            else math.sqrt(mu2)
+        c = cmath.cosh(mu) if isinstance(mu, complex) else math.cosh(mu)
+        s = cmath.sinh(mu) / mu if isinstance(mu, complex) \
+            else math.sinh(mu) / mu
+        e0 = c * np.eye(2, dtype=complex if isinstance(mu, complex)
+                        else float) + s * a0
+    scale = cmath.exp(half_tr) if np.iscomplexobj(a) else math.exp(half_tr)
+    out = scale * e0
+    if not np.iscomplexobj(a) and np.iscomplexobj(out):
+        out = out.real
+    return out

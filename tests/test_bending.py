@@ -431,6 +431,19 @@ class TestPiecewiseIsometricBendMap:
             assert pts[i].tobytes() == include(zs[i]).tobytes()
 
     @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_no_crossed_point_maps_by_inclusion(self, scenario_ctx, target):
+        # no point, and a grid around x0 that crosses no leaf
+        include = bd.mink4_from_h2 if target == bd.HYPERBOLIC else \
+            iso.ads_embed
+        near = [eq.BASE_POINT + complex(dx, dy) for dy in (-0.01, 0.01)
+                for dx in (-0.01, 0.0, 0.01)]
+        assert set(crossing_groups(scenario_ctx[target], near)) == {()}
+        for zs in ([], near):
+            want = include(np.array(zs, dtype=complex))
+            got = bd.bend_points(scenario_ctx[target], zs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
     def test_one_disjointness_check_per_sequence(self, scenario_ctx, target,
                                                  monkeypatch):
         checked = []
@@ -447,26 +460,38 @@ class TestPiecewiseIsometricBendMap:
     @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
     def test_groups_are_the_crossing_groups(self, scenario_ctx, target,
                                             monkeypatch):
-        # the points each cocycle is applied to, found by their rows in
-        # the inclusion, against the crossed points of crossing_groups
+        # one stacked action: the crossed points, found by their rows in
+        # the inclusion, each take the cocycle that the one
+        # cocycle_products call built for its crossing group
         hyp = target == bd.HYPERBOLIC
         owner, act = (bd, "apply_psl2c") if hyp else (iso, "ads_act")
         build, apply = eq.cocycle_products, getattr(owner, act)
-        keys, rows = [], []
+        built, acts = [], []
         monkeypatch.setattr(eq, "cocycle_products", lambda sequences, c:
-                            keys.extend(sequences) or build(sequences, c))
-        monkeypatch.setattr(owner, act, lambda b, v: rows.append(
-            [r.tobytes() for r in v]) or apply(b, v))
+                            built.append((sequences, build(sequences, c)))
+                            or built[-1][1])
+        monkeypatch.setattr(owner, act, lambda b, v: acts.append((b, v))
+                            or apply(b, v))
         zs = grid(12)
         bd.bend_points(scenario_ctx[target], zs)
+        assert len(built) == len(acts) == 1
+        (sequences, products), (b, v) = built[0], acts[0]
+        cocycle = {tuple((l.geodesic.p_minus, l.geodesic.p_plus, l.weight)
+                         for l in leaves): [m.tobytes() for m in ms]
+                   for leaves, ms in zip(sequences, products)}
         index = {r.tobytes(): i for i, r in enumerate(
             (bd.mink4_from_h2 if hyp else iso.ads_embed)(np.array(zs)))}
-        got = {tuple((l.geodesic.p_minus, l.geodesic.p_plus, l.weight)
-                     for l in leaves): [index[r] for r in points]
-               for leaves, points in zip(keys, rows)}
+        taken = {index[r.tobytes()]: [m.tobytes() for m in ms]
+                 for r, *ms in zip(v, *([b] if hyp else b))}
         want = crossing_groups(scenario_ctx[target], zs)
         want.pop((), None)
-        assert len(keys) == len(got) and got == want
+        assert len(sequences) == len(cocycle) == len(want)
+        assert len(v) == len(taken)
+        assert sorted(taken) == sorted(i for idx in want.values()
+                                       for i in idx)
+        for key, idx in want.items():
+            for i in idx:
+                assert taken[i] == cocycle[key]
 
     @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
     def test_matches_per_vertex_reference(self, scenario_ctx, target):
@@ -589,7 +614,39 @@ class TestTargetFromContext:
                 other(ctx, 0.5 + 1j)
 
 
+def stacked_actions(rng, n=40):
+    """(H3 cocycles, AdS pairs, Minkowski-4 points, AdS points): n
+    random bending factors of each target and n points of H2."""
+    zs = np.array([random_h2(rng) for _ in range(n)])
+    d = [iso.Geodesic(*rng.normal(scale=2.0, size=2)).displacement_generator()
+         for _ in range(n)]
+    w = rng.uniform(0.05, 2.5, n)
+    hyp = np.array([iso.expm2(1j * a * x) for a, x in zip(w, d)])
+    pair = tuple(np.array([iso.expm2(c * a * x) for a, x in zip(w, d)])
+                 for c in (1.0, -1.0))
+    return hyp, pair, bd.mink4_from_h2(zs), iso.ads_embed(zs)
+
+
 class TestStackedMink4:
+    @pytest.mark.parametrize("target", [bd.HYPERBOLIC, bd.ADS])
+    def test_stacked_action_is_the_per_matrix_calls(self, target):
+        hyp, pair, p, x = stacked_actions(np.random.default_rng(29))
+        if target == bd.HYPERBOLIC:
+            got = bd.apply_psl2c(hyp, p)
+            want = [bd.apply_psl2c(a, v) for a, v in zip(hyp, p)]
+        else:
+            got = iso.ads_act(pair, x)
+            want = [iso.ads_act((l, r), v) for l, r, v in zip(*pair, x)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_one_pair_acts_on_a_point_stack(self):
+        # as `oracles.bend_points_per_group` applies each group's AdS
+        # cocycle (test_stack_matches_rows does the H3 one)
+        _, pair, _, x = stacked_actions(np.random.default_rng(31))
+        one = (pair[0][0], pair[1][0])
+        want = [iso.ads_act(one, v) for v in x]
+        assert iso.ads_act(one, x).tobytes() == np.array(want).tobytes()
+
     def test_stack_matches_rows(self):
         rng = np.random.default_rng(19)
         zs = np.array([random_h2(rng) for _ in range(7)])

@@ -143,9 +143,14 @@ def test_detects_unreached_entry_point():
 def test_perfbench_patched_names_exist(monkeypatch):
     # the Tracer looks up every patched entry point as owner.__dict__[attr]
     # when it is built and installs nothing; a deleted or renamed one
-    # breaks a `perfbench/run.py --trace 1` run
+    # breaks a `perfbench/run.py --trace 1` run.  Every missing entry of
+    # its LAYERS and COUNTED tables is named here, not only the first
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import spans
+    entries = [e for es in spans.LAYERS.values() for e in es] + \
+        list(spans.COUNTED)
+    assert [f"{owner.__name__}.{attr}" for owner, attr in entries
+            if attr not in vars(owner)] == []
     spans.Tracer()
 
 

@@ -405,6 +405,26 @@ def same_bits(a, b):
         np.ascontiguousarray(b).view(np.uint8))
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_expm2_is_its_reference(name):
+    # every matrix of the kernel cases (real ones with -det of either
+    # sign, complex, -0.0 entries) at entries up to 3, and scaled down
+    # to the near-identity branch, and the bending, quake and AdS
+    # factors of leaves
+    rng = np.random.default_rng(41)
+    ms = KERNEL_CASES[name].reshape(-1, 2, 2)
+    ms = 3.0 * ms / np.maximum(np.abs(ms).max(axis=(1, 2)), 1.0)[:, None, None]
+    d = [iso.Geodesic(*rng.normal(scale=2.0, size=2)).displacement_generator()
+         for _ in range(len(ms))]
+    cases = [m * s for m in ms for s in (1.0, 1e-17)] + \
+        [c * w * x for x, w in zip(d, rng.uniform(0.0, 3.0, len(d)))
+         for c in (1.0, -1.0, 1j)]
+    for a in cases:
+        got, want = iso.expm2(a), oracles.expm2_reference(a)
+        assert same_bits(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
 class TestStackedKernels:
     """`inv` and `apply_h2` on a matrix or a stack, bit for bit the
     per-matrix formulas they replaced."""

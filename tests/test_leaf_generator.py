@@ -32,6 +32,15 @@ def random_geodesic(rng):
     return iso.Geodesic(p, q)
 
 
+#: geodesics on each branch of `Geodesic.map_from_standard` (from oo, to
+#: oo, p < q and p > q), with +0.0 and -0.0 endpoints
+BRANCH_GEODESICS = [iso.Geodesic(p, q) for p, q in (
+    (iso.INF, 0.0), (iso.INF, -0.0), (iso.INF, -1.7), (0.0, iso.INF),
+    (-0.0, iso.INF), (2.3, iso.INF), (0.0, 1.3), (-0.0, 1.3), (-2.1, 0.0),
+    (-2.1, -0.0), (1.3, 0.0), (1.3, -0.0), (0.0, -0.7), (-0.0, -0.7),
+    (0.4, 1e-300), (-3.0e5, 2.0e-4))]
+
+
 def random_h2(rng):
     return complex(rng.normal(scale=1.5), math.exp(rng.normal(scale=0.8)))
 
@@ -70,6 +79,21 @@ def test_h3_factor_is_the_rotation_factor():
         new = 1j * a * geo.displacement_generator()
         assert np.array_equal(new, old)
         assert np.array_equal(iso.expm2(new), iso.expm2(old))
+
+
+def test_stacked_generators_are_the_per_leaf_generators():
+    # the one stack of frames that cocycle_products takes its
+    # generators from, bit for bit each leaf's own generator and the
+    # per-frame product that it was written as
+    rng = np.random.default_rng(23)
+    geos = BRANCH_GEODESICS + [random_geodesic(rng) for _ in range(200)]
+    frames = np.array([g.map_from_standard() for g in geos])
+    stacked = iso.displacement_generators(frames)
+    for geo, m, d in zip(geos, frames, stacked):
+        assert d.tobytes() == geo.displacement_generator().tobytes()
+        assert d.tobytes() == (m @ np.diag([0.5, -0.5]) @ iso.inv(m)).tobytes()
+    # the -0.0 endpoints reach the frames
+    assert np.signbit(frames[frames == 0]).any()
 
 
 def test_lie_vector_is_iota():

@@ -312,6 +312,13 @@ class TestShearHolonomy:
             assert ch.boundary[t, c] == (kinds[i] == teich.BOUNDARY)
 
     @ON_SHEAR_SURFACES
+    def test_fans_are_the_per_corner_walks(self, sp):
+        # the stacked walk of all corners, whose cycles differ in length
+        # on the spheres, bit for bit one corner at a time
+        ch = teich.holonomy_from_shear(sp).meta["triangle_charts"]
+        assert ch.fan.tobytes() == oracles.corner_fans(ch).tobytes()
+
+    @ON_SHEAR_SURFACES
     def test_edge_geodesics_join_the_corners(self, sp):
         ch = teich.holonomy_from_shear(sp).meta["triangle_charts"]
         corners = (0.0, iso.INF, -1.0)
