@@ -300,20 +300,21 @@ def cmd_wick(args):
     # and fitted once; the records up to the first point that fails, each
     # with its column, and that point's exception
     recs, images, metrics, fitted, error = [], [], {}, {}, None
+    Ts, us, zetas = (grid[a].tolist() for a in ("T", "u", "zeta"))
     try:
-        for i, T in enumerate(grid["T"]):
-            for u in grid["u"]:
-                for k, z in enumerate(grid["zeta"]):
-                    p = sp.LocalPoint(float(T), float(u), float(z), a0)
+        for i, T in enumerate(Ts):
+            for u in us:
+                for k, z in enumerate(zetas):
+                    p = sp.LocalPoint(T, u, z, a0)
                     if (i, k) not in metrics:
                         metrics[i, k] = sp.wick_metric(p).components.tolist()
                         # the chart is only C^{1,1} on the seams: curvature
                         # is reported away from them
                         if min(abs(z), abs(z - a0 / T)) > 0.05:
                             fitted[i, k] = (T, z, u)
-                    images.append([float(c) for c in sp.wick_rotate(p)])
+                    images.append(sp.wick_rotate(p).tolist())
                     recs.append(((i, k), {
-                        "T": float(T), "u": float(u), "zeta": float(z),
+                        "T": T, "u": u, "zeta": z,
                         "image": images[-1], "metric": metrics[i, k]}))
     except Exception as exc:
         error = exc
@@ -340,9 +341,9 @@ def cmd_wick(args):
     yield {"max_curvature_residual": worst}
     if args.mesh_out:
         # the first level T[0] is the first len(u) * len(zeta) images
-        nu, nz = len(grid["u"]), len(grid["zeta"])
+        nu, nz = len(us), len(zetas)
         write_mesh(args.mesh_out, images[:nu * nz], grid_faces(nu, nz))
-        yield {"mesh": args.mesh_out, "level": float(grid["T"][0])}
+        yield {"mesh": args.mesh_out, "level": Ts[0]}
 
 
 def cmd_btz(args):

@@ -70,13 +70,18 @@ def _riemann(gs):
     (m, 1 + 4n + 16n^2, n, n) in the order of `_stencils`, with the
     lowered tensor R[i, j, k, l] = <R(e_i, e_j) e_k, e_l> for
     R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X, Y]: constant
-    curvature kappa means R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl})."""
+    curvature kappa means R_{ijkl} = kappa (g_{jk} g_{il} - g_{ik} g_{jl}).
+
+    Index permutations are transposes, views with no arithmetic.  The
+    inverse metric stays np.linalg.inv: a closed-form 3x3 inverse rounds
+    differently and would change the fitted curvatures' bits."""
     m, n = len(gs), gs.shape[-1]
     c = 1 + 4 * n  # the points where Gamma is, over the stencils
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) at x and the
-    # near points, from dg[., k, i, j] = d g_ij / d x_k over their neighbours
+    # near points, from dg[., k, i, j] = d g_ij / d x_k over their neighbours;
+    # term[., l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
     dg = _diff(gs[:, 1:].reshape(m * c, n, 4, n, n), STEP)
-    term = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+    term = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
     gam = 0.5 * np.einsum("...kl,...lij->...kij",
                           np.linalg.inv(gs[:, :c].reshape(m * c, n, n)), term)
     gam = gam.reshape(m, c, n, n, n)

@@ -165,9 +165,20 @@ class MetricSample:
 def _by_value(f, v):
     """f (a function of one float) over the array v, called once per
     distinct value: numpy's own cosh and its array ** 2 (that is, v * v)
-    are not libm's cosh and pow, and differ in the last bit."""
-    levels, at = np.unique(v, return_inverse=True)
-    return np.array([f(w) for w in levels.tolist()])[at]
+    are not libm's cosh and pow, and differ in the last bit.
+
+    The distinct values come from one sort, a change mask and a
+    searchsorted.  -0.0 and +0.0 compare equal, so they are one value
+    and f runs on whichever the sort put first: every caller passes an
+    even f or values T > 0.  (A bare np.unique(v) would import numpy.ma
+    at its first call, about 12 ms and 1 MB once per process.)"""
+    s = np.sort(v)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    levels = s[keep]
+    return np.array([f(w) for w in levels.tolist()])[
+        np.searchsorted(levels, v)]
 
 
 def _cosh2(x):
@@ -211,7 +222,7 @@ _RESCALINGS = {"flat": (lambda T: (1.0, 1.0), "lorentzian"),
 
 
 # the flat chart per regime: (g_TT, g_Tzeta, g_zetazeta, g_uu) at one
-# point (floats) or at the rows of that regime (arrays)
+# point; _chart_stack writes the same formulas as columns
 
 def _wing(T, z, alpha0):
     return -1.0, 0.0, T * T, T * T * _cosh2(z)
@@ -248,7 +259,15 @@ def _chart_point(kind, alpha0, T, z):
 
 def _chart_stack(kind, alpha0, xs):
     """The `kind` metric at the rows (T, z, ...) of xs, as _chart_point
-    gives it row by row."""
+    gives it row by row.
+
+    The flat components are built as columns, each formula of
+    _REGIMES on the rows of its regime only, from three libm passes:
+    the universal functions over T, _pow2(alpha0 / T) over the rotated
+    wing, and one _cosh2 over the wing coordinate of both wings (zeta,
+    or zeta - alpha0 / T).  Each of the five nonzero entries of the
+    stack is then written once, times alpha; the zeros are alpha * 0.0,
+    +0.0 for the finite alpha >= 0 of every rescaling."""
     T, z = xs[:, 0], xs[:, 1]
     functions, signature = _RESCALINGS[kind]
     try:
@@ -261,15 +280,25 @@ def _chart_stack(kind, alpha0, xs):
             _chart_point(kind, alpha0, x[0], x[1])  # raises at the first row
     wing = z < 0
     band = ~wing if alpha0 == INF else ~wing & (z <= alpha0 / T)
+    rotated, wings = ~(wing | band), ~band
+    TT = T * T
+    a, zb = alpha0 / T[rotated], z[band]
+    # g_TT and g_Tzeta are -1 and 0 on the wing, g_uu is T T on the band
+    g00 = np.full(len(xs), -1.0)
+    g00[band] = -1.0 + zb * zb
+    g00[rotated] = -1.0 + _pow2(a)
+    g01 = np.where(rotated, alpha0, 0.0)
+    g01[band] = T[band] * zb
+    w = z[wings]
+    w[rotated[wings]] -= a
+    g22 = TT.copy()
+    g22[wings] *= _cosh2(w)
     g = np.zeros((len(xs), 3, 3))
-    for formula, rows in ((_wing, wing), (_band, band),
-                          (_rotated_wing, ~(wing | band))):
-        if rows.any():
-            g00, g01, g11, g22 = formula(T[rows], z[rows], alpha0)
-            g[rows, 0, 0], g[rows, 1, 1], g[rows, 2, 2] = g00, g11, g22
-            g[rows, 0, 1] = g[rows, 1, 0] = g01
-    g *= alpha[:, None, None]
-    g[:, 0, 0] += alpha + beta if signature == "riemannian" else alpha - beta
+    g[:, 0, 0] = alpha * g00 + (alpha + beta if signature == "riemannian"
+                                else alpha - beta)
+    g[:, 0, 1] = g[:, 1, 0] = alpha * g01
+    g[:, 1, 1] = alpha * TT
+    g[:, 2, 2] = alpha * g22
     return g
 
 
@@ -340,23 +369,23 @@ def flat_gauss_map(p: LocalPoint):
 
 def wick_rotate(p: LocalPoint):
     """The C^1 developing map into H3 (unit timelike Minkowski-4
-    vectors); T > 1 required."""
+    vectors); T > 1 required.  Each component is chd * b + shd * n of
+    the base point b and the normal n, in plain floats: the same
+    products and sum as those arrays' chd * base + shd * normal."""
     T, u, z, a0 = p.T, p.u, p.zeta, p.alpha0
     d = hyperbolic_boundary_distance(T)
     chd, shd = math.cosh(d), math.sinh(d)
     if p.regime == 2:
         ang = z * T  # z / tanh(d)
-        base = np.array([math.cosh(u), math.sinh(u), 0.0, 0.0])
-        normal = np.array([0.0, 0.0, math.sin(ang), math.cos(ang)])
+        base = (math.cosh(u), math.sinh(u), 0.0, 0.0)
     else:
         # a wing, the rotated one turned by the band's full angle a0
         w, ang = (z, 0.0) if p.regime == 1 else (z - a0 / T, a0)
-        base = np.array([math.cosh(w) * math.cosh(u),
-                         math.cosh(w) * math.sinh(u),
-                         math.sinh(w) * math.cos(ang),
-                         -math.sinh(w) * math.sin(ang)])
-        normal = np.array([0.0, 0.0, math.sin(ang), math.cos(ang)])
-    return chd * base + shd * normal
+        cw, sw = math.cosh(w), math.sinh(w)
+        base = (cw * math.cosh(u), cw * math.sinh(u),
+                sw * math.cos(ang), -sw * math.sin(ang))
+    normal = (0.0, 0.0, math.sin(ang), math.cos(ang))
+    return np.array([chd * b + shd * n for b, n in zip(base, normal)])
 
 
 def wick_metric(p: LocalPoint):

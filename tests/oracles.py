@@ -69,6 +69,9 @@ calls, kept next to the tests that compare the package against them:
 * `corner_fans`, the corner fans of a shear holonomy walked one corner
   at a time, which the stacked walk of `teich.holonomy_from_shear`
   replaced;
+* `wick_rotate_reference`, `spacetime.wick_rotate` as two numpy
+  4-vectors, chd * base + shd * normal, which the plain-float
+  components replaced;
 * fixture surfaces: the pant decompositions of the three- and
   four-punctured spheres and an ideal triangulation of the first.
 """
@@ -805,6 +808,27 @@ def wick_records_reference(args):
         cli.write_mesh(args.mesh_out, images[:nu * nz],
                        cli.grid_faces(nu, nz))
         yield {"mesh": args.mesh_out, "level": float(grid["T"][0])}
+
+
+def wick_rotate_reference(p):
+    """The Wick image of the `spacetime.LocalPoint` p as the base point
+    and the normal of the model, two numpy 4-vectors, combined as
+    cosh(d) * base + sinh(d) * normal."""
+    T, u, z, a0 = p.T, p.u, p.zeta, p.alpha0
+    d = sp.hyperbolic_boundary_distance(T)
+    chd, shd = math.cosh(d), math.sinh(d)
+    if p.regime == 2:
+        ang = z * T
+        base = np.array([math.cosh(u), math.sinh(u), 0.0, 0.0])
+        normal = np.array([0.0, 0.0, math.sin(ang), math.cos(ang)])
+    else:
+        w, ang = (z, 0.0) if p.regime == 1 else (z - a0 / T, a0)
+        base = np.array([math.cosh(w) * math.cosh(u),
+                         math.cosh(w) * math.sinh(u),
+                         math.sinh(w) * math.cos(ang),
+                         -math.sinh(w) * math.sin(ang)])
+        normal = np.array([0.0, 0.0, math.sin(ang), math.cos(ang)])
+    return chd * base + shd * normal
 
 
 # -- fixture surfaces ---------------------------------------------------------

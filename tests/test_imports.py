@@ -11,9 +11,14 @@
   `reversed`, say) cannot reach it.
 * Every (owner, attribute) that perfbench/spans.py patches by name
   exists, and the benchmark's job lists build.
+* The metric path (`wick`, `verify --suite all`, a curvature fit)
+  imports no numpy submodule after `quakebend.cli` is imported.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -169,3 +174,35 @@ def test_perfbench_jobs_build(workload, tmp_path, monkeypatch):
             job = next(j for j in round_ if j.expect["target"] == target)
             ends_minus, ends_plus, weights = jobs._leaves(job.argv[1], target)
             assert len(ends_minus) == len(ends_plus) == len(weights) > 0
+
+
+# `wick`, every verify suite and one curvature fit in a fresh process,
+# its stdout discarded; prints the numpy modules they import first
+METRIC_PATH = """
+import contextlib, io, sys
+from quakebend import cli, curvature, spacetime
+
+
+def numpy_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "numpy"}
+
+
+before = numpy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["wick"]), cli.main(["verify", "--suite", "all"])]
+curvature.constant_curvature_fit(spacetime.chart_metric("ads"),
+                                 (1.3, 0.2, 0.3))
+print(codes, sorted(numpy_modules() - before))
+"""
+
+
+def test_metric_path_imports_no_numpy_module_lazily():
+    # a bare np.unique imports numpy.ma at its first call, about 12 ms
+    # and 1 MB once per process: the chart metrics must not pay that
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", METRIC_PATH], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 0] []"

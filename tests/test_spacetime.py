@@ -422,11 +422,28 @@ class TestStackedChartMetric:
 
     def test_squares_and_cosh_by_libm(self):
         # numpy's array x ** 2 (x * x) differs from pow on about 180 of
-        # 200,000 such draws, and its SIMD cosh may differ from libm's
-        v = np.random.default_rng(37).uniform(-3.0, 3.0, 200_000)
-        assert bits(sp._pow2(v)) == bits([x ** 2 for x in v.tolist()])
-        assert bits(sp._cosh2(v)) == bits([math.cosh(x) ** 2
-                                           for x in v.tolist()])
+        # 200,000 such draws, and its SIMD cosh may differ from libm's;
+        # then the shapes of a stencil's columns: long runs of one value,
+        # a value back after others, +0.0 and -0.0 in one run, one value
+        # and one entry
+        for v in (np.random.default_rng(37).uniform(-3.0, 3.0, 200_000),
+                  np.repeat([0.7, -1.9, 0.7, 2.4, -1.9], [40, 1, 3, 200, 12]),
+                  np.array([0.0, -0.0, -0.0, 0.0, 1.5, -0.0, 0.0]),
+                  np.full(25, -1.25), np.array([-0.0])):
+            assert bits(sp._pow2(v)) == bits([x ** 2 for x in v.tolist()])
+            assert bits(sp._cosh2(v)) == bits([math.cosh(x) ** 2
+                                               for x in v.tolist()])
+        # the universal functions over the T column of stencil stacks,
+        # over one value and over one entry
+        for kind, (_, (lo, hi)) in CHARTS.items():
+            functions, mid = sp._RESCALINGS[kind][0], 0.5 * (lo + hi)
+            stencils = cv._stencils(np.array([(mid, 0.2, 0.1),
+                                              (lo + 0.01, -0.3, 0.0),
+                                              (hi - 0.01, 0.4, -0.0)]))
+            for T in (stencils[..., 0].ravel(), np.full(30, mid),
+                      np.array([mid])):
+                assert bits(sp._by_value(functions, T)) == bits(
+                    [functions(t) for t in T.tolist()])
 
     @pytest.mark.parametrize("kind,rows,message", [
         ("wick", [(1.5, 0.2, 0.3), (0.5, 0.2, 0.3), (-1.0, 0.2, 0.3)],
@@ -599,6 +616,19 @@ class TestWick:
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
             sp.wick_rotate(pt(0.9, 0.0, 0.0))
+
+    @pytest.mark.parametrize("a0", [1.0, 8.0, sp.INF])
+    def test_plain_floats_are_the_array_form(self, a0):
+        # seeded_rows' third block is at zeta = inf when a0 = inf
+        rows = seeded_rows(np.random.default_rng(53), "wick", a0, 300)
+        points = [pt(T, z, u, a0) for T, z, u in rows.tolist()
+                  if z < sp.INF]
+        points += [pt(1.7, z, u, a0) for z in (0.0, -0.0, -0.6, 0.4, 9.0)
+                   for u in (0.0, -0.0, 0.8)]
+        assert {p.regime for p in points} == (
+            {1, 2} if a0 == sp.INF else {1, 2, 3})
+        assert bits([sp.wick_rotate(p) for p in points]) == bits(
+            [oracles.wick_rotate_reference(p) for p in points])
 
     def test_pullback_matches_universal_functions(self):
         # horizontal x 1/(T^2-1), vertical x 1/(T^2-1)^2
