@@ -13,6 +13,7 @@ at pi), which keeps interval arithmetic free of special cases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -100,11 +101,12 @@ class BTZParams:
         if not (self.r_plus >= self.r_minus >= 0.0) or self.r_plus <= 0:
             raise DomainError("BTZ radii must satisfy r+ >= r- >= 0, r+ > 0")
 
-    @property
+    # the radii are frozen, so M and J are computed once, at first use
+    @functools.cached_property
     def mass(self):
         return self.r_plus ** 2 + self.r_minus ** 2
 
-    @property
+    @functools.cached_property
     def angular_momentum(self):
         return 2.0 * self.r_plus * self.r_minus
 
@@ -266,12 +268,30 @@ def btz_f(r, params: BTZParams):
     return -m + r * r + j * j / (4.0 * r * r)
 
 
+def _btz_components(r, params: BTZParams):
+    """The (3, 3) ndarray of Kerr-like BTZ components at radius r (they
+    do not depend on v and phi); fails on the horizons and at r <= 0."""
+    r = float(r)
+    if r <= 0:
+        raise DomainError("the BTZ chart needs r > 0")
+    f = btz_f(r, params)
+    if abs(f) < 1e-12:
+        # at the extremal double root the one horizon is r+
+        name = "r+" if abs(r - params.r_plus) <= abs(r - params.r_minus) else "r-"
+        raise CoordinateSingularityError(name)
+    m, j = params.mass, params.angular_momentum
+    return np.array([m - r * r, 0.0, -j / 2.0,
+                     0.0, 1.0 / f, 0.0,
+                     -j / 2.0, 0.0, r * r]).reshape(3, 3)
+
+
 def btz_chart_metric(params: BTZParams):
     """The BTZ metric as a raw function, the form the curvature oracle
     evaluates: a point x = (v, r, phi) gives the (3, 3) ndarray of
-    Kerr-like components, an (N, 3) ndarray of points the (N, 3, 3)
-    stack, bitwise equal to the pointwise calls.  It fails on the
-    horizons; a stack raises the error of its first row there."""
+    Kerr-like components (`_btz_components`), an (N, 3) ndarray of
+    points the (N, 3, 3) stack, bitwise equal to the pointwise calls.
+    It fails on the horizons; a stack raises the error of its first row
+    there."""
     m, j = params.mass, params.angular_momentum
 
     def metric(x):
@@ -286,21 +306,11 @@ def btz_chart_metric(params: BTZParams):
             g[:, 0, 0], g[:, 1, 1], g[:, 2, 2] = m - r * r, 1.0 / f, r * r
             g[:, 0, 2] = g[:, 2, 0] = -j / 2.0
             return g
-        r = float(x[1])
-        if r <= 0:
-            raise DomainError("the BTZ chart needs r > 0")
-        f = btz_f(r, params)
-        if abs(f) < 1e-12:
-            # at the extremal double root the one horizon is r+
-            name = "r+" if abs(r - params.r_plus) <= abs(r - params.r_minus) else "r-"
-            raise CoordinateSingularityError(name)
-        return np.array([m - r * r, 0.0, -j / 2.0,
-                         0.0, 1.0 / f, 0.0,
-                         -j / 2.0, 0.0, r * r]).reshape(3, 3)
+        return _btz_components(x[1], params)
 
     return metric
 
 
 def btz_metric(v, r, phi, params: BTZParams):
     """The BTZ metric at (v, r, phi), checked once; fails on the horizons."""
-    return MetricSample(btz_chart_metric(params)((v, r, phi)), "lorentzian")
+    return MetricSample(_btz_components(r, params), "lorentzian")

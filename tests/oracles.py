@@ -26,6 +26,11 @@ calls, kept next to the tests that compare the package against them:
 * `sphere_metric` and `hyperbolic_metric`, the reference metrics of the
   curvature fit, and `stencil`, `riemann` and `sectional_curvature`
   from its stencil at one point;
+* `stencils_reference`, the stencils of the curvature fit built as the
+  neighbours of the neighbours, and `fit_pattern_reference`, its
+  curvature-1 tensor from four broadcast products, which the cached
+  index tables of `curvature._stencils` and the one outer product of
+  `curvature._fits` replaced;
 * `limit_set_samples` and `sampled_side`, the side rule of
   `blackhole.peripheral_rectangle` from the limit set sampled at every
   reduced word up to a depth, which the one-point rule replaced;
@@ -282,7 +287,7 @@ def hyperbolic_metric(x):
 
 def stencil(metric, x):
     """(g, R) at x, in the convention of `curvature._riemann`."""
-    g, r = cv._riemann(cv._evaluate(metric, x))
+    g, r = cv._riemann(cv._evaluate(metric, cv._finite_points(x, 1)))
     return g[0], r[0]
 
 
@@ -297,6 +302,33 @@ def sectional_curvature(metric, x, plane=(0, 1)):
     i, j = plane
     g, r = stencil(metric, x)
     return r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
+
+
+def neighbours(pts, h):
+    """p + s e_k for s in (h, -h, h/2, -h/2), as out[p, k, s]."""
+    m, n = pts.shape
+    out = np.broadcast_to(pts[:, None, None, :], (m, n, 4, n)).copy()
+    # step coordinate k alone: adding 0.0 elsewhere would turn -0.0 into +0.0
+    k = np.arange(n)
+    out[:, k, :, k] += np.array([h, -h, h / 2.0, -h / 2.0])
+    return out
+
+
+def stencils_reference(xs):
+    """`curvature._stencils` of the points xs (m, n): x, its `neighbours`
+    and theirs, (m, 1 + 4n + 16n^2, n)."""
+    m, n = xs.shape
+    near = neighbours(xs, cv.STEP).reshape(m, 4 * n, n)
+    far = neighbours(near.reshape(-1, n), cv.STEP).reshape(m, -1, n)
+    return np.concatenate([xs[:, None], near, far], axis=1)
+
+
+def fit_pattern_reference(g):
+    """g_jk g_il - g_ik g_jl per metric of the stack g (m, n, n), as
+    (m, n^4) rows, from four broadcast products."""
+    return (g[:, None, :, :, None] * g[:, :, None, None, :]
+            - g[:, :, None, :, None] * g[:, None, :, None, :]).reshape(
+                len(g), -1)
 
 
 # -- sampled side rule of the black-hole rectangles ---------------------------

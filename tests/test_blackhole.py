@@ -113,6 +113,35 @@ class TestBTZ:
                 bh.btz_metric(0.0, p.r_plus, 0.0, p)
             assert ei.value.radius_name == "r+"
 
+    def test_public_metric_is_the_chart_point(self):
+        # r-/r+ from 0 (Schwarzschild-like) to 1 (extremal), radii inside
+        # r-, between the horizons and outside r+
+        rng = np.random.default_rng(61)
+        for ratio in np.linspace(0.0, 1.0, 6):
+            rp = rng.uniform(0.8, 2.0)
+            params = bh.BTZParams(rp, rp * ratio)
+            chart = bh.btz_chart_metric(params)
+            for r in rp * rng.uniform(0.05, 3.0, 60):
+                if min(abs(r - params.r_plus), abs(r - params.r_minus)) < 1e-3:
+                    continue
+                v, phi = rng.uniform(-1, 1), rng.uniform(0, 6)
+                public = bh.btz_metric(v, r, phi, params).components
+                assert public.tobytes() == chart((v, r, phi)).tobytes()
+                assert public.tobytes() == \
+                    chart(np.array([v, r, phi])).tobytes()
+
+    @pytest.mark.parametrize("rp,rm", [(1.2, 0.4), (1.0, 1.0), (1.0, 0.0)])
+    def test_horizon_errors_are_the_chart_point_errors(self, rp, rm):
+        params = bh.BTZParams(rp, rm)
+        chart = bh.btz_chart_metric(params)
+        for r in (rp, rm, 0.0, -0.5):
+            with pytest.raises((DomainError, bh.CoordinateSingularityError)) \
+                    as public:
+                bh.btz_metric(0.2, r, 0.3, params)
+            with pytest.raises(type(public.value)) as point:
+                chart((0.2, r, 0.3))
+            assert str(public.value) == str(point.value)
+
     def test_static_components(self):
         p = bh.BTZParams(1.0, 0.0)
         g = bh.btz_metric(0.0, 3.0, 0.0, p).components

@@ -498,9 +498,64 @@ class TestStackedFits:
         assert calls == [(2 * 157, 3)]
 
 
+def stencil_points(rng, m, n):
+    """m seeded points of n coordinates: values over three decades down
+    to the step, where (x + s) + t and (x + t) + s often differ in the
+    last bit, +0.0 and -0.0, values so large that x + STEP == x, and
+    tiny ones, drawn coordinate by coordinate."""
+    pool = np.array([0.0, -0.0, 1e20, -3e17, 1e-300, -5e-324, 2e-9])
+    xs = rng.uniform(-3.0, 3.0, (m, n)) * 10.0 ** rng.uniform(-3, 0, (m, n))
+    special = rng.random((m, n)) < 0.5
+    xs[special] = rng.choice(pool, special.sum())
+    xs[0, :2] = -0.0, 1e20  # at least one of each kind in every case
+    if m > 1:
+        xs[1, :2] = 0.0, 1e-300
+    return xs
+
+
+class TestStencilTables:
+    """`_stencils` from the cached index tables and `_pattern` from one
+    outer product, bit for bit against the forms they replaced."""
+
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stencils_equal_the_reference(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        for _ in range(5):
+            xs = stencil_points(rng, m, n)
+            new = cv._stencils(xs)
+            assert new.shape == (m, 1 + 4 * n + 16 * n * n, n)
+            assert bits(new) == bits(oracles.stencils_reference(xs))
+
+    def test_tables_are_cached_and_read_only(self):
+        assert cv._stencil_tables(3) is cv._stencil_tables(3)
+        size, first, second = cv._stencil_tables(3)
+        assert size == 157
+        for table in first + second:
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pattern_equals_the_reference(self, n, m):
+        rng = np.random.default_rng(7 * n + m)
+        g = rng.normal(size=(m, n, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1, 1))
+        sym = g + g.transpose(0, 2, 1)
+        # one ulp off symmetric, and entries of -0.0 and +0.0
+        skew = sym.copy()
+        skew[:, 0, 1] = np.nextafter(skew[:, 0, 1], np.inf)
+        zeros = sym.copy()
+        zeros[:, 0, 1], zeros[:, 1, 0] = -0.0, 0.0
+        for case in (sym, skew, g, zeros):
+            assert bits(cv._pattern(case)) == \
+                bits(oracles.fit_pattern_reference(case))
+
+
 class TestFitDomain:
-    """A non-finite point is refused before the metric is evaluated, by
-    the pointwise and by the stacked fit."""
+    """A point of the wrong rank, of one coordinate or not finite is
+    refused before the metric is evaluated, by the pointwise and by the
+    stacked fit; metric values of the wrong shape are a StructureError,
+    and a singular sample a DomainError."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -517,6 +572,66 @@ class TestFitDomain:
         with pytest.raises(DomainError, match="finite points"):
             cv.constant_curvature_fits(recorded, [(1.3, 0.2, 0.3), x])
         assert calls == []
+
+    @staticmethod
+    def recorded(metric):
+        """metric, and the list of the points it was called on."""
+        calls = []
+
+        def call(x):
+            calls.append(x)
+            return metric(x)
+        return call, calls
+
+    @pytest.mark.parametrize("xs", [(0.5, 0.2, 0.1), 0.5, [[[0.5, 0.2]]],
+                                    [(0.5, 0.2, 0.1), (0.5, 0.2)]])
+    def test_stack_of_another_rank_refused(self, xs):
+        # one point where a list is due, a number, a deeper nesting, and
+        # points of two dimensions
+        metric, calls = self.recorded(sp.chart_metric("ds"))
+        with pytest.raises(DomainError, match="a list of points"):
+            cv.constant_curvature_fits(metric, xs)
+        assert calls == []
+
+    @pytest.mark.parametrize("x", [[[0.5, 0.2, 0.1]], 0.5, "abc"])
+    def test_point_of_another_rank_refused(self, x):
+        metric, calls = self.recorded(sp.chart_metric("ds"))
+        with pytest.raises(DomainError, match="a point"):
+            cv.constant_curvature_fit(metric, x)
+        assert calls == []
+
+    def test_one_dimension_refused(self):
+        # the fit of a 1-D metric divided 0 by 0 into (nan, nan)
+        metric, calls = self.recorded(lambda x: np.array([[1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at least 2 coordinates"):
+                cv.constant_curvature_fit(metric, (0.3,))
+            with pytest.raises(DomainError, match="at least 2 coordinates"):
+                cv.constant_curvature_fits(metric, [(0.3,), (0.4,)])
+        assert calls == []
+
+    def test_metric_of_another_dimension(self):
+        # 2-D points fed to a 3-D metric: its (3, 3) values are refused
+        chart = sp.chart_metric("ds")
+        with pytest.raises(StructureError, match=r"3, 3\) where .*2, 2\)"):
+            cv.constant_curvature_fit(chart, (0.5, 0.2))
+        with pytest.raises(StructureError,
+                           match=r"\(73, 3, 3\) where \(73, 2, 2\)"):
+            cv.constant_curvature_fits(chart, [(0.5, 0.2)])
+        # and values of no one shape
+        ragged = iter([np.eye(2)] + [np.eye(3)] * 100)
+        with pytest.raises(StructureError, match="one shape"):
+            cv.constant_curvature_fit(lambda x: next(ragged), (0.5, 0.2))
+
+    def test_singular_sample(self):
+        g = np.diag([0.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match="nondegenerate"):
+            cv.constant_curvature_fit(lambda x: g, (0.5, 0.2, 0.1))
+        with pytest.raises(DomainError, match="nondegenerate"):
+            cv.constant_curvature_fits(
+                lambda xs: np.broadcast_to(g, (len(xs), 3, 3)),
+                [(0.5, 0.2, 0.1), (0.6, 0.2, 0.1)])
 
 
 # the grids of the golden wick streams, and one whose second point's
